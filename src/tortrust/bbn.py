@@ -26,9 +26,11 @@ import numpy as np
 
 from .beliefs import (Absolute, Budget1, Budget2, CE1, CE2, Relative,
                       default_scale)
-from .errors import CompileError, NetworkTooLargeError
+from .editor import attachment_scopes, group_attachments
+from .errors import CompileError, EditError, NetworkTooLargeError
 from .ontology import normalize_type_name
-from .predicates import And, Const, IdIn, IsType, Not, Or, eval_predicate
+from .predicates import (IdIn, IsType, eval_event, eval_predicate,
+                         parse_event)
 
 EXACT_NODE_CAP = 24
 
@@ -108,9 +110,16 @@ def matching_nodes(world, pred):
                  if eval_predicate(pred, world, inst.id, ctx="trust"))
 
 
-def _merge_attachments(ew, trust):
-    budgets = {n: list(v) for n, v in ew.budgets.items()}
-    ce_specs = {n: list(v) for n, v in ew.ce_specs.items()}
+def compile_bbn(ew, trust=(), scale=None):
+    """Translate EditedWorld + trust beliefs into a CompiledBbn.
+
+    Budget and CE beliefs may arrive attached to `ew`, in `trust`, or both
+    (value-equal duplicates collapse), so a belief document can be applied
+    in one step or two.  Either way they are checked by the editor's rules.
+    """
+    if scale is None:
+        scale = default_scale()
+    world = ew.world
     relatives = []
     absolutes = []
     for belief in trust:
@@ -118,43 +127,15 @@ def _merge_attachments(ew, trust):
             relatives.append(belief)
         elif isinstance(belief, Absolute):
             absolutes.append(belief)
-        elif isinstance(belief, (Budget1, Budget2)):
-            if belief.instance not in ew.world.by_id:
-                raise CompileError(
-                    f"budget targets unknown instance {belief.instance!r}")
-            entries = budgets.setdefault(belief.instance, [])
-            if belief not in entries:
-                entries.append(belief)
-        elif isinstance(belief, (CE1, CE2)):
-            if belief.instance not in ew.world.by_id:
-                raise CompileError(
-                    f"CE belief targets unknown instance {belief.instance!r}")
-            entries = ce_specs.setdefault(belief.instance, [])
-            if belief not in entries:
-                entries.append(belief)
-        else:
+        elif not isinstance(belief, (Budget1, Budget2, CE1, CE2)):
             raise CompileError(f"unknown trust belief {belief!r}")
-    # Mirror the editor's rule: one top CE per node silences the others.
-    for node, entries in ce_specs.items():
-        tops = [s for s in entries if isinstance(s, CE2)]
-        if len(tops) > 1:
-            raise CompileError(f"multiple top CE beliefs on {node!r}")
-        if tops and len(entries) > 1:
-            ce_specs[node] = [tops[0]]
-    return budgets, ce_specs, relatives, absolutes
-
-
-def compile_bbn(ew, trust=(), scale=None):
-    """Translate EditedWorld + trust beliefs into a CompiledBbn.
-
-    Budget and CE beliefs may arrive attached to `ew`, in `trust`, or both
-    (value-equal duplicates collapse), so a belief document can be applied
-    in one step or two.
-    """
-    if scale is None:
-        scale = default_scale()
-    world = ew.world
-    budgets, ce_specs, relatives, absolutes = _merge_attachments(ew, trust)
+    attached = [b for node in ew.budgets for b in ew.budgets[node]]
+    attached += [s for node in ew.ce_specs for s in ew.ce_specs[node]]
+    try:
+        budget_scopes, ce_scopes = attachment_scopes(
+            world, *group_attachments(world, attached + list(trust)))
+    except EditError as exc:
+        raise CompileError(str(exc)) from exc
 
     # Edge map: child id -> {parent id: weight}; world edges default to 1.
     in_edges = {inst.id: {} for inst in world.instances}
@@ -163,53 +144,24 @@ def compile_bbn(ew, trust=(), scale=None):
 
     # CE nodes reroute covered children through a synthetic activation node.
     ce_nodes = []              # (ce id, parent id, activation, children)
-    for parent in sorted(ce_specs):
-        specs = ce_specs[parent]
-        claimed = {}
-        for i, spec in enumerate(specs):
-            if isinstance(spec, CE2):
-                covered = list(world.children(parent))
-            else:
-                covered = [c for c in world.children(parent)
-                           if eval_predicate(spec.pred, world, c, ctx="trust")]
-            for child in covered:
-                if child in claimed:
-                    raise CompileError(
-                        f"CE beliefs on {parent!r} overlap at child {child!r}")
-                claimed[child] = True
+    for parent in sorted(ce_scopes):
+        for i, (spec, covered) in enumerate(ce_scopes[parent]):
             if not covered:
                 continue
             ce_id = f"ce:{parent}#{i}"
-            activation = scale.ce_prob(spec.v)
-            ce_nodes.append((ce_id, parent, activation, covered))
+            ce_nodes.append((ce_id, parent, scale.ce_prob(spec.v), covered))
             for child in covered:
                 del in_edges[child][parent]
                 in_edges[child][ce_id] = 1.0
 
     # Budgets scale the parent's outgoing edge weights by min(1, k/c), where
-    # c counts the children in scope in the edited world.  An "all" budget
-    # silences every other budget on the node; the last one wins.
-    for parent in sorted(budgets):
-        entries = budgets[parent]
-        all_budgets = [b for b in entries if isinstance(b, Budget2)]
-        if all_budgets:
-            entries = [all_budgets[-1]]
-        for budget in entries:
-            if isinstance(budget, Budget2):
-                scope = list(world.children(parent))
-            else:
-                scope = [c for c in world.children(parent)
-                         if world.type_of(c) == budget.type_name
-                         or normalize_type_name(world.type_of(c))
-                         == budget.type_name]
+    # c counts the children in scope in the edited world.
+    for parent in sorted(budget_scopes):
+        for budget, scope in budget_scopes[parent]:
             if not scope:
                 continue
             factor = min(1.0, budget.k / len(scope))
             for child in scope:
-                if parent not in in_edges[child]:
-                    raise CompileError(
-                        f"budget and CE beliefs on {parent!r} overlap at "
-                        f"child {child!r}")
                 in_edges[child][parent] *= factor
 
     risks = {inst.id: [] for inst in world.instances}
@@ -381,125 +333,6 @@ def estimate_marginals(bbn, nodes=None, n=100_000, seed=0):
 
 # --- Event expressions -------------------------------------------------------
 
-_EVENT_PUNCT = {"(": "(", ")": ")"}
-_EVENT_KEYWORDS = {"and", "or", "not"}
-
-
-def _event_tokens(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch in _EVENT_PUNCT:
-            tokens.append((ch, ch))
-            pos += 1
-            continue
-        if ch == '"':
-            end = text.find('"', pos + 1)
-            if end < 0:
-                raise ValueError("unterminated quoted node id in event")
-            tokens.append(("atom", text[pos + 1:end]))
-            pos = end + 1
-            continue
-        end = pos
-        while end < len(text) and not text[end].isspace() \
-                and text[end] not in "()":
-            end += 1
-        word = text[pos:end]
-        if word in _EVENT_KEYWORDS:
-            tokens.append((word, word))
-        else:
-            tokens.append(("atom", word))
-        pos = end
-    tokens.append(("eof", None))
-    return tokens
-
-
-@dataclass(frozen=True)
-class _EventAtom:
-    node_id: str
-
-
-class _EventParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.parse_or()
-        if self.peek() != "eof":
-            raise ValueError(f"trailing input in event expression: "
-                             f"{self.tokens[self.pos][1]!r}")
-        return node
-
-    def parse_or(self):
-        items = [self.parse_and()]
-        while self.peek() == "or":
-            self.take()
-            items.append(self.parse_and())
-        return items[0] if len(items) == 1 else Or(tuple(items))
-
-    def parse_and(self):
-        items = [self.parse_unary()]
-        while self.peek() == "and":
-            self.take()
-            items.append(self.parse_unary())
-        return items[0] if len(items) == 1 else And(tuple(items))
-
-    def parse_unary(self):
-        if self.peek() == "not":
-            self.take()
-            return Not(self.parse_unary())
-        if self.peek() == "(":
-            self.take()
-            node = self.parse_or()
-            if self.peek() != ")":
-                raise ValueError("missing ) in event expression")
-            self.take()
-            return node
-        kind, value = self.take()
-        if kind != "atom" or not value:
-            raise ValueError("expected a node id in event expression")
-        return _EventAtom(value)
-
-
-def parse_event(text):
-    if not text or not text.strip():
-        raise ValueError("empty event expression")
-    return _EventParser(_event_tokens(text)).parse()
-
-
-def _event_column(node, sampler):
-    if isinstance(node, _EventAtom):
-        return sampler.column(node.node_id)
-    if isinstance(node, Not):
-        return ~_event_column(node.inner, sampler)
-    if isinstance(node, And):
-        col = _event_column(node.items[0], sampler)
-        for item in node.items[1:]:
-            col = col & _event_column(item, sampler)
-        return col
-    if isinstance(node, Or):
-        col = _event_column(node.items[0], sampler)
-        for item in node.items[1:]:
-            col = col | _event_column(item, sampler)
-        return col
-    if isinstance(node, Const):
-        return np.full(sampler.n, node.value, dtype=bool)
-    raise TypeError(f"unknown event node {node!r}")
-
-
 def estimate_event(bbn, event, n=100_000, seed=0):
     """Monte Carlo estimate of a boolean event over node indicators.
 
@@ -507,10 +340,15 @@ def estimate_event(bbn, event, n=100_000, seed=0):
     or a pre-parsed tree."""
     tree = parse_event(event) if isinstance(event, str) else event
     sampler = Sampler(bbn, n, seed)
-    return float(_event_column(tree, sampler).mean())
+    return float(eval_event(tree, sampler.column).mean())
 
 
 # --- Exact enumeration -------------------------------------------------------
+
+def _state_bit(states, i):
+    """Boolean mask of the states in which node i is compromised."""
+    return ((states >> np.uint32(i)) & np.uint32(1)).astype(bool)
+
 
 def _joint_vector(bbn, cap):
     m = len(bbn.nodes)
@@ -519,26 +357,20 @@ def _joint_vector(bbn, cap):
             f"{m} nodes exceeds the exact-enumeration cap of {cap}")
     n_states = 1 << m
     states = np.arange(n_states, dtype=np.uint32)
-
-    def bit(i):
-        return ((states >> np.uint32(i)) & np.uint32(1)).astype(bool)
-
     prob = np.ones(n_states)
     for i, node in enumerate(bbn.nodes):
-        on = bit(i)
+        on = _state_bit(states, i)
         if node.absolute is not None:
-            p_i = np.where(on, node.absolute, 1.0 - node.absolute)
-            prob *= p_i
-            continue
-        if node.kind == "ce":
+            p_on = node.absolute
+        elif node.kind == "ce":
             (j, activation), = node.parents
-            p_on = np.where(bit(j), activation, 0.0)
+            p_on = np.where(_state_bit(states, j), activation, 0.0)
         else:
             keep = np.ones(n_states)
             for q in node.risks:
                 keep *= 1.0 - q
             for j, w in node.parents:
-                keep = keep * np.where(bit(j), 1.0 - w, 1.0)
+                keep = keep * np.where(_state_bit(states, j), 1.0 - w, 1.0)
             p_on = 1.0 - keep
         prob *= np.where(on, p_on, 1.0 - p_on)
     return prob
@@ -558,8 +390,7 @@ def exact_marginals(bbn, cap=EXACT_NODE_CAP):
     states = np.arange(prob.size, dtype=np.uint32)
     out = {}
     for i, node in enumerate(bbn.nodes):
-        mask = ((states >> np.uint32(i)) & np.uint32(1)).astype(bool)
-        out[node.id] = float(prob[mask].sum())
+        out[node.id] = float(prob[_state_bit(states, i)].sum())
     return out
 
 
@@ -569,30 +400,13 @@ def exact_event(bbn, event, cap=EXACT_NODE_CAP):
     prob = _joint_vector(bbn, cap)
     states = np.arange(prob.size, dtype=np.uint32)
 
-    def column(node):
-        if isinstance(node, _EventAtom):
-            try:
-                i = bbn.index[node.node_id]
-            except KeyError:
-                raise KeyError(f"unknown node {node.node_id!r}") from None
-            return ((states >> np.uint32(i)) & np.uint32(1)).astype(bool)
-        if isinstance(node, Not):
-            return ~column(node.inner)
-        if isinstance(node, And):
-            out = column(node.items[0])
-            for item in node.items[1:]:
-                out = out & column(item)
-            return out
-        if isinstance(node, Or):
-            out = column(node.items[0])
-            for item in node.items[1:]:
-                out = out | column(item)
-            return out
-        if isinstance(node, Const):
-            return np.full(prob.size, node.value, dtype=bool)
-        raise TypeError(f"unknown event node {node!r}")
+    def leaf(node_id):
+        try:
+            return _state_bit(states, bbn.index[node_id])
+        except KeyError:
+            raise KeyError(f"unknown node {node_id!r}") from None
 
-    return float(prob[column(tree)].sum())
+    return float(prob[eval_event(tree, leaf)].sum())
 
 
 # --- Serialization -----------------------------------------------------------
@@ -611,21 +425,38 @@ def bbn_to_dict(bbn):
 
 
 def bbn_from_dict(data):
+    """Rebuild a network, rejecting what the sampler and the exact oracle
+    would read differently: forward parents, unknown kinds, ce nodes
+    without exactly one parent, and probabilities outside [0,1]."""
     nodes = []
     for i, entry in enumerate(data.get("nodes", [])):
+        node_id = entry["id"]
+        kind = entry.get("kind", "world")
         parents = tuple((int(j), float(w)) for j, w in entry.get("parents", []))
-        for j, _ in parents:
-            if j >= i:
-                raise CompileError(
-                    f"node {entry['id']!r} has parent index {j} not before "
-                    f"its own position {i}")
+        risks = tuple(float(q) for q in entry.get("risks", []))
         absolute = entry.get("absolute")
-        nodes.append(BbnNode(
-            id=entry["id"], kind=entry.get("kind", "world"),
-            parents=parents,
-            risks=tuple(float(q) for q in entry.get("risks", [])),
-            absolute=None if absolute is None else float(absolute),
-            is_output=bool(entry.get("is_output", False))))
+        absolute = None if absolute is None else float(absolute)
+        if kind not in ("world", "ce"):
+            raise CompileError(f"node {node_id!r} has unknown kind {kind!r}")
+        if kind == "ce" and len(parents) != 1:
+            raise CompileError(f"ce node {node_id!r} needs exactly one "
+                               f"parent, has {len(parents)}")
+        for j, _ in parents:
+            if not 0 <= j < i:
+                raise CompileError(
+                    f"node {node_id!r} has parent index {j} not before "
+                    f"its own position {i}")
+        for what, values in (("edge weight", [w for _, w in parents]),
+                             ("risk", risks),
+                             ("absolute", () if absolute is None
+                              else (absolute,))):
+            for p in values:
+                if not 0.0 <= p <= 1.0:
+                    raise CompileError(f"node {node_id!r} has {what} {p!r} "
+                                       f"outside [0,1]")
+        nodes.append(BbnNode(id=node_id, kind=kind, parents=parents,
+                             risks=risks, absolute=absolute,
+                             is_output=bool(entry.get("is_output", False))))
     return CompiledBbn(nodes=tuple(nodes))
 
 

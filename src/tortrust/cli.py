@@ -56,18 +56,27 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _atomic_write_text(path, text):
+def _atomic_write(path, write):
+    """write(tmp) into a temporary file beside `path`, then rename it over
+    `path`; a failed write leaves `path` untouched."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_text(path, text):
+    def write(tmp):
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    _atomic_write(path, write)
 
 
 def _write_manifest(out_path, args, inputs, outputs, seeds=None):
@@ -96,10 +105,11 @@ def _dump_json(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(args, text):
-    out = getattr(args, "out", None)
-    if out:
-        _atomic_write_text(out, text)
+def _emit(args, text, inputs, seeds=None):
+    """Write `text` to --out, with its manifest, or else to stdout."""
+    if args.out:
+        _atomic_write_text(args.out, text)
+        _write_manifest(args.out, args, inputs, [args.out], seeds=seeds)
     else:
         sys.stdout.write(text)
 
@@ -209,17 +219,7 @@ def cmd_bbn_compile(args):
 def cmd_bbn_sample(args):
     bbn = load_bbn(args.bbn)
     matrix = sample_matrix(bbn, args.n, args.seed)
-    directory = os.path.dirname(os.path.abspath(args.out))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    os.close(fd)
-    try:
-        save_samples(tmp, matrix)
-        os.replace(tmp, args.out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(args.out, lambda tmp: save_samples(tmp, matrix))
     _write_manifest(args.out, args, [args.bbn], [args.out],
                     seeds={"sample": args.seed})
     return EXIT_OK
@@ -237,10 +237,7 @@ def cmd_bbn_marginals(args):
         lines += [f"{e.node},{e.estimate:.6f},{e.n_samples}"
                   for e in estimates]
         text = "\n".join(lines) + "\n"
-    _emit(args, text)
-    if args.out:
-        _write_manifest(args.out, args, [args.bbn], [args.out],
-                        seeds={"marginals": args.seed})
+    _emit(args, text, [args.bbn], seeds={"marginals": args.seed})
     return EXIT_OK
 
 
@@ -253,10 +250,7 @@ def cmd_bbn_event(args):
     else:
         text = ("event,estimate,n_samples,seed\n"
                 f"\"{args.expr}\",{estimate:.6f},{args.n},{args.seed}\n")
-    _emit(args, text)
-    if args.out:
-        _write_manifest(args.out, args, [args.bbn], [args.out],
-                        seeds={"event": args.seed})
+    _emit(args, text, [args.bbn], seeds={"event": args.seed})
     return EXIT_OK
 
 
@@ -271,9 +265,7 @@ def cmd_bbn_exact(args):
         lines = ["state,probability"]
         lines += [f"{s},{dist[s]:.12g}" for s in states]
         text = "\n".join(lines) + "\n"
-    _emit(args, text)
-    if args.out:
-        _write_manifest(args.out, args, [args.bbn], [args.out])
+    _emit(args, text, [args.bbn])
     return EXIT_OK
 
 
@@ -328,10 +320,7 @@ def cmd_experiment_run(args):
                            for r in table.rows])
     else:
         text = table.to_csv()
-    _emit(args, text)
-    if args.out:
-        _write_manifest(args.out, args, inputs + [args.config], [args.out],
-                        seeds={"experiment": cfg.seed})
+    _emit(args, text, inputs + [args.config], seeds={"experiment": cfg.seed})
     return EXIT_OK
 
 

@@ -15,9 +15,8 @@ from .beliefs import (AddInstance, AddRelationship, Budget1, Budget2, CE1,
                       CE2, NovelType, RemoveInstance, RemoveRelationship,
                       SetAttribute)
 from .errors import EditError, OntologyError
-from .ontology import (AttributeDef, TypeDef, USER, extend_ontology,
-                       normalize_type_name)
-from .predicates import eval_predicate
+from .ontology import AttributeDef, TypeDef, USER, extend_ontology
+from .predicates import IsType, Predicate, eval_predicate
 from .world import RelationshipInstance, TypeInstance, World, validate_world
 
 log = logging.getLogger(__name__)
@@ -73,9 +72,8 @@ def apply_structural(world, ontology, doc):
     edited = World(instances=tuple(instances.values()),
                    relationships=tuple(edges.values()))
 
-    budgets = _attach_budgets(doc.trust, edited)
-    ce_specs = _attach_ce(doc.trust, edited)
-    _check_budget_ce_overlap(edited, budgets, ce_specs)
+    budgets, ce_specs = group_attachments(edited, doc.trust)
+    attachment_scopes(edited, budgets, ce_specs)  # raises on overlaps
 
     report = validate_world(edited, ontology, allowed_edges=user_edges)
     if not report.ok:
@@ -182,84 +180,87 @@ def _set_attribute(belief, instances):
     instances[belief.id] = TypeInstance(inst.id, inst.type_name, attrs)
 
 
-def _attach_budgets(trust, world):
+def group_attachments(world, beliefs):
+    """Check the budget and CE beliefs among `beliefs` against `world` and
+    group them by instance, in order: ({node: budgets}, {node: CE beliefs}).
+
+    A top CE belief suppresses the other CE beliefs on its node, with a
+    warning.  Raises EditError for an unknown instance, a negative budget
+    or two different top CE beliefs on one node.
+    """
     budgets = {}
-    for belief in trust:
-        if not isinstance(belief, (Budget1, Budget2)):
-            continue
-        if belief.instance not in world.by_id:
-            raise EditError(f"budget targets unknown instance "
-                            f"{belief.instance!r}")
-        if belief.k < 0:
-            raise EditError(f"budget on {belief.instance!r} has negative k")
-        budgets.setdefault(belief.instance, []).append(belief)
-    return {n: tuple(v) for n, v in budgets.items()}
-
-
-def _attach_ce(trust, world):
     ce_specs = {}
-    for belief in trust:
-        if not isinstance(belief, (CE1, CE2)):
+    for belief in beliefs:
+        if isinstance(belief, (Budget1, Budget2)):
+            what, groups = "budget", budgets
+        elif isinstance(belief, (CE1, CE2)):
+            what, groups = "CE belief", ce_specs
+        else:
             continue
         if belief.instance not in world.by_id:
-            raise EditError(f"CE belief targets unknown instance "
+            raise EditError(f"{what} targets unknown instance "
                             f"{belief.instance!r}")
-        ce_specs.setdefault(belief.instance, []).append(belief)
-    out = {}
+        if groups is budgets and belief.k < 0:
+            raise EditError(f"budget on {belief.instance!r} has negative k")
+        groups.setdefault(belief.instance, []).append(belief)
     for node, specs in ce_specs.items():
-        tops = [s for s in specs if isinstance(s, CE2)]
+        distinct = list(dict.fromkeys(specs))
+        tops = [s for s in distinct if isinstance(s, CE2)]
         if len(tops) > 1:
             raise EditError(f"multiple top CE beliefs on {node!r}")
         if tops:
-            if len(specs) > 1:
+            if len(distinct) > 1:
                 log.warning("top CE belief on %s suppresses %d other CE "
-                            "beliefs", node, len(specs) - 1)
-            out[node] = (tops[0],)
-            continue
-        _check_ce_disjoint(world, node, specs)
-        out[node] = tuple(specs)
-    return out
+                            "beliefs", node, len(distinct) - 1)
+            specs[:] = tops
+    return ({n: tuple(v) for n, v in budgets.items()},
+            {n: tuple(v) for n, v in ce_specs.items()})
 
 
-def _check_ce_disjoint(world, node, specs):
-    for child in world.children(node):
-        hits = [s for s in specs
-                if eval_predicate(s.pred, world, child, ctx="trust")]
-        if len(hits) > 1:
-            raise EditError(
-                f"CE predicates on {node!r} overlap at child {child!r}")
+def attachment_scopes(world, budgets, ce_specs):
+    """The budgets and CE beliefs that take effect, each with the children
+    it covers: ({node: ((budget, children), ...)}, {node: ((spec,
+    children), ...)}).
+
+    Value-equal duplicates collapse, and the last "all" budget on a node
+    silences its other budgets.  A bu1 budget covers the children passing
+    `is <type>`, a ce1 belief those passing its predicate, bu2 and ce2 all
+    children.  Raises EditError where CE beliefs, or a budget and a CE
+    belief, cover the same child.
+    """
+    budget_scopes = {}
+    for node, entries in budgets.items():
+        entries = list(dict.fromkeys(entries))
+        all_budgets = [b for b in entries if isinstance(b, Budget2)]
+        budget_scopes[node] = tuple((b, _scope(world, node, b))
+                                    for b in all_budgets[-1:] or entries)
+    ce_scopes = {}
+    for node, specs in ce_specs.items():
+        scoped = tuple((s, _scope(world, node, s))
+                       for s in dict.fromkeys(specs))
+        claimed = set()
+        for _, children in scoped:
+            for child in children:
+                if child in claimed:
+                    raise EditError(f"CE predicates on {node!r} overlap at "
+                                    f"child {child!r}")
+                claimed.add(child)
+        overlap = {c for _, children in budget_scopes.get(node, ())
+                   for c in children if c in claimed}
+        if overlap:
+            raise EditError(f"budget and CE beliefs on {node!r} overlap at "
+                            f"children {sorted(overlap)[:3]}")
+        ce_scopes[node] = scoped
+    return budget_scopes, ce_scopes
 
 
-def _budget_scope(world, node, budget):
-    if isinstance(budget, Budget2):
-        return set(world.children(node))
-    matches = set()
-    for child in world.children(node):
-        ctype = world.type_of(child)
-        if budget.type_name == ctype \
-                or budget.type_name == normalize_type_name(ctype):
-            matches.add(child)
-    return matches
-
-
-def _ce_scope(world, node, spec):
-    if isinstance(spec, CE2):
-        return set(world.children(node))
-    return {c for c in world.children(node)
-            if eval_predicate(spec.pred, world, c, ctx="trust")}
-
-
-def _check_budget_ce_overlap(world, budgets, ce_specs):
-    for node in sorted(set(budgets) & set(ce_specs)):
-        covered_by_budget = set()
-        for b in budgets[node]:
-            covered_by_budget |= _budget_scope(world, node, b)
-        for spec in ce_specs[node]:
-            overlap = covered_by_budget & _ce_scope(world, node, spec)
-            if overlap:
-                raise EditError(
-                    f"budget and CE beliefs on {node!r} overlap at children "
-                    f"{sorted(overlap)[:3]}")
+def _scope(world, node, belief):
+    if isinstance(belief, (Budget2, CE2)):
+        return world.children(node)
+    pred = belief.pred if isinstance(belief, CE1) else \
+        Predicate(f"is {belief.type_name}", IsType(belief.type_name))
+    return tuple(c for c in world.children(node)
+                 if eval_predicate(pred, world, c, ctx="trust"))
 
 
 # ---------------------------------------------------------------------------
@@ -289,19 +290,13 @@ def edited_world_from_dict(data):
     world = world_from_dict(data)
     ontology = ontology_from_dict(data["ontology"])
     scale = default_scale()
-    budgets = {}
-    for i, entry in enumerate(data.get("budgets", [])):
-        belief = _parse_trust(entry, f"budgets[{i}]", scale)
-        budgets.setdefault(belief.instance, []).append(belief)
-    ce_specs = {}
-    for i, entry in enumerate(data.get("ce_specs", [])):
-        belief = _parse_trust(entry, f"ce_specs[{i}]", scale)
-        ce_specs.setdefault(belief.instance, []).append(belief)
+    budgets, ce_specs = group_attachments(world, [
+        _parse_trust(entry, f"{key}[{i}]", scale)
+        for key in ("budgets", "ce_specs")
+        for i, entry in enumerate(data.get(key, []))])
     user_edges = frozenset(tuple(e) for e in data.get("user_relationships", []))
-    return EditedWorld(world=world, ontology=ontology,
-                       budgets={n: tuple(v) for n, v in budgets.items()},
-                       ce_specs={n: tuple(v) for n, v in ce_specs.items()},
-                       user_edges=user_edges)
+    return EditedWorld(world=world, ontology=ontology, budgets=budgets,
+                       ce_specs=ce_specs, user_edges=user_edges)
 
 
 def save_edited_world(ew, path):

@@ -19,11 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ontology as ont
 from .bbn import Sampler, compile_bbn
 from .editor import apply_structural
-from .pathsel import (ClientLocation, _end_column, consensus_view,
-                      derive_seed, draw_default_circuits, place_servers,
-                      select_circuit, select_guards)
+from .pathsel import (_client_as, _end_column, consensus_view, derive_seed,
+                      draw_default_circuits, place_servers, select_circuit,
+                      select_guards)
 
 SCENARIO_TOR_DEFAULT = "tor-default"
 SCENARIO_CLIENTS_TRUST = "clients-trust"
@@ -141,14 +142,17 @@ def run_experiment(cfg):
                 "destination_as"):
         if getattr(cfg, key) is None:
             raise ValueError(f"experiment config is missing {key}")
-    clients = [c.as_id if isinstance(c, ClientLocation) else str(c)
-               for c in cfg.clients]
+    clients = [_client_as(c) for c in cfg.clients]
     if not clients:
         raise ValueError("experiment config has no clients")
 
     ew = apply_structural(cfg.world, cfg.ontology, cfg.adversary)
-    bbn = compile_bbn(ew, cfg.adversary.trust, cfg.adversary.scale)
     world = ew.world
+    for role, node in ([("client", c) for c in clients]
+                       + [("destination_as", cfg.destination_as)]):
+        if node not in world.by_id or world.type_of(node) != ont.AS:
+            raise ValueError(f"{role} {node!r} is not an AS of the world")
+    bbn = compile_bbn(ew, cfg.adversary.trust, cfg.adversary.scale)
 
     rows = []
     per_client = {}

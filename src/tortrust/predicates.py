@@ -18,6 +18,14 @@ Grammar (standard precedence, not > and > or):
     literal  := STRING | NUMBER
     CMP      := "=" | "!=" | "<" | "<=" | ">" | ">="
 
+Event expressions (parse_event) reuse the expr/or/and/unary rules over
+node indicators, with
+
+    atom     := "(" expr ")" | NODEID | STRING
+
+where NODEID is any run of characters other than whitespace, parentheses
+and quotes ("ce:as:1#0"); "in", "is" and "id" are node ids there.
+
 Type names are written in identifier form: spaces, slashes and hyphens
 dropped ("Router/Switch" -> RouterSwitch).  A comparison against a missing
 attribute is false and logs a warning.  Structural tests (child_count,
@@ -100,6 +108,11 @@ class Const:
 
 
 @dataclass(frozen=True)
+class EventAtom:
+    node_id: str
+
+
+@dataclass(frozen=True)
 class Predicate:
     """A parsed predicate; `text` is the exact source it parses back from."""
     text: str
@@ -124,6 +137,15 @@ _TOKEN_RE = re.compile(r"""
 
 _KEYWORDS = {"and", "or", "not", "is", "id", "in"}
 
+_EVENT_TOKEN_RE = re.compile(r"""
+    (?P<ws>\s+)
+  | (?P<string>"(?:[^"\\]|\\.)*")
+  | (?P<op>[()])
+  | (?P<word>[^\s()"]+)
+""", re.VERBOSE)
+
+_EVENT_KEYWORDS = {"and", "or", "not"}
+
 
 @dataclass(frozen=True)
 class _Token:
@@ -133,13 +155,13 @@ class _Token:
     column: int
 
 
-def _tokenize(text):
+def _tokenize(text, token_re=_TOKEN_RE, keywords=_KEYWORDS):
     tokens = []
     pos = 0
     line = 1
     line_start = 0
     while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+        m = token_re.match(text, pos)
         if m is None:
             raise PredicateSyntaxError(
                 f"unexpected character {text[pos]!r}",
@@ -161,9 +183,9 @@ def _tokenize(text):
             raw = m.group()
             value = float(raw) if "." in raw else int(raw)
             tokens.append(_Token("number", value, line, column))
-        elif m.lastgroup == "ident":
+        elif m.lastgroup in ("ident", "word"):
             word = m.group()
-            kind = word if word in _KEYWORDS else "ident"
+            kind = word if word in keywords else m.lastgroup
             tokens.append(_Token(kind, word, line, column))
         else:
             tokens.append(_Token(m.group(), m.group(), line, column))
@@ -226,12 +248,15 @@ class _Parser:
         return self.parse_atom()
 
     def parse_atom(self):
-        tok = self.cur
-        if tok.kind == "(":
+        if self.cur.kind == "(":
             self.advance()
             node = self.parse_expr()
             self.expect(")")
             return node
+        return self.parse_test()
+
+    def parse_test(self):
+        tok = self.cur
         if tok.kind == "is":
             self.advance()
             name = self.expect("ident", "a type name")
@@ -296,15 +321,41 @@ class _Parser:
         self.expect("}")
         return values
 
+    def parse_all(self):
+        root = self.parse_expr()
+        if self.cur.kind != "eof":
+            self.fail(f"unexpected {self._describe(self.cur)} after expression")
+        return root
+
+
+class _EventExprParser(_Parser):
+    def parse_test(self):
+        tok = self.cur
+        if tok.kind not in ("word", "string") or not tok.value:
+            self.fail(f"expected a node id, found {self._describe(tok)}")
+        self.advance()
+        return EventAtom(tok.value)
+
 
 def parse_predicate(text):
     if not text or not text.strip():
         raise PredicateSyntaxError("empty predicate", 1, 1)
-    parser = _Parser(_tokenize(text))
-    root = parser.parse_expr()
-    if parser.cur.kind != "eof":
-        parser.fail(f"unexpected {parser._describe(parser.cur)} after expression")
-    return Predicate(text, root)
+    return Predicate(text, _Parser(_tokenize(text)).parse_all())
+
+
+def parse_event(text):
+    """Parse an event expression: and/or/not and parentheses over node ids.
+
+    Raises ValueError, since an event is given on the command line rather
+    than in a document.
+    """
+    if not text or not text.strip():
+        raise ValueError("empty event expression")
+    try:
+        tokens = _tokenize(text, _EVENT_TOKEN_RE, _EVENT_KEYWORDS)
+        return _EventExprParser(tokens).parse_all()
+    except PredicateSyntaxError as exc:
+        raise ValueError(f"bad event expression: {exc}") from exc
 
 
 # --- Evaluation ------------------------------------------------------------
@@ -367,6 +418,22 @@ def _eval(node, world, node_id, ctx):
 
 
 _MISSING = object()
+
+
+def eval_event(node, leaf):
+    """Evaluate an event tree over boolean arrays; leaf(node_id) gives the
+    array of one node's indicator."""
+    if isinstance(node, EventAtom):
+        return leaf(node.node_id)
+    if isinstance(node, Not):
+        return ~eval_event(node.inner, leaf)
+    if isinstance(node, (And, Or)):
+        out = eval_event(node.items[0], leaf)
+        for item in node.items[1:]:
+            col = eval_event(item, leaf)
+            out = out & col if isinstance(node, And) else out | col
+        return out
+    raise TypeError(f"unknown event node {node!r}")
 
 
 def _require_trust_ctx(ctx, what):

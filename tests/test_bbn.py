@@ -165,6 +165,31 @@ def test_budget_ce_overlap_rejected(make_edited):
             CE2("as:1", "U"), Budget2("as:1", 1)), scale=SCALE)
 
 
+def test_negative_budget_rejected_at_compile(make_edited):
+    ew = _linear(make_edited)
+    with pytest.raises(CompileError, match="negative k"):
+        compile_bbn(ew, trust=(
+            Absolute(_pred("is AS"), 1.0), Budget2("as:1", -1)), scale=SCALE)
+
+
+def test_duplicate_budgets_collapse(make_edited):
+    budget = Budget1("as:1", "VirtualLink", 1)
+    ew = _linear(make_edited, budgets={"as:1": (budget, budget)})
+    bbn = compile_bbn(ew, trust=(budget,), scale=SCALE)
+    by_id = {n.id: n for n in bbn.nodes}
+    assert [w for _, w in by_id["vlink:a"].parents] == [0.5]
+
+
+def test_ce2_supersedes_ce1_at_compile(make_edited, caplog):
+    ew = _linear(make_edited)
+    with caplog.at_level("WARNING"):
+        bbn = compile_bbn(ew, trust=(
+            CE1("as:1", _pred('id in {"vlink:a"}'), "LC"),
+            CE2("as:1", "U")), scale=SCALE)
+    assert [n.id for n in bbn.nodes if n.kind == "ce"] == ["ce:as:1#0"]
+    assert "suppresses 1 other CE" in caplog.text
+
+
 def test_compile_rejects_cycles(make_edited):
     ew = make_edited({"as:1": "AS", "as:2": "AS"},
                      [("as:1", "as:2"), ("as:2", "as:1")])
@@ -325,6 +350,28 @@ def test_bbn_dict_rejects_forward_parent():
         bbn_from_dict(data)
 
 
+def _node(node_id, parents=(), kind="world", risks=(), absolute=None):
+    return {"id": node_id, "kind": kind, "parents": [list(p) for p in parents],
+            "risks": list(risks), "absolute": absolute, "is_output": False}
+
+
+@pytest.mark.parametrize("bad", [
+    _node("b", parents=[(0, 2.5)]),
+    _node("b", parents=[(0, -0.1)]),
+    _node("b", risks=[1.01]),
+    _node("b", absolute=1.5),
+    _node("b", absolute=float("nan")),
+    _node("b", kind="gate"),
+    _node("b", kind="ce"),
+    _node("b", kind="ce", parents=[(0, 0.5), (0, 0.5)]),
+    _node("b", parents=[(-1, 0.5)]),
+])
+def test_bbn_dict_rejects_malformed_node(bad):
+    data = {"nodes": [_node("a", absolute=0.5), bad]}
+    with pytest.raises(CompileError):
+        bbn_from_dict(data)
+
+
 def test_sample_dump_roundtrip(tmp_path, small_bbn):
     matrix = sample_matrix(small_bbn, 999, seed=1)
     path = str(tmp_path / "s.bin")
@@ -385,3 +432,58 @@ def test_random_networks_sample_to_exact(data):
                for e in estimate_marginals(bbn, n=n, seed=7)}
     for node, p in exact.items():
         _assert_close_binomial(sampled[node], p, n, sigmas=5.0)
+
+
+_UNIT = st.floats(0.0, 1.0)
+_OUT_OF_RANGE = st.one_of(st.floats(1.0, 10.0, exclude_min=True),
+                          st.floats(-10.0, 0.0, exclude_max=True),
+                          st.just(float("nan")))
+
+
+@st.composite
+def _network_dicts(draw):
+    """Serialized networks of 1-7 nodes; every probability in [0,1]."""
+    nodes = []
+    for i in range(draw(st.integers(1, 7))):
+        if i and draw(st.integers(0, 4)) == 0:
+            nodes.append(_node(f"ce:{i}", kind="ce",
+                               parents=[(draw(st.integers(0, i - 1)),
+                                         draw(_UNIT))]))
+            continue
+        parents = [(j, draw(_UNIT)) for j in range(i) if draw(st.booleans())]
+        absolute = draw(st.one_of(st.none(), _UNIT))
+        nodes.append(_node(f"n:{i}", parents=parents, absolute=absolute,
+                           risks=draw(st.lists(_UNIT, max_size=2))))
+    return {"nodes": nodes}
+
+
+@settings(max_examples=25, deadline=None)
+@given(_network_dicts())
+def test_loaded_networks_sample_to_exact(data):
+    bbn = bbn_from_dict(data)
+    exact = exact_marginals(bbn)
+    n = 20_000
+    sampled = {e.node: e.estimate
+               for e in estimate_marginals(bbn, n=n, seed=5)}
+    for node, p in exact.items():
+        assert 0.0 <= p <= 1.0 + 1e-12
+        _assert_close_binomial(sampled[node], min(p, 1.0), n, sigmas=5.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_network_dicts(), st.data())
+def test_loaded_networks_reject_out_of_range(network, data):
+    slots = []
+    for entry in network["nodes"]:
+        slots += [(entry["parents"], k, 1) for k in range(len(entry["parents"]))]
+        slots += [(entry["risks"], k, None) for k in range(len(entry["risks"]))]
+        if entry["kind"] == "world":
+            slots.append((entry, "absolute", None))
+    target, key, field = data.draw(st.sampled_from(slots), label="slot")
+    bad = data.draw(_OUT_OF_RANGE, label="value")
+    if field is None:
+        target[key] = bad
+    else:
+        target[key][field] = bad
+    with pytest.raises(CompileError):
+        bbn_from_dict(network)

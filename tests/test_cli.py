@@ -112,6 +112,33 @@ def test_experiment_run_csv(workdir, capsys):
     assert len(filtered) == 2
 
 
+def test_experiment_unknown_ids_exit_code(workdir, tmp_path, capsys):
+    for field in ("clients", "destination_as"):
+        cfg = {"world": workdir["world"], "adversary": workdir["doc"],
+               "clients": ["as:1000"], "destination_as": "as:1007",
+               "n_samples": 100, "seed": 1}
+        cfg[field] = ["as:typo"] if field == "clients" else "as:typo"
+        cfg_path = tmp_path / f"{field}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["experiment", "run", "--config", str(cfg_path)]) == 3
+        assert "as:typo" in capsys.readouterr().err
+
+
+def test_malformed_bbn_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"nodes": [
+        {"id": "a", "absolute": 0.5},
+        {"id": "b", "parents": [[0, 2.5]]}]}))
+    for verb, extra in (("sample", ["--n", "10", "--seed", "1", "--out",
+                                    str(tmp_path / "s.bin")]),
+                        ("marginals", ["--n", "10", "--seed", "1"]),
+                        ("event", ["--expr", "b", "--n", "10", "--seed", "1"]),
+                        ("exact", [])):
+        assert main(["bbn", verb, "--bbn", str(bad)] + extra) == 3
+        assert "outside [0,1]" in capsys.readouterr().err
+    assert not (tmp_path / "s.bin").exists()
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"trust": [["abs", "is AS and", "U"]]}')

@@ -124,6 +124,11 @@ def test_budget_on_unknown_instance_rejected(ontology):
                          _trust_doc(["bu1", "ghost", "VirtualLink", 2]))
 
 
+def test_negative_budget_rejected(ontology):
+    with pytest.raises(EditError, match="negative k"):
+        apply_structural(BASE, ontology, _trust_doc(["bu2", "as:1", "all", -1]))
+
+
 def test_ce_attaches(ontology):
     doc = _trust_doc(["ce1", "as:1", 'id in {"vlink:as1-relay:a"}', "LC"])
     ew = apply_structural(BASE, ontology, doc)

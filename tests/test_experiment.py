@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from tortrust.experiment import (DEFAULT_SCENARIOS, ExperimentConfig,
@@ -94,6 +96,17 @@ def test_requires_clients(config):
         adversary=config.adversary, clients=(),
         destination_as=config.destination_as, n_samples=100, seed=1)
     with pytest.raises(ValueError):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("clients", ("as:typo",)),
+    ("destination_as", "as:typo"),
+    ("destination_as", "relay:fp_0000"),
+])
+def test_unknown_ids_rejected(config, field, value):
+    cfg = dataclasses.replace(config, **{field: value}, n_samples=100)
+    with pytest.raises(ValueError, match="not an AS"):
         run_experiment(cfg)
 
 
