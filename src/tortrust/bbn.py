@@ -24,13 +24,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .beliefs import (Absolute, Budget1, Budget2, CE1, CE2, Relative,
-                      default_scale)
-from .editor import attachment_scopes, group_attachments
+from .beliefs import Absolute, Relative, default_scale
+from .editor import ATTACHMENT_BELIEFS, attachment_scopes, group_attachments
 from .errors import CompileError, EditError, NetworkTooLargeError
-from .ontology import normalize_type_name
 from .predicates import (IdIn, IsType, eval_event, eval_predicate,
-                         parse_event)
+                         is_type, parse_event)
 
 EXACT_NODE_CAP = 24
 
@@ -101,11 +99,9 @@ def matching_nodes(world, pred):
     if isinstance(root, IdIn):
         return tuple(i for i in sorted(root.ids) if i in world.by_id)
     if isinstance(root, IsType):
-        out = []
-        for tname in sorted(world.ids_by_type):
-            if root.name == tname or root.name == normalize_type_name(tname):
-                out.extend(world.ids_by_type[tname])
-        return tuple(sorted(out))
+        return tuple(sorted(i for tname in world.ids_by_type
+                            if is_type(root.name, tname)
+                            for i in world.ids_by_type[tname]))
     return tuple(inst.id for inst in world.instances
                  if eval_predicate(pred, world, inst.id, ctx="trust"))
 
@@ -127,7 +123,7 @@ def compile_bbn(ew, trust=(), scale=None):
             relatives.append(belief)
         elif isinstance(belief, Absolute):
             absolutes.append(belief)
-        elif not isinstance(belief, (Budget1, Budget2, CE1, CE2)):
+        elif not isinstance(belief, ATTACHMENT_BELIEFS):
             raise CompileError(f"unknown trust belief {belief!r}")
     attached = [b for node in ew.budgets for b in ew.budgets[node]]
     attached += [s for node in ew.ce_specs for s in ew.ce_specs[node]]

@@ -21,6 +21,9 @@ from .world import RelationshipInstance, TypeInstance, World, validate_world
 
 log = logging.getLogger(__name__)
 
+# Trust beliefs that attach to one instance rather than weight nodes.
+ATTACHMENT_BELIEFS = (Budget1, Budget2, CE1, CE2)
+
 
 @dataclass(frozen=True)
 class EditedWorld:

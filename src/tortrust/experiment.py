@@ -7,8 +7,20 @@ configured client ASes:
     clients-trust      trust-aware guard + circuit selection
     clients-service-K  trust-aware selection with K greedily placed servers
 
+tor-default draws n bandwidth-weighted (guard, exit) circuits per client
+and pairs draw i with adversary draw i: the estimate is the share of draws
+whose guard end column and exit end column are both set at row i.  The
+end columns of the distinct guards and exits are stacked into n x G and
+n x E matrices and gathered at (i, guard of i) and (i, exit of i).
+
+clients-trust and clients-service share one pass per client: one Sampler
+and one guard selection, then the clients-trust circuit probability
+and/or the client's placement row, as the requested scenarios need.  The
+greedy placement rounds run over the rows afterwards.
+
 Per-client work is independent; TORTRUST_THREADS > 1 fans it out across a
-thread pool with results identical to the sequential order.
+thread pool with results identical to the sequential order.  Each worker
+holds one client's sampler columns at a time.
 """
 
 import io
@@ -21,10 +33,14 @@ import numpy as np
 
 from . import ontology as ont
 from .bbn import Sampler, compile_bbn
-from .editor import apply_structural
-from .pathsel import (_client_as, _end_column, consensus_view, derive_seed,
-                      draw_default_circuits, place_servers, select_circuit,
-                      select_guards)
+from .editor import ATTACHMENT_BELIEFS, apply_structural
+from .pathsel import (_client_as, _end_column, check_server_count,
+                      checked_guard_relays, consensus_view, derive_seed,
+                      draw_default_circuits, exits_by_as, greedy_placement,
+                      placement_row, select_circuit, select_guards)
+# Not called here: perfbench/tracing.py wraps the name in this module, so
+# its clients-service metrics read 0 rather than missing.
+from .pathsel import place_servers  # noqa: F401
 
 SCENARIO_TOR_DEFAULT = "tor-default"
 SCENARIO_CLIENTS_TRUST = "clients-trust"
@@ -107,33 +123,37 @@ def _row(scenario, values, cfg):
 
 
 def _tor_default_probability(bbn, world, cv, cfg, client):
-    """Mean first-last indicator over paired (circuit draw, adversary draw)."""
+    """Mean first-last indicator over paired (circuit draw, adversary draw):
+    draw i is a hit when its guard's end column and its exit's end column
+    are both set at row i."""
     n = cfg.n_samples
     sampler = Sampler(bbn, n, derive_seed(cfg.seed, client, "adversary"))
     guard_ids, exit_ids = draw_default_circuits(
         cv, n, derive_seed(cfg.seed, client, "circuits"))
-    guards = np.array(guard_ids)
-    exits = np.array(exit_ids)
-    hit = np.zeros(n, dtype=bool)
-    first_cols = {}
-    for g in np.unique(guards):
-        first_cols[g] = _end_column(sampler, world, client, str(g))
-    for e in np.unique(exits):
-        last = _end_column(sampler, world, cfg.destination_as, str(e))
-        e_mask = exits == e
-        for g in np.unique(guards[e_mask]):
-            mask = e_mask & (guards == g)
-            hit[mask] = (first_cols[g] & last)[mask]
-    return float(hit.mean())
+    guards, g_idx = np.unique(np.array(guard_ids), return_inverse=True)
+    exits, e_idx = np.unique(np.array(exit_ids), return_inverse=True)
+    first = np.column_stack([_end_column(sampler, world, client, str(g))
+                             for g in guards])
+    last = np.column_stack([_end_column(sampler, world, cfg.destination_as,
+                                        str(e)) for e in exits])
+    rows = np.arange(n)
+    return float((first[rows, g_idx] & last[rows, e_idx]).mean())
 
 
-def _clients_trust_probability(bbn, world, cfg, client):
+def _clients_trust_probability(bbn, world, cfg, client, trust, exits_in):
+    """One client's trust-aware pass on one sampler and one guard set:
+    (its clients-trust probability, or None unless `trust`; its placement
+    row over `exits_in`, or None when that is None)."""
     sampler = Sampler(bbn, cfg.n_samples, derive_seed(cfg.seed, client))
     guards = select_guards(bbn, world, client, count=cfg.guard_count,
                            sampler=sampler)
-    _, _, p = select_circuit(bbn, world, client, guards,
-                             cfg.destination_as, sampler=sampler)
-    return p
+    p = row = None
+    if trust:
+        _, _, p = select_circuit(bbn, world, client, guards,
+                                 cfg.destination_as, sampler=sampler)
+    if exits_in is not None:
+        row = placement_row(sampler, world, client, guards, exits_in)
+    return p, row
 
 
 def run_experiment(cfg):
@@ -145,6 +165,11 @@ def run_experiment(cfg):
     clients = [_client_as(c) for c in cfg.clients]
     if not clients:
         raise ValueError("experiment config has no clients")
+    for scenario in cfg.scenarios:
+        if scenario not in DEFAULT_SCENARIOS:
+            raise ValueError(f"unknown scenario {scenario!r}")
+    trust = SCENARIO_CLIENTS_TRUST in cfg.scenarios
+    service = SCENARIO_CLIENTS_SERVICE in cfg.scenarios
 
     ew = apply_structural(cfg.world, cfg.ontology, cfg.adversary)
     world = ew.world
@@ -152,33 +177,43 @@ def run_experiment(cfg):
                        + [("destination_as", cfg.destination_as)]):
         if node not in world.by_id or world.type_of(node) != ont.AS:
             raise ValueError(f"{role} {node!r} is not an AS of the world")
-    bbn = compile_bbn(ew, cfg.adversary.trust, cfg.adversary.scale)
+    if trust or service:
+        checked_guard_relays(world, cfg.guard_count)
+    exits_in = None
+    if service:
+        exits_in = exits_by_as(world)
+        check_server_count(cfg.k_servers, exits_in)
+    # The editor has attached the document's budget and CE beliefs to `ew`.
+    bbn = compile_bbn(ew, [b for b in cfg.adversary.trust
+                           if not isinstance(b, ATTACHMENT_BELIEFS)],
+                      cfg.adversary.scale)
+
+    values = {}
+    if SCENARIO_TOR_DEFAULT in cfg.scenarios:
+        cv = consensus_view(world)
+        values[SCENARIO_TOR_DEFAULT] = _per_client(
+            clients,
+            lambda c: _tor_default_probability(bbn, world, cv, cfg, c))
+    if trust or service:
+        passes = _per_client(
+            clients,
+            lambda c: _clients_trust_probability(bbn, world, cfg, c, trust,
+                                                 exits_in))
+        values[SCENARIO_CLIENTS_TRUST] = [p for p, _ in passes]
+        best = {c: row for c, (_, row) in zip(clients, passes)}
 
     rows = []
     per_client = {}
     for scenario in cfg.scenarios:
-        if scenario == SCENARIO_TOR_DEFAULT:
-            cv = consensus_view(world)
-            values = _per_client(
-                clients,
-                lambda c: _tor_default_probability(bbn, world, cv, cfg, c))
-            per_client[scenario] = dict(zip(clients, values))
-            rows.append(_row(scenario, values, cfg))
-        elif scenario == SCENARIO_CLIENTS_TRUST:
-            values = _per_client(
-                clients,
-                lambda c: _clients_trust_probability(bbn, world, cfg, c))
-            per_client[scenario] = dict(zip(clients, values))
-            rows.append(_row(scenario, values, cfg))
-        elif scenario == SCENARIO_CLIENTS_SERVICE:
-            placement = place_servers(bbn, world, clients, cfg.k_servers,
-                                      n=cfg.n_samples, seed=cfg.seed,
-                                      guard_count=cfg.guard_count)
+        if scenario == SCENARIO_CLIENTS_SERVICE:
+            placement = greedy_placement(best, clients, list(exits_in),
+                                         cfg.k_servers)
             for i, round_probs in enumerate(placement.rounds, start=1):
                 label = f"{SCENARIO_CLIENTS_SERVICE}-{i}"
-                values = [round_probs[c] for c in clients]
                 per_client[label] = dict(round_probs)
-                rows.append(_row(label, values, cfg))
+                rows.append(_row(label, [round_probs[c] for c in clients],
+                                 cfg))
         else:
-            raise ValueError(f"unknown scenario {scenario!r}")
+            per_client[scenario] = dict(zip(clients, values[scenario]))
+            rows.append(_row(scenario, values[scenario], cfg))
     return ExperimentTable(rows=tuple(rows), per_client=per_client)

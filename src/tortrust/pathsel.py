@@ -109,11 +109,19 @@ def exit_relays(world):
             if world.attribute(r, "exit")]
 
 
+def checked_guard_relays(world, count):
+    """The world's guard relays; raises ValueError unless `count` of them
+    can be selected."""
+    guards = guard_relays(world)
+    if not 1 <= count <= len(guards):
+        raise ValueError(f"guard count must be in [1, {len(guards)}], "
+                         f"got {count}")
+    return guards
+
+
 def select_guards(bbn, world, client, count=3, n=100_000, seed=0, sampler=None):
     """The `count` guards with smallest exposure; ties break on id."""
-    guards = guard_relays(world)
-    if len(guards) < count:
-        raise ValueError(f"need {count} guards, world has {len(guards)}")
+    guards = checked_guard_relays(world, count)
     if sampler is None:
         sampler = Sampler(bbn, n, seed)
     client_as = _client_as(client)
@@ -228,59 +236,59 @@ def tor_default_circuit(cv, client, destination_as, seed):
 
 # --- Greedy server placement -------------------------------------------------
 
+def exits_by_as(world):
+    """{AS id: its exit relays} over the ASes holding at least one exit
+    relay, in AS id order."""
+    exits_in = {}
+    for rid in exit_relays(world):
+        asn = world.attribute(rid, "as_number")
+        if asn is not None:
+            exits_in.setdefault(as_id(asn), []).append(rid)
+    return {a: exits_in[a] for a in sorted(exits_in)}
+
+
 def placement_candidates(world):
     """ASes containing at least one exit relay, sorted."""
-    ases = set()
-    for rid in exit_relays(world):
-        asn = world.attribute(rid, "as_number")
-        if asn is not None:
-            ases.add(as_id(asn))
-    return sorted(ases)
+    return list(exits_by_as(world))
 
 
-def place_servers(bbn, world, clients, k, n=100_000, seed=0, guard_count=3):
-    """Greedy placement of k servers over exit-hosting ASes.
-
-    A client's probability for a candidate set is the minimum first-last
-    probability over (its guards) x (exits in any chosen AS); it only
-    improves as ASes are added, so each round keeps the running minimum
-    and picks the AS whose addition gives the lowest mean.
-    """
-    clients = [_client_as(c) for c in clients]
-    candidates = placement_candidates(world)
+def check_server_count(k, candidates):
+    """Raises ValueError unless k servers can be placed on `candidates`."""
     if not candidates:
         raise ValueError("no AS contains an exit relay")
-    if k < 1 or k > len(candidates):
-        raise ValueError(f"k must be in [1, {len(candidates)}]")
+    if not 1 <= k <= len(candidates):
+        raise ValueError(f"k must be in [1, {len(candidates)}], got {k}")
 
-    exits_in = {a: [] for a in candidates}
-    for rid in exit_relays(world):
-        asn = world.attribute(rid, "as_number")
-        if asn is not None:
-            exits_in[as_id(asn)].append(rid)
 
-    # Best achievable probability per (client, candidate AS), one pass.
-    best = {}
-    for client in clients:
-        sampler = Sampler(bbn, n, derive_seed(seed, client))
-        guards = select_guards(bbn, world, client, count=guard_count,
-                               sampler=sampler)
-        first_cols = {g: _end_column(sampler, world, client, g)
-                      for g in guards}
-        row = {}
-        for cand in candidates:
-            cand_best = np.inf
-            for e in exits_in[cand]:
-                last = _end_column(sampler, world, cand, e)
-                for g in guards:
-                    if g == e:
-                        continue
-                    p = float((first_cols[g] & last).mean())
-                    if p < cand_best:
-                        cand_best = p
-            row[cand] = cand_best
-        best[client] = row
+def placement_row(sampler, world, client, guards, exits_in):
+    """One client's best first-last probability per candidate AS: the
+    minimum over (its guards) x (the exits in that AS), on the client's
+    sampler.  `exits_in` is `exits_by_as(world)`."""
+    client = _client_as(client)
+    first_cols = {g: _end_column(sampler, world, client, g) for g in guards}
+    row = {}
+    for cand, exits in exits_in.items():
+        cand_best = np.inf
+        for e in exits:
+            last = _end_column(sampler, world, cand, e)
+            for g in guards:
+                if g == e:
+                    continue
+                p = float((first_cols[g] & last).mean())
+                if p < cand_best:
+                    cand_best = p
+        row[cand] = cand_best
+    return row
 
+
+def greedy_placement(best, clients, candidates, k):
+    """Greedy rounds over `best` ({client: placement row}).
+
+    A client's probability for a chosen set is its minimum row entry over
+    that set; it only improves as ASes are added, so each round keeps the
+    running minimum and picks the AS whose addition gives the lowest mean.
+    """
+    check_server_count(k, candidates)
     chosen = []
     current = {client: np.inf for client in clients}
     rounds = []
@@ -297,3 +305,19 @@ def place_servers(bbn, world, clients, k, n=100_000, seed=0, guard_count=3):
         current = {c: min(current[c], best[c][pick]) for c in clients}
         rounds.append(dict(current))
     return PlacementResult(chosen_ases=tuple(chosen), rounds=tuple(rounds))
+
+
+def place_servers(bbn, world, clients, k, n=100_000, seed=0, guard_count=3):
+    """Greedy placement of k servers over exit-hosting ASes: one
+    `placement_row` per client, on its own sampler and guards, then
+    `greedy_placement` over the rows."""
+    clients = [_client_as(c) for c in clients]
+    exits_in = exits_by_as(world)
+    check_server_count(k, exits_in)
+    best = {}
+    for client in clients:
+        sampler = Sampler(bbn, n, derive_seed(seed, client))
+        guards = select_guards(bbn, world, client, count=guard_count,
+                               sampler=sampler)
+        best[client] = placement_row(sampler, world, client, guards, exits_in)
+    return greedy_placement(best, clients, list(exits_in), k)

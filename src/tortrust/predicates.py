@@ -371,6 +371,12 @@ def eval_predicate(pred, world, node_id, ctx="trust"):
     return _eval(pred.root, world, node_id, ctx)
 
 
+def is_type(name, type_name):
+    """The `is <name>` rule: `name` is the type's name or its normalized
+    form."""
+    return name == type_name or name == normalize_type_name(type_name)
+
+
 def _eval(node, world, node_id, ctx):
     if isinstance(node, Const):
         return node.value
@@ -381,8 +387,7 @@ def _eval(node, world, node_id, ctx):
     if isinstance(node, Not):
         return not _eval(node.inner, world, node_id, ctx)
     if isinstance(node, IsType):
-        type_name = world.type_of(node_id)
-        return node.name == type_name or node.name == normalize_type_name(type_name)
+        return is_type(node.name, world.type_of(node_id))
     if isinstance(node, IdIn):
         return node_id in node.ids
     if isinstance(node, AttrCmp):

@@ -124,6 +124,24 @@ def test_experiment_unknown_ids_exit_code(workdir, tmp_path, capsys):
         assert "as:typo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("guard_count", -1, "guard count must be in"),
+    ("guard_count", 0, "guard count must be in"),
+    ("guard_count", 99, "guard count must be in"),
+    ("k_servers", 0, "k must be in"),
+    ("k_servers", 99, "k must be in"),
+])
+def test_experiment_bad_counts_exit_code(workdir, tmp_path, capsys, field,
+                                         value, message):
+    cfg = {"world": workdir["world"], "adversary": workdir["doc"],
+           "clients": ["as:1000"], "destination_as": "as:1007",
+           "n_samples": 100, "seed": 1, field: value}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "run", "--config", str(cfg_path)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_malformed_bbn_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nodes": [

@@ -2,8 +2,14 @@ import dataclasses
 
 import pytest
 
+from tortrust import experiment
+from tortrust.bbn import Sampler
+from tortrust.beliefs import CE1, CE2
 from tortrust.experiment import (DEFAULT_SCENARIOS, ExperimentConfig,
                                  run_experiment)
+from tortrust.pathsel import (_end_column, consensus_view, derive_seed,
+                              draw_default_circuits)
+from tortrust.predicates import parse_predicate
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +119,84 @@ def test_unknown_ids_rejected(config, field, value):
 def test_default_scenarios_constant():
     assert DEFAULT_SCENARIOS == ("tor-default", "clients-trust",
                                  "clients-service")
+
+
+# --- shared per-client pass -----------------------------------------------------
+
+def test_tor_default_matches_per_draw_reference(config, small_bbn):
+    cfg = dataclasses.replace(config, n_samples=300)
+    world = config.world
+    cv = consensus_view(world)
+    for client in cfg.clients:
+        sampler = Sampler(small_bbn, cfg.n_samples,
+                          derive_seed(cfg.seed, client, "adversary"))
+        guard_ids, exit_ids = draw_default_circuits(
+            cv, cfg.n_samples, derive_seed(cfg.seed, client, "circuits"))
+        hits = [bool(_end_column(sampler, world, client, g)[i]
+                     & _end_column(sampler, world, cfg.destination_as, e)[i])
+                for i, (g, e) in enumerate(zip(guard_ids, exit_ids))]
+        expected = sum(hits) / len(hits)
+        assert experiment._tor_default_probability(
+            small_bbn, world, cv, cfg, client) == expected
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("scenarios,names", [
+    (("clients-trust",), ["clients-trust"]),
+    (("clients-service",), ["clients-service-1", "clients-service-2"]),
+    (("clients-service", "tor-default"),
+     ["clients-service-1", "clients-service-2", "tor-default"]),
+])
+def test_scenario_subsets_match_full_run(config, table, monkeypatch,
+                                         threads, scenarios, names):
+    monkeypatch.setenv("TORTRUST_THREADS", threads)
+    sub = run_experiment(dataclasses.replace(config, scenarios=scenarios))
+    full_rows = {r.scenario: r for r in table.rows}
+    assert [r.scenario for r in sub.rows] == names
+    for row in sub.rows:
+        assert row == full_rows[row.scenario]
+        assert sub.per_client[row.scenario] == table.per_client[row.scenario]
+
+
+# --- config checks ---------------------------------------------------------------
+
+# The small world has four guard relays and three exit-hosting ASes.
+@pytest.mark.parametrize("field,value,message", [
+    ("guard_count", -1, r"guard count must be in \[1, 4\]"),
+    ("guard_count", 0, r"guard count must be in \[1, 4\]"),
+    ("guard_count", 5, r"guard count must be in \[1, 4\]"),
+    ("k_servers", -1, r"k must be in \[1, 3\]"),
+    ("k_servers", 0, r"k must be in \[1, 3\]"),
+    ("k_servers", 4, r"k must be in \[1, 3\]"),
+])
+def test_bad_counts_rejected_before_compiling(config, monkeypatch, field,
+                                              value, message):
+    def no_compile(*args, **kwargs):
+        raise AssertionError("compiled before checking the config")
+
+    monkeypatch.setattr(experiment, "compile_bbn", no_compile)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(dataclasses.replace(config, **{field: value}))
+
+
+@pytest.mark.parametrize("scenarios,unused", [
+    (("tor-default", "clients-trust"), {"k_servers": 0}),
+    (("tor-default",), {"k_servers": 0, "guard_count": 0}),
+])
+def test_counts_unchecked_where_unused(config, scenarios, unused):
+    cfg = dataclasses.replace(config, scenarios=scenarios, n_samples=200,
+                              **unused)
+    assert [r.scenario for r in run_experiment(cfg).rows] == list(scenarios)
+
+
+def test_top_ce_suppression_warns_once(config, caplog):
+    node = config.clients[0]
+    doc = dataclasses.replace(config.adversary, trust=(
+        config.adversary.trust
+        + (CE1(node, parse_predicate("is VirtualLink"), "LC"),
+           CE2(node, "U"))))
+    cfg = dataclasses.replace(config, adversary=doc, n_samples=200)
+    with caplog.at_level("WARNING", logger="tortrust"):
+        run_experiment(cfg)
+    warnings = [r for r in caplog.records if "suppresses" in r.getMessage()]
+    assert len(warnings) == 1

@@ -6,9 +6,10 @@ from tortrust.editor import EditedWorld
 from tortrust.ontology import default_ontology
 from tortrust.pathsel import (Circuit, ClientLocation, consensus_view,
                               derive_seed, draw_default_circuits,
-                              first_last_probability, guard_exposure,
+                              exits_by_as, first_last_probability,
+                              greedy_placement, guard_exposure,
                               place_servers, placement_candidates,
-                              select_circuit, select_guards,
+                              placement_row, select_circuit, select_guards,
                               tor_default_circuit)
 from tortrust.predicates import parse_predicate
 from tortrust.world import RelationshipInstance, TypeInstance, World
@@ -262,3 +263,27 @@ def test_exposure_reuses_supplied_sampler():
     a = guard_exposure(bbn, ew.world, "as:100", "relay:g", sampler=sampler)
     b = guard_exposure(bbn, ew.world, "as:100", "relay:g", sampler=sampler)
     assert a == b
+
+
+def test_place_servers_composes_rows_and_greedy_rounds(small_bbn,
+                                                       small_world):
+    clients = sorted(small_world.of_type("AS"))[:3]
+    exits_in = exits_by_as(small_world)
+    rows = {}
+    for client in clients:
+        sampler = Sampler(small_bbn, 2000, derive_seed(5, client))
+        guards = select_guards(small_bbn, small_world, client, count=2,
+                               sampler=sampler)
+        rows[client] = placement_row(sampler, small_world, client, guards,
+                                     exits_in)
+        assert list(rows[client]) == placement_candidates(small_world)
+    assert place_servers(small_bbn, small_world, clients, k=2, n=2000,
+                         seed=5, guard_count=2) == \
+        greedy_placement(rows, clients, list(exits_in), k=2)
+
+
+def test_greedy_placement_rejects_bad_k():
+    rows = {"as:1": {"as:2": 0.1}}
+    for k in (0, 2):
+        with pytest.raises(ValueError, match=r"k must be in \[1, 1\]"):
+            greedy_placement(rows, ["as:1"], ["as:2"], k)
