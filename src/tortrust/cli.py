@@ -12,6 +12,7 @@ explicit --seed.  Exit codes: 0 success, 1 unexpected error, 2 parse error,
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -30,7 +31,7 @@ from .editor import apply_structural, load_edited_world, edited_world_to_dict
 from .errors import (BeliefFormatError, CompileError, DatasetError, EditError,
                      NetworkTooLargeError, OntologyError,
                      PredicateSyntaxError, StructuralContextError)
-from .experiment import ExperimentConfig, run_experiment
+from .experiment import DEFAULT_SCENARIOS, ExperimentConfig, run_experiment
 from .ontology import default_ontology, load_ontology, validate_ontology
 from .synth import SynthParams, generate_synthetic
 from .world import load_world, validate_world, world_to_dict
@@ -230,8 +231,7 @@ def cmd_bbn_marginals(args):
     nodes = args.nodes.split(",") if args.nodes else None
     estimates = estimate_marginals(bbn, nodes=nodes, n=args.n, seed=args.seed)
     if args.format == "json":
-        text = _dump_json([{"node": e.node, "estimate": e.estimate,
-                            "n_samples": e.n_samples} for e in estimates])
+        text = _dump_json([dataclasses.asdict(e) for e in estimates])
     else:
         lines = ["node,estimate,n_samples"]
         lines += [f"{e.node},{e.estimate:.6f},{e.n_samples}"
@@ -287,9 +287,7 @@ def _load_experiment_config(path, scenario_filter=None):
     ontology = load_ontology(resolve(raw["ontology"])) \
         if raw.get("ontology") else default_ontology()
     adversary = load_belief_document(resolve(raw["adversary"]))
-    scenarios = tuple(raw.get("scenarios",
-                              ("tor-default", "clients-trust",
-                               "clients-service")))
+    scenarios = tuple(raw.get("scenarios", DEFAULT_SCENARIOS))
     if scenario_filter:
         scenarios = tuple(s for s in scenarios if s == scenario_filter)
         if not scenarios:
@@ -298,6 +296,8 @@ def _load_experiment_config(path, scenario_filter=None):
     inputs = [resolve(raw["world"]), resolve(raw["adversary"])]
     if raw.get("ontology"):
         inputs.append(resolve(raw["ontology"]))
+    counts = {key: int(raw[key]) for key in ("k_servers", "guard_count")
+              if key in raw}
     cfg = ExperimentConfig(
         world=world, ontology=ontology, adversary=adversary,
         clients=tuple(raw["clients"]),
@@ -305,8 +305,7 @@ def _load_experiment_config(path, scenario_filter=None):
         scenarios=scenarios,
         n_samples=int(raw["n_samples"]),
         seed=int(raw["seed"]),
-        k_servers=int(raw.get("k_servers", 3)),
-        guard_count=int(raw.get("guard_count", 3)))
+        **counts)
     return cfg, inputs
 
 
@@ -314,10 +313,7 @@ def cmd_experiment_run(args):
     cfg, inputs = _load_experiment_config(args.config, args.scenario)
     table = run_experiment(cfg)
     if args.format == "json":
-        text = _dump_json([{"scenario": r.scenario, "mean": r.mean,
-                            "median": r.median, "min": r.min, "max": r.max,
-                            "n_samples": r.n_samples, "seed": r.seed}
-                           for r in table.rows])
+        text = _dump_json([dataclasses.asdict(r) for r in table.rows])
     else:
         text = table.to_csv()
     _emit(args, text, inputs + [args.config], seeds={"experiment": cfg.seed})
@@ -473,7 +469,7 @@ def main(argv=None):
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
+    except Exception as exc:  # CLI boundary: any other error exits 1
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -16,7 +16,7 @@ n x E matrices and gathered at (i, guard of i) and (i, exit of i).
 clients-trust and clients-service share one pass per client: one Sampler
 and one guard selection, then the clients-trust circuit probability
 and/or the client's placement row, as the requested scenarios need.  The
-greedy placement rounds run over the rows afterwards.
+greedy placement rounds then run over the rows through `place_servers`.
 
 Per-client work is independent; TORTRUST_THREADS > 1 fans it out across a
 thread pool with results identical to the sequential order.  Each worker
@@ -34,13 +34,10 @@ import numpy as np
 from . import ontology as ont
 from .bbn import Sampler, compile_bbn
 from .editor import ATTACHMENT_BELIEFS, apply_structural
-from .pathsel import (_client_as, _end_column, check_server_count,
-                      checked_guard_relays, consensus_view, derive_seed,
-                      draw_default_circuits, exits_by_as, greedy_placement,
-                      placement_row, select_circuit, select_guards)
-# Not called here: perfbench/tracing.py wraps the name in this module, so
-# its clients-service metrics read 0 rather than missing.
-from .pathsel import place_servers  # noqa: F401
+from .pathsel import (_end_column, check_server_count, checked_guard_relays,
+                      consensus_view, derive_seed, draw_default_circuits,
+                      exits_by_as, place_servers, placement_row,
+                      select_circuit, select_guards)
 
 SCENARIO_TOR_DEFAULT = "tor-default"
 SCENARIO_CLIENTS_TRUST = "clients-trust"
@@ -145,12 +142,11 @@ def _clients_trust_probability(bbn, world, cfg, client, trust, exits_in):
     (its clients-trust probability, or None unless `trust`; its placement
     row over `exits_in`, or None when that is None)."""
     sampler = Sampler(bbn, cfg.n_samples, derive_seed(cfg.seed, client))
-    guards = select_guards(bbn, world, client, count=cfg.guard_count,
-                           sampler=sampler)
+    guards = select_guards(sampler, world, client, count=cfg.guard_count)
     p = row = None
     if trust:
-        _, _, p = select_circuit(bbn, world, client, guards,
-                                 cfg.destination_as, sampler=sampler)
+        _, _, p = select_circuit(sampler, world, client, guards,
+                                 cfg.destination_as)
     if exits_in is not None:
         row = placement_row(sampler, world, client, guards, exits_in)
     return p, row
@@ -162,7 +158,7 @@ def run_experiment(cfg):
                 "destination_as"):
         if getattr(cfg, key) is None:
             raise ValueError(f"experiment config is missing {key}")
-    clients = [_client_as(c) for c in cfg.clients]
+    clients = list(cfg.clients)
     if not clients:
         raise ValueError("experiment config has no clients")
     for scenario in cfg.scenarios:
@@ -206,8 +202,8 @@ def run_experiment(cfg):
     per_client = {}
     for scenario in cfg.scenarios:
         if scenario == SCENARIO_CLIENTS_SERVICE:
-            placement = greedy_placement(best, clients, list(exits_in),
-                                         cfg.k_servers)
+            placement = place_servers(best, clients, list(exits_in),
+                                      cfg.k_servers)
             for i, round_probs in enumerate(placement.rounds, start=1):
                 label = f"{SCENARIO_CLIENTS_SERVICE}-{i}"
                 per_client[label] = dict(round_probs)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import OntologyError
-from .validation import ValidationReport
+from .validation import ValidationReport, check_acyclic
 
 SYSTEM = "system"
 USER = "user"
@@ -189,28 +189,6 @@ def default_ontology():
 # Validation and extension
 # ---------------------------------------------------------------------------
 
-def _find_cycle_members(names, edges):
-    """Return the set of type names on directed cycles (Kahn leftover)."""
-    indeg = {n: 0 for n in names}
-    children = {n: [] for n in names}
-    for a, b in edges:
-        if a in indeg and b in indeg:
-            children[a].append(b)
-            indeg[b] += 1
-    queue = [n for n in names if indeg[n] == 0]
-    seen = 0
-    while queue:
-        n = queue.pop()
-        seen += 1
-        for c in children[n]:
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    if seen == len(names):
-        return set()
-    return {n for n in names if indeg[n] > 0}
-
-
 def validate_ontology(ontology):
     """Check every ontology invariant; violations go into the report."""
     report = ValidationReport()
@@ -240,11 +218,11 @@ def validate_ontology(ontology):
                        ident)
         _check_attribute_names(report, f"edge {ident}", e.attributes, ident)
 
-    cycle = _find_cycle_members(names, [(e.from_type, e.to_type) for e in ontology.edges])
-    if cycle:
-        report.add("cycle",
-                   "type graph has a cycle through {%s}" % ", ".join(sorted(cycle)),
-                   sorted(cycle))
+    children = {n: [] for n in names}
+    for e in ontology.edges:
+        if e.from_type in children:
+            children[e.from_type].append(e.to_type)
+    check_acyclic(report, children, "type")
     return report
 
 

@@ -3,8 +3,9 @@
 An "end" of a circuit is observed when the relay itself or the virtual
 link between an AS and that relay is compromised; a first-last correlation
 succeeds when both ends are observed in the same joint adversary draw.
-All estimates for one client share a single batch of joint samples so that
-argmin comparisons between candidate relays are consistent.
+Every estimator takes the client's `Sampler`, one batch of joint adversary
+draws, so that argmin comparisons between candidate relays are consistent.
+Clients and destinations are AS ids such as "as:100".
 """
 
 import hashlib
@@ -13,18 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ontology as ont
-from .bbn import Sampler
 from .world import as_id, vlink_id
 
 
 @dataclass(frozen=True)
-class ClientLocation:
-    as_id: str
-
-
-@dataclass(frozen=True)
 class Circuit:
-    client: ClientLocation
+    client: str            # AS id
     guard: str
     exit: str
     destination_as: str
@@ -70,10 +65,6 @@ def derive_seed(*parts):
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-def _client_as(client):
-    return client.as_id if isinstance(client, ClientLocation) else str(client)
-
-
 def _end_column(sampler, world, as_node, relay):
     """Joint indicator: relay compromised or the AS-relay link observed."""
     asn = as_node.split(":", 1)[1]
@@ -91,12 +82,9 @@ def _end_column(sampler, world, as_node, relay):
     return col
 
 
-def guard_exposure(bbn, world, client, guard, n=100_000, seed=0, sampler=None):
+def guard_exposure(sampler, world, client, guard):
     """P(guard compromised or client-guard link observed)."""
-    if sampler is None:
-        sampler = Sampler(bbn, n, seed)
-    col = _end_column(sampler, world, _client_as(client), guard)
-    return float(col.mean())
+    return float(_end_column(sampler, world, client, guard).mean())
 
 
 def guard_relays(world):
@@ -119,41 +107,29 @@ def checked_guard_relays(world, count):
     return guards
 
 
-def select_guards(bbn, world, client, count=3, n=100_000, seed=0, sampler=None):
+def select_guards(sampler, world, client, count=3):
     """The `count` guards with smallest exposure; ties break on id."""
     guards = checked_guard_relays(world, count)
-    if sampler is None:
-        sampler = Sampler(bbn, n, seed)
-    client_as = _client_as(client)
-    ranked = sorted(
-        (float(_end_column(sampler, world, client_as, g).mean()), g)
-        for g in guards)
+    ranked = sorted((guard_exposure(sampler, world, client, g), g)
+                    for g in guards)
     return [g for _, g in ranked[:count]]
 
 
-def first_last_probability(bbn, world, circuit, n=100_000, seed=0,
-                           sampler=None):
+def first_last_probability(sampler, world, circuit):
     """P(both circuit ends observed) under joint adversary draws."""
-    if sampler is None:
-        sampler = Sampler(bbn, n, seed)
-    first = _end_column(sampler, world, _client_as(circuit.client),
-                        circuit.guard)
+    first = _end_column(sampler, world, circuit.client, circuit.guard)
     last = _end_column(sampler, world, circuit.destination_as, circuit.exit)
     return float((first & last).mean())
 
 
-def select_circuit(bbn, world, client, guards, destination_as, n=100_000,
-                   seed=0, sampler=None):
+def select_circuit(sampler, world, client, guards, destination_as):
     """Argmin of first-last probability over guards x all exit relays."""
     if not guards:
         raise ValueError("no guards supplied")
     exits = exit_relays(world)
     if not exits:
         raise ValueError("world has no exit relays")
-    if sampler is None:
-        sampler = Sampler(bbn, n, seed)
-    client_as = _client_as(client)
-    first_cols = {g: _end_column(sampler, world, client_as, g) for g in guards}
+    first_cols = {g: _end_column(sampler, world, client, g) for g in guards}
     last_cols = {e: _end_column(sampler, world, destination_as, e)
                  for e in exits}
     best = None
@@ -228,8 +204,6 @@ def draw_default_circuits(cv, n, seed):
 
 def tor_default_circuit(cv, client, destination_as, seed):
     guard_ids, exit_ids = draw_default_circuits(cv, 1, seed)
-    client = client if isinstance(client, ClientLocation) \
-        else ClientLocation(as_id=str(client))
     return Circuit(client=client, guard=guard_ids[0], exit=exit_ids[0],
                    destination_as=destination_as)
 
@@ -247,11 +221,6 @@ def exits_by_as(world):
     return {a: exits_in[a] for a in sorted(exits_in)}
 
 
-def placement_candidates(world):
-    """ASes containing at least one exit relay, sorted."""
-    return list(exits_by_as(world))
-
-
 def check_server_count(k, candidates):
     """Raises ValueError unless k servers can be placed on `candidates`."""
     if not candidates:
@@ -264,7 +233,6 @@ def placement_row(sampler, world, client, guards, exits_in):
     """One client's best first-last probability per candidate AS: the
     minimum over (its guards) x (the exits in that AS), on the client's
     sampler.  `exits_in` is `exits_by_as(world)`."""
-    client = _client_as(client)
     first_cols = {g: _end_column(sampler, world, client, g) for g in guards}
     row = {}
     for cand, exits in exits_in.items():
@@ -281,7 +249,7 @@ def placement_row(sampler, world, client, guards, exits_in):
     return row
 
 
-def greedy_placement(best, clients, candidates, k):
+def place_servers(best, clients, candidates, k):
     """Greedy rounds over `best` ({client: placement row}).
 
     A client's probability for a chosen set is its minimum row entry over
@@ -305,19 +273,3 @@ def greedy_placement(best, clients, candidates, k):
         current = {c: min(current[c], best[c][pick]) for c in clients}
         rounds.append(dict(current))
     return PlacementResult(chosen_ases=tuple(chosen), rounds=tuple(rounds))
-
-
-def place_servers(bbn, world, clients, k, n=100_000, seed=0, guard_count=3):
-    """Greedy placement of k servers over exit-hosting ASes: one
-    `placement_row` per client, on its own sampler and guards, then
-    `greedy_placement` over the rows."""
-    clients = [_client_as(c) for c in clients]
-    exits_in = exits_by_as(world)
-    check_server_count(k, exits_in)
-    best = {}
-    for client in clients:
-        sampler = Sampler(bbn, n, derive_seed(seed, client))
-        guards = select_guards(bbn, world, client, count=guard_count,
-                               sampler=sampler)
-        best[client] = placement_row(sampler, world, client, guards, exits_in)
-    return greedy_placement(best, clients, list(exits_in), k)

@@ -40,3 +40,27 @@ class ValidationReport:
         lines = [f"{len(self.violations)} violation(s):"]
         lines += [f"  [{v.code}] {v.message}" for v in self.violations]
         return "\n".join(lines)
+
+
+def check_acyclic(report, children, graph):
+    """Add one "cycle" violation naming every node of `children`
+    ({node: its children}) on a directed cycle or downstream of one: the
+    nodes a Kahn topological sort cannot remove.  Children missing from
+    the map are ignored; the callers report them as dangling."""
+    indeg = dict.fromkeys(children, 0)
+    for kids in children.values():
+        for c in kids:
+            if c in indeg:
+                indeg[c] += 1
+    queue = [n for n, d in indeg.items() if d == 0]
+    while queue:
+        for c in children[queue.pop()]:
+            if c in indeg:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    queue.append(c)
+    cycle = sorted(n for n, d in indeg.items() if d > 0)
+    if cycle:
+        report.add("cycle",
+                   f"{graph} graph has a cycle through {{{', '.join(cycle)}}}",
+                   cycle)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .validation import ValidationReport
+from .validation import ValidationReport, check_acyclic
 
 # Values stay JSON-native (str/int/float/bool/list/dict) so world files
 # round-trip losslessly; string-sets are sorted lists.
@@ -132,28 +132,6 @@ class World:
         return self.ids_by_type.get(type_name, ())
 
 
-def find_cycle_nodes(world):
-    """Ids of instances on directed cycles; empty set when the world is a DAG."""
-    indeg = {i.id: 0 for i in world.instances}
-    for r in world.relationships:
-        if r.child in indeg and r.parent in indeg:
-            indeg[r.child] += 1
-    queue = [n for n, d in indeg.items() if d == 0]
-    remaining = len(indeg)
-    while queue:
-        n = queue.pop()
-        remaining -= 1
-        for c in world.children(n):
-            if c not in indeg:  # dangling edge, reported separately
-                continue
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                queue.append(c)
-    if remaining == 0:
-        return set()
-    return {n for n, d in indeg.items() if d > 0}
-
-
 def _value_conforms(value, data_type):
     if data_type == "string" or data_type == "predicate-text":
         return isinstance(value, str)
@@ -221,11 +199,7 @@ def validate_world(world, ontology, allowed_edges=()):
                 f"({ptype!r}, {ctype!r}) with no ontology edge",
                 (rel.parent, rel.child))
 
-    cycle = find_cycle_nodes(world)
-    if cycle:
-        report.add("cycle",
-                   "world graph has a cycle through {%s}" % ", ".join(sorted(cycle)),
-                   sorted(cycle))
+    check_acyclic(report, world.child_map, "world")
     return report
 
 

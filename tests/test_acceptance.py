@@ -15,12 +15,13 @@ import pytest
 from tortrust.beliefs import (Absolute, Budget2, CE2, Relative, TrustScale,
                               build_the_man, parse_belief_document,
                               serialize_belief_document)
-from tortrust.bbn import (bbn_to_dict, compile_bbn, compromise_probability,
-                          estimate_marginals, exact_marginals, sample_matrix)
+from tortrust.bbn import (Sampler, bbn_to_dict, compile_bbn,
+                          compromise_probability, estimate_marginals,
+                          exact_marginals, sample_matrix)
 from tortrust.editor import EditedWorld, apply_structural
 from tortrust.experiment import ExperimentConfig, run_experiment
 from tortrust.ontology import default_ontology
-from tortrust.pathsel import Circuit, ClientLocation, first_last_probability
+from tortrust.pathsel import Circuit, first_last_probability
 from tortrust.predicates import parse_predicate
 from tortrust.synth import SynthParams, generate_synthetic
 from tortrust.world import RelationshipInstance, TypeInstance, World
@@ -212,14 +213,13 @@ def _ends_world(shared):
 
 
 def test_criterion_07_independence_floor():
-    circuit = Circuit(ClientLocation("as:client"), "relay:g", "relay:e",
-                      "as:dest")
+    circuit = Circuit("as:client", "relay:g", "relay:e", "as:dest")
     ew, bbn = _ends_world(shared=False)
-    p_disjoint = first_last_probability(bbn, ew.world, circuit, n=100_000,
-                                        seed=7)
+    p_disjoint = first_last_probability(Sampler(bbn, 100_000, seed=7),
+                                        ew.world, circuit)
     ew, bbn = _ends_world(shared=True)
-    p_shared = first_last_probability(bbn, ew.world, circuit, n=100_000,
-                                      seed=7)
+    p_shared = first_last_probability(Sampler(bbn, 100_000, seed=7),
+                                      ew.world, circuit)
     ok = abs(p_disjoint - 0.01) <= 0.004 and abs(p_shared - 0.1) <= 0.004
     _report(7, "independence-floor", ok,
             f"disjoint {p_disjoint:.4f}, shared {p_shared:.4f}")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -5,7 +6,8 @@ import sys
 
 import pytest
 
-from tortrust.cli import main
+from tortrust.cli import _load_experiment_config, main
+from tortrust.experiment import ExperimentConfig
 
 from conftest import FIXTURES
 
@@ -110,6 +112,40 @@ def test_experiment_run_csv(workdir, capsys):
                  "--scenario", "clients-trust"]) == 0
     filtered = capsys.readouterr().out.splitlines()
     assert len(filtered) == 2
+
+
+def test_experiment_run_json_rows_match_csv(workdir, capsys):
+    cfg = {"world": workdir["world"], "adversary": workdir["doc"],
+           "clients": ["as:1000", "as:1003"], "destination_as": "as:1007",
+           "n_samples": 800, "seed": 5, "k_servers": 2}
+    cfg_path = os.path.join(workdir["root"], "exp-json.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["experiment", "run", "--config", cfg_path]) == 0
+    csv_rows = [line.split(",")
+                for line in capsys.readouterr().out.splitlines()]
+    assert main(["experiment", "run", "--config", cfg_path,
+                 "--format", "json"]) == 0
+    json_rows = json.loads(capsys.readouterr().out)
+    header = csv_rows[0]
+    assert [sorted(r) for r in json_rows] == [sorted(header)] * 4
+    assert [[r["scenario"]]
+            + [f"{r[k]:.6f}" for k in ("mean", "median", "min", "max")]
+            + [str(r["n_samples"]), str(r["seed"])]
+            for r in json_rows] == csv_rows[1:]
+
+
+def test_experiment_config_defaults_come_from_experiment_config(workdir):
+    cfg = {"world": workdir["world"], "adversary": workdir["doc"],
+           "clients": ["as:1000"], "destination_as": "as:1007",
+           "n_samples": 100, "seed": 1}
+    cfg_path = os.path.join(workdir["root"], "exp-defaults.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    loaded, _ = _load_experiment_config(cfg_path)
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    for key in ("scenarios", "k_servers", "guard_count"):
+        assert getattr(loaded, key) == defaults[key]
 
 
 def test_experiment_unknown_ids_exit_code(workdir, tmp_path, capsys):

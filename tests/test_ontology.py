@@ -62,10 +62,16 @@ def test_output_type_with_outgoing_edge_flagged():
 
 
 def test_type_cycle_flagged():
+    # edges to undeclared types are reported as dangling, not as a cycle
     onto = Ontology(
-        types=(TypeDef("A"), TypeDef("B")),
-        edges=(EdgeDef("A", "B"), EdgeDef("B", "A")))
-    assert "cycle" in validate_ontology(onto).codes()
+        types=(TypeDef("A"), TypeDef("B"), TypeDef("C")),
+        edges=(EdgeDef("A", "B"), EdgeDef("B", "A"),
+               EdgeDef("C", "Z"), EdgeDef("Z", "C")))
+    report = validate_ontology(onto)
+    assert "cycle" in report.codes()
+    cycles = [v for v in report.violations if v.code == "cycle"]
+    assert [v.elements for v in cycles] == [("A", "B")]
+    assert report.codes().count("dangling-edge") == 2
 
 
 def test_extend_adds_user_type(ontology):

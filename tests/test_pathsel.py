@@ -1,14 +1,15 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tortrust.beliefs import Absolute, TrustScale
 from tortrust.bbn import Sampler, compile_bbn
 from tortrust.editor import EditedWorld
 from tortrust.ontology import default_ontology
-from tortrust.pathsel import (Circuit, ClientLocation, consensus_view,
-                              derive_seed, draw_default_circuits,
+from tortrust.pathsel import (Circuit, consensus_view, derive_seed,
+                              draw_default_circuits, exit_relays,
                               exits_by_as, first_last_probability,
-                              greedy_placement, guard_exposure,
-                              place_servers, placement_candidates,
+                              guard_exposure, guard_relays, place_servers,
                               placement_row, select_circuit, select_guards,
                               tor_default_circuit)
 from tortrust.predicates import parse_predicate
@@ -63,16 +64,16 @@ def _two_end_world():
 
 def test_guard_exposure_through_link():
     ew, bbn = _two_end_world()
-    p = guard_exposure(bbn, ew.world, ClientLocation("as:100"), "relay:g",
-                       n=100_000, seed=1)
+    p = guard_exposure(Sampler(bbn, 100_000, seed=1), ew.world, "as:100",
+                       "relay:g")
     assert p == pytest.approx(0.2, abs=0.006)
 
 
 def test_first_last_independent_ends_multiply():
     ew, bbn = _two_end_world()
-    circuit = Circuit(ClientLocation("as:100"), "relay:g", "relay:e",
-                      "as:200")
-    p = first_last_probability(bbn, ew.world, circuit, n=200_000, seed=2)
+    circuit = Circuit("as:100", "relay:g", "relay:e", "as:200")
+    p = first_last_probability(Sampler(bbn, 200_000, seed=2), ew.world,
+                               circuit)
     assert p == pytest.approx(0.2 * 0.3, abs=0.004)
 
 
@@ -87,15 +88,32 @@ def test_first_last_shared_as_correlates():
         [("as:300", "vlink:as100-relay:g"),
          ("as:300", "vlink:as200-relay:e")])
     bbn = compile_bbn(ew, trust=(_abs("as:300", 0.2),), scale=SCALE)
-    circuit = Circuit(ClientLocation("as:100"), "relay:g", "relay:e",
-                      "as:200")
-    p = first_last_probability(bbn, ew.world, circuit, n=100_000, seed=3)
+    circuit = Circuit("as:100", "relay:g", "relay:e", "as:200")
+    p = first_last_probability(Sampler(bbn, 100_000, seed=3), ew.world,
+                               circuit)
     assert p == pytest.approx(0.2, abs=0.007)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_first_last_never_exceeds_either_end(small_bbn, small_world, data):
+    # both sides read the same draws, so the bound holds exactly
+    ases = sorted(small_world.of_type("AS"))
+    client = data.draw(st.sampled_from(ases))
+    destination = data.draw(st.sampled_from(ases))
+    guard = data.draw(st.sampled_from(guard_relays(small_world)))
+    exit_ = data.draw(st.sampled_from(
+        [e for e in exit_relays(small_world) if e != guard]))
+    sampler = Sampler(small_bbn, 2000, seed=data.draw(st.integers(0, 99)))
+    p = first_last_probability(sampler, small_world,
+                               Circuit(client, guard, exit_, destination))
+    assert p <= min(guard_exposure(sampler, small_world, client, guard),
+                    guard_exposure(sampler, small_world, destination, exit_))
 
 
 def test_circuit_rejects_same_relay_twice():
     with pytest.raises(ValueError):
-        Circuit(ClientLocation("as:1"), "relay:x", "relay:x", "as:2")
+        Circuit("as:1", "relay:x", "relay:x", "as:2")
 
 
 def _guard_menu_world():
@@ -115,14 +133,16 @@ def _guard_menu_world():
 
 def test_select_guards_prefers_low_exposure():
     ew, bbn = _guard_menu_world()
-    picked = select_guards(bbn, ew.world, "as:100", count=2, n=60_000, seed=4)
+    picked = select_guards(Sampler(bbn, 60_000, seed=4), ew.world, "as:100",
+                           count=2)
     assert picked == ["relay:g1", "relay:g3"]
 
 
 def test_select_guards_requires_enough_guards():
     ew, bbn = _guard_menu_world()
     with pytest.raises(ValueError):
-        select_guards(bbn, ew.world, "as:100", count=9, n=1000, seed=0)
+        select_guards(Sampler(bbn, 1000, seed=0), ew.world, "as:100",
+                      count=9)
 
 
 def test_select_circuit_minimizes_joint_probability():
@@ -136,8 +156,8 @@ def test_select_circuit_minimizes_joint_probability():
         _abs("relay:g1", 0.3), _abs("relay:g2", 0.05),
         _abs("relay:e1", 0.4), _abs("relay:e2", 0.1)), scale=SCALE)
     guard, exit_, p = select_circuit(
-        bbn, ew.world, "as:100", ["relay:g1", "relay:g2"], "as:200",
-        n=150_000, seed=5)
+        Sampler(bbn, 150_000, seed=5), ew.world, "as:100",
+        ["relay:g1", "relay:g2"], "as:200")
     assert (guard, exit_) == ("relay:g2", "relay:e2")
     assert p == pytest.approx(0.05 * 0.1, abs=0.003)
 
@@ -149,8 +169,8 @@ def test_select_circuit_skips_shared_relay():
          _relay("relay:x", 100, guard=True, exit=True)])
     bbn = compile_bbn(ew)
     with pytest.raises(ValueError):
-        select_circuit(bbn, ew.world, "as:100", ["relay:x"], "as:200",
-                       n=1000, seed=0)
+        select_circuit(Sampler(bbn, 1000, seed=0), ew.world, "as:100",
+                       ["relay:x"], "as:200")
 
 
 # --- bandwidth-weighted baseline ----------------------------------------------
@@ -229,15 +249,28 @@ def _placement_world():
     return ew, bbn
 
 
+def _placement_rows(bbn, world, clients, n, seed, guard_count):
+    """{client: placement row}, each on the client's own sampler."""
+    exits_in = exits_by_as(world)
+    rows = {}
+    for client in clients:
+        sampler = Sampler(bbn, n, derive_seed(seed, client))
+        guards = select_guards(sampler, world, client, count=guard_count)
+        rows[client] = placement_row(sampler, world, client, guards,
+                                     exits_in)
+    return rows, list(exits_in)
+
+
 def test_placement_candidates_are_exit_ases():
     ew, _ = _placement_world()
-    assert placement_candidates(ew.world) == ["as:400", "as:500"]
+    assert list(exits_by_as(ew.world)) == ["as:400", "as:500"]
 
 
 def test_greedy_placement_prefers_safer_as():
     ew, bbn = _placement_world()
-    result = place_servers(bbn, ew.world, ["as:100"], k=2, n=60_000, seed=8,
-                           guard_count=1)
+    rows, candidates = _placement_rows(bbn, ew.world, ["as:100"], n=60_000,
+                                       seed=8, guard_count=1)
+    result = place_servers(rows, ["as:100"], candidates, k=2)
     assert result.chosen_ases[0] == "as:500"
     assert set(result.chosen_ases) == {"as:400", "as:500"}
     first_round = result.rounds[0]["as:100"]
@@ -247,43 +280,60 @@ def test_greedy_placement_prefers_safer_as():
     assert result.per_client_probability == result.rounds[-1]
 
 
-def test_placement_rejects_bad_k():
-    ew, bbn = _placement_world()
-    with pytest.raises(ValueError):
-        place_servers(bbn, ew.world, ["as:100"], k=0, n=100, seed=0,
-                      guard_count=1)
-    with pytest.raises(ValueError):
-        place_servers(bbn, ew.world, ["as:100"], k=3, n=100, seed=0,
-                      guard_count=1)
-
-
 def test_exposure_reuses_supplied_sampler():
     ew, bbn = _two_end_world()
     sampler = Sampler(bbn, 50_000, seed=9)
-    a = guard_exposure(bbn, ew.world, "as:100", "relay:g", sampler=sampler)
-    b = guard_exposure(bbn, ew.world, "as:100", "relay:g", sampler=sampler)
+    a = guard_exposure(sampler, ew.world, "as:100", "relay:g")
+    b = guard_exposure(sampler, ew.world, "as:100", "relay:g")
     assert a == b
 
 
 def test_place_servers_composes_rows_and_greedy_rounds(small_bbn,
                                                        small_world):
     clients = sorted(small_world.of_type("AS"))[:3]
-    exits_in = exits_by_as(small_world)
-    rows = {}
+    rows, candidates = _placement_rows(small_bbn, small_world, clients,
+                                       n=2000, seed=5, guard_count=2)
     for client in clients:
-        sampler = Sampler(small_bbn, 2000, derive_seed(5, client))
-        guards = select_guards(small_bbn, small_world, client, count=2,
-                               sampler=sampler)
-        rows[client] = placement_row(sampler, small_world, client, guards,
-                                     exits_in)
-        assert list(rows[client]) == placement_candidates(small_world)
-    assert place_servers(small_bbn, small_world, clients, k=2, n=2000,
-                         seed=5, guard_count=2) == \
-        greedy_placement(rows, clients, list(exits_in), k=2)
+        assert list(rows[client]) == candidates
+    result = place_servers(rows, clients, candidates, k=2)
+    for r, round_probs in enumerate(result.rounds, start=1):
+        assert round_probs == {
+            c: min(rows[c][a] for a in result.chosen_ases[:r])
+            for c in clients}
 
 
 def test_greedy_placement_rejects_bad_k():
     rows = {"as:1": {"as:2": 0.1}}
     for k in (0, 2):
         with pytest.raises(ValueError, match=r"k must be in \[1, 1\]"):
-            greedy_placement(rows, ["as:1"], ["as:2"], k)
+            place_servers(rows, ["as:1"], ["as:2"], k)
+    ew, bbn = _placement_world()
+    rows, candidates = _placement_rows(bbn, ew.world, ["as:100"], n=100,
+                                       seed=0, guard_count=1)
+    for k in (0, 3):
+        with pytest.raises(ValueError, match=r"k must be in \[1, 2\]"):
+            place_servers(rows, ["as:100"], candidates, k)
+
+
+@st.composite
+def _placement_inputs(draw):
+    clients = [f"as:{i}" for i in range(draw(st.integers(1, 4)))]
+    candidates = [f"as:{100 + i}" for i in range(draw(st.integers(1, 5)))]
+    p = st.floats(0, 1)
+    rows = {c: {a: draw(p) for a in candidates} for c in clients}
+    k = draw(st.integers(1, len(candidates)))
+    return rows, clients, candidates, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(_placement_inputs())
+def test_greedy_rounds_are_running_minima(inputs):
+    rows, clients, candidates, k = inputs
+    result = place_servers(rows, clients, candidates, k)
+    assert len(set(result.chosen_ases)) == k
+    for r, round_probs in enumerate(result.rounds, start=1):
+        for c in clients:
+            assert round_probs[c] == min(rows[c][a]
+                                         for a in result.chosen_ases[:r])
+    for before, after in zip(result.rounds, result.rounds[1:]):
+        assert all(after[c] <= before[c] for c in clients)

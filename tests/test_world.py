@@ -82,11 +82,19 @@ def test_validate_flags_edge_without_ontology_pair(ontology):
 
 
 def test_validate_flags_cycle(ontology):
+    # edges to unknown instances are reported as dangling, not as a cycle
     world = World(
-        instances=(TypeInstance("as:1", "AS"), TypeInstance("as:2", "AS")),
+        instances=(TypeInstance("as:1", "AS"), TypeInstance("as:2", "AS"),
+                   TypeInstance("as:3", "AS")),
         relationships=(RelationshipInstance("as:1", "as:2"),
-                       RelationshipInstance("as:2", "as:1")))
-    assert "cycle" in validate_world(world, ontology).codes()
+                       RelationshipInstance("as:2", "as:1"),
+                       RelationshipInstance("as:3", "as:ghost"),
+                       RelationshipInstance("as:ghost", "as:3")))
+    report = validate_world(world, ontology)
+    assert "cycle" in report.codes()
+    cycles = [v for v in report.violations if v.code == "cycle"]
+    assert [v.elements for v in cycles] == [("as:1", "as:2")]
+    assert report.codes().count("dangling-relationship") == 2
 
 
 def test_validate_flags_bad_attribute_value(ontology):
