@@ -307,6 +307,9 @@ def test_greedy_placement_rejects_bad_k():
     for k in (0, 2):
         with pytest.raises(ValueError, match=r"k must be in \[1, 1\]"):
             place_servers(rows, ["as:1"], ["as:2"], k)
+
+
+def test_placement_rejects_bad_k():
     ew, bbn = _placement_world()
     rows, candidates = _placement_rows(bbn, ew.world, ["as:100"], n=100,
                                        seed=0, guard_count=1)
