@@ -14,7 +14,10 @@ Absolute beliefs sever a node from its parents.
 
 Sampling uses one independent substream per node index, so estimating a
 subset of nodes draws exactly the same values as estimating all of them,
-and reruns with one seed are byte-identical.
+and reruns with one seed are byte-identical.  Deterministic nodes (no risk,
+no absolute, not ce, every parent weight 0 or 1) are the OR of their
+weight-1 parents and read no uniforms at all; since every other node's
+stream is keyed by its own position, skipping them changes no draw.
 """
 
 import heapq
@@ -69,9 +72,14 @@ class CompiledBbn:
         return {node.id: i for i, node in enumerate(self.nodes)}
 
     @cached_property
-    def output_index(self):
-        return {node.id: i for i, node in enumerate(self.nodes)
-                if node.is_output}
+    def needs_draws(self):
+        """Bool per node: does sampling it read its own uniforms?  False only
+        for an OR of parents: no absolute, not ce, no risks, and no parent
+        weight strictly inside (0, 1)."""
+        return np.array([node.absolute is not None or node.kind == "ce"
+                         or bool(node.risks)
+                         or any(0.0 < w < 1.0 for _, w in node.parents)
+                         for node in self.nodes], dtype=bool)
 
     def __len__(self):
         return len(self.nodes)
@@ -229,7 +237,9 @@ class Sampler:
 
     Materializes one boolean column of `n` draws per node, computing only
     the ancestor closure of whatever is requested.  Columns depend only on
-    (seed, node position), never on the request pattern.
+    (seed, node position), never on the request pattern.  Nodes that
+    `CompiledBbn.needs_draws` marks False read no uniforms: their column is
+    the OR of their weight-1 parents' columns.
     """
 
     def __init__(self, bbn, n, seed):
@@ -271,6 +281,12 @@ class Sampler:
 
     def _compute(self, idx):
         node = self.bbn.nodes[idx]
+        if not self.bbn.needs_draws[idx]:
+            col = np.zeros(self.n, dtype=bool)
+            for j, w in node.parents:
+                if w >= 1.0:
+                    col |= self._cols[j]
+            return col
         u = self._uniforms(idx)
         if node.absolute is not None:
             return u < node.absolute
@@ -301,21 +317,29 @@ class Sampler:
 
 def sample(bbn, seed):
     """One joint draw over every node."""
-    sampler = Sampler(bbn, 1, seed)
-    bits = np.zeros(len(bbn.nodes), dtype=bool)
-    for i in range(len(bbn.nodes)):
-        bits[i] = sampler._column(i)[0]
-    return SampleResult(compromised=bits, seed=int(seed))
+    return SampleResult(compromised=sample_matrix(bbn, 1, seed)[0],
+                        seed=int(seed))
 
 
 def sample_matrix(bbn, n, seed, nodes=None):
-    """(n, len(nodes)) boolean matrix of joint draws."""
+    """(n, k) C-contiguous boolean matrix of joint draws, k = len(nodes).
+
+    Each column is packed into a (ceil(k/8), n) byte buffer as it is drawn,
+    column i at bit 7 - i % 8 of byte row i // 8 (np.packbits order); the
+    sampler's columns are dropped before the buffer is transposed and
+    unpacked into the matrix."""
     sampler = Sampler(bbn, n, seed)
     ids = [node.id for node in bbn.nodes] if nodes is None else list(nodes)
-    out = np.zeros((n, len(ids)), dtype=bool)
-    for k, nid in enumerate(ids):
-        out[:, k] = sampler.column(nid)
-    return out
+    k = len(ids)
+    packed = np.zeros(((k + 7) // 8, sampler.n), dtype=np.uint8)
+    shifted = np.empty(sampler.n, dtype=np.uint8)
+    for i, nid in enumerate(ids):
+        np.left_shift(sampler.column(nid).view(np.uint8), 7 - i % 8,
+                      out=shifted)
+        packed[i // 8] |= shifted
+    del sampler
+    rows = np.ascontiguousarray(packed.T)
+    return np.unpackbits(rows, axis=1, count=k).view(bool)
 
 
 def estimate_marginals(bbn, nodes=None, n=100_000, seed=0):

@@ -11,8 +11,8 @@ from tortrust.bbn import (CompiledBbn, Sampler, bbn_from_dict, bbn_to_dict,
                           compile_bbn, compromise_probability,
                           enumerate_exact, estimate_event, estimate_marginals,
                           exact_event, exact_marginals, load_samples,
-                          matching_nodes, parse_event, sample_matrix,
-                          save_samples)
+                          matching_nodes, parse_event, sample,
+                          sample_matrix, save_samples)
 from tortrust.errors import CompileError, NetworkTooLargeError
 from tortrust.predicates import parse_predicate
 
@@ -303,10 +303,100 @@ def test_node_streams_independent_of_subset(small_bbn):
     assert np.array_equal(solo[:, 0], full[:, all_nodes.index(probe)])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 17])
+def test_sample_is_first_row_of_sample_matrix(small_bbn, seed):
+    result = sample(small_bbn, seed)
+    assert result.seed == seed
+    assert np.array_equal(result.compromised,
+                          sample_matrix(small_bbn, 5, seed)[0])
+
+
+def _subset(bbn, size):
+    """Node ids in shuffled order; repeats an id whenever there are two."""
+    ids = [node.id for node in bbn.nodes]
+    rng = np.random.default_rng(size)
+    if size is None:
+        return [ids[i] for i in rng.permutation(len(ids))]
+    picks = [ids[i] for i in rng.integers(0, len(ids), size)]
+    if size > 1:
+        picks[-1] = picks[0]
+    return picks
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 8, 9, None])
+def test_sample_matrix_layout(tmp_path, small_bbn, size):
+    n, seed = 301, 4
+    ids = _subset(small_bbn, size)
+    matrix = sample_matrix(small_bbn, n, seed, nodes=ids)
+    fresh = Sampler(small_bbn, n, seed)
+    expected = np.zeros((n, 0), dtype=bool)
+    if ids:
+        expected = np.column_stack([fresh.column(nid) for nid in ids])
+    assert matrix.dtype == bool and matrix.flags.c_contiguous
+    assert matrix.shape == (n, len(ids))
+    assert np.array_equal(matrix, expected)
+    path = tmp_path / "s.bin"
+    save_samples(str(path), matrix)
+    assert path.read_bytes()[8:] == np.packbits(matrix, axis=1).tobytes()
+    if ids:   # a dump without columns cannot record its row count
+        assert np.array_equal(load_samples(str(path)), matrix)
+
+
+def test_sample_matrix_defaults_to_every_node(small_bbn):
+    fresh = Sampler(small_bbn, 50, 9)
+    expected = np.column_stack([fresh.column(node.id)
+                                for node in small_bbn.nodes])
+    assert np.array_equal(sample_matrix(small_bbn, 50, 9), expected)
+
+
 def test_sampler_rejects_unknown_node(small_bbn):
     sampler = Sampler(small_bbn, 10, seed=0)
     with pytest.raises(KeyError):
         sampler.column("not-a-node")
+
+
+# --- draw skipping -----------------------------------------------------------
+
+@pytest.mark.parametrize("entry, draws", [
+    ({}, False),
+    ({"risks": [0.3]}, True),
+    ({"risks": [0.0]}, True),
+    ({"absolute": 0.0}, True),
+    ({"absolute": 0.7}, True),
+    ({"absolute": 0.7, "parents": [[0, 1.0]]}, True),
+    ({"parents": [[0, 1.0]]}, False),
+    ({"parents": [[0, 0.0]]}, False),
+    ({"parents": [[0, 1.0], [1, 0.0]]}, False),
+    ({"parents": [[0, 0.5]]}, True),
+    ({"parents": [[0, 1.0], [1, 0.25]]}, True),
+    ({"kind": "ce", "parents": [[0, 1.0]]}, True),
+    ({"kind": "ce", "parents": [[1, 0.0]]}, True),
+])
+def test_needs_draws_by_node_kind(entry, draws):
+    bbn = bbn_from_dict({"nodes": [{"id": "a", "absolute": 0.5},
+                                   {"id": "b", "risks": [0.2]},
+                                   dict(entry, id="x")]})
+    assert bbn.needs_draws.tolist() == [True, True, draws]
+
+
+def _count_uniforms(mp):
+    """Patch Sampler._uniforms to record each node index it draws for."""
+    calls = []
+    uniforms = Sampler._uniforms
+
+    def counting(self, idx):
+        calls.append(idx)
+        return uniforms(self, idx)
+
+    mp.setattr(Sampler, "_uniforms", counting)
+    return calls
+
+
+def test_full_pass_draws_once_per_random_node(monkeypatch, small_bbn):
+    calls = _count_uniforms(monkeypatch)
+    sample_matrix(small_bbn, 100, seed=2)
+    assert 0 < len(calls) == int(small_bbn.needs_draws.sum()) \
+        < len(small_bbn.nodes)
 
 
 # --- events ------------------------------------------------------------------
@@ -487,3 +577,71 @@ def test_loaded_networks_reject_out_of_range(network, data):
         target[key][field] = bad
     with pytest.raises(CompileError):
         bbn_from_dict(network)
+
+
+_WEIGHT = st.one_of(st.sampled_from([0.0, 1.0]), _UNIT)
+
+
+@st.composite
+def _mostly_deterministic_dicts(draw):
+    """Serialized networks of 1-9 nodes, most of them plain ORs: weights
+    often exactly 0 or 1, risks often empty, absolute often None."""
+    nodes = []
+    for i in range(draw(st.integers(1, 9))):
+        if i and draw(st.integers(0, 5)) == 0:
+            nodes.append(_node(f"ce:{i}", kind="ce",
+                               parents=[(draw(st.integers(0, i - 1)),
+                                         draw(_WEIGHT))]))
+            continue
+        parents = [(j, draw(_WEIGHT)) for j in range(i) if draw(st.booleans())]
+        risks = draw(st.one_of(st.just([]), st.lists(_UNIT, max_size=2)))
+        absolute = draw(st.one_of(st.none(), st.none(), _UNIT))
+        nodes.append(_node(f"n:{i}", parents=parents, absolute=absolute,
+                           risks=risks))
+    return {"nodes": nodes}
+
+
+def _reference_columns(bbn, n, seed):
+    """The rule without skipping: every node draws n uniforms from its own
+    (seed, position) stream and compares them against its probability."""
+    cols = []
+    for idx, node in enumerate(bbn.nodes):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
+        u = rng.random(n)
+        if node.absolute is not None:
+            cols.append(u < node.absolute)
+            continue
+        if node.kind == "ce":
+            (j, activation), = node.parents
+            cols.append(cols[j] & (u < activation))
+            continue
+        keep_static = 1.0
+        for q in node.risks:
+            keep_static *= 1.0 - q
+        certain = np.zeros(n, dtype=bool)
+        keep = None
+        for j, w in node.parents:
+            if w >= 1.0:
+                certain = certain | cols[j]
+            elif w > 0.0:
+                factor = np.where(cols[j], 1.0 - w, 1.0)
+                keep = factor if keep is None else keep * factor
+        p = 1.0 - (keep_static if keep is None else keep * keep_static)
+        cols.append((u < p) | certain)
+    return cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mostly_deterministic_dicts())
+def test_skipping_draws_is_byte_identical(data):
+    """Every column equals the draw-everything rule, and only the nodes
+    `needs_draws` marks read uniforms."""
+    bbn = bbn_from_dict(data)
+    for seed in (3, 2026):
+        reference = _reference_columns(bbn, 257, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_uniforms(mp)
+            sampler = Sampler(bbn, 257, seed)
+            for node, expected in zip(bbn.nodes, reference):
+                assert np.array_equal(sampler.column(node.id), expected)
+        assert sorted(calls) == np.flatnonzero(bbn.needs_draws).tolist()

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 
 import pytest
 
+from tortrust.bbn import save_bbn
 from tortrust.cli import _load_experiment_config, main
 from tortrust.experiment import ExperimentConfig
 
@@ -71,6 +73,18 @@ def test_sample_and_marginals(workdir, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert all(0.0 <= r["estimate"] <= 1.0 for r in rows)
     assert all(r["n_samples"] == 2000 for r in rows)
+
+
+def test_sample_dump_stream_is_pinned(tmp_path, small_bbn):
+    """A change to any node's random stream changes these bytes."""
+    bbn_path, out = str(tmp_path / "bbn.json"), str(tmp_path / "s.bin")
+    save_bbn(small_bbn, bbn_path)
+    assert main(["bbn", "sample", "--bbn", bbn_path, "--n", "1000",
+                 "--seed", "1", "--out", out]) == 0
+    with open(out, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == ("7969ab874c7abdd70275c59c6d7c4090"
+                      "a9d87dba54501e146b0300397b4a403d")
 
 
 def test_event_csv_output(workdir, capsys):
