@@ -18,6 +18,13 @@ and reruns with one seed are byte-identical.  Deterministic nodes (no risk,
 no absolute, not ce, every parent weight 0 or 1) are the OR of their
 weight-1 parents and read no uniforms at all; since every other node's
 stream is keyed by its own position, skipping them changes no draw.
+
+A CompiledBbn is array-backed: node ids in topological order, parents in
+CSR form (offsets, indices, weights), and sparse per-position risks,
+absolute values and ce flags.  `CompiledBbn.nodes` is a BbnNode view of
+the same network, built only when read; the sampler reads the arrays.
+The topological order is Kahn's algorithm taking the smallest ready node
+id first, computed on integer ranks of the sorted ids.
 """
 
 import heapq
@@ -63,26 +70,81 @@ class BbnNode:
     is_output: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompiledBbn:
-    nodes: tuple
+    """A network stored as arrays, one position per node in topological
+    order.  Node i's parents are parent_idx[parent_ptr[i]:parent_ptr[i+1]]
+    with weights parent_w[...] (CSR).  `risks` and `absolute` map only the
+    positions that have them, `ce` holds the positions of ce nodes.  The
+    arrays are copied on construction and read-only; `nodes` is a view of
+    the same network as BbnNode objects, built on first use."""
+
+    ids: tuple
+    parent_ptr: np.ndarray
+    parent_idx: np.ndarray
+    parent_w: np.ndarray
+    risks: dict
+    absolute: dict
+    ce: frozenset
+    is_output: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in _ARRAY_FIELDS:
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other):
+        if not isinstance(other, CompiledBbn):
+            return NotImplemented
+        return (self.ids == other.ids and self.risks == other.risks
+                and self.absolute == other.absolute and self.ce == other.ce
+                and all(np.array_equal(getattr(self, name),
+                                       getattr(other, name))
+                        for name, _ in _ARRAY_FIELDS))
+
+    def __len__(self):
+        return len(self.ids)
 
     @cached_property
     def index(self):
-        return {node.id: i for i, node in enumerate(self.nodes)}
+        return {node_id: i for i, node_id in enumerate(self.ids)}
+
+    @cached_property
+    def parent_lists(self):
+        """(parent_ptr, parent_idx, parent_w) as Python lists, for loops
+        that visit one node at a time."""
+        return (self.parent_ptr.tolist(), self.parent_idx.tolist(),
+                self.parent_w.tolist())
+
+    @cached_property
+    def nodes(self):
+        ptr, idx, w = self.parent_lists
+        outputs = self.is_output.tolist()
+        return tuple(
+            BbnNode(id=node_id, kind="ce" if i in self.ce else "world",
+                    parents=tuple(zip(idx[ptr[i]:ptr[i + 1]],
+                                      w[ptr[i]:ptr[i + 1]])),
+                    risks=self.risks.get(i, ()),
+                    absolute=self.absolute.get(i), is_output=outputs[i])
+            for i, node_id in enumerate(self.ids))
 
     @cached_property
     def needs_draws(self):
         """Bool per node: does sampling it read its own uniforms?  False only
         for an OR of parents: no absolute, not ce, no risks, and no parent
         weight strictly inside (0, 1)."""
-        return np.array([node.absolute is not None or node.kind == "ce"
-                         or bool(node.risks)
-                         or any(0.0 < w < 1.0 for _, w in node.parents)
-                         for node in self.nodes], dtype=bool)
+        draws = np.zeros(len(self.ids), dtype=bool)
+        draws[np.fromiter([*self.absolute, *self.ce, *self.risks],
+                          dtype=np.intp)] = True
+        owner = np.repeat(np.arange(len(self.ids)), np.diff(self.parent_ptr))
+        w = self.parent_w
+        draws[owner[(w > 0.0) & (w < 1.0)]] = True
+        return draws
 
-    def __len__(self):
-        return len(self.nodes)
+
+_ARRAY_FIELDS = (("parent_ptr", np.int64), ("parent_idx", np.int64),
+                 ("parent_w", np.float64), ("is_output", bool))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,93 +203,109 @@ def compile_bbn(ew, trust=(), scale=None):
     except EditError as exc:
         raise CompileError(str(exc)) from exc
 
-    # Edge map: child id -> {parent id: weight}; world edges default to 1.
-    in_edges = {inst.id: {} for inst in world.instances}
-    for rel in world.relationships:
-        in_edges[rel.child][rel.parent] = 1.0
-
     # CE nodes reroute covered children through a synthetic activation node.
-    ce_nodes = []              # (ce id, parent id, activation, children)
+    ce_nodes = []              # (ce id, parent id, activation)
+    rerouted = {}              # (parent id, child id) -> ce id
     for parent in sorted(ce_scopes):
         for i, (spec, covered) in enumerate(ce_scopes[parent]):
             if not covered:
                 continue
             ce_id = f"ce:{parent}#{i}"
-            ce_nodes.append((ce_id, parent, scale.ce_prob(spec.v), covered))
+            ce_nodes.append((ce_id, parent, scale.ce_prob(spec.v)))
             for child in covered:
-                del in_edges[child][parent]
-                in_edges[child][ce_id] = 1.0
+                rerouted[(parent, child)] = ce_id
 
     # Budgets scale the parent's outgoing edge weights by min(1, k/c), where
-    # c counts the children in scope in the edited world.
+    # c counts the children in scope in the edited world.  Other world
+    # edges weigh 1.
+    weights = {}
     for parent in sorted(budget_scopes):
         for budget, scope in budget_scopes[parent]:
             if not scope:
                 continue
             factor = min(1.0, budget.k / len(scope))
             for child in scope:
-                in_edges[child][parent] *= factor
+                weights[(parent, child)] = \
+                    weights.get((parent, child), 1.0) * factor
 
-    risks = {inst.id: [] for inst in world.instances}
+    risks = {}
     for belief in relatives:
         p = scale.prob(belief.v)
         for node in matching_nodes(world, belief.pred):
-            risks[node].append(p)
+            risks.setdefault(node, []).append(p)
 
     absolute = {}
     for belief in absolutes:
         p = scale.prob(belief.v)
         for node in matching_nodes(world, belief.pred):
             absolute[node] = p
-    for node in absolute:
-        in_edges[node] = {}
-        risks[node] = []
 
-    # Deterministic topological order: Kahn's algorithm, min-heap on id.
-    all_ids = sorted(in_edges) + [ce_id for ce_id, _, _, _ in ce_nodes]
-    ce_children = {ce_id: (parent, activation, children)
-                   for ce_id, parent, activation, children in ce_nodes}
-    out_edges = {nid: [] for nid in all_ids}
-    indegree = {nid: 0 for nid in all_ids}
-    for child, parent_map in in_edges.items():
-        for parent in parent_map:
-            out_edges[parent].append(child)
-            indegree[child] += 1
-    for ce_id, (parent, _, _) in ce_children.items():
-        out_edges[parent].append(ce_id)
-        indegree[ce_id] += 1
+    # Node ranks are positions in id order; an absolute node keeps no
+    # in-edges.
+    all_ids = sorted([inst.id for inst in world.instances]
+                     + [ce_id for ce_id, _, _ in ce_nodes])
+    rank = {node_id: r for r, node_id in enumerate(all_ids)}
+    if len(rank) != len(all_ids):
+        raise CompileError("translated network has a duplicate node id")
+    src, dst, w = [], [], []
+    for edge in world.edges:
+        parent, child = edge
+        if child in absolute:
+            continue
+        ce_id = rerouted.get(edge)
+        src.append(rank[parent if ce_id is None else ce_id])
+        dst.append(rank[child])
+        w.append(1.0 if ce_id is not None else weights.get(edge, 1.0))
+    for ce_id, parent, activation in ce_nodes:
+        src.append(rank[parent])
+        dst.append(rank[ce_id])
+        w.append(activation)
+    src = np.array(src, dtype=np.int64)
+    dst = np.array(dst, dtype=np.int64)
+    order = _topological_order(len(all_ids), src, dst)
 
-    heap = [nid for nid, deg in indegree.items() if deg == 0]
-    heapq.heapify(heap)
+    position = np.empty(len(all_ids), dtype=np.int64)
+    position[order] = np.arange(len(all_ids))
+    pos = position.tolist()
+    child_pos = position[dst]
+    by_child = np.lexsort((src, child_pos))   # parents in id order
+    outputs = ew.ontology.output_types
+    is_output = np.zeros(len(all_ids), dtype=bool)
+    is_output[np.array([pos[rank[inst.id]] for inst in world.instances
+                        if inst.type_name in outputs], dtype=np.intp)] = True
+    return CompiledBbn(
+        ids=tuple(all_ids[r] for r in order),
+        parent_ptr=np.concatenate(([0], np.cumsum(
+            np.bincount(child_pos, minlength=len(all_ids))))),
+        parent_idx=position[src][by_child],
+        parent_w=np.array(w, dtype=np.float64)[by_child],
+        risks={pos[rank[node]]: tuple(values)
+               for node, values in risks.items() if node not in absolute},
+        absolute={pos[rank[node]]: p for node, p in absolute.items()},
+        ce=frozenset(pos[rank[ce_id]] for ce_id, _, _ in ce_nodes),
+        is_output=is_output)
+
+
+def _topological_order(n, src, dst):
+    """Kahn's algorithm over ranks 0..n-1 with edges src -> dst, always
+    taking the smallest ready rank: the ranks in topological order."""
+    indegree = np.bincount(dst, minlength=n).tolist()
+    by_parent = np.argsort(src, kind="stable")
+    child_ptr = np.concatenate(([0], np.cumsum(
+        np.bincount(src, minlength=n)))).tolist()
+    children = dst[by_parent].tolist()
+    heap = [r for r in range(n) if indegree[r] == 0]   # sorted: a heap
     order = []
     while heap:
-        nid = heapq.heappop(heap)
-        order.append(nid)
-        for child in sorted(out_edges[nid]):
+        r = heapq.heappop(heap)
+        order.append(r)
+        for child in children[child_ptr[r]:child_ptr[r + 1]]:
             indegree[child] -= 1
             if indegree[child] == 0:
                 heapq.heappush(heap, child)
-    if len(order) != len(all_ids):
+    if len(order) != n:
         raise CompileError("translated network is cyclic")
-
-    position = {nid: i for i, nid in enumerate(order)}
-    outputs = ew.ontology.output_types
-    nodes = []
-    for nid in order:
-        if nid in ce_children:
-            parent, activation, _ = ce_children[nid]
-            nodes.append(BbnNode(id=nid, kind="ce",
-                                 parents=((position[parent], activation),),
-                                 risks=(), absolute=None, is_output=False))
-            continue
-        parent_items = sorted(in_edges[nid].items())
-        nodes.append(BbnNode(
-            id=nid, kind="world",
-            parents=tuple((position[p], w) for p, w in parent_items),
-            risks=tuple(risks[nid]),
-            absolute=absolute.get(nid),
-            is_output=world.type_of(nid) in outputs))
-    return CompiledBbn(nodes=tuple(nodes))
+    return order
 
 
 # --- Sampling ----------------------------------------------------------------
@@ -261,6 +339,7 @@ class Sampler:
         col = self._cols.get(idx)
         if col is not None:
             return col
+        ptr, parents, _ = self.bbn.parent_lists
         needed = set()
         stack = [idx]
         while stack:
@@ -268,8 +347,7 @@ class Sampler:
             if k in needed or k in self._cols:
                 continue
             needed.add(k)
-            for j, _ in self.bbn.nodes[k].parents:
-                stack.append(j)
+            stack.extend(parents[ptr[k]:ptr[k + 1]])
         # Node positions are already topologically sorted.
         for k in sorted(needed):
             self._cols[k] = self._compute(k)
@@ -280,25 +358,29 @@ class Sampler:
         return rng.random(self.n)
 
     def _compute(self, idx):
-        node = self.bbn.nodes[idx]
-        if not self.bbn.needs_draws[idx]:
+        bbn = self.bbn
+        ptr, parent_idx, parent_w = bbn.parent_lists
+        parents = zip(parent_idx[ptr[idx]:ptr[idx + 1]],
+                      parent_w[ptr[idx]:ptr[idx + 1]])
+        if not bbn.needs_draws[idx]:
             col = np.zeros(self.n, dtype=bool)
-            for j, w in node.parents:
+            for j, w in parents:
                 if w >= 1.0:
                     col |= self._cols[j]
             return col
         u = self._uniforms(idx)
-        if node.absolute is not None:
-            return u < node.absolute
-        if node.kind == "ce":
-            (j, activation), = node.parents
+        absolute = bbn.absolute.get(idx)
+        if absolute is not None:
+            return u < absolute
+        if idx in bbn.ce:
+            (j, activation), = parents
             return self._cols[j] & (u < activation)
         keep_static = 1.0
-        for q in node.risks:
+        for q in bbn.risks.get(idx, ()):
             keep_static *= 1.0 - q
         certain = None
         keep = None
-        for j, w in node.parents:
+        for j, w in parents:
             parent_col = self._cols[j]
             if w >= 1.0:
                 certain = parent_col if certain is None \
@@ -329,7 +411,7 @@ def sample_matrix(bbn, n, seed, nodes=None):
     sampler's columns are dropped before the buffer is transposed and
     unpacked into the matrix."""
     sampler = Sampler(bbn, n, seed)
-    ids = [node.id for node in bbn.nodes] if nodes is None else list(nodes)
+    ids = list(bbn.ids if nodes is None else nodes)
     k = len(ids)
     packed = np.zeros(((k + 7) // 8, sampler.n), dtype=np.uint8)
     shifted = np.empty(sampler.n, dtype=np.uint8)
@@ -344,7 +426,7 @@ def sample_matrix(bbn, n, seed, nodes=None):
 
 def estimate_marginals(bbn, nodes=None, n=100_000, seed=0):
     sampler = Sampler(bbn, n, seed)
-    ids = [node.id for node in bbn.nodes] if nodes is None else list(nodes)
+    ids = list(bbn.ids if nodes is None else nodes)
     return [MarginalEstimate(node=nid,
                              estimate=float(sampler.column(nid).mean()),
                              n_samples=n)
@@ -432,14 +514,17 @@ def exact_event(bbn, event, cap=EXACT_NODE_CAP):
 # --- Serialization -----------------------------------------------------------
 
 def bbn_to_dict(bbn):
+    ptr, idx, w = bbn.parent_lists
+    outputs = bbn.is_output.tolist()
     return {
         "nodes": [
-            {"id": node.id, "kind": node.kind,
-             "parents": [[j, w] for j, w in node.parents],
-             "risks": list(node.risks),
-             "absolute": node.absolute,
-             "is_output": node.is_output}
-            for node in bbn.nodes
+            {"id": node_id, "kind": "ce" if i in bbn.ce else "world",
+             "parents": [[j, wj] for j, wj in zip(idx[ptr[i]:ptr[i + 1]],
+                                                  w[ptr[i]:ptr[i + 1]])],
+             "risks": list(bbn.risks.get(i, ())),
+             "absolute": bbn.absolute.get(i),
+             "is_output": outputs[i]}
+            for i, node_id in enumerate(bbn.ids)
         ],
     }
 
@@ -448,14 +533,16 @@ def bbn_from_dict(data):
     """Rebuild a network, rejecting what the sampler and the exact oracle
     would read differently: forward parents, unknown kinds, ce nodes
     without exactly one parent, and probabilities outside [0,1]."""
-    nodes = []
+    ids, ptr, parent_idx, parent_w, outputs = [], [0], [], [], []
+    risks, absolute, ce = {}, {}, set()
     for i, entry in enumerate(data.get("nodes", [])):
         node_id = entry["id"]
         kind = entry.get("kind", "world")
-        parents = tuple((int(j), float(w)) for j, w in entry.get("parents", []))
-        risks = tuple(float(q) for q in entry.get("risks", []))
-        absolute = entry.get("absolute")
-        absolute = None if absolute is None else float(absolute)
+        parents = [(int(j), float(w)) for j, w in entry.get("parents", [])]
+        node_risks = tuple(float(q) for q in entry.get("risks", []))
+        node_absolute = entry.get("absolute")
+        node_absolute = None if node_absolute is None \
+            else float(node_absolute)
         if kind not in ("world", "ce"):
             raise CompileError(f"node {node_id!r} has unknown kind {kind!r}")
         if kind == "ce" and len(parents) != 1:
@@ -467,17 +554,27 @@ def bbn_from_dict(data):
                     f"node {node_id!r} has parent index {j} not before "
                     f"its own position {i}")
         for what, values in (("edge weight", [w for _, w in parents]),
-                             ("risk", risks),
-                             ("absolute", () if absolute is None
-                              else (absolute,))):
+                             ("risk", node_risks),
+                             ("absolute", () if node_absolute is None
+                              else (node_absolute,))):
             for p in values:
                 if not 0.0 <= p <= 1.0:
                     raise CompileError(f"node {node_id!r} has {what} {p!r} "
                                        f"outside [0,1]")
-        nodes.append(BbnNode(id=node_id, kind=kind, parents=parents,
-                             risks=risks, absolute=absolute,
-                             is_output=bool(entry.get("is_output", False))))
-    return CompiledBbn(nodes=tuple(nodes))
+        ids.append(node_id)
+        parent_idx.extend(j for j, _ in parents)
+        parent_w.extend(w for _, w in parents)
+        ptr.append(len(parent_idx))
+        if node_risks:
+            risks[i] = node_risks
+        if node_absolute is not None:
+            absolute[i] = node_absolute
+        if kind == "ce":
+            ce.add(i)
+        outputs.append(bool(entry.get("is_output", False)))
+    return CompiledBbn(ids=tuple(ids), parent_ptr=ptr, parent_idx=parent_idx,
+                       parent_w=parent_w, risks=risks, absolute=absolute,
+                       ce=frozenset(ce), is_output=outputs)
 
 
 def save_bbn(bbn, path):

@@ -163,7 +163,7 @@ def cmd_world_validate(args):
         sys.stderr.write(report.summary() + "\n")
         return EXIT_INVALID
     sys.stderr.write("world ok: %d instances, %d relationships\n"
-                     % (len(world.instances), len(world.relationships)))
+                     % (len(world.instances), len(world.edges)))
     return EXIT_OK
 
 
@@ -259,7 +259,7 @@ def cmd_bbn_exact(args):
     dist = enumerate_exact(bbn, cap=args.cap)
     states = sorted(dist)
     if args.format == "json":
-        text = _dump_json({"nodes": [n.id for n in bbn.nodes],
+        text = _dump_json({"nodes": list(bbn.ids),
                            "probabilities": [[s, dist[s]] for s in states]})
     else:
         lines = ["state,probability"]

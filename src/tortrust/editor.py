@@ -4,7 +4,9 @@ The construction sequence is strictly ordered: novel types, instance
 adds/removes, relationship adds/removes, attribute edits, budget
 attachment, CE attachment.  Later steps see earlier edits.  The output is
 an EditedWorld: the new world graph plus per-node budget and CE
-attachments and the augmented ontology.
+attachments and the augmented ontology.  A document without instance,
+relationship or attribute edits leaves the world as it is: the EditedWorld
+holds the input world itself, with the maps it has already built.
 """
 
 import json
@@ -17,7 +19,7 @@ from .beliefs import (AddInstance, AddRelationship, Budget1, Budget2, CE1,
 from .errors import EditError, OntologyError
 from .ontology import AttributeDef, TypeDef, USER, extend_ontology
 from .predicates import IsType, Predicate, eval_predicate
-from .world import RelationshipInstance, TypeInstance, World, validate_world
+from .world import TypeInstance, World, validate_world
 
 log = logging.getLogger(__name__)
 
@@ -41,12 +43,33 @@ def children_matching(ew, node_id, pred):
 
 
 def apply_structural(world, ontology, doc):
-    """Run the construction sequence; raises EditError on any violation."""
+    """Run the construction sequence; raises EditError on any violation.
+
+    A document without instance, relationship or attribute edits leaves
+    the world as it is: the edited world is the input world itself, with
+    its cached maps."""
     new_types = [b for b in doc.structural if isinstance(b, NovelType)]
     ontology = _augment_types(ontology, new_types)
+    edits = [b for b in doc.structural if not isinstance(b, NovelType)]
+    edited, user_edges = _edit(world, ontology, edits) if edits \
+        else (world, set())
 
+    budgets, ce_specs = group_attachments(edited, doc.trust)
+    attachment_scopes(edited, budgets, ce_specs)  # raises on overlaps
+
+    report = validate_world(edited, ontology, allowed_edges=user_edges)
+    if not report.ok:
+        raise EditError("edited world is invalid:\n" + report.summary())
+    return EditedWorld(world=edited, ontology=ontology, budgets=budgets,
+                       ce_specs=ce_specs, user_edges=frozenset(user_edges))
+
+
+def _edit(world, ontology, edits):
+    """A new world with `edits` applied in order, and the set of user
+    edges: added relationships with no ontology edge for their types."""
     instances = {i.id: i for i in world.instances}
-    edges = {(r.parent, r.child): r for r in world.relationships}
+    edges = dict.fromkeys(world.edges, {})
+    edges.update(world.edge_attributes)
     children = {i.id: set() for i in world.instances}
     parents = {i.id: set() for i in world.instances}
     for p, c in edges:
@@ -54,9 +77,7 @@ def apply_structural(world, ontology, doc):
         parents[c].add(p)
     user_edges = set()
 
-    for belief in doc.structural:
-        if isinstance(belief, NovelType):
-            continue
+    for belief in edits:
         if isinstance(belief, AddInstance):
             _add_instance(belief, ontology, instances, children, parents)
         elif isinstance(belief, RemoveInstance):
@@ -71,18 +92,7 @@ def apply_structural(world, ontology, doc):
             _set_attribute(belief, instances)
         else:
             raise EditError(f"unknown structural belief {belief!r}")
-
-    edited = World(instances=tuple(instances.values()),
-                   relationships=tuple(edges.values()))
-
-    budgets, ce_specs = group_attachments(edited, doc.trust)
-    attachment_scopes(edited, budgets, ce_specs)  # raises on overlaps
-
-    report = validate_world(edited, ontology, allowed_edges=user_edges)
-    if not report.ok:
-        raise EditError("edited world is invalid:\n" + report.summary())
-    return EditedWorld(world=edited, ontology=ontology, budgets=budgets,
-                       ce_specs=ce_specs, user_edges=frozenset(user_edges))
+    return World.from_edges(instances.values(), edges), user_edges
 
 
 def _augment_types(ontology, novel_types):
@@ -153,7 +163,7 @@ def _add_relationship(belief, ontology, instances, edges, children, parents,
         raise EditError(f"relationship ({p!r}, {c!r}) would create a cycle")
     if (p, c) in edges:
         return
-    edges[(p, c)] = RelationshipInstance(p, c)
+    edges[(p, c)] = {}
     children[p].add(c)
     parents[c].add(p)
     ptype = instances[p].type_name

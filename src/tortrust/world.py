@@ -3,7 +3,14 @@
 A world is a DAG whose vertices are instances of ontology types (ASes,
 relays, virtual links, organizations, ...) and whose edges mean "compromise
 of the parent propagates to the child".  Worlds are immutable value objects;
-the editor produces modified copies.
+the editor produces modified copies, or hands back the same world when a
+belief document edits nothing.
+
+A world stores each edge once, as a (parent, child) pair in sorted order,
+and keeps attributes only for the edges that have any; the
+RelationshipInstance tuple `World.relationships` is a view built on
+demand.  `world_from_dict` fills that storage directly and names the first
+malformed entry of a world file.
 
 Node identifiers are plain strings with a short type prefix, e.g.
 "as:3356", "relay:fp_ab12", "vlink:as3356-relay:fp_ab12".
@@ -12,6 +19,7 @@ Node identifiers are plain strings with a short type prefix, e.g.
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 from .validation import ValidationReport, check_acyclic
 
@@ -65,43 +73,68 @@ class RelationshipInstance:
     attributes: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class World:
-    """Immutable instance DAG; instances and relationships are kept sorted."""
+    """Immutable instance DAG.
 
-    instances: tuple = ()
-    relationships: tuple = ()
+    `instances` is sorted by id.  `edges` holds each relationship once as
+    a (parent, child) pair, sorted; `edge_attributes` maps only the pairs
+    whose attributes are non-empty.  `relationships` is a view of the same
+    edges as RelationshipInstance objects, built on first use.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "instances",
-            tuple(sorted(self.instances, key=lambda i: i.id)))
-        # Relationships behave as a set keyed by (parent, child).
-        unique = {}
-        for r in self.relationships:
-            unique.setdefault((r.parent, r.child), r)
-        object.__setattr__(
-            self, "relationships", tuple(unique[k] for k in sorted(unique)))
+    instances: tuple
+    edges: tuple
+    edge_attributes: dict
+
+    def __init__(self, instances=(), relationships=()):
+        # Relationships behave as a set keyed by (parent, child): the first
+        # occurrence of a pair keeps its attributes.
+        attributes = {}
+        for r in relationships:
+            attributes.setdefault((r.parent, r.child), r.attributes)
+        self._fill(instances, attributes)
+
+    @classmethod
+    def from_edges(cls, instances, edges):
+        """World from instances and a {(parent, child): attributes} map."""
+        world = cls.__new__(cls)
+        world._fill(instances, edges)
+        return world
+
+    def _fill(self, instances, edges):
+        object.__setattr__(self, "instances",
+                           tuple(sorted(instances, key=attrgetter("id"))))
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
+        object.__setattr__(self, "edge_attributes",
+                           {k: a for k, a in edges.items() if a})
+
+    @cached_property
+    def relationships(self):
+        attrs = self.edge_attributes
+        return tuple(RelationshipInstance(p, c, attrs.get((p, c), {}))
+                     for p, c in self.edges)
 
     @cached_property
     def by_id(self):
         return {i.id: i for i in self.instances}
 
+    # The edges are sorted by (parent, child), so both maps come out sorted.
     @cached_property
     def child_map(self):
         m = {i.id: [] for i in self.instances}
-        for r in self.relationships:
-            if r.parent in m:
-                m[r.parent].append(r.child)
-        return {k: tuple(sorted(v)) for k, v in m.items()}
+        for p, c in self.edges:
+            if p in m:
+                m[p].append(c)
+        return {k: tuple(v) for k, v in m.items()}
 
     @cached_property
     def parent_map(self):
         m = {i.id: [] for i in self.instances}
-        for r in self.relationships:
-            if r.child in m:
-                m[r.child].append(r.parent)
-        return {k: tuple(sorted(v)) for k, v in m.items()}
+        for p, c in self.edges:
+            if c in m:
+                m[c].append(p)
+        return {k: tuple(v) for k, v in m.items()}
 
     @cached_property
     def ids_by_type(self):
@@ -157,21 +190,28 @@ def validate_world(world, ontology, allowed_edges=()):
     `allowed_edges` lists extra (parent_id, child_id) pairs that are exempt
     from the ontology-edge check (user-added relationships between user
     types get default propagation semantics instead of a declared edge).
+    The ontology is asked once per type and once per (parent type, child
+    type) pair; every offending instance and edge is still reported, in
+    order.
     """
     report = ValidationReport()
     seen = set()
+    declared_by_type = {}
     for inst in world.instances:
         if inst.id in seen:
             report.add("duplicate-id", f"instance id {inst.id!r} used twice",
                        (inst.id,))
         seen.add(inst.id)
-        tdef = ontology.type_map.get(inst.type_name)
-        if tdef is None:
+        if inst.type_name not in declared_by_type:
+            tdef = ontology.type_map.get(inst.type_name)
+            declared_by_type[inst.type_name] = None if tdef is None else \
+                {a.name: a for a in tdef.attributes}
+        declared = declared_by_type[inst.type_name]
+        if declared is None:
             report.add("unknown-type",
                        f"instance {inst.id!r} has undeclared type {inst.type_name!r}",
                        (inst.id,))
             continue
-        declared = {a.name: a for a in tdef.attributes}
         for name, value in inst.attributes.items():
             adef = declared.get(name)
             if adef is not None and not _value_conforms(value, adef.data_type):
@@ -181,23 +221,31 @@ def validate_world(world, ontology, allowed_edges=()):
                     f"to {adef.data_type}", (inst.id, name))
 
     exempt = set(allowed_edges)
-    for rel in world.relationships:
-        if rel.parent not in world.by_id or rel.child not in world.by_id:
+    by_id = world.by_id
+    undeclared = {}         # (parent type, child type) -> no ontology edge
+    for parent, child in world.edges:
+        pinst = by_id.get(parent)
+        cinst = by_id.get(child)
+        if pinst is None or cinst is None:
             report.add("dangling-relationship",
-                       f"relationship ({rel.parent!r}, {rel.child!r}) references "
-                       "a missing instance", (rel.parent, rel.child))
+                       f"relationship ({parent!r}, {child!r}) references "
+                       "a missing instance", (parent, child))
             continue
-        if (rel.parent, rel.child) in exempt:
+        if (parent, child) in exempt:
             continue
-        ptype = world.type_of(rel.parent)
-        ctype = world.type_of(rel.child)
-        if ontology.has_type(ptype) and ontology.has_type(ctype) \
-                and not ontology.has_edge(ptype, ctype):
+        pair = (pinst.type_name, cinst.type_name)
+        bad = undeclared.get(pair)
+        if bad is None:
+            ptype, ctype = pair
+            bad = undeclared[pair] = (
+                ontology.has_type(ptype) and ontology.has_type(ctype)
+                and not ontology.has_edge(ptype, ctype))
+        if bad:
             report.add(
                 "no-ontology-edge",
-                f"relationship ({rel.parent!r}, {rel.child!r}) has type pair "
-                f"({ptype!r}, {ctype!r}) with no ontology edge",
-                (rel.parent, rel.child))
+                f"relationship ({parent!r}, {child!r}) has type pair "
+                f"({pair[0]!r}, {pair[1]!r}) with no ontology edge",
+                (parent, child))
 
     check_acyclic(report, world.child_map, "world")
     return report
@@ -208,30 +256,64 @@ def validate_world(world, ontology, allowed_edges=()):
 # ---------------------------------------------------------------------------
 
 def world_to_dict(world):
+    attributes = world.edge_attributes
     return {
         "instances": [
             {"id": i.id, "type_name": i.type_name, "attributes": i.attributes}
             for i in world.instances
         ],
         "relationships": [
-            {"parent": r.parent, "child": r.child, "attributes": r.attributes}
-            for r in world.relationships
+            {"parent": p, "child": c, "attributes": attributes.get((p, c), {})}
+            for p, c in world.edges
         ],
     }
 
 
+def _malformed(kind, index, entry, keys):
+    """ValueError naming what is wrong with one world-file entry: not an
+    object, a missing or non-string field of `keys`, or non-object
+    attributes."""
+    where = f"{kind}[{index}]"
+    if not isinstance(entry, dict):
+        return ValueError(f"{where}: expected an object")
+    for key in keys:
+        if key not in entry:
+            return ValueError(f"{where}: missing {key!r}")
+        if not isinstance(entry[key], str):
+            return ValueError(f"{where}: {key!r} must be a string")
+    return ValueError(f"{where}: 'attributes' must be an object")
+
+
+def _entries(data, kind, keys):
+    """(first, second, attributes) of each entry of data[kind], where
+    `keys` names the two string fields; raises ValueError naming the first
+    malformed entry."""
+    first, second = keys
+    for index, entry in enumerate(data.get(kind, [])):
+        try:
+            a, b = entry[first], entry[second]
+            attributes = entry.get("attributes", {})
+        except (KeyError, TypeError, AttributeError):
+            a = None
+        if not (isinstance(a, str) and isinstance(b, str)
+                and isinstance(attributes, dict)):
+            raise _malformed(kind, index, entry, keys)
+        yield a, b, attributes
+
+
 def world_from_dict(data):
-    instances = tuple(
-        TypeInstance(id=i["id"], type_name=i["type_name"],
-                     attributes=i.get("attributes", {}))
-        for i in data.get("instances", [])
-    )
-    relationships = tuple(
-        RelationshipInstance(parent=r["parent"], child=r["child"],
-                             attributes=r.get("attributes", {}))
-        for r in data.get("relationships", [])
-    )
-    return World(instances=instances, relationships=relationships)
+    """Parse a world file's dict; raises ValueError naming the first entry
+    that is malformed."""
+    if not isinstance(data, dict):
+        raise ValueError("world file: expected an object")
+    instances = [TypeInstance(node_id, type_name, attributes)
+                 for node_id, type_name, attributes
+                 in _entries(data, "instances", ("id", "type_name"))]
+    edges = {}
+    for parent, child, attributes in _entries(data, "relationships",
+                                              ("parent", "child")):
+        edges.setdefault((parent, child), attributes)
+    return World.from_edges(instances, edges)
 
 
 def save_world(world, path):

@@ -197,6 +197,13 @@ def test_compile_rejects_cycles(make_edited):
         compile_bbn(ew)
 
 
+def test_compile_rejects_ce_id_of_a_world_node(make_edited):
+    ew = make_edited({"as:1": "AS", "ce:as:1#0": "AS",
+                      "vlink:a": "Virtual Link"}, [("as:1", "vlink:a")])
+    with pytest.raises(CompileError):
+        compile_bbn(ew, trust=(CE2("as:1", "U"),), scale=SCALE)
+
+
 def test_matching_nodes_fast_paths(make_edited):
     ew = _linear(make_edited)
     assert matching_nodes(ew.world, _pred('id in {"as:1", "nope"}')) == \
@@ -645,3 +652,136 @@ def test_skipping_draws_is_byte_identical(data):
             for node, expected in zip(bbn.nodes, reference):
                 assert np.array_equal(sampler.column(node.id), expected)
         assert sorted(calls) == np.flatnonzero(bbn.needs_draws).tolist()
+
+
+# --- array storage -----------------------------------------------------------
+
+def _reference_nodes(ew, trust, scale):
+    """The previous compile: string-keyed edge maps, Kahn's algorithm with
+    a min-heap on node ids, one BbnNode per node."""
+    import heapq
+    from tortrust.bbn import BbnNode
+    from tortrust.editor import attachment_scopes, group_attachments
+    world = ew.world
+    budget_scopes, ce_scopes = attachment_scopes(
+        world, *group_attachments(world, list(trust)))
+    in_edges = {inst.id: {} for inst in world.instances}
+    for rel in world.relationships:
+        in_edges[rel.child][rel.parent] = 1.0
+    ce_nodes = []
+    for parent in sorted(ce_scopes):
+        for i, (spec, covered) in enumerate(ce_scopes[parent]):
+            if covered:
+                ce_id = f"ce:{parent}#{i}"
+                ce_nodes.append((ce_id, parent, scale.ce_prob(spec.v)))
+                for child in covered:
+                    del in_edges[child][parent]
+                    in_edges[child][ce_id] = 1.0
+    for parent in sorted(budget_scopes):
+        for budget, scope in budget_scopes[parent]:
+            for child in scope:
+                in_edges[child][parent] *= min(1.0, budget.k / len(scope))
+    risks = {inst.id: [] for inst in world.instances}
+    absolute = {}
+    for belief in trust:
+        if isinstance(belief, (Relative, Absolute)):
+            for node in matching_nodes(world, belief.pred):
+                if isinstance(belief, Relative):
+                    risks[node].append(scale.prob(belief.v))
+                else:
+                    absolute[node] = scale.prob(belief.v)
+    for node in absolute:
+        in_edges[node] = {}
+        risks[node] = []
+    ce_parent = {ce_id: (parent, act) for ce_id, parent, act in ce_nodes}
+    out_edges = {nid: [] for nid in list(in_edges) + list(ce_parent)}
+    indegree = dict.fromkeys(out_edges, 0)
+    for child, parents in in_edges.items():
+        for parent in parents:
+            out_edges[parent].append(child)
+            indegree[child] += 1
+    for ce_id, (parent, _) in ce_parent.items():
+        out_edges[parent].append(ce_id)
+        indegree[ce_id] += 1
+    heap = sorted(nid for nid, deg in indegree.items() if deg == 0)
+    order = []
+    while heap:
+        nid = heapq.heappop(heap)
+        order.append(nid)
+        for child in out_edges[nid]:
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                heapq.heappush(heap, child)
+    position = {nid: i for i, nid in enumerate(order)}
+    outputs = ew.ontology.output_types
+    nodes = []
+    for nid in order:
+        if nid in ce_parent:
+            parent, act = ce_parent[nid]
+            nodes.append(BbnNode(nid, "ce", ((position[parent], act),)))
+        else:
+            nodes.append(BbnNode(
+                nid, "world",
+                tuple((position[p], w) for p, w in sorted(in_edges[nid].items())),
+                tuple(risks[nid]), absolute.get(nid),
+                world.type_of(nid) in outputs))
+    return tuple(nodes)
+
+
+@st.composite
+def _dag_worlds(draw):
+    """Random DAGs whose id order differs from their topological order,
+    with relative, absolute, budget and CE beliefs."""
+    n = draw(st.integers(1, 12))
+    labels = draw(st.permutations(range(n)))
+    types = [draw(st.sampled_from(["AS", "Virtual Link", "Tor Relay"]))
+             for _ in range(n)]
+    prefix = {"AS": "as", "Virtual Link": "vlink", "Tor Relay": "relay"}
+    names = [f"{prefix[t]}:{labels[i]}" for i, t in enumerate(types)]
+    edges = [(names[i], names[j]) for j in range(n) for i in range(j)
+             if draw(st.integers(0, 2)) == 0]
+    ew = _edited_inline(dict(zip(names, types)), edges)
+    unit = st.floats(0.0, 1.0)
+    some = st.lists(st.sampled_from(names), min_size=1, max_size=3)
+
+    def ids(nodes):
+        return _pred("id in {%s}" % ", ".join(f'"{x}"' for x in nodes))
+
+    trust = [Relative("r", ids(draw(some)), draw(unit))
+             for _ in range(draw(st.integers(0, 3)))]
+    trust += [Absolute(ids(draw(some)), draw(unit))
+              for _ in range(draw(st.integers(0, 2)))]
+    # budgets and CE beliefs on disjoint nodes, one CE belief per node
+    owners = draw(st.permutations(names))
+    for node in owners[:draw(st.integers(0, 2))]:
+        trust.append(draw(st.sampled_from([
+            Budget1(node, "VirtualLink", draw(st.integers(0, 3))),
+            Budget2(node, draw(st.integers(0, 3)))])))
+    for node in owners[2:2 + draw(st.integers(0, 2))]:
+        trust.append(draw(st.sampled_from([
+            CE1(node, _pred("is VirtualLink"), draw(unit)),
+            CE2(node, draw(unit))])))
+    return ew, tuple(trust)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_dag_worlds())
+def test_compiled_arrays_match_reference(case):
+    ew, trust = case
+    bbn = compile_bbn(ew, trust=trust, scale=SCALE)
+    assert bbn.nodes == _reference_nodes(ew, trust, SCALE)
+    ptr = bbn.parent_ptr
+    assert ptr[0] == 0 and ptr[-1] == bbn.parent_idx.size == bbn.parent_w.size
+    for i, node in enumerate(bbn.nodes):
+        assert node.id == bbn.ids[i]
+        assert node.parents == tuple(zip(bbn.parent_idx[ptr[i]:ptr[i + 1]],
+                                         bbn.parent_w[ptr[i]:ptr[i + 1]]))
+        assert all(j < i for j, _ in node.parents)
+        assert node.is_output == bbn.is_output[i]
+        assert (node.kind == "ce") == (i in bbn.ce)
+    assert bbn_from_dict(bbn_to_dict(bbn)) == bbn
+    for name in ("parent_ptr", "parent_idx", "parent_w", "is_output"):
+        array = getattr(bbn, name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[:1] = 0

@@ -241,3 +241,48 @@ def test_console_entry_point(workdir):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("tortrust ")
+
+
+def test_experiment_csv_is_pinned(workdir):
+    """A change to the compiled network's node order or to any random
+    stream changes these bytes."""
+    cfg = {"world": workdir["world"], "adversary": workdir["doc"],
+           "clients": ["as:1000", "as:1003", "as:1005"],
+           "destination_as": "as:1007", "n_samples": 2000, "seed": 2026,
+           "k_servers": 2}
+    cfg_path = os.path.join(workdir["root"], "exp-pinned.json")
+    out = os.path.join(workdir["root"], "exp-pinned.csv")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    assert main(["experiment", "run", "--config", cfg_path,
+                 "--out", out]) == 0
+    for path, expected in (
+            (out, "4c149f153ce7c368aff533438290361a"
+                  "33bc713eafc944da65310384fd6e0483"),
+            (workdir["bbn"], "caf497a1808b54af2cc809cf4e65f483"
+                             "deb358d73eb466bc318f138aafd5913c")):
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == expected, path
+
+
+def _world_doc(relationships=(), **instance):
+    return {"instances": [{"id": "as:1", "type_name": "AS"},
+                          dict({"id": "as:2", "type_name": "AS"}, **instance)],
+            "relationships": list(relationships)}
+
+
+@pytest.mark.parametrize("document, message", [
+    (_world_doc([{"parent": "as:1", "child": "as:2"}, {"parent": "as:1"}]),
+     "relationships[1]: missing 'child'"),
+    (_world_doc(id=7), "instances[1]: 'id' must be a string"),
+    (_world_doc([{"parent": 1, "child": "as:2"}]),
+     "relationships[0]: 'parent' must be a string"),
+    (_world_doc(attributes=["bandwidth"]),
+     "instances[1]: 'attributes' must be an object"),
+    ([_world_doc()], "world file: expected an object"),
+])
+def test_malformed_world_file_exit_code(tmp_path, capsys, document, message):
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(document))
+    assert main(["world", "validate", "--world", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -184,3 +185,30 @@ def test_edited_world_roundtrip(ontology):
     assert again.budgets == ew.budgets
     assert again.ce_specs == ew.ce_specs
     assert again.user_edges == ew.user_edges
+
+
+def test_document_without_edits_keeps_the_input_world(ontology):
+    doc = _trust_doc(["bu1", "as:1", "VirtualLink", 4],
+                     ["ce1", "as:2", "is VirtualLink", "LC"])
+    assert apply_structural(BASE, ontology, doc).world is BASE
+    # a novel type changes the ontology only
+    ew = _apply(ontology, ["ut", "Treaty", {"name": "string"}, None])
+    assert ew.world is BASE
+    assert ew.ontology.has_type("Treaty")
+    assert ew.user_edges == frozenset()
+
+
+def test_edits_leave_the_input_world_unchanged(ontology):
+    before = copy.deepcopy(BASE)
+    ew = _apply(ontology,
+                ["inst", "AS", {}, "as:3"],
+                ["rel", "as:3", "relay:b"],
+                ["rmrel", "as:1", "vlink:as1-relay:a"],
+                ["attr", "relay:a", "Relay Software", "linux"],
+                ["rminst", "vlink:as1-relay:b"])
+    assert ew.world != BASE
+    assert ew.world.children("as:3") == ("relay:b",)
+    assert ew.world.attribute("relay:a", "Relay Software") == "linux"
+    assert BASE == before
+    assert BASE.children("as:1") == ("vlink:as1-relay:a", "vlink:as1-relay:b")
+    assert BASE.attribute("relay:a", "Relay Software") is None

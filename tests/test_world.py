@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tortrust.datasets import (ClusterRecord, DatasetBundle, GeoRecord,
                                PathRecord, RelayRecord, UptimeRecord,
@@ -105,6 +107,48 @@ def test_validate_flags_bad_attribute_value(ontology):
 
 def test_world_dict_roundtrip(small_world):
     assert world_from_dict(world_to_dict(small_world)) == small_world
+
+
+# --- edge storage ------------------------------------------------------------
+
+_IDS = st.sampled_from(["as:1", "as:10", "as:2", "relay:a", "relay:b",
+                        "vlink:as1-relay:a", "ghost"])
+_ATTRS = st.one_of(st.just({}), st.just({}), st.dictionaries(
+    st.sampled_from(["weight", "note"]), st.integers(0, 3), min_size=1))
+
+
+def _old_relationships(relationships):
+    """The previous storage rule: the first occurrence of a (parent, child)
+    pair wins, and the pairs are kept sorted."""
+    unique = {}
+    for r in relationships:
+        unique.setdefault((r.parent, r.child), r)
+    return tuple(unique[k] for k in sorted(unique))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_IDS, unique=True, max_size=6),
+       st.lists(st.tuples(_IDS, _IDS, _ATTRS), max_size=14),
+       st.randoms(use_true_random=False))
+def test_edge_storage_matches_old_rules(ids, edges, rnd):
+    instances = [TypeInstance(i, "AS") for i in ids]
+    relationships = [RelationshipInstance(p, c, a) for p, c, a in edges]
+    rnd.shuffle(instances)
+    world = World(instances=instances, relationships=relationships)
+    assert world.relationships == _old_relationships(relationships)
+    assert world.edges == tuple((r.parent, r.child)
+                                for r in world.relationships)
+    assert [i.id for i in world.instances] == sorted(ids)
+    for node in ids:
+        assert world.children(node) == tuple(sorted(
+            r.child for r in world.relationships if r.parent == node))
+        assert world.parents(node) == tuple(sorted(
+            r.parent for r in world.relationships if r.child == node))
+    assert world_from_dict(world_to_dict(world)) == world
+    for name, value in (("instances", ()), ("edges", ()),
+                        ("edge_attributes", {}), ("relationships", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(world, name, value)
 
 
 # --- datasets ----------------------------------------------------------------
@@ -243,3 +287,41 @@ def test_build_world_rejects_unknown_org_member(ontology):
         bundle, as_clusters=(ClusterRecord("org", (99999,)),))
     with pytest.raises(DatasetError):
         build_world(ontology, bad)
+
+
+def test_validate_reports_every_edge_of_a_bad_type_pair(ontology):
+    """Edges sharing one undeclared type pair are each reported, in edge
+    order; an allowed user edge of that pair and a dangling edge are
+    handled on their own."""
+    world = World(
+        instances=(TypeInstance("as:1", "AS"), TypeInstance("as:2", "AS"),
+                   TypeInstance("relay:a", "Tor Relay"),
+                   TypeInstance("relay:b", "Tor Relay"),
+                   TypeInstance("relay:c", "Tor Relay"),
+                   TypeInstance("vlink:1a", "Virtual Link"),
+                   TypeInstance("q:1", "Quantum Router")),
+        relationships=(RelationshipInstance("as:2", "relay:c"),
+                       RelationshipInstance("as:1", "relay:b"),
+                       RelationshipInstance("as:1", "vlink:1a"),
+                       RelationshipInstance("as:2", "relay:a"),
+                       RelationshipInstance("as:1", "relay:ghost"),
+                       RelationshipInstance("as:1", "relay:a"),
+                       RelationshipInstance("q:1", "relay:a"),
+                       RelationshipInstance("as:1", "q:1")))
+    report = validate_world(world, ontology,
+                            allowed_edges=(("as:2", "relay:a"),))
+    assert [(v.code, v.message, v.elements) for v in report.violations] == [
+        ("unknown-type",
+         "instance 'q:1' has undeclared type 'Quantum Router'", ("q:1",)),
+        ("no-ontology-edge",
+         "relationship ('as:1', 'relay:a') has type pair ('AS', 'Tor Relay') "
+         "with no ontology edge", ("as:1", "relay:a")),
+        ("no-ontology-edge",
+         "relationship ('as:1', 'relay:b') has type pair ('AS', 'Tor Relay') "
+         "with no ontology edge", ("as:1", "relay:b")),
+        ("dangling-relationship",
+         "relationship ('as:1', 'relay:ghost') references a missing instance",
+         ("as:1", "relay:ghost")),
+        ("no-ontology-edge",
+         "relationship ('as:2', 'relay:c') has type pair ('AS', 'Tor Relay') "
+         "with no ontology edge", ("as:2", "relay:c"))]
