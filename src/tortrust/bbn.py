@@ -531,14 +531,17 @@ def bbn_to_dict(bbn):
 
 def bbn_from_dict(data):
     """Rebuild a network, rejecting what the sampler and the exact oracle
-    would read differently: forward parents, unknown kinds, ce nodes
-    without exactly one parent, and probabilities outside [0,1]."""
+    would read differently: missing ids, non-integer or forward parents,
+    unknown kinds, ce nodes without exactly one parent, and probabilities
+    outside [0,1]."""
     ids, ptr, parent_idx, parent_w, outputs = [], [0], [], [], []
     risks, absolute, ce = {}, {}, set()
     for i, entry in enumerate(data.get("nodes", [])):
-        node_id = entry["id"]
+        node_id = entry.get("id")
+        if not isinstance(node_id, str):
+            raise CompileError(f"nodes[{i}]: missing 'id'")
         kind = entry.get("kind", "world")
-        parents = [(int(j), float(w)) for j, w in entry.get("parents", [])]
+        parents = [(j, float(w)) for j, w in entry.get("parents", [])]
         node_risks = tuple(float(q) for q in entry.get("risks", []))
         node_absolute = entry.get("absolute")
         node_absolute = None if node_absolute is None \
@@ -549,6 +552,9 @@ def bbn_from_dict(data):
             raise CompileError(f"ce node {node_id!r} needs exactly one "
                                f"parent, has {len(parents)}")
         for j, _ in parents:
+            if isinstance(j, bool) or not isinstance(j, int):
+                raise CompileError(f"node {node_id!r} has parent index "
+                                   f"{j!r}, not an integer")
             if not 0 <= j < i:
                 raise CompileError(
                     f"node {node_id!r} has parent index {j} not before "
@@ -595,6 +601,8 @@ def save_samples(path, matrix):
     if matrix.ndim != 2:
         raise ValueError("sample matrix must be 2-dimensional")
     n_nodes = matrix.shape[1]
+    if n_nodes == 0:
+        raise ValueError("a dump of no nodes cannot record its sample count")
     if n_nodes >= 1 << 24:
         raise NetworkTooLargeError("sample dump supports at most 2^24-1 nodes")
     with open(path, "wb") as fh:
@@ -615,7 +623,7 @@ def load_samples(path):
         payload = fh.read()
     row_bytes = (n_nodes + 7) // 8
     if row_bytes == 0:
-        return np.zeros((0, 0), dtype=bool)
+        raise ValueError(f"{path} records no nodes, so no row count")
     if len(payload) % row_bytes:
         raise ValueError("truncated sample dump")
     packed = np.frombuffer(payload, dtype=np.uint8).reshape(-1, row_bytes)

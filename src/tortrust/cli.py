@@ -143,11 +143,9 @@ def cmd_world_build(args):
     if not report.ok:
         sys.stderr.write(report.summary() + "\n")
         return EXIT_INVALID
-    _atomic_write_text(args.out, _dump_json(world_to_dict(world)))
-    _write_manifest(args.out, args,
-                    [os.path.join(args.datasets, f)
-                     for f in sorted(os.listdir(args.datasets))],
-                    [args.out])
+    _emit(args, _dump_json(world_to_dict(world)),
+          [os.path.join(args.datasets, f)
+           for f in sorted(os.listdir(args.datasets))])
     return EXIT_OK
 
 
@@ -185,8 +183,7 @@ def cmd_beliefs_apply(args):
     world = load_world(args.world)
     ontology = _load_ontology(args)
     ew = apply_structural(world, ontology, doc)
-    _atomic_write_text(args.out, _dump_json(edited_world_to_dict(ew)))
-    _write_manifest(args.out, args, [args.doc, args.world], [args.out])
+    _emit(args, _dump_json(edited_world_to_dict(ew)), [args.doc, args.world])
     return EXIT_OK
 
 
@@ -194,8 +191,7 @@ def cmd_beliefs_the_man(args):
     world = load_world(args.world)
     doc = build_the_man(world, p_org=args.p_org, p_fam_max=args.p_fam_max,
                         p_fam_min=args.p_fam_min)
-    _atomic_write_text(args.out, serialize_belief_document(doc))
-    _write_manifest(args.out, args, [args.world], [args.out])
+    _emit(args, serialize_belief_document(doc), [args.world])
     return EXIT_OK
 
 
@@ -212,8 +208,7 @@ def cmd_bbn_compile(args):
         scale = doc.scale
         inputs.append(args.doc)
     bbn = compile_bbn(ew, trust, scale)
-    _atomic_write_text(args.out, _dump_json(bbn_to_dict(bbn)))
-    _write_manifest(args.out, args, inputs, [args.out])
+    _emit(args, _dump_json(bbn_to_dict(bbn)), inputs)
     return EXIT_OK
 
 

@@ -71,23 +71,20 @@ def _edit(world, ontology, edits):
     edges = dict.fromkeys(world.edges, {})
     edges.update(world.edge_attributes)
     children = {i.id: set() for i in world.instances}
-    parents = {i.id: set() for i in world.instances}
     for p, c in edges:
         children[p].add(c)
-        parents[c].add(p)
     user_edges = set()
 
     for belief in edits:
         if isinstance(belief, AddInstance):
-            _add_instance(belief, ontology, instances, children, parents)
+            _add_instance(belief, ontology, instances, children)
         elif isinstance(belief, RemoveInstance):
-            _remove_instance(belief, instances, edges, children, parents,
-                             user_edges)
+            _remove_instance(belief, instances, edges, children, user_edges)
         elif isinstance(belief, AddRelationship):
             _add_relationship(belief, ontology, instances, edges, children,
-                              parents, user_edges)
+                              user_edges)
         elif isinstance(belief, RemoveRelationship):
-            _remove_relationship(belief, edges, children, parents, user_edges)
+            _remove_relationship(belief, edges, children, user_edges)
         elif isinstance(belief, SetAttribute):
             _set_attribute(belief, instances)
         else:
@@ -111,7 +108,7 @@ def _augment_types(ontology, novel_types):
         raise EditError(str(exc)) from exc
 
 
-def _add_instance(belief, ontology, instances, children, parents):
+def _add_instance(belief, ontology, instances, children):
     if belief.id in instances:
         raise EditError(f"instance id {belief.id!r} already exists")
     resolved = belief.type_name if ontology.has_type(belief.type_name) \
@@ -122,21 +119,19 @@ def _add_instance(belief, ontology, instances, children, parents):
     instances[belief.id] = TypeInstance(belief.id, resolved,
                                         dict(belief.data))
     children[belief.id] = set()
-    parents[belief.id] = set()
 
 
-def _remove_instance(belief, instances, edges, children, parents, user_edges):
+def _remove_instance(belief, instances, edges, children, user_edges):
     if belief.id not in instances:
         raise EditError(f"cannot remove unknown instance {belief.id!r}")
     del instances[belief.id]
+    del children[belief.id]
     incident = [key for key in edges if belief.id in key]
-    for key in incident:
-        del edges[key]
-        user_edges.discard(key)
-    for c in children.pop(belief.id):
-        parents[c].discard(belief.id)
-    for p in parents.pop(belief.id):
-        children[p].discard(belief.id)
+    for p, c in incident:
+        del edges[(p, c)]
+        user_edges.discard((p, c))
+        if c == belief.id:
+            children[p].discard(c)
 
 
 def _reachable(start, goal, children):
@@ -153,7 +148,7 @@ def _reachable(start, goal, children):
     return False
 
 
-def _add_relationship(belief, ontology, instances, edges, children, parents,
+def _add_relationship(belief, ontology, instances, edges, children,
                       user_edges):
     p, c = belief.parent, belief.child
     for node in (p, c):
@@ -165,7 +160,6 @@ def _add_relationship(belief, ontology, instances, edges, children, parents,
         return
     edges[(p, c)] = {}
     children[p].add(c)
-    parents[c].add(p)
     ptype = instances[p].type_name
     ctype = instances[c].type_name
     if not ontology.has_edge(ptype, ctype):
@@ -174,14 +168,13 @@ def _add_relationship(belief, ontology, instances, edges, children, parents,
         user_edges.add((p, c))
 
 
-def _remove_relationship(belief, edges, children, parents, user_edges):
+def _remove_relationship(belief, edges, children, user_edges):
     key = (belief.parent, belief.child)
     if key not in edges:
         raise EditError(f"cannot remove unknown relationship {key!r}")
     del edges[key]
     user_edges.discard(key)
     children[belief.parent].discard(belief.child)
-    parents[belief.child].discard(belief.parent)
 
 
 def _set_attribute(belief, instances):

@@ -18,15 +18,13 @@ and one guard selection, then the clients-trust circuit probability
 and/or the client's placement row, as the requested scenarios need.  The
 greedy placement rounds then run over the rows through `place_servers`.
 
-Per-client work is independent; TORTRUST_THREADS > 1 fans it out across a
-thread pool with results identical to the sequential order.  Each worker
-holds one client's sampler columns at a time.
+Per-client work runs in client order and holds one client's sampler
+columns at a time.  Per-client seeds come from the experiment seed and the
+client id.
 """
 
 import io
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,24 +86,6 @@ class ExperimentTable:
                              f"{row.min:.6f}", f"{row.max:.6f}",
                              row.n_samples, row.seed])
         return buf.getvalue()
-
-
-def _worker_count():
-    raw = os.environ.get("TORTRUST_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _per_client(clients, fn):
-    """fn(client) for each client, optionally on a thread pool; result
-    order always follows the client list."""
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(c) for c in clients]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, clients))
 
 
 def _row(scenario, values, cfg):
@@ -187,14 +167,11 @@ def run_experiment(cfg):
     values = {}
     if SCENARIO_TOR_DEFAULT in cfg.scenarios:
         cv = consensus_view(world)
-        values[SCENARIO_TOR_DEFAULT] = _per_client(
-            clients,
-            lambda c: _tor_default_probability(bbn, world, cv, cfg, c))
+        values[SCENARIO_TOR_DEFAULT] = [
+            _tor_default_probability(bbn, world, cv, cfg, c) for c in clients]
     if trust or service:
-        passes = _per_client(
-            clients,
-            lambda c: _clients_trust_probability(bbn, world, cfg, c, trust,
-                                                 exits_in))
+        passes = [_clients_trust_probability(bbn, world, cfg, c, trust,
+                                             exits_in) for c in clients]
         values[SCENARIO_CLIENTS_TRUST] = [p for p, _ in passes]
         best = {c: row for c, (_, row) in zip(clients, passes)}
 

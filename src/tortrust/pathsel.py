@@ -6,6 +6,8 @@ succeeds when both ends are observed in the same joint adversary draw.
 Every estimator takes the client's `Sampler`, one batch of joint adversary
 draws, so that argmin comparisons between candidate relays are consistent.
 Clients and destinations are AS ids such as "as:100".
+Guard ranking, circuit choice and placement all read `end_columns` and
+the one first-last kernel, `first_last_matrix`.
 """
 
 import hashlib
@@ -82,6 +84,29 @@ def _end_column(sampler, world, as_node, relay):
     return col
 
 
+def end_columns(sampler, world, as_node, relays):
+    """(n, len(relays)) bool matrix whose column r is the end column of
+    relays[r] as seen from `as_node`."""
+    cols = np.empty((sampler.n, len(relays)), dtype=bool)
+    for r, relay in enumerate(relays):
+        cols[:, r] = _end_column(sampler, world, as_node, relay)
+    return cols
+
+
+def first_last_matrix(first, last, guards, exits):
+    """P(first[:, g] and last[:, e]) for every guard g and exit e, from
+    `end_columns` stacks; inf where guard and exit are one relay.
+
+    The float64 product of 0/1 columns sums integers no larger than n, so
+    each count is exact and count / n equals `(a & b).mean()` bit for bit.
+    """
+    counts = first.T.astype(np.float64) @ last.astype(np.float64)
+    p = counts / first.shape[0]
+    p[np.asarray(guards, dtype=str)[:, None]
+      == np.asarray(exits, dtype=str)] = np.inf
+    return p
+
+
 def guard_exposure(sampler, world, client, guard):
     """P(guard compromised or client-guard link observed)."""
     return float(_end_column(sampler, world, client, guard).mean())
@@ -110,8 +135,8 @@ def checked_guard_relays(world, count):
 def select_guards(sampler, world, client, count=3):
     """The `count` guards with smallest exposure; ties break on id."""
     guards = checked_guard_relays(world, count)
-    ranked = sorted((guard_exposure(sampler, world, client, g), g)
-                    for g in guards)
+    exposure = end_columns(sampler, world, client, guards).mean(axis=0)
+    ranked = sorted(zip(exposure.tolist(), guards))
     return [g for _, g in ranked[:count]]
 
 
@@ -123,28 +148,23 @@ def first_last_probability(sampler, world, circuit):
 
 
 def select_circuit(sampler, world, client, guards, destination_as):
-    """Argmin of first-last probability over guards x all exit relays."""
+    """Argmin of first-last probability over guards x all exit relays;
+    ties break on guard id, then exit id."""
     if not guards:
         raise ValueError("no guards supplied")
     exits = exit_relays(world)
     if not exits:
         raise ValueError("world has no exit relays")
-    first_cols = {g: _end_column(sampler, world, client, g) for g in guards}
-    last_cols = {e: _end_column(sampler, world, destination_as, e)
-                 for e in exits}
-    best = None
-    for g in sorted(guards):
-        for e in sorted(exits):
-            if g == e:
-                continue
-            p = float((first_cols[g] & last_cols[e]).mean())
-            key = (p, g, e)
-            if best is None or key < best:
-                best = key
-    if best is None:
+    guards, exits = sorted(guards), sorted(exits)
+    p = first_last_matrix(end_columns(sampler, world, client, guards),
+                          end_columns(sampler, world, destination_as, exits),
+                          guards, exits)
+    # Rows and columns are in id order, so the first minimum in row-major
+    # order is the (p, guard, exit) minimum.
+    g, e = np.unravel_index(np.argmin(p), p.shape)
+    if p[g, e] == np.inf:
         raise ValueError("no guard-exit pair with distinct relays")
-    p, g, e = best
-    return g, e, p
+    return guards[g], exits[e], float(p[g, e])
 
 
 # --- Tor's default selection (bandwidth-weighted baseline) -------------------
@@ -232,20 +252,16 @@ def check_server_count(k, candidates):
 def placement_row(sampler, world, client, guards, exits_in):
     """One client's best first-last probability per candidate AS: the
     minimum over (its guards) x (the exits in that AS), on the client's
-    sampler.  `exits_in` is `exits_by_as(world)`."""
-    first_cols = {g: _end_column(sampler, world, client, g) for g in guards}
+    sampler.  `exits_in` is `exits_by_as(world)`.  An AS whose only pairs
+    share one relay reads inf."""
+    if not guards:
+        raise ValueError("no guards supplied")
+    first = end_columns(sampler, world, client, guards)
     row = {}
     for cand, exits in exits_in.items():
-        cand_best = np.inf
-        for e in exits:
-            last = _end_column(sampler, world, cand, e)
-            for g in guards:
-                if g == e:
-                    continue
-                p = float((first_cols[g] & last).mean())
-                if p < cand_best:
-                    cand_best = p
-        row[cand] = cand_best
+        last = end_columns(sampler, world, cand, exits)
+        row[cand] = float(first_last_matrix(first, last, guards, exits)
+                          .min(initial=np.inf))
     return row
 
 

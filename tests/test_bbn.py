@@ -343,10 +343,14 @@ def test_sample_matrix_layout(tmp_path, small_bbn, size):
     assert matrix.shape == (n, len(ids))
     assert np.array_equal(matrix, expected)
     path = tmp_path / "s.bin"
+    if not ids:   # a dump without columns cannot record its row count
+        with pytest.raises(ValueError, match="no nodes"):
+            save_samples(str(path), matrix)
+        assert not path.exists()
+        return
     save_samples(str(path), matrix)
     assert path.read_bytes()[8:] == np.packbits(matrix, axis=1).tobytes()
-    if ids:   # a dump without columns cannot record its row count
-        assert np.array_equal(load_samples(str(path)), matrix)
+    assert np.array_equal(load_samples(str(path)), matrix)
 
 
 def test_sample_matrix_defaults_to_every_node(small_bbn):
@@ -462,11 +466,24 @@ def _node(node_id, parents=(), kind="world", risks=(), absolute=None):
     _node("b", kind="ce"),
     _node("b", kind="ce", parents=[(0, 0.5), (0, 0.5)]),
     _node("b", parents=[(-1, 0.5)]),
+    _node("b", parents=[("0", 1.0)]),
+    _node("b", parents=[(False, 1.0)]),
 ])
 def test_bbn_dict_rejects_malformed_node(bad):
     data = {"nodes": [_node("a", absolute=0.5), bad]}
     with pytest.raises(CompileError):
         bbn_from_dict(data)
+
+
+@pytest.mark.parametrize("bad,message", [
+    ({"parents": [[0, 0.5]]}, r"^nodes\[1\]: missing 'id'$"),
+    (dict(_node("b"), id=7), r"^nodes\[1\]: missing 'id'$"),
+    (_node("b", parents=[(0.5, 1.0)]),
+     r"^node 'b' has parent index 0\.5, not an integer$"),
+])
+def test_bbn_dict_names_the_bad_entry(bad, message):
+    with pytest.raises(CompileError, match=message):
+        bbn_from_dict({"nodes": [_node("a", absolute=0.5), bad]})
 
 
 def test_sample_dump_roundtrip(tmp_path, small_bbn):
@@ -486,6 +503,9 @@ def test_sample_dump_rejects_corruption(tmp_path, small_bbn):
         load_samples(str(path))
     path.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(ValueError):
+        load_samples(str(path))
+    path.write_bytes(raw[:5] + bytes(3) + raw[8:])   # a node count of 0
+    with pytest.raises(ValueError, match="no nodes"):
         load_samples(str(path))
 
 

@@ -207,6 +207,30 @@ def test_malformed_bbn_exit_code(tmp_path, capsys):
     assert not (tmp_path / "s.bin").exists()
 
 
+@pytest.mark.parametrize("bad,message", [
+    ({"id": "b", "parents": [[0.5, 1.0]]},
+     "node 'b' has parent index 0.5, not an integer"),
+    ({"parents": [[0, 1.0]]}, "nodes[1]: missing 'id'"),
+])
+def test_bbn_entry_errors_name_the_entry(tmp_path, capsys, bad, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"nodes": [{"id": "a", "absolute": 0.5},
+                                          bad]}))
+    assert main(["bbn", "marginals", "--bbn", str(path), "--n", "10",
+                 "--seed", "1"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_empty_network_sample_dump_refused(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"nodes": []}))
+    out = tmp_path / "s.bin"
+    assert main(["bbn", "sample", "--bbn", str(path), "--n", "100",
+                 "--seed", "1", "--out", str(out)]) == 3
+    assert "no nodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"trust": [["abs", "is AS and", "U"]]}')

@@ -61,11 +61,6 @@ def test_rerun_is_identical(config, table):
     assert again == table
 
 
-def test_threaded_run_matches_sequential(config, table, monkeypatch):
-    monkeypatch.setenv("TORTRUST_THREADS", "4")
-    assert run_experiment(config) == table
-
-
 def test_csv_shape(table):
     lines = table.to_csv().splitlines()
     assert lines[0] == "scenario,mean,median,min,max,n_samples,seed"
@@ -140,16 +135,13 @@ def test_tor_default_matches_per_draw_reference(config, small_bbn):
             small_bbn, world, cv, cfg, client) == expected
 
 
-@pytest.mark.parametrize("threads", ["1", "4"])
 @pytest.mark.parametrize("scenarios,names", [
     (("clients-trust",), ["clients-trust"]),
     (("clients-service",), ["clients-service-1", "clients-service-2"]),
     (("clients-service", "tor-default"),
      ["clients-service-1", "clients-service-2", "tor-default"]),
 ])
-def test_scenario_subsets_match_full_run(config, table, monkeypatch,
-                                         threads, scenarios, names):
-    monkeypatch.setenv("TORTRUST_THREADS", threads)
+def test_scenario_subsets_match_full_run(config, table, scenarios, names):
     sub = run_experiment(dataclasses.replace(config, scenarios=scenarios))
     full_rows = {r.scenario: r for r in table.rows}
     assert [r.scenario for r in sub.rows] == names

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,9 +7,10 @@ from tortrust.beliefs import Absolute, TrustScale
 from tortrust.bbn import Sampler, compile_bbn
 from tortrust.editor import EditedWorld
 from tortrust.ontology import default_ontology
-from tortrust.pathsel import (Circuit, consensus_view, derive_seed,
-                              draw_default_circuits, exit_relays,
-                              exits_by_as, first_last_probability,
+from tortrust.pathsel import (Circuit, _end_column, consensus_view,
+                              derive_seed, draw_default_circuits,
+                              end_columns, exit_relays, exits_by_as,
+                              first_last_matrix, first_last_probability,
                               guard_exposure, guard_relays, place_servers,
                               placement_row, select_circuit, select_guards,
                               tor_default_circuit)
@@ -109,6 +111,109 @@ def test_first_last_never_exceeds_either_end(small_bbn, small_world, data):
                                Circuit(client, guard, exit_, destination))
     assert p <= min(guard_exposure(sampler, small_world, client, guard),
                     guard_exposure(sampler, small_world, destination, exit_))
+
+
+# --- the first-last kernel against one-pair references ------------------------
+
+@st.composite
+def _kernel_case(draw, world):
+    """A client, a destination, a sampler seed, and a guard list drawn from
+    every guard or exit relay, so some guards are also exits."""
+    ases = sorted(world.of_type("AS"))
+    relays = sorted(set(guard_relays(world)) | set(exit_relays(world)))
+    return (draw(st.sampled_from(ases)), draw(st.sampled_from(ases)),
+            draw(st.integers(0, 99)),
+            draw(st.lists(st.sampled_from(relays), min_size=1, max_size=4,
+                          unique=True)))
+
+
+def _select_circuit_loop(sampler, world, client, guards, destination_as):
+    """The guard x exit double loop that `select_circuit` replaced."""
+    best = None
+    for g in sorted(guards):
+        for e in sorted(exit_relays(world)):
+            if g == e:
+                continue
+            p = float((_end_column(sampler, world, client, g)
+                       & _end_column(sampler, world, destination_as, e))
+                      .mean())
+            if best is None or (p, g, e) < best:
+                best = (p, g, e)
+    if best is None:
+        raise ValueError("no guard-exit pair with distinct relays")
+    p, g, e = best
+    return g, e, p
+
+
+def _placement_row_loop(sampler, world, client, guards, exits_in):
+    """The per-AS triple loop that `placement_row` replaced."""
+    row = {}
+    for cand, exits in exits_in.items():
+        row[cand] = np.inf
+        for e in exits:
+            last = _end_column(sampler, world, cand, e)
+            for g in guards:
+                if g != e:
+                    p = float((_end_column(sampler, world, client, g)
+                               & last).mean())
+                    row[cand] = min(row[cand], p)
+    return row
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_first_last_matrix_matches_first_last_probability(small_bbn,
+                                                          small_world, data):
+    client, destination, seed, guards = data.draw(_kernel_case(small_world))
+    exits = data.draw(st.permutations(
+        sorted(set(guard_relays(small_world)) | set(exit_relays(small_world)))))
+    sampler = Sampler(small_bbn, 2000, seed=seed)
+    p = first_last_matrix(end_columns(sampler, small_world, client, guards),
+                          end_columns(sampler, small_world, destination, exits),
+                          guards, exits)
+    assert p.shape == (len(guards), len(exits))
+    for i, g in enumerate(guards):
+        for j, e in enumerate(exits):
+            if g == e:
+                assert p[i, j] == np.inf
+            else:
+                assert p[i, j] == first_last_probability(
+                    sampler, small_world, Circuit(client, g, e, destination))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_select_circuit_and_placement_row_match_loops(small_bbn, small_world,
+                                                      data):
+    client, destination, seed, guards = data.draw(_kernel_case(small_world))
+    sampler = Sampler(small_bbn, 2000, seed=seed)
+    assert select_circuit(sampler, small_world, client, guards,
+                          destination) == _select_circuit_loop(
+        sampler, small_world, client, guards, destination)
+    exits_in = exits_by_as(small_world)
+    assert placement_row(sampler, small_world, client, guards,
+                         exits_in) == _placement_row_loop(
+        sampler, small_world, client, guards, exits_in)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_select_guards_ranks_by_guard_exposure(small_bbn, small_world, data):
+    client, _, seed, _ = data.draw(_kernel_case(small_world))
+    guards = guard_relays(small_world)
+    count = data.draw(st.integers(1, len(guards)))
+    sampler = Sampler(small_bbn, 2000, seed=seed)
+    ranked = sorted((guard_exposure(sampler, small_world, client, g), g)
+                    for g in guards)
+    assert select_guards(sampler, small_world, client, count) == [
+        g for _, g in ranked[:count]]
+
+
+def test_placement_row_requires_guards(small_bbn, small_world):
+    sampler = Sampler(small_bbn, 100, seed=0)
+    with pytest.raises(ValueError, match="no guards supplied"):
+        placement_row(sampler, small_world, "as:1000", [],
+                      exits_by_as(small_world))
 
 
 def test_circuit_rejects_same_relay_twice():
