@@ -37,6 +37,7 @@ import numpy as np
 from .beliefs import Absolute, Relative, default_scale
 from .editor import ATTACHMENT_BELIEFS, attachment_scopes, group_attachments
 from .errors import CompileError, EditError, NetworkTooLargeError
+from .files import atomic_write, json_text, write_text
 from .predicates import (IdIn, IsType, eval_event, eval_predicate,
                          is_type, parse_event)
 
@@ -181,13 +182,17 @@ def compile_bbn(ew, trust=(), scale=None):
 
     Budget and CE beliefs may arrive attached to `ew`, in `trust`, or both
     (value-equal duplicates collapse), so a belief document can be applied
-    in one step or two.  Either way they are checked by the editor's rules.
+    in one step or two.  Either way they are checked by the editor's rules;
+    beliefs of `trust` that the editor already consumed into `ew` are not
+    grouped, or reported, again.
     """
     if scale is None:
         scale = default_scale()
     world = ew.world
     relatives = []
     absolutes = []
+    attached = [b for node in ew.budgets for b in ew.budgets[node]]
+    attached += [s for node in ew.ce_specs for s in ew.ce_specs[node]]
     for belief in trust:
         if isinstance(belief, Relative):
             relatives.append(belief)
@@ -195,11 +200,11 @@ def compile_bbn(ew, trust=(), scale=None):
             absolutes.append(belief)
         elif not isinstance(belief, ATTACHMENT_BELIEFS):
             raise CompileError(f"unknown trust belief {belief!r}")
-    attached = [b for node in ew.budgets for b in ew.budgets[node]]
-    attached += [s for node in ew.ce_specs for s in ew.ce_specs[node]]
+        elif belief not in ew.consumed:
+            attached.append(belief)
     try:
         budget_scopes, ce_scopes = attachment_scopes(
-            world, *group_attachments(world, attached + list(trust)))
+            world, *group_attachments(world, attached))
     except EditError as exc:
         raise CompileError(str(exc)) from exc
 
@@ -584,9 +589,7 @@ def bbn_from_dict(data):
 
 
 def save_bbn(bbn, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bbn_to_dict(bbn), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json_text(bbn_to_dict(bbn)))
 
 
 def load_bbn(path):
@@ -605,11 +608,14 @@ def save_samples(path, matrix):
         raise ValueError("a dump of no nodes cannot record its sample count")
     if n_nodes >= 1 << 24:
         raise NetworkTooLargeError("sample dump supports at most 2^24-1 nodes")
-    with open(path, "wb") as fh:
-        fh.write(SAMPLE_MAGIC)
-        fh.write(bytes([SAMPLE_VERSION]))
-        fh.write(int(n_nodes).to_bytes(3, "little"))
-        fh.write(np.packbits(matrix, axis=1).tobytes())
+
+    def write(tmp):
+        with open(tmp, "wb") as fh:
+            fh.write(SAMPLE_MAGIC)
+            fh.write(bytes([SAMPLE_VERSION]))
+            fh.write(int(n_nodes).to_bytes(3, "little"))
+            fh.write(np.packbits(matrix, axis=1).tobytes())
+    atomic_write(path, write)
 
 
 def load_samples(path):

@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import BeliefFormatError, DatasetError, PredicateSyntaxError
+from .files import write_text
 from .ontology import normalize_type_name
 from .predicates import Predicate, parse_predicate
 from . import ontology as ont
@@ -406,8 +407,7 @@ def load_belief_document(path):
 
 
 def save_belief_document(doc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_belief_document(doc))
+    write_text(path, serialize_belief_document(doc))
 
 
 # --- Adversary generator -----------------------------------------------------

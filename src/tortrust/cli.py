@@ -6,9 +6,13 @@
     tortrust experiment run
 
 Every command that writes outputs also writes `<out>.manifest.json` with
-input/output digests and the seeds used.  Randomized commands require an
-explicit --seed.  Exit codes: 0 success, 1 unexpected error, 2 parse error,
-3 validation/semantic error, 4 I/O error.
+input/output digests and the seeds used.  Outputs are written through
+`files.py`: atomically, JSON with sorted keys, CSV quoted only where CSV
+requires it.  Experiment configs are checked key by key: an unknown key or
+a value of the wrong type is a parse error, like a missing key.
+Randomized commands require an explicit --seed.  Exit codes: 0 success,
+1 unexpected error, 2 parse error, 3 validation/semantic error, 4 I/O
+error.
 """
 
 import argparse
@@ -17,7 +21,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from datetime import datetime, timezone
 
 from . import __version__
@@ -32,6 +35,7 @@ from .errors import (BeliefFormatError, CompileError, DatasetError, EditError,
                      NetworkTooLargeError, OntologyError,
                      PredicateSyntaxError, StructuralContextError)
 from .experiment import DEFAULT_SCENARIOS, ExperimentConfig, run_experiment
+from .files import csv_text, json_text, write_text
 from .ontology import default_ontology, load_ontology, validate_ontology
 from .synth import SynthParams, generate_synthetic
 from .world import load_world, validate_world, world_to_dict
@@ -57,29 +61,6 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _atomic_write(path, write):
-    """write(tmp) into a temporary file beside `path`, then rename it over
-    `path`; a failed write leaves `path` untouched."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
-    os.close(fd)
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_text(path, text):
-    def write(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    _atomic_write(path, write)
-
-
 def _write_manifest(out_path, args, inputs, outputs, seeds=None):
     manifest = {
         "tool": "tortrust",
@@ -92,8 +73,7 @@ def _write_manifest(out_path, args, inputs, outputs, seeds=None):
         "seeds": seeds or {},
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    _atomic_write_text(out_path + ".manifest.json",
-                       json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_text(out_path + ".manifest.json", json_text(manifest))
 
 
 def _load_ontology(args):
@@ -102,14 +82,10 @@ def _load_ontology(args):
     return default_ontology()
 
 
-def _dump_json(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def _emit(args, text, inputs, seeds=None):
     """Write `text` to --out, with its manifest, or else to stdout."""
     if args.out:
-        _atomic_write_text(args.out, text)
+        write_text(args.out, text)
         _write_manifest(args.out, args, inputs, [args.out], seeds=seeds)
     else:
         sys.stdout.write(text)
@@ -143,7 +119,7 @@ def cmd_world_build(args):
     if not report.ok:
         sys.stderr.write(report.summary() + "\n")
         return EXIT_INVALID
-    _emit(args, _dump_json(world_to_dict(world)),
+    _emit(args, json_text(world_to_dict(world)),
           [os.path.join(args.datasets, f)
            for f in sorted(os.listdir(args.datasets))])
     return EXIT_OK
@@ -183,7 +159,7 @@ def cmd_beliefs_apply(args):
     world = load_world(args.world)
     ontology = _load_ontology(args)
     ew = apply_structural(world, ontology, doc)
-    _emit(args, _dump_json(edited_world_to_dict(ew)), [args.doc, args.world])
+    _emit(args, json_text(edited_world_to_dict(ew)), [args.doc, args.world])
     return EXIT_OK
 
 
@@ -208,14 +184,14 @@ def cmd_bbn_compile(args):
         scale = doc.scale
         inputs.append(args.doc)
     bbn = compile_bbn(ew, trust, scale)
-    _emit(args, _dump_json(bbn_to_dict(bbn)), inputs)
+    _emit(args, json_text(bbn_to_dict(bbn)), inputs)
     return EXIT_OK
 
 
 def cmd_bbn_sample(args):
     bbn = load_bbn(args.bbn)
     matrix = sample_matrix(bbn, args.n, args.seed)
-    _atomic_write(args.out, lambda tmp: save_samples(tmp, matrix))
+    save_samples(args.out, matrix)
     _write_manifest(args.out, args, [args.bbn], [args.out],
                     seeds={"sample": args.seed})
     return EXIT_OK
@@ -226,12 +202,11 @@ def cmd_bbn_marginals(args):
     nodes = args.nodes.split(",") if args.nodes else None
     estimates = estimate_marginals(bbn, nodes=nodes, n=args.n, seed=args.seed)
     if args.format == "json":
-        text = _dump_json([dataclasses.asdict(e) for e in estimates])
+        text = json_text([dataclasses.asdict(e) for e in estimates])
     else:
-        lines = ["node,estimate,n_samples"]
-        lines += [f"{e.node},{e.estimate:.6f},{e.n_samples}"
-                  for e in estimates]
-        text = "\n".join(lines) + "\n"
+        text = csv_text(["node", "estimate", "n_samples"],
+                        [[e.node, f"{e.estimate:.6f}", e.n_samples]
+                         for e in estimates])
     _emit(args, text, [args.bbn], seeds={"marginals": args.seed})
     return EXIT_OK
 
@@ -240,11 +215,11 @@ def cmd_bbn_event(args):
     bbn = load_bbn(args.bbn)
     estimate = estimate_event(bbn, args.expr, n=args.n, seed=args.seed)
     if args.format == "json":
-        text = _dump_json({"event": args.expr, "estimate": estimate,
+        text = json_text({"event": args.expr, "estimate": estimate,
                            "n_samples": args.n, "seed": args.seed})
     else:
-        text = ("event,estimate,n_samples,seed\n"
-                f"\"{args.expr}\",{estimate:.6f},{args.n},{args.seed}\n")
+        text = csv_text(["event", "estimate", "n_samples", "seed"],
+                        [[args.expr, f"{estimate:.6f}", args.n, args.seed]])
     _emit(args, text, [args.bbn], seeds={"event": args.seed})
     return EXIT_OK
 
@@ -254,61 +229,80 @@ def cmd_bbn_exact(args):
     dist = enumerate_exact(bbn, cap=args.cap)
     states = sorted(dist)
     if args.format == "json":
-        text = _dump_json({"nodes": list(bbn.ids),
+        text = json_text({"nodes": list(bbn.ids),
                            "probabilities": [[s, dist[s]] for s in states]})
     else:
-        lines = ["state,probability"]
-        lines += [f"{s},{dist[s]:.12g}" for s in states]
-        text = "\n".join(lines) + "\n"
+        text = csv_text(["state", "probability"],
+                        [[s, f"{dist[s]:.12g}"] for s in states])
     _emit(args, text, [args.bbn])
     return EXIT_OK
 
 
 # --- experiment --------------------------------------------------------------
 
+_CONFIG_REQUIRED = ("world", "adversary", "clients", "destination_as",
+                    "n_samples", "seed")
+# Every key an experiment config may hold, and the type of its value; a
+# list holds strings.
+_CONFIG_KEYS = {
+    "world": str, "adversary": str, "ontology": str, "destination_as": str,
+    "clients": list, "scenarios": list, "n_samples": int, "seed": int,
+    "k_servers": int, "guard_count": int,
+}
+_KIND = {str: "a string", int: "an integer", list: "a list of strings"}
+
+
+def _check_experiment_config(raw):
+    """Raise BeliefFormatError naming the first key of `raw` that is
+    missing, unknown or of the wrong type (a bool is not an integer)."""
+    if not isinstance(raw, dict):
+        raise BeliefFormatError("experiment config: expected an object")
+    for key in _CONFIG_REQUIRED:
+        if key not in raw:
+            raise BeliefFormatError(f"experiment config is missing {key!r}")
+    for key, value in sorted(raw.items()):
+        if key not in _CONFIG_KEYS:
+            raise BeliefFormatError(
+                f"experiment config has unknown key {key!r}")
+        kind = _CONFIG_KEYS[key]
+        if type(value) is not kind or (
+                kind is list and not all(isinstance(v, str) for v in value)):
+            raise BeliefFormatError(
+                f"experiment config {key!r} must be {_KIND[kind]}")
+
+
 def _load_experiment_config(path, scenario_filter=None):
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
-    for key in ("world", "adversary", "clients", "destination_as",
-                "n_samples", "seed"):
-        if key not in raw:
-            raise BeliefFormatError(f"experiment config is missing {key!r}")
-    base = os.path.dirname(os.path.abspath(path))
-
-    def resolve(p):
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
-    world = load_world(resolve(raw["world"]))
-    ontology = load_ontology(resolve(raw["ontology"])) \
-        if raw.get("ontology") else default_ontology()
-    adversary = load_belief_document(resolve(raw["adversary"]))
+    _check_experiment_config(raw)
     scenarios = tuple(raw.get("scenarios", DEFAULT_SCENARIOS))
     if scenario_filter:
         scenarios = tuple(s for s in scenarios if s == scenario_filter)
         if not scenarios:
             raise BeliefFormatError(
                 f"scenario {scenario_filter!r} not in config")
-    inputs = [resolve(raw["world"]), resolve(raw["adversary"])]
-    if raw.get("ontology"):
-        inputs.append(resolve(raw["ontology"]))
-    counts = {key: int(raw[key]) for key in ("k_servers", "guard_count")
-              if key in raw}
+    # Relative paths are relative to the config; join keeps absolute ones.
+    base = os.path.dirname(os.path.abspath(path))
+    paths = {key: os.path.join(base, raw[key])
+             for key in ("world", "adversary", "ontology") if key in raw}
     cfg = ExperimentConfig(
-        world=world, ontology=ontology, adversary=adversary,
+        world=load_world(paths["world"]),
+        ontology=load_ontology(paths["ontology"]) if raw.get("ontology")
+        else default_ontology(),
+        adversary=load_belief_document(paths["adversary"]),
         clients=tuple(raw["clients"]),
         destination_as=raw["destination_as"],
         scenarios=scenarios,
-        n_samples=int(raw["n_samples"]),
-        seed=int(raw["seed"]),
-        **counts)
-    return cfg, inputs
+        **{key: raw[key] for key in ("n_samples", "seed", "k_servers",
+                                     "guard_count") if key in raw})
+    return cfg, list(paths.values())
 
 
 def cmd_experiment_run(args):
     cfg, inputs = _load_experiment_config(args.config, args.scenario)
     table = run_experiment(cfg)
     if args.format == "json":
-        text = _dump_json([dataclasses.asdict(r) for r in table.rows])
+        text = json_text([dataclasses.asdict(r) for r in table.rows])
     else:
         text = table.to_csv()
     _emit(args, text, inputs + [args.config], seeds={"experiment": cfg.seed})

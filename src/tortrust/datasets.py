@@ -10,13 +10,19 @@ and reads/writes them as JSON-lines files inside a bundle directory:
     ixp_clusters.jsonl  one IXP organization per line
     geo.jsonl           one located entity per line ("relay:<fp>", "ixp:<id>")
     uptime.jsonl        one consensus epoch per line, listing Running relays
+
+Each line is one record's JSON object: its dataclass fields by name, with
+tuples as lists.  Reading takes the known fields, ignores other keys,
+turns lists back into tuples and requires the fields without a default; a
+line that is not such an object is a DatasetError naming file and line.
 """
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .errors import DatasetError
+from .files import write_text
 
 
 @dataclass(frozen=True)
@@ -78,93 +84,46 @@ class DatasetBundle:
                 raise DatasetError("relay with empty fingerprint")
 
 
-_FILES = {
-    "consensus": "consensus.jsonl",
-    "as_paths": "as_paths.jsonl",
-    "as_clusters": "as_clusters.jsonl",
-    "ixp_clusters": "ixp_clusters.jsonl",
-    "geo": "geo.jsonl",
-    "uptime": "uptime.jsonl",
+# Bundle part -> record type; part "x" is stored in "x.jsonl".
+_RECORDS = {
+    "consensus": RelayRecord,
+    "as_paths": PathRecord,
+    "as_clusters": ClusterRecord,
+    "ixp_clusters": ClusterRecord,
+    "geo": GeoRecord,
+    "uptime": UptimeRecord,
 }
 
 
-def _relay_to_json(r):
-    return {"fingerprint": r.fingerprint, "as_number": r.as_number,
-            "guard": r.guard, "exit": r.exit, "bandwidth": r.bandwidth,
-            "family": list(r.family), "os": r.os, "ip": r.ip}
-
-
-def _relay_from_json(d):
-    return RelayRecord(fingerprint=d["fingerprint"], as_number=d["as_number"],
-                       guard=d.get("guard", False), exit=d.get("exit", False),
-                       bandwidth=d.get("bandwidth", 0),
-                       family=tuple(d.get("family", [])),
-                       os=d.get("os", ""), ip=d.get("ip", ""))
-
-
-def _path_to_json(p):
-    return {"src": p.src, "dst": p.dst, "as_path": list(p.as_path),
-            "ixps": list(p.ixps)}
-
-
-def _path_from_json(d):
-    return PathRecord(src=d["src"], dst=d["dst"],
-                      as_path=tuple(d.get("as_path", [])),
-                      ixps=tuple(d.get("ixps", [])))
-
-
-def _cluster_to_json(c):
-    return {"org": c.org, "members": list(c.members)}
-
-
-def _cluster_from_json(d):
-    return ClusterRecord(org=d["org"], members=tuple(d.get("members", [])))
-
-
-def _geo_to_json(g):
-    return {"entity": g.entity, "country": g.country, "lat": g.lat, "lon": g.lon}
-
-
-def _geo_from_json(d):
-    return GeoRecord(entity=d["entity"], country=d["country"],
-                     lat=d.get("lat", 0.0), lon=d.get("lon", 0.0))
-
-
-def _uptime_to_json(u):
-    return {"epoch": u.epoch, "running": list(u.running)}
-
-
-def _uptime_from_json(d):
-    return UptimeRecord(epoch=d["epoch"], running=tuple(d.get("running", [])))
-
-
-_CODECS = {
-    "consensus": (_relay_to_json, _relay_from_json),
-    "as_paths": (_path_to_json, _path_from_json),
-    "as_clusters": (_cluster_to_json, _cluster_from_json),
-    "ixp_clusters": (_cluster_to_json, _cluster_from_json),
-    "geo": (_geo_to_json, _geo_from_json),
-    "uptime": (_uptime_to_json, _uptime_from_json),
-}
+def _decode(cls, data):
+    """A `cls` record from a JSON object: unknown keys are ignored, lists
+    become tuples, and a field without a default must be present."""
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
+    values = {}
+    for f in fields(cls):
+        if f.name in data:
+            v = data[f.name]
+            values[f.name] = tuple(v) if isinstance(v, list) else v
+        elif f.default is MISSING:
+            raise ValueError(f"missing {f.name!r}")
+    return cls(**values)
 
 
 def save_bundle(bundle, directory):
-    os.makedirs(directory, exist_ok=True)
-    for name, filename in _FILES.items():
-        encode = _CODECS[name][0]
-        records = getattr(bundle, name)
-        with open(os.path.join(directory, filename), "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(encode(rec), sort_keys=True))
-                fh.write("\n")
+    """One JSON object per record, every field, tuples as lists."""
+    for name in _RECORDS:
+        write_text(os.path.join(directory, f"{name}.jsonl"),
+                   "".join(json.dumps(asdict(rec), sort_keys=True) + "\n"
+                           for rec in getattr(bundle, name)))
 
 
 def load_bundle(directory):
     if not os.path.isdir(directory):
         raise DatasetError(f"bundle directory not found: {directory}")
     parts = {}
-    for name, filename in _FILES.items():
-        decode = _CODECS[name][1]
+    for name, cls in _RECORDS.items():
+        filename = f"{name}.jsonl"
         path = os.path.join(directory, filename)
         records = []
         if os.path.exists(path):
@@ -174,8 +133,8 @@ def load_bundle(directory):
                     if not line:
                         continue
                     try:
-                        records.append(decode(json.loads(line)))
-                    except (ValueError, KeyError) as exc:
+                        records.append(_decode(cls, json.loads(line)))
+                    except ValueError as exc:
                         raise DatasetError(
                             f"{filename}:{lineno}: bad record: {exc}") from exc
         parts[name] = tuple(records)

@@ -34,6 +34,10 @@ class EditedWorld:
     budgets: dict = field(default_factory=dict)    # NodeId -> tuple of beliefs
     ce_specs: dict = field(default_factory=dict)   # NodeId -> tuple of beliefs
     user_edges: frozenset = frozenset()            # (parent, child) pairs
+    # The document's budget and CE beliefs that the editor grouped into
+    # `budgets` and `ce_specs`, suppressed ones included; compile_bbn
+    # skips them in its `trust` argument.
+    consumed: frozenset = frozenset()
 
 
 def children_matching(ew, node_id, pred):
@@ -60,8 +64,11 @@ def apply_structural(world, ontology, doc):
     report = validate_world(edited, ontology, allowed_edges=user_edges)
     if not report.ok:
         raise EditError("edited world is invalid:\n" + report.summary())
+    consumed = frozenset(b for b in doc.trust
+                         if isinstance(b, ATTACHMENT_BELIEFS))
     return EditedWorld(world=edited, ontology=ontology, budgets=budgets,
-                       ce_specs=ce_specs, user_edges=frozenset(user_edges))
+                       ce_specs=ce_specs, user_edges=frozenset(user_edges),
+                       consumed=consumed)
 
 
 def _edit(world, ontology, edits):
@@ -303,12 +310,6 @@ def edited_world_from_dict(data):
     user_edges = frozenset(tuple(e) for e in data.get("user_relationships", []))
     return EditedWorld(world=world, ontology=ontology, budgets=budgets,
                        ce_specs=ce_specs, user_edges=user_edges)
-
-
-def save_edited_world(ew, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(edited_world_to_dict(ew), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_edited_world(path):

@@ -23,15 +23,14 @@ columns at a time.  Per-client seeds come from the experiment seed and the
 client id.
 """
 
-import io
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ontology as ont
 from .bbn import Sampler, compile_bbn
-from .editor import ATTACHMENT_BELIEFS, apply_structural
+from .editor import apply_structural
+from .files import csv_text
 from .pathsel import (_end_column, check_server_count, checked_guard_relays,
                       consensus_view, derive_seed, draw_default_circuits,
                       exits_by_as, place_servers, placement_row,
@@ -76,16 +75,11 @@ class ExperimentTable:
     per_client: dict = field(default_factory=dict)  # scenario -> {client: p}
 
     def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["scenario", "mean", "median", "min", "max",
-                         "n_samples", "seed"])
-        for row in self.rows:
-            writer.writerow([row.scenario,
-                             f"{row.mean:.6f}", f"{row.median:.6f}",
-                             f"{row.min:.6f}", f"{row.max:.6f}",
-                             row.n_samples, row.seed])
-        return buf.getvalue()
+        return csv_text(["scenario", "mean", "median", "min", "max",
+                         "n_samples", "seed"],
+                        [[row.scenario, f"{row.mean:.6f}", f"{row.median:.6f}",
+                          f"{row.min:.6f}", f"{row.max:.6f}", row.n_samples,
+                          row.seed] for row in self.rows])
 
 
 def _row(scenario, values, cfg):
@@ -144,6 +138,8 @@ def run_experiment(cfg):
     for scenario in cfg.scenarios:
         if scenario not in DEFAULT_SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}")
+    if cfg.n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, not {cfg.n_samples}")
     trust = SCENARIO_CLIENTS_TRUST in cfg.scenarios
     service = SCENARIO_CLIENTS_SERVICE in cfg.scenarios
 
@@ -159,10 +155,7 @@ def run_experiment(cfg):
     if service:
         exits_in = exits_by_as(world)
         check_server_count(cfg.k_servers, exits_in)
-    # The editor has attached the document's budget and CE beliefs to `ew`.
-    bbn = compile_bbn(ew, [b for b in cfg.adversary.trust
-                           if not isinstance(b, ATTACHMENT_BELIEFS)],
-                      cfg.adversary.scale)
+    bbn = compile_bbn(ew, cfg.adversary.trust, cfg.adversary.scale)
 
     values = {}
     if SCENARIO_TOR_DEFAULT in cfg.scenarios:

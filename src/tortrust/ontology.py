@@ -8,11 +8,11 @@ virtual links) are the leaves whose compromise the sampler reports.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .errors import OntologyError
-from .validation import ValidationReport, check_acyclic
+from .validation import ValidationReport, check_acyclic, check_entry
 
 SYSTEM = "system"
 USER = "user"
@@ -261,52 +261,51 @@ def extend_ontology(ontology, new_types=(), new_edges=()):
 # Serialization (same structured-text style as world files)
 # ---------------------------------------------------------------------------
 
-def _attr_to_dict(a):
-    return {"name": a.name, "data_type": a.data_type,
-            "source": a.source, "requirement": a.requirement}
-
-
-def _attr_from_dict(d):
-    return AttributeDef(name=d["name"], data_type=d["data_type"],
-                        source=d.get("source", USER),
-                        requirement=d.get("requirement", "optional"))
-
-
 def ontology_to_dict(ontology):
-    return {
-        "types": [
-            {"name": t.name, "label": t.label, "is_output": t.is_output,
-             "attributes": [_attr_to_dict(a) for a in t.attributes]}
-            for t in ontology.types
-        ],
-        "edges": [
-            {"from_type": e.from_type, "to_type": e.to_type, "label": e.label,
-             "attributes": [_attr_to_dict(a) for a in e.attributes]}
-            for e in ontology.edges
-        ],
-    }
+    """Every field of every type, edge and attribute, by name; sequences
+    are tuples, which JSON writes as lists."""
+    return asdict(ontology)
+
+
+def _entries(data, kind, keys, owner=""):
+    """(where, entry) for each entry of the list data[kind], checked to be
+    an object with string fields `keys`; `where` names it, e.g.
+    "types[2].attributes[0]"."""
+    entries = data.get(kind, [])
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{owner}{kind}: expected a list")
+    for index, entry in enumerate(entries):
+        where = f"{owner}{kind}[{index}]"
+        check_entry(where, entry, keys)
+        yield where, entry
+
+
+def _attributes(entry, where):
+    """The attribute definitions of the type or edge `entry` at `where`."""
+    return tuple(
+        AttributeDef(name=a["name"], data_type=a["data_type"],
+                     source=a.get("source", USER),
+                     requirement=a.get("requirement", "optional"))
+        for _, a in _entries(entry, "attributes", ("name", "data_type"),
+                             f"{where}."))
 
 
 def ontology_from_dict(data):
+    """Parse an ontology file's dict; raises ValueError naming the first
+    malformed entry."""
+    if not isinstance(data, dict):
+        raise ValueError("ontology file: expected an object")
     types = tuple(
         TypeDef(name=t["name"], label=t.get("label", USER),
                 is_output=t.get("is_output", False),
-                attributes=tuple(_attr_from_dict(a) for a in t.get("attributes", [])))
-        for t in data.get("types", [])
-    )
+                attributes=_attributes(t, where))
+        for where, t in _entries(data, "types", ("name",)))
     edges = tuple(
         EdgeDef(from_type=e["from_type"], to_type=e["to_type"],
                 label=e.get("label", USER),
-                attributes=tuple(_attr_from_dict(a) for a in e.get("attributes", [])))
-        for e in data.get("edges", [])
-    )
+                attributes=_attributes(e, where))
+        for where, e in _entries(data, "edges", ("from_type", "to_type")))
     return Ontology(types=types, edges=edges)
-
-
-def save_ontology(ontology, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ontology_to_dict(ontology), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_ontology(path):

@@ -103,11 +103,6 @@ class HasChild:
 
 
 @dataclass(frozen=True)
-class Const:
-    value: bool
-
-
-@dataclass(frozen=True)
 class EventAtom:
     node_id: str
 
@@ -120,9 +115,6 @@ class Predicate:
 
     def __bool__(self):
         raise TypeError("evaluate predicates with eval_predicate, not bool()")
-
-
-TOP = Predicate("", Const(True))
 
 
 # --- Lexer -----------------------------------------------------------------
@@ -378,8 +370,6 @@ def is_type(name, type_name):
 
 
 def _eval(node, world, node_id, ctx):
-    if isinstance(node, Const):
-        return node.value
     if isinstance(node, And):
         return all(_eval(n, world, node_id, ctx) for n in node.items)
     if isinstance(node, Or):

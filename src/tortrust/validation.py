@@ -1,7 +1,9 @@
-"""Violation reports shared by ontology and world validation.
+"""Violation reports shared by ontology and world validation, and the
+entry check shared by the ontology and world file parsers.
 
 Validators never raise on bad input; every broken invariant becomes one
 Violation entry so a caller (or the CLI) can show all problems at once.
+The parsers stop at the first malformed entry and name it.
 """
 
 from dataclasses import dataclass, field
@@ -64,3 +66,15 @@ def check_acyclic(report, children, graph):
         report.add("cycle",
                    f"{graph} graph has a cycle through {{{', '.join(cycle)}}}",
                    cycle)
+
+
+def check_entry(where, entry, keys):
+    """Raise ValueError naming `where` unless `entry` is an object whose
+    fields `keys` are present and are strings."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: expected an object")
+    for key in keys:
+        if key not in entry:
+            raise ValueError(f"{where}: missing {key!r}")
+        if not isinstance(entry[key], str):
+            raise ValueError(f"{where}: {key!r} must be a string")

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 
-from .validation import ValidationReport, check_acyclic
+from .files import json_text, write_text
+from .validation import ValidationReport, check_acyclic, check_entry
 
 # Values stay JSON-native (str/int/float/bool/list/dict) so world files
 # round-trip losslessly; string-sets are sorted lists.
@@ -269,21 +270,6 @@ def world_to_dict(world):
     }
 
 
-def _malformed(kind, index, entry, keys):
-    """ValueError naming what is wrong with one world-file entry: not an
-    object, a missing or non-string field of `keys`, or non-object
-    attributes."""
-    where = f"{kind}[{index}]"
-    if not isinstance(entry, dict):
-        return ValueError(f"{where}: expected an object")
-    for key in keys:
-        if key not in entry:
-            return ValueError(f"{where}: missing {key!r}")
-        if not isinstance(entry[key], str):
-            return ValueError(f"{where}: {key!r} must be a string")
-    return ValueError(f"{where}: 'attributes' must be an object")
-
-
 def _entries(data, kind, keys):
     """(first, second, attributes) of each entry of data[kind], where
     `keys` names the two string fields; raises ValueError naming the first
@@ -297,7 +283,9 @@ def _entries(data, kind, keys):
             a = None
         if not (isinstance(a, str) and isinstance(b, str)
                 and isinstance(attributes, dict)):
-            raise _malformed(kind, index, entry, keys)
+            check_entry(f"{kind}[{index}]", entry, keys)
+            raise ValueError(f"{kind}[{index}]: 'attributes' must be an "
+                             "object")
         yield a, b, attributes
 
 
@@ -317,9 +305,7 @@ def world_from_dict(data):
 
 
 def save_world(world, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(world_to_dict(world), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json_text(world_to_dict(world)))
 
 
 def load_world(path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tortrust.beliefs import (Absolute, Budget1, Budget2, CE1, CE2, Relative,
@@ -255,9 +255,32 @@ def test_enumeration_cap():
 
 # --- sampling ----------------------------------------------------------------
 
+def _binomial_tail(k, n, p, upper):
+    """P(X >= k) if `upper`, else P(X <= k), for X ~ Binomial(n, p); summed
+    outward from k, which must lie on that tail's side of the mean."""
+    if p <= 0.0 or p >= 1.0:
+        certain = 0 if p <= 0.0 else n
+        return float(certain >= k if upper else certain <= k)
+    log_p, log_q, log_n = math.log(p), math.log1p(-p), math.lgamma(n + 1)
+    total = 0.0
+    for j in (range(k, n + 1) if upper else range(k, -1, -1)):
+        term = math.exp(log_n - math.lgamma(j + 1) - math.lgamma(n - j + 1)
+                        + j * log_p + (n - j) * log_q)
+        total += term
+        if term <= total * 1e-17:
+            break
+    return total
+
+
 def _assert_close_binomial(p_hat, p, n, sigmas=4.5):
-    bound = sigmas * math.sqrt(max(p * (1 - p), 1e-12) / n) + 1e-9
-    assert abs(p_hat - p) <= bound, (p_hat, p, bound)
+    """Exact two-sided binomial test of the count n * p_hat against p, at
+    the false-alarm probability of a two-sided normal test at `sigmas`
+    (6.8e-6 at 4.5, 5.7e-7 at 5).  A normal bound fails when n * p << 1:
+    there it allows fewer than two hits."""
+    k = round(p_hat * n)
+    tail = _binomial_tail(k, n, p, upper=k >= n * p)
+    alpha = math.erfc(sigmas / math.sqrt(2))
+    assert tail > alpha / 2, (p_hat, p, n, tail)
 
 
 def test_sampler_matches_exact_marginals(make_edited):
@@ -576,6 +599,12 @@ def _network_dicts(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(_network_dicts())
+# n * p = 0.075 for n:4, and the sampler draws 2 hits in 20,000.
+@example({"nodes": [_node("n:0"),
+                    _node("ce:1", kind="ce", parents=[(0, 0.0)]),
+                    _node("n:2", risks=[7.517105557753727e-06]),
+                    _node("ce:3", kind="ce", parents=[(0, 0.0)]),
+                    _node("n:4", parents=[(2, 0.5)])]})
 def test_loaded_networks_sample_to_exact(data):
     bbn = bbn_from_dict(data)
     exact = exact_marginals(bbn)

@@ -1,15 +1,22 @@
+import csv
 import dataclasses
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tortrust.bbn import save_bbn
+from tortrust.beliefs import load_belief_document, save_belief_document
+from tortrust.bbn import load_bbn, save_bbn, save_samples
 from tortrust.cli import _load_experiment_config, main
+from tortrust.datasets import load_bundle, save_bundle
 from tortrust.experiment import ExperimentConfig
+from tortrust.world import load_world, save_world
 
 from conftest import FIXTURES
 
@@ -310,3 +317,159 @@ def test_malformed_world_file_exit_code(tmp_path, capsys, document, message):
     path.write_text(json.dumps(document))
     assert main(["world", "validate", "--world", str(path)]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_chain_outputs_are_pinned(workdir):
+    """The bundle, world, document, edited world and network files of the
+    module chain, byte for byte."""
+    expected = {
+        "bundle/as_clusters.jsonl": "f6b2437a8c6e44576480475381e0d15d"
+                                    "ef3f855720154e7cd930c09eda2ca77c",
+        "bundle/as_paths.jsonl": "bcdeb6a407ce877a57ac29606f2a51b0"
+                                 "5275f650924c91591115b6f7c62f8afd",
+        "bundle/consensus.jsonl": "9eb81b36b5b89cd03aecc53c1b14e09e"
+                                  "2a2e1efc2efdc8b495e99513e2bea526",
+        "bundle/geo.jsonl": "585477de00b37bab94a0a4663c46045f"
+                            "34c21a5fdacb6088f4c9befa954401cf",
+        "bundle/ixp_clusters.jsonl": "5e11f206b86589d3232947c54620fce4"
+                                     "5cdb4d086b8cc8127f683364e0728b96",
+        "bundle/uptime.jsonl": "c759372ae1041b701adf976ab153fdee"
+                               "d99d847c75a558cb2ac698397dc3d6df",
+        "world.json": "fa9fa3c01f59efa21844470c07c1baa9"
+                      "b8c6b6c43da5b7d81f4dc86ed1345120",
+        "theman.json": "dabc90ea45c59c3c7ed720f6468fc9e8"
+                       "6a6febbf77fa2b407b35bac26c46fc72",
+        "edited.json": "967f6c9990d6944df51a77519c258ab3"
+                       "7cc9a74401b9ea313928fd5ea7cc7c47",
+        "bbn.json": "caf497a1808b54af2cc809cf4e65f483"
+                    "deb358d73eb466bc318f138aafd5913c",
+    }
+    for name, digest in expected.items():
+        with open(os.path.join(workdir["root"], name), "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+
+def test_library_writers_match_cli_bytes_and_modes(workdir, tmp_path):
+    plain = tmp_path / "plain"
+    with open(plain, "w"):
+        pass
+    mode = stat.S_IMODE(os.stat(plain).st_mode)
+    lib = tmp_path / "lib"
+    save_bundle(load_bundle(workdir["bundle"]), str(lib / "bundle"))
+    save_world(load_world(workdir["world"]), str(lib / "world.json"))
+    save_belief_document(load_belief_document(workdir["doc"]),
+                         str(lib / "theman.json"))
+    save_bbn(load_bbn(workdir["bbn"]), str(lib / "bbn.json"))
+    save_samples(str(lib / "s.bin"), np.ones((3, 2), dtype=bool))
+    cli = Path(workdir["root"])
+    for name in ["bundle/" + f for f in os.listdir(lib / "bundle")] + [
+            "world.json", "theman.json", "bbn.json"]:
+        assert (lib / name).read_bytes() == (cli / name).read_bytes(), name
+    outputs = [p for p in list(lib.rglob("*")) + list(cli.rglob("*"))
+               if p.is_file()]
+    for path in outputs:
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path
+    assert not [p for p in outputs if p.name.startswith(".")]
+
+
+@pytest.fixture
+def odd_ids_bbn(tmp_path):
+    """A network whose ids hold a comma, a quote and parentheses."""
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"nodes": [
+        {"id": "odd id (x)", "risks": [0.3]},
+        {"id": "as:1,2", "parents": [[0, 0.5]], "risks": [0.1]},
+        {"id": 'q"uote', "parents": [[1, 1.0]]}]}))
+    return str(path)
+
+
+def _csv_rows(out):
+    with open(out, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_csv_outputs_parse_back(odd_ids_bbn, tmp_path):
+    out = str(tmp_path / "out.csv")
+    assert main(["bbn", "marginals", "--bbn", odd_ids_bbn, "--n", "300",
+                 "--seed", "1", "--out", out]) == 0
+    rows = _csv_rows(out)
+    assert rows[0] == ["node", "estimate", "n_samples"]
+    assert [r[0] for r in rows[1:]] == ["odd id (x)", "as:1,2", 'q"uote']
+    assert {len(r) for r in rows} == {3}
+
+    expr = '"odd id (x)" and not "as:1,2"'
+    assert main(["bbn", "event", "--bbn", odd_ids_bbn, "--expr", expr,
+                 "--n", "300", "--seed", "1", "--out", out]) == 0
+    header, row = _csv_rows(out)
+    assert header == ["event", "estimate", "n_samples", "seed"]
+    assert row[0] == expr and row[2:] == ["300", "1"]
+
+    assert main(["bbn", "exact", "--bbn", odd_ids_bbn, "--format", "csv",
+                 "--out", out]) == 0
+    rows = _csv_rows(out)
+    assert rows[0] == ["state", "probability"]
+    assert {len(r) for r in rows} == {2}
+    assert sum(float(p) for _, p in rows[1:]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"k_server": 1}, "has unknown key 'k_server'"),
+    ({"n_samples": 200.9}, "'n_samples' must be an integer"),
+    ({"seed": True}, "'seed' must be an integer"),
+    ({"k_servers": 1.0}, "'k_servers' must be an integer"),
+    ({"guard_count": False}, "'guard_count' must be an integer"),
+    ({"scenarios": "tor-default"}, "'scenarios' must be a list of strings"),
+    ({"clients": "as:1000"}, "'clients' must be a list of strings"),
+    ({"clients": ["as:1000", 1003]}, "'clients' must be a list of strings"),
+    ({"destination_as": 1007}, "'destination_as' must be a string"),
+])
+def test_experiment_config_rejects_what_it_does_not_know(
+        workdir, tmp_path, capsys, change, message):
+    cfg = {"world": workdir["world"], "adversary": workdir["doc"],
+           "clients": ["as:1000"], "destination_as": "as:1007",
+           "n_samples": 100, "seed": 1, **change}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: experiment config {message}\n"
+
+
+def test_experiment_zero_samples_exit_code(workdir, tmp_path, capsys):
+    cfg = {"world": workdir["world"], "adversary": workdir["doc"],
+           "clients": ["as:1000"], "destination_as": "as:1007",
+           "n_samples": 0, "seed": 1}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "run", "--config", str(cfg_path)]) == 3
+    assert "n_samples must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"types": [1]}, "types[0]: expected an object"),
+    ([], "ontology file: expected an object"),
+    ({"types": [{"label": "user"}]}, "types[0]: missing 'name'"),
+    ({"types": [{"name": "A", "attributes": [{"name": "a"}]}]},
+     "types[0].attributes[0]: missing 'data_type'"),
+    ({"edges": [{"from_type": "AS", "to_type": 3}]},
+     "edges[0]: 'to_type' must be a string"),
+    ({"types": [{"name": "A", "attributes": "a"}]},
+     "types[0].attributes: expected a list"),
+])
+def test_malformed_ontology_file_exit_code(workdir, tmp_path, capsys,
+                                           document, message):
+    path = tmp_path / "ontology.json"
+    path.write_text(json.dumps(document))
+    assert main(["world", "validate", "--world", workdir["world"],
+                 "--ontology", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_dataset_line_that_is_not_an_object_exit_code(tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / "consensus.jsonl").write_text("[1, 2]\n")
+    assert main(["world", "build", "--datasets", str(bundle),
+                 "--out", str(tmp_path / "w.json")]) == 2
+    assert capsys.readouterr().err == \
+        "error: consensus.jsonl:1: bad record: expected a JSON object\n"

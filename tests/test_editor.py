@@ -5,7 +5,8 @@ import pytest
 
 from tortrust.beliefs import (Budget1, Budget2, CE1, CE2,
                               parse_belief_document)
-from tortrust.editor import (apply_structural, children_matching,
+from tortrust.bbn import bbn_to_dict, compile_bbn
+from tortrust.editor import (EditedWorld, apply_structural, children_matching,
                              edited_world_from_dict, edited_world_to_dict)
 from tortrust.errors import EditError
 from tortrust.predicates import parse_predicate
@@ -154,6 +155,30 @@ def test_ce2_supersedes_ce1(ontology, caplog):
         ew = apply_structural(BASE, ontology, doc)
     assert ew.ce_specs["as:1"] == (CE2("as:1", "U"),)
     assert "ce" in caplog.text.lower()
+
+
+def test_top_ce_suppression_reported_once_in_two_steps(ontology, caplog):
+    """apply_structural and then compile_bbn with the whole trust list warn
+    once, and build the network that compile_bbn alone builds."""
+    doc = _trust_doc(
+        ["ce1", "as:1", 'id in {"vlink:as1-relay:a"}', "LC"],
+        ["ce2", "as:1", "top", "U"])
+
+    def compiled(ew):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="tortrust"):
+            bbn = compile_bbn(ew, doc.trust, doc.scale)
+        return bbn, [r for r in caplog.records
+                     if "suppresses 1 other CE" in r.getMessage()]
+
+    with caplog.at_level("WARNING", logger="tortrust"):
+        ew = apply_structural(BASE, ontology, doc)
+    assert "suppresses 1 other CE" in caplog.text
+    two_step, warnings = compiled(ew)
+    assert warnings == []
+    one_step, warnings = compiled(EditedWorld(world=BASE, ontology=ontology))
+    assert len(warnings) == 1
+    assert bbn_to_dict(two_step) == bbn_to_dict(one_step)
 
 
 def test_two_ce2_rejected(ontology):

@@ -171,6 +171,16 @@ def test_bad_counts_rejected_before_compiling(config, monkeypatch, field,
         run_experiment(dataclasses.replace(config, **{field: value}))
 
 
+def test_n_samples_checked_before_applying(config, monkeypatch):
+    def no_apply(*args, **kwargs):
+        raise AssertionError("applied before checking the config")
+
+    monkeypatch.setattr(experiment, "apply_structural", no_apply)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            run_experiment(dataclasses.replace(config, n_samples=n))
+
+
 @pytest.mark.parametrize("scenarios,unused", [
     (("tor-default", "clients-trust"), {"k_servers": 0}),
     (("tor-default",), {"k_servers": 0, "guard_count": 0}),

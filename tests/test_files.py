@@ -1,0 +1,63 @@
+import csv
+import io
+import os
+import re
+import stat
+
+import pytest
+
+import tortrust
+from tortrust.files import atomic_write, csv_text, json_text, write_text
+
+SRC = os.path.dirname(tortrust.__file__)
+
+
+def _mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def test_failed_write_keeps_old_bytes_and_leaves_no_temporary(tmp_path):
+    target = tmp_path / "out.json"
+    target.write_bytes(b"old\n")
+
+    def write(tmp):
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("half a fi")
+        raise RuntimeError("disk on fire")
+
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        atomic_write(str(target), write)
+    assert target.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_write_replaces_and_takes_the_umask_mode(tmp_path):
+    plain = tmp_path / "plain"
+    with open(plain, "w"):
+        pass
+    target = tmp_path / "sub" / "out.txt"
+    write_text(str(target), "first\n")
+    write_text(str(target), "second\n")
+    assert target.read_text() == "second\n"
+    assert _mode(target) == _mode(plain)
+    assert os.listdir(target.parent) == ["out.txt"]
+
+
+def test_json_and_csv_text():
+    assert json_text({"b": [1], "a": None}) == \
+        '{\n  "a": null,\n  "b": [\n    1\n  ]\n}\n'
+    text = csv_text(["id", "p"], [['as:1,2', "0.5"], ['q"x (y)', 1]])
+    assert text == 'id,p\n"as:1,2",0.5\n"q""x (y)",1\n'
+    assert list(csv.reader(io.StringIO(text))) == [
+        ["id", "p"], ["as:1,2", "0.5"], ['q"x (y)', "1"]]
+
+
+def test_files_module_is_the_only_writer():
+    """Renames, temporary files and JSON dumps to a file live in files.py."""
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py") or name == "files.py":
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            source = fh.read()
+        assert not re.search(r"os\.replace|tempfile|json\.dump\(", source), \
+            name

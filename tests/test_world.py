@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +192,27 @@ def test_load_reports_bad_line(tmp_path):
     path.write_text(path.read_text() + "{not json\n")
     with pytest.raises(DatasetError, match="consensus.jsonl:3"):
         load_bundle(str(tmp_path / "b"))
+
+
+@pytest.mark.parametrize("line,message", [
+    ("[1, 2]", "consensus.jsonl:3: bad record: expected a JSON object"),
+    ('{"as_number": 1}',
+     "consensus.jsonl:3: bad record: missing 'fingerprint'"),
+])
+def test_load_names_malformed_record(tmp_path, line, message):
+    save_bundle(_toy_bundle(), str(tmp_path / "b"))
+    path = tmp_path / "b" / "consensus.jsonl"
+    path.write_text(path.read_text() + line + "\n")
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        load_bundle(str(tmp_path / "b"))
+
+
+def test_load_ignores_unknown_keys_and_fills_defaults(tmp_path):
+    (tmp_path / "consensus.jsonl").write_text(
+        '{"fingerprint": "fp_a", "as_number": 1, "family": ["fp_b"], '
+        '"note": "ignored"}\n')
+    bundle = load_bundle(str(tmp_path))
+    assert bundle.consensus == (RelayRecord("fp_a", 1, family=("fp_b",)),)
 
 
 # --- synthetic generation ----------------------------------------------------
