@@ -19,6 +19,14 @@ no absolute, not ce, every parent weight 0 or 1) are the OR of their
 weight-1 parents and read no uniforms at all; since every other node's
 stream is keyed by its own position, skipping them changes no draw.
 
+The sampler caches every column bit-packed (np.packbits order, eight
+draws to a byte, the padding bits of the last byte zero) and unpacks a
+fresh bool column for each `Sampler.column` call.  `sample_matrix` returns
+packed rows, (n, ceil(k/8)) uint8 in np.packbits(axis=1) order, which are
+exactly the payload of a sample dump: `save_samples(path, rows, n_nodes)`
+writes them as they are and `load_samples(path)` returns
+`(rows, n_nodes)`.
+
 A CompiledBbn is array-backed: node ids in topological order, parents in
 CSR form (offsets, indices, weights), and sparse per-position risks,
 absolute values and ce flags.  `CompiledBbn.nodes` is a BbnNode view of
@@ -29,6 +37,7 @@ id first, computed on integer ranks of the sorted ids.
 
 import heapq
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -318,11 +327,14 @@ def _topological_order(n, src, dst):
 class Sampler:
     """Lazy column-wise sampler over a compiled network.
 
-    Materializes one boolean column of `n` draws per node, computing only
-    the ancestor closure of whatever is requested.  Columns depend only on
-    (seed, node position), never on the request pattern.  Nodes that
-    `CompiledBbn.needs_draws` marks False read no uniforms: their column is
-    the OR of their weight-1 parents' columns.
+    Materializes one column of `n` draws per node, computing only the
+    ancestor closure of whatever is requested.  Columns are cached
+    bit-packed: uint8[ceil(n/8)] in np.packbits order, with the unused low
+    bits of the last byte zero.  `column` unpacks a fresh (n,) bool array
+    on every call, so no caller can write into the cache.  Columns depend
+    only on (seed, node position), never on the request pattern.  Nodes
+    that `CompiledBbn.needs_draws` marks False read no uniforms: their
+    column is the OR of their weight-1 parents' columns.
     """
 
     def __init__(self, bbn, n, seed):
@@ -338,7 +350,10 @@ class Sampler:
             idx = self.bbn.index[node_id]
         except KeyError:
             raise KeyError(f"unknown node {node_id!r}") from None
-        return self._column(idx)
+        return self._unpack(self._column(idx))
+
+    def _unpack(self, packed):
+        return np.unpackbits(packed, count=self.n).view(bool)
 
     def _column(self, idx):
         col = self._cols.get(idx)
@@ -363,12 +378,15 @@ class Sampler:
         return rng.random(self.n)
 
     def _compute(self, idx):
+        """Packed column of node idx; its parents are already cached.  ORs
+        and ANDs act on the packed bytes, which keeps the padding zero; only
+        a parent of weight strictly inside (0, 1) is unpacked."""
         bbn = self.bbn
         ptr, parent_idx, parent_w = bbn.parent_lists
         parents = zip(parent_idx[ptr[idx]:ptr[idx + 1]],
                       parent_w[ptr[idx]:ptr[idx + 1]])
         if not bbn.needs_draws[idx]:
-            col = np.zeros(self.n, dtype=bool)
+            col = np.zeros((self.n + 7) // 8, dtype=np.uint8)
             for j, w in parents:
                 if w >= 1.0:
                     col |= self._cols[j]
@@ -376,10 +394,10 @@ class Sampler:
         u = self._uniforms(idx)
         absolute = bbn.absolute.get(idx)
         if absolute is not None:
-            return u < absolute
+            return np.packbits(u < absolute)
         if idx in bbn.ce:
             (j, activation), = parents
-            return self._cols[j] & (u < activation)
+            return self._cols[j] & np.packbits(u < activation)
         keep_static = 1.0
         for q in bbn.risks.get(idx, ()):
             keep_static *= 1.0 - q
@@ -391,30 +409,32 @@ class Sampler:
                 certain = parent_col if certain is None \
                     else certain | parent_col
             elif w > 0.0:
-                factor = np.where(parent_col, 1.0 - w, 1.0)
+                factor = np.where(self._unpack(parent_col), 1.0 - w, 1.0)
                 keep = factor if keep is None else keep * factor
         if keep is None:
-            col = u < (1.0 - keep_static)
+            drawn = np.packbits(u < (1.0 - keep_static))
         else:
-            col = u < (1.0 - keep * keep_static)
-        if certain is not None:
-            col = col | certain
-        return col
+            drawn = np.packbits(u < (1.0 - keep * keep_static))
+        return drawn if certain is None else drawn | certain
 
 
 def sample(bbn, seed):
     """One joint draw over every node."""
-    return SampleResult(compromised=sample_matrix(bbn, 1, seed)[0],
-                        seed=int(seed))
+    row = sample_matrix(bbn, 1, seed)[0]
+    return SampleResult(compromised=np.unpackbits(row, count=len(bbn))
+                        .view(bool), seed=int(seed))
 
 
 def sample_matrix(bbn, n, seed, nodes=None):
-    """(n, k) C-contiguous boolean matrix of joint draws, k = len(nodes).
+    """(n, ceil(k/8)) C-contiguous uint8 rows of joint draws, k = len(nodes),
+    bit-packed in np.packbits(axis=1) order: node i of row r is bit
+    7 - i % 8 of rows[r, i // 8], and the padding bits are zero.  These are
+    the bytes of a sample dump; `np.unpackbits(rows, axis=1, count=k)`
+    gives the (n, k) matrix.
 
-    Each column is packed into a (ceil(k/8), n) byte buffer as it is drawn,
-    column i at bit 7 - i % 8 of byte row i // 8 (np.packbits order); the
-    sampler's columns are dropped before the buffer is transposed and
-    unpacked into the matrix."""
+    Each column is shifted into a (ceil(k/8), n) byte buffer as it is
+    drawn; the sampler's columns are dropped before the buffer is
+    transposed once."""
     sampler = Sampler(bbn, n, seed)
     ids = list(bbn.ids if nodes is None else nodes)
     k = len(ids)
@@ -425,8 +445,7 @@ def sample_matrix(bbn, n, seed, nodes=None):
                       out=shifted)
         packed[i // 8] |= shifted
     del sampler
-    rows = np.ascontiguousarray(packed.T)
-    return np.unpackbits(rows, axis=1, count=k).view(bool)
+    return np.ascontiguousarray(packed.T)
 
 
 def estimate_marginals(bbn, nodes=None, n=100_000, seed=0):
@@ -597,28 +616,43 @@ def load_bbn(path):
         return bbn_from_dict(json.load(fh))
 
 
-def save_samples(path, matrix):
+def _padding_set(rows, n_nodes):
+    """True if any bit past node n_nodes - 1 in the last byte is set."""
+    spare = -n_nodes % 8
+    return bool(spare) and bool(np.any(rows[:, -1] & ((1 << spare) - 1)))
+
+
+def save_samples(path, rows, n_nodes):
     """Bit-packed sample dump: magic, version byte, node count as 3 bytes
-    little-endian, then one packed row per sample."""
-    matrix = np.asarray(matrix, dtype=bool)
-    if matrix.ndim != 2:
-        raise ValueError("sample matrix must be 2-dimensional")
-    n_nodes = matrix.shape[1]
+    little-endian, then `rows`, the (n, ceil(n_nodes/8)) uint8 rows of
+    `sample_matrix`, written from their buffer."""
+    n_nodes = operator.index(n_nodes)
+    if n_nodes < 0:
+        raise ValueError(f"node count {n_nodes} is negative")
     if n_nodes == 0:
         raise ValueError("a dump of no nodes cannot record its sample count")
     if n_nodes >= 1 << 24:
         raise NetworkTooLargeError("sample dump supports at most 2^24-1 nodes")
+    rows = np.ascontiguousarray(rows)
+    if rows.ndim != 2 or rows.dtype != np.uint8:
+        raise ValueError("sample rows must be a 2-dimensional uint8 array")
+    if rows.shape[1] != (n_nodes + 7) // 8:
+        raise ValueError(f"sample rows are {rows.shape[1]} bytes wide, "
+                         f"{n_nodes} nodes need {(n_nodes + 7) // 8}")
+    if _padding_set(rows, n_nodes):
+        raise ValueError("sample rows have padding bits set")
 
     def write(tmp):
         with open(tmp, "wb") as fh:
             fh.write(SAMPLE_MAGIC)
             fh.write(bytes([SAMPLE_VERSION]))
-            fh.write(int(n_nodes).to_bytes(3, "little"))
-            fh.write(np.packbits(matrix, axis=1).tobytes())
+            fh.write(n_nodes.to_bytes(3, "little"))
+            fh.write(rows)
     atomic_write(path, write)
 
 
 def load_samples(path):
+    """(rows, n_nodes) of a dump written by `save_samples`."""
     with open(path, "rb") as fh:
         header = fh.read(8)
         if len(header) != 8 or header[:4] != SAMPLE_MAGIC:
@@ -626,11 +660,13 @@ def load_samples(path):
         if header[4] != SAMPLE_VERSION:
             raise ValueError(f"unsupported sample dump version {header[4]}")
         n_nodes = int.from_bytes(header[5:8], "little")
-        payload = fh.read()
+        payload = np.fromfile(fh, dtype=np.uint8)
     row_bytes = (n_nodes + 7) // 8
     if row_bytes == 0:
         raise ValueError(f"{path} records no nodes, so no row count")
-    if len(payload) % row_bytes:
+    if payload.size % row_bytes:
         raise ValueError("truncated sample dump")
-    packed = np.frombuffer(payload, dtype=np.uint8).reshape(-1, row_bytes)
-    return np.unpackbits(packed, axis=1)[:, :n_nodes].astype(bool)
+    rows = payload.reshape(-1, row_bytes)
+    if _padding_set(rows, n_nodes):
+        raise ValueError(f"{path} has padding bits set")
+    return rows, n_nodes

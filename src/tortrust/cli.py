@@ -190,8 +190,7 @@ def cmd_bbn_compile(args):
 
 def cmd_bbn_sample(args):
     bbn = load_bbn(args.bbn)
-    matrix = sample_matrix(bbn, args.n, args.seed)
-    save_samples(args.out, matrix)
+    save_samples(args.out, sample_matrix(bbn, args.n, args.seed), len(bbn))
     _write_manifest(args.out, args, [args.bbn], [args.out],
                     seeds={"sample": args.seed})
     return EXIT_OK

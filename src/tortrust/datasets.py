@@ -13,8 +13,10 @@ and reads/writes them as JSON-lines files inside a bundle directory:
 
 Each line is one record's JSON object: its dataclass fields by name, with
 tuples as lists.  Reading takes the known fields, ignores other keys,
-turns lists back into tuples and requires the fields without a default; a
-line that is not such an object is a DatasetError naming file and line.
+checks each value against its field's type (a boolean is not an integer,
+an integer is a float), turns lists back into tuples and requires the
+fields without a default; a line that is not such an object is a
+DatasetError naming file, line and, for a bad value, the field.
 """
 
 import json
@@ -95,16 +97,31 @@ _RECORDS = {
 }
 
 
+# Field annotation -> the JSON value types it accepts.  bool is an int
+# subclass in Python but not an int here; an int is accepted as a float.
+_ACCEPTS = {int: (int,), bool: (bool,), str: (str,), float: (int, float),
+            tuple: (list,)}
+_JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
+               str: "a string", list: "a list", dict: "an object",
+               type(None): "null"}
+
+
 def _decode(cls, data):
-    """A `cls` record from a JSON object: unknown keys are ignored, lists
-    become tuples, and a field without a default must be present."""
+    """A `cls` record from a JSON object: unknown keys are ignored, each
+    value must have its field's type, lists become tuples, and a field
+    without a default must be present."""
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     values = {}
     for f in fields(cls):
         if f.name in data:
             v = data[f.name]
-            values[f.name] = tuple(v) if isinstance(v, list) else v
+            accepted = _ACCEPTS[f.type]
+            if type(v) not in accepted:
+                raise ValueError(
+                    f"{f.name!r} must be {_JSON_NAMES[accepted[-1]]}, "
+                    f"not {_JSON_NAMES[type(v)]}")
+            values[f.name] = tuple(v) if f.type is tuple else v
         elif f.default is MISSING:
             raise ValueError(f"missing {f.name!r}")
     return cls(**values)

@@ -301,6 +301,10 @@ def edited_world_from_dict(data):
     from .ontology import ontology_from_dict
     from .world import world_from_dict
     world = world_from_dict(data)
+    if "ontology" not in data:
+        raise ValueError("edited world file: missing 'ontology'")
+    if not isinstance(data["ontology"], dict):
+        raise ValueError("edited world file: 'ontology' must be an object")
     ontology = ontology_from_dict(data["ontology"])
     scale = default_scale()
     budgets, ce_specs = group_attachments(world, [

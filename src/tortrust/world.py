@@ -275,7 +275,10 @@ def _entries(data, kind, keys):
     `keys` names the two string fields; raises ValueError naming the first
     malformed entry."""
     first, second = keys
-    for index, entry in enumerate(data.get(kind, [])):
+    entries = data.get(kind, [])
+    if not isinstance(entries, list):
+        raise ValueError(f"{kind}: expected a list")
+    for index, entry in enumerate(entries):
         try:
             a, b = entry[first], entry[second]
             attributes = entry.get("attributes", {})

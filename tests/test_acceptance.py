@@ -143,9 +143,10 @@ def test_criterion_03_budget_expectation():
             bbn = compile_bbn(
                 _edited(nodes, edges),
                 trust=(_abs("as:p", 1.0), Budget2("as:p", k)), scale=SCALE)
-            matrix = sample_matrix(
+            rows = sample_matrix(
                 bbn, n, seed=c * 100 + k,
                 nodes=[f"vlink:{i}" for i in range(c)])
+            matrix = np.unpackbits(rows, axis=1, count=c)
             mean_children = float(matrix.sum(axis=1).mean())
             worst_rel = max(worst_rel, abs(mean_children - k) / k)
     _report(3, "budget-expectation", worst_rel <= 0.02,
@@ -161,8 +162,9 @@ def test_criterion_04_ce_all_or_none():
         [("as:p", "vlink:a"), ("as:p", "vlink:b")])
     bbn = compile_bbn(ew, trust=(_abs("as:p", 1.0), CE2("as:p", p_v)),
                       scale=SCALE)
-    matrix = sample_matrix(bbn, 100_000, seed=4,
-                           nodes=["vlink:a", "vlink:b"])
+    rows = sample_matrix(bbn, 100_000, seed=4,
+                         nodes=["vlink:a", "vlink:b"])
+    matrix = np.unpackbits(rows, axis=1, count=2).view(bool)
     a, b = matrix[:, 0], matrix[:, 1]
     exactly_one = int((a ^ b).sum())
     p_both = float((a & b).mean())

@@ -310,11 +310,16 @@ def test_ce_children_all_or_none(make_edited):
         [("as:1", "vlink:a"), ("as:1", "vlink:b")])
     bbn = compile_bbn(ew, trust=(
         Absolute(_pred("is AS"), 1.0), CE2("as:1", 0.4)), scale=SCALE)
-    matrix = sample_matrix(bbn, 50_000, seed=2,
-                           nodes=["vlink:a", "vlink:b"])
+    matrix = _bits(sample_matrix(bbn, 50_000, seed=2,
+                                 nodes=["vlink:a", "vlink:b"]), 2)
     a, b = matrix[:, 0], matrix[:, 1]
     assert not np.any(a ^ b), "links split despite all-or-none compromise"
     _assert_close_binomial(float(a.mean()), 0.4, 50_000)
+
+
+def _bits(rows, k):
+    """The (n, k) bool matrix of the packed rows of `sample_matrix`."""
+    return np.unpackbits(rows, axis=1, count=k).view(bool)
 
 
 def test_same_seed_same_matrix(small_bbn):
@@ -327,9 +332,9 @@ def test_same_seed_same_matrix(small_bbn):
 def test_node_streams_independent_of_subset(small_bbn):
     """Requesting fewer columns must not shift any node's random stream."""
     all_nodes = [n.id for n in small_bbn.nodes]
-    full = sample_matrix(small_bbn, 500, seed=11)
+    full = _bits(sample_matrix(small_bbn, 500, seed=11), len(all_nodes))
     probe = all_nodes[len(all_nodes) // 2]
-    solo = sample_matrix(small_bbn, 500, seed=11, nodes=[probe])
+    solo = _bits(sample_matrix(small_bbn, 500, seed=11, nodes=[probe]), 1)
     assert np.array_equal(solo[:, 0], full[:, all_nodes.index(probe)])
 
 
@@ -337,8 +342,9 @@ def test_node_streams_independent_of_subset(small_bbn):
 def test_sample_is_first_row_of_sample_matrix(small_bbn, seed):
     result = sample(small_bbn, seed)
     assert result.seed == seed
-    assert np.array_equal(result.compromised,
-                          sample_matrix(small_bbn, 5, seed)[0])
+    assert np.array_equal(
+        result.compromised,
+        _bits(sample_matrix(small_bbn, 5, seed), len(small_bbn))[0])
 
 
 def _subset(bbn, size):
@@ -357,30 +363,33 @@ def _subset(bbn, size):
 def test_sample_matrix_layout(tmp_path, small_bbn, size):
     n, seed = 301, 4
     ids = _subset(small_bbn, size)
-    matrix = sample_matrix(small_bbn, n, seed, nodes=ids)
+    k = len(ids)
+    rows = sample_matrix(small_bbn, n, seed, nodes=ids)
     fresh = Sampler(small_bbn, n, seed)
     expected = np.zeros((n, 0), dtype=bool)
     if ids:
         expected = np.column_stack([fresh.column(nid) for nid in ids])
-    assert matrix.dtype == bool and matrix.flags.c_contiguous
-    assert matrix.shape == (n, len(ids))
-    assert np.array_equal(matrix, expected)
+    assert rows.dtype == np.uint8 and rows.flags.c_contiguous
+    assert rows.shape == (n, (k + 7) // 8)
+    assert np.array_equal(rows, np.packbits(expected, axis=1))
     path = tmp_path / "s.bin"
     if not ids:   # a dump without columns cannot record its row count
         with pytest.raises(ValueError, match="no nodes"):
-            save_samples(str(path), matrix)
+            save_samples(str(path), rows, k)
         assert not path.exists()
         return
-    save_samples(str(path), matrix)
-    assert path.read_bytes()[8:] == np.packbits(matrix, axis=1).tobytes()
-    assert np.array_equal(load_samples(str(path)), matrix)
+    save_samples(str(path), rows, k)
+    assert path.read_bytes()[8:] == np.packbits(expected, axis=1).tobytes()
+    loaded, n_nodes = load_samples(str(path))
+    assert n_nodes == k and np.array_equal(_bits(loaded, k), expected)
 
 
 def test_sample_matrix_defaults_to_every_node(small_bbn):
     fresh = Sampler(small_bbn, 50, 9)
     expected = np.column_stack([fresh.column(node.id)
                                 for node in small_bbn.nodes])
-    assert np.array_equal(sample_matrix(small_bbn, 50, 9), expected)
+    assert np.array_equal(
+        _bits(sample_matrix(small_bbn, 50, 9), len(small_bbn)), expected)
 
 
 def test_sampler_rejects_unknown_node(small_bbn):
@@ -510,17 +519,40 @@ def test_bbn_dict_names_the_bad_entry(bad, message):
 
 
 def test_sample_dump_roundtrip(tmp_path, small_bbn):
-    matrix = sample_matrix(small_bbn, 999, seed=1)
+    rows = sample_matrix(small_bbn, 999, seed=1)
     path = str(tmp_path / "s.bin")
-    save_samples(path, matrix)
-    assert np.array_equal(load_samples(path), matrix)
+    save_samples(path, rows, len(small_bbn))
+    loaded, n_nodes = load_samples(path)
+    assert n_nodes == len(small_bbn) and np.array_equal(loaded, rows)
 
 
 def test_sample_dump_rejects_corruption(tmp_path, small_bbn):
-    matrix = sample_matrix(small_bbn, 64, seed=1)
+    ids = [node.id for node in small_bbn.nodes][:13]
+    rows = sample_matrix(small_bbn, 64, seed=1, nodes=ids)
     path = tmp_path / "s.bin"
-    save_samples(str(path), matrix)
+    padded = rows.copy()
+    padded[3, 1] |= 1                       # bit 15 of a 13-node row
+    for bad, n_nodes, message in [
+            (rows[0], 13, "2-dimensional uint8"),
+            (rows.astype(np.int64), 13, "2-dimensional uint8"),
+            (_bits(rows, 13), 13, "2-dimensional uint8"),
+            (rows, 17, "2 bytes wide, 17 nodes need 3"),
+            (rows, 8, "2 bytes wide, 8 nodes need 1"),
+            (padded, 13, "padding"),
+            (rows, 0, "no nodes"),
+            (rows, -3, "negative")]:
+        with pytest.raises(ValueError, match=message):
+            save_samples(str(path), bad, n_nodes)
+        assert not path.exists()
+    with pytest.raises(NetworkTooLargeError):
+        save_samples(str(path), rows, 1 << 24)
+    with pytest.raises(TypeError):
+        save_samples(str(path), rows, 13.0)
+    save_samples(str(path), rows, 13)
     raw = path.read_bytes()
+    path.write_bytes(raw[:8 + 3] + bytes([raw[8 + 3] | 4]) + raw[8 + 4:])
+    with pytest.raises(ValueError, match="padding"):
+        load_samples(str(path))
     path.write_bytes(raw[:-3])
     with pytest.raises(ValueError):
         load_samples(str(path))
@@ -834,3 +866,68 @@ def test_compiled_arrays_match_reference(case):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[:1] = 0
+
+
+# --- packed sampler columns --------------------------------------------------
+
+# n mostly not a multiple of 8, so the last byte of a column has padding
+_PACKED_CASES = (_dag_worlds(), st.integers(1, 70), st.integers(0, 2 ** 16))
+# a budget of 1 over two links: both edges weigh 0.5, so the sampler has
+# to unpack the parent for its keep product
+_HALF_WEIGHT_CASE = (
+    _edited_inline({"as:0": "AS", "vlink:1": "Virtual Link",
+                    "vlink:2": "Virtual Link"},
+                   [("as:0", "vlink:1"), ("as:0", "vlink:2")]),
+    (Relative("r", _pred('id in {"as:0"}'), 0.7), Budget2("as:0", 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_PACKED_CASES)
+@example(_HALF_WEIGHT_CASE, 13, 5)
+def test_packed_columns_match_bool_reference(case, n, seed):
+    """Unpacked columns equal the bool columns of `_reference_columns`, and
+    every cached column is ceil(n/8) bytes with zero padding bits."""
+    ew, trust = case
+    bbn = compile_bbn(ew, trust=trust, scale=SCALE)
+    sampler = Sampler(bbn, n, seed)
+    for node_id, expected in zip(bbn.ids, _reference_columns(bbn, n, seed)):
+        col = sampler.column(node_id)
+        assert col.dtype == bool and col.shape == (n,)
+        assert np.array_equal(col, expected)
+    padding = (1 << (-n % 8)) - 1
+    assert len(sampler._cols) == len(bbn)
+    for packed in sampler._cols.values():
+        assert packed.dtype == np.uint8 and packed.shape == ((n + 7) // 8,)
+        assert not packed[-1] & padding
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_PACKED_CASES, st.lists(st.integers(0, 99), max_size=20))
+@example(_HALF_WEIGHT_CASE, 13, 5, [2, 1, 2])
+def test_packed_sample_matrix_matches_bool_reference(case, n, seed, picks):
+    ew, trust = case
+    bbn = compile_bbn(ew, trust=trust, scale=SCALE)
+    nodes = [bbn.ids[i % len(bbn)] for i in picks]
+    reference = _reference_columns(bbn, n, seed)
+    expected = np.zeros((n, 0), dtype=bool)
+    if nodes:
+        expected = np.column_stack([reference[bbn.index[x]] for x in nodes])
+    rows = sample_matrix(bbn, n, seed, nodes=nodes)
+    assert rows.dtype == np.uint8 and rows.shape == (n, (len(nodes) + 7) // 8)
+    assert np.array_equal(np.unpackbits(rows, axis=1, count=len(nodes)),
+                          expected)
+    assert np.array_equal(rows, np.packbits(expected, axis=1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(*_PACKED_CASES)
+@example(_HALF_WEIGHT_CASE, 13, 5)
+def test_writing_a_returned_column_leaves_the_cache(case, n, seed):
+    ew, trust = case
+    bbn = compile_bbn(ew, trust=trust, scale=SCALE)
+    sampler = Sampler(bbn, n, seed)
+    for node_id in bbn.ids:
+        col = sampler.column(node_id)
+        expected = col.copy()
+        col ^= True
+        assert np.array_equal(sampler.column(node_id), expected)

@@ -311,6 +311,8 @@ def _world_doc(relationships=(), **instance):
     (_world_doc(attributes=["bandwidth"]),
      "instances[1]: 'attributes' must be an object"),
     ([_world_doc()], "world file: expected an object"),
+    ({"instances": 5}, "instances: expected a list"),
+    (dict(_world_doc(), relationships={}), "relationships: expected a list"),
 ])
 def test_malformed_world_file_exit_code(tmp_path, capsys, document, message):
     path = tmp_path / "world.json"
@@ -360,7 +362,8 @@ def test_library_writers_match_cli_bytes_and_modes(workdir, tmp_path):
     save_belief_document(load_belief_document(workdir["doc"]),
                          str(lib / "theman.json"))
     save_bbn(load_bbn(workdir["bbn"]), str(lib / "bbn.json"))
-    save_samples(str(lib / "s.bin"), np.ones((3, 2), dtype=bool))
+    save_samples(str(lib / "s.bin"),
+                 np.packbits(np.ones((3, 2), dtype=bool), axis=1), 2)
     cli = Path(workdir["root"])
     for name in ["bundle/" + f for f in os.listdir(lib / "bundle")] + [
             "world.json", "theman.json", "bbn.json"]:
@@ -473,3 +476,32 @@ def test_dataset_line_that_is_not_an_object_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "w.json")]) == 2
     assert capsys.readouterr().err == \
         "error: consensus.jsonl:1: bad record: expected a JSON object\n"
+
+
+def test_dataset_value_of_the_wrong_type_exit_code(tmp_path, capsys):
+    bundle = tmp_path / "bundle"
+    bundle.mkdir()
+    (bundle / "consensus.jsonl").write_text(
+        '{"fingerprint": "fp_a", "as_number": "x", "family": "fp_b"}\n')
+    out = tmp_path / "w.json"
+    assert main(["world", "build", "--datasets", str(bundle),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: consensus.jsonl:1: bad record: 'as_number' must be an "
+        "integer, not a string\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"instances": [], "relationships": []},
+     "edited world file: missing 'ontology'"),
+    ({"instances": [], "relationships": [], "ontology": ["AS"]},
+     "edited world file: 'ontology' must be an object"),
+])
+def test_edited_world_without_an_ontology_object_exit_code(
+        tmp_path, capsys, document, message):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(document))
+    assert main(["bbn", "compile", "--edited", str(path),
+                 "--out", str(tmp_path / "bbn.json")]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -198,6 +198,20 @@ def test_load_reports_bad_line(tmp_path):
     ("[1, 2]", "consensus.jsonl:3: bad record: expected a JSON object"),
     ('{"as_number": 1}',
      "consensus.jsonl:3: bad record: missing 'fingerprint'"),
+    ('{"fingerprint": "fp_c", "as_number": true}',
+     "consensus.jsonl:3: bad record: 'as_number' must be an integer, "
+     "not a boolean"),
+    ('{"fingerprint": "fp_c", "as_number": 1.5}',
+     "consensus.jsonl:3: bad record: 'as_number' must be an integer, "
+     "not a number"),
+    ('{"fingerprint": "fp_c", "as_number": 1, "family": "fp_a"}',
+     "consensus.jsonl:3: bad record: 'family' must be a list, not a string"),
+    ('{"fingerprint": "fp_c", "as_number": 1, "guard": 1}',
+     "consensus.jsonl:3: bad record: 'guard' must be a boolean, "
+     "not an integer"),
+    ('{"fingerprint": null, "as_number": 1}',
+     "consensus.jsonl:3: bad record: 'fingerprint' must be a string, "
+     "not null"),
 ])
 def test_load_names_malformed_record(tmp_path, line, message):
     save_bundle(_toy_bundle(), str(tmp_path / "b"))
@@ -213,6 +227,13 @@ def test_load_ignores_unknown_keys_and_fills_defaults(tmp_path):
         '"note": "ignored"}\n')
     bundle = load_bundle(str(tmp_path))
     assert bundle.consensus == (RelayRecord("fp_a", 1, family=("fp_b",)),)
+
+
+def test_load_accepts_an_integer_for_a_float(tmp_path):
+    (tmp_path / "geo.jsonl").write_text(
+        '{"entity": "ixp:1", "country": "de", "lat": 50, "lon": 8.5}\n')
+    bundle = load_bundle(str(tmp_path))
+    assert bundle.geo == (GeoRecord("ixp:1", "de", 50, 8.5),)
 
 
 # --- synthetic generation ----------------------------------------------------
