@@ -555,27 +555,46 @@ def bbn_to_dict(bbn):
 
 def bbn_from_dict(data):
     """Rebuild a network, rejecting what the sampler and the exact oracle
-    would read differently: missing ids, non-integer or forward parents,
-    unknown kinds, ce nodes without exactly one parent, and probabilities
-    outside [0,1]."""
-    ids, ptr, parent_idx, parent_w, outputs = [], [0], [], [], []
+    would read differently: a file that is not an object with a `nodes`
+    array, nodes that are not objects, missing or duplicate ids, fields of
+    the wrong type, non-integer or forward parents, unknown kinds, ce nodes
+    without exactly one parent, and probabilities outside [0,1]."""
+    if not isinstance(data, dict) \
+            or not isinstance(data.get("nodes", []), list):
+        raise CompileError("network file must be an object with a 'nodes' "
+                           "array")
+    index, ptr, parent_idx, parent_w, outputs = {}, [0], [], [], []
     risks, absolute, ce = {}, {}, set()
     for i, entry in enumerate(data.get("nodes", [])):
+        if not isinstance(entry, dict):
+            raise CompileError(f"nodes[{i}]: node must be an object")
         node_id = entry.get("id")
         if not isinstance(node_id, str):
             raise CompileError(f"nodes[{i}]: missing 'id'")
+        if node_id in index:
+            raise CompileError(f"nodes[{i}]: duplicate node id {node_id!r}")
+        index[node_id] = i
         kind = entry.get("kind", "world")
-        parents = [(j, float(w)) for j, w in entry.get("parents", [])]
-        node_risks = tuple(float(q) for q in entry.get("risks", []))
+        parents = _node_list(entry, "parents", node_id)
+        node_risks = tuple(_probability(q, node_id, "risk")
+                           for q in _node_list(entry, "risks", node_id))
         node_absolute = entry.get("absolute")
         node_absolute = None if node_absolute is None \
-            else float(node_absolute)
+            else _probability(node_absolute, node_id, "absolute")
+        is_output = entry.get("is_output", False)
+        if not isinstance(is_output, bool):
+            raise CompileError(f"node {node_id!r} has is_output "
+                               f"{is_output!r}, not a boolean")
         if kind not in ("world", "ce"):
             raise CompileError(f"node {node_id!r} has unknown kind {kind!r}")
         if kind == "ce" and len(parents) != 1:
             raise CompileError(f"ce node {node_id!r} needs exactly one "
                                f"parent, has {len(parents)}")
-        for j, _ in parents:
+        for pair in parents:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise CompileError(f"node {node_id!r} has parent {pair!r}, "
+                                   f"not an [index, weight] pair")
+            j, w = pair
             if isinstance(j, bool) or not isinstance(j, int):
                 raise CompileError(f"node {node_id!r} has parent index "
                                    f"{j!r}, not an integer")
@@ -583,17 +602,8 @@ def bbn_from_dict(data):
                 raise CompileError(
                     f"node {node_id!r} has parent index {j} not before "
                     f"its own position {i}")
-        for what, values in (("edge weight", [w for _, w in parents]),
-                             ("risk", node_risks),
-                             ("absolute", () if node_absolute is None
-                              else (node_absolute,))):
-            for p in values:
-                if not 0.0 <= p <= 1.0:
-                    raise CompileError(f"node {node_id!r} has {what} {p!r} "
-                                       f"outside [0,1]")
-        ids.append(node_id)
-        parent_idx.extend(j for j, _ in parents)
-        parent_w.extend(w for _, w in parents)
+            parent_idx.append(j)
+            parent_w.append(_probability(w, node_id, "edge weight"))
         ptr.append(len(parent_idx))
         if node_risks:
             risks[i] = node_risks
@@ -601,10 +611,29 @@ def bbn_from_dict(data):
             absolute[i] = node_absolute
         if kind == "ce":
             ce.add(i)
-        outputs.append(bool(entry.get("is_output", False)))
-    return CompiledBbn(ids=tuple(ids), parent_ptr=ptr, parent_idx=parent_idx,
-                       parent_w=parent_w, risks=risks, absolute=absolute,
-                       ce=frozenset(ce), is_output=outputs)
+        outputs.append(is_output)
+    return CompiledBbn(ids=tuple(index), parent_ptr=ptr,
+                       parent_idx=parent_idx, parent_w=parent_w, risks=risks,
+                       absolute=absolute, ce=frozenset(ce), is_output=outputs)
+
+
+def _node_list(entry, key, node_id):
+    value = entry.get(key, [])
+    if not isinstance(value, list):
+        raise CompileError(f"node {node_id!r} has {key} {value!r}, "
+                           f"not an array")
+    return value
+
+
+def _probability(p, node_id, what):
+    if isinstance(p, bool) or not isinstance(p, (int, float)):
+        raise CompileError(f"node {node_id!r} has {what} {p!r}, "
+                           f"not a number")
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise CompileError(f"node {node_id!r} has {what} {p!r} "
+                           f"outside [0,1]")
+    return p
 
 
 def save_bbn(bbn, path):

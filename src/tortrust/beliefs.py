@@ -23,7 +23,8 @@ one risk source; absolute beliefs detach a node from its parents.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 from .errors import BeliefFormatError, DatasetError, PredicateSyntaxError
 from .files import write_text
@@ -34,10 +35,6 @@ from . import ontology as ont
 TRUST_SYMBOLS = ("SC", "LC", "U", "LT", "ST")
 
 _DEFAULT_MAPPING = {"SC": 0.999, "LC": 0.85, "U": 0.5, "LT": 0.15, "ST": 0.02}
-
-_RESERVED_TAGS = frozenset({"abs", "bu1", "bu2", "ce1", "ce2",
-                            "ut", "inst", "rminst", "rel", "rmrel", "attr"})
-
 
 @dataclass(frozen=True)
 class TrustScale:
@@ -156,6 +153,47 @@ class BeliefDocument:
     trust: tuple = ()
 
 
+# --- The tag table -----------------------------------------------------------
+
+class _Row(NamedTuple):
+    tag: str            # None for a relative belief, whose tag is free
+    cls: type
+    slots: tuple        # the kind of each array slot after the tag
+    ignored: int = 0    # further slots accepted and dropped
+
+
+# One row per tag.  Each slot fills the class's next field, except a literal
+# slot: the tuple of its spellings, of which the first is written.  The free
+# tag of a relative belief fills its first field.
+STRUCTURAL_TAGS = {row.tag: row for row in (
+    _Row("ut", NovelType, ("type name", "attribute types", "attribute types")),
+    # (T, D, n, P, C) in full; P and C carry no defined meaning.
+    _Row("inst", AddInstance, ("type name", "instance data", "instance id"),
+         ignored=2),
+    _Row("rminst", RemoveInstance, ("instance id",)),
+    _Row("rel", AddRelationship, ("parent id", "child id")),
+    _Row("rmrel", RemoveRelationship, ("parent id", "child id")),
+    _Row("attr", SetAttribute,
+         ("instance id", "attribute name", "attribute value")),
+)}
+TRUST_TAGS = {row.tag: row for row in (
+    _Row("abs", Absolute, ("predicate", "trust value")),
+    _Row("bu1", Budget1, ("instance id", "type name", "budget k")),
+    _Row("bu2", Budget2, ("instance id", ("all",), "budget k")),
+    _Row("ce1", CE1, ("instance id", "predicate", "trust value")),
+    _Row("ce2", CE2, ("instance id", ("top", "⊤"), "trust value")),
+)}
+RELATIVE_ROW = _Row(None, Relative, ("predicate", "trust value"))
+
+_ROW_OF = {row.cls: row for row in (*STRUCTURAL_TAGS.values(),
+                                    *TRUST_TAGS.values(), RELATIVE_ROW)}
+
+# The JSON type of the slot kinds checked by type alone.  Every other kind
+# but the free "attribute value" is a string: an id or a name.
+_JSON_TYPES = {"instance data": (dict, "an object"),
+               "budget k": (int, "an integer")}
+
+
 # --- Parsing -----------------------------------------------------------------
 
 def parse_belief_document(text):
@@ -171,12 +209,12 @@ def parse_belief_document(text):
 
     scale = _parse_scale(data.get("scale"))
     structural = tuple(
-        _parse_structural(entry, f"structural[{i}]")
+        belief_from_json(entry, f"structural[{i}]", STRUCTURAL_TAGS)
         for i, entry in enumerate(_expect_list(data.get("structural", []),
                                                "structural")))
     _check_novel_type_names(structural)
     trust = tuple(
-        _parse_trust(entry, f"trust[{i}]", scale)
+        belief_from_json(entry, f"trust[{i}]", TRUST_TAGS)
         for i, entry in enumerate(_expect_list(data.get("trust", []), "trust")))
     return BeliefDocument(scale=scale, structural=structural, trust=trust)
 
@@ -197,7 +235,7 @@ def _parse_scale(data):
     for name, m in (("mapping", mapping), ("ce_mapping", ce_mapping)):
         if m is None:
             continue
-        if set(m) != set(TRUST_SYMBOLS):
+        if not isinstance(m, dict) or set(m) != set(TRUST_SYMBOLS):
             raise BeliefFormatError(
                 f"scale.{name} must map exactly the symbols "
                 f"{', '.join(TRUST_SYMBOLS)}", path=f"scale.{name}")
@@ -214,46 +252,55 @@ def _check_probability(p, path):
                                 f"got {p!r}", path=path)
 
 
-def _parse_structural(entry, path):
+def belief_from_json(entry, path, tags):
+    """The belief that the array `entry` at `path` holds, read by its row
+    in `tags` (STRUCTURAL_TAGS or TRUST_TAGS).  A trust tag without a row
+    is a relative belief."""
     if not isinstance(entry, list) or not entry or not isinstance(entry[0], str):
         raise BeliefFormatError(f"{path}: belief must be a tagged array",
                                 path=path)
     tag = entry[0]
-    if tag == "ut":
-        _arity(entry, 4, path)
-        tname, req, opt = entry[1], entry[2], entry[3]
-        _expect_str(tname, f"{path}: type name")
-        return NovelType(tname=tname,
-                         struct_req=_parse_attr_decls(req, f"{path}.struct_req"),
-                         struct_opt=_parse_attr_decls(opt, f"{path}.struct_opt"))
-    if tag == "inst":
-        # (T, D, n, P, C) in full; P and C carry no defined meaning and are
-        # accepted but dropped.
-        if len(entry) not in (4, 5, 6):
-            raise BeliefFormatError(f"{path}: inst needs 4 to 6 fields",
+    row = tags.get(tag)
+    if row is None:
+        if tags is STRUCTURAL_TAGS:
+            raise BeliefFormatError(f"{path}: unknown structural tag {tag!r}",
                                     path=path)
-        _expect_str(entry[1], f"{path}: type name")
-        if not isinstance(entry[2], dict):
-            raise BeliefFormatError(f"{path}: instance data must be an object",
+        if tag in STRUCTURAL_TAGS:
+            raise BeliefFormatError(f"{path}: tag {tag!r} is reserved",
                                     path=path)
-        _expect_str(entry[3], f"{path}: instance id")
-        return AddInstance(type_name=entry[1], data=dict(entry[2]), id=entry[3])
-    if tag == "rminst":
-        _arity(entry, 2, path)
-        _expect_str(entry[1], f"{path}: instance id")
-        return RemoveInstance(id=entry[1])
-    if tag in ("rel", "rmrel"):
-        _arity(entry, 3, path)
-        _expect_str(entry[1], f"{path}: parent id")
-        _expect_str(entry[2], f"{path}: child id")
-        cls = AddRelationship if tag == "rel" else RemoveRelationship
-        return cls(parent=entry[1], child=entry[2])
-    if tag == "attr":
-        _arity(entry, 4, path)
-        _expect_str(entry[1], f"{path}: instance id")
-        _expect_str(entry[2], f"{path}: attribute name")
-        return SetAttribute(id=entry[1], name=entry[2], value=entry[3])
-    raise BeliefFormatError(f"{path}: unknown structural tag {tag!r}", path=path)
+        row = RELATIVE_ROW
+    n = 1 + len(row.slots)
+    if not n <= len(entry) <= n + row.ignored:
+        raise BeliefFormatError(
+            f"{path}: {tag} needs {n} to {n + row.ignored} fields"
+            if row.ignored else
+            f"{path}: {tag!r} belief needs {n} fields, got {len(entry)}",
+            path=path)
+    names = [f.name for f in fields(row.cls)]
+    values = [tag] if row is RELATIVE_ROW else []
+    for kind, value in zip(row.slots, entry[1:]):
+        if isinstance(kind, tuple):
+            if value not in kind:
+                raise BeliefFormatError(
+                    f'{path}: {tag} scope must be "{kind[0]}"', path=path)
+        else:
+            values.append(_read_slot(kind, value, path, names[len(values)]))
+    return row.cls(*values)
+
+
+def _read_slot(kind, value, path, name):
+    """The value of field `name`, read from a slot of the given kind."""
+    if kind == "predicate":
+        return _parse_pred(value, path)
+    if kind == "trust value":
+        return _parse_value(value, path)
+    if kind == "attribute types":
+        return _parse_attr_decls(value, f"{path}.{name}")
+    expected, what = _JSON_TYPES.get(kind, (str, "a string"))
+    if kind != "attribute value" and (not isinstance(value, expected)
+                                      or isinstance(value, bool)):
+        raise BeliefFormatError(f"{path}: {kind} must be {what}", path=path)
+    return value
 
 
 def _parse_attr_decls(decls, path):
@@ -264,7 +311,7 @@ def _parse_attr_decls(decls, path):
     out = []
     for name in sorted(decls):
         data_type = decls[name]
-        if data_type not in ont.DATA_TYPES:
+        if not isinstance(data_type, str) or data_type not in ont.DATA_TYPES:
             raise BeliefFormatError(
                 f"{path}.{name}: unknown data type {data_type!r}", path=path)
         out.append((name, data_type))
@@ -281,48 +328,6 @@ def _check_novel_type_names(structural):
             seen.add(belief.tname)
 
 
-def _parse_trust(entry, path, scale):
-    if not isinstance(entry, list) or not entry or not isinstance(entry[0], str):
-        raise BeliefFormatError(f"{path}: belief must be a tagged array",
-                                path=path)
-    tag = entry[0]
-    if tag == "abs":
-        _arity(entry, 3, path)
-        return Absolute(pred=_parse_pred(entry[1], path),
-                        v=_parse_value(entry[2], path, scale))
-    if tag in ("bu1", "bu2"):
-        _arity(entry, 4, path)
-        _expect_str(entry[1], f"{path}: instance id")
-        k = entry[3]
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise BeliefFormatError(f"{path}: budget k must be an integer",
-                                    path=path)
-        if tag == "bu1":
-            _expect_str(entry[2], f"{path}: type name")
-            return Budget1(instance=entry[1], type_name=entry[2], k=k)
-        if entry[2] != "all":
-            raise BeliefFormatError(f"{path}: bu2 scope must be \"all\"",
-                                    path=path)
-        return Budget2(instance=entry[1], k=k)
-    if tag == "ce1":
-        _arity(entry, 4, path)
-        _expect_str(entry[1], f"{path}: instance id")
-        return CE1(instance=entry[1], pred=_parse_pred(entry[2], path),
-                   v=_parse_value(entry[3], path, scale))
-    if tag == "ce2":
-        _arity(entry, 4, path)
-        _expect_str(entry[1], f"{path}: instance id")
-        if entry[2] not in ("top", "⊤"):
-            raise BeliefFormatError(f"{path}: ce2 scope must be \"top\"",
-                                    path=path)
-        return CE2(instance=entry[1], v=_parse_value(entry[3], path, scale))
-    if tag in _RESERVED_TAGS:
-        raise BeliefFormatError(f"{path}: tag {tag!r} is reserved", path=path)
-    _arity(entry, 3, path)
-    return Relative(tag=tag, pred=_parse_pred(entry[1], path),
-                    v=_parse_value(entry[2], path, scale))
-
-
 def _parse_pred(text, path):
     if not isinstance(text, str):
         raise BeliefFormatError(f"{path}: predicate must be a string", path=path)
@@ -333,7 +338,7 @@ def _parse_pred(text, path):
                                 path=path) from exc
 
 
-def _parse_value(v, path, scale):
+def _parse_value(v, path):
     if isinstance(v, str):
         if v not in TRUST_SYMBOLS:
             raise BeliefFormatError(
@@ -343,60 +348,33 @@ def _parse_value(v, path, scale):
     return float(v)
 
 
-def _arity(entry, n, path):
-    if len(entry) != n:
-        raise BeliefFormatError(
-            f"{path}: {entry[0]!r} belief needs {n} fields, got {len(entry)}",
-            path=path)
-
-
-def _expect_str(value, what):
-    if not isinstance(value, str):
-        raise BeliefFormatError(f"{what} must be a string")
-
-
 # --- Serialization -----------------------------------------------------------
 
-def _structural_to_json(belief):
-    if isinstance(belief, NovelType):
-        return ["ut", belief.tname,
-                dict(belief.struct_req) or None,
-                dict(belief.struct_opt) or None]
-    if isinstance(belief, AddInstance):
-        return ["inst", belief.type_name, belief.data, belief.id]
-    if isinstance(belief, RemoveInstance):
-        return ["rminst", belief.id]
-    if isinstance(belief, AddRelationship):
-        return ["rel", belief.parent, belief.child]
-    if isinstance(belief, RemoveRelationship):
-        return ["rmrel", belief.parent, belief.child]
-    if isinstance(belief, SetAttribute):
-        return ["attr", belief.id, belief.name, belief.value]
-    raise TypeError(f"not a structural belief: {belief!r}")
+def belief_to_json(belief):
+    """The JSON array of a structural or trust belief."""
+    row = _ROW_OF.get(type(belief))
+    if row is None:
+        raise TypeError(f"not a belief: {belief!r}")
+    values = iter([getattr(belief, f.name) for f in fields(belief)])
+    return [row.tag or next(values)] + [
+        kind[0] if isinstance(kind, tuple) else _write_slot(kind, next(values))
+        for kind in row.slots]
 
 
-def _trust_to_json(belief):
-    if isinstance(belief, Relative):
-        return [belief.tag, belief.pred.text, belief.v]
-    if isinstance(belief, Absolute):
-        return ["abs", belief.pred.text, belief.v]
-    if isinstance(belief, Budget1):
-        return ["bu1", belief.instance, belief.type_name, belief.k]
-    if isinstance(belief, Budget2):
-        return ["bu2", belief.instance, "all", belief.k]
-    if isinstance(belief, CE1):
-        return ["ce1", belief.instance, belief.pred.text, belief.v]
-    if isinstance(belief, CE2):
-        return ["ce2", belief.instance, "top", belief.v]
-    raise TypeError(f"not a trust belief: {belief!r}")
+def _write_slot(kind, value):
+    if kind == "predicate":
+        return value.text
+    if kind == "attribute types":
+        return dict(value) or None
+    return value
 
 
 def serialize_belief_document(doc):
     payload = {
         "scale": {"mapping": doc.scale.mapping,
                   "ce_mapping": doc.scale.ce_mapping},
-        "structural": [_structural_to_json(b) for b in doc.structural],
-        "trust": [_trust_to_json(b) for b in doc.trust],
+        "structural": [belief_to_json(b) for b in doc.structural],
+        "trust": [belief_to_json(b) for b in doc.trust],
     }
     return json.dumps(payload, indent=2) + "\n"
 

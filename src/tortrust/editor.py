@@ -1,8 +1,9 @@
 """Applies a belief document's structural part to a world.
 
-The construction sequence is strictly ordered: novel types, instance
-adds/removes, relationship adds/removes, attribute edits, budget
-attachment, CE attachment.  Later steps see earlier edits.  The output is
+The construction sequence declares the novel types first, then applies the
+instance, relationship and attribute edits in document order, then attaches
+budgets and CE beliefs.  Each edit sees the edits listed before it, so a
+relationship must follow the instances it joins.  The output is
 an EditedWorld: the new world graph plus per-node budget and CE
 attachments and the augmented ontology.  A document without instance,
 relationship or attribute edits leaves the world as it is: the EditedWorld
@@ -13,13 +14,16 @@ import json
 import logging
 from dataclasses import dataclass, field
 
-from .beliefs import (AddInstance, AddRelationship, Budget1, Budget2, CE1,
-                      CE2, NovelType, RemoveInstance, RemoveRelationship,
-                      SetAttribute)
+from .beliefs import (TRUST_TAGS, AddInstance, AddRelationship, Budget1,
+                      Budget2, CE1, CE2, NovelType, RemoveInstance,
+                      RemoveRelationship, SetAttribute, belief_from_json,
+                      belief_to_json)
 from .errors import EditError, OntologyError
-from .ontology import AttributeDef, TypeDef, USER, extend_ontology
+from .ontology import (AttributeDef, TypeDef, USER, extend_ontology,
+                       ontology_from_dict, ontology_to_dict)
 from .predicates import IsType, Predicate, eval_predicate
-from .world import TypeInstance, World, validate_world
+from .world import (TypeInstance, World, validate_world, world_from_dict,
+                    world_to_dict)
 
 log = logging.getLogger(__name__)
 
@@ -281,15 +285,12 @@ def _scope(world, node, belief):
 # ---------------------------------------------------------------------------
 
 def edited_world_to_dict(ew):
-    from .beliefs import _trust_to_json
-    from .ontology import ontology_to_dict
-    from .world import world_to_dict
     payload = world_to_dict(ew.world)
     payload["ontology"] = ontology_to_dict(ew.ontology)
-    payload["budgets"] = [_trust_to_json(b)
+    payload["budgets"] = [belief_to_json(b)
                           for n in sorted(ew.budgets)
                           for b in ew.budgets[n]]
-    payload["ce_specs"] = [_trust_to_json(b)
+    payload["ce_specs"] = [belief_to_json(b)
                            for n in sorted(ew.ce_specs)
                            for b in ew.ce_specs[n]]
     payload["user_relationships"] = sorted(list(e) for e in ew.user_edges)
@@ -297,18 +298,14 @@ def edited_world_to_dict(ew):
 
 
 def edited_world_from_dict(data):
-    from .beliefs import _parse_trust, default_scale
-    from .ontology import ontology_from_dict
-    from .world import world_from_dict
     world = world_from_dict(data)
     if "ontology" not in data:
         raise ValueError("edited world file: missing 'ontology'")
     if not isinstance(data["ontology"], dict):
         raise ValueError("edited world file: 'ontology' must be an object")
     ontology = ontology_from_dict(data["ontology"])
-    scale = default_scale()
     budgets, ce_specs = group_attachments(world, [
-        _parse_trust(entry, f"{key}[{i}]", scale)
+        belief_from_json(entry, f"{key}[{i}]", TRUST_TAGS)
         for key in ("budgets", "ce_specs")
         for i, entry in enumerate(data.get(key, []))])
     user_edges = frozenset(tuple(e) for e in data.get("user_relationships", []))

@@ -56,10 +56,6 @@ class PlacementResult:
     chosen_ases: tuple
     rounds: tuple          # per round: {client as id: probability}
 
-    @property
-    def per_client_probability(self):
-        return dict(self.rounds[-1])
-
 
 def derive_seed(*parts):
     """Stable 63-bit seed from arbitrary string/int parts."""
@@ -220,12 +216,6 @@ def draw_default_circuits(cv, n, seed):
                                      p=w / w.sum())
     return ([guards[int(i)].id for i in guard_idx],
             [exits[int(i)].id for i in exit_idx])
-
-
-def tor_default_circuit(cv, client, destination_as, seed):
-    guard_ids, exit_ids = draw_default_circuits(cv, 1, seed)
-    return Circuit(client=client, guard=guard_ids[0], exit=exit_ids[0],
-                   destination_as=destination_as)
 
 
 # --- Greedy server placement -------------------------------------------------

@@ -18,6 +18,9 @@ from .datasets import (ClusterRecord, DatasetBundle, GeoRecord, PathRecord,
 
 _COUNTRIES = ("US", "DE", "FR", "NL", "GB", "SE", "CH", "CA", "RO", "AT")
 _OS_STRINGS = ("Linux", "FreeBSD", "OpenBSD", "Windows", "Darwin")
+_UPTIME_LOW, _UPTIME_HIGH = 0.5, 1.0   # range of a relay's running chance
+_AS_DEGREE = 4                         # Watts-Strogatz neighbours per AS
+_REWIRE_P = 0.3                        # Watts-Strogatz rewiring chance
 
 
 @dataclass(frozen=True)
@@ -31,12 +34,8 @@ class SynthParams:
     as_org_sizes: tuple = ()
     ixp_org_sizes: tuple = ()
     n_epochs: int = 12
-    uptime_low: float = 0.5
-    uptime_high: float = 1.0
     max_path_len: int = 6
     drop_one_direction_fraction: float = 0.0
-    as_degree: int = 4
-    rewire_p: float = 0.3
 
 
 def _check_params(p):
@@ -54,15 +53,13 @@ def _check_params(p):
         raise ValueError("as_org_sizes exceed AS count")
     if sum(p.ixp_org_sizes) > p.n_ixp:
         raise ValueError("ixp_org_sizes exceed IXP count")
-    if not (0.0 <= p.uptime_low <= p.uptime_high <= 1.0):
-        raise ValueError("uptime range must satisfy 0 <= low <= high <= 1")
 
 
 def _as_graph(p, seed):
-    k = min(p.as_degree, p.n_as - 1)
+    k = min(_AS_DEGREE, p.n_as - 1)
     if k % 2 == 1:
         k = max(2, k - 1)
-    g = nx.connected_watts_strogatz_graph(p.n_as, k, p.rewire_p,
+    g = nx.connected_watts_strogatz_graph(p.n_as, k, _REWIRE_P,
                                           tries=200, seed=seed)
     # Rebuild with sorted adjacency so BFS tie-breaking is insertion-stable.
     h = nx.Graph()
@@ -197,7 +194,7 @@ def generate_synthetic(params, seed):
                              lat=round(float(rng.uniform(-60, 70)), 4),
                              lon=round(float(rng.uniform(-180, 180)), 4)))
 
-    up_prob = rng.uniform(params.uptime_low, params.uptime_high,
+    up_prob = rng.uniform(_UPTIME_LOW, _UPTIME_HIGH,
                           size=params.n_relays)
     uptime = []
     for epoch in range(params.n_epochs):

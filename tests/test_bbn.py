@@ -500,6 +500,15 @@ def _node(node_id, parents=(), kind="world", risks=(), absolute=None):
     _node("b", parents=[(-1, 0.5)]),
     _node("b", parents=[("0", 1.0)]),
     _node("b", parents=[(False, 1.0)]),
+    5,
+    _node("a", absolute=0.9),
+    dict(_node("b"), risks="1"),
+    dict(_node("b"), is_output="yes"),
+    dict(_node("b"), parents=5),
+    dict(_node("b"), parents=[[0]]),
+    _node("b", parents=[(0, "0.5")]),
+    _node("b", risks=[True]),
+    _node("b", absolute=[1]),
 ])
 def test_bbn_dict_rejects_malformed_node(bad):
     data = {"nodes": [_node("a", absolute=0.5), bad]}
@@ -512,10 +521,27 @@ def test_bbn_dict_rejects_malformed_node(bad):
     (dict(_node("b"), id=7), r"^nodes\[1\]: missing 'id'$"),
     (_node("b", parents=[(0.5, 1.0)]),
      r"^node 'b' has parent index 0\.5, not an integer$"),
+    (5, r"^nodes\[1\]: node must be an object$"),
+    (_node("a", absolute=0.9), r"^nodes\[1\]: duplicate node id 'a'$"),
+    (dict(_node("b"), risks="1"), r"^node 'b' has risks '1', not an array$"),
+    (dict(_node("b"), parents=5), r"^node 'b' has parents 5, not an array$"),
+    (dict(_node("b"), parents=[[0]]),
+     r"^node 'b' has parent \[0\], not an \[index, weight\] pair$"),
+    (_node("b", absolute=[1]),
+     r"^node 'b' has absolute \[1\], not a number$"),
+    (dict(_node("b"), is_output="yes"),
+     r"^node 'b' has is_output 'yes', not a boolean$"),
 ])
 def test_bbn_dict_names_the_bad_entry(bad, message):
     with pytest.raises(CompileError, match=message):
         bbn_from_dict({"nodes": [_node("a", absolute=0.5), bad]})
+
+
+@pytest.mark.parametrize("bad", [[], {"nodes": 5}, "nodes"])
+def test_bbn_dict_rejects_a_file_without_a_nodes_array(bad):
+    with pytest.raises(CompileError, match="^network file must be an object "
+                       "with a 'nodes' array$"):
+        bbn_from_dict(bad)
 
 
 def test_sample_dump_roundtrip(tmp_path, small_bbn):

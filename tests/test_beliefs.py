@@ -1,12 +1,18 @@
 import json
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tortrust.beliefs import (Absolute, Budget1, CE2, Relative, TrustScale,
-                              build_the_man, parse_belief_document,
+from tortrust.beliefs import (RELATIVE_ROW, STRUCTURAL_TAGS, TRUST_SYMBOLS,
+                              TRUST_TAGS, Absolute, Budget1, CE2, Relative,
+                              TrustScale, belief_to_json, build_the_man,
+                              parse_belief_document,
                               serialize_belief_document)
 from tortrust.errors import BeliefFormatError, DatasetError
+from tortrust.ontology import DATA_TYPES
 from tortrust.worldgen import family_uptime
 
 
@@ -110,6 +116,114 @@ def test_duplicate_novel_type_rejected():
         parse_belief_document(_doc(structural=[
             ["ut", "Treaty", None, None],
             ["ut", "Treaty", None, None]]))
+
+
+@pytest.mark.parametrize("doc,path", [
+    ({"structural": [["ut", "X", {"a": []}, None]]}, "structural[0].struct_req"),
+    ({"scale": {"mapping": list(TRUST_SYMBOLS)}}, "scale.mapping"),
+    ({"scale": {"ce_mapping": list(TRUST_SYMBOLS)}}, "scale.ce_mapping"),
+    ({"structural": [["rel", "a", 5]]}, "structural[0]"),
+])
+def test_malformed_entry_names_its_path(doc, path):
+    with pytest.raises(BeliefFormatError) as info:
+        parse_belief_document(json.dumps(doc))
+    assert info.value.path == path
+    assert str(info.value).startswith(path)
+
+
+def test_serializer_refuses_what_is_not_a_belief():
+    with pytest.raises(TypeError, match="not a belief"):
+        belief_to_json(("abs", "is AS", "U"))
+
+
+# --- the tag table -----------------------------------------------------------
+
+def test_each_row_fills_every_field_of_its_class():
+    rows = [*STRUCTURAL_TAGS.values(), *TRUST_TAGS.values()]
+    for row in rows:
+        filled = [kind for kind in row.slots if not isinstance(kind, tuple)]
+        assert len(filled) == len(fields(row.cls)), row
+    # a relative belief's free tag fills its first field
+    assert len(RELATIVE_ROW.slots) + 1 == len(fields(RELATIVE_ROW.cls))
+    assert len({row.cls for row in rows + [RELATIVE_ROW]}) == len(rows) + 1
+
+
+# The array shapes of the module docstring, written out apart from the tag
+# table so that a slot moved within a row shows up as a changed document.
+_NAME = st.text(max_size=6)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_ATTR_TYPES = st.none() | st.dictionaries(
+    _NAME, st.sampled_from(sorted(DATA_TYPES)), max_size=3)
+_PRED = st.sampled_from(["is AS", 'id in {"as:1", "as:2"}',
+                         'is AS and attr("size") > 3',
+                         "child_count(is VirtualLink) >= 2"])
+_VALUE = st.sampled_from(TRUST_SYMBOLS) | st.floats(0, 1) | st.integers(0, 1)
+_K = st.integers(-3, 10**12)
+_RESERVED = {"ut", "inst", "rminst", "rel", "rmrel", "attr",
+             "abs", "bu1", "bu2", "ce1", "ce2"}
+
+
+def _entry(tag, *slots):
+    return st.tuples(st.just(tag) if isinstance(tag, str) else tag,
+                     *slots).map(list)
+
+
+_STRUCTURAL = st.one_of(
+    _entry("ut", _NAME, _ATTR_TYPES, _ATTR_TYPES),
+    st.tuples(_entry("inst", _NAME, st.dictionaries(_NAME, _JSON, max_size=3),
+                     _NAME),
+              st.lists(_JSON, max_size=2)).map(lambda t: t[0] + t[1]),
+    _entry("rminst", _NAME),
+    _entry("rel", _NAME, _NAME),
+    _entry("rmrel", _NAME, _NAME),
+    _entry("attr", _NAME, _NAME, _JSON))
+_TRUST = st.one_of(
+    _entry("abs", _PRED, _VALUE),
+    _entry("bu1", _NAME, _NAME, _K),
+    _entry("bu2", _NAME, st.just("all"), _K),
+    _entry("ce1", _NAME, _PRED, _VALUE),
+    _entry("ce2", _NAME, st.sampled_from(["top", "⊤"]), _VALUE),
+    _entry(st.text(max_size=8).filter(lambda t: t not in _RESERVED),
+           _PRED, _VALUE))
+_MAPPING = st.fixed_dictionaries({s: st.floats(0, 1) for s in TRUST_SYMBOLS})
+
+
+def _one_type_each(structural):
+    """Drops each novel type declared a second time."""
+    seen = set()
+    kept = []
+    for entry in structural:
+        if entry[0] == "ut":
+            if entry[1] in seen:
+                continue
+            seen.add(entry[1])
+        kept.append(entry)
+    return kept
+
+
+_DOCUMENTS = st.fixed_dictionaries(
+    {"structural": st.lists(_STRUCTURAL, max_size=6).map(_one_type_each),
+     "trust": st.lists(_TRUST, max_size=6)},
+    optional={"scale": st.fixed_dictionaries(
+        {"mapping": _MAPPING}, optional={"ce_mapping": _MAPPING})})
+
+
+def test_grammar_covers_every_tag():
+    assert _RESERVED == set(STRUCTURAL_TAGS) | set(TRUST_TAGS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCUMENTS)
+def test_every_tag_round_trips(data):
+    doc = parse_belief_document(json.dumps(data))
+    text = serialize_belief_document(doc)
+    assert parse_belief_document(text) == doc
+    assert serialize_belief_document(parse_belief_document(text)) == text
 
 
 # --- default adversary -------------------------------------------------------

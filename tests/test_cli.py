@@ -218,6 +218,7 @@ def test_malformed_bbn_exit_code(tmp_path, capsys):
     ({"id": "b", "parents": [[0.5, 1.0]]},
      "node 'b' has parent index 0.5, not an integer"),
     ({"parents": [[0, 1.0]]}, "nodes[1]: missing 'id'"),
+    ({"id": "a", "absolute": 0.9}, "nodes[1]: duplicate node id 'a'"),
 ])
 def test_bbn_entry_errors_name_the_entry(tmp_path, capsys, bad, message):
     path = tmp_path / "bad.json"

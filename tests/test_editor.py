@@ -89,6 +89,25 @@ def test_cycle_rejected(ontology):
                ["rel", "as:2", "as:1"])
 
 
+def test_edits_run_in_document_order(ontology):
+    # Instance, relationship and attribute edits are not sorted by kind:
+    # each sees only the edits listed before it.
+    with pytest.raises(EditError, match="references unknown instance 'as:3'"):
+        _apply(ontology, ["rel", "as:3", "relay:b"], ["inst", "AS", {}, "as:3"])
+    ew = _apply(ontology, ["inst", "AS", {}, "as:3"], ["rel", "as:3", "relay:b"])
+    assert ew.world.children("as:3") == ("relay:b",)
+    with pytest.raises(EditError, match="unknown instance 'relay:a'"):
+        _apply(ontology, ["rminst", "relay:a"],
+               ["attr", "relay:a", "Relay Software", "linux"])
+    ew = _apply(ontology, ["attr", "relay:a", "Relay Software", "linux"],
+                ["rminst", "relay:a"])
+    assert "relay:a" not in ew.world
+    # Novel types alone are declared ahead of every edit.
+    ew = _apply(ontology, ["inst", "Treaty", {}, "treaty:t1"],
+                ["ut", "Treaty", None, None])
+    assert ew.world.type_of("treaty:t1") == "Treaty"
+
+
 def test_remove_relationship(ontology):
     ew = _apply(ontology, ["rmrel", "as:1", "vlink:as1-relay:a"])
     assert ew.world.children("as:1") == ("vlink:as1-relay:b",)
