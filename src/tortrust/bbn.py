@@ -31,11 +31,14 @@ A CompiledBbn is array-backed: node ids in topological order, parents in
 CSR form (offsets, indices, weights), and sparse per-position risks,
 absolute values and ce flags.  `CompiledBbn.nodes` is a BbnNode view of
 the same network, built only when read; the sampler reads the arrays.
-The topological order is Kahn's algorithm taking the smallest ready node
-id first, computed on integer ranks of the sorted ids.
+The topological order is `validation.topological_order`, Kahn's
+algorithm taking the smallest ready node id first, on the world's integer
+ranks: `compile_bbn` reads the world's rank arrays directly, drops the
+edges into absolute nodes, patches budget weights and ce reroutes by edge
+position, and shifts the ranks past the ce ids that join the id order.
 """
 
-import heapq
+import bisect
 import json
 import operator
 from dataclasses import dataclass, field
@@ -49,6 +52,7 @@ from .errors import CompileError, EditError, NetworkTooLargeError
 from .files import atomic_write, json_text, write_text
 from .predicates import (IdIn, IsType, eval_event, eval_predicate,
                          is_type, parse_event)
+from .validation import topological_order
 
 EXACT_NODE_CAP = 24
 
@@ -254,72 +258,76 @@ def compile_bbn(ew, trust=(), scale=None):
         for node in matching_nodes(world, belief.pred):
             absolute[node] = p
 
-    # Node ranks are positions in id order; an absolute node keeps no
-    # in-edges.
-    all_ids = sorted([inst.id for inst in world.instances]
-                     + [ce_id for ce_id, _, _ in ce_nodes])
-    rank = {node_id: r for r, node_id in enumerate(all_ids)}
-    if len(rank) != len(all_ids):
+    # Node ranks are positions in id order: the world's ranks, shifted past
+    # the ce ids that sort before them.
+    names = world.names
+    if len(world.by_id) != len(world.instances):
         raise CompileError("translated network has a duplicate node id")
-    src, dst, w = [], [], []
-    for edge in world.edges:
-        parent, child = edge
-        if child in absolute:
-            continue
-        ce_id = rerouted.get(edge)
-        src.append(rank[parent if ce_id is None else ce_id])
-        dst.append(rank[child])
-        w.append(1.0 if ce_id is not None else weights.get(edge, 1.0))
-    for ce_id, parent, activation in ce_nodes:
-        src.append(rank[parent])
-        dst.append(rank[ce_id])
-        w.append(activation)
-    src = np.array(src, dtype=np.int64)
-    dst = np.array(dst, dtype=np.int64)
-    order = _topological_order(len(all_ids), src, dst)
+    if (world.type_code < 0).any():
+        k = int(np.argmax((world.type_code[world.src] < 0)
+                          | (world.type_code[world.dst] < 0)))
+        raise CompileError(
+            f"relationship ({names[world.src[k]]!r}, "
+            f"{names[world.dst[k]]!r}) references a missing instance")
+    ce_ids = [ce_id for ce_id, _, _ in ce_nodes]
+    slots = np.array([bisect.bisect_left(names, ce_id) for ce_id in ce_ids],
+                     dtype=np.int64)
+    if any(slot < len(names) and names[slot] == ce_id
+           for slot, ce_id in zip(slots.tolist(), ce_ids)):
+        raise CompileError("translated network has a duplicate node id")
+    n = len(names) + len(ce_ids)
+    all_ids = sorted((*names, *ce_ids))
+    remap = np.arange(len(names)) + np.searchsorted(
+        slots, np.arange(len(names)), side="right")
+    ce_rank = slots + np.arange(len(ce_ids))
 
-    position = np.empty(len(all_ids), dtype=np.int64)
-    position[order] = np.arange(len(all_ids))
-    pos = position.tolist()
+    # World edges in rank order; budget weights and ce reroutes are patched
+    # by edge position (their scopes never share an edge, so a rerouted
+    # edge keeps weight 1), and an absolute node keeps no in-edges.
+    src = remap[world.src]
+    dst = remap[world.dst]
+    w = np.ones(len(src), dtype=np.float64)
+    if weights:
+        w[world.edge_positions(weights)] = list(weights.values())
+    if rerouted:
+        at = world.edge_positions(rerouted)
+        ce_of = {ce_id: r for ce_id, r in zip(ce_ids, ce_rank.tolist())}
+        src[at] = [ce_of[ce_id] for ce_id in rerouted.values()]
+    if absolute:
+        cut = np.zeros(len(names), dtype=bool)
+        cut[[world.index[node] for node in absolute]] = True
+        keep = ~cut[world.dst]
+        src, dst, w = src[keep], dst[keep], w[keep]
+    if ce_nodes:
+        src = np.concatenate((src, remap[[world.index[parent]
+                                          for _, parent, _ in ce_nodes]]))
+        dst = np.concatenate((dst, ce_rank))
+        w = np.concatenate((w, [a for _, _, a in ce_nodes]))
+    order = topological_order(n, src, dst)
+    if len(order) != n:
+        raise CompileError("translated network is cyclic")
+
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    pos = position[remap].tolist()        # by world rank
+    index = world.index
     child_pos = position[dst]
     by_child = np.lexsort((src, child_pos))   # parents in id order
-    outputs = ew.ontology.output_types
-    is_output = np.zeros(len(all_ids), dtype=bool)
-    is_output[np.array([pos[rank[inst.id]] for inst in world.instances
-                        if inst.type_name in outputs], dtype=np.intp)] = True
+    outputs = [k for k, t in enumerate(world.type_names)
+               if t in ew.ontology.output_types]
+    is_output = np.zeros(n, dtype=bool)
+    is_output[position[remap[np.isin(world.type_code, outputs)]]] = True
     return CompiledBbn(
         ids=tuple(all_ids[r] for r in order),
         parent_ptr=np.concatenate(([0], np.cumsum(
-            np.bincount(child_pos, minlength=len(all_ids))))),
+            np.bincount(child_pos, minlength=n)))),
         parent_idx=position[src][by_child],
-        parent_w=np.array(w, dtype=np.float64)[by_child],
-        risks={pos[rank[node]]: tuple(values)
+        parent_w=w[by_child],
+        risks={pos[index[node]]: tuple(values)
                for node, values in risks.items() if node not in absolute},
-        absolute={pos[rank[node]]: p for node, p in absolute.items()},
-        ce=frozenset(pos[rank[ce_id]] for ce_id, _, _ in ce_nodes),
+        absolute={pos[index[node]]: p for node, p in absolute.items()},
+        ce=frozenset(position[ce_rank].tolist()),
         is_output=is_output)
-
-
-def _topological_order(n, src, dst):
-    """Kahn's algorithm over ranks 0..n-1 with edges src -> dst, always
-    taking the smallest ready rank: the ranks in topological order."""
-    indegree = np.bincount(dst, minlength=n).tolist()
-    by_parent = np.argsort(src, kind="stable")
-    child_ptr = np.concatenate(([0], np.cumsum(
-        np.bincount(src, minlength=n)))).tolist()
-    children = dst[by_parent].tolist()
-    heap = [r for r in range(n) if indegree[r] == 0]   # sorted: a heap
-    order = []
-    while heap:
-        r = heapq.heappop(heap)
-        order.append(r)
-        for child in children[child_ptr[r]:child_ptr[r + 1]]:
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                heapq.heappush(heap, child)
-    if len(order) != n:
-        raise CompileError("translated network is cyclic")
-    return order
 
 
 # --- Sampling ----------------------------------------------------------------

@@ -230,6 +230,10 @@ def _parse_scale(data):
         return default_scale()
     if not isinstance(data, dict):
         raise BeliefFormatError("scale must be an object", path="scale")
+    for key in data:
+        if key not in ("mapping", "ce_mapping"):
+            raise BeliefFormatError(f"unknown scale key {key!r}",
+                                    path="scale")
     mapping = data.get("mapping", dict(_DEFAULT_MAPPING))
     ce_mapping = data.get("ce_mapping")
     for name, m in (("mapping", mapping), ("ce_mapping", ce_mapping)):

@@ -137,7 +137,7 @@ def cmd_world_validate(args):
         sys.stderr.write(report.summary() + "\n")
         return EXIT_INVALID
     sys.stderr.write("world ok: %d instances, %d relationships\n"
-                     % (len(world.instances), len(world.edges)))
+                     % (len(world.instances), len(world.src)))
     return EXIT_OK
 
 

@@ -8,6 +8,11 @@ an EditedWorld: the new world graph plus per-node budget and CE
 attachments and the augmented ontology.  A document without instance,
 relationship or attribute edits leaves the world as it is: the EditedWorld
 holds the input world itself, with the maps it has already built.
+
+An edited-world file is checked where it is loaded, as `apply_structural`
+checks its output: each key and entry by shape, each user relationship
+against the world's relationships, and the world against the file's
+ontology with the user relationships exempt.
 """
 
 import json
@@ -298,19 +303,49 @@ def edited_world_to_dict(ew):
 
 
 def edited_world_from_dict(data):
+    """Parse an edited-world file's dict.  Raises ValueError naming the
+    first malformed key or entry, and EditError when a user relationship
+    is not a relationship of the world, or when the world does not
+    validate against the file's ontology with the user relationships
+    exempt."""
     world = world_from_dict(data)
     if "ontology" not in data:
         raise ValueError("edited world file: missing 'ontology'")
     if not isinstance(data["ontology"], dict):
         raise ValueError("edited world file: 'ontology' must be an object")
     ontology = ontology_from_dict(data["ontology"])
-    budgets, ce_specs = group_attachments(world, [
-        belief_from_json(entry, f"{key}[{i}]", TRUST_TAGS)
-        for key in ("budgets", "ce_specs")
-        for i, entry in enumerate(data.get(key, []))])
-    user_edges = frozenset(tuple(e) for e in data.get("user_relationships", []))
+    attached = []
+    for key, kinds, what in (("budgets", (Budget1, Budget2), "budget"),
+                             ("ce_specs", (CE1, CE2), "CE belief")):
+        for i, entry in enumerate(_list_of(data, key)):
+            belief = belief_from_json(entry, f"{key}[{i}]", TRUST_TAGS)
+            if not isinstance(belief, kinds):
+                raise ValueError(f"{key}[{i}]: {entry[0]!r} is not a {what}")
+            attached.append(belief)
+    user_edges = []
+    for i, entry in enumerate(_list_of(data, "user_relationships")):
+        if not (isinstance(entry, list) and len(entry) == 2
+                and all(isinstance(node, str) for node in entry)):
+            raise ValueError(f"user_relationships[{i}]: expected a pair of "
+                             "instance ids")
+        user_edges.append(tuple(entry))
+    for i, at in enumerate(world.edge_positions(user_edges).tolist()):
+        if at < 0:
+            raise EditError(f"user_relationships[{i}]: {user_edges[i]!r} is "
+                            "not a relationship of the world")
+    report = validate_world(world, ontology, allowed_edges=user_edges)
+    if not report.ok:
+        raise EditError("edited world is invalid:\n" + report.summary())
+    budgets, ce_specs = group_attachments(world, attached)
     return EditedWorld(world=world, ontology=ontology, budgets=budgets,
-                       ce_specs=ce_specs, user_edges=user_edges)
+                       ce_specs=ce_specs, user_edges=frozenset(user_edges))
+
+
+def _list_of(data, key):
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"edited world file: {key!r} must be a list")
+    return value
 
 
 def load_edited_world(path):

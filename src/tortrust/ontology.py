@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .errors import OntologyError
-from .validation import ValidationReport, check_acyclic, check_entry
+from .validation import ValidationReport, check_entry, report_cycle
 
 SYSTEM = "system"
 USER = "user"
@@ -218,11 +218,12 @@ def validate_ontology(ontology):
                        ident)
         _check_attribute_names(report, f"edge {ident}", e.attributes, ident)
 
-    children = {n: [] for n in names}
-    for e in ontology.edges:
-        if e.from_type in children:
-            children[e.from_type].append(e.to_type)
-    check_acyclic(report, children, "type")
+    names = sorted(names)
+    rank = {name: r for r, name in enumerate(names)}
+    edges = [(rank[e.from_type], rank[e.to_type]) for e in ontology.edges
+             if e.from_type in rank and e.to_type in rank]
+    report_cycle(report, "type", names, [p for p, _ in edges],
+                 [c for _, c in edges])
     return report
 
 

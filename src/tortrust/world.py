@@ -6,11 +6,14 @@ of the parent propagates to the child".  Worlds are immutable value objects;
 the editor produces modified copies, or hands back the same world when a
 belief document edits nothing.
 
-A world stores each edge once, as a (parent, child) pair in sorted order,
-and keeps attributes only for the edges that have any; the
-RelationshipInstance tuple `World.relationships` is a view built on
-demand.  `world_from_dict` fills that storage directly and names the first
-malformed entry of a world file.
+A world is interned as integers once, where it is built or read: the
+sorted ids of its instances and edge endpoints, one type code per id, and
+each edge once as a pair of int32 ranks, sorted.  Validation and
+compilation work on these arrays; `children` and `parents` answer from
+them, and the (parent, child) pairs `World.edges` and the
+RelationshipInstance tuple `World.relationships` are views built on
+demand.  `world_from_dict` reads each column of a world file in one pass
+and names the first malformed entry.
 
 Node identifiers are plain strings with a short type prefix, e.g.
 "as:3356", "relay:fp_ab12", "vlink:as3356-relay:fp_ab12".
@@ -19,10 +22,13 @@ Node identifiers are plain strings with a short type prefix, e.g.
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from operator import attrgetter
 
+import numpy as np
+
 from .files import json_text, write_text
-from .validation import ValidationReport, check_acyclic, check_entry
+from .validation import ValidationReport, check_entry, report_cycle
 
 # Values stay JSON-native (str/int/float/bool/list/dict) so world files
 # round-trip losslessly; string-sets are sorted lists.
@@ -74,41 +80,93 @@ class RelationshipInstance:
     attributes: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class World:
-    """Immutable instance DAG.
+    """Immutable instance DAG, interned as integers once.
 
-    `instances` is sorted by id.  `edges` holds each relationship once as
-    a (parent, child) pair, sorted; `edge_attributes` maps only the pairs
-    whose attributes are non-empty.  `relationships` is a view of the same
-    edges as RelationshipInstance objects, built on first use.
+    `instances` is sorted by id.  `names` is the sorted union of the
+    instance ids and the edge endpoints (so a dangling edge keeps its
+    endpoint), and a node's rank is its position there.  `type_code[r]`
+    indexes `type_names` for an instance and is -1 for a name that is only
+    an edge endpoint.  Each relationship is stored once as a rank pair
+    (`src[k]`, `dst[k]`), int32, sorted; `edge_attributes` maps only the
+    (parent, child) pairs whose attributes are non-empty.  `by_id` maps
+    each id to its instance (the last one of a duplicated id) and `index`
+    each name to its rank.  `edges` and `relationships` are views of the
+    same edges built on first use.
     """
 
     instances: tuple
-    edges: tuple
+    names: tuple
+    type_names: tuple
+    type_code: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
     edge_attributes: dict
 
     def __init__(self, instances=(), relationships=()):
-        # Relationships behave as a set keyed by (parent, child): the first
-        # occurrence of a pair keeps its attributes.
-        attributes = {}
-        for r in relationships:
-            attributes.setdefault((r.parent, r.child), r.attributes)
-        self._fill(instances, attributes)
+        relationships = list(relationships)
+        self._fill(instances, [r.parent for r in relationships],
+                   [r.child for r in relationships],
+                   {k: r.attributes for k, r in enumerate(relationships)
+                    if r.attributes})
 
     @classmethod
     def from_edges(cls, instances, edges):
         """World from instances and a {(parent, child): attributes} map."""
         world = cls.__new__(cls)
-        world._fill(instances, edges)
+        world._fill(instances, [p for p, _ in edges], [c for _, c in edges],
+                    {k: a for k, a in enumerate(edges.values()) if a})
         return world
 
-    def _fill(self, instances, edges):
-        object.__setattr__(self, "instances",
-                           tuple(sorted(instances, key=attrgetter("id"))))
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
-        object.__setattr__(self, "edge_attributes",
-                           {k: a for k, a in edges.items() if a})
+    def _fill(self, instances, parents, children, attributes):
+        """Intern the world: edge entry k joins parents[k] to children[k],
+        `attributes` maps entry positions to their non-empty attributes,
+        and the first entry of a (parent, child) pair wins."""
+        instances = tuple(sorted(instances, key=attrgetter("id")))
+        by_id = {i.id: i for i in instances}
+        names = tuple(by_id)                # sorted, as the instances are
+        try:
+            index, keys = _intern(names, parents, children)
+        except KeyError:                    # dangling endpoints join names
+            names = tuple(sorted(by_id.keys() | set(parents) | set(children)))
+            index, keys = _intern(names, parents, children)
+        n = max(len(names), 1)
+        keys, first = np.unique(keys, return_index=True)
+        kept = np.zeros(len(parents), dtype=bool)
+        kept[first] = True
+        type_names = tuple(sorted({i.type_name for i in by_id.values()}))
+        code = dict(zip(type_names, range(len(type_names))))
+        type_code = np.full(len(names), -1, dtype=np.int32)
+        type_code[[index[i] for i in by_id]] = [code[i.type_name]
+                                                for i in by_id.values()]
+        src = (keys // n).astype(np.int32)
+        dst = (keys % n).astype(np.int32)
+        for array in (type_code, src, dst):
+            array.flags.writeable = False
+        stored = dict(
+            instances=instances, names=names, type_names=type_names,
+            type_code=type_code, src=src, dst=dst,
+            edge_attributes={(parents[k], children[k]): a
+                             for k, a in attributes.items() if kept[k]},
+            by_id=by_id, index=index)
+        for name, value in stored.items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, World):
+            return NotImplemented
+        return (self.instances == other.instances
+                and self.names == other.names
+                and np.array_equal(self.src, other.src)
+                and np.array_equal(self.dst, other.dst)
+                and self.edge_attributes == other.edge_attributes)
+
+    @cached_property
+    def edges(self):
+        names = self.names
+        return tuple(zip(map(names.__getitem__, self.src.tolist()),
+                         map(names.__getitem__, self.dst.tolist())))
 
     @cached_property
     def relationships(self):
@@ -117,25 +175,25 @@ class World:
                      for p, c in self.edges)
 
     @cached_property
-    def by_id(self):
-        return {i.id: i for i in self.instances}
-
-    # The edges are sorted by (parent, child), so both maps come out sorted.
-    @cached_property
-    def child_map(self):
-        m = {i.id: [] for i in self.instances}
-        for p, c in self.edges:
-            if p in m:
-                m[p].append(c)
-        return {k: tuple(v) for k, v in m.items()}
+    def _children_csr(self):
+        return _csr(len(self.names), self.src, self.dst)
 
     @cached_property
-    def parent_map(self):
-        m = {i.id: [] for i in self.instances}
-        for p, c in self.edges:
-            if c in m:
-                m[c].append(p)
-        return {k: tuple(v) for k, v in m.items()}
+    def _parents_csr(self):
+        order = np.lexsort((self.src, self.dst))
+        return _csr(len(self.names), self.dst[order], self.src[order])
+
+    def edge_positions(self, pairs):
+        """Position in edge order of each (parent, child) pair; -1 where
+        the world has no such edge."""
+        index, n = self.index, max(len(self.names), 1)
+        keys = np.fromiter((index[p] * n + index[c]
+                            if p in index and c in index else -1
+                            for p, c in pairs), np.int64)
+        edge_keys = self.src.astype(np.int64) * n + self.dst
+        pos = np.searchsorted(edge_keys, keys)
+        hit = np.append(edge_keys, -2)[pos] == keys
+        return np.where(hit, pos, -1)
 
     @cached_property
     def ids_by_type(self):
@@ -157,13 +215,40 @@ class World:
         return self.by_id[node_id].attributes.get(name, default)
 
     def children(self, node_id):
-        return self.child_map.get(node_id, ())
+        """Child ids of a node, sorted; a dangling edge's endpoint too."""
+        return self._neighbours(self._children_csr, node_id)
 
     def parents(self, node_id):
-        return self.parent_map.get(node_id, ())
+        """Parent ids of a node, sorted; a dangling edge's endpoint too."""
+        return self._neighbours(self._parents_csr, node_id)
+
+    def _neighbours(self, csr, node_id):
+        r = self.index.get(node_id)
+        if r is None:
+            return ()
+        ptr, idx = csr
+        return tuple(map(self.names.__getitem__, idx[ptr[r]:ptr[r + 1]]))
 
     def of_type(self, type_name):
         return self.ids_by_type.get(type_name, ())
+
+
+def _intern(names, parents, children):
+    """({name: rank}, edge keys parent rank * n + child rank); KeyError when
+    an endpoint is not in `names`."""
+    index = dict(zip(names, range(len(names))))
+    n = max(len(names), 1)
+    keys = (np.fromiter(map(index.__getitem__, parents), np.int64,
+                        len(parents)) * n
+            + np.fromiter(map(index.__getitem__, children), np.int64,
+                          len(children)))
+    return index, keys
+
+
+def _csr(n, rows, cols):
+    """(offsets, columns) as lists, for `rows` sorted ascending."""
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return ptr.tolist(), cols.tolist()
 
 
 def _value_conforms(value, data_type):
@@ -191,9 +276,11 @@ def validate_world(world, ontology, allowed_edges=()):
     `allowed_edges` lists extra (parent_id, child_id) pairs that are exempt
     from the ontology-edge check (user-added relationships between user
     types get default propagation semantics instead of a declared edge).
-    The ontology is asked once per type and once per (parent type, child
-    type) pair; every offending instance and edge is still reported, in
-    order.
+    Instances are checked one by one.  Edges are checked on the rank
+    arrays: an edge is dangling when an endpoint is no instance, and off
+    the ontology when both its types are declared and the ontology has no
+    edge between them (a type x type matrix); every offender is reported in
+    edge order.
     """
     report = ValidationReport()
     seen = set()
@@ -213,6 +300,8 @@ def validate_world(world, ontology, allowed_edges=()):
                        f"instance {inst.id!r} has undeclared type {inst.type_name!r}",
                        (inst.id,))
             continue
+        if not inst.attributes:
+            continue
         for name, value in inst.attributes.items():
             adef = declared.get(name)
             if adef is not None and not _value_conforms(value, adef.data_type):
@@ -221,34 +310,37 @@ def validate_world(world, ontology, allowed_edges=()):
                     f"instance {inst.id!r} attribute {name!r} does not conform "
                     f"to {adef.data_type}", (inst.id, name))
 
-    exempt = set(allowed_edges)
-    by_id = world.by_id
-    undeclared = {}         # (parent type, child type) -> no ontology edge
-    for parent, child in world.edges:
-        pinst = by_id.get(parent)
-        cinst = by_id.get(child)
-        if pinst is None or cinst is None:
+    types = world.type_names
+    code = {t: k for k, t in enumerate(types)}
+    known = np.array([ontology.has_type(t) for t in types], dtype=bool)
+    off_pair = known[:, None] & known[None, :]
+    for pair in ontology.edge_pairs:
+        if pair[0] in code and pair[1] in code:
+            off_pair[code[pair[0]], code[pair[1]]] = False
+    ptype = world.type_code[world.src]
+    ctype = world.type_code[world.dst]
+    dangling = (ptype < 0) | (ctype < 0)
+    live = ~dangling
+    off = np.zeros(len(ptype), dtype=bool)
+    off[live] = off_pair[ptype[live], ctype[live]]
+    if allowed_edges and off.any():
+        exempt = world.edge_positions(allowed_edges)
+        off[exempt[exempt >= 0]] = False
+    names = world.names
+    for k in np.flatnonzero(dangling | off).tolist():
+        parent, child = names[world.src[k]], names[world.dst[k]]
+        if dangling[k]:
             report.add("dangling-relationship",
                        f"relationship ({parent!r}, {child!r}) references "
                        "a missing instance", (parent, child))
-            continue
-        if (parent, child) in exempt:
-            continue
-        pair = (pinst.type_name, cinst.type_name)
-        bad = undeclared.get(pair)
-        if bad is None:
-            ptype, ctype = pair
-            bad = undeclared[pair] = (
-                ontology.has_type(ptype) and ontology.has_type(ctype)
-                and not ontology.has_edge(ptype, ctype))
-        if bad:
+        else:
             report.add(
                 "no-ontology-edge",
                 f"relationship ({parent!r}, {child!r}) has type pair "
-                f"({pair[0]!r}, {pair[1]!r}) with no ontology edge",
-                (parent, child))
+                f"({types[ptype[k]]!r}, {types[ctype[k]]!r}) with no "
+                "ontology edge", (parent, child))
 
-    check_acyclic(report, world.child_map, "world")
+    report_cycle(report, "world", names, world.src[live], world.dst[live])
     return report
 
 
@@ -270,14 +362,34 @@ def world_to_dict(world):
     }
 
 
+def _columns(data, kind, keys):
+    """The columns (first, second, attributes) of data[kind], where `keys`
+    names the two string fields, each read in one pass and type-checked;
+    None when an entry is malformed."""
+    entries = data.get(kind, [])
+    if type(entries) is not list:
+        return None
+    first, second = keys
+    try:
+        a = [entry[first] for entry in entries]
+        b = [entry[second] for entry in entries]
+        attributes = [entry.get("attributes", {}) for entry in entries]
+    except (KeyError, TypeError, AttributeError):
+        return None
+    if not (set(map(type, a)) | set(map(type, b)) <= {str}
+            and set(map(type, attributes)) <= {dict}):
+        return None
+    return a, b, attributes
+
+
 def _entries(data, kind, keys):
-    """(first, second, attributes) of each entry of data[kind], where
-    `keys` names the two string fields; raises ValueError naming the first
-    malformed entry."""
+    """The columns of data[kind] as `_columns` gives them, read entry by
+    entry; raises ValueError naming the first malformed entry."""
     first, second = keys
     entries = data.get(kind, [])
     if not isinstance(entries, list):
         raise ValueError(f"{kind}: expected a list")
+    columns = ([], [], [])
     for index, entry in enumerate(entries):
         try:
             a, b = entry[first], entry[second]
@@ -289,22 +401,27 @@ def _entries(data, kind, keys):
             check_entry(f"{kind}[{index}]", entry, keys)
             raise ValueError(f"{kind}[{index}]: 'attributes' must be an "
                              "object")
-        yield a, b, attributes
+        for column, value in zip(columns, (a, b, attributes)):
+            column.append(value)
+    return columns
 
 
 def world_from_dict(data):
     """Parse a world file's dict; raises ValueError naming the first entry
-    that is malformed."""
+    that is malformed.  Only a kind of entry that fails the column check
+    is walked entry by entry, to name the entry."""
     if not isinstance(data, dict):
         raise ValueError("world file: expected an object")
-    instances = [TypeInstance(node_id, type_name, attributes)
-                 for node_id, type_name, attributes
-                 in _entries(data, "instances", ("id", "type_name"))]
-    edges = {}
-    for parent, child, attributes in _entries(data, "relationships",
-                                              ("parent", "child")):
-        edges.setdefault((parent, child), attributes)
-    return World.from_edges(instances, edges)
+    nodes = (_columns(data, "instances", ("id", "type_name"))
+             or _entries(data, "instances", ("id", "type_name")))
+    parents, children, attributes = (
+        _columns(data, "relationships", ("parent", "child"))
+        or _entries(data, "relationships", ("parent", "child")))
+    world = World.__new__(World)
+    world._fill(map(TypeInstance, *nodes), parents, children,
+                {k: attributes[k]
+                 for k in compress(range(len(attributes)), attributes)})
+    return world
 
 
 def save_world(world, path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,15 @@ def test_compile_rejects_cycles(make_edited):
     ew = make_edited({"as:1": "AS", "as:2": "AS"},
                      [("as:1", "as:2"), ("as:2", "as:1")])
     with pytest.raises(CompileError):
+        compile_bbn(ew)
+
+
+def test_compile_rejects_dangling_relationship(make_edited):
+    ew = make_edited({"as:1": "AS", "vlink:a": "Virtual Link"},
+                     [("as:1", "vlink:a"), ("as:1", "vlink:nope")])
+    with pytest.raises(CompileError, match=re.escape(
+            "relationship ('as:1', 'vlink:nope') references a missing "
+            "instance")):
         compile_bbn(ew)
 
 

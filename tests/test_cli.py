@@ -16,6 +16,7 @@ from tortrust.bbn import load_bbn, save_bbn, save_samples
 from tortrust.cli import _load_experiment_config, main
 from tortrust.datasets import load_bundle, save_bundle
 from tortrust.experiment import ExperimentConfig
+from tortrust.ontology import default_ontology, ontology_to_dict
 from tortrust.world import load_world, save_world
 
 from conftest import FIXTURES
@@ -506,3 +507,106 @@ def test_edited_world_without_an_ontology_object_exit_code(
     assert main(["bbn", "compile", "--edited", str(path),
                  "--out", str(tmp_path / "bbn.json")]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _edited_doc(relationships=(), **keys):
+    """An edited-world file: as:1 -> vlink:a under the default ontology,
+    with extra relationships and top-level keys."""
+    return dict({
+        "instances": [{"id": "as:1", "type_name": "AS"},
+                      {"id": "as:2", "type_name": "AS"},
+                      {"id": "relay:a", "type_name": "Tor Relay"},
+                      {"id": "vlink:a", "type_name": "Virtual Link"}],
+        "relationships": [{"parent": p, "child": c} for p, c in
+                          (("as:1", "vlink:a"), *relationships)],
+        "ontology": ontology_to_dict(default_ontology())}, **keys)
+
+
+@pytest.mark.parametrize("document, message", [
+    (_edited_doc(budgets=5), "edited world file: 'budgets' must be a list"),
+    (_edited_doc(ce_specs={}),
+     "edited world file: 'ce_specs' must be a list"),
+    (_edited_doc(user_relationships="as:1"),
+     "edited world file: 'user_relationships' must be a list"),
+    (_edited_doc(user_relationships=[5]),
+     "user_relationships[0]: expected a pair of instance ids"),
+    (_edited_doc(user_relationships=[["as:1", "vlink:a", "as:2"]]),
+     "user_relationships[0]: expected a pair of instance ids"),
+    (_edited_doc(user_relationships=[["as:1", 2]]),
+     "user_relationships[0]: expected a pair of instance ids"),
+    (_edited_doc(budgets=[["abs", "is AS", 0.5]]),
+     "budgets[0]: 'abs' is not a budget"),
+    (_edited_doc(budgets=[["bu2", "as:1", "all", 1],
+                          ["ce2", "as:1", "top", "U"]]),
+     "budgets[1]: 'ce2' is not a budget"),
+    (_edited_doc(ce_specs=[["bu2", "as:1", "all", 1]]),
+     "ce_specs[0]: 'bu2' is not a CE belief"),
+    (_edited_doc(user_relationships=[["as:1", "vlink:a"],
+                                     ["as:1000", "nope"]]),
+     "user_relationships[1]: ('as:1000', 'nope') is not a relationship "
+     "of the world"),
+    (_edited_doc([("vlink:a", "relay:a")]),
+     "edited world is invalid:\n1 violation(s):\n  [no-ontology-edge] "
+     "relationship ('vlink:a', 'relay:a') has type pair ('Virtual Link', "
+     "'Tor Relay') with no ontology edge"),
+    (_edited_doc([("as:1", "as:2"), ("as:2", "as:1")],
+                 user_relationships=[["as:1", "as:2"], ["as:2", "as:1"]]),
+     "edited world is invalid:\n1 violation(s):\n  [cycle] world graph has "
+     "a cycle through {as:1, as:2, vlink:a}"),
+])
+def test_malformed_edited_world_exit_code(tmp_path, capsys, document,
+                                          message):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(document))
+    out = tmp_path / "bbn.json"
+    assert main(["bbn", "compile", "--edited", str(path),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_edited_world_user_relationship_is_exempt(tmp_path):
+    """The off-ontology edge that fails above loads when it is a user
+    relationship, and its budget reaches the network."""
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(_edited_doc(
+        [("vlink:a", "relay:a")], user_relationships=[["vlink:a", "relay:a"]],
+        budgets=[["bu2", "as:1", "all", 0]])))
+    out = tmp_path / "bbn.json"
+    assert main(["bbn", "compile", "--edited", str(path),
+                 "--out", str(out)]) == 0
+    bbn = load_bbn(str(out))
+    vlink = bbn.index["vlink:a"]
+    assert bbn.parent_w[bbn.parent_ptr[vlink]:bbn.parent_ptr[vlink + 1]] \
+        .tolist() == [0.0]
+
+
+def test_misspelt_scale_key_exit_code(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"scale": {"mapings": {
+        "SC": 0.9, "LC": 0.8, "U": 0.5, "LT": 0.2, "ST": 0.1}}}))
+    assert main(["beliefs", "check", "--doc", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown scale key 'mapings'\n"
+
+
+def test_experiment_never_builds_the_edge_view(workdir, tmp_path,
+                                               monkeypatch):
+    """`experiment run` reads the world's rank arrays only: the (parent,
+    child) pair view `World.edges` is never built."""
+    worlds = []
+
+    def load_world_spy(path):
+        worlds.append(load_world(path))
+        return worlds[-1]
+
+    monkeypatch.setattr("tortrust.cli.load_world", load_world_spy)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "world": workdir["world"], "adversary": workdir["doc"],
+        "clients": ["as:1000"], "destination_as": "as:1007",
+        "n_samples": 200, "seed": 1, "k_servers": 1}))
+    assert main(["experiment", "run", "--config", str(config),
+                 "--out", str(tmp_path / "table.csv")]) == 0
+    assert len(worlds) == 1
+    assert "edges" not in worlds[0].__dict__
+    assert "relationships" not in worlds[0].__dict__

@@ -1,18 +1,24 @@
 import dataclasses
+import heapq
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tortrust.beliefs import Absolute, Relative
+from tortrust.bbn import compile_bbn
 from tortrust.datasets import (ClusterRecord, DatasetBundle, GeoRecord,
                                PathRecord, RelayRecord, UptimeRecord,
                                load_bundle, save_bundle)
-from tortrust.errors import DatasetError
+from tortrust.editor import EditedWorld
+from tortrust.errors import CompileError, DatasetError
+from tortrust.predicates import parse_predicate
 from tortrust.synth import SynthParams, generate_synthetic
+from tortrust.validation import ValidationReport, topological_order
 from tortrust.world import (RelationshipInstance, TypeInstance, World,
-                            validate_world, vlink_id, world_from_dict,
-                            world_to_dict)
+                            _value_conforms, validate_world, vlink_id,
+                            world_from_dict, world_to_dict)
 from tortrust.worldgen import build_world, family_uptime
 
 
@@ -150,6 +156,205 @@ def test_edge_storage_matches_old_rules(ids, edges, rnd):
                         ("edge_attributes", {}), ("relationships", ())):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(world, name, value)
+
+
+# --- integer-coded validation against the string-keyed rules ----------------
+
+def _reference_check_acyclic(report, children, graph):
+    """The string-keyed cycle check: every node of `children` ({node: its
+    children}) that a Kahn sort cannot remove; children missing from the
+    map are ignored."""
+    indeg = dict.fromkeys(children, 0)
+    for kids in children.values():
+        for c in kids:
+            if c in indeg:
+                indeg[c] += 1
+    queue = [n for n, d in indeg.items() if d == 0]
+    while queue:
+        for c in children[queue.pop()]:
+            if c in indeg:
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    queue.append(c)
+    cycle = sorted(n for n, d in indeg.items() if d > 0)
+    if cycle:
+        report.add("cycle",
+                   f"{graph} graph has a cycle through {{{', '.join(cycle)}}}",
+                   cycle)
+
+
+def _reference_validate_world(world, ontology, allowed_edges=()):
+    """The string-keyed world validation: one loop over the instances, one
+    over the (parent, child) pairs, a string child map for the cycles."""
+    report = ValidationReport()
+    seen = set()
+    for inst in world.instances:
+        if inst.id in seen:
+            report.add("duplicate-id", f"instance id {inst.id!r} used twice",
+                       (inst.id,))
+        seen.add(inst.id)
+        tdef = ontology.type_map.get(inst.type_name)
+        if tdef is None:
+            report.add("unknown-type",
+                       f"instance {inst.id!r} has undeclared type "
+                       f"{inst.type_name!r}", (inst.id,))
+            continue
+        declared = {a.name: a for a in tdef.attributes}
+        for name, value in inst.attributes.items():
+            adef = declared.get(name)
+            if adef is not None and not _value_conforms(value,
+                                                        adef.data_type):
+                report.add(
+                    "attribute-type",
+                    f"instance {inst.id!r} attribute {name!r} does not "
+                    f"conform to {adef.data_type}", (inst.id, name))
+    exempt = set(allowed_edges)
+    by_id = world.by_id
+    children = {i.id: [] for i in world.instances}
+    for parent, child in world.edges:
+        if parent in children:
+            children[parent].append(child)
+        pinst, cinst = by_id.get(parent), by_id.get(child)
+        if pinst is None or cinst is None:
+            report.add("dangling-relationship",
+                       f"relationship ({parent!r}, {child!r}) references "
+                       "a missing instance", (parent, child))
+            continue
+        if (parent, child) in exempt:
+            continue
+        ptype, ctype = pinst.type_name, cinst.type_name
+        if (ontology.has_type(ptype) and ontology.has_type(ctype)
+                and not ontology.has_edge(ptype, ctype)):
+            report.add(
+                "no-ontology-edge",
+                f"relationship ({parent!r}, {child!r}) has type pair "
+                f"({ptype!r}, {ctype!r}) with no ontology edge",
+                (parent, child))
+    _reference_check_acyclic(report, children, "world")
+    return report
+
+
+# Ids "f" and "ghost" never name an instance, so their edges dangle;
+# "Quantum Router" is undeclared; "Relay Software" must be a string.
+_NODE_IDS = ("a", "b", "c", "d", "e", "f", "ghost")
+_NODE_TYPES = ("AS", "Tor Relay", "Virtual Link", "Relay Family",
+               "AS Organization", "Quantum Router")
+_NODE_ATTRS = ({}, {}, {"Relay Software": "linux"}, {"Relay Software": 17},
+               {"note": 1})
+
+
+@st.composite
+def _small_worlds(draw):
+    """(world, allowed edges): duplicate ids, undeclared types, bad
+    attributes, dangling and off-ontology edges and, unless the edges are
+    drawn acyclic, cycles."""
+    instances = draw(st.lists(st.builds(
+        TypeInstance, st.sampled_from(_NODE_IDS[:5]),
+        st.sampled_from(_NODE_TYPES), st.sampled_from(_NODE_ATTRS)),
+        max_size=7))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(_NODE_IDS),
+                                    st.sampled_from(_NODE_IDS)),
+                          max_size=14))
+    if draw(st.booleans()):
+        rank = {node: r for r, node in enumerate(draw(st.permutations(
+            _NODE_IDS)))}
+        pairs = [tuple(sorted(pair, key=rank.get)) for pair in pairs
+                 if pair[0] != pair[1]]
+    world = World(instances, [RelationshipInstance(p, c) for p, c in pairs])
+    allowed = draw(st.lists(st.sampled_from(pairs), max_size=3)
+                   if pairs else st.just([]))
+    allowed += draw(st.lists(st.tuples(st.sampled_from(_NODE_IDS),
+                                       st.sampled_from(_NODE_IDS)),
+                             max_size=2))
+    return world, allowed
+
+
+def _violations(report):
+    return [(v.code, v.message, v.elements) for v in report.violations]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_worlds())
+@example((World([TypeInstance("a", "AS"), TypeInstance("b", "Tor Relay")],
+                [RelationshipInstance("a", "b")]),
+          [("a", "ghost")]))            # an allowed pair that is no edge
+def test_validate_matches_string_reference(ontology, case):
+    world, allowed = case
+    assert _violations(validate_world(world, ontology, allowed)) == \
+        _violations(_reference_validate_world(world, ontology, allowed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_worlds())
+def test_children_and_parents_answer_from_the_ranks(case):
+    world, _ = case
+    for node in (*_NODE_IDS, "zz"):
+        assert world.children(node) == tuple(sorted(
+            r.child for r in world.relationships if r.parent == node))
+        assert world.parents(node) == tuple(sorted(
+            r.parent for r in world.relationships if r.child == node))
+
+
+def _compiled(world, ontology):
+    trust = (Absolute(parse_predicate("is RelayFamily"), 0.2),
+             Relative("r", parse_predicate("is AS"), 0.1))
+    try:
+        return compile_bbn(EditedWorld(world=world, ontology=ontology),
+                           trust)
+    except CompileError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_worlds())
+def test_world_dict_roundtrip_keeps_the_network(ontology, case):
+    world, _ = case
+    loaded = world_from_dict(world_to_dict(world))
+    assert loaded == world
+    assert _compiled(loaded, ontology) == _compiled(world, ontology)
+
+
+def _reference_topological_order(n, src, dst):
+    """Heap Kahn over every node, smallest ready node first."""
+    indegree = [0] * n
+    children = [[] for _ in range(n)]
+    for p, c in zip(src, dst):
+        indegree[c] += 1
+        children[p].append(c)
+    heap = [r for r in range(n) if indegree[r] == 0]
+    order = []
+    while heap:
+        r = heapq.heappop(heap)
+        order.append(r)
+        for c in children[r]:
+            indegree[c] -= 1
+            if indegree[c] == 0:
+                heapq.heappush(heap, c)
+    return order
+
+
+@st.composite
+def _rank_graphs(draw):
+    n = draw(st.integers(0, 14))
+    if n == 0:
+        return 0, [], []
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=30))
+    if draw(st.booleans()):
+        rank = draw(st.permutations(range(n)))
+        edges = [tuple(sorted(e, key=rank.__getitem__)) for e in edges
+                 if e[0] != e[1]]
+    return n, [p for p, _ in edges], [c for _, c in edges]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rank_graphs())
+@example((5, [3, 3, 0], [1, 4, 2]))     # leaves released at different steps
+@example((4, [1, 2, 2], [2, 1, 3]))     # a leaf below a cycle stays out
+def test_topological_order_matches_heap_kahn(graph):
+    n, src, dst = graph
+    assert topological_order(n, src, dst) == \
+        _reference_topological_order(n, src, dst)
 
 
 # --- datasets ----------------------------------------------------------------
