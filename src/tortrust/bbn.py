@@ -232,6 +232,7 @@ def compile_bbn(ew, trust=(), scale=None):
             ce_nodes.append((ce_id, parent, scale.ce_prob(spec.v)))
             for child in covered:
                 rerouted[(parent, child)] = ce_id
+    ce_nodes.sort()            # in id order: "#10" sorts before "#2"
 
     # Budgets scale the parent's outgoing edge weights by min(1, k/c), where
     # c counts the children in scope in the edited world.  Other world

@@ -52,22 +52,14 @@ class ValidationReport:
 def topological_order(n, src, dst):
     """Kahn's algorithm over nodes 0..n-1 with edges src[k] -> dst[k],
     always taking the smallest ready node: the nodes in topological order.
-    The nodes on a directed cycle, or downstream of one, are missing.
-
-    Only the nodes with children go through the heap.  A childless node
-    frees nothing when it leaves, so it is placed afterwards: it leaves
-    just before the first heap node, after its last parent, that is larger
-    than it."""
+    The nodes on a directed cycle, or downstream of one, are missing."""
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    has_children = np.bincount(src, minlength=n) > 0
-    inner = has_children[dst]
-    indegree = np.bincount(dst[inner], minlength=n).tolist()
+    indegree = np.bincount(dst, minlength=n).tolist()
     child_ptr = np.concatenate(([0], np.cumsum(
-        np.bincount(src[inner], minlength=n)))).tolist()
-    children = dst[inner][np.argsort(src[inner], kind="stable")].tolist()
-    heap = [r for r in np.flatnonzero(has_children).tolist()
-            if indegree[r] == 0]                        # sorted: a heap
+        np.bincount(src, minlength=n)))).tolist()
+    children = dst[np.argsort(src, kind="stable")].tolist()
+    heap = [r for r in range(n) if indegree[r] == 0]   # sorted: a heap
     order = []
     while heap:
         r = heapq.heappop(heap)
@@ -76,42 +68,7 @@ def topological_order(n, src, dst):
             indegree[child] -= 1
             if indegree[child] == 0:
                 heapq.heappush(heap, child)
-
-    # A childless node is ready once the heap has passed its last parent,
-    # and never if a parent stays on a cycle (step m); it then waits for
-    # the first larger heap node.
-    m = len(order)
-    step = np.full(n, m, dtype=np.int64)
-    step[order] = np.arange(m)
-    ready = np.full(n, -1, dtype=np.int64)
-    np.maximum.at(ready, dst[~inner], step[src[~inner]])
-    leaves = np.flatnonzero(~has_children)
-    leaves = leaves[ready[leaves] < m]
-    order = np.array(order, dtype=np.int64)
-    gap = _first_above(order, ready[leaves] + 1, leaves)
-    merged = np.concatenate((order, leaves))
-    key = np.concatenate((2 * np.arange(m) + 1, 2 * gap))
-    return merged[np.argsort(key, kind="stable")].tolist()
-
-
-def _first_above(values, start, threshold):
-    """For each query q, the first j >= start[q] with values[j] >
-    threshold[q], or len(values): a descent over block maxima."""
-    m = len(values)
-    if m == 0:
-        return np.zeros_like(start)
-    blocks = [values]              # blocks[l][j] = max(values[j:j + 2**l])
-    while 2 ** len(blocks) <= m:
-        width = 2 ** (len(blocks) - 1)
-        blocks.append(np.maximum(blocks[-1][:-width], blocks[-1][width:]))
-    pos = start
-    for level in reversed(range(len(blocks))):
-        width = 2 ** level
-        block = blocks[level]
-        inside = pos + width <= m
-        pos = pos + width * (inside & (
-            block[np.minimum(pos, len(block) - 1)] <= threshold))
-    return pos
+    return order
 
 
 def report_cycle(report, graph, names, src, dst):

@@ -364,46 +364,37 @@ def world_to_dict(world):
 
 def _columns(data, kind, keys):
     """The columns (first, second, attributes) of data[kind], where `keys`
-    names the two string fields, each read in one pass and type-checked;
-    None when an entry is malformed."""
+    names the two string fields, each read in one pass; None unless every
+    entry passes `_check_entries`."""
     entries = data.get(kind, [])
-    if type(entries) is not list:
+    if not (isinstance(entries, list) and _all_of(entries, dict)):
         return None
     first, second = keys
     try:
         a = [entry[first] for entry in entries]
         b = [entry[second] for entry in entries]
-        attributes = [entry.get("attributes", {}) for entry in entries]
-    except (KeyError, TypeError, AttributeError):
+    except KeyError:
         return None
-    if not (set(map(type, a)) | set(map(type, b)) <= {str}
-            and set(map(type, attributes)) <= {dict}):
+    attributes = [entry.get("attributes", {}) for entry in entries]
+    if not (_all_of(a, str) and _all_of(b, str) and _all_of(attributes, dict)):
         return None
     return a, b, attributes
 
 
-def _entries(data, kind, keys):
-    """The columns of data[kind] as `_columns` gives them, read entry by
-    entry; raises ValueError naming the first malformed entry."""
-    first, second = keys
+def _all_of(values, cls):
+    return all(issubclass(t, cls) for t in set(map(type, values)))
+
+
+def _check_entries(data, kind, keys):
+    """Raise ValueError naming the first malformed entry of data[kind]."""
     entries = data.get(kind, [])
     if not isinstance(entries, list):
         raise ValueError(f"{kind}: expected a list")
-    columns = ([], [], [])
     for index, entry in enumerate(entries):
-        try:
-            a, b = entry[first], entry[second]
-            attributes = entry.get("attributes", {})
-        except (KeyError, TypeError, AttributeError):
-            a = None
-        if not (isinstance(a, str) and isinstance(b, str)
-                and isinstance(attributes, dict)):
-            check_entry(f"{kind}[{index}]", entry, keys)
+        check_entry(f"{kind}[{index}]", entry, keys)
+        if not isinstance(entry.get("attributes", {}), dict):
             raise ValueError(f"{kind}[{index}]: 'attributes' must be an "
                              "object")
-        for column, value in zip(columns, (a, b, attributes)):
-            column.append(value)
-    return columns
 
 
 def world_from_dict(data):
@@ -412,11 +403,13 @@ def world_from_dict(data):
     is walked entry by entry, to name the entry."""
     if not isinstance(data, dict):
         raise ValueError("world file: expected an object")
-    nodes = (_columns(data, "instances", ("id", "type_name"))
-             or _entries(data, "instances", ("id", "type_name")))
-    parents, children, attributes = (
-        _columns(data, "relationships", ("parent", "child"))
-        or _entries(data, "relationships", ("parent", "child")))
+    columns = []
+    for kind, keys in (("instances", ("id", "type_name")),
+                       ("relationships", ("parent", "child"))):
+        columns.append(_columns(data, kind, keys))
+        if columns[-1] is None:
+            _check_entries(data, kind, keys)
+    nodes, (parents, children, attributes) = columns
     world = World.__new__(World)
     world._fill(map(TypeInstance, *nodes), parents, children,
                 {k: attributes[k]

@@ -191,6 +191,33 @@ def test_ce2_supersedes_ce1_at_compile(make_edited, caplog):
     assert "suppresses 1 other CE" in caplog.text
 
 
+def test_ce_node_ids_name_their_own_spec(make_edited):
+    """Eleven ce1 beliefs on one node ("#10" sorts before "#2"), and on a
+    node whose id sorts between another's ce ids ("as:1!#" before "as:1#"):
+    ce node "ce:P#i" is spec i of P, with its activation and its child."""
+    nodes = {"as:1": "AS", "as:1!": "AS"}
+    edges, trust, expected = [], [], {}
+    for parent, base in (("as:1", 0.0), ("as:1!", 0.5)):
+        for i in range(11):
+            child = f"vlink:{parent}-{i}"
+            nodes[child] = "Virtual Link"
+            edges.append((parent, child))
+            activation = base + (i + 1) / 100
+            trust.append(CE1(parent, _pred(f'id in {{"{child}"}}'),
+                             activation))
+            expected[f"ce:{parent}#{i}"] = (parent, activation, child)
+    bbn = compile_bbn(make_edited(nodes, edges), trust=tuple(trust),
+                      scale=SCALE)
+    by_id = {n.id: n for n in bbn.nodes}
+    assert sorted(n.id for n in bbn.nodes if n.kind == "ce") == \
+        sorted(expected)
+    for ce_id, (parent, activation, child) in expected.items():
+        assert [(bbn.ids[j], w) for j, w in by_id[ce_id].parents] == \
+            [(parent, activation)]
+        assert [(bbn.ids[j], w) for j, w in by_id[child].parents] == \
+            [(ce_id, 1.0)]
+
+
 def test_compile_rejects_cycles(make_edited):
     ew = make_edited({"as:1": "AS", "as:2": "AS"},
                      [("as:1", "as:2"), ("as:2", "as:1")])
