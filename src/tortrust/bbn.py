@@ -47,11 +47,11 @@ from functools import cached_property
 import numpy as np
 
 from .beliefs import Absolute, Relative, default_scale
-from .editor import ATTACHMENT_BELIEFS, attachment_scopes, group_attachments
+from .editor import ATTACHMENT_BELIEFS, resolve_attachments
 from .errors import CompileError, EditError, NetworkTooLargeError
 from .files import atomic_write, json_text, write_text
-from .predicates import (IdIn, IsType, eval_event, eval_predicate,
-                         is_type, parse_event)
+from .ontology import is_type
+from .predicates import IdIn, IsType, eval_event, eval_predicate, parse_event
 from .validation import topological_order
 
 EXACT_NODE_CAP = 24
@@ -195,9 +195,9 @@ def compile_bbn(ew, trust=(), scale=None):
 
     Budget and CE beliefs may arrive attached to `ew`, in `trust`, or both
     (value-equal duplicates collapse), so a belief document can be applied
-    in one step or two.  Either way they are checked by the editor's rules;
-    beliefs of `trust` that the editor already consumed into `ew` are not
-    grouped, or reported, again.
+    in one step or two.  Either way `editor.resolve_attachments` checks
+    and resolves them; beliefs of `trust` that the editor already consumed
+    into `ew` are not resolved, or reported, again.
     """
     if scale is None:
         scale = default_scale()
@@ -216,8 +216,7 @@ def compile_bbn(ew, trust=(), scale=None):
         elif belief not in ew.consumed:
             attached.append(belief)
     try:
-        budget_scopes, ce_scopes = attachment_scopes(
-            world, *group_attachments(world, attached))
+        budget_scopes, ce_scopes = resolve_attachments(world, attached)
     except EditError as exc:
         raise CompileError(str(exc)) from exc
 

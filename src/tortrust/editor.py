@@ -9,10 +9,16 @@ attachments and the augmented ontology.  A document without instance,
 relationship or attribute edits leaves the world as it is: the EditedWorld
 holds the input world itself, with the maps it has already built.
 
+`resolve_attachments` is the one rule for budget and CE beliefs: their
+checks, duplicates, silenced beliefs, scopes and scope overlaps.
+`apply_structural`, the edited-world loader and `compile_bbn` each run it
+once, and an EditedWorld keeps only the beliefs that take effect.
+
 An edited-world file is checked where it is loaded, as `apply_structural`
 checks its output: each key and entry by shape, each user relationship
-against the world's relationships, and the world against the file's
-ontology with the user relationships exempt.
+against the world's relationships, the world against the file's ontology
+with the user relationships exempt, and the budget and CE beliefs by
+`resolve_attachments`.
 """
 
 import json
@@ -24,9 +30,9 @@ from .beliefs import (TRUST_TAGS, AddInstance, AddRelationship, Budget1,
                       RemoveRelationship, SetAttribute, belief_from_json,
                       belief_to_json)
 from .errors import EditError, OntologyError
-from .ontology import (AttributeDef, TypeDef, USER, extend_ontology,
+from .ontology import (AttributeDef, TypeDef, USER, extend_ontology, is_type,
                        ontology_from_dict, ontology_to_dict)
-from .predicates import IsType, Predicate, eval_predicate
+from .predicates import eval_predicate
 from .world import (TypeInstance, World, validate_world, world_from_dict,
                     world_to_dict)
 
@@ -40,12 +46,14 @@ ATTACHMENT_BELIEFS = (Budget1, Budget2, CE1, CE2)
 class EditedWorld:
     world: World
     ontology: object
-    budgets: dict = field(default_factory=dict)    # NodeId -> tuple of beliefs
-    ce_specs: dict = field(default_factory=dict)   # NodeId -> tuple of beliefs
+    # NodeId -> tuple of the budget or CE beliefs that take effect there,
+    # as `resolve_attachments` leaves them.
+    budgets: dict = field(default_factory=dict)
+    ce_specs: dict = field(default_factory=dict)
     user_edges: frozenset = frozenset()            # (parent, child) pairs
-    # The document's budget and CE beliefs that the editor grouped into
-    # `budgets` and `ce_specs`, suppressed ones included; compile_bbn
-    # skips them in its `trust` argument.
+    # The document's budget and CE beliefs that the editor resolved into
+    # `budgets` and `ce_specs`, silenced ones included; compile_bbn skips
+    # them in its `trust` argument.
     consumed: frozenset = frozenset()
 
 
@@ -67,17 +75,17 @@ def apply_structural(world, ontology, doc):
     edited, user_edges = _edit(world, ontology, edits) if edits \
         else (world, set())
 
-    budgets, ce_specs = group_attachments(edited, doc.trust)
-    attachment_scopes(edited, budgets, ce_specs)  # raises on overlaps
+    budget_scopes, ce_scopes = resolve_attachments(edited, doc.trust)
 
     report = validate_world(edited, ontology, allowed_edges=user_edges)
     if not report.ok:
         raise EditError("edited world is invalid:\n" + report.summary())
     consumed = frozenset(b for b in doc.trust
                          if isinstance(b, ATTACHMENT_BELIEFS))
-    return EditedWorld(world=edited, ontology=ontology, budgets=budgets,
-                       ce_specs=ce_specs, user_edges=frozenset(user_edges),
-                       consumed=consumed)
+    return EditedWorld(world=edited, ontology=ontology,
+                       budgets=_beliefs(budget_scopes),
+                       ce_specs=_beliefs(ce_scopes),
+                       user_edges=frozenset(user_edges), consumed=consumed)
 
 
 def _edit(world, ontology, edits):
@@ -202,13 +210,19 @@ def _set_attribute(belief, instances):
     instances[belief.id] = TypeInstance(inst.id, inst.type_name, attrs)
 
 
-def group_attachments(world, beliefs):
+def resolve_attachments(world, beliefs):
     """Check the budget and CE beliefs among `beliefs` against `world` and
-    group them by instance, in order: ({node: budgets}, {node: CE beliefs}).
+    resolve them to those that take effect, each with the children it
+    covers: ({node: ((budget, children), ...)}, {node: ((CE belief,
+    children), ...)}).
 
-    A top CE belief suppresses the other CE beliefs on its node, with a
-    warning.  Raises EditError for an unknown instance, a negative budget
-    or two different top CE beliefs on one node.
+    Value-equal duplicates count once.  The last "all" budget on a node
+    silences its other budgets, and a top CE belief the node's other CE
+    beliefs, with a warning.  A bu1 budget covers the children of its type,
+    a ce1 belief those passing its predicate, bu2 and ce2 all children.
+    Raises EditError for an unknown instance, a negative budget, two
+    different top CE beliefs on one node, and where CE beliefs, or a budget
+    and a CE belief, cover the same child.
     """
     budgets = {}
     ce_specs = {}
@@ -224,42 +238,21 @@ def group_attachments(world, beliefs):
                             f"{belief.instance!r}")
         if groups is budgets and belief.k < 0:
             raise EditError(f"budget on {belief.instance!r} has negative k")
-        groups.setdefault(belief.instance, []).append(belief)
-    for node, specs in ce_specs.items():
-        distinct = list(dict.fromkeys(specs))
-        tops = [s for s in distinct if isinstance(s, CE2)]
-        if len(tops) > 1:
-            raise EditError(f"multiple top CE beliefs on {node!r}")
-        if tops:
-            if len(distinct) > 1:
-                log.warning("top CE belief on %s suppresses %d other CE "
-                            "beliefs", node, len(distinct) - 1)
-            specs[:] = tops
-    return ({n: tuple(v) for n, v in budgets.items()},
-            {n: tuple(v) for n, v in ce_specs.items()})
-
-
-def attachment_scopes(world, budgets, ce_specs):
-    """The budgets and CE beliefs that take effect, each with the children
-    it covers: ({node: ((budget, children), ...)}, {node: ((spec,
-    children), ...)}).
-
-    Value-equal duplicates collapse, and the last "all" budget on a node
-    silences its other budgets.  A bu1 budget covers the children passing
-    `is <type>`, a ce1 belief those passing its predicate, bu2 and ce2 all
-    children.  Raises EditError where CE beliefs, or a budget and a CE
-    belief, cover the same child.
-    """
+        groups.setdefault(belief.instance, {})[belief] = None
     budget_scopes = {}
     for node, entries in budgets.items():
-        entries = list(dict.fromkeys(entries))
         all_budgets = [b for b in entries if isinstance(b, Budget2)]
         budget_scopes[node] = tuple((b, _scope(world, node, b))
                                     for b in all_budgets[-1:] or entries)
     ce_scopes = {}
     for node, specs in ce_specs.items():
-        scoped = tuple((s, _scope(world, node, s))
-                       for s in dict.fromkeys(specs))
+        tops = [s for s in specs if isinstance(s, CE2)]
+        if len(tops) > 1:
+            raise EditError(f"multiple top CE beliefs on {node!r}")
+        if tops and len(specs) > 1:
+            log.warning("top CE belief on %s suppresses %d other CE "
+                        "beliefs", node, len(specs) - 1)
+        scoped = tuple((s, _scope(world, node, s)) for s in tops or specs)
         claimed = set()
         for _, children in scoped:
             for child in children:
@@ -277,12 +270,20 @@ def attachment_scopes(world, budgets, ce_specs):
 
 
 def _scope(world, node, belief):
-    if isinstance(belief, (Budget2, CE2)):
-        return world.children(node)
-    pred = belief.pred if isinstance(belief, CE1) else \
-        Predicate(f"is {belief.type_name}", IsType(belief.type_name))
-    return tuple(c for c in world.children(node)
-                 if eval_predicate(pred, world, c, ctx="trust"))
+    children = world.children(node)
+    if isinstance(belief, Budget1):
+        return tuple(c for c in children
+                     if is_type(belief.type_name, world.type_of(c)))
+    if isinstance(belief, CE1):
+        return tuple(c for c in children
+                     if eval_predicate(belief.pred, world, c, ctx="trust"))
+    return children
+
+
+def _beliefs(scopes):
+    """{node: beliefs} of resolved {node: ((belief, children), ...)}."""
+    return {node: tuple(b for b, _ in scoped)
+            for node, scoped in scopes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +306,9 @@ def edited_world_to_dict(ew):
 def edited_world_from_dict(data):
     """Parse an edited-world file's dict.  Raises ValueError naming the
     first malformed key or entry, and EditError when a user relationship
-    is not a relationship of the world, or when the world does not
-    validate against the file's ontology with the user relationships
-    exempt."""
+    is not a relationship of the world, when the world does not validate
+    against the file's ontology with the user relationships exempt, or
+    when `resolve_attachments` rejects the budget and CE beliefs."""
     world = world_from_dict(data)
     if "ontology" not in data:
         raise ValueError("edited world file: missing 'ontology'")
@@ -336,9 +337,11 @@ def edited_world_from_dict(data):
     report = validate_world(world, ontology, allowed_edges=user_edges)
     if not report.ok:
         raise EditError("edited world is invalid:\n" + report.summary())
-    budgets, ce_specs = group_attachments(world, attached)
-    return EditedWorld(world=world, ontology=ontology, budgets=budgets,
-                       ce_specs=ce_specs, user_edges=frozenset(user_edges))
+    budget_scopes, ce_scopes = resolve_attachments(world, attached)
+    return EditedWorld(world=world, ontology=ontology,
+                       budgets=_beliefs(budget_scopes),
+                       ce_specs=_beliefs(ce_scopes),
+                       user_edges=frozenset(user_edges))
 
 
 def _list_of(data, key):

@@ -55,6 +55,12 @@ def normalize_type_name(name):
     return name.replace(" ", "").replace("/", "").replace("-", "")
 
 
+def is_type(name, type_name):
+    """The `is <name>` rule: `name` is the type's name or its normalized
+    form."""
+    return name == type_name or name == normalize_type_name(type_name)
+
+
 @dataclass(frozen=True)
 class Ontology:
     types: tuple = ()
@@ -80,10 +86,8 @@ class Ontology:
 
     def resolve_type_name(self, normalized):
         """Map a predicate-style identifier back to a declared type name."""
-        for t in self.types:
-            if t.name == normalized or normalize_type_name(t.name) == normalized:
-                return t.name
-        return None
+        return next((t.name for t in self.types
+                     if is_type(normalized, t.name)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +201,13 @@ def validate_ontology(ontology):
         if t.name in seen:
             report.add("duplicate-type", f"type {t.name!r} declared twice", (t.name,))
         seen.add(t.name)
-        _check_attribute_names(report, f"type {t.name!r}", t.attributes, (t.name,))
+        _check_label(report, f"type {t.name!r}", "label", t.label, (t.name,))
+        _check_attributes(report, f"type {t.name!r}", t.attributes, (t.name,))
 
     names = {t.name for t in ontology.types}
     for e in ontology.edges:
         ident = (e.from_type, e.to_type)
+        _check_label(report, f"edge {ident}", "label", e.label, ident)
         if e.from_type not in names or e.to_type not in names:
             report.add("dangling-edge",
                        f"edge {ident} references an undeclared type", ident)
@@ -216,7 +222,7 @@ def validate_ontology(ontology):
             report.add("output-outgoing",
                        f"output type {e.from_type!r} has outgoing edge to {e.to_type!r}",
                        ident)
-        _check_attribute_names(report, f"edge {ident}", e.attributes, ident)
+        _check_attributes(report, f"edge {ident}", e.attributes, ident)
 
     names = sorted(names)
     rank = {name: r for r, name in enumerate(names)}
@@ -227,9 +233,16 @@ def validate_ontology(ontology):
     return report
 
 
-def _check_attribute_names(report, owner, attributes, elements):
+def _check_label(report, owner, what, label, elements):
+    if label not in (SYSTEM, USER):
+        report.add("bad-label", f"{owner} has unknown {what} {label!r}",
+                   elements)
+
+
+def _check_attributes(report, owner, attributes, elements):
     seen = set()
     for a in attributes:
+        where = f"{owner} attribute {a.name!r}"
         if a.name in seen:
             report.add("duplicate-attribute",
                        f"{owner} declares attribute {a.name!r} twice",
@@ -237,7 +250,12 @@ def _check_attribute_names(report, owner, attributes, elements):
         seen.add(a.name)
         if a.data_type not in DATA_TYPES:
             report.add("bad-data-type",
-                       f"{owner} attribute {a.name!r} has unknown data type {a.data_type!r}",
+                       f"{where} has unknown data type {a.data_type!r}",
+                       elements + (a.name,))
+        _check_label(report, where, "source", a.source, elements + (a.name,))
+        if a.requirement not in ("required", "optional"):
+            report.add("bad-requirement",
+                       f"{where} has unknown requirement {a.requirement!r}",
                        elements + (a.name,))
 
 

@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import PredicateSyntaxError, StructuralContextError
-from .ontology import normalize_type_name
+from .ontology import is_type
 
 log = logging.getLogger(__name__)
 
@@ -361,12 +361,6 @@ def eval_predicate(pred, world, node_id, ctx="trust"):
     if node_id not in world.by_id:
         raise KeyError(f"unknown instance {node_id!r}")
     return _eval(pred.root, world, node_id, ctx)
-
-
-def is_type(name, type_name):
-    """The `is <name>` rule: `name` is the type's name or its normalized
-    form."""
-    return name == type_name or name == normalize_type_name(type_name)
 
 
 def _eval(node, world, node_id, ctx):

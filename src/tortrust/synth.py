@@ -59,28 +59,14 @@ def _as_graph(p, seed):
     k = min(_AS_DEGREE, p.n_as - 1)
     if k % 2 == 1:
         k = max(2, k - 1)
-    g = nx.connected_watts_strogatz_graph(p.n_as, k, _REWIRE_P,
-                                          tries=200, seed=seed)
-    # Rebuild with sorted adjacency so BFS tie-breaking is insertion-stable.
-    h = nx.Graph()
-    h.add_nodes_from(sorted(g.nodes()))
-    h.add_edges_from(sorted(tuple(sorted(e)) for e in g.edges()))
-    return h
+    return nx.connected_watts_strogatz_graph(p.n_as, k, _REWIRE_P,
+                                             tries=200, seed=seed)
 
 
 def _bfs_tree(graph, src):
     """Predecessor map with lowest-numbered-neighbor tie-breaking."""
-    pred = {src: None}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in sorted(graph.neighbors(u)):
-                if v not in pred:
-                    pred[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    return pred
+    return {src: None,
+            **dict(nx.bfs_predecessors(graph, src, sort_neighbors=sorted))}
 
 
 def _path_from_pred(pred, dst):

@@ -32,12 +32,6 @@ class ValidationReport:
     def ok(self):
         return not self.violations
 
-    def __bool__(self):
-        return self.ok
-
-    def __len__(self):
-        return len(self.violations)
-
     def codes(self):
         return [v.code for v in self.violations]
 

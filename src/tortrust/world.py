@@ -205,9 +205,6 @@ class World:
     def __contains__(self, node_id):
         return node_id in self.by_id
 
-    def instance(self, node_id):
-        return self.by_id[node_id]
-
     def type_of(self, node_id):
         return self.by_id[node_id].type_name
 
@@ -276,11 +273,13 @@ def validate_world(world, ontology, allowed_edges=()):
     `allowed_edges` lists extra (parent_id, child_id) pairs that are exempt
     from the ontology-edge check (user-added relationships between user
     types get default propagation semantics instead of a declared edge).
-    Instances are checked one by one.  Edges are checked on the rank
-    arrays: an edge is dangling when an endpoint is no instance, and off
-    the ontology when both its types are declared and the ontology has no
-    edge between them (a type x type matrix); every offender is reported in
-    edge order.
+    Instances are checked one by one: a declared type, every required
+    attribute present (the required names are collected once per type),
+    and each declared attribute of its data type.  Edges are checked on the
+    rank arrays: an edge is dangling when an endpoint is no instance, and
+    off the ontology when both its types are declared and the ontology has
+    no edge between them (a type x type matrix); every offender is reported
+    in edge order.
     """
     report = ValidationReport()
     seen = set()
@@ -292,14 +291,21 @@ def validate_world(world, ontology, allowed_edges=()):
         seen.add(inst.id)
         if inst.type_name not in declared_by_type:
             tdef = ontology.type_map.get(inst.type_name)
-            declared_by_type[inst.type_name] = None if tdef is None else \
-                {a.name: a for a in tdef.attributes}
-        declared = declared_by_type[inst.type_name]
+            declared_by_type[inst.type_name] = (None, ()) if tdef is None \
+                else ({a.name: a for a in tdef.attributes},
+                      tuple(a.name for a in tdef.attributes
+                            if a.requirement == "required"))
+        declared, required = declared_by_type[inst.type_name]
         if declared is None:
             report.add("unknown-type",
                        f"instance {inst.id!r} has undeclared type {inst.type_name!r}",
                        (inst.id,))
             continue
+        for name in required:
+            if name not in inst.attributes:
+                report.add("missing-attribute",
+                           f"instance {inst.id!r} lacks required attribute "
+                           f"{name!r}", (inst.id, name))
         if not inst.attributes:
             continue
         for name, value in inst.attributes.items():

@@ -7,6 +7,8 @@ The result is a pure function of (ontology, bundle).
 
 import logging
 
+import networkx as nx
+
 from . import ontology as ont
 from .errors import DatasetError
 from .world import (RelationshipInstance, TypeInstance, World, as_id,
@@ -33,29 +35,12 @@ def family_uptime(bundle, family):
 def _mutual_families(consensus):
     """Connected components of the mutual-family-reference graph."""
     listed = {r.fingerprint: set(r.family) for r in consensus}
-    neighbors = {fp: set() for fp in listed}
-    for fp, fam in listed.items():
-        for other in fam:
-            if other in listed and fp in listed[other]:
-                neighbors[fp].add(other)
-                neighbors[other].add(fp)
-    components = []
-    seen = set()
-    for fp in sorted(neighbors):
-        if fp in seen:
-            continue
-        component = []
-        stack = [fp]
-        seen.add(fp)
-        while stack:
-            cur = stack.pop()
-            component.append(cur)
-            for nxt in sorted(neighbors[cur]):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        components.append(sorted(component))
-    return components
+    g = nx.Graph()
+    g.add_nodes_from(listed)
+    g.add_edges_from((fp, other) for fp, fam in listed.items()
+                     for other in fam
+                     if other in listed and fp in listed[other])
+    return sorted(sorted(c) for c in nx.connected_components(g))
 
 
 def build_world(ontology, bundle):

@@ -15,7 +15,7 @@ from tortrust.bbn import (CompiledBbn, Sampler, bbn_from_dict, bbn_to_dict,
                           matching_nodes, parse_event, sample,
                           sample_matrix, save_samples)
 from tortrust.errors import CompileError, NetworkTooLargeError
-from tortrust.predicates import parse_predicate
+from tortrust.predicates import eval_predicate, parse_predicate
 
 SCALE = TrustScale()
 
@@ -247,6 +247,64 @@ def test_matching_nodes_fast_paths(make_edited):
         ("as:1",)
     assert matching_nodes(ew.world, _pred("is VirtualLink")) == \
         ("vlink:a", "vlink:b")
+
+
+_MATCH_TYPES = ("AS", "Tor Relay", "Virtual Link", "Router/Switch")
+_MATCH_ATTRS = ({}, {"bandwidth": 5}, {"bandwidth": 50})
+
+
+@st.composite
+def _attributed_worlds(draw):
+    """DAGs of 0-7 nodes over four types, some without a bandwidth."""
+    from tortrust.world import RelationshipInstance, TypeInstance, World
+    n = draw(st.integers(0, 7))
+    names = [f"n:{i}" for i in range(n)]
+    instances = [TypeInstance(name, draw(st.sampled_from(_MATCH_TYPES)),
+                              draw(st.sampled_from(_MATCH_ATTRS)))
+                 for name in names]
+    edges = [RelationshipInstance(names[i], names[j])
+             for j in range(n) for i in range(j) if draw(st.booleans())]
+    return World(instances, edges)
+
+
+# `is` and `id in` alone take matching_nodes' fast paths, with type names
+# in both spellings, an undeclared type and unknown ids; every other shape
+# takes the general one.
+_MATCH_ATOMS = st.one_of(
+    st.sampled_from(("AS", "TorRelay", "VirtualLink", "RouterSwitch",
+                     "Teleporter")).map("is {}".format),
+    st.lists(st.sampled_from(("n:0", "n:1", "n:4", "nope")), max_size=3)
+    .map(lambda ids: "id in {%s}" % ", ".join(f'"{i}"' for i in ids)),
+    st.integers(0, 60).map('attr("bandwidth") >= {}'.format))
+_MATCH_PREDICATES = st.recursive(_MATCH_ATOMS, lambda inner: st.one_of(
+    inner.map("not ({})".format),
+    st.tuples(inner, st.sampled_from(("and", "or")), inner)
+    .map(lambda t: "({}) {} ({})".format(*t)),
+    inner.map("has_parent({})".format),
+    st.tuples(inner, st.integers(0, 2))
+    .map(lambda t: "child_count({}) >= {}".format(*t))), max_leaves=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_attributed_worlds(), _MATCH_ATOMS, _MATCH_PREDICATES)
+def test_matching_nodes_is_the_predicate(world, atom, text):
+    for pred in (_pred(atom), _pred(text)):
+        assert matching_nodes(world, pred) == tuple(
+            i.id for i in world.instances
+            if eval_predicate(pred, world, i.id, ctx="trust"))
+
+
+def test_relative_belief_on_an_attribute(make_edited):
+    ew = make_edited({"as:1": ("AS", {"bandwidth": 10}),
+                      "as:2": ("AS", {"bandwidth": 90}),
+                      "as:3": "AS",
+                      "vlink:a": "Virtual Link"},
+                     [("as:1", "vlink:a"), ("as:2", "vlink:a")])
+    bbn = compile_bbn(ew, trust=(
+        Relative("fast", _pred('attr("bandwidth") >= 50'), 0.3),),
+        scale=SCALE)
+    assert {n.id: n.risks for n in bbn.nodes} == {
+        "as:1": (), "as:2": (0.3,), "as:3": (), "vlink:a": ()}
 
 
 # --- exact enumeration oracle -----------------------------------------------
@@ -805,10 +863,9 @@ def _reference_nodes(ew, trust, scale):
     a min-heap on node ids, one BbnNode per node."""
     import heapq
     from tortrust.bbn import BbnNode
-    from tortrust.editor import attachment_scopes, group_attachments
+    from tortrust.editor import resolve_attachments
     world = ew.world
-    budget_scopes, ce_scopes = attachment_scopes(
-        world, *group_attachments(world, list(trust)))
+    budget_scopes, ce_scopes = resolve_attachments(world, trust)
     in_edges = {inst.id: {} for inst in world.instances}
     for rel in world.relationships:
         in_edges[rel.child][rel.parent] = 1.0

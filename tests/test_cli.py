@@ -470,6 +470,29 @@ def test_malformed_ontology_file_exit_code(workdir, tmp_path, capsys,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("attribute, instance, violation", [
+    ({"name": "model", "data_type": "string", "requirement": "sometimes"},
+     {"model": "x1"}, "[bad-requirement] type 'Camera' attribute 'model' "
+                      "has unknown requirement 'sometimes'"),
+    ({"name": "model", "data_type": "string", "source": "alien"},
+     {"model": "x1"}, "[bad-label] type 'Camera' attribute 'model' has "
+                      "unknown source 'alien'"),
+    ({"name": "model", "data_type": "string", "requirement": "required"},
+     {}, "[missing-attribute] instance 'cam:1' lacks required attribute "
+         "'model'"),
+])
+def test_world_validate_reads_attribute_rules(tmp_path, capsys, attribute,
+                                              instance, violation):
+    ontology = {"types": [{"name": "Camera", "attributes": [attribute]}]}
+    world = {"instances": [{"id": "cam:1", "type_name": "Camera",
+                            "attributes": instance}], "relationships": []}
+    for name, document in (("ontology", ontology), ("world", world)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(document))
+    assert main(["world", "validate", "--world", str(tmp_path / "world.json"),
+                 "--ontology", str(tmp_path / "ontology.json")]) == 3
+    assert capsys.readouterr().err == f"1 violation(s):\n  {violation}\n"
+
+
 def test_dataset_line_that_is_not_an_object_exit_code(tmp_path, capsys):
     bundle = tmp_path / "bundle"
     bundle.mkdir()
@@ -553,6 +576,12 @@ def _edited_doc(relationships=(), **keys):
                  user_relationships=[["as:1", "as:2"], ["as:2", "as:1"]]),
      "edited world is invalid:\n1 violation(s):\n  [cycle] world graph has "
      "a cycle through {as:1, as:2, vlink:a}"),
+    (_edited_doc(ce_specs=[["ce1", "as:1", "is VirtualLink", "LC"],
+                           ["ce1", "as:1", 'id in {"vlink:a"}', "U"]]),
+     "CE predicates on 'as:1' overlap at child 'vlink:a'"),
+    (_edited_doc(budgets=[["bu2", "as:1", "all", 1]],
+                 ce_specs=[["ce1", "as:1", "is VirtualLink", "LC"]]),
+     "budget and CE beliefs on 'as:1' overlap at children ['vlink:a']"),
 ])
 def test_malformed_edited_world_exit_code(tmp_path, capsys, document,
                                           message):

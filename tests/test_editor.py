@@ -7,7 +7,8 @@ from tortrust.beliefs import (Budget1, Budget2, CE1, CE2,
                               parse_belief_document)
 from tortrust.bbn import bbn_to_dict, compile_bbn
 from tortrust.editor import (EditedWorld, apply_structural, children_matching,
-                             edited_world_from_dict, edited_world_to_dict)
+                             edited_world_from_dict, edited_world_to_dict,
+                             resolve_attachments)
 from tortrust.errors import EditError
 from tortrust.predicates import parse_predicate
 from tortrust.world import RelationshipInstance, TypeInstance, World
@@ -256,3 +257,64 @@ def test_edits_leave_the_input_world_unchanged(ontology):
     assert BASE == before
     assert BASE.children("as:1") == ("vlink:as1-relay:a", "vlink:as1-relay:b")
     assert BASE.attribute("relay:a", "Relay Software") is None
+
+
+def test_required_attribute_must_be_given(ontology):
+    with pytest.raises(EditError, match="\\[missing-attribute\\] instance "
+                       "'cam:1' lacks required attribute 'model'"):
+        _apply(ontology, ["ut", "Camera", {"model": "string"}, None],
+               ["inst", "Camera", {}, "cam:1"])
+    ew = _apply(ontology, ["ut", "Camera", {"model": "string"}, None],
+                ["inst", "Camera", {"model": "x1"}, "cam:1"])
+    assert ew.world.attribute("cam:1", "model") == "x1"
+
+
+@pytest.mark.parametrize("budgets, ce_specs, message", [
+    ([], [["ce1", "as:1", "is VirtualLink", "LC"],
+          ["ce1", "as:1", 'id in {"vlink:as1-relay:b"}', "U"]],
+     "CE predicates on 'as:1' overlap at child 'vlink:as1-relay:b'"),
+    ([["bu2", "as:1", "all", 1]], [["ce1", "as:1", "is VirtualLink", "LC"]],
+     "budget and CE beliefs on 'as:1' overlap at children "
+     "['vlink:as1-relay:a', 'vlink:as1-relay:b']"),
+])
+def test_loader_rejects_overlapping_attachments(ontology, budgets, ce_specs,
+                                                message):
+    data = edited_world_to_dict(EditedWorld(world=BASE, ontology=ontology))
+    data.update(budgets=budgets, ce_specs=ce_specs)
+    with pytest.raises(EditError) as excinfo:
+        edited_world_from_dict(data)
+    assert str(excinfo.value) == message
+
+
+def test_resolving_the_beliefs_that_take_effect_again(ontology, caplog):
+    """An edited world keeps the beliefs that take effect: duplicates count
+    once, the last bu2 and a ce2 silence the rest.  Resolving them again
+    gives the same scopes and logs nothing."""
+    trust = (["bu1", "as:1", "VirtualLink", 1],
+             ["bu2", "as:1", "all", 3],
+             ["bu2", "as:1", "all", 2],
+             ["bu2", "as:1", "all", 3],
+             ["bu1", "as:2", "VirtualLink", 4],
+             ["bu1", "as:2", "VirtualLink", 4],
+             ["ce1", "relay:a", "is VirtualLink", "LC"],
+             ["ce2", "relay:a", "top", "U"],
+             ["ce2", "relay:a", "top", "U"])
+    doc = _trust_doc(*trust)
+    with caplog.at_level("WARNING", logger="tortrust"):
+        ew = apply_structural(BASE, ontology, doc)
+        assert "suppresses 1 other CE" in caplog.text
+        caplog.clear()
+        assert ew.budgets == {"as:1": (Budget2("as:1", 2),),
+                              "as:2": (Budget1("as:2", "VirtualLink", 4),)}
+        assert ew.ce_specs == {"relay:a": (CE2("relay:a", "U"),)}
+        scopes = resolve_attachments(BASE, doc.trust)
+        caplog.clear()
+        kept = [b for beliefs in (*ew.budgets.values(),
+                                  *ew.ce_specs.values()) for b in beliefs]
+        assert resolve_attachments(BASE, kept) == scopes
+        again = edited_world_from_dict(edited_world_to_dict(ew))
+        assert (again.budgets, again.ce_specs) == (ew.budgets, ew.ce_specs)
+    assert caplog.records == []
+    assert scopes[0]["as:1"] == ((Budget2("as:1", 2),
+                                  ("vlink:as1-relay:a", "vlink:as1-relay:b")),)
+    assert scopes[1]["relay:a"] == ((CE2("relay:a", "U"), ()),)

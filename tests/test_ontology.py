@@ -54,6 +54,27 @@ def test_system_edge_to_user_type_flagged():
     assert "label-rule" in validate_ontology(onto).codes()
 
 
+def test_unknown_labels_and_requirements_flagged():
+    onto = ontology_from_dict({
+        "types": [{"name": "A", "label": "alien", "attributes": [
+                      {"name": "x", "data_type": "string",
+                       "requirement": "sometimes"},
+                      {"name": "y", "data_type": "string",
+                       "source": "alien", "requirement": "required"}]},
+                  {"name": "B"}],
+        "edges": [{"from_type": "A", "to_type": "B", "label": "alien"}]})
+    assert [(v.code, v.message, v.elements)
+            for v in validate_ontology(onto).violations] == [
+        ("bad-label", "type 'A' has unknown label 'alien'", ("A",)),
+        ("bad-requirement",
+         "type 'A' attribute 'x' has unknown requirement 'sometimes'",
+         ("A", "x")),
+        ("bad-label", "type 'A' attribute 'y' has unknown source 'alien'",
+         ("A", "y")),
+        ("bad-label", "edge ('A', 'B') has unknown label 'alien'",
+         ("A", "B"))]
+
+
 def test_output_type_with_outgoing_edge_flagged():
     onto = Ontology(
         types=(TypeDef("A", is_output=True), TypeDef("B")),

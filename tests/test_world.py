@@ -12,6 +12,7 @@ from tortrust.datasets import (ClusterRecord, DatasetBundle, GeoRecord,
                                load_bundle, save_bundle)
 from tortrust.editor import EditedWorld
 from tortrust.errors import CompileError, DatasetError
+from tortrust.ontology import AttributeDef, TypeDef
 from tortrust.predicates import parse_predicate
 from tortrust.synth import SynthParams, generate_synthetic
 from tortrust.validation import ValidationReport, topological_order
@@ -57,6 +58,28 @@ def test_duplicate_relationships_collapse():
 def test_validate_clean(ontology):
     report = validate_world(_toy_world(), ontology)
     assert report.ok, report.summary()
+
+
+def test_validate_reports_missing_required_attributes(ontology):
+    camera = TypeDef("Camera", attributes=(
+        AttributeDef("model", "string", requirement="required"),
+        AttributeDef("lens", "string", requirement="required"),
+        AttributeDef("note", "string")))
+    onto = dataclasses.replace(ontology, types=ontology.types + (camera,))
+    world = World((TypeInstance("cam:1", "Camera"),
+                   TypeInstance("cam:2", "Camera", {"lens": "wide"}),
+                   TypeInstance("cam:3", "Camera",
+                                {"model": "x1", "lens": "wide"})), ())
+    assert _violations(validate_world(world, onto)) == [
+        ("missing-attribute",
+         "instance 'cam:1' lacks required attribute 'model'",
+         ("cam:1", "model")),
+        ("missing-attribute",
+         "instance 'cam:1' lacks required attribute 'lens'",
+         ("cam:1", "lens")),
+        ("missing-attribute",
+         "instance 'cam:2' lacks required attribute 'model'",
+         ("cam:2", "model"))]
 
 
 def test_validate_flags_duplicate_id(ontology):
