@@ -12,7 +12,7 @@ holds the input world itself, with the maps it has already built.
 `resolve_attachments` is the one rule for budget and CE beliefs: their
 checks, duplicates, silenced beliefs, scopes and scope overlaps.
 `apply_structural`, the edited-world loader and `compile_bbn` each run it
-once, and an EditedWorld keeps only the beliefs that take effect.
+once, and an EditedWorld keeps the beliefs it resolves them to.
 
 An edited-world file is checked where it is loaded, as `apply_structural`
 checks its output: each key and entry by shape, each user relationship
@@ -46,8 +46,9 @@ ATTACHMENT_BELIEFS = (Budget1, Budget2, CE1, CE2)
 class EditedWorld:
     world: World
     ontology: object
-    # NodeId -> tuple of the budget or CE beliefs that take effect there,
-    # as `resolve_attachments` leaves them.
+    # NodeId -> tuple of the budget or CE beliefs there, as
+    # `resolve_attachments` leaves them: each budget once, silenced ones
+    # included, and the CE beliefs that take effect.
     budgets: dict = field(default_factory=dict)
     ce_specs: dict = field(default_factory=dict)
     user_edges: frozenset = frozenset()            # (parent, child) pairs
@@ -212,14 +213,16 @@ def _set_attribute(belief, instances):
 
 def resolve_attachments(world, beliefs):
     """Check the budget and CE beliefs among `beliefs` against `world` and
-    resolve them to those that take effect, each with the children it
-    covers: ({node: ((budget, children), ...)}, {node: ((CE belief,
-    children), ...)}).
+    resolve them, each with the children it covers: ({node: ((budget,
+    children), ...)}, {node: ((CE belief, children), ...)}).
 
     Value-equal duplicates count once.  The last "all" budget on a node
-    silences its other budgets, and a top CE belief the node's other CE
-    beliefs, with a warning.  A bu1 budget covers the children of its type,
-    a ce1 belief those passing its predicate, bu2 and ce2 all children.
+    silences its other budgets: they keep their place, in order, and cover
+    no children, so that an edited world's budgets resolved ahead of its
+    document's own still leave the document's last bu2 in force.  A top CE
+    belief drops the node's other CE beliefs, with a warning.  A bu1 budget
+    covers the children of its type, a ce1 belief those passing its
+    predicate, bu2 and ce2 all children.
     Raises EditError for an unknown instance, a negative budget, two
     different top CE beliefs on one node, and where CE beliefs, or a budget
     and a CE belief, cover the same child.
@@ -242,8 +245,9 @@ def resolve_attachments(world, beliefs):
     budget_scopes = {}
     for node, entries in budgets.items():
         all_budgets = [b for b in entries if isinstance(b, Budget2)]
-        budget_scopes[node] = tuple((b, _scope(world, node, b))
-                                    for b in all_budgets[-1:] or entries)
+        live = all_budgets[-1:] or entries
+        budget_scopes[node] = tuple(
+            (b, _scope(world, node, b) if b in live else ()) for b in entries)
     ce_scopes = {}
     for node, specs in ce_specs.items():
         tops = [s for s in specs if isinstance(s, CE2)]

@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 from tortrust.beliefs import load_belief_document, save_belief_document
-from tortrust.bbn import load_bbn, save_bbn, save_samples
+from tortrust.bbn import (bbn_to_dict, compile_bbn, load_bbn, save_bbn,
+                          save_samples)
 from tortrust.cli import _load_experiment_config, main
 from tortrust.datasets import load_bundle, save_bundle
+from tortrust.editor import apply_structural
 from tortrust.experiment import ExperimentConfig
+from tortrust.files import json_text
 from tortrust.ontology import default_ontology, ontology_to_dict
 from tortrust.world import load_world, save_world
 
@@ -608,6 +611,41 @@ def test_edited_world_user_relationship_is_exempt(tmp_path):
     vlink = bbn.index["vlink:a"]
     assert bbn.parent_w[bbn.parent_ptr[vlink]:bbn.parent_ptr[vlink + 1]] \
         .tolist() == [0.0]
+
+
+@pytest.mark.parametrize("budgets", [
+    [["bu2", "as:1", "all", 3], ["bu2", "as:1", "all", 2]],
+    [["bu1", "as:1", "VirtualLink", 1], ["bu2", "as:1", "all", 3],
+     ["bu2", "as:1", "all", 2]],
+])
+def test_two_step_compile_keeps_the_last_budget(tmp_path, budgets):
+    """`beliefs apply` then `bbn compile --edited --doc` gives the network
+    of one `compile_bbn(apply_structural(...), doc.trust)`: the document's
+    last bu2, k=2 over three children, wins in both."""
+    links = ("vlink:a", "vlink:b", "vlink:c")
+    paths = {name: str(tmp_path / f"{name}.json")
+             for name in ("world", "doc", "edited", "bbn")}
+    Path(paths["world"]).write_text(json.dumps({
+        "instances": [{"id": "as:1", "type_name": "AS"}]
+        + [{"id": link, "type_name": "Virtual Link"} for link in links],
+        "relationships": [{"parent": "as:1", "child": link}
+                          for link in links]}))
+    Path(paths["doc"]).write_text(json.dumps(
+        {"structural": [], "trust": budgets}))
+    assert main(["beliefs", "apply", "--doc", paths["doc"],
+                 "--world", paths["world"], "--out", paths["edited"]]) == 0
+    assert main(["bbn", "compile", "--edited", paths["edited"],
+                 "--doc", paths["doc"], "--out", paths["bbn"]]) == 0
+    doc = load_belief_document(paths["doc"])
+    one_step = compile_bbn(apply_structural(load_world(paths["world"]),
+                                            default_ontology(), doc),
+                           doc.trust, doc.scale)
+    assert Path(paths["bbn"]).read_text() == json_text(bbn_to_dict(one_step))
+    bbn = load_bbn(paths["bbn"])
+    for link in links:
+        at = bbn.index[link]
+        assert bbn.parent_w[bbn.parent_ptr[at]:bbn.parent_ptr[at + 1]] \
+            .tolist() == [2 / 3]
 
 
 def test_misspelt_scale_key_exit_code(tmp_path, capsys):

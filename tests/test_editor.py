@@ -286,10 +286,11 @@ def test_loader_rejects_overlapping_attachments(ontology, budgets, ce_specs,
     assert str(excinfo.value) == message
 
 
-def test_resolving_the_beliefs_that_take_effect_again(ontology, caplog):
-    """An edited world keeps the beliefs that take effect: duplicates count
-    once, the last bu2 and a ce2 silence the rest.  Resolving them again
-    gives the same scopes and logs nothing."""
+def test_resolving_an_edited_worlds_beliefs_again(ontology, caplog):
+    """An edited world keeps each budget once, in order, silenced ones
+    included, and the CE beliefs that take effect: the last bu2 silences
+    the other budgets, a ce2 drops the other CE beliefs.  Resolving them
+    again gives the same scopes and logs nothing."""
     trust = (["bu1", "as:1", "VirtualLink", 1],
              ["bu2", "as:1", "all", 3],
              ["bu2", "as:1", "all", 2],
@@ -304,7 +305,9 @@ def test_resolving_the_beliefs_that_take_effect_again(ontology, caplog):
         ew = apply_structural(BASE, ontology, doc)
         assert "suppresses 1 other CE" in caplog.text
         caplog.clear()
-        assert ew.budgets == {"as:1": (Budget2("as:1", 2),),
+        assert ew.budgets == {"as:1": (Budget1("as:1", "VirtualLink", 1),
+                                       Budget2("as:1", 3),
+                                       Budget2("as:1", 2)),
                               "as:2": (Budget1("as:2", "VirtualLink", 4),)}
         assert ew.ce_specs == {"relay:a": (CE2("relay:a", "U"),)}
         scopes = resolve_attachments(BASE, doc.trust)
@@ -315,6 +318,7 @@ def test_resolving_the_beliefs_that_take_effect_again(ontology, caplog):
         again = edited_world_from_dict(edited_world_to_dict(ew))
         assert (again.budgets, again.ce_specs) == (ew.budgets, ew.ce_specs)
     assert caplog.records == []
-    assert scopes[0]["as:1"] == ((Budget2("as:1", 2),
-                                  ("vlink:as1-relay:a", "vlink:as1-relay:b")),)
+    assert scopes[0]["as:1"] == (
+        (Budget1("as:1", "VirtualLink", 1), ()), (Budget2("as:1", 3), ()),
+        (Budget2("as:1", 2), ("vlink:as1-relay:a", "vlink:as1-relay:b")))
     assert scopes[1]["relay:a"] == ((CE2("relay:a", "U"), ()),)
