@@ -187,7 +187,7 @@ def matching_nodes(world, pred):
                             if is_type(root.name, tname)
                             for i in world.ids_by_type[tname]))
     return tuple(inst.id for inst in world.instances
-                 if eval_predicate(pred, world, inst.id, ctx="trust"))
+                 if eval_predicate(pred, world, inst.id))
 
 
 def compile_bbn(ew, trust=(), scale=None):
@@ -216,7 +216,8 @@ def compile_bbn(ew, trust=(), scale=None):
         elif belief not in ew.consumed:
             attached.append(belief)
     try:
-        budget_scopes, ce_scopes = resolve_attachments(world, attached)
+        budget_scopes, ce_scopes = resolve_attachments(world, ew.ontology,
+                                                       attached)
     except EditError as exc:
         raise CompileError(str(exc)) from exc
 
@@ -485,6 +486,10 @@ def _state_bit(states, i):
 
 
 def _joint_vector(bbn, cap):
+    if cap > EXACT_NODE_CAP:
+        raise NetworkTooLargeError(
+            f"cap {cap} is above the exact-enumeration limit of "
+            f"{EXACT_NODE_CAP}")
     m = len(bbn.nodes)
     if m > cap:
         raise NetworkTooLargeError(

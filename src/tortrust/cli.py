@@ -33,7 +33,7 @@ from .datasets import load_bundle, save_bundle
 from .editor import apply_structural, load_edited_world, edited_world_to_dict
 from .errors import (BeliefFormatError, CompileError, DatasetError, EditError,
                      NetworkTooLargeError, OntologyError,
-                     PredicateSyntaxError, StructuralContextError)
+                     PredicateSyntaxError)
 from .experiment import DEFAULT_SCENARIOS, ExperimentConfig, run_experiment
 from .files import csv_text, json_text, write_text
 from .ontology import default_ontology, load_ontology, validate_ontology
@@ -49,8 +49,7 @@ EXIT_IO = 4
 
 _PARSE_ERRORS = (PredicateSyntaxError, BeliefFormatError, DatasetError)
 _INVALID_ERRORS = (EditError, CompileError, OntologyError,
-                   NetworkTooLargeError, StructuralContextError, ValueError,
-                   KeyError)
+                   NetworkTooLargeError, ValueError, KeyError)
 
 
 def _sha256(path):
@@ -111,13 +110,20 @@ def cmd_world_synth(args):
     return EXIT_OK
 
 
-def cmd_world_build(args):
-    ontology = _load_ontology(args)
-    bundle = load_bundle(args.datasets)
-    world = build_world(ontology, bundle)
-    report = validate_world(world, ontology)
+def _failed(report):
+    """Write a failing report's violations to stderr; True when it failed."""
     if not report.ok:
         sys.stderr.write(report.summary() + "\n")
+    return not report.ok
+
+
+def cmd_world_build(args):
+    ontology = _load_ontology(args)
+    if _failed(validate_ontology(ontology)):
+        return EXIT_INVALID
+    bundle = load_bundle(args.datasets)
+    world = build_world(ontology, bundle)
+    if _failed(validate_world(world, ontology)):
         return EXIT_INVALID
     _emit(args, json_text(world_to_dict(world)),
           [os.path.join(args.datasets, f)
@@ -127,14 +133,10 @@ def cmd_world_build(args):
 
 def cmd_world_validate(args):
     ontology = _load_ontology(args)
-    onto_report = validate_ontology(ontology)
-    if not onto_report.ok:
-        sys.stderr.write(onto_report.summary() + "\n")
+    if _failed(validate_ontology(ontology)):
         return EXIT_INVALID
     world = load_world(args.world)
-    report = validate_world(world, ontology)
-    if not report.ok:
-        sys.stderr.write(report.summary() + "\n")
+    if _failed(validate_world(world, ontology)):
         return EXIT_INVALID
     sys.stderr.write("world ok: %d instances, %d relationships\n"
                      % (len(world.instances), len(world.src)))

@@ -3,22 +3,26 @@
 The construction sequence declares the novel types first, then applies the
 instance, relationship and attribute edits in document order, then attaches
 budgets and CE beliefs.  Each edit sees the edits listed before it, so a
-relationship must follow the instances it joins.  The output is
-an EditedWorld: the new world graph plus per-node budget and CE
-attachments and the augmented ontology.  A document without instance,
-relationship or attribute edits leaves the world as it is: the EditedWorld
-holds the input world itself, with the maps it has already built.
+relationship must follow the instances it joins, and each edit checks the
+ids it names.  The output is an EditedWorld: the new world graph plus
+per-node budget and CE attachments and the augmented ontology.  A document
+without instance, relationship or attribute edits leaves the world as it
+is: the EditedWorld holds the input world itself, with the maps it has
+already built.
+
+Every EditedWorld made here passes one gate, `_checked`: the ontology, then
+the world against it with the user relationships exempt, both into one
+report, then the budget and CE beliefs by `resolve_attachments`.  Only the
+final world is checked, so a cycle is found there, by the one Kahn sort of
+`validation`, and edits that pass through a cycle but end acyclic stand.
+`apply_structural` and the edited-world loader both end in the gate; the
+loader first checks each key and entry of the file by shape and each user
+relationship against the world's relationships.
 
 `resolve_attachments` is the one rule for budget and CE beliefs: their
 checks, duplicates, silenced beliefs, scopes and scope overlaps.
-`apply_structural`, the edited-world loader and `compile_bbn` each run it
-once, and an EditedWorld keeps the beliefs it resolves them to.
-
-An edited-world file is checked where it is loaded, as `apply_structural`
-checks its output: each key and entry by shape, each user relationship
-against the world's relationships, the world against the file's ontology
-with the user relationships exempt, and the budget and CE beliefs by
-`resolve_attachments`.
+The gate and `compile_bbn` each run it once, and an EditedWorld keeps the
+beliefs it resolves them to.
 """
 
 import json
@@ -29,9 +33,10 @@ from .beliefs import (TRUST_TAGS, AddInstance, AddRelationship, Budget1,
                       Budget2, CE1, CE2, NovelType, RemoveInstance,
                       RemoveRelationship, SetAttribute, belief_from_json,
                       belief_to_json)
-from .errors import EditError, OntologyError
-from .ontology import (AttributeDef, TypeDef, USER, extend_ontology, is_type,
-                       ontology_from_dict, ontology_to_dict)
+from .errors import EditError
+from .ontology import (AttributeDef, Ontology, TypeDef, USER, is_type,
+                       ontology_from_dict, ontology_to_dict,
+                       validate_ontology)
 from .predicates import eval_predicate
 from .world import (TypeInstance, World, validate_world, world_from_dict,
                     world_to_dict)
@@ -61,7 +66,7 @@ class EditedWorld:
 def children_matching(ew, node_id, pred):
     """Children of node_id satisfying pred, ordered by id."""
     return tuple(c for c in ew.world.children(node_id)
-                 if eval_predicate(pred, ew.world, c, ctx="trust"))
+                 if eval_predicate(pred, ew.world, c))
 
 
 def apply_structural(world, ontology, doc):
@@ -75,15 +80,23 @@ def apply_structural(world, ontology, doc):
     edits = [b for b in doc.structural if not isinstance(b, NovelType)]
     edited, user_edges = _edit(world, ontology, edits) if edits \
         else (world, set())
-
-    budget_scopes, ce_scopes = resolve_attachments(edited, doc.trust)
-
-    report = validate_world(edited, ontology, allowed_edges=user_edges)
-    if not report.ok:
-        raise EditError("edited world is invalid:\n" + report.summary())
     consumed = frozenset(b for b in doc.trust
                          if isinstance(b, ATTACHMENT_BELIEFS))
-    return EditedWorld(world=edited, ontology=ontology,
+    return _checked(edited, ontology, user_edges, doc.trust, consumed)
+
+
+def _checked(world, ontology, user_edges, beliefs, consumed=frozenset()):
+    """The one gate every EditedWorld of this module passes: the ontology
+    and the world, with `user_edges` exempt, go into one report, raised as
+    an EditError; then `resolve_attachments` checks the budget and CE
+    beliefs among `beliefs`."""
+    report = validate_ontology(ontology)
+    report.violations += validate_world(
+        world, ontology, allowed_edges=user_edges).violations
+    if not report.ok:
+        raise EditError("edited world is invalid:\n" + report.summary())
+    budget_scopes, ce_scopes = resolve_attachments(world, ontology, beliefs)
+    return EditedWorld(world=world, ontology=ontology,
                        budgets=_beliefs(budget_scopes),
                        ce_specs=_beliefs(ce_scopes),
                        user_edges=frozenset(user_edges), consumed=consumed)
@@ -95,21 +108,17 @@ def _edit(world, ontology, edits):
     instances = {i.id: i for i in world.instances}
     edges = dict.fromkeys(world.edges, {})
     edges.update(world.edge_attributes)
-    children = {i.id: set() for i in world.instances}
-    for p, c in edges:
-        children[p].add(c)
     user_edges = set()
 
     for belief in edits:
         if isinstance(belief, AddInstance):
-            _add_instance(belief, ontology, instances, children)
+            _add_instance(belief, ontology, instances)
         elif isinstance(belief, RemoveInstance):
-            _remove_instance(belief, instances, edges, children, user_edges)
+            _remove_instance(belief, instances, edges, user_edges)
         elif isinstance(belief, AddRelationship):
-            _add_relationship(belief, ontology, instances, edges, children,
-                              user_edges)
+            _add_relationship(belief, ontology, instances, edges, user_edges)
         elif isinstance(belief, RemoveRelationship):
-            _remove_relationship(belief, edges, children, user_edges)
+            _remove_relationship(belief, edges, user_edges)
         elif isinstance(belief, SetAttribute):
             _set_attribute(belief, instances)
         else:
@@ -127,13 +136,11 @@ def _augment_types(ontology, novel_types):
         attrs += tuple(AttributeDef(name, dtype, USER, "optional")
                        for name, dtype in nt.struct_opt)
         type_defs.append(TypeDef(name=nt.tname, label=USER, attributes=attrs))
-    try:
-        return extend_ontology(ontology, type_defs, ())
-    except OntologyError as exc:
-        raise EditError(str(exc)) from exc
+    return Ontology(types=ontology.types + tuple(type_defs),
+                    edges=ontology.edges)
 
 
-def _add_instance(belief, ontology, instances, children):
+def _add_instance(belief, ontology, instances):
     if belief.id in instances:
         raise EditError(f"instance id {belief.id!r} already exists")
     resolved = belief.type_name if ontology.has_type(belief.type_name) \
@@ -143,48 +150,25 @@ def _add_instance(belief, ontology, instances, children):
                         f"{belief.type_name!r}")
     instances[belief.id] = TypeInstance(belief.id, resolved,
                                         dict(belief.data))
-    children[belief.id] = set()
 
 
-def _remove_instance(belief, instances, edges, children, user_edges):
+def _remove_instance(belief, instances, edges, user_edges):
     if belief.id not in instances:
         raise EditError(f"cannot remove unknown instance {belief.id!r}")
     del instances[belief.id]
-    del children[belief.id]
-    incident = [key for key in edges if belief.id in key]
-    for p, c in incident:
-        del edges[(p, c)]
-        user_edges.discard((p, c))
-        if c == belief.id:
-            children[p].discard(c)
+    for key in [key for key in edges if belief.id in key]:
+        del edges[key]
+        user_edges.discard(key)
 
 
-def _reachable(start, goal, children):
-    stack = [start]
-    seen = {start}
-    while stack:
-        cur = stack.pop()
-        if cur == goal:
-            return True
-        for nxt in children[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return False
-
-
-def _add_relationship(belief, ontology, instances, edges, children,
-                      user_edges):
+def _add_relationship(belief, ontology, instances, edges, user_edges):
     p, c = belief.parent, belief.child
     for node in (p, c):
         if node not in instances:
             raise EditError(f"relationship references unknown instance {node!r}")
-    if p == c or _reachable(c, p, children):
-        raise EditError(f"relationship ({p!r}, {c!r}) would create a cycle")
     if (p, c) in edges:
         return
     edges[(p, c)] = {}
-    children[p].add(c)
     ptype = instances[p].type_name
     ctype = instances[c].type_name
     if not ontology.has_edge(ptype, ctype):
@@ -193,13 +177,12 @@ def _add_relationship(belief, ontology, instances, edges, children,
         user_edges.add((p, c))
 
 
-def _remove_relationship(belief, edges, children, user_edges):
+def _remove_relationship(belief, edges, user_edges):
     key = (belief.parent, belief.child)
     if key not in edges:
         raise EditError(f"cannot remove unknown relationship {key!r}")
     del edges[key]
     user_edges.discard(key)
-    children[belief.parent].discard(belief.child)
 
 
 def _set_attribute(belief, instances):
@@ -211,10 +194,11 @@ def _set_attribute(belief, instances):
     instances[belief.id] = TypeInstance(inst.id, inst.type_name, attrs)
 
 
-def resolve_attachments(world, beliefs):
+def resolve_attachments(world, ontology, beliefs):
     """Check the budget and CE beliefs among `beliefs` against `world` and
-    resolve them, each with the children it covers: ({node: ((budget,
-    children), ...)}, {node: ((CE belief, children), ...)}).
+    `ontology` and resolve them, each with the children it covers:
+    ({node: ((budget, children), ...)}, {node: ((CE belief, children),
+    ...)}).
 
     Value-equal duplicates count once.  The last "all" budget on a node
     silences its other budgets: they keep their place, in order, and cover
@@ -223,9 +207,9 @@ def resolve_attachments(world, beliefs):
     belief drops the node's other CE beliefs, with a warning.  A bu1 budget
     covers the children of its type, a ce1 belief those passing its
     predicate, bu2 and ce2 all children.
-    Raises EditError for an unknown instance, a negative budget, two
-    different top CE beliefs on one node, and where CE beliefs, or a budget
-    and a CE belief, cover the same child.
+    Raises EditError for an unknown instance, a negative budget, a bu1
+    naming no type of `ontology`, two different top CE beliefs on one node,
+    and where CE beliefs, or a budget and a CE belief, cover the same child.
     """
     budgets = {}
     ce_specs = {}
@@ -241,6 +225,10 @@ def resolve_attachments(world, beliefs):
                             f"{belief.instance!r}")
         if groups is budgets and belief.k < 0:
             raise EditError(f"budget on {belief.instance!r} has negative k")
+        if isinstance(belief, Budget1) and \
+                ontology.resolve_type_name(belief.type_name) is None:
+            raise EditError(f"budget on {belief.instance!r} names unknown "
+                            f"type {belief.type_name!r}")
         groups.setdefault(belief.instance, {})[belief] = None
     budget_scopes = {}
     for node, entries in budgets.items():
@@ -280,7 +268,7 @@ def _scope(world, node, belief):
                      if is_type(belief.type_name, world.type_of(c)))
     if isinstance(belief, CE1):
         return tuple(c for c in children
-                     if eval_predicate(belief.pred, world, c, ctx="trust"))
+                     if eval_predicate(belief.pred, world, c))
     return children
 
 
@@ -310,9 +298,8 @@ def edited_world_to_dict(ew):
 def edited_world_from_dict(data):
     """Parse an edited-world file's dict.  Raises ValueError naming the
     first malformed key or entry, and EditError when a user relationship
-    is not a relationship of the world, when the world does not validate
-    against the file's ontology with the user relationships exempt, or
-    when `resolve_attachments` rejects the budget and CE beliefs."""
+    is not a relationship of the world or when the gate rejects the
+    ontology, the world or the budget and CE beliefs."""
     world = world_from_dict(data)
     if "ontology" not in data:
         raise ValueError("edited world file: missing 'ontology'")
@@ -338,14 +325,7 @@ def edited_world_from_dict(data):
         if at < 0:
             raise EditError(f"user_relationships[{i}]: {user_edges[i]!r} is "
                             "not a relationship of the world")
-    report = validate_world(world, ontology, allowed_edges=user_edges)
-    if not report.ok:
-        raise EditError("edited world is invalid:\n" + report.summary())
-    budget_scopes, ce_scopes = resolve_attachments(world, attached)
-    return EditedWorld(world=world, ontology=ontology,
-                       budgets=_beliefs(budget_scopes),
-                       ce_specs=_beliefs(ce_scopes),
-                       user_edges=frozenset(user_edges))
+    return _checked(world, ontology, user_edges, attached)
 
 
 def _list_of(data, key):

@@ -22,10 +22,6 @@ class PredicateSyntaxError(TrustModelError):
         self.column = column
 
 
-class StructuralContextError(TrustModelError):
-    """A world-structure test was evaluated while applying structural beliefs."""
-
-
 class BeliefFormatError(TrustModelError):
     """A belief document is syntactically or semantically malformed."""
 

@@ -29,15 +29,14 @@ and quotes ("ce:as:1#0"); "in", "is" and "id" are node ids there.
 Type names are written in identifier form: spaces, slashes and hyphens
 dropped ("Router/Switch" -> RouterSwitch).  A comparison against a missing
 attribute is false and logs a warning.  Structural tests (child_count,
-has_parent, has_child) walk the world's edges and are rejected when a
-predicate is evaluated in structural-belief context.
+has_parent, has_child) walk the world's edges.
 """
 
 import logging
 import re
 from dataclasses import dataclass
 
-from .errors import PredicateSyntaxError, StructuralContextError
+from .errors import PredicateSyntaxError
 from .ontology import is_type
 
 log = logging.getLogger(__name__)
@@ -352,24 +351,20 @@ def parse_event(text):
 
 # --- Evaluation ------------------------------------------------------------
 
-def eval_predicate(pred, world, node_id, ctx="trust"):
-    """Evaluate `pred` on instance `node_id` of `world`.
-
-    ctx is "trust" or "structural"; structural tests raise under
-    "structural" because the world's final shape is not yet fixed there.
-    """
+def eval_predicate(pred, world, node_id):
+    """Evaluate `pred` on instance `node_id` of `world`."""
     if node_id not in world.by_id:
         raise KeyError(f"unknown instance {node_id!r}")
-    return _eval(pred.root, world, node_id, ctx)
+    return _eval(pred.root, world, node_id)
 
 
-def _eval(node, world, node_id, ctx):
+def _eval(node, world, node_id):
     if isinstance(node, And):
-        return all(_eval(n, world, node_id, ctx) for n in node.items)
+        return all(_eval(n, world, node_id) for n in node.items)
     if isinstance(node, Or):
-        return any(_eval(n, world, node_id, ctx) for n in node.items)
+        return any(_eval(n, world, node_id) for n in node.items)
     if isinstance(node, Not):
-        return not _eval(node.inner, world, node_id, ctx)
+        return not _eval(node.inner, world, node_id)
     if isinstance(node, IsType):
         return is_type(node.name, world.type_of(node_id))
     if isinstance(node, IdIn):
@@ -391,17 +386,14 @@ def _eval(node, world, node_id, ctx):
             return any(v in node.values for v in value)
         return value in node.values
     if isinstance(node, ChildCount):
-        _require_trust_ctx(ctx, "child_count")
         count = sum(1 for c in world.children(node_id)
-                    if _eval(node.pred, world, c, ctx))
+                    if _eval(node.pred, world, c))
         return _compare(count, node.op, node.count, "child_count", node_id)
     if isinstance(node, HasParent):
-        _require_trust_ctx(ctx, "has_parent")
-        return any(_eval(node.pred, world, p, ctx)
+        return any(_eval(node.pred, world, p)
                    for p in world.parents(node_id))
     if isinstance(node, HasChild):
-        _require_trust_ctx(ctx, "has_child")
-        return any(_eval(node.pred, world, c, ctx)
+        return any(_eval(node.pred, world, c)
                    for c in world.children(node_id))
     raise TypeError(f"unknown predicate node {node!r}")
 
@@ -423,12 +415,6 @@ def eval_event(node, leaf):
             out = out & col if isinstance(node, And) else out | col
         return out
     raise TypeError(f"unknown event node {node!r}")
-
-
-def _require_trust_ctx(ctx, what):
-    if ctx == "structural":
-        raise StructuralContextError(
-            f"{what} is not allowed in structural-belief predicates")
 
 
 def _compare(value, op, literal, name, node_id):

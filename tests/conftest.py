@@ -5,12 +5,33 @@ import pytest
 from tortrust.beliefs import build_the_man
 from tortrust.bbn import compile_bbn
 from tortrust.editor import EditedWorld, apply_structural
-from tortrust.ontology import default_ontology
+from tortrust.ontology import default_ontology, ontology_to_dict
 from tortrust.synth import SynthParams, generate_synthetic
 from tortrust.world import RelationshipInstance, TypeInstance, World
 from tortrust.worldgen import build_world
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def invalid_ontology_dict():
+    """The default ontology as a dict, with the label "alien" on Legal
+    Jurisdiction and an AS -> Legal Jurisdiction edge, which closes a type
+    cycle."""
+    data = ontology_to_dict(default_ontology())
+    jurisdiction, = (t for t in data["types"]
+                     if t["name"] == "Legal Jurisdiction")
+    jurisdiction["label"] = "alien"
+    data["edges"] += ({"from_type": "AS", "to_type": "Legal Jurisdiction"},)
+    return data
+
+
+# The validation report of `invalid_ontology_dict`.
+INVALID_ONTOLOGY = (
+    "2 violation(s):\n"
+    "  [bad-label] type 'Legal Jurisdiction' has unknown label 'alien'\n"
+    "  [cycle] type graph has a cycle through {AS, AS Organization, "
+    "Corporation, Hosting Service, IXP, IXP Organization, Legal "
+    "Jurisdiction, Router/Switch, Tor Relay, Virtual Link}")
 
 
 @pytest.fixture(scope="session")

@@ -291,7 +291,7 @@ def test_matching_nodes_is_the_predicate(world, atom, text):
     for pred in (_pred(atom), _pred(text)):
         assert matching_nodes(world, pred) == tuple(
             i.id for i in world.instances
-            if eval_predicate(pred, world, i.id, ctx="trust"))
+            if eval_predicate(pred, world, i.id))
 
 
 def test_relative_belief_on_an_attribute(make_edited):
@@ -346,6 +346,18 @@ def test_enumeration_cap():
     bbn = compile_bbn(ew)
     with pytest.raises(NetworkTooLargeError):
         enumerate_exact(bbn)
+
+
+def test_cap_above_the_limit_refused(make_edited):
+    bbn = compile_bbn(make_edited({"as:1": "AS", "vlink:a": "Virtual Link"},
+                                  [("as:1", "vlink:a")]))
+    for exact in (enumerate_exact, exact_marginals):
+        with pytest.raises(NetworkTooLargeError, match="cap 25 is above "
+                           "the exact-enumeration limit of 24"):
+            exact(bbn, cap=25)
+    with pytest.raises(NetworkTooLargeError):
+        exact_event(bbn, "as:1", cap=25)
+    assert len(enumerate_exact(bbn, cap=24)) == 1
 
 
 # --- sampling ----------------------------------------------------------------
@@ -865,7 +877,7 @@ def _reference_nodes(ew, trust, scale):
     from tortrust.bbn import BbnNode
     from tortrust.editor import resolve_attachments
     world = ew.world
-    budget_scopes, ce_scopes = resolve_attachments(world, trust)
+    budget_scopes, ce_scopes = resolve_attachments(world, ew.ontology, trust)
     in_edges = {inst.id: {} for inst in world.instances}
     for rel in world.relationships:
         in_edges[rel.child][rel.parent] = 1.0

@@ -22,7 +22,7 @@ from tortrust.files import json_text
 from tortrust.ontology import default_ontology, ontology_to_dict
 from tortrust.world import load_world, save_world
 
-from conftest import FIXTURES
+from conftest import FIXTURES, INVALID_ONTOLOGY, invalid_ontology_dict
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +112,15 @@ def test_exact_respects_cap(workdir, capsys):
     rc = main(["bbn", "exact", "--bbn", workdir["bbn"], "--cap", "8"])
     assert rc == 3
     assert "error" in capsys.readouterr().err
+
+
+def test_exact_cap_above_the_limit_exit_code(tmp_path, capsys):
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"nodes": [
+        {"id": "a", "risks": [0.5]}, {"id": "b", "parents": [[0, 1.0]]}]}))
+    assert main(["bbn", "exact", "--bbn", str(path), "--cap", "25"]) == 3
+    assert capsys.readouterr().err == ("error: cap 25 is above the "
+                                       "exact-enumeration limit of 24\n")
 
 
 def test_experiment_run_csv(workdir, capsys):
@@ -594,6 +603,27 @@ def test_malformed_edited_world_exit_code(tmp_path, capsys, document,
     assert main(["bbn", "compile", "--edited", str(path),
                  "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_invalid_ontology_exit_code(workdir, tmp_path, capsys):
+    """An invalid ontology exits 3 wherever one is read: an edited-world
+    file, `beliefs apply --ontology` and `world build --ontology`."""
+    ontology = tmp_path / "ontology.json"
+    ontology.write_text(json.dumps(invalid_ontology_dict()))
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(_edited_doc(
+        ontology=invalid_ontology_dict())))
+    out = tmp_path / "out.json"
+    report = f"error: edited world is invalid:\n{INVALID_ONTOLOGY}\n"
+    for argv, err in (
+            (["bbn", "compile", "--edited", str(edited)], report),
+            (["beliefs", "apply", "--doc", workdir["doc"], "--world",
+              workdir["world"], "--ontology", str(ontology)], report),
+            (["world", "build", "--datasets", workdir["bundle"],
+              "--ontology", str(ontology)], f"{INVALID_ONTOLOGY}\n")):
+        assert main(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err == err
     assert not out.exists()
 
 

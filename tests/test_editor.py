@@ -2,16 +2,24 @@ import copy
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tortrust.beliefs import (Budget1, Budget2, CE1, CE2,
+from tortrust.beliefs import (AddInstance, AddRelationship, BeliefDocument,
+                              Budget1, Budget2, CE1, CE2, RemoveInstance,
+                              RemoveRelationship, SetAttribute,
                               parse_belief_document)
 from tortrust.bbn import bbn_to_dict, compile_bbn
 from tortrust.editor import (EditedWorld, apply_structural, children_matching,
                              edited_world_from_dict, edited_world_to_dict,
                              resolve_attachments)
-from tortrust.errors import EditError
+from tortrust.errors import CompileError, EditError
+from tortrust.ontology import ontology_from_dict, validate_ontology
 from tortrust.predicates import parse_predicate
-from tortrust.world import RelationshipInstance, TypeInstance, World
+from tortrust.world import (RelationshipInstance, TypeInstance, World,
+                            validate_world)
+
+from conftest import INVALID_ONTOLOGY, invalid_ontology_dict
 
 BASE = World(
     instances=(
@@ -84,10 +92,26 @@ def test_user_edge_outside_ontology_is_tracked(ontology):
 
 
 def test_cycle_rejected(ontology):
-    with pytest.raises(EditError, match="cycle"):
+    """Cycles are found on the final world, by its validation, and named
+    with every node on or below them."""
+    cycle = ("edited world is invalid:\n1 violation(s):\n  [cycle] world "
+             "graph has a cycle through {as:1, as:2, vlink:as1-relay:a, "
+             "vlink:as1-relay:b}")
+    with pytest.raises(EditError) as excinfo:
         _apply(ontology,
                ["rel", "as:1", "as:2"],
                ["rel", "as:2", "as:1"])
+    assert str(excinfo.value) == cycle
+    with pytest.raises(EditError, match=r"cycle through \{as:2\}"):
+        _apply(ontology, ["rel", "as:2", "as:2"])
+
+
+def test_only_the_final_world_must_be_acyclic(ontology):
+    ew = _apply(ontology,
+                ["rel", "vlink:as1-relay:a", "as:1"],
+                ["rmrel", "as:1", "vlink:as1-relay:a"])
+    assert ew.world.children("vlink:as1-relay:a") == ("as:1",)
+    assert ew.user_edges == {("vlink:as1-relay:a", "as:1")}
 
 
 def test_edits_run_in_document_order(ontology):
@@ -310,11 +334,11 @@ def test_resolving_an_edited_worlds_beliefs_again(ontology, caplog):
                                        Budget2("as:1", 2)),
                               "as:2": (Budget1("as:2", "VirtualLink", 4),)}
         assert ew.ce_specs == {"relay:a": (CE2("relay:a", "U"),)}
-        scopes = resolve_attachments(BASE, doc.trust)
+        scopes = resolve_attachments(BASE, ontology, doc.trust)
         caplog.clear()
         kept = [b for beliefs in (*ew.budgets.values(),
                                   *ew.ce_specs.values()) for b in beliefs]
-        assert resolve_attachments(BASE, kept) == scopes
+        assert resolve_attachments(BASE, ontology, kept) == scopes
         again = edited_world_from_dict(edited_world_to_dict(ew))
         assert (again.budgets, again.ce_specs) == (ew.budgets, ew.ce_specs)
     assert caplog.records == []
@@ -322,3 +346,154 @@ def test_resolving_an_edited_worlds_beliefs_again(ontology, caplog):
         (Budget1("as:1", "VirtualLink", 1), ()), (Budget2("as:1", 3), ()),
         (Budget2("as:1", 2), ("vlink:as1-relay:a", "vlink:as1-relay:b")))
     assert scopes[1]["relay:a"] == ((CE2("relay:a", "U"), ()),)
+
+
+def test_invalid_ontology_rejected_wherever_an_edited_world_is_made():
+    bad = ontology_from_dict(invalid_ontology_dict())
+    message = "edited world is invalid:\n" + INVALID_ONTOLOGY
+    with pytest.raises(EditError) as excinfo:
+        apply_structural(BASE, bad, _trust_doc())
+    assert str(excinfo.value) == message
+    data = edited_world_to_dict(EditedWorld(world=BASE, ontology=bad))
+    with pytest.raises(EditError) as excinfo:
+        edited_world_from_dict(data)
+    assert str(excinfo.value) == message
+
+
+def test_novel_type_checked_by_the_gate(ontology):
+    with pytest.raises(EditError, match=r"\[duplicate-type\] type 'AS' "
+                       "declared twice"):
+        _apply(ontology, ["ut", "AS", None, None])
+
+
+def test_world_violation_reported_before_attachments(ontology):
+    doc = parse_belief_document(json.dumps({
+        "structural": [["attr", "relay:a", "Relay Software", 5]],
+        "trust": [["bu2", "ghost", "all", 1]]}))
+    with pytest.raises(EditError, match="attribute-type"):
+        apply_structural(BASE, ontology, doc)
+    data = edited_world_to_dict(EditedWorld(world=BASE, ontology=ontology))
+    data["relationships"].append({"parent": "relay:a", "child": "as:1"})
+    data["budgets"] = [["bu2", "ghost", "all", 1]]
+    with pytest.raises(EditError, match="no-ontology-edge"):
+        edited_world_from_dict(data)
+
+
+@pytest.mark.parametrize("type_name", ["Teleporter", "Tele Porter"])
+def test_budget_of_an_unknown_type_rejected(ontology, type_name):
+    message = f"budget on 'as:1' names unknown type {type_name!r}"
+    with pytest.raises(EditError) as excinfo:
+        resolve_attachments(BASE, ontology, [Budget1("as:1", type_name, 2)])
+    assert str(excinfo.value) == message
+    ew = EditedWorld(world=BASE, ontology=ontology)
+    with pytest.raises(CompileError) as excinfo:
+        compile_bbn(ew, [Budget1("as:1", type_name, 2)])
+    assert str(excinfo.value) == message
+    for spelling in ("Virtual Link", "VirtualLink"):
+        budgets, _ = resolve_attachments(BASE, ontology,
+                                         [Budget1("as:1", spelling, 1)])
+        assert budgets["as:1"][0][1] == ("vlink:as1-relay:a",
+                                         "vlink:as1-relay:b")
+
+
+# --- the editor against a reference --------------------------------------
+
+_IDS = ["a", "b", "c", "d", "e", "f"]
+_TYPES = ("AS", "Tor Relay", "Virtual Link")
+
+
+def _reference_edit(world, ontology, edits):
+    """The edits applied to a plain instance dict and edge set, with the
+    editor's unknown-id and duplicate-id errors, then the built world
+    validated against the ontology: (world, user edges), or EditError."""
+    types = {i.id: i.type_name for i in world.instances}
+    attributes = {i.id: dict(i.attributes) for i in world.instances}
+    edges = set(world.edges)
+    user = set()
+    for edit in edits:
+        if isinstance(edit, AddInstance):
+            if edit.id in types:
+                raise EditError("duplicate id")
+            types[edit.id] = edit.type_name
+            attributes[edit.id] = dict(edit.data)
+        elif isinstance(edit, RemoveInstance):
+            if edit.id not in types:
+                raise EditError("unknown id")
+            del types[edit.id], attributes[edit.id]
+            edges = {e for e in edges if edit.id not in e}
+            user &= edges
+        elif isinstance(edit, AddRelationship):
+            pair = (edit.parent, edit.child)
+            if not set(pair) <= types.keys():
+                raise EditError("unknown id")
+            if pair not in edges and not ontology.has_edge(
+                    types[edit.parent], types[edit.child]):
+                user.add(pair)
+            edges.add(pair)
+        elif isinstance(edit, RemoveRelationship):
+            pair = (edit.parent, edit.child)
+            if pair not in edges:
+                raise EditError("unknown relationship")
+            edges.discard(pair)
+            user.discard(pair)
+        else:
+            if edit.id not in types:
+                raise EditError("unknown id")
+            attributes[edit.id][edit.name] = edit.value
+    built = World(tuple(TypeInstance(i, types[i], attributes[i])
+                        for i in types),
+                  tuple(RelationshipInstance(p, c) for p, c in edges))
+    if not (validate_ontology(ontology).ok and validate_world(
+            built, ontology, allowed_edges=user).ok):
+        raise EditError("invalid")
+    return built, user
+
+
+@st.composite
+def _cases(draw):
+    """A world of at most six AS, Tor Relay and Virtual Link instances with
+    some of its AS -> Virtual Link edges, and one to six edits over its
+    ids and two fresh ones."""
+    ids = draw(st.lists(st.sampled_from(_IDS), max_size=6, unique=True))
+    types = {i: draw(st.sampled_from(_TYPES)) for i in ids}
+    pairs = [(p, c) for p in ids for c in ids
+             if (types[p], types[c]) == ("AS", "Virtual Link")]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs \
+        else []
+    world = World(tuple(TypeInstance(i, types[i]) for i in ids),
+                  tuple(RelationshipInstance(p, c) for p, c in edges))
+    node = st.sampled_from(ids + ["g"])
+    pair = st.tuples(node, node)
+    present = st.one_of(st.sampled_from(edges), pair) if edges else pair
+    edits = draw(st.lists(st.one_of(
+        st.builds(AddInstance, st.sampled_from(_TYPES), st.just({}),
+                  st.one_of(st.sampled_from(["g", "h"]), node)),
+        st.builds(RemoveInstance, node),
+        pair.map(lambda e: AddRelationship(*e)),
+        present.map(lambda e: RemoveRelationship(*e)),
+        st.builds(SetAttribute, node, st.just("Relay Software"),
+                  st.sampled_from(["linux", 5]))), min_size=1, max_size=6))
+    return world, edits
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cases())
+@example((BASE, [AddRelationship("vlink:as1-relay:a", "as:1"),    # a cycle
+                 RemoveRelationship("as:1", "vlink:as1-relay:a")]))  # undone
+@example((BASE, [AddRelationship("as:1", "as:2"),      # a cycle that stays
+                 AddRelationship("as:2", "as:1")]))
+@example((BASE, [AddRelationship("as:1", "as:2"),      # a user edge, removed
+                 RemoveRelationship("as:1", "as:2")]))
+def test_editor_matches_the_reference(ontology, case):
+    """`apply_structural` fails exactly when the reference does, and
+    otherwise gives its world and user edges."""
+    world, edits = case
+    doc = BeliefDocument(structural=tuple(edits))
+    try:
+        expected = _reference_edit(world, ontology, edits)
+    except EditError:
+        with pytest.raises(EditError):
+            apply_structural(world, ontology, doc)
+        return
+    ew = apply_structural(world, ontology, doc)
+    assert (ew.world, ew.user_edges) == expected

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tortrust.errors import PredicateSyntaxError, StructuralContextError
+from tortrust.errors import PredicateSyntaxError
 from tortrust.predicates import eval_predicate, parse_predicate
 from tortrust.world import RelationshipInstance, TypeInstance, World
 
@@ -19,8 +19,8 @@ WORLD = World(
     ))
 
 
-def ev(text, node, ctx="trust"):
-    return eval_predicate(parse_predicate(text), WORLD, node, ctx=ctx)
+def ev(text, node):
+    return eval_predicate(parse_predicate(text), WORLD, node)
 
 
 def test_type_test_accepts_identifier_form():
@@ -67,12 +67,6 @@ def test_structural_tests_in_trust_context():
     assert ev("has_parent(is AS)", "vlink:as1-relay:a")
     assert ev("child_count(is VirtualLink) >= 1", "as:1")
     assert ev("child_count(is VirtualLink) = 0", "as:2")
-
-
-def test_structural_tests_rejected_in_structural_context():
-    pred = parse_predicate("has_child(is VirtualLink)")
-    with pytest.raises(StructuralContextError):
-        eval_predicate(pred, WORLD, "as:1", ctx="structural")
 
 
 def test_unknown_instance_raises():
