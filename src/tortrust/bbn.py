@@ -46,12 +46,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .beliefs import Absolute, Relative, default_scale
+from .beliefs import Absolute, Relative
 from .editor import ATTACHMENT_BELIEFS, resolve_attachments
 from .errors import CompileError, EditError, NetworkTooLargeError
 from .files import atomic_write, json_text, write_text
-from .ontology import is_type
-from .predicates import IdIn, IsType, eval_event, eval_predicate, parse_event
+from .predicates import eval_event, parse_event, select
 from .validation import topological_order
 
 EXACT_NODE_CAP = 24
@@ -176,20 +175,6 @@ class MarginalEstimate:
 
 # --- Compilation -------------------------------------------------------------
 
-def matching_nodes(world, pred):
-    """World node ids satisfying pred, sorted. Fast paths for the two
-    predicate shapes adversary documents are made of."""
-    root = pred.root
-    if isinstance(root, IdIn):
-        return tuple(i for i in sorted(root.ids) if i in world.by_id)
-    if isinstance(root, IsType):
-        return tuple(sorted(i for tname in world.ids_by_type
-                            if is_type(root.name, tname)
-                            for i in world.ids_by_type[tname]))
-    return tuple(inst.id for inst in world.instances
-                 if eval_predicate(pred, world, inst.id))
-
-
 def compile_bbn(ew, trust=(), scale=None):
     """Translate EditedWorld + trust beliefs into a CompiledBbn.
 
@@ -197,10 +182,11 @@ def compile_bbn(ew, trust=(), scale=None):
     (value-equal duplicates collapse), so a belief document can be applied
     in one step or two.  Either way `editor.resolve_attachments` checks
     and resolves them; beliefs of `trust` that the editor already consumed
-    into `ew` are not resolved, or reported, again.
+    into `ew` are not resolved, or reported, again.  Without a `scale`,
+    the one `ew` carries applies: its document's, or the default.
     """
     if scale is None:
-        scale = default_scale()
+        scale = ew.scale
     world = ew.world
     relatives = []
     absolutes = []
@@ -250,13 +236,13 @@ def compile_bbn(ew, trust=(), scale=None):
     risks = {}
     for belief in relatives:
         p = scale.prob(belief.v)
-        for node in matching_nodes(world, belief.pred):
+        for node in select(world, belief.pred.root):
             risks.setdefault(node, []).append(p)
 
     absolute = {}
     for belief in absolutes:
         p = scale.prob(belief.v)
-        for node in matching_nodes(world, belief.pred):
+        for node in select(world, belief.pred.root):
             absolute[node] = p
 
     # Node ranks are positions in id order: the world's ranks, shifted past
@@ -394,37 +380,28 @@ class Sampler:
         ptr, parent_idx, parent_w = bbn.parent_lists
         parents = zip(parent_idx[ptr[idx]:ptr[idx + 1]],
                       parent_w[ptr[idx]:ptr[idx + 1]])
-        if not bbn.needs_draws[idx]:
-            col = np.zeros((self.n + 7) // 8, dtype=np.uint8)
-            for j, w in parents:
-                if w >= 1.0:
-                    col |= self._cols[j]
-            return col
-        u = self._uniforms(idx)
         absolute = bbn.absolute.get(idx)
         if absolute is not None:
-            return np.packbits(u < absolute)
+            return np.packbits(self._uniforms(idx) < absolute)
         if idx in bbn.ce:
             (j, activation), = parents
-            return self._cols[j] & np.packbits(u < activation)
+            return self._cols[j] & np.packbits(self._uniforms(idx)
+                                               < activation)
+        certain = np.zeros((self.n + 7) // 8, dtype=np.uint8)
+        keep = 1.0
+        for j, w in parents:
+            if w >= 1.0:
+                certain |= self._cols[j]
+            elif w > 0.0:
+                keep = keep * np.where(self._unpack(self._cols[j]),
+                                       1.0 - w, 1.0)
+        if not bbn.needs_draws[idx]:
+            return certain
         keep_static = 1.0
         for q in bbn.risks.get(idx, ()):
             keep_static *= 1.0 - q
-        certain = None
-        keep = None
-        for j, w in parents:
-            parent_col = self._cols[j]
-            if w >= 1.0:
-                certain = parent_col if certain is None \
-                    else certain | parent_col
-            elif w > 0.0:
-                factor = np.where(self._unpack(parent_col), 1.0 - w, 1.0)
-                keep = factor if keep is None else keep * factor
-        if keep is None:
-            drawn = np.packbits(u < (1.0 - keep_static))
-        else:
-            drawn = np.packbits(u < (1.0 - keep * keep_static))
-        return drawn if certain is None else drawn | certain
+        return certain | np.packbits(self._uniforms(idx)
+                                     < 1.0 - keep * keep_static)
 
 
 def sample(bbn, seed):

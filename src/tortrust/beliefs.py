@@ -207,7 +207,7 @@ def parse_belief_document(text):
         if key not in ("scale", "structural", "trust"):
             raise BeliefFormatError(f"unknown top-level key {key!r}")
 
-    scale = _parse_scale(data.get("scale"))
+    scale = scale_from_json(data.get("scale"))
     structural = tuple(
         belief_from_json(entry, f"structural[{i}]", STRUCTURAL_TAGS)
         for i, entry in enumerate(_expect_list(data.get("structural", []),
@@ -225,7 +225,8 @@ def _expect_list(value, path):
     return value
 
 
-def _parse_scale(data):
+def scale_from_json(data):
+    """The TrustScale of a `scale` object; the default scale for None."""
     if data is None:
         return default_scale()
     if not isinstance(data, dict):
@@ -373,10 +374,13 @@ def _write_slot(kind, value):
     return value
 
 
+def scale_to_json(scale):
+    return {"mapping": scale.mapping, "ce_mapping": scale.ce_mapping}
+
+
 def serialize_belief_document(doc):
     payload = {
-        "scale": {"mapping": doc.scale.mapping,
-                  "ce_mapping": doc.scale.ce_mapping},
+        "scale": scale_to_json(doc.scale),
         "structural": [belief_to_json(b) for b in doc.structural],
         "trust": [belief_to_json(b) for b in doc.trust],
     }

@@ -147,10 +147,11 @@ def cmd_world_validate(args):
 
 def cmd_beliefs_check(args):
     doc = load_belief_document(args.doc)
+    ontology = _load_ontology(args)
+    if _failed(validate_ontology(ontology)):
+        return EXIT_INVALID
     if args.world:
-        world = load_world(args.world)
-        ontology = _load_ontology(args)
-        apply_structural(world, ontology, doc)
+        apply_structural(load_world(args.world), ontology, doc)
     sys.stderr.write("belief document ok: %d structural, %d trust\n"
                      % (len(doc.structural), len(doc.trust)))
     return EXIT_OK

@@ -5,10 +5,10 @@ instance, relationship and attribute edits in document order, then attaches
 budgets and CE beliefs.  Each edit sees the edits listed before it, so a
 relationship must follow the instances it joins, and each edit checks the
 ids it names.  The output is an EditedWorld: the new world graph plus
-per-node budget and CE attachments and the augmented ontology.  A document
-without instance, relationship or attribute edits leaves the world as it
-is: the EditedWorld holds the input world itself, with the maps it has
-already built.
+per-node budget and CE attachments, the augmented ontology and the
+document's trust scale.  A document without instance, relationship or
+attribute edits leaves the world as it is: the EditedWorld holds the input
+world itself, with the maps it has already built.
 
 Every EditedWorld made here passes one gate, `_checked`: the ontology, then
 the world against it with the user relationships exempt, both into one
@@ -22,7 +22,7 @@ relationship against the world's relationships.
 `resolve_attachments` is the one rule for budget and CE beliefs: their
 checks, duplicates, silenced beliefs, scopes and scope overlaps.
 The gate and `compile_bbn` each run it once, and an EditedWorld keeps the
-beliefs it resolves them to.
+beliefs it resolves them to.  Scopes are chosen by `predicates.select`.
 """
 
 import json
@@ -32,12 +32,13 @@ from dataclasses import dataclass, field
 from .beliefs import (TRUST_TAGS, AddInstance, AddRelationship, Budget1,
                       Budget2, CE1, CE2, NovelType, RemoveInstance,
                       RemoveRelationship, SetAttribute, belief_from_json,
-                      belief_to_json)
+                      belief_to_json, default_scale, scale_from_json,
+                      scale_to_json)
 from .errors import EditError
-from .ontology import (AttributeDef, Ontology, TypeDef, USER, is_type,
+from .ontology import (AttributeDef, Ontology, TypeDef, USER,
                        ontology_from_dict, ontology_to_dict,
                        validate_ontology)
-from .predicates import eval_predicate
+from .predicates import IsType, select
 from .world import (TypeInstance, World, validate_world, world_from_dict,
                     world_to_dict)
 
@@ -61,12 +62,13 @@ class EditedWorld:
     # `budgets` and `ce_specs`, silenced ones included; compile_bbn skips
     # them in its `trust` argument.
     consumed: frozenset = frozenset()
+    # The document's trust scale, which compile_bbn uses unless given one.
+    scale: object = field(default_factory=default_scale)
 
 
 def children_matching(ew, node_id, pred):
     """Children of node_id satisfying pred, ordered by id."""
-    return tuple(c for c in ew.world.children(node_id)
-                 if eval_predicate(pred, ew.world, c))
+    return select(ew.world, pred.root, ew.world.children(node_id))
 
 
 def apply_structural(world, ontology, doc):
@@ -82,10 +84,12 @@ def apply_structural(world, ontology, doc):
         else (world, set())
     consumed = frozenset(b for b in doc.trust
                          if isinstance(b, ATTACHMENT_BELIEFS))
-    return _checked(edited, ontology, user_edges, doc.trust, consumed)
+    return _checked(edited, ontology, user_edges, doc.trust, doc.scale,
+                    consumed)
 
 
-def _checked(world, ontology, user_edges, beliefs, consumed=frozenset()):
+def _checked(world, ontology, user_edges, beliefs, scale,
+             consumed=frozenset()):
     """The one gate every EditedWorld of this module passes: the ontology
     and the world, with `user_edges` exempt, go into one report, raised as
     an EditError; then `resolve_attachments` checks the budget and CE
@@ -99,7 +103,8 @@ def _checked(world, ontology, user_edges, beliefs, consumed=frozenset()):
     return EditedWorld(world=world, ontology=ontology,
                        budgets=_beliefs(budget_scopes),
                        ce_specs=_beliefs(ce_scopes),
-                       user_edges=frozenset(user_edges), consumed=consumed)
+                       user_edges=frozenset(user_edges), consumed=consumed,
+                       scale=scale)
 
 
 def _edit(world, ontology, edits):
@@ -143,8 +148,7 @@ def _augment_types(ontology, novel_types):
 def _add_instance(belief, ontology, instances):
     if belief.id in instances:
         raise EditError(f"instance id {belief.id!r} already exists")
-    resolved = belief.type_name if ontology.has_type(belief.type_name) \
-        else ontology.resolve_type_name(belief.type_name)
+    resolved = ontology.resolve_type_name(belief.type_name)
     if resolved is None:
         raise EditError(f"instance {belief.id!r} has unknown type "
                         f"{belief.type_name!r}")
@@ -264,11 +268,9 @@ def resolve_attachments(world, ontology, beliefs):
 def _scope(world, node, belief):
     children = world.children(node)
     if isinstance(belief, Budget1):
-        return tuple(c for c in children
-                     if is_type(belief.type_name, world.type_of(c)))
+        return select(world, IsType(belief.type_name), children)
     if isinstance(belief, CE1):
-        return tuple(c for c in children
-                     if eval_predicate(belief.pred, world, c))
+        return select(world, belief.pred.root, children)
     return children
 
 
@@ -292,14 +294,16 @@ def edited_world_to_dict(ew):
                            for n in sorted(ew.ce_specs)
                            for b in ew.ce_specs[n]]
     payload["user_relationships"] = sorted(list(e) for e in ew.user_edges)
+    payload["scale"] = scale_to_json(ew.scale)
     return payload
 
 
 def edited_world_from_dict(data):
-    """Parse an edited-world file's dict.  Raises ValueError naming the
-    first malformed key or entry, and EditError when a user relationship
-    is not a relationship of the world or when the gate rejects the
-    ontology, the world or the budget and CE beliefs."""
+    """Parse an edited-world file's dict; without `scale` it gets the
+    default scale.  Raises ValueError naming the first malformed key or
+    entry, and EditError when a user relationship is not a relationship of
+    the world or when the gate rejects the ontology, the world or the
+    budget and CE beliefs."""
     world = world_from_dict(data)
     if "ontology" not in data:
         raise ValueError("edited world file: missing 'ontology'")
@@ -325,7 +329,8 @@ def edited_world_from_dict(data):
         if at < 0:
             raise EditError(f"user_relationships[{i}]: {user_edges[i]!r} is "
                             "not a relationship of the world")
-    return _checked(world, ontology, user_edges, attached)
+    return _checked(world, ontology, user_edges, attached,
+                    scale_from_json(data.get("scale")))
 
 
 def _list_of(data, key):

@@ -135,9 +135,13 @@ def run_experiment(cfg):
     clients = list(cfg.clients)
     if not clients:
         raise ValueError("experiment config has no clients")
-    for scenario in cfg.scenarios:
+    if not cfg.scenarios:
+        raise ValueError("experiment config has no scenarios")
+    for k, scenario in enumerate(cfg.scenarios):
         if scenario not in DEFAULT_SCENARIOS:
             raise ValueError(f"unknown scenario {scenario!r}")
+        if scenario in cfg.scenarios[:k]:
+            raise ValueError(f"scenario {scenario!r} is listed twice")
     if cfg.n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, not {cfg.n_samples}")
     trust = SCENARIO_CLIENTS_TRUST in cfg.scenarios

@@ -85,7 +85,9 @@ class Ontology:
         return (from_type, to_type) in self.edge_pairs
 
     def resolve_type_name(self, normalized):
-        """Map a predicate-style identifier back to a declared type name."""
+        """Map a type name, or its identifier form as written in
+        predicates, to the declared type it names; in an ontology that
+        validates that type is unique."""
         return next((t.name for t in self.types
                      if is_type(normalized, t.name)), None)
 
@@ -194,13 +196,21 @@ def default_ontology():
 # ---------------------------------------------------------------------------
 
 def validate_ontology(ontology):
-    """Check every ontology invariant; violations go into the report."""
+    """Check every ontology invariant; violations go into the report.  Two
+    types of one identifier form are duplicates."""
     report = ValidationReport()
-    seen = set()
+    first = {}                  # identifier form -> first type name
     for t in ontology.types:
-        if t.name in seen:
-            report.add("duplicate-type", f"type {t.name!r} declared twice", (t.name,))
-        seen.add(t.name)
+        form = normalize_type_name(t.name)
+        other = first.get(form)
+        if other == t.name:
+            report.add("duplicate-type", f"type {t.name!r} declared twice",
+                       (t.name,))
+        elif other is not None:
+            report.add("duplicate-type",
+                       f"types {other!r} and {t.name!r} share the identifier "
+                       f"form {form!r}", (other, t.name))
+        first.setdefault(form, t.name)
         _check_label(report, f"type {t.name!r}", "label", t.label, (t.name,))
         _check_attributes(report, f"type {t.name!r}", t.attributes, (t.name,))
 
@@ -261,11 +271,6 @@ def _check_attributes(report, owner, attributes, elements):
 
 def extend_ontology(ontology, new_types=(), new_edges=()):
     """Merge user types/edges into an ontology; the result must validate."""
-    existing = {t.name for t in ontology.types}
-    for t in new_types:
-        if t.name in existing:
-            raise OntologyError(f"type name {t.name!r} already declared")
-        existing.add(t.name)
     merged = Ontology(
         types=ontology.types + tuple(new_types),
         edges=ontology.edges + tuple(new_edges),

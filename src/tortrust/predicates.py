@@ -27,14 +27,18 @@ where NODEID is any run of characters other than whitespace, parentheses
 and quotes ("ce:as:1#0"); "in", "is" and "id" are node ids there.
 
 Type names are written in identifier form: spaces, slashes and hyphens
-dropped ("Router/Switch" -> RouterSwitch).  A comparison against a missing
-attribute is false and logs a warning.  Structural tests (child_count,
-has_parent, has_child) walk the world's edges.
+dropped ("Router/Switch" -> RouterSwitch); a valid ontology gives each
+type its own.  A comparison against a missing attribute is false and logs
+a warning.  Structural tests (child_count, has_parent, has_child) walk the
+world's edges.  `select` is the one rule for which nodes a predicate
+picks; it answers `is` and `id in` from the world's type codes and index.
 """
 
 import logging
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import PredicateSyntaxError
 from .ontology import is_type
@@ -358,6 +362,21 @@ def eval_predicate(pred, world, node_id):
     return _eval(pred.root, world, node_id)
 
 
+def select(world, node, ids=None):
+    """The ids among `ids` on which the predicate tree `node` holds, in
+    the order of `ids`; with `ids` None, every instance of `world` in id
+    order, where `id in` and `is` at the root skip evaluating each id."""
+    if ids is None and isinstance(node, IdIn):
+        return tuple(i for i in sorted(node.ids) if i in world.by_id)
+    if ids is None and isinstance(node, IsType):
+        hit = np.isin(world.type_code, [k for k, t in enumerate(
+            world.type_names) if is_type(node.name, t)])
+        return tuple(map(world.names.__getitem__,
+                         np.flatnonzero(hit).tolist()))
+    return tuple(i for i in (world.by_id if ids is None else ids)
+                 if _eval(node, world, i))
+
+
 def _eval(node, world, node_id):
     if isinstance(node, And):
         return all(_eval(n, world, node_id) for n in node.items)
@@ -369,19 +388,14 @@ def _eval(node, world, node_id):
         return is_type(node.name, world.type_of(node_id))
     if isinstance(node, IdIn):
         return node_id in node.ids
-    if isinstance(node, AttrCmp):
+    if isinstance(node, (AttrCmp, AttrIn)):
         value = world.by_id[node_id].attributes.get(node.name, _MISSING)
         if value is _MISSING:
             log.warning("predicate tests missing attribute %r on %s",
                         node.name, node_id)
             return False
-        return _compare(value, node.op, node.value, node.name, node_id)
-    if isinstance(node, AttrIn):
-        value = world.by_id[node_id].attributes.get(node.name, _MISSING)
-        if value is _MISSING:
-            log.warning("predicate tests missing attribute %r on %s",
-                        node.name, node_id)
-            return False
+        if isinstance(node, AttrCmp):
+            return _compare(value, node.op, node.value, node.name, node_id)
         if isinstance(value, (list, tuple, set, frozenset)):
             return any(v in node.values for v in value)
         return value in node.values

@@ -41,6 +41,11 @@ class SynthParams:
 def _check_params(p):
     if p.n_as < 2:
         raise ValueError("n_as must be at least 2")
+    for name in ("n_ixp", "n_epochs"):
+        if getattr(p, name) < 0:
+            raise ValueError(f"{name} must not be negative")
+    if not 0.0 <= p.drop_one_direction_fraction <= 1.0:
+        raise ValueError("drop_one_direction_fraction must be in [0,1]")
     if p.n_relays < 2:
         raise ValueError("n_relays must be at least 2")
     if p.max_path_len < 1:

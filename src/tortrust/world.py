@@ -9,11 +9,13 @@ belief document edits nothing.
 A world is interned as integers once, where it is built or read: the
 sorted ids of its instances and edge endpoints, one type code per id, and
 each edge once as a pair of int32 ranks, sorted.  Validation and
-compilation work on these arrays; `children` and `parents` answer from
-them, and the (parent, child) pairs `World.edges` and the
-RelationshipInstance tuple `World.relationships` are views built on
-demand.  `world_from_dict` reads each column of a world file in one pass
-and names the first malformed entry.
+compilation work on these arrays.  The type codes are the one index of
+instances by type: `of_type` and `predicates.select` read them.
+`children` and `parents` answer from the rank arrays, and the (parent,
+child) pairs `World.edges` and the RelationshipInstance tuple
+`World.relationships` are views built on demand.  `world_from_dict` reads
+each column of a world file in one pass and names the first malformed
+entry.
 
 Node identifiers are plain strings with a short type prefix, e.g.
 "as:3356", "relay:fp_ab12", "vlink:as3356-relay:fp_ab12".
@@ -195,13 +197,6 @@ class World:
         hit = np.append(edge_keys, -2)[pos] == keys
         return np.where(hit, pos, -1)
 
-    @cached_property
-    def ids_by_type(self):
-        m = {}
-        for i in self.instances:
-            m.setdefault(i.type_name, []).append(i.id)
-        return {k: tuple(v) for k, v in m.items()}
-
     def __contains__(self, node_id):
         return node_id in self.by_id
 
@@ -227,7 +222,12 @@ class World:
         return tuple(map(self.names.__getitem__, idx[ptr[r]:ptr[r + 1]]))
 
     def of_type(self, type_name):
-        return self.ids_by_type.get(type_name, ())
+        """Ids of the instances of type `type_name`, sorted."""
+        if type_name not in self.type_names:
+            return ()
+        ranks = np.flatnonzero(self.type_code
+                               == self.type_names.index(type_name))
+        return tuple(map(self.names.__getitem__, ranks.tolist()))
 
 
 def _intern(names, parents, children):

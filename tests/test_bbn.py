@@ -12,10 +12,9 @@ from tortrust.bbn import (CompiledBbn, Sampler, bbn_from_dict, bbn_to_dict,
                           compile_bbn, compromise_probability,
                           enumerate_exact, estimate_event, estimate_marginals,
                           exact_event, exact_marginals, load_samples,
-                          matching_nodes, parse_event, sample,
-                          sample_matrix, save_samples)
+                          parse_event, sample, sample_matrix, save_samples)
 from tortrust.errors import CompileError, NetworkTooLargeError
-from tortrust.predicates import eval_predicate, parse_predicate
+from tortrust.predicates import eval_predicate, parse_predicate, select
 
 SCALE = TrustScale()
 
@@ -241,11 +240,11 @@ def test_compile_rejects_ce_id_of_a_world_node(make_edited):
         compile_bbn(ew, trust=(CE2("as:1", "U"),), scale=SCALE)
 
 
-def test_matching_nodes_fast_paths(make_edited):
+def test_select_fast_paths(make_edited):
     ew = _linear(make_edited)
-    assert matching_nodes(ew.world, _pred('id in {"as:1", "nope"}')) == \
+    assert select(ew.world, _pred('id in {"as:1", "nope"}').root) == \
         ("as:1",)
-    assert matching_nodes(ew.world, _pred("is VirtualLink")) == \
+    assert select(ew.world, _pred("is VirtualLink").root) == \
         ("vlink:a", "vlink:b")
 
 
@@ -267,9 +266,9 @@ def _attributed_worlds(draw):
     return World(instances, edges)
 
 
-# `is` and `id in` alone take matching_nodes' fast paths, with type names
-# in both spellings, an undeclared type and unknown ids; every other shape
-# takes the general one.
+# `is` and `id in` alone take select's fast paths over the whole world,
+# with type names in both spellings, an undeclared type and unknown ids;
+# every other shape, and every call given ids, takes the general one.
 _MATCH_ATOMS = st.one_of(
     st.sampled_from(("AS", "TorRelay", "VirtualLink", "RouterSwitch",
                      "Teleporter")).map("is {}".format),
@@ -287,11 +286,17 @@ _MATCH_PREDICATES = st.recursive(_MATCH_ATOMS, lambda inner: st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(_attributed_worlds(), _MATCH_ATOMS, _MATCH_PREDICATES)
-def test_matching_nodes_is_the_predicate(world, atom, text):
+def test_select_is_the_predicate(world, atom, text):
+    """Over every instance, and over each node's children as the editor's
+    bu1 and ce1 scopes ask."""
     for pred in (_pred(atom), _pred(text)):
-        assert matching_nodes(world, pred) == tuple(
+        assert select(world, pred.root) == tuple(
             i.id for i in world.instances
             if eval_predicate(pred, world, i.id))
+        for node in world.by_id:
+            children = world.children(node)
+            assert select(world, pred.root, children) == tuple(
+                c for c in children if eval_predicate(pred, world, c))
 
 
 def test_relative_belief_on_an_attribute(make_edited):
@@ -898,7 +903,7 @@ def _reference_nodes(ew, trust, scale):
     absolute = {}
     for belief in trust:
         if isinstance(belief, (Relative, Absolute)):
-            for node in matching_nodes(world, belief.pred):
+            for node in select(world, belief.pred.root):
                 if isinstance(belief, Relative):
                     risks[node].append(scale.prob(belief.v))
                 else:

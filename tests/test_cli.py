@@ -212,6 +212,42 @@ def test_experiment_bad_counts_exit_code(workdir, tmp_path, capsys, field,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenarios,message", [
+    ([], "experiment config has no scenarios"),
+    (["tor-default", "clients-trust", "tor-default"],
+     "scenario 'tor-default' is listed twice"),
+])
+def test_experiment_bad_scenarios_exit_code(workdir, tmp_path, capsys,
+                                            scenarios, message):
+    cfg = {"world": workdir["world"], "adversary": workdir["doc"],
+           "clients": ["as:1000"], "destination_as": "as:1007",
+           "n_samples": 100, "seed": 1, "scenarios": scenarios}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "table.csv"
+    assert main(["experiment", "run", "--config", str(cfg_path),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--drop-fraction", "-0.5", "drop_one_direction_fraction must be in "
+     "[0,1]"),
+    ("--drop-fraction", "1.5", "drop_one_direction_fraction must be in "
+     "[0,1]"),
+    ("--n-ixp", "-1", "n_ixp must not be negative"),
+    ("--n-epochs", "-1", "n_epochs must not be negative"),
+])
+def test_synth_parameter_exit_code(tmp_path, capsys, option, value,
+                                   message):
+    out = tmp_path / "bundle"
+    assert main(["world", "synth", "--seed", "1", "--out", str(out),
+                 option, value]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_malformed_bbn_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nodes": [
@@ -355,8 +391,8 @@ def test_chain_outputs_are_pinned(workdir):
                       "b8c6b6c43da5b7d81f4dc86ed1345120",
         "theman.json": "dabc90ea45c59c3c7ed720f6468fc9e8"
                        "6a6febbf77fa2b407b35bac26c46fc72",
-        "edited.json": "967f6c9990d6944df51a77519c258ab3"
-                       "7cc9a74401b9ea313928fd5ea7cc7c47",
+        "edited.json": "5278ca3345a281be69875c320ceeb186"
+                       "c089abe62aa919a2059ca10c7e334206",
         "bbn.json": "caf497a1808b54af2cc809cf4e65f483"
                     "deb358d73eb466bc318f138aafd5913c",
     }
@@ -676,6 +712,73 @@ def test_two_step_compile_keeps_the_last_budget(tmp_path, budgets):
         at = bbn.index[link]
         assert bbn.parent_w[bbn.parent_ptr[at]:bbn.parent_ptr[at + 1]] \
             .tolist() == [2 / 3]
+
+
+def test_two_step_compile_keeps_the_document_scale(tmp_path):
+    """An edited world carries its document's scale: `bbn compile
+    --edited` without `--doc` gives the one-step network, CE activation
+    0.3 from the document's ce_mapping, not the default 0.85."""
+    paths = {name: str(tmp_path / f"{name}.json")
+             for name in ("world", "doc", "edited", "bbn")}
+    Path(paths["world"]).write_text(json.dumps({
+        "instances": [{"id": "as:1", "type_name": "AS"},
+                      {"id": "vlink:a", "type_name": "Virtual Link"}],
+        "relationships": [{"parent": "as:1", "child": "vlink:a"}]}))
+    Path(paths["doc"]).write_text(json.dumps({
+        "scale": {"ce_mapping": {"SC": 0.9, "LC": 0.3, "U": 0.5,
+                                 "LT": 0.1, "ST": 0.05}},
+        "structural": [], "trust": [["ce2", "as:1", "top", "LC"]]}))
+    assert main(["beliefs", "apply", "--doc", paths["doc"],
+                 "--world", paths["world"], "--out", paths["edited"]]) == 0
+    assert main(["bbn", "compile", "--edited", paths["edited"],
+                 "--out", paths["bbn"]]) == 0
+    doc = load_belief_document(paths["doc"])
+    one_step = compile_bbn(apply_structural(load_world(paths["world"]),
+                                            default_ontology(), doc),
+                           doc.trust, doc.scale)
+    assert Path(paths["bbn"]).read_text() == json_text(bbn_to_dict(one_step))
+    bbn = load_bbn(paths["bbn"])
+    ce = bbn.index["ce:as:1#0"]
+    assert bbn.parent_w[bbn.parent_ptr[ce]:bbn.parent_ptr[ce + 1]] \
+        .tolist() == [0.3]
+
+
+def test_edited_world_without_a_scale_gets_the_default(tmp_path):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(_edited_doc(
+        ce_specs=[["ce2", "as:1", "top", "LC"]])))
+    out = tmp_path / "bbn.json"
+    assert main(["bbn", "compile", "--edited", str(path),
+                 "--out", str(out)]) == 0
+    bbn = load_bbn(str(out))
+    assert bbn.parent_w[bbn.parent_ptr[bbn.index["ce:as:1#0"]]] == 0.85
+
+
+def test_beliefs_check_reads_the_ontology_alone(workdir, tmp_path, capsys):
+    """`--ontology` is loaded and validated without `--world` too: an
+    invalid one exits 3 with its report, a missing file 4."""
+    ontology = tmp_path / "ontology.json"
+    ontology.write_text(json.dumps(invalid_ontology_dict()))
+    check = ["beliefs", "check", "--doc", workdir["doc"], "--ontology"]
+    assert main(check + [str(ontology)]) == 3
+    assert capsys.readouterr().err == f"{INVALID_ONTOLOGY}\n"
+    assert main(check + [str(tmp_path / "missing.json")]) == 4
+    assert "missing.json" in capsys.readouterr().err
+    ontology.write_text(json.dumps(ontology_to_dict(default_ontology())))
+    assert main(check + [str(ontology)]) == 0
+    assert "belief document ok" in capsys.readouterr().err
+
+
+def test_types_of_one_identifier_form_exit_code(workdir, tmp_path, capsys):
+    data = ontology_to_dict(default_ontology())
+    data["types"] = [*data["types"], {"name": "TorRelay"}]
+    ontology = tmp_path / "ontology.json"
+    ontology.write_text(json.dumps(data))
+    assert main(["world", "validate", "--world", workdir["world"],
+                 "--ontology", str(ontology)]) == 3
+    assert capsys.readouterr().err == (
+        "1 violation(s):\n  [duplicate-type] types 'Tor Relay' and "
+        "'TorRelay' share the identifier form 'TorRelay'\n")
 
 
 def test_misspelt_scale_key_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +16,7 @@ from tortrust.editor import (EditedWorld, apply_structural, children_matching,
                              resolve_attachments)
 from tortrust.errors import CompileError, EditError
 from tortrust.ontology import ontology_from_dict, validate_ontology
-from tortrust.predicates import parse_predicate
+from tortrust.predicates import parse_predicate, select
 from tortrust.world import (RelationshipInstance, TypeInstance, World,
                             validate_world)
 
@@ -364,6 +365,35 @@ def test_novel_type_checked_by_the_gate(ontology):
     with pytest.raises(EditError, match=r"\[duplicate-type\] type 'AS' "
                        "declared twice"):
         _apply(ontology, ["ut", "AS", None, None])
+
+
+@pytest.mark.parametrize("tname", ["TorRelay", "Tor-Relay"])
+def test_novel_type_of_a_declared_identifier_form_rejected(ontology, tname):
+    with pytest.raises(EditError, match=re.escape(
+            f"[duplicate-type] types 'Tor Relay' and {tname!r} share the "
+            "identifier form 'TorRelay'")):
+        _apply(ontology, ["ut", tname, None, None])
+
+
+def test_is_and_inst_name_one_type(ontology):
+    ew = _apply(ontology, ["ut", "Treaty Org", None, None],
+                ["inst", "TreatyOrg", {}, "treaty:1"],
+                ["inst", "Treaty Org", {}, "treaty:2"],
+                ["inst", "TorRelay", {}, "relay:c"])
+    assert ew.world.of_type("Treaty Org") == ("treaty:1", "treaty:2")
+    assert select(ew.world, parse_predicate("is TreatyOrg").root) == \
+        ("treaty:1", "treaty:2")
+    assert ew.world.type_of("relay:c") == "Tor Relay"
+
+
+def test_edited_world_keeps_the_document_scale(ontology):
+    doc = parse_belief_document(json.dumps({
+        "scale": {"ce_mapping": {"SC": 0.9, "LC": 0.3, "U": 0.5,
+                                 "LT": 0.1, "ST": 0.05}},
+        "trust": [["ce2", "as:1", "top", "LC"]]}))
+    ew = apply_structural(BASE, ontology, doc)
+    assert ew.scale == doc.scale
+    assert edited_world_from_dict(edited_world_to_dict(ew)).scale == doc.scale
 
 
 def test_world_violation_reported_before_attachments(ontology):

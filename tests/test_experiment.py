@@ -181,6 +181,21 @@ def test_n_samples_checked_before_applying(config, monkeypatch):
             run_experiment(dataclasses.replace(config, n_samples=n))
 
 
+@pytest.mark.parametrize("scenarios,message", [
+    ((), "experiment config has no scenarios"),
+    (("tor-default", "clients-trust", "tor-default"),
+     "scenario 'tor-default' is listed twice"),
+])
+def test_scenarios_checked_before_applying(config, monkeypatch, scenarios,
+                                           message):
+    def no_apply(*args, **kwargs):
+        raise AssertionError("applied before checking the config")
+
+    monkeypatch.setattr(experiment, "apply_structural", no_apply)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(dataclasses.replace(config, scenarios=scenarios))
+
+
 @pytest.mark.parametrize("scenarios,unused", [
     (("tor-default", "clients-trust"), {"k_servers": 0}),
     (("tor-default",), {"k_servers": 0, "guard_count": 0}),

@@ -42,6 +42,17 @@ def test_duplicate_type_flagged():
     assert "duplicate-type" in validate_ontology(onto).codes()
 
 
+@pytest.mark.parametrize("name", ["TorRelay", "Tor-Relay"])
+def test_types_of_one_identifier_form_flagged(ontology, name):
+    """`is TorRelay` would name both types, so the second is a
+    duplicate."""
+    onto = Ontology(types=ontology.types + (TypeDef(name),),
+                    edges=ontology.edges)
+    report = validate_ontology(onto)
+    assert report.codes() == ["duplicate-type"]
+    assert report.violations[0].elements == ("Tor Relay", name)
+
+
 def test_dangling_edge_flagged():
     onto = Ontology(types=(TypeDef("A"),), edges=(EdgeDef("A", "B"),))
     assert "dangling-edge" in validate_ontology(onto).codes()
@@ -107,8 +118,9 @@ def test_extend_adds_user_type(ontology):
 
 
 def test_extend_rejects_duplicate_name(ontology):
-    with pytest.raises(OntologyError):
-        extend_ontology(ontology, new_types=(TypeDef("AS"),))
+    for name in ("AS", "Tor-Relay"):
+        with pytest.raises(OntologyError, match=r"\[duplicate-type\]"):
+            extend_ontology(ontology, new_types=(TypeDef(name),))
 
 
 def test_extend_rejects_cycle_creating_edge(ontology):

@@ -1,7 +1,11 @@
+import os
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tortrust
 from tortrust.errors import PredicateSyntaxError
 from tortrust.predicates import eval_predicate, parse_predicate
 from tortrust.world import RelationshipInstance, TypeInstance, World
@@ -144,3 +148,17 @@ def test_generated_predicates_parse_and_evaluate(text):
     assert parse_predicate(pred.text).root == pred.root
     for node in ("as:1", "relay:a"):
         assert eval_predicate(pred, WORLD, node) in (True, False)
+
+
+def test_select_is_the_only_selector():
+    """Nodes are picked by predicate through `predicates.select` alone:
+    outside ontology.py and predicates.py nothing calls `is_type` or
+    `eval_predicate`."""
+    src = os.path.dirname(tortrust.__file__)
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name in ("ontology.py",
+                                                "predicates.py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            source = fh.read()
+        assert not re.search(r"\b(is_type|eval_predicate)\(", source), name

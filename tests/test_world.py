@@ -43,6 +43,7 @@ def test_world_lookup_and_edges():
     assert world.children("as:1") == ("vlink:as1-relay:fp_01",)
     assert world.parents("vlink:as1-relay:fp_01") == ("as:1",)
     assert world.of_type("AS") == ("as:1",)
+    assert world.of_type("Teleporter") == ()
     assert world.attribute("relay:fp_01", "guard") == 1
 
 
@@ -489,6 +490,19 @@ def test_synth_drop_fraction_breaks_symmetry():
     pairs = {(p.src, p.dst) for p in bundle.as_paths}
     missing = [(s, d) for s, d in pairs if (d, s) not in pairs]
     assert missing
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("drop_one_direction_fraction", -0.5,
+     "drop_one_direction_fraction must be in"),
+    ("drop_one_direction_fraction", 1.5,
+     "drop_one_direction_fraction must be in"),
+    ("n_ixp", -1, "n_ixp must not be negative"),
+    ("n_epochs", -1, "n_epochs must not be negative"),
+])
+def test_synth_rejects_out_of_range_parameters(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        generate_synthetic(SynthParams(**{field: value}), 1)
 
 
 def test_synth_rejects_oversized_families():
