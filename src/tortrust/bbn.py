@@ -248,8 +248,6 @@ def compile_bbn(ew, trust=(), scale=None):
     # Node ranks are positions in id order: the world's ranks, shifted past
     # the ce ids that sort before them.
     names = world.names
-    if len(world.by_id) != len(world.instances):
-        raise CompileError("translated network has a duplicate node id")
     if (world.type_code < 0).any():
         k = int(np.argmax((world.type_code[world.src] < 0)
                           | (world.type_code[world.dst] < 0)))

@@ -212,7 +212,6 @@ def parse_belief_document(text):
         belief_from_json(entry, f"structural[{i}]", STRUCTURAL_TAGS)
         for i, entry in enumerate(_expect_list(data.get("structural", []),
                                                "structural")))
-    _check_novel_type_names(structural)
     trust = tuple(
         belief_from_json(entry, f"trust[{i}]", TRUST_TAGS)
         for i, entry in enumerate(_expect_list(data.get("trust", []), "trust")))
@@ -250,9 +249,13 @@ def scale_from_json(data):
                       ce_mapping=None if ce_mapping is None else dict(ce_mapping))
 
 
+def _is_probability(p):
+    return isinstance(p, (int, float)) and not isinstance(p, bool) \
+        and 0.0 <= float(p) <= 1.0
+
+
 def _check_probability(p, path):
-    if not isinstance(p, (int, float)) or isinstance(p, bool) \
-            or not 0.0 <= float(p) <= 1.0:
+    if not _is_probability(p):
         raise BeliefFormatError(f"{path}: probability must be in [0,1], "
                                 f"got {p!r}", path=path)
 
@@ -321,16 +324,6 @@ def _parse_attr_decls(decls, path):
                 f"{path}.{name}: unknown data type {data_type!r}", path=path)
         out.append((name, data_type))
     return tuple(out)
-
-
-def _check_novel_type_names(structural):
-    seen = set()
-    for belief in structural:
-        if isinstance(belief, NovelType):
-            if belief.tname in seen:
-                raise BeliefFormatError(
-                    f"novel type {belief.tname!r} declared twice")
-            seen.add(belief.tname)
 
 
 def _parse_pred(text, path):
@@ -404,13 +397,21 @@ def build_the_man(world, p_org=0.1, p_fam_max=0.1, p_fam_min=0.001):
     Every relay family is compromised with a probability that falls
     linearly from p_fam_max (never-running family) to p_fam_min (family
     with perfect uptime); every AS and IXP organization independently
-    with p_org.
+    with p_org.  Raises ValueError for an option, or a family's uptime,
+    that is not a number in [0, 1].
     """
+    for name, p in (("p_org", p_org), ("p_fam_max", p_fam_max),
+                    ("p_fam_min", p_fam_min)):
+        if not _is_probability(p):
+            raise ValueError(f"{name} must be a number in [0, 1], got {p!r}")
     trust = []
     for fid in world.of_type(ont.RELAY_FAMILY):
         uptime = world.attribute(fid, "uptime")
         if uptime is None:
             raise DatasetError(f"family {fid!r} has no uptime attribute")
+        if not _is_probability(uptime):
+            raise ValueError(f"family {fid!r} has uptime {uptime!r}, not a "
+                             "number in [0, 1]")
         p = p_fam_max - (p_fam_max - p_fam_min) * float(uptime)
         trust.append(Absolute(pred=parse_predicate(f'id in {{"{fid}"}}'), v=p))
     org_types = (ont.AS_ORGANIZATION, ont.IXP_ORGANIZATION)

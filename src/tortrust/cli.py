@@ -30,13 +30,15 @@ from .bbn import (EXACT_NODE_CAP, compile_bbn, enumerate_exact, bbn_to_dict,
                   estimate_event, estimate_marginals, load_bbn, sample_matrix,
                   save_samples)
 from .datasets import load_bundle, save_bundle
-from .editor import apply_structural, load_edited_world, edited_world_to_dict
+from .editor import (apply_structural, document_ontology, edited_world_to_dict,
+                     load_edited_world)
 from .errors import (BeliefFormatError, CompileError, DatasetError, EditError,
                      NetworkTooLargeError, OntologyError,
                      PredicateSyntaxError)
 from .experiment import DEFAULT_SCENARIOS, ExperimentConfig, run_experiment
 from .files import csv_text, json_text, write_text
-from .ontology import default_ontology, load_ontology, validate_ontology
+from .ontology import (Ontology, default_ontology, load_ontology,
+                       validate_ontology)
 from .synth import SynthParams, generate_synthetic
 from .world import load_world, validate_world, world_to_dict
 from .worldgen import build_world
@@ -139,7 +141,7 @@ def cmd_world_validate(args):
     if _failed(validate_world(world, ontology)):
         return EXIT_INVALID
     sys.stderr.write("world ok: %d instances, %d relationships\n"
-                     % (len(world.instances), len(world.src)))
+                     % (len(world.ids), len(world.src)))
     return EXIT_OK
 
 
@@ -152,6 +154,8 @@ def cmd_beliefs_check(args):
         return EXIT_INVALID
     if args.world:
         apply_structural(load_world(args.world), ontology, doc)
+    elif _failed(validate_ontology(document_ontology(Ontology(), doc))):
+        return EXIT_INVALID         # the novel types among themselves
     sys.stderr.write("belief document ok: %d structural, %d trust\n"
                      % (len(doc.structural), len(doc.trust)))
     return EXIT_OK

@@ -39,8 +39,7 @@ from .ontology import (AttributeDef, Ontology, TypeDef, USER,
                        ontology_from_dict, ontology_to_dict,
                        validate_ontology)
 from .predicates import IsType, select
-from .world import (TypeInstance, World, validate_world, world_from_dict,
-                    world_to_dict)
+from .world import World, validate_world, world_from_dict, world_to_dict
 
 log = logging.getLogger(__name__)
 
@@ -77,8 +76,7 @@ def apply_structural(world, ontology, doc):
     A document without instance, relationship or attribute edits leaves
     the world as it is: the edited world is the input world itself, with
     its cached maps."""
-    new_types = [b for b in doc.structural if isinstance(b, NovelType)]
-    ontology = _augment_types(ontology, new_types)
+    ontology = document_ontology(ontology, doc)
     edits = [b for b in doc.structural if not isinstance(b, NovelType)]
     edited, user_edges = _edit(world, ontology, edits) if edits \
         else (world, set())
@@ -110,28 +108,35 @@ def _checked(world, ontology, user_edges, beliefs, scale,
 def _edit(world, ontology, edits):
     """A new world with `edits` applied in order, and the set of user
     edges: added relationships with no ontology edge for their types."""
-    instances = {i.id: i for i in world.instances}
+    codes = world.type_code[world.type_code >= 0].tolist()
+    types = dict(zip(world.ids, map(world.type_names.__getitem__, codes)))
+    attributes = dict(world.attributes)
     edges = dict.fromkeys(world.edges, {})
     edges.update(world.edge_attributes)
     user_edges = set()
 
     for belief in edits:
         if isinstance(belief, AddInstance):
-            _add_instance(belief, ontology, instances)
+            _add_instance(belief, ontology, types, attributes)
         elif isinstance(belief, RemoveInstance):
-            _remove_instance(belief, instances, edges, user_edges)
+            _remove_instance(belief, types, edges, user_edges)
         elif isinstance(belief, AddRelationship):
-            _add_relationship(belief, ontology, instances, edges, user_edges)
+            _add_relationship(belief, ontology, types, edges, user_edges)
         elif isinstance(belief, RemoveRelationship):
             _remove_relationship(belief, edges, user_edges)
         elif isinstance(belief, SetAttribute):
-            _set_attribute(belief, instances)
+            _set_attribute(belief, types, attributes)
         else:
             raise EditError(f"unknown structural belief {belief!r}")
-    return World.from_edges(instances.values(), edges), user_edges
+    edited = World.from_columns(
+        list(types), list(types.values()), list(map(attributes.get, types)),
+        [p for p, _ in edges], [c for _, c in edges], list(edges.values()))
+    return edited, user_edges
 
 
-def _augment_types(ontology, novel_types):
+def document_ontology(ontology, doc):
+    """`ontology` with the novel types of `doc` declared, unvalidated."""
+    novel_types = [b for b in doc.structural if isinstance(b, NovelType)]
     if not novel_types:
         return ontology
     type_defs = []
@@ -145,37 +150,35 @@ def _augment_types(ontology, novel_types):
                     edges=ontology.edges)
 
 
-def _add_instance(belief, ontology, instances):
-    if belief.id in instances:
+def _add_instance(belief, ontology, types, attributes):
+    if belief.id in types:
         raise EditError(f"instance id {belief.id!r} already exists")
     resolved = ontology.resolve_type_name(belief.type_name)
     if resolved is None:
         raise EditError(f"instance {belief.id!r} has unknown type "
                         f"{belief.type_name!r}")
-    instances[belief.id] = TypeInstance(belief.id, resolved,
-                                        dict(belief.data))
+    types[belief.id] = resolved
+    attributes[belief.id] = dict(belief.data)
 
 
-def _remove_instance(belief, instances, edges, user_edges):
-    if belief.id not in instances:
+def _remove_instance(belief, types, edges, user_edges):
+    if belief.id not in types:
         raise EditError(f"cannot remove unknown instance {belief.id!r}")
-    del instances[belief.id]
+    del types[belief.id]
     for key in [key for key in edges if belief.id in key]:
         del edges[key]
         user_edges.discard(key)
 
 
-def _add_relationship(belief, ontology, instances, edges, user_edges):
+def _add_relationship(belief, ontology, types, edges, user_edges):
     p, c = belief.parent, belief.child
     for node in (p, c):
-        if node not in instances:
+        if node not in types:
             raise EditError(f"relationship references unknown instance {node!r}")
     if (p, c) in edges:
         return
     edges[(p, c)] = {}
-    ptype = instances[p].type_name
-    ctype = instances[c].type_name
-    if not ontology.has_edge(ptype, ctype):
+    if not ontology.has_edge(types[p], types[c]):
         # No declared ontology edge: keep it, with default propagation
         # semantics, and exempt it from world validation.
         user_edges.add((p, c))
@@ -189,13 +192,11 @@ def _remove_relationship(belief, edges, user_edges):
     user_edges.discard(key)
 
 
-def _set_attribute(belief, instances):
-    if belief.id not in instances:
+def _set_attribute(belief, types, attributes):
+    if belief.id not in types:
         raise EditError(f"cannot set attribute on unknown instance {belief.id!r}")
-    inst = instances[belief.id]
-    attrs = dict(inst.attributes)
-    attrs[belief.name] = belief.value
-    instances[belief.id] = TypeInstance(inst.id, inst.type_name, attrs)
+    attributes[belief.id] = {**attributes.get(belief.id, {}),
+                             belief.name: belief.value}
 
 
 def resolve_attachments(world, ontology, beliefs):
@@ -224,7 +225,7 @@ def resolve_attachments(world, ontology, beliefs):
             what, groups = "CE belief", ce_specs
         else:
             continue
-        if belief.instance not in world.by_id:
+        if belief.instance not in world:
             raise EditError(f"{what} targets unknown instance "
                             f"{belief.instance!r}")
         if groups is budgets and belief.k < 0:

@@ -151,7 +151,7 @@ def run_experiment(cfg):
     world = ew.world
     for role, node in ([("client", c) for c in clients]
                        + [("destination_as", cfg.destination_as)]):
-        if node not in world.by_id or world.type_of(node) != ont.AS:
+        if node not in world or world.type_of(node) != ont.AS:
             raise ValueError(f"{role} {node!r} is not an AS of the world")
     if trust or service:
         checked_guard_relays(world, cfg.guard_count)

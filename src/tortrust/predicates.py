@@ -357,7 +357,7 @@ def parse_event(text):
 
 def eval_predicate(pred, world, node_id):
     """Evaluate `pred` on instance `node_id` of `world`."""
-    if node_id not in world.by_id:
+    if node_id not in world:
         raise KeyError(f"unknown instance {node_id!r}")
     return _eval(pred.root, world, node_id)
 
@@ -367,13 +367,13 @@ def select(world, node, ids=None):
     the order of `ids`; with `ids` None, every instance of `world` in id
     order, where `id in` and `is` at the root skip evaluating each id."""
     if ids is None and isinstance(node, IdIn):
-        return tuple(i for i in sorted(node.ids) if i in world.by_id)
+        return tuple(i for i in sorted(node.ids) if i in world)
     if ids is None and isinstance(node, IsType):
         hit = np.isin(world.type_code, [k for k, t in enumerate(
             world.type_names) if is_type(node.name, t)])
         return tuple(map(world.names.__getitem__,
                          np.flatnonzero(hit).tolist()))
-    return tuple(i for i in (world.by_id if ids is None else ids)
+    return tuple(i for i in (world.ids if ids is None else ids)
                  if _eval(node, world, i))
 
 
@@ -389,7 +389,7 @@ def _eval(node, world, node_id):
     if isinstance(node, IdIn):
         return node_id in node.ids
     if isinstance(node, (AttrCmp, AttrIn)):
-        value = world.by_id[node_id].attributes.get(node.name, _MISSING)
+        value = world.attribute(node_id, node.name, _MISSING)
         if value is _MISSING:
             log.warning("predicate tests missing attribute %r on %s",
                         node.name, node_id)

@@ -6,26 +6,24 @@ of the parent propagates to the child".  Worlds are immutable value objects;
 the editor produces modified copies, or hands back the same world when a
 belief document edits nothing.
 
-A world is interned as integers once, where it is built or read: the
-sorted ids of its instances and edge endpoints, one type code per id, and
-each edge once as a pair of int32 ranks, sorted.  Validation and
-compilation work on these arrays.  The type codes are the one index of
-instances by type: `of_type` and `predicates.select` read them.
-`children` and `parents` answer from the rank arrays, and the (parent,
-child) pairs `World.edges` and the RelationshipInstance tuple
-`World.relationships` are views built on demand.  `world_from_dict` reads
-each column of a world file in one pass and names the first malformed
-entry.
+A world is stored once, as columns, where it is built or read: the sorted
+ids of its instances and edge endpoints, one type code per id, the
+attributes of only the instances that have any, and each edge once as a
+pair of int32 ranks, sorted.  No object is kept per instance: the
+TypeInstance tuple `World.instances`, like `World.edges` and
+`World.relationships`, is a view built on demand.  A repeated instance id
+raises ValueError wherever a world is made.  `world_from_dict` reads each
+column of a world file in one pass and names the first malformed entry.
 
 Node identifiers are plain strings with a short type prefix, e.g.
 "as:3356", "relay:fp_ab12", "vlink:as3356-relay:fp_ab12".
 """
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from operator import attrgetter
 
 import numpy as np
 
@@ -84,85 +82,93 @@ class RelationshipInstance:
 
 @dataclass(frozen=True, init=False, eq=False)
 class World:
-    """Immutable instance DAG, interned as integers once.
+    """Immutable instance DAG, stored once as columns.
 
-    `instances` is sorted by id.  `names` is the sorted union of the
-    instance ids and the edge endpoints (so a dangling edge keeps its
-    endpoint), and a node's rank is its position there.  `type_code[r]`
-    indexes `type_names` for an instance and is -1 for a name that is only
-    an edge endpoint.  Each relationship is stored once as a rank pair
-    (`src[k]`, `dst[k]`), int32, sorted; `edge_attributes` maps only the
-    (parent, child) pairs whose attributes are non-empty.  `by_id` maps
-    each id to its instance (the last one of a duplicated id) and `index`
-    each name to its rank.  `edges` and `relationships` are views of the
-    same edges built on first use.
+    `names` is the sorted union of the instance ids and the edge endpoints
+    (so a dangling edge keeps its endpoint), and `index` maps each to its
+    rank there.  `type_code[r]` indexes `type_names` for an instance and is
+    -1 for a mere edge endpoint; `attributes` maps only the instances with
+    attributes.  Each relationship is stored once as a rank pair (`src[k]`,
+    `dst[k]`), int32, sorted; `edge_attributes` maps only the (parent,
+    child) pairs with attributes.  `ids`, `instances`, `edges` and
+    `relationships` are views built on first use.
     """
 
-    instances: tuple
     names: tuple
     type_names: tuple
     type_code: np.ndarray
+    attributes: dict
     src: np.ndarray
     dst: np.ndarray
     edge_attributes: dict
 
     def __init__(self, instances=(), relationships=()):
-        relationships = list(relationships)
-        self._fill(instances, [r.parent for r in relationships],
-                   [r.child for r in relationships],
-                   {k: r.attributes for k, r in enumerate(relationships)
-                    if r.attributes})
+        instances, relationships = list(instances), list(relationships)
+        vars(self).update(vars(World.from_columns(
+            [i.id for i in instances], [i.type_name for i in instances],
+            [i.attributes for i in instances],
+            [r.parent for r in relationships], [r.child for r in relationships],
+            [r.attributes for r in relationships])))
 
     @classmethod
-    def from_edges(cls, instances, edges):
-        """World from instances and a {(parent, child): attributes} map."""
+    def from_columns(cls, ids, type_names, attributes, parents, children,
+                     edge_attributes):
+        """Instance k is ids[k] of type type_names[k] with attributes[k], and
+        edge k joins parents[k] to children[k] with edge_attributes[k]; the
+        first of a repeated edge wins."""
         world = cls.__new__(cls)
-        world._fill(instances, [p for p, _ in edges], [c for _, c in edges],
-                    {k: a for k, a in enumerate(edges.values()) if a})
-        return world
-
-    def _fill(self, instances, parents, children, attributes):
-        """Intern the world: edge entry k joins parents[k] to children[k],
-        `attributes` maps entry positions to their non-empty attributes,
-        and the first entry of a (parent, child) pair wins."""
-        instances = tuple(sorted(instances, key=attrgetter("id")))
-        by_id = {i.id: i for i in instances}
-        names = tuple(by_id)                # sorted, as the instances are
+        types = dict(zip(ids, type_names))
+        if len(types) < len(ids):
+            repeat = next(i for i, n in Counter(ids).items() if n > 1)
+            raise ValueError(f"instance id {repeat!r} used twice")
+        names = tuple(sorted(types))
         try:
             index, keys = _intern(names, parents, children)
         except KeyError:                    # dangling endpoints join names
-            names = tuple(sorted(by_id.keys() | set(parents) | set(children)))
+            names = tuple(sorted(types.keys() | set(parents) | set(children)))
             index, keys = _intern(names, parents, children)
         n = max(len(names), 1)
         keys, first = np.unique(keys, return_index=True)
-        kept = np.zeros(len(parents), dtype=bool)
-        kept[first] = True
-        type_names = tuple(sorted({i.type_name for i in by_id.values()}))
-        code = dict(zip(type_names, range(len(type_names))))
+        first = first.tolist()
+        all_types = tuple(sorted(set(types.values())))
+        code = dict(zip(all_types, range(len(all_types))))
         type_code = np.full(len(names), -1, dtype=np.int32)
-        type_code[[index[i] for i in by_id]] = [code[i.type_name]
-                                                for i in by_id.values()]
+        type_code[[index[i] for i in types]] = [code[t] for t in types.values()]
         src = (keys // n).astype(np.int32)
         dst = (keys % n).astype(np.int32)
         for array in (type_code, src, dst):
             array.flags.writeable = False
-        stored = dict(
-            instances=instances, names=names, type_names=type_names,
-            type_code=type_code, src=src, dst=dst,
-            edge_attributes={(parents[k], children[k]): a
-                             for k, a in attributes.items() if kept[k]},
-            by_id=by_id, index=index)
-        for name, value in stored.items():
-            object.__setattr__(self, name, value)
+        vars(world).update(
+            names=names, type_names=all_types, type_code=type_code,
+            attributes={ids[k]: attributes[k]
+                        for k in compress(range(len(ids)), attributes)},
+            src=src, dst=dst,
+            edge_attributes={(parents[k], children[k]): edge_attributes[k]
+                             for k in compress(first, map(
+                                 edge_attributes.__getitem__, first))},
+            index=index)
+        return world
 
     def __eq__(self, other):
         if not isinstance(other, World):
             return NotImplemented
-        return (self.instances == other.instances
-                and self.names == other.names
+        return (self.names == other.names
+                and self.type_names == other.type_names
+                and np.array_equal(self.type_code, other.type_code)
+                and self.attributes == other.attributes
                 and np.array_equal(self.src, other.src)
                 and np.array_equal(self.dst, other.dst)
                 and self.edge_attributes == other.edge_attributes)
+
+    @cached_property
+    def ids(self):
+        """The instance ids, sorted: `names` without the mere endpoints."""
+        return tuple(compress(self.names, (self.type_code >= 0).tolist()))
+
+    @cached_property
+    def instances(self):
+        return tuple(TypeInstance(i, self.type_of(i),
+                                  self.attributes.get(i, {})) for i in self.ids)
 
     @cached_property
     def edges(self):
@@ -198,13 +204,16 @@ class World:
         return np.where(hit, pos, -1)
 
     def __contains__(self, node_id):
-        return node_id in self.by_id
+        return node_id in self.index and self.type_code[self.index[node_id]] >= 0
 
     def type_of(self, node_id):
-        return self.by_id[node_id].type_name
+        if node_id not in self:
+            raise KeyError(node_id)
+        return self.type_names[self.type_code[self.index[node_id]]]
 
     def attribute(self, node_id, name, default=None):
-        return self.by_id[node_id].attributes.get(name, default)
+        self.type_of(node_id)           # KeyError unless an instance
+        return self.attributes.get(node_id, {}).get(name, default)
 
     def children(self, node_id):
         """Child ids of a node, sorted; a dangling edge's endpoint too."""
@@ -282,39 +291,34 @@ def validate_world(world, ontology, allowed_edges=()):
     in edge order.
     """
     report = ValidationReport()
-    seen = set()
-    declared_by_type = {}
-    for inst in world.instances:
-        if inst.id in seen:
-            report.add("duplicate-id", f"instance id {inst.id!r} used twice",
-                       (inst.id,))
-        seen.add(inst.id)
-        if inst.type_name not in declared_by_type:
-            tdef = ontology.type_map.get(inst.type_name)
-            declared_by_type[inst.type_name] = (None, ()) if tdef is None \
-                else ({a.name: a for a in tdef.attributes},
-                      tuple(a.name for a in tdef.attributes
-                            if a.requirement == "required"))
-        declared, required = declared_by_type[inst.type_name]
+    rules = []                  # per type code: (declared, required names)
+    for type_name in world.type_names:
+        tdef = ontology.type_map.get(type_name)
+        rules.append((None, ()) if tdef is None
+                     else ({a.name: a for a in tdef.attributes},
+                           tuple(a.name for a in tdef.attributes
+                                 if a.requirement == "required")))
+    typed = world.type_code[world.type_code >= 0].tolist()
+    for node, code in zip(world.ids, typed):
+        declared, required = rules[code]
         if declared is None:
             report.add("unknown-type",
-                       f"instance {inst.id!r} has undeclared type {inst.type_name!r}",
-                       (inst.id,))
+                       f"instance {node!r} has undeclared type "
+                       f"{world.type_names[code]!r}", (node,))
             continue
+        attributes = world.attributes.get(node, {})
         for name in required:
-            if name not in inst.attributes:
+            if name not in attributes:
                 report.add("missing-attribute",
-                           f"instance {inst.id!r} lacks required attribute "
-                           f"{name!r}", (inst.id, name))
-        if not inst.attributes:
-            continue
-        for name, value in inst.attributes.items():
+                           f"instance {node!r} lacks required attribute "
+                           f"{name!r}", (node, name))
+        for name, value in attributes.items():
             adef = declared.get(name)
             if adef is not None and not _value_conforms(value, adef.data_type):
                 report.add(
                     "attribute-type",
-                    f"instance {inst.id!r} attribute {name!r} does not conform "
-                    f"to {adef.data_type}", (inst.id, name))
+                    f"instance {node!r} attribute {name!r} does not conform "
+                    f"to {adef.data_type}", (node, name))
 
     types = world.type_names
     code = {t: k for k, t in enumerate(types)}
@@ -358,8 +362,9 @@ def world_to_dict(world):
     attributes = world.edge_attributes
     return {
         "instances": [
-            {"id": i.id, "type_name": i.type_name, "attributes": i.attributes}
-            for i in world.instances
+            {"id": i, "type_name": world.type_names[c],
+             "attributes": world.attributes.get(i, {})}
+            for i, c in zip(world.names, world.type_code.tolist()) if c >= 0
         ],
         "relationships": [
             {"parent": p, "child": c, "attributes": attributes.get((p, c), {})}
@@ -412,15 +417,8 @@ def world_from_dict(data):
     columns = []
     for kind, keys in (("instances", ("id", "type_name")),
                        ("relationships", ("parent", "child"))):
-        columns.append(_columns(data, kind, keys))
-        if columns[-1] is None:
-            _check_entries(data, kind, keys)
-    nodes, (parents, children, attributes) = columns
-    world = World.__new__(World)
-    world._fill(map(TypeInstance, *nodes), parents, children,
-                {k: attributes[k]
-                 for k in compress(range(len(attributes)), attributes)})
-    return world
+        columns += _columns(data, kind, keys) or _check_entries(data, kind, keys)
+    return World.from_columns(*columns)
 
 
 def save_world(world, path):

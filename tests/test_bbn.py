@@ -293,7 +293,7 @@ def test_select_is_the_predicate(world, atom, text):
         assert select(world, pred.root) == tuple(
             i.id for i in world.instances
             if eval_predicate(pred, world, i.id))
-        for node in world.by_id:
+        for node in world.ids:
             children = world.children(node)
             assert select(world, pred.root, children) == tuple(
                 c for c in children if eval_predicate(pred, world, c))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import fields
 
 import pytest
@@ -11,7 +12,8 @@ from tortrust.beliefs import (RELATIVE_ROW, STRUCTURAL_TAGS, TRUST_SYMBOLS,
                               TrustScale, belief_to_json, build_the_man,
                               parse_belief_document,
                               serialize_belief_document)
-from tortrust.errors import BeliefFormatError, DatasetError
+from tortrust.editor import apply_structural
+from tortrust.errors import BeliefFormatError, DatasetError, EditError
 from tortrust.ontology import DATA_TYPES
 from tortrust.worldgen import family_uptime
 
@@ -111,11 +113,15 @@ def test_ce2_scope_symbol():
     assert doc2.trust == doc.trust
 
 
-def test_duplicate_novel_type_rejected():
-    with pytest.raises(BeliefFormatError):
-        parse_belief_document(_doc(structural=[
-            ["ut", "Treaty", None, None],
-            ["ut", "Treaty", None, None]]))
+def test_duplicate_novel_type_rejected(small_world, ontology):
+    """A novel type declared twice parses; the ontology's duplicate-type
+    rule rejects it where the document is applied."""
+    doc = parse_belief_document(_doc(structural=[
+        ["ut", "Treaty", None, None],
+        ["ut", "Treaty", None, None]]))
+    with pytest.raises(EditError, match=re.escape(
+            "[duplicate-type] type 'Treaty' declared twice")):
+        apply_structural(small_world, ontology, doc)
 
 
 @pytest.mark.parametrize("doc,path", [
@@ -264,3 +270,27 @@ def test_the_man_requires_uptime_data(small_world):
     world = build_world(default_ontology(), bundle)
     with pytest.raises(DatasetError):
         build_the_man(world)
+
+
+@pytest.mark.parametrize("option,value", [
+    ("p_org", 1.5), ("p_org", -0.1), ("p_fam_max", 2), ("p_fam_min", -1e-9),
+    ("p_fam_min", float("nan")), ("p_org", True), ("p_org", "0.1")])
+def test_the_man_rejects_an_option_outside_the_unit_interval(small_world,
+                                                             option, value):
+    with pytest.raises(ValueError, match=f"^{option} must be a number in"):
+        build_the_man(small_world, **{option: value})
+
+
+@pytest.mark.parametrize("uptime", [1.5, -0.5, "0.5", True, None])
+def test_the_man_rejects_a_family_uptime_outside_the_unit_interval(uptime):
+    from tortrust.world import TypeInstance, World
+    world = World([TypeInstance("family:a", "Relay Family",
+                                {"uptime": uptime})])
+    error = DatasetError if uptime is None else ValueError
+    with pytest.raises(error, match="family 'family:a'"):
+        build_the_man(world)
+
+
+def test_the_man_in_range_options_parse_back(small_world):
+    doc = build_the_man(small_world, p_org=1, p_fam_max=0, p_fam_min=1.0)
+    assert parse_belief_document(serialize_belief_document(doc)) == doc

@@ -810,3 +810,36 @@ def test_experiment_never_builds_the_edge_view(workdir, tmp_path,
     assert len(worlds) == 1
     assert "edges" not in worlds[0].__dict__
     assert "relationships" not in worlds[0].__dict__
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--p-org", "1.5"), ("--p-fam-max", "-0.1"), ("--p-fam-min", "nan")])
+def test_the_man_option_out_of_range_exit_code(workdir, tmp_path, capsys,
+                                               option, value):
+    """An option outside [0, 1] exits 3 and writes nothing; at the parent
+    it wrote a document that `beliefs check` rejected."""
+    out = tmp_path / "theman.json"
+    assert main(["beliefs", "the-man", "--world", workdir["world"],
+                 "--out", str(out), option, value]) == 3
+    name = option[2:].replace("-", "_")
+    assert capsys.readouterr().err.startswith(
+        f"error: {name} must be a number in [0, 1], got ")
+    assert not out.exists()
+    assert main(["beliefs", "the-man", "--world", workdir["world"],
+                 "--out", str(out), option, "1"]) == 0
+    assert main(["beliefs", "check", "--doc", str(out)]) == 0
+
+
+@pytest.mark.parametrize("names,violation", [
+    (("AB", "AB"), "type 'AB' declared twice"),
+    (("A B", "AB"), "types 'A B' and 'AB' share the identifier form 'AB'")])
+def test_repeated_novel_type_exit_code(tmp_path, capsys, names, violation):
+    """The ontology's duplicate-type rule rejects a novel type declared
+    twice, by name or by identifier form, also without `--world`; an exact
+    repeat used to fail at parse, with exit 2."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"structural": [
+        ["ut", name, None, None] for name in names]}))
+    assert main(["beliefs", "check", "--doc", str(path)]) == 3
+    assert capsys.readouterr().err == \
+        f"1 violation(s):\n  [duplicate-type] {violation}\n"

@@ -10,6 +10,7 @@ from tortrust.experiment import (DEFAULT_SCENARIOS, ExperimentConfig,
 from tortrust.pathsel import (_end_column, consensus_view, derive_seed,
                               draw_default_circuits)
 from tortrust.predicates import parse_predicate
+from tortrust.world import world_from_dict, world_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +26,14 @@ def config(small_world, ontology, the_man_doc):
 @pytest.fixture(scope="module")
 def table(config):
     return run_experiment(config)
+
+
+def test_experiment_never_builds_the_instance_view(config):
+    """A run reads a world file's columns and never makes its TypeInstance
+    tuple."""
+    world = world_from_dict(world_to_dict(config.world))
+    run_experiment(dataclasses.replace(config, world=world))
+    assert "instances" not in world.__dict__
 
 
 def test_row_per_scenario(table):

@@ -1,12 +1,16 @@
 import dataclasses
+import json
+import os
 import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tortrust
 from tortrust.beliefs import Absolute, Relative
 from tortrust.bbn import compile_bbn
+from tortrust.cli import main
 from tortrust.datasets import (ClusterRecord, DatasetBundle, GeoRecord,
                                PathRecord, RelayRecord, UptimeRecord,
                                load_bundle, save_bundle)
@@ -56,6 +60,20 @@ def test_duplicate_relationships_collapse():
     assert len(world.relationships) == 2
 
 
+def test_instances_are_read_from_the_columns():
+    """No module keeps an index of instances by id, and outside world.py
+    nothing reads the TypeInstance view `.instances`."""
+    src = os.path.dirname(tortrust.__file__)
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            source = fh.read()
+        assert "by_id" not in source, name
+        if name != "world.py":
+            assert not re.search(r"\.instances\b", source), name
+
+
 def test_validate_clean(ontology):
     report = validate_world(_toy_world(), ontology)
     assert report.ok, report.summary()
@@ -83,10 +101,24 @@ def test_validate_reports_missing_required_attributes(ontology):
          ("cam:2", "model"))]
 
 
-def test_validate_flags_duplicate_id(ontology):
-    world = World(instances=(TypeInstance("as:1", "AS"),
-                             TypeInstance("as:1", "AS")))
-    assert "duplicate-id" in validate_world(world, ontology).codes()
+def test_validate_flags_duplicate_id(tmp_path, capsys):
+    """A repeated instance id is rejected where a world is made, so no
+    world holds one; `world validate` exits 3 on such a file."""
+    twice = "instance id 'as:1' used twice"
+    with pytest.raises(ValueError, match=twice):
+        World(instances=(TypeInstance("as:1", "AS"),
+                         TypeInstance("as:1", "AS")))
+    with pytest.raises(ValueError, match=twice):
+        World.from_columns(["as:1", "as:2", "as:1"], ["AS"] * 3, [{}] * 3,
+                           [], [], [])
+    data = {"instances": [{"id": "as:1", "type_name": "AS"},
+                          {"id": "as:1", "type_name": "IXP"}]}
+    with pytest.raises(ValueError, match=twice):
+        world_from_dict(data)
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(data))
+    assert main(["world", "validate", "--world", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {twice}\n"
 
 
 def test_validate_flags_unknown_type(ontology):
@@ -181,6 +213,58 @@ def test_edge_storage_matches_old_rules(ids, edges, rnd):
             setattr(world, name, value)
 
 
+_TYPES = st.sampled_from(["AS", "Tor Relay", "Quantum Router"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(_IDS.filter(lambda i: i != "ghost"),
+                       st.tuples(_TYPES, _ATTRS), max_size=6),
+       st.lists(st.tuples(_IDS, _IDS, _ATTRS), max_size=10),
+       st.randoms(use_true_random=False))
+def test_column_world_matches_a_dict_reference(nodes, edges, rnd):
+    """Instances are stored as columns alone: every lookup agrees with a
+    plain {id: (type, attributes)} map, edge endpoints that are no instance
+    included, and every way of making a world rejects a repeated id."""
+    instances = [TypeInstance(i, t, a) for i, (t, a) in nodes.items()]
+    rnd.shuffle(instances)
+    relationships = [RelationshipInstance(p, c, a) for p, c, a in edges]
+    world = World(instances, relationships)
+    for node in (*nodes, *(p for p, _, _ in edges), "zz"):
+        assert (node in world) == (node in nodes)
+        if node in nodes:
+            type_name, attributes = nodes[node]
+            assert world.type_of(node) == type_name
+            assert world.attribute(node, "weight") == attributes.get("weight")
+            assert world.attribute(node, "note", 7) == attributes.get("note", 7)
+        else:
+            with pytest.raises(KeyError):
+                world.type_of(node)
+            with pytest.raises(KeyError):
+                world.attribute(node, "weight")
+    for type_name in ("AS", "Tor Relay", "Quantum Router", "Teleporter"):
+        assert world.of_type(type_name) == tuple(sorted(
+            i for i, (t, _) in nodes.items() if t == type_name))
+    assert world.instances == tuple(TypeInstance(i, *nodes[i])
+                                    for i in sorted(nodes))
+    assert World(world.instances, world.relationships) == world
+    data = world_to_dict(world)
+    assert world_from_dict(data) == world
+    if instances:
+        repeat = rnd.choice(instances)
+        data["instances"].insert(rnd.randrange(len(instances) + 1), {
+            "id": repeat.id, "type_name": repeat.type_name,
+            "attributes": repeat.attributes})
+        twice = f"instance id {repeat.id!r} used twice"
+        with pytest.raises(ValueError, match=re.escape(twice)):
+            World([*instances, repeat], relationships)
+        with pytest.raises(ValueError, match=re.escape(twice)):
+            World.from_columns(*([i[key] for i in data["instances"]] for key
+                                 in ("id", "type_name", "attributes")),
+                               [], [], [])
+        with pytest.raises(ValueError, match=re.escape(twice)):
+            world_from_dict(data)
+
+
 # --- integer-coded validation against the string-keyed rules ----------------
 
 def _reference_check_acyclic(report, children, graph):
@@ -210,12 +294,7 @@ def _reference_validate_world(world, ontology, allowed_edges=()):
     """The string-keyed world validation: one loop over the instances, one
     over the (parent, child) pairs, a string child map for the cycles."""
     report = ValidationReport()
-    seen = set()
     for inst in world.instances:
-        if inst.id in seen:
-            report.add("duplicate-id", f"instance id {inst.id!r} used twice",
-                       (inst.id,))
-        seen.add(inst.id)
         tdef = ontology.type_map.get(inst.type_name)
         if tdef is None:
             report.add("unknown-type",
@@ -232,7 +311,7 @@ def _reference_validate_world(world, ontology, allowed_edges=()):
                     f"instance {inst.id!r} attribute {name!r} does not "
                     f"conform to {adef.data_type}", (inst.id, name))
     exempt = set(allowed_edges)
-    by_id = world.by_id
+    by_id = {i.id: i for i in world.instances}
     children = {i.id: [] for i in world.instances}
     for parent, child in world.edges:
         if parent in children:
@@ -268,13 +347,13 @@ _NODE_ATTRS = ({}, {}, {"Relay Software": "linux"}, {"Relay Software": 17},
 
 @st.composite
 def _small_worlds(draw):
-    """(world, allowed edges): duplicate ids, undeclared types, bad
-    attributes, dangling and off-ontology edges and, unless the edges are
-    drawn acyclic, cycles."""
+    """(world, allowed edges): undeclared types, bad attributes, dangling
+    and off-ontology edges and, unless the edges are drawn acyclic,
+    cycles."""
     instances = draw(st.lists(st.builds(
         TypeInstance, st.sampled_from(_NODE_IDS[:5]),
         st.sampled_from(_NODE_TYPES), st.sampled_from(_NODE_ATTRS)),
-        max_size=7))
+        max_size=7, unique_by=lambda inst: inst.id))
     pairs = draw(st.lists(st.tuples(st.sampled_from(_NODE_IDS),
                                     st.sampled_from(_NODE_IDS)),
                           max_size=14))
