@@ -50,7 +50,7 @@ from .beliefs import Absolute, Relative
 from .editor import ATTACHMENT_BELIEFS, resolve_attachments
 from .errors import CompileError, EditError, NetworkTooLargeError
 from .files import atomic_write, json_text, write_text
-from .predicates import eval_event, parse_event, select
+from .predicates import evaluate, parse_event, select
 from .validation import topological_order
 
 EXACT_NODE_CAP = 24
@@ -450,7 +450,7 @@ def estimate_event(bbn, event, n=100_000, seed=0):
     or a pre-parsed tree."""
     tree = parse_event(event) if isinstance(event, str) else event
     sampler = Sampler(bbn, n, seed)
-    return float(eval_event(tree, sampler.column).mean())
+    return float(evaluate(tree, lambda a: sampler.column(a.node_id)).mean())
 
 
 # --- Exact enumeration -------------------------------------------------------
@@ -514,13 +514,13 @@ def exact_event(bbn, event, cap=EXACT_NODE_CAP):
     prob = _joint_vector(bbn, cap)
     states = np.arange(prob.size, dtype=np.uint32)
 
-    def leaf(node_id):
+    def leaf(atom):
         try:
-            return _state_bit(states, bbn.index[node_id])
+            return _state_bit(states, bbn.index[atom.node_id])
         except KeyError:
-            raise KeyError(f"unknown node {node_id!r}") from None
+            raise KeyError(f"unknown node {atom.node_id!r}") from None
 
-    return float(prob[eval_event(tree, leaf)].sum())
+    return float(prob[evaluate(tree, leaf)].sum())
 
 
 # --- Serialization -----------------------------------------------------------

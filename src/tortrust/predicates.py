@@ -28,15 +28,24 @@ and quotes ("ce:as:1#0"); "in", "is" and "id" are node ids there.
 
 Type names are written in identifier form: spaces, slashes and hyphens
 dropped ("Router/Switch" -> RouterSwitch); a valid ontology gives each
-type its own.  A comparison against a missing attribute is false and logs
-a warning.  Structural tests (child_count, has_parent, has_child) walk the
-world's edges.  `select` is the one rule for which nodes a predicate
-picks; it answers `is` and `id in` from the world's type codes and index.
+type its own.  A string literal may hold any Unicode text and Python's
+backslash escapes.
+
+`evaluate` is the one and/or/not evaluator of predicates and events.  In
+`select` each test is one bool mask over the ranks of `world.names`, read
+from the type codes, the index, the sparse attributes or the edge arrays.
+An attribute test is false where the attribute is missing or its value
+does not compare (an unhashable one under `in`), and logs one warning per
+test with the count of such instances.
 """
 
+import ast
 import logging
+import operator
 import re
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import compress
 
 import numpy as np
 
@@ -169,9 +178,9 @@ def _tokenize(text, token_re=_TOKEN_RE, keywords=_KEYWORDS):
                 line_start = pos + chunk.rindex("\n") + 1
         elif m.lastgroup == "string":
             raw = m.group()
-            try:
-                value = raw[1:-1].encode().decode("unicode_escape")
-            except UnicodeDecodeError:
+            try:            # the body has no bare quote: triple-quote it
+                value = ast.literal_eval(f'""{raw}""')
+            except (SyntaxError, ValueError):
                 raise PredicateSyntaxError("bad string escape", line, column)
             tokens.append(_Token("string", value, line, column))
         elif m.lastgroup == "number":
@@ -355,98 +364,90 @@ def parse_event(text):
 
 # --- Evaluation ------------------------------------------------------------
 
+def evaluate(tree, leaf):
+    """The bool array of an and/or/not tree; leaf(atom) gives each atom's:
+    a mask over a world's ranks, a sampler column, a bit over states."""
+    if isinstance(tree, Not):
+        return ~evaluate(tree.inner, leaf)
+    if isinstance(tree, (And, Or)):
+        op = np.logical_and if isinstance(tree, And) else np.logical_or
+        return reduce(op, (evaluate(item, leaf) for item in tree.items))
+    return leaf(tree)
+
+
 def eval_predicate(pred, world, node_id):
     """Evaluate `pred` on instance `node_id` of `world`."""
-    if node_id not in world:
-        raise KeyError(f"unknown instance {node_id!r}")
-    return _eval(pred.root, world, node_id)
+    return bool(select(world, pred.root, (node_id,)))
 
 
 def select(world, node, ids=None):
     """The ids among `ids` on which the predicate tree `node` holds, in
-    the order of `ids`; with `ids` None, every instance of `world` in id
-    order, where `id in` and `is` at the root skip evaluating each id."""
-    if ids is None and isinstance(node, IdIn):
-        return tuple(i for i in sorted(node.ids) if i in world)
-    if ids is None and isinstance(node, IsType):
-        hit = np.isin(world.type_code, [k for k, t in enumerate(
-            world.type_names) if is_type(node.name, t)])
+    the order of `ids` (KeyError for one that is no instance); with `ids`
+    None, every instance of `world` in id order."""
+    mask = evaluate(node, partial(_atom_mask, world))
+    if ids is None:
+        ranks = mask.nonzero()[0]               # of names; keep instances
         return tuple(map(world.names.__getitem__,
-                         np.flatnonzero(hit).tolist()))
-    return tuple(i for i in (world.ids if ids is None else ids)
-                 if _eval(node, world, i))
+                         ranks[world.type_code[ranks] >= 0].tolist()))
+    for node_id in ids:
+        if node_id not in world:
+            raise KeyError(f"unknown instance {node_id!r}")
+    return tuple(compress(ids, mask[[world.index[i] for i in ids]].tolist()))
 
 
-def _eval(node, world, node_id):
-    if isinstance(node, And):
-        return all(_eval(n, world, node_id) for n in node.items)
-    if isinstance(node, Or):
-        return any(_eval(n, world, node_id) for n in node.items)
-    if isinstance(node, Not):
-        return not _eval(node.inner, world, node_id)
-    if isinstance(node, IsType):
-        return is_type(node.name, world.type_of(node_id))
-    if isinstance(node, IdIn):
-        return node_id in node.ids
-    if isinstance(node, (AttrCmp, AttrIn)):
-        value = world.attribute(node_id, node.name, _MISSING)
-        if value is _MISSING:
-            log.warning("predicate tests missing attribute %r on %s",
-                        node.name, node_id)
-            return False
-        if isinstance(node, AttrCmp):
-            return _compare(value, node.op, node.value, node.name, node_id)
-        if isinstance(value, (list, tuple, set, frozenset)):
-            return any(v in node.values for v in value)
-        return value in node.values
-    if isinstance(node, ChildCount):
-        count = sum(1 for c in world.children(node_id)
-                    if _eval(node.pred, world, c))
-        return _compare(count, node.op, node.count, "child_count", node_id)
-    if isinstance(node, HasParent):
-        return any(_eval(node.pred, world, p)
-                   for p in world.parents(node_id))
-    if isinstance(node, HasChild):
-        return any(_eval(node.pred, world, c)
-                   for c in world.children(node_id))
-    raise TypeError(f"unknown predicate node {node!r}")
+def _atom_mask(world, atom):
+    """One test as a bool array over the ranks of `world.names`."""
+    if isinstance(atom, IsType):
+        hit = [is_type(atom.name, t) for t in world.type_names] + [False]
+        return np.array(hit)[world.type_code]   # code -1 reads the False
+    if isinstance(atom, (AttrCmp, AttrIn)):
+        return _attr_mask(world, atom)
+    mask = np.zeros(len(world.names), dtype=bool)
+    if isinstance(atom, IdIn):
+        mask[[world.index[i] for i in atom.ids if i in world.index]] = True
+        return mask
+    if not isinstance(atom, (ChildCount, HasParent, HasChild)):
+        raise TypeError(f"unknown predicate node {atom!r}")
+    inner = evaluate(atom.pred, partial(_atom_mask, world))
+    if isinstance(atom, ChildCount):
+        return _OPS[atom.op](np.bincount(world.src[inner[world.dst]],
+                                         minlength=mask.size), atom.count)
+    if isinstance(atom, HasParent):
+        mask[world.dst[inner[world.src]]] = True
+    else:
+        mask[world.src[inner[world.dst]]] = True
+    return mask
 
 
-_MISSING = object()
+def _attr_mask(world, atom):
+    """One pass over the instances with attributes."""
+    mask = np.zeros(len(world.names), dtype=bool)
+    found = incomparable = 0
+    for node_id, attributes in world.attributes.items():
+        if atom.name not in attributes:
+            continue
+        found += 1
+        value = attributes[atom.name]
+        try:
+            if isinstance(atom, AttrCmp):
+                hit = _OPS[atom.op](value, atom.value)
+            elif isinstance(value, (list, tuple, set, frozenset)):
+                hit = any(v in atom.values for v in value)
+            else:
+                hit = value in atom.values
+        except TypeError:               # an unorderable or unhashable value
+            incomparable += 1
+            continue
+        mask[world.index[node_id]] = hit
+    missing = int(np.count_nonzero(world.type_code >= 0)) - found
+    if missing:
+        log.warning("attribute %r is missing on %d instance(s)", atom.name,
+                    missing)
+    if incomparable:
+        log.warning("attribute %r on %d instance(s) is not comparable with "
+                    "the test", atom.name, incomparable)
+    return mask
 
 
-def eval_event(node, leaf):
-    """Evaluate an event tree over boolean arrays; leaf(node_id) gives the
-    array of one node's indicator."""
-    if isinstance(node, EventAtom):
-        return leaf(node.node_id)
-    if isinstance(node, Not):
-        return ~eval_event(node.inner, leaf)
-    if isinstance(node, (And, Or)):
-        out = eval_event(node.items[0], leaf)
-        for item in node.items[1:]:
-            col = eval_event(item, leaf)
-            out = out & col if isinstance(node, And) else out | col
-        return out
-    raise TypeError(f"unknown event node {node!r}")
-
-
-def _compare(value, op, literal, name, node_id):
-    try:
-        if op == "=":
-            return value == literal
-        if op == "!=":
-            return value != literal
-        if op == "<":
-            return value < literal
-        if op == "<=":
-            return value <= literal
-        if op == ">":
-            return value > literal
-        if op == ">=":
-            return value >= literal
-    except TypeError:
-        log.warning("attribute %r on %s is not comparable with %r",
-                    name, node_id, literal)
-        return False
-    raise ValueError(f"unknown comparator {op!r}")
+_OPS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}

@@ -282,9 +282,10 @@ def validate_world(world, ontology, allowed_edges=()):
     `allowed_edges` lists extra (parent_id, child_id) pairs that are exempt
     from the ontology-edge check (user-added relationships between user
     types get default propagation semantics instead of a declared edge).
-    Instances are checked one by one: a declared type, every required
+    Instances are checked in id order: a declared type, every required
     attribute present (the required names are collected once per type),
-    and each declared attribute of its data type.  Edges are checked on the
+    and each declared attribute of its data type; only the instances that
+    can fail one of these are visited.  Edges are checked on the
     rank arrays: an edge is dangling when an endpoint is no instance, and
     off the ontology when both its types are declared and the ontology has
     no edge between them (a type x type matrix); every offender is reported
@@ -298,8 +299,12 @@ def validate_world(world, ontology, allowed_edges=()):
                      else ({a.name: a for a in tdef.attributes},
                            tuple(a.name for a in tdef.attributes
                                  if a.requirement == "required")))
-    typed = world.type_code[world.type_code >= 0].tolist()
-    for node, code in zip(world.ids, typed):
+    risky = np.array([d is None or bool(r) for d, r in rules] + [False])
+    visit = risky[world.type_code]          # code -1 reads the False
+    visit[[world.index[node] for node in world.attributes]] = True
+    ranks = np.flatnonzero(visit).tolist()
+    for node, code in zip(map(world.names.__getitem__, ranks),
+                          world.type_code[ranks].tolist()):
         declared, required = rules[code]
         if declared is None:
             report.add("unknown-type",

@@ -86,6 +86,36 @@ def make_edited(ontology):
     return make
 
 
+@pytest.fixture(scope="session")
+def corpus_world():
+    """A small world valid under the default ontology that holds every id
+    and attribute the fixture corpus `example_beliefs.json` names."""
+    instances = [TypeInstance(f"country:{c}", "Legal Jurisdiction")
+                 for c in ("ca", "jp", "nz", "xa", "xb", "xc")]
+    instances += [
+        TypeInstance("as:1", "AS"),
+        TypeInstance("ixp:ams", "IXP", {"operator": "AMS-IX"}),
+        TypeInstance("ixp:msk", "IXP", {"operator": "MSK-IX"}),
+        TypeInstance("family:fp_aaaa", "Relay Family"),
+        TypeInstance("family:fp_bbbb", "Relay Family"),
+        TypeInstance("relay:fp_aaaa", "Tor Relay",
+                     {"Relay Software": "windows"}),
+        TypeInstance("relay:fp_bbbb", "Tor Relay",
+                     {"Relay Software": "linux"}),
+        TypeInstance("pc:1", "Physical Connection",
+                     {"Connection Type": "submarine cable"}),
+        TypeInstance("vlink:as1-relay:fp_aaaa", "Virtual Link"),
+        TypeInstance("vlink:as1-relay:fp_bbbb", "Virtual Link")]
+    edges = [("country:xa", "ixp:ams"), ("country:ca", "relay:fp_aaaa"),
+             ("family:fp_aaaa", "relay:fp_aaaa"),
+             ("family:fp_bbbb", "relay:fp_bbbb"),
+             ("as:1", "vlink:as1-relay:fp_aaaa"),
+             ("as:1", "vlink:as1-relay:fp_bbbb"),
+             ("ixp:ams", "vlink:as1-relay:fp_aaaa"),
+             ("pc:1", "vlink:as1-relay:fp_bbbb")]
+    return World(instances, [RelationshipInstance(p, c) for p, c in edges])
+
+
 @pytest.fixture
 def example_doc_text():
     with open(os.path.join(FIXTURES, "example_beliefs.json"),

@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 
 import numpy as np
@@ -14,7 +15,10 @@ from tortrust.bbn import (CompiledBbn, Sampler, bbn_from_dict, bbn_to_dict,
                           exact_event, exact_marginals, load_samples,
                           parse_event, sample, sample_matrix, save_samples)
 from tortrust.errors import CompileError, NetworkTooLargeError
-from tortrust.predicates import eval_predicate, parse_predicate, select
+from tortrust.ontology import is_type
+from tortrust.predicates import (And, AttrCmp, AttrIn, ChildCount, HasChild,
+                                 HasParent, IdIn, IsType, Not, Or,
+                                 eval_predicate, parse_predicate, select)
 
 SCALE = TrustScale()
 
@@ -240,7 +244,7 @@ def test_compile_rejects_ce_id_of_a_world_node(make_edited):
         compile_bbn(ew, trust=(CE2("as:1", "U"),), scale=SCALE)
 
 
-def test_select_fast_paths(make_edited):
+def test_select_id_and_type_at_the_root(make_edited):
     ew = _linear(make_edited)
     assert select(ew.world, _pred('id in {"as:1", "nope"}').root) == \
         ("as:1",)
@@ -249,12 +253,14 @@ def test_select_fast_paths(make_edited):
 
 
 _MATCH_TYPES = ("AS", "Tor Relay", "Virtual Link", "Router/Switch")
-_MATCH_ATTRS = ({}, {"bandwidth": 5}, {"bandwidth": 50})
+_MATCH_ATTRS = ({}, {"bandwidth": 5}, {"bandwidth": 50},
+                {"bandwidth": [5, 7]}, {"bandwidth": {"k": 2}})
 
 
 @st.composite
 def _attributed_worlds(draw):
-    """DAGs of 0-7 nodes over four types, some without a bandwidth."""
+    """DAGs of 0-7 nodes over four types, some without a bandwidth, some
+    with a list or an unhashable one."""
     from tortrust.world import RelationshipInstance, TypeInstance, World
     n = draw(st.integers(0, 7))
     names = [f"n:{i}" for i in range(n)]
@@ -266,37 +272,85 @@ def _attributed_worlds(draw):
     return World(instances, edges)
 
 
-# `is` and `id in` alone take select's fast paths over the whole world,
-# with type names in both spellings, an undeclared type and unknown ids;
-# every other shape, and every call given ids, takes the general one.
+def _holds(node, world, node_id):
+    """The predicate tree `node` on one instance, by the recursive rule:
+    the reference that `select`'s whole-world masks must agree with."""
+    if isinstance(node, And):
+        return all(_holds(n, world, node_id) for n in node.items)
+    if isinstance(node, Or):
+        return any(_holds(n, world, node_id) for n in node.items)
+    if isinstance(node, Not):
+        return not _holds(node.inner, world, node_id)
+    if isinstance(node, IsType):
+        return is_type(node.name, world.type_of(node_id))
+    if isinstance(node, IdIn):
+        return node_id in node.ids
+    if isinstance(node, (AttrCmp, AttrIn)):
+        attributes = world.attributes.get(node_id, {})
+        if node.name not in attributes:
+            return False
+        value = attributes[node.name]
+        try:
+            if isinstance(node, AttrCmp):
+                return _COMPARE[node.op](value, node.value)
+            if isinstance(value, (list, tuple, set, frozenset)):
+                return any(v in node.values for v in value)
+            return value in node.values
+        except TypeError:
+            return False
+    children = world.children(node_id)
+    if isinstance(node, ChildCount):
+        count = sum(_holds(node.pred, world, c) for c in children)
+        return _COMPARE[node.op](count, node.count)
+    if isinstance(node, HasParent):
+        return any(_holds(node.pred, world, p)
+                   for p in world.parents(node_id))
+    assert isinstance(node, HasChild)
+    return any(_holds(node.pred, world, c) for c in children)
+
+
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+# Atoms in both spellings of a type name, an undeclared type, unknown ids,
+# attribute tests on missing, list and unhashable values, and structural
+# tests under `not`.
 _MATCH_ATOMS = st.one_of(
     st.sampled_from(("AS", "TorRelay", "VirtualLink", "RouterSwitch",
                      "Teleporter")).map("is {}".format),
     st.lists(st.sampled_from(("n:0", "n:1", "n:4", "nope")), max_size=3)
     .map(lambda ids: "id in {%s}" % ", ".join(f'"{i}"' for i in ids)),
-    st.integers(0, 60).map('attr("bandwidth") >= {}'.format))
+    st.integers(0, 60).map('attr("bandwidth") >= {}'.format),
+    st.lists(st.sampled_from((5, 7, 50, '"x"')), max_size=3)
+    .map(lambda vs: 'attr("bandwidth") in {%s}' % ", ".join(map(str, vs))),
+    st.sampled_from(("not has_child(is VirtualLink)",
+                     "not has_parent(is AS)",
+                     "not child_count(is TorRelay) < 1")))
 _MATCH_PREDICATES = st.recursive(_MATCH_ATOMS, lambda inner: st.one_of(
     inner.map("not ({})".format),
     st.tuples(inner, st.sampled_from(("and", "or")), inner)
     .map(lambda t: "({}) {} ({})".format(*t)),
     inner.map("has_parent({})".format),
-    st.tuples(inner, st.integers(0, 2))
-    .map(lambda t: "child_count({}) >= {}".format(*t))), max_leaves=5)
+    inner.map("has_child({})".format),
+    st.tuples(inner, st.sampled_from(("=", ">=", "<")), st.integers(0, 2))
+    .map(lambda t: "child_count({}) {} {}".format(*t))), max_leaves=5)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_attributed_worlds(), _MATCH_ATOMS, _MATCH_PREDICATES)
 def test_select_is_the_predicate(world, atom, text):
     """Over every instance, and over each node's children as the editor's
-    bu1 and ce1 scopes ask."""
+    bu1 and ce1 scopes ask, `select` picks the ids on which the per-node
+    reference `_holds` is true."""
     for pred in (_pred(atom), _pred(text)):
         assert select(world, pred.root) == tuple(
-            i.id for i in world.instances
-            if eval_predicate(pred, world, i.id))
+            i for i in world.ids if _holds(pred.root, world, i))
         for node in world.ids:
             children = world.children(node)
             assert select(world, pred.root, children) == tuple(
-                c for c in children if eval_predicate(pred, world, c))
+                c for c in children if _holds(pred.root, world, c))
+            assert eval_predicate(pred, world, node) == \
+                _holds(pred.root, world, node)
 
 
 def test_relative_belief_on_an_attribute(make_edited):
@@ -1068,3 +1122,42 @@ def test_writing_a_returned_column_leaves_the_cache(case, n, seed):
         expected = col.copy()
         col ^= True
         assert np.array_equal(sampler.column(node_id), expected)
+
+
+# --- events over sampled rows ------------------------------------------------
+
+_EVENTS = st.recursive(st.integers(0, 99), lambda inner: st.one_of(
+    st.tuples(st.just("not"), inner),
+    st.tuples(st.sampled_from(("and", "or")), inner, inner)), max_leaves=6)
+
+
+def _event_text(event, ids):
+    if isinstance(event, int):
+        return f'"{ids[event % len(ids)]}"'
+    if event[0] == "not":
+        return f"not ({_event_text(event[1], ids)})"
+    return f" {event[0]} ".join(f"({_event_text(e, ids)})" for e in event[1:])
+
+
+def _event_row(event, ids, row):
+    """The event on one joint draw, by Python's own and/or/not."""
+    if isinstance(event, int):
+        return bool(row[event % len(ids)])
+    if event[0] == "not":
+        return not _event_row(event[1], ids, row)
+    a, b = (_event_row(e, ids, row) for e in event[1:])
+    return a and b if event[0] == "and" else a or b
+
+
+@settings(max_examples=60, deadline=None)
+@given(*_PACKED_CASES, _EVENTS)
+def test_event_estimate_is_the_row_mean(case, n, seed, event):
+    """`estimate_event` equals the share of `sample_matrix` rows, at the
+    same seed, on which the event holds row by row."""
+    ew, trust = case
+    bbn = compile_bbn(ew, trust=trust, scale=SCALE)
+    ids = bbn.ids
+    rows = _bits(sample_matrix(bbn, n, seed), len(ids))
+    hits = sum(_event_row(event, ids, row) for row in rows.tolist())
+    assert estimate_event(bbn, _event_text(event, ids), n=n, seed=seed) \
+        == hits / n

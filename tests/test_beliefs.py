@@ -12,9 +12,10 @@ from tortrust.beliefs import (RELATIVE_ROW, STRUCTURAL_TAGS, TRUST_SYMBOLS,
                               TrustScale, belief_to_json, build_the_man,
                               parse_belief_document,
                               serialize_belief_document)
+from tortrust.bbn import compile_bbn
 from tortrust.editor import apply_structural
 from tortrust.errors import BeliefFormatError, DatasetError, EditError
-from tortrust.ontology import DATA_TYPES
+from tortrust.ontology import DATA_TYPES, default_ontology
 from tortrust.worldgen import family_uptime
 
 
@@ -55,6 +56,30 @@ def test_corpus_parses(example_doc_text):
     assert "countries-trusted" in tags
     budgets = [b for b in doc.trust if isinstance(b, Budget1)]
     assert budgets == [Budget1("as:1", "VirtualLink", 4)]
+
+
+def test_corpus_applies_and_compiles(example_doc_text, corpus_world,
+                                     caplog):
+    """The corpus's novel types are new to the default ontology, so it
+    applies to a world holding its ids; each attribute test logs one
+    warning with the count of instances lacking the attribute."""
+    doc = parse_belief_document(example_doc_text)
+    with caplog.at_level("WARNING"):
+        bbn = compile_bbn(apply_structural(corpus_world, default_ontology(),
+                                           doc), doc.trust, doc.scale)
+    absolute = {n.id: n.absolute for n in bbn.nodes if n.absolute is not None}
+    assert absolute == {"country:xc": 0.999, "family:fp_bbbb": 0.02,
+                        "op:ra": 0.02, "host:h1": 0.02}
+    risks = {n.id: n.risks for n in bbn.nodes}
+    assert risks["op:rb"] == risks["ixp:ams"] == (0.15,)
+    assert risks["pc:1"] == risks["relay:fp_aaaa"] == (0.5,)
+    assert risks["relay:fp_bbbb"] == ()
+    assert [r.getMessage() for r in caplog.records] == [
+        "attribute 'operator' is missing on 17 instance(s)",
+        "attribute 'operator' is missing on 17 instance(s)",
+        "attribute 'Connection Type' is missing on 18 instance(s)",
+        "attribute 'Connection Type' is missing on 18 instance(s)",
+        "attribute 'Relay Software' is missing on 17 instance(s)"]
 
 
 def test_parse_serialize_identity(example_doc_text):

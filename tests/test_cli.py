@@ -63,6 +63,42 @@ def test_beliefs_check_fixture_corpus(capsys):
     assert "14 trust" in err
 
 
+def test_fixture_corpus_applies_to_a_world(corpus_world, tmp_path):
+    """The corpus declares no type of the default ontology again, so a
+    world holding its ids takes it: at the parent, `beliefs check` with
+    `--world` exited 3 with [duplicate-type]."""
+    doc = os.path.join(FIXTURES, "example_beliefs.json")
+    world, edited = str(tmp_path / "world.json"), str(tmp_path / "ew.json")
+    save_world(corpus_world, world)
+    assert main(["beliefs", "check", "--doc", doc, "--world", world]) == 0
+    assert main(["beliefs", "apply", "--doc", doc, "--world", world,
+                 "--out", edited]) == 0
+    assert main(["bbn", "compile", "--edited", edited, "--doc", doc,
+                 "--out", str(tmp_path / "bbn.json")]) == 0
+
+
+def test_in_on_an_unhashable_attribute_compiles(tmp_path, caplog):
+    """`attr(N) in {...}` on a value that cannot be hashed is false with a
+    warning, as `<` on a value that cannot be ordered; it used to exit 1
+    with "unhashable type: 'dict'"."""
+    paths = {name: str(tmp_path / f"{name}.json")
+             for name in ("world", "doc", "edited", "bbn")}
+    Path(paths["world"]).write_text(json.dumps({
+        "instances": [{"id": "as:1", "type_name": "AS"},
+                      {"id": "vlink:a", "type_name": "Virtual Link"}],
+        "relationships": [{"parent": "as:1", "child": "vlink:a"}]}))
+    Path(paths["doc"]).write_text(json.dumps({
+        "structural": [["attr", "as:1", "Budget", {"k": 2}]],
+        "trust": [["r", 'attr("Budget") in {1}', "U"]]}))
+    assert main(["beliefs", "apply", "--doc", paths["doc"],
+                 "--world", paths["world"], "--out", paths["edited"]]) == 0
+    assert main(["bbn", "compile", "--edited", paths["edited"],
+                 "--doc", paths["doc"], "--out", paths["bbn"]]) == 0
+    assert "attribute 'Budget' on 1 instance(s) is not comparable" in \
+        caplog.text
+    assert all(not node.risks for node in load_bbn(paths["bbn"]).nodes)
+
+
 def test_manifest_written_with_digests(workdir):
     manifest_path = workdir["world"] + ".manifest.json"
     with open(manifest_path) as fh:

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 import tortrust
 from tortrust.errors import PredicateSyntaxError
-from tortrust.predicates import eval_predicate, parse_predicate
+from tortrust.predicates import (EventAtom, Or, eval_predicate, parse_event,
+                                 parse_predicate, select)
 from tortrust.world import RelationshipInstance, TypeInstance, World
 
 WORLD = World(
@@ -162,3 +164,64 @@ def test_select_is_the_only_selector():
         with open(os.path.join(src, name), encoding="utf-8") as fh:
             source = fh.read()
         assert not re.search(r"\b(is_type|eval_predicate)\(", source), name
+
+
+def test_non_ascii_literals():
+    assert parse_predicate('attr("city") = "Zürich"').root.value == "Zürich"
+    assert parse_predicate('attr("c") = "a\\"b\\u00fc"').root.value == 'a"bü'
+    world = World(instances=(TypeInstance("as:ü", "AS", {"city": "Zürich"}),))
+    assert eval_predicate(parse_predicate('id in {"as:ü"}'), world, "as:ü")
+    assert eval_predicate(parse_predicate('attr("city") = "Zürich"'), world,
+                          "as:ü")
+    assert parse_event('"as:ü" or as:ö') == Or(
+        (EventAtom("as:ü"), EventAtom("as:ö")))
+    with pytest.raises(PredicateSyntaxError, match="bad string escape"):
+        parse_predicate('attr("c") = "\\x4"')
+    with pytest.raises(ValueError, match="bad string escape"):
+        parse_event('"\\N{no such name}"')
+
+
+def test_in_on_an_unhashable_value_is_false(caplog):
+    world = World(instances=(
+        TypeInstance("as:1", "AS", {"Budget": {"k": 2}}),
+        TypeInstance("as:2", "AS", {"Budget": [[1, 2]]}),
+        TypeInstance("as:3", "AS", {"Budget": 1})))
+    with caplog.at_level("WARNING"):
+        assert select(world, parse_predicate('attr("Budget") in {1}').root) \
+            == ("as:3",)
+    assert [r.getMessage() for r in caplog.records] == [
+        "attribute 'Budget' on 2 instance(s) is not comparable with the test"]
+
+
+def test_one_warning_per_attribute_test(caplog):
+    """A whole-world attribute test logs once, counting the instances that
+    lack the attribute, not once per instance."""
+    with caplog.at_level("WARNING"):
+        assert select(WORLD, parse_predicate(
+            'attr("size") > 10 or attr("nope") = 1').root) == ("as:1",)
+    assert [r.getMessage() for r in caplog.records] == [
+        "attribute 'size' is missing on 2 instance(s)",
+        "attribute 'nope' is missing on 4 instance(s)"]
+
+
+def test_evaluate_is_the_only_boolean_evaluator():
+    """Only `predicates.evaluate` in the package branches on And, Or or
+    Not: predicate masks and event columns share its and/or/not."""
+    src = os.path.dirname(tortrust.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for call in ast.walk(func):
+                if (isinstance(call, ast.Call)
+                        and getattr(call.func, "id", None) == "isinstance"
+                        and {"And", "Or", "Not"} & {
+                            n.id for n in ast.walk(call.args[1])
+                            if isinstance(n, ast.Name)}):
+                    found.append((name, func.name))
+    assert set(found) == {("predicates.py", "evaluate")}
