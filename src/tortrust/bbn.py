@@ -30,7 +30,8 @@ writes them as they are and `load_samples(path)` returns
 A CompiledBbn is array-backed: node ids in topological order, parents in
 CSR form (offsets, indices, weights), and sparse per-position risks,
 absolute values and ce flags.  `CompiledBbn.nodes` is a BbnNode view of
-the same network, built only when read; the sampler reads the arrays.
+the same network, built only when read; the sampler and the exact oracle
+read the arrays.
 The topological order is `validation.topological_order`, Kahn's
 algorithm taking the smallest ready node id first, on the world's integer
 ranks: `compile_bbn` reads the world's rank arrays directly, drops the
@@ -248,12 +249,6 @@ def compile_bbn(ew, trust=(), scale=None):
     # Node ranks are positions in id order: the world's ranks, shifted past
     # the ce ids that sort before them.
     names = world.names
-    if (world.type_code < 0).any():
-        k = int(np.argmax((world.type_code[world.src] < 0)
-                          | (world.type_code[world.dst] < 0)))
-        raise CompileError(
-            f"relationship ({names[world.src[k]]!r}, "
-            f"{names[world.dst[k]]!r}) references a missing instance")
     ce_ids = [ce_id for ce_id, _, _ in ce_nodes]
     slots = np.array([bisect.bisect_left(names, ce_id) for ce_id in ce_ids],
                      dtype=np.int64)
@@ -465,25 +460,29 @@ def _joint_vector(bbn, cap):
         raise NetworkTooLargeError(
             f"cap {cap} is above the exact-enumeration limit of "
             f"{EXACT_NODE_CAP}")
-    m = len(bbn.nodes)
+    m = len(bbn)
     if m > cap:
         raise NetworkTooLargeError(
             f"{m} nodes exceeds the exact-enumeration cap of {cap}")
     n_states = 1 << m
     states = np.arange(n_states, dtype=np.uint32)
     prob = np.ones(n_states)
-    for i, node in enumerate(bbn.nodes):
+    ptr, parent_idx, parent_w = bbn.parent_lists
+    for i in range(m):
         on = _state_bit(states, i)
-        if node.absolute is not None:
-            p_on = node.absolute
-        elif node.kind == "ce":
-            (j, activation), = node.parents
+        parents = zip(parent_idx[ptr[i]:ptr[i + 1]],
+                      parent_w[ptr[i]:ptr[i + 1]])
+        absolute = bbn.absolute.get(i)
+        if absolute is not None:
+            p_on = absolute
+        elif i in bbn.ce:
+            (j, activation), = parents
             p_on = np.where(_state_bit(states, j), activation, 0.0)
         else:
             keep = np.ones(n_states)
-            for q in node.risks:
+            for q in bbn.risks.get(i, ()):
                 keep *= 1.0 - q
-            for j, w in node.parents:
+            for j, w in parents:
                 keep = keep * np.where(_state_bit(states, j), 1.0 - w, 1.0)
             p_on = 1.0 - keep
         prob *= np.where(on, p_on, 1.0 - p_on)
@@ -502,10 +501,8 @@ def exact_marginals(bbn, cap=EXACT_NODE_CAP):
     """Exact marginal per node id, by full enumeration."""
     prob = _joint_vector(bbn, cap)
     states = np.arange(prob.size, dtype=np.uint32)
-    out = {}
-    for i, node in enumerate(bbn.nodes):
-        out[node.id] = float(prob[_state_bit(states, i)].sum())
-    return out
+    return {node_id: float(prob[_state_bit(states, i)].sum())
+            for i, node_id in enumerate(bbn.ids)}
 
 
 def exact_event(bbn, event, cap=EXACT_NODE_CAP):

@@ -413,7 +413,11 @@ def build_the_man(world, p_org=0.1, p_fam_max=0.1, p_fam_min=0.001):
             raise ValueError(f"family {fid!r} has uptime {uptime!r}, not a "
                              "number in [0, 1]")
         p = p_fam_max - (p_fam_max - p_fam_min) * float(uptime)
-        trust.append(Absolute(pred=parse_predicate(f'id in {{"{fid}"}}'), v=p))
+        # A JSON string is a predicate string literal; ensure_ascii would
+        # write an astral character as two surrogate escapes.
+        quoted = json.dumps(fid, ensure_ascii=False)
+        trust.append(Absolute(pred=parse_predicate(f"id in {{{quoted}}}"),
+                              v=p))
     org_types = (ont.AS_ORGANIZATION, ont.IXP_ORGANIZATION)
     for type_name in org_types:
         if world.of_type(type_name):

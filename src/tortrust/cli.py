@@ -141,7 +141,7 @@ def cmd_world_validate(args):
     if _failed(validate_world(world, ontology)):
         return EXIT_INVALID
     sys.stderr.write("world ok: %d instances, %d relationships\n"
-                     % (len(world.ids), len(world.src)))
+                     % (len(world.names), len(world.src)))
     return EXIT_OK
 
 

@@ -108,8 +108,8 @@ def _checked(world, ontology, user_edges, beliefs, scale,
 def _edit(world, ontology, edits):
     """A new world with `edits` applied in order, and the set of user
     edges: added relationships with no ontology edge for their types."""
-    codes = world.type_code[world.type_code >= 0].tolist()
-    types = dict(zip(world.ids, map(world.type_names.__getitem__, codes)))
+    types = dict(zip(world.names, map(world.type_names.__getitem__,
+                                      world.type_code.tolist())))
     attributes = dict(world.attributes)
     edges = dict.fromkeys(world.edges, {})
     edges.update(world.edge_attributes)

@@ -135,6 +135,9 @@ def run_experiment(cfg):
     clients = list(cfg.clients)
     if not clients:
         raise ValueError("experiment config has no clients")
+    for k, client in enumerate(clients):
+        if client in clients[:k]:
+            raise ValueError(f"client {client!r} is listed twice")
     if not cfg.scenarios:
         raise ValueError("experiment config has no scenarios")
     for k, scenario in enumerate(cfg.scenarios):

@@ -36,7 +36,8 @@ backslash escapes.
 from the type codes, the index, the sparse attributes or the edge arrays.
 An attribute test is false where the attribute is missing or its value
 does not compare (an unhashable one under `in`), and logs one warning per
-test with the count of such instances.
+test with the count of such instances among those `select` is asked
+about.
 """
 
 import ast
@@ -384,31 +385,33 @@ def select(world, node, ids=None):
     """The ids among `ids` on which the predicate tree `node` holds, in
     the order of `ids` (KeyError for one that is no instance); with `ids`
     None, every instance of `world` in id order."""
-    mask = evaluate(node, partial(_atom_mask, world))
     if ids is None:
-        ranks = mask.nonzero()[0]               # of names; keep instances
+        mask = evaluate(node, partial(_atom_mask, world, slice(None)))
         return tuple(map(world.names.__getitem__,
-                         ranks[world.type_code[ranks] >= 0].tolist()))
+                         np.flatnonzero(mask).tolist()))
     for node_id in ids:
         if node_id not in world:
             raise KeyError(f"unknown instance {node_id!r}")
-    return tuple(compress(ids, mask[[world.index[i] for i in ids]].tolist()))
+    ranks = [world.index[i] for i in ids]
+    mask = evaluate(node, partial(_atom_mask, world, ranks))
+    return tuple(compress(ids, mask[ranks].tolist()))
 
 
-def _atom_mask(world, atom):
-    """One test as a bool array over the ranks of `world.names`."""
+def _atom_mask(world, ranks, atom):
+    """One test as a bool array over the ranks of `world.names`; an
+    attribute test's warnings count only the instances at `ranks`."""
     if isinstance(atom, IsType):
-        hit = [is_type(atom.name, t) for t in world.type_names] + [False]
-        return np.array(hit)[world.type_code]   # code -1 reads the False
+        hit = [is_type(atom.name, t) for t in world.type_names]
+        return np.array(hit, dtype=bool)[world.type_code]
     if isinstance(atom, (AttrCmp, AttrIn)):
-        return _attr_mask(world, atom)
+        return _attr_mask(world, atom, ranks)
     mask = np.zeros(len(world.names), dtype=bool)
     if isinstance(atom, IdIn):
         mask[[world.index[i] for i in atom.ids if i in world.index]] = True
         return mask
     if not isinstance(atom, (ChildCount, HasParent, HasChild)):
         raise TypeError(f"unknown predicate node {atom!r}")
-    inner = evaluate(atom.pred, partial(_atom_mask, world))
+    inner = evaluate(atom.pred, partial(_atom_mask, world, slice(None)))
     if isinstance(atom, ChildCount):
         return _OPS[atom.op](np.bincount(world.src[inner[world.dst]],
                                          minlength=mask.size), atom.count)
@@ -419,14 +422,16 @@ def _atom_mask(world, atom):
     return mask
 
 
-def _attr_mask(world, atom):
-    """One pass over the instances with attributes."""
+def _attr_mask(world, atom, ranks):
+    """One pass over the instances with attributes; the warnings count the
+    instances at `ranks` that lack the attribute or whose value does not
+    compare."""
     mask = np.zeros(len(world.names), dtype=bool)
-    found = incomparable = 0
+    state = np.zeros(len(world.names), dtype=np.int8)  # 1 found, 2 incomparable
     for node_id, attributes in world.attributes.items():
         if atom.name not in attributes:
             continue
-        found += 1
+        r = world.index[node_id]
         value = attributes[atom.name]
         try:
             if isinstance(atom, AttrCmp):
@@ -436,10 +441,11 @@ def _attr_mask(world, atom):
             else:
                 hit = value in atom.values
         except TypeError:               # an unorderable or unhashable value
-            incomparable += 1
+            state[r] = 2
             continue
-        mask[world.index[node_id]] = hit
-    missing = int(np.count_nonzero(world.type_code >= 0)) - found
+        state[r] = 1
+        mask[r] = hit
+    missing, _, incomparable = np.bincount(state[ranks], minlength=3).tolist()
     if missing:
         log.warning("attribute %r is missing on %d instance(s)", atom.name,
                     missing)

@@ -7,13 +7,14 @@ the editor produces modified copies, or hands back the same world when a
 belief document edits nothing.
 
 A world is stored once, as columns, where it is built or read: the sorted
-ids of its instances and edge endpoints, one type code per id, the
-attributes of only the instances that have any, and each edge once as a
-pair of int32 ranks, sorted.  No object is kept per instance: the
-TypeInstance tuple `World.instances`, like `World.edges` and
-`World.relationships`, is a view built on demand.  A repeated instance id
-raises ValueError wherever a world is made.  `world_from_dict` reads each
-column of a world file in one pass and names the first malformed entry.
+ids of its instances, one type code per id, the attributes of only the
+instances that have any, and each edge once as a pair of int32 ranks,
+sorted.  No object is kept per instance: the TypeInstance tuple
+`World.instances`, like `World.edges` and `World.relationships`, is a view
+built on demand.  A repeated instance id, or a relationship whose parent
+or child is no instance, raises ValueError wherever a world is made.
+`world_from_dict` reads each column of a world file in one pass and names
+the first malformed entry.
 
 Node identifiers are plain strings with a short type prefix, e.g.
 "as:3356", "relay:fp_ab12", "vlink:as3356-relay:fp_ab12".
@@ -84,13 +85,12 @@ class RelationshipInstance:
 class World:
     """Immutable instance DAG, stored once as columns.
 
-    `names` is the sorted union of the instance ids and the edge endpoints
-    (so a dangling edge keeps its endpoint), and `index` maps each to its
-    rank there.  `type_code[r]` indexes `type_names` for an instance and is
-    -1 for a mere edge endpoint; `attributes` maps only the instances with
-    attributes.  Each relationship is stored once as a rank pair (`src[k]`,
-    `dst[k]`), int32, sorted; `edge_attributes` maps only the (parent,
-    child) pairs with attributes.  `ids`, `instances`, `edges` and
+    `names` holds the instance ids, sorted, and `index` maps each to its
+    rank there.  `type_code[r]` indexes `type_names` for instance r;
+    `attributes` maps only the instances with attributes.  Each
+    relationship joins two instances and is stored once as a rank pair
+    (`src[k]`, `dst[k]`), int32, sorted; `edge_attributes` maps only the
+    (parent, child) pairs with attributes.  `instances`, `edges` and
     `relationships` are views built on first use.
     """
 
@@ -115,7 +115,8 @@ class World:
                      edge_attributes):
         """Instance k is ids[k] of type type_names[k] with attributes[k], and
         edge k joins parents[k] to children[k] with edge_attributes[k]; the
-        first of a repeated edge wins."""
+        first of a repeated edge wins.  ValueError names the first repeated
+        id, or the first edge with an endpoint that is no instance."""
         world = cls.__new__(cls)
         types = dict(zip(ids, type_names))
         if len(types) < len(ids):
@@ -124,16 +125,18 @@ class World:
         names = tuple(sorted(types))
         try:
             index, keys = _intern(names, parents, children)
-        except KeyError:                    # dangling endpoints join names
-            names = tuple(sorted(types.keys() | set(parents) | set(children)))
-            index, keys = _intern(names, parents, children)
+        except KeyError:
+            p, c = next((p, c) for p, c in zip(parents, children)
+                        if p not in types or c not in types)
+            raise ValueError(f"relationship ({p!r}, {c!r}) references a "
+                             "missing instance") from None
         n = max(len(names), 1)
         keys, first = np.unique(keys, return_index=True)
         first = first.tolist()
         all_types = tuple(sorted(set(types.values())))
         code = dict(zip(all_types, range(len(all_types))))
-        type_code = np.full(len(names), -1, dtype=np.int32)
-        type_code[[index[i] for i in types]] = [code[t] for t in types.values()]
+        type_code = np.fromiter((code[types[i]] for i in names), np.int32,
+                                len(names))
         src = (keys // n).astype(np.int32)
         dst = (keys % n).astype(np.int32)
         for array in (type_code, src, dst):
@@ -161,14 +164,10 @@ class World:
                 and self.edge_attributes == other.edge_attributes)
 
     @cached_property
-    def ids(self):
-        """The instance ids, sorted: `names` without the mere endpoints."""
-        return tuple(compress(self.names, (self.type_code >= 0).tolist()))
-
-    @cached_property
     def instances(self):
         return tuple(TypeInstance(i, self.type_of(i),
-                                  self.attributes.get(i, {})) for i in self.ids)
+                                  self.attributes.get(i, {}))
+                     for i in self.names)
 
     @cached_property
     def edges(self):
@@ -204,11 +203,9 @@ class World:
         return np.where(hit, pos, -1)
 
     def __contains__(self, node_id):
-        return node_id in self.index and self.type_code[self.index[node_id]] >= 0
+        return node_id in self.index
 
     def type_of(self, node_id):
-        if node_id not in self:
-            raise KeyError(node_id)
         return self.type_names[self.type_code[self.index[node_id]]]
 
     def attribute(self, node_id, name, default=None):
@@ -216,11 +213,11 @@ class World:
         return self.attributes.get(node_id, {}).get(name, default)
 
     def children(self, node_id):
-        """Child ids of a node, sorted; a dangling edge's endpoint too."""
+        """Child ids of a node, sorted."""
         return self._neighbours(self._children_csr, node_id)
 
     def parents(self, node_id):
-        """Parent ids of a node, sorted; a dangling edge's endpoint too."""
+        """Parent ids of a node, sorted."""
         return self._neighbours(self._parents_csr, node_id)
 
     def _neighbours(self, csr, node_id):
@@ -286,10 +283,10 @@ def validate_world(world, ontology, allowed_edges=()):
     attribute present (the required names are collected once per type),
     and each declared attribute of its data type; only the instances that
     can fail one of these are visited.  Edges are checked on the
-    rank arrays: an edge is dangling when an endpoint is no instance, and
-    off the ontology when both its types are declared and the ontology has
-    no edge between them (a type x type matrix); every offender is reported
-    in edge order.
+    rank arrays: an edge is off the ontology when both its types are
+    declared and the ontology has no edge between them (a type x type
+    matrix); every offender is reported in edge order.  A world holds no
+    dangling edge: the world constructor rejects one.
     """
     report = ValidationReport()
     rules = []                  # per type code: (declared, required names)
@@ -299,8 +296,8 @@ def validate_world(world, ontology, allowed_edges=()):
                      else ({a.name: a for a in tdef.attributes},
                            tuple(a.name for a in tdef.attributes
                                  if a.requirement == "required")))
-    risky = np.array([d is None or bool(r) for d, r in rules] + [False])
-    visit = risky[world.type_code]          # code -1 reads the False
+    risky = np.array([d is None or bool(r) for d, r in rules], dtype=bool)
+    visit = risky[world.type_code]
     visit[[world.index[node] for node in world.attributes]] = True
     ranks = np.flatnonzero(visit).tolist()
     for node, code in zip(map(world.names.__getitem__, ranks),
@@ -334,28 +331,20 @@ def validate_world(world, ontology, allowed_edges=()):
             off_pair[code[pair[0]], code[pair[1]]] = False
     ptype = world.type_code[world.src]
     ctype = world.type_code[world.dst]
-    dangling = (ptype < 0) | (ctype < 0)
-    live = ~dangling
-    off = np.zeros(len(ptype), dtype=bool)
-    off[live] = off_pair[ptype[live], ctype[live]]
+    off = off_pair[ptype, ctype]
     if allowed_edges and off.any():
         exempt = world.edge_positions(allowed_edges)
         off[exempt[exempt >= 0]] = False
     names = world.names
-    for k in np.flatnonzero(dangling | off).tolist():
+    for k in np.flatnonzero(off).tolist():
         parent, child = names[world.src[k]], names[world.dst[k]]
-        if dangling[k]:
-            report.add("dangling-relationship",
-                       f"relationship ({parent!r}, {child!r}) references "
-                       "a missing instance", (parent, child))
-        else:
-            report.add(
-                "no-ontology-edge",
-                f"relationship ({parent!r}, {child!r}) has type pair "
-                f"({types[ptype[k]]!r}, {types[ctype[k]]!r}) with no "
-                "ontology edge", (parent, child))
+        report.add(
+            "no-ontology-edge",
+            f"relationship ({parent!r}, {child!r}) has type pair "
+            f"({types[ptype[k]]!r}, {types[ctype[k]]!r}) with no "
+            "ontology edge", (parent, child))
 
-    report_cycle(report, "world", names, world.src[live], world.dst[live])
+    report_cycle(report, "world", names, world.src, world.dst)
     return report
 
 
@@ -369,7 +358,7 @@ def world_to_dict(world):
         "instances": [
             {"id": i, "type_name": world.type_names[c],
              "attributes": world.attributes.get(i, {})}
-            for i, c in zip(world.names, world.type_code.tolist()) if c >= 0
+            for i, c in zip(world.names, world.type_code.tolist())
         ],
         "relationships": [
             {"parent": p, "child": c, "attributes": attributes.get((p, c), {})}

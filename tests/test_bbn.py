@@ -229,12 +229,13 @@ def test_compile_rejects_cycles(make_edited):
 
 
 def test_compile_rejects_dangling_relationship(make_edited):
-    ew = make_edited({"as:1": "AS", "vlink:a": "Virtual Link"},
-                     [("as:1", "vlink:a"), ("as:1", "vlink:nope")])
-    with pytest.raises(CompileError, match=re.escape(
+    """A relationship to no instance is rejected where the world is made,
+    so no edited world, and so no network, can hold one."""
+    with pytest.raises(ValueError, match=re.escape(
             "relationship ('as:1', 'vlink:nope') references a missing "
             "instance")):
-        compile_bbn(ew)
+        make_edited({"as:1": "AS", "vlink:a": "Virtual Link"},
+                    [("as:1", "vlink:a"), ("as:1", "vlink:nope")])
 
 
 def test_compile_rejects_ce_id_of_a_world_node(make_edited):
@@ -344,8 +345,8 @@ def test_select_is_the_predicate(world, atom, text):
     reference `_holds` is true."""
     for pred in (_pred(atom), _pred(text)):
         assert select(world, pred.root) == tuple(
-            i for i in world.ids if _holds(pred.root, world, i))
-        for node in world.ids:
+            i for i in world.names if _holds(pred.root, world, i))
+        for node in world.names:
             children = world.children(node)
             assert select(world, pred.root, children) == tuple(
                 c for c in children if _holds(pred.root, world, c))

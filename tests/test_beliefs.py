@@ -4,7 +4,7 @@ import re
 from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tortrust.beliefs import (RELATIVE_ROW, STRUCTURAL_TAGS, TRUST_SYMBOLS,
@@ -16,6 +16,8 @@ from tortrust.bbn import compile_bbn
 from tortrust.editor import apply_structural
 from tortrust.errors import BeliefFormatError, DatasetError, EditError
 from tortrust.ontology import DATA_TYPES, default_ontology
+from tortrust.predicates import IdIn, parse_predicate
+from tortrust.world import TypeInstance, World
 from tortrust.worldgen import family_uptime
 
 
@@ -314,6 +316,23 @@ def test_the_man_rejects_a_family_uptime_outside_the_unit_interval(uptime):
     error = DatasetError if uptime is None else ValueError
     with pytest.raises(error, match="family 'family:a'"):
         build_the_man(world)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+@example("family:fp\tab")
+@example('family:fp"q')
+@example("family:fp\\x")
+@example("family:\U0001f600")
+def test_the_man_family_predicate_is_its_id(fid):
+    """Whatever text a family id holds, the-man's belief on that family
+    parses to `id in` that one id, and its document round-trips."""
+    doc = build_the_man(World([TypeInstance(fid, "Relay Family",
+                                            {"uptime": 0.5})]))
+    belief, = doc.trust
+    assert belief.pred.root == IdIn(frozenset({fid}))
+    assert parse_predicate(belief.pred.text) == belief.pred
+    assert parse_belief_document(serialize_belief_document(doc)) == doc
 
 
 def test_the_man_in_range_options_parse_back(small_world):

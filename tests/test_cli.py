@@ -236,6 +236,8 @@ def test_experiment_unknown_ids_exit_code(workdir, tmp_path, capsys):
     ("guard_count", 99, "guard count must be in"),
     ("k_servers", 0, "k must be in"),
     ("k_servers", 99, "k must be in"),
+    ("clients", ["as:1000", "as:1000", "as:1001"],
+     "client 'as:1000' is listed twice"),
 ])
 def test_experiment_bad_counts_exit_code(workdir, tmp_path, capsys, field,
                                          value, message):
@@ -522,6 +524,27 @@ def test_experiment_config_rejects_what_it_does_not_know(
     assert main(["experiment", "run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == \
         f"error: experiment config {message}\n"
+
+
+def test_dangling_relationship_exits_3(workdir, tmp_path, capsys):
+    """A world file with a relationship to no instance is rejected where
+    it is read, by `world validate` and by `experiment run`."""
+    with open(workdir["world"], encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["relationships"].append({"parent": "as:1000", "child": "ghost"})
+    world = tmp_path / "dangling.json"
+    world.write_text(json.dumps(data))
+    message = ("error: relationship ('as:1000', 'ghost') references a "
+               "missing instance\n")
+    assert main(["world", "validate", "--world", str(world)]) == 3
+    assert capsys.readouterr().err == message
+    cfg = {"world": str(world), "adversary": workdir["doc"],
+           "clients": ["as:1000"], "destination_as": "as:1007",
+           "n_samples": 100, "seed": 1}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "run", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == message
 
 
 def test_experiment_zero_samples_exit_code(workdir, tmp_path, capsys):

@@ -192,6 +192,24 @@ def test_overlapping_ce_predicates_rejected(ontology):
         apply_structural(BASE, ontology, doc)
 
 
+def test_scope_attribute_warnings_count_the_scope(ontology, caplog):
+    """An attribute test in a ce1 scope counts the children in scope that
+    lack the attribute, not every instance of the world."""
+    links = {a: [f"vlink:as{a}-relay:{r}" for r in "ab"] for a in (1, 2, 3)}
+    world = World(
+        [TypeInstance(f"as:{a}", "AS") for a in links]
+        + [TypeInstance(v, "Virtual Link") for a in links for v in links[a]],
+        [RelationshipInstance(f"as:{a}", v) for a in links for v in links[a]])
+    doc = BeliefDocument(trust=tuple(
+        CE1(f"as:{a}", parse_predicate('attr("x") = 1'), "LC")
+        for a in links))
+    with caplog.at_level("WARNING", logger="tortrust"):
+        ew = apply_structural(world, ontology, doc)
+        compile_bbn(ew, doc.trust, doc.scale)
+    assert [r.getMessage() for r in caplog.records] == \
+        ["attribute 'x' is missing on 2 instance(s)"] * 6
+
+
 def test_ce2_supersedes_ce1(ontology, caplog):
     doc = _trust_doc(
         ["ce1", "as:1", 'id in {"vlink:as1-relay:a"}', "LC"],

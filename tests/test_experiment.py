@@ -169,6 +169,8 @@ def test_scenario_subsets_match_full_run(config, table, scenarios, names):
     ("k_servers", -1, r"k must be in \[1, 3\]"),
     ("k_servers", 0, r"k must be in \[1, 3\]"),
     ("k_servers", 4, r"k must be in \[1, 3\]"),
+    ("clients", ("as:1000", "as:1000", "as:1001"),
+     "client 'as:1000' is listed twice"),
 ])
 def test_bad_counts_rejected_before_compiling(config, monkeypatch, field,
                                               value, message):

@@ -126,10 +126,18 @@ def test_validate_flags_unknown_type(ontology):
     assert "unknown-type" in validate_world(world, ontology).codes()
 
 
-def test_validate_flags_dangling_relationship(ontology):
-    world = World(instances=(TypeInstance("as:1", "AS"),),
-                  relationships=(RelationshipInstance("as:1", "ghost"),))
-    assert "dangling-relationship" in validate_world(world, ontology).codes()
+def test_validate_flags_dangling_relationship():
+    """A relationship whose endpoint is no instance is rejected where a
+    world is made, naming the first such relationship in input order."""
+    missing = "relationship ('as:1', 'ghost') references a missing instance"
+    relationships = (RelationshipInstance("as:1", "ghost"),
+                     RelationshipInstance("as:0", "as:1"))
+    with pytest.raises(ValueError, match=re.escape(missing)):
+        World(instances=(TypeInstance("as:1", "AS"),),
+              relationships=relationships)
+    with pytest.raises(ValueError, match=re.escape(missing)):
+        World.from_columns(["as:1"], ["AS"], [{}],
+                           ["as:1", "as:0"], ["ghost", "as:1"], [{}, {}])
 
 
 def test_validate_flags_edge_without_ontology_pair(ontology):
@@ -146,19 +154,15 @@ def test_validate_flags_edge_without_ontology_pair(ontology):
 
 
 def test_validate_flags_cycle(ontology):
-    # edges to unknown instances are reported as dangling, not as a cycle
     world = World(
         instances=(TypeInstance("as:1", "AS"), TypeInstance("as:2", "AS"),
                    TypeInstance("as:3", "AS")),
         relationships=(RelationshipInstance("as:1", "as:2"),
-                       RelationshipInstance("as:2", "as:1"),
-                       RelationshipInstance("as:3", "as:ghost"),
-                       RelationshipInstance("as:ghost", "as:3")))
+                       RelationshipInstance("as:2", "as:1")))
     report = validate_world(world, ontology)
     assert "cycle" in report.codes()
     cycles = [v for v in report.violations if v.code == "cycle"]
     assert [v.elements for v in cycles] == [("as:1", "as:2")]
-    assert report.codes().count("dangling-relationship") == 2
 
 
 def test_validate_flags_bad_attribute_value(ontology):
@@ -174,7 +178,7 @@ def test_world_dict_roundtrip(small_world):
 # --- edge storage ------------------------------------------------------------
 
 _IDS = st.sampled_from(["as:1", "as:10", "as:2", "relay:a", "relay:b",
-                        "vlink:as1-relay:a", "ghost"])
+                        "vlink:as1-relay:a"])
 _ATTRS = st.one_of(st.just({}), st.just({}), st.dictionaries(
     st.sampled_from(["weight", "note"]), st.integers(0, 3), min_size=1))
 
@@ -188,11 +192,19 @@ def _old_relationships(relationships):
     return tuple(unique[k] for k in sorted(unique))
 
 
+def _edges_among(ids, max_size):
+    """(parent, child, attributes) triples whose endpoints are in `ids`."""
+    if not ids:
+        return st.just([])
+    return st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                              _ATTRS), max_size=max_size)
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.lists(_IDS, unique=True, max_size=6),
-       st.lists(st.tuples(_IDS, _IDS, _ATTRS), max_size=14),
+@given(st.lists(_IDS, unique=True, max_size=6), st.data(),
        st.randoms(use_true_random=False))
-def test_edge_storage_matches_old_rules(ids, edges, rnd):
+def test_edge_storage_matches_old_rules(ids, drawn, rnd):
+    edges = drawn.draw(_edges_among(ids, 14))
     instances = [TypeInstance(i, "AS") for i in ids]
     relationships = [RelationshipInstance(p, c, a) for p, c, a in edges]
     rnd.shuffle(instances)
@@ -217,14 +229,14 @@ _TYPES = st.sampled_from(["AS", "Tor Relay", "Quantum Router"])
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.dictionaries(_IDS.filter(lambda i: i != "ghost"),
-                       st.tuples(_TYPES, _ATTRS), max_size=6),
-       st.lists(st.tuples(_IDS, _IDS, _ATTRS), max_size=10),
-       st.randoms(use_true_random=False))
-def test_column_world_matches_a_dict_reference(nodes, edges, rnd):
+@given(st.dictionaries(_IDS, st.tuples(_TYPES, _ATTRS), max_size=6),
+       st.data(), st.randoms(use_true_random=False))
+def test_column_world_matches_a_dict_reference(nodes, drawn, rnd):
     """Instances are stored as columns alone: every lookup agrees with a
-    plain {id: (type, attributes)} map, edge endpoints that are no instance
-    included, and every way of making a world rejects a repeated id."""
+    plain {id: (type, attributes)} map, and every way of making a world
+    rejects a repeated id and a relationship to an id that is no
+    instance."""
+    edges = drawn.draw(_edges_among(sorted(nodes), 10))
     instances = [TypeInstance(i, t, a) for i, (t, a) in nodes.items()]
     rnd.shuffle(instances)
     relationships = [RelationshipInstance(p, c, a) for p, c, a in edges]
@@ -249,6 +261,26 @@ def test_column_world_matches_a_dict_reference(nodes, edges, rnd):
     assert World(world.instances, world.relationships) == world
     data = world_to_dict(world)
     assert world_from_dict(data) == world
+
+    other = rnd.choice([*nodes, "ghost"])
+    p, c = rnd.choice([("ghost", other), (other, "ghost")])
+    missing = f"relationship ({p!r}, {c!r}) references a missing instance"
+    dangling = list(relationships)
+    dangling.insert(rnd.randrange(len(edges) + 1), RelationshipInstance(p, c))
+    with pytest.raises(ValueError, match=re.escape(missing)):
+        World(instances, dangling)
+    with pytest.raises(ValueError, match=re.escape(missing)):
+        World.from_columns(
+            *([getattr(i, key) for i in instances]
+              for key in ("id", "type_name", "attributes")),
+            *([getattr(r, key) for r in dangling]
+              for key in ("parent", "child", "attributes")))
+    bad = world_to_dict(world)
+    bad["relationships"].insert(rnd.randrange(len(world.edges) + 1),
+                                {"parent": p, "child": c})
+    with pytest.raises(ValueError, match=re.escape(missing)):
+        world_from_dict(bad)
+
     if instances:
         repeat = rnd.choice(instances)
         data["instances"].insert(rnd.randrange(len(instances) + 1), {
@@ -314,17 +346,10 @@ def _reference_validate_world(world, ontology, allowed_edges=()):
     by_id = {i.id: i for i in world.instances}
     children = {i.id: [] for i in world.instances}
     for parent, child in world.edges:
-        if parent in children:
-            children[parent].append(child)
-        pinst, cinst = by_id.get(parent), by_id.get(child)
-        if pinst is None or cinst is None:
-            report.add("dangling-relationship",
-                       f"relationship ({parent!r}, {child!r}) references "
-                       "a missing instance", (parent, child))
-            continue
+        children[parent].append(child)
         if (parent, child) in exempt:
             continue
-        ptype, ctype = pinst.type_name, cinst.type_name
+        ptype, ctype = by_id[parent].type_name, by_id[child].type_name
         if (ontology.has_type(ptype) and ontology.has_type(ctype)
                 and not ontology.has_edge(ptype, ctype)):
             report.add(
@@ -336,9 +361,8 @@ def _reference_validate_world(world, ontology, allowed_edges=()):
     return report
 
 
-# Ids "f" and "ghost" never name an instance, so their edges dangle;
 # "Quantum Router" is undeclared; "Relay Software" must be a string.
-_NODE_IDS = ("a", "b", "c", "d", "e", "f", "ghost")
+_NODE_IDS = ("a", "b", "c", "d", "e")
 _NODE_TYPES = ("AS", "Tor Relay", "Virtual Link", "Relay Family",
                "AS Organization", "Quantum Router")
 _NODE_ATTRS = ({}, {}, {"Relay Software": "linux"}, {"Relay Software": 17},
@@ -347,16 +371,17 @@ _NODE_ATTRS = ({}, {}, {"Relay Software": "linux"}, {"Relay Software": 17},
 
 @st.composite
 def _small_worlds(draw):
-    """(world, allowed edges): undeclared types, bad attributes, dangling
-    and off-ontology edges and, unless the edges are drawn acyclic,
-    cycles."""
+    """(world, allowed edges): undeclared types, bad attributes,
+    off-ontology edges and, unless the edges are drawn acyclic, cycles;
+    every edge joins two instances."""
     instances = draw(st.lists(st.builds(
-        TypeInstance, st.sampled_from(_NODE_IDS[:5]),
+        TypeInstance, st.sampled_from(_NODE_IDS),
         st.sampled_from(_NODE_TYPES), st.sampled_from(_NODE_ATTRS)),
         max_size=7, unique_by=lambda inst: inst.id))
-    pairs = draw(st.lists(st.tuples(st.sampled_from(_NODE_IDS),
-                                    st.sampled_from(_NODE_IDS)),
-                          max_size=14))
+    ids = [inst.id for inst in instances]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids),
+                                    st.sampled_from(ids)), max_size=14)
+                 if ids else st.just([]))
     if draw(st.booleans()):
         rank = {node: r for r, node in enumerate(draw(st.permutations(
             _NODE_IDS)))}
@@ -642,8 +667,7 @@ def test_build_world_rejects_unknown_org_member(ontology):
 
 def test_validate_reports_every_edge_of_a_bad_type_pair(ontology):
     """Edges sharing one undeclared type pair are each reported, in edge
-    order; an allowed user edge of that pair and a dangling edge are
-    handled on their own."""
+    order; an allowed user edge of that pair is not."""
     world = World(
         instances=(TypeInstance("as:1", "AS"), TypeInstance("as:2", "AS"),
                    TypeInstance("relay:a", "Tor Relay"),
@@ -655,7 +679,6 @@ def test_validate_reports_every_edge_of_a_bad_type_pair(ontology):
                        RelationshipInstance("as:1", "relay:b"),
                        RelationshipInstance("as:1", "vlink:1a"),
                        RelationshipInstance("as:2", "relay:a"),
-                       RelationshipInstance("as:1", "relay:ghost"),
                        RelationshipInstance("as:1", "relay:a"),
                        RelationshipInstance("q:1", "relay:a"),
                        RelationshipInstance("as:1", "q:1")))
@@ -670,9 +693,6 @@ def test_validate_reports_every_edge_of_a_bad_type_pair(ontology):
         ("no-ontology-edge",
          "relationship ('as:1', 'relay:b') has type pair ('AS', 'Tor Relay') "
          "with no ontology edge", ("as:1", "relay:b")),
-        ("dangling-relationship",
-         "relationship ('as:1', 'relay:ghost') references a missing instance",
-         ("as:1", "relay:ghost")),
         ("no-ontology-edge",
          "relationship ('as:2', 'relay:c') has type pair ('AS', 'Tor Relay') "
          "with no ontology edge", ("as:2", "relay:c"))]
