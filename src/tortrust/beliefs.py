@@ -54,11 +54,20 @@ class TrustScale:
 
 
 def _resolve(value, mapping):
+    """The probability of a trust symbol, through `mapping`, or of a
+    numeric literal; BeliefFormatError unless it is a number in [0,1]."""
+    p = value
     if isinstance(value, str):
         if value not in mapping:
             raise BeliefFormatError(f"unknown trust value {value!r}")
-        return float(mapping[value])
-    return float(value)
+        p = mapping[value]
+    if not _is_probability(p):
+        raise BeliefFormatError(
+            f"trust value {value!r} is not a probability in [0,1]"
+            if p is value else
+            f"trust value {value!r} maps to {p!r}, not a probability in "
+            "[0,1]")
+    return float(p)
 
 
 def default_scale():

@@ -13,8 +13,8 @@ world itself, with the maps it has already built.
 Every EditedWorld made here passes one gate, `_checked`: the ontology, then
 the world against it with the user relationships exempt, both into one
 report, then the budget and CE beliefs by `resolve_attachments`.  Only the
-final world is checked, so a cycle is found there, by the one Kahn sort of
-`validation`, and edits that pass through a cycle but end acyclic stand.
+final world is built, so its constructor rejects a cycle (an EditError
+here), and edits that pass through a cycle but end acyclic stand.
 `apply_structural` and the edited-world loader both end in the gate; the
 loader first checks each key and entry of the file by shape and each user
 relationship against the world's relationships.
@@ -128,10 +128,13 @@ def _edit(world, ontology, edits):
             _set_attribute(belief, types, attributes)
         else:
             raise EditError(f"unknown structural belief {belief!r}")
-    edited = World.from_columns(
-        list(types), list(types.values()), list(map(attributes.get, types)),
-        [p for p, _ in edges], [c for _, c in edges], list(edges.values()))
-    return edited, user_edges
+    try:
+        return World.from_columns(
+            list(types), list(types.values()),
+            list(map(attributes.get, types)), [p for p, _ in edges],
+            [c for _, c in edges], list(edges.values())), user_edges
+    except ValueError as exc:           # a cycle
+        raise EditError(str(exc)) from None
 
 
 def document_ontology(ontology, doc):

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .errors import OntologyError
-from .validation import ValidationReport, check_entry, report_cycle
+from .validation import ValidationReport, check_entry, find_cycle
 
 SYSTEM = "system"
 USER = "user"
@@ -238,8 +238,10 @@ def validate_ontology(ontology):
     rank = {name: r for r, name in enumerate(names)}
     edges = [(rank[e.from_type], rank[e.to_type]) for e in ontology.edges
              if e.from_type in rank and e.to_type in rank]
-    report_cycle(report, "type", names, [p for p, _ in edges],
-                 [c for _, c in edges])
+    cycle = find_cycle("type", names, [p for p, _ in edges],
+                       [c for _, c in edges])
+    if cycle:
+        report.add("cycle", *cycle)
     return report
 
 
@@ -314,6 +316,14 @@ def _attributes(entry, where):
                              f"{where}."))
 
 
+def _flag(entry, key, where):
+    """The boolean entry[key], False when absent."""
+    value = entry.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{where}: {key!r} must be a boolean")
+    return value
+
+
 def ontology_from_dict(data):
     """Parse an ontology file's dict; raises ValueError naming the first
     malformed entry."""
@@ -321,7 +331,7 @@ def ontology_from_dict(data):
         raise ValueError("ontology file: expected an object")
     types = tuple(
         TypeDef(name=t["name"], label=t.get("label", USER),
-                is_output=t.get("is_output", False),
+                is_output=_flag(t, "is_output", where),
                 attributes=_attributes(t, where))
         for where, t in _entries(data, "types", ("name",)))
     edges = tuple(

@@ -11,6 +11,7 @@ the one first-last kernel, `first_last_matrix`.
 """
 
 import hashlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ class Circuit:
 @dataclass(frozen=True)
 class RelayView:
     id: str
-    bandwidth: float
+    bandwidth: float       # a finite real number >= 0; ConsensusView checks
     guard: bool
     exit: bool
     family: str
@@ -47,8 +48,13 @@ class ConsensusView:
 
     def __post_init__(self):
         for r in self.relays:
-            if r.bandwidth < 0:
-                raise ValueError(f"negative bandwidth on {r.id}")
+            bandwidth = r.bandwidth
+            if isinstance(bandwidth, bool) \
+                    or not isinstance(bandwidth, (int, float)) \
+                    or not 0 <= bandwidth <= sys.float_info.max:
+                raise ValueError(f"relay {r.id!r}: 'bandwidth' must be a "
+                                 "finite real number >= 0, not "
+                                 f"{bandwidth!r}")
 
 
 @dataclass(frozen=True)
@@ -173,11 +179,14 @@ def consensus_view(world):
     relays = []
     for rid in world.of_type(ont.TOR_RELAY):
         ip = world.attribute(rid, "ip", "")
+        if not isinstance(ip, str):
+            raise ValueError(f"relay {rid!r}: 'ip' must be a string, not "
+                             f"{ip!r}")
         octets = ip.split(".")
         prefix16 = ".".join(octets[:2]) if len(octets) == 4 else rid
         relays.append(RelayView(
             id=rid,
-            bandwidth=float(world.attribute(rid, "bandwidth", 0)),
+            bandwidth=world.attribute(rid, "bandwidth", 0),
             guard=bool(world.attribute(rid, "guard")),
             exit=bool(world.attribute(rid, "exit")),
             family=family_of.get(rid, rid),

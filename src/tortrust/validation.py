@@ -1,7 +1,7 @@
 """Violation reports shared by ontology and world validation, the one
-topological sort (on integer ranks) behind the cycle checks and the
-compiled network's order, and the entry check shared by the ontology and
-world file parsers.
+topological sort (on integer ranks) behind the compiled network's order
+and `find_cycle`, which the world constructor and ontology validation
+share, and the entry check shared by the ontology and world file parsers.
 
 Validators never raise on bad input; every broken invariant becomes one
 Violation entry so a caller (or the CLI) can show all problems at once.
@@ -65,19 +65,18 @@ def topological_order(n, src, dst):
     return order
 
 
-def report_cycle(report, graph, names, src, dst):
-    """Add one "cycle" violation naming every node of the graph on `names`
-    (sorted) with edges src -> dst (ranks) that lies on a directed cycle or
-    downstream of one: the nodes `topological_order` cannot place."""
+def find_cycle(graph, names, src, dst):
+    """(message, nodes) naming every node of the graph on `names` (sorted)
+    with edges src -> dst (ranks) that lies on a directed cycle or
+    downstream of one, the nodes `topological_order` cannot place; None
+    when the graph has no cycle."""
     order = topological_order(len(names), src, dst)
     if len(order) == len(names):
-        return
+        return None
     stuck = np.ones(len(names), dtype=bool)
     stuck[order] = False
     cycle = [names[r] for r in np.flatnonzero(stuck).tolist()]
-    report.add("cycle",
-               f"{graph} graph has a cycle through {{{', '.join(cycle)}}}",
-               cycle)
+    return f"{graph} graph has a cycle through {{{', '.join(cycle)}}}", cycle
 
 
 def check_entry(where, entry, keys):

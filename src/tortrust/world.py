@@ -11,10 +11,11 @@ ids of its instances, one type code per id, the attributes of only the
 instances that have any, and each edge once as a pair of int32 ranks,
 sorted.  No object is kept per instance: the TypeInstance tuple
 `World.instances`, like `World.edges` and `World.relationships`, is a view
-built on demand.  A repeated instance id, or a relationship whose parent
-or child is no instance, raises ValueError wherever a world is made.
-`world_from_dict` reads each column of a world file in one pass and names
-the first malformed entry.
+built on demand.  `World.from_columns`, the one constructor, raises
+ValueError on a repeated instance id, a relationship whose parent or child
+is no instance, or a cycle; `validate_world` checks only the ontology's
+rules.  `world_from_dict` walks each list of a file once, naming the first
+malformed entry.
 
 Node identifiers are plain strings with a short type prefix, e.g.
 "as:3356", "relay:fp_ab12", "vlink:as3356-relay:fp_ab12".
@@ -29,7 +30,7 @@ from itertools import compress
 import numpy as np
 
 from .files import json_text, write_text
-from .validation import ValidationReport, check_entry, report_cycle
+from .validation import ValidationReport, check_entry, find_cycle
 
 # Values stay JSON-native (str/int/float/bool/list/dict) so world files
 # round-trip losslessly; string-sets are sorted lists.
@@ -116,7 +117,8 @@ class World:
         """Instance k is ids[k] of type type_names[k] with attributes[k], and
         edge k joins parents[k] to children[k] with edge_attributes[k]; the
         first of a repeated edge wins.  ValueError names the first repeated
-        id, or the first edge with an endpoint that is no instance."""
+        id, else the first edge whose endpoint is no instance, else every
+        node on or below a cycle, in id order."""
         world = cls.__new__(cls)
         types = dict(zip(ids, type_names))
         if len(types) < len(ids):
@@ -139,6 +141,9 @@ class World:
                                 len(names))
         src = (keys // n).astype(np.int32)
         dst = (keys % n).astype(np.int32)
+        cycle = find_cycle("world", names, src, dst)
+        if cycle:
+            raise ValueError(cycle[0])
         for array in (type_code, src, dst):
             array.flags.writeable = False
         vars(world).update(
@@ -285,8 +290,8 @@ def validate_world(world, ontology, allowed_edges=()):
     can fail one of these are visited.  Edges are checked on the
     rank arrays: an edge is off the ontology when both its types are
     declared and the ontology has no edge between them (a type x type
-    matrix); every offender is reported in edge order.  A world holds no
-    dangling edge: the world constructor rejects one.
+    matrix); every offender is reported in edge order.  Repeated ids,
+    dangling edges and cycles are the world constructor's to reject.
     """
     report = ValidationReport()
     rules = []                  # per type code: (declared, required names)
@@ -343,8 +348,6 @@ def validate_world(world, ontology, allowed_edges=()):
             f"relationship ({parent!r}, {child!r}) has type pair "
             f"({types[ptype[k]]!r}, {types[ctype[k]]!r}) with no "
             "ontology edge", (parent, child))
-
-    report_cycle(report, "world", names, world.src, world.dst)
     return report
 
 
@@ -367,51 +370,34 @@ def world_to_dict(world):
     }
 
 
-def _columns(data, kind, keys):
-    """The columns (first, second, attributes) of data[kind], where `keys`
-    names the two string fields, each read in one pass; None unless every
-    entry passes `_check_entries`."""
-    entries = data.get(kind, [])
-    if not (isinstance(entries, list) and _all_of(entries, dict)):
-        return None
-    first, second = keys
-    try:
-        a = [entry[first] for entry in entries]
-        b = [entry[second] for entry in entries]
-    except KeyError:
-        return None
-    attributes = [entry.get("attributes", {}) for entry in entries]
-    if not (_all_of(a, str) and _all_of(b, str) and _all_of(attributes, dict)):
-        return None
-    return a, b, attributes
-
-
-def _all_of(values, cls):
-    return all(issubclass(t, cls) for t in set(map(type, values)))
-
-
-def _check_entries(data, kind, keys):
-    """Raise ValueError naming the first malformed entry of data[kind]."""
-    entries = data.get(kind, [])
-    if not isinstance(entries, list):
-        raise ValueError(f"{kind}: expected a list")
-    for index, entry in enumerate(entries):
-        check_entry(f"{kind}[{index}]", entry, keys)
-        if not isinstance(entry.get("attributes", {}), dict):
-            raise ValueError(f"{kind}[{index}]: 'attributes' must be an "
-                             "object")
-
-
 def world_from_dict(data):
     """Parse a world file's dict; raises ValueError naming the first entry
-    that is malformed.  Only a kind of entry that fails the column check
-    is walked entry by entry, to name the entry."""
+    that is malformed.  Each list is walked once: a quick test on each
+    entry, which accepts exactly what `check_entry` and the attributes
+    rule accept, and those two only on the first entry that fails it."""
     if not isinstance(data, dict):
         raise ValueError("world file: expected an object")
     columns = []
-    for kind, keys in (("instances", ("id", "type_name")),
-                       ("relationships", ("parent", "child"))):
-        columns += _columns(data, kind, keys) or _check_entries(data, kind, keys)
+    for kind, (first, second) in (("instances", ("id", "type_name")),
+                                  ("relationships", ("parent", "child"))):
+        entries = data.get(kind, [])
+        if not isinstance(entries, list):
+            raise ValueError(f"{kind}: expected a list")
+        a, b, attributes = [], [], []
+        for entry in entries:
+            if isinstance(entry, dict):
+                x, y = entry.get(first), entry.get(second)
+                entry_attributes = entry.get("attributes", {})
+                if isinstance(x, str) and isinstance(y, str) \
+                        and isinstance(entry_attributes, dict):
+                    a.append(x)
+                    b.append(y)
+                    attributes.append(entry_attributes)
+                    continue
+            where = f"{kind}[{len(a)}]"       # every entry before it passed
+            check_entry(where, entry, (first, second))
+            raise ValueError(f"{where}: 'attributes' must be an object")
+        columns += (a, b, attributes)
     return World.from_columns(*columns)
 
 

@@ -14,7 +14,8 @@ from tortrust.bbn import (CompiledBbn, Sampler, bbn_from_dict, bbn_to_dict,
                           enumerate_exact, estimate_event, estimate_marginals,
                           exact_event, exact_marginals, load_samples,
                           parse_event, sample, sample_matrix, save_samples)
-from tortrust.errors import CompileError, NetworkTooLargeError
+from tortrust.errors import (BeliefFormatError, CompileError,
+                             NetworkTooLargeError)
 from tortrust.ontology import is_type
 from tortrust.predicates import (And, AttrCmp, AttrIn, ChildCount, HasChild,
                                  HasParent, IdIn, IsType, Not, Or,
@@ -222,10 +223,40 @@ def test_ce_node_ids_name_their_own_spec(make_edited):
 
 
 def test_compile_rejects_cycles(make_edited):
-    ew = make_edited({"as:1": "AS", "as:2": "AS"},
-                     [("as:1", "as:2"), ("as:2", "as:1")])
-    with pytest.raises(CompileError):
-        compile_bbn(ew)
+    """A cycle is rejected where the world is made, so no edited world, and
+    so no network, can hold one."""
+    with pytest.raises(ValueError, match=re.escape(
+            "world graph has a cycle through {as:1, as:2}")):
+        make_edited({"as:1": "AS", "as:2": "AS", "as:3": "AS"},
+                    [("as:1", "as:2"), ("as:2", "as:1"), ("as:3", "as:1")])
+
+
+_NOT_PROBABILITY = "is not a probability in [0,1]"
+
+
+@pytest.mark.parametrize("trust, scale, message", [
+    ((Relative("x", _pred("is AS"), 1.5),), SCALE,
+     f"trust value 1.5 {_NOT_PROBABILITY}"),
+    ((Absolute(_pred("is AS"), -0.5),), SCALE,
+     f"trust value -0.5 {_NOT_PROBABILITY}"),
+    ((Absolute(_pred("is AS"), math.nan),), SCALE,
+     f"trust value nan {_NOT_PROBABILITY}"),
+    ((Relative("x", _pred("is AS"), True),), SCALE,
+     f"trust value True {_NOT_PROBABILITY}"),
+    ((CE2("as:1", 2),), SCALE, f"trust value 2 {_NOT_PROBABILITY}"),
+    ((Relative("x", _pred("is AS"), "SC"),),
+     TrustScale({"SC": 1.5, "LC": 0.85, "U": 0.5, "LT": 0.15, "ST": 0.02}),
+     "trust value 'SC' maps to 1.5, not a probability in [0,1]"),
+    ((CE2("as:1", "U"),),
+     TrustScale(ce_mapping={"SC": 1, "LC": 1, "U": -0.1, "LT": 0, "ST": 0}),
+     "trust value 'U' maps to -0.1, not a probability in [0,1]"),
+])
+def test_compile_rejects_trust_values_outside_the_unit_interval(
+        make_edited, trust, scale, message):
+    """A trust value built in code, or a scale mapping one, is checked
+    where it becomes a probability, as a parsed document's is."""
+    with pytest.raises(BeliefFormatError, match=f"^{re.escape(message)}$"):
+        compile_bbn(_linear(make_edited), trust=trust, scale=scale)
 
 
 def test_compile_rejects_dangling_relationship(make_edited):

@@ -547,6 +547,63 @@ def test_dangling_relationship_exits_3(workdir, tmp_path, capsys):
     assert capsys.readouterr().err == message
 
 
+def test_cyclic_world_exits_3(workdir, tmp_path, capsys):
+    """A world file with a cycle is rejected where it is read, by `world
+    validate`, `beliefs apply` and `experiment run`, naming every node on
+    or below the cycle."""
+    with open(workdir["world"], encoding="utf-8") as fh:
+        data = json.load(fh)
+    vlinks = sorted(i["id"] for i in data["instances"]
+                    if i["type_name"] == "Virtual Link")[:2]
+    data["relationships"] += [{"parent": vlinks[0], "child": vlinks[1]},
+                              {"parent": vlinks[1], "child": vlinks[0]}]
+    world = tmp_path / "cyclic.json"
+    world.write_text(json.dumps(data))
+    message = (f"error: world graph has a cycle through {{{vlinks[0]}, "
+               f"{vlinks[1]}}}\n")
+    assert main(["world", "validate", "--world", str(world)]) == 3
+    assert capsys.readouterr().err == message
+    out = tmp_path / "edited.json"
+    assert main(["beliefs", "apply", "--doc", workdir["doc"], "--world",
+                 str(world), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    cfg = {"world": str(world), "adversary": workdir["doc"],
+           "clients": ["as:1000"], "destination_as": "as:1007",
+           "n_samples": 100, "seed": 1}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "run", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("attribute, value, message", [
+    ("ip", 10, "'ip' must be a string, not 10"),
+    ("bandwidth", [5], "'bandwidth' must be a finite real number >= 0, "
+                       "not [5]"),
+    ("bandwidth", float("nan"), "'bandwidth' must be a finite real number "
+                                ">= 0, not nan"),
+])
+def test_experiment_bad_relay_attribute_exit_code(workdir, tmp_path, capsys,
+                                                  attribute, value, message):
+    """An adversary document that gives a relay an ip or bandwidth of the
+    wrong kind makes `experiment run` exit 3 naming the relay."""
+    world = load_world(workdir["world"])
+    relay = world.of_type("Tor Relay")[0]
+    with open(workdir["doc"], encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["structural"].append(["attr", relay, attribute, value])
+    doc_path = tmp_path / "adversary.json"
+    doc_path.write_text(json.dumps(doc))
+    cfg = {"world": workdir["world"], "adversary": str(doc_path),
+           "clients": ["as:1000"], "destination_as": "as:1007",
+           "n_samples": 100, "seed": 1}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "run", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == f"error: relay {relay!r}: {message}\n"
+
+
 def test_experiment_zero_samples_exit_code(workdir, tmp_path, capsys):
     cfg = {"world": workdir["world"], "adversary": workdir["doc"],
            "clients": ["as:1000"], "destination_as": "as:1007",
@@ -567,6 +624,9 @@ def test_experiment_zero_samples_exit_code(workdir, tmp_path, capsys):
      "edges[0]: 'to_type' must be a string"),
     ({"types": [{"name": "A", "attributes": "a"}]},
      "types[0].attributes: expected a list"),
+    ({"types": [{"name": "A", "is_output": "no"}, {"name": "B"}],
+      "edges": [{"from_type": "B", "to_type": "A"}]},
+     "types[0]: 'is_output' must be a boolean"),
 ])
 def test_malformed_ontology_file_exit_code(workdir, tmp_path, capsys,
                                            document, message):
@@ -681,8 +741,7 @@ def _edited_doc(relationships=(), **keys):
      "'Tor Relay') with no ontology edge"),
     (_edited_doc([("as:1", "as:2"), ("as:2", "as:1")],
                  user_relationships=[["as:1", "as:2"], ["as:2", "as:1"]]),
-     "edited world is invalid:\n1 violation(s):\n  [cycle] world graph has "
-     "a cycle through {as:1, as:2, vlink:a}"),
+     "world graph has a cycle through {as:1, as:2, vlink:a}"),
     (_edited_doc(ce_specs=[["ce1", "as:1", "is VirtualLink", "LC"],
                            ["ce1", "as:1", 'id in {"vlink:a"}', "U"]]),
      "CE predicates on 'as:1' overlap at child 'vlink:a'"),

@@ -93,10 +93,9 @@ def test_user_edge_outside_ontology_is_tracked(ontology):
 
 
 def test_cycle_rejected(ontology):
-    """Cycles are found on the final world, by its validation, and named
-    with every node on or below them."""
-    cycle = ("edited world is invalid:\n1 violation(s):\n  [cycle] world "
-             "graph has a cycle through {as:1, as:2, vlink:as1-relay:a, "
+    """Cycles are found where the final world is made, and named with
+    every node on or below them, in the world constructor's words."""
+    cycle = ("world graph has a cycle through {as:1, as:2, vlink:as1-relay:a, "
              "vlink:as1-relay:b}")
     with pytest.raises(EditError) as excinfo:
         _apply(ontology,
@@ -452,7 +451,8 @@ _TYPES = ("AS", "Tor Relay", "Virtual Link")
 
 def _reference_edit(world, ontology, edits):
     """The edits applied to a plain instance dict and edge set, with the
-    editor's unknown-id and duplicate-id errors, then the built world
+    editor's unknown-id and duplicate-id errors, then a cycle check by
+    peeling off the nodes with no parent left, then the built world
     validated against the ontology: (world, user edges), or EditError."""
     types = {i.id: i.type_name for i in world.instances}
     attributes = {i.id: dict(i.attributes) for i in world.instances}
@@ -488,6 +488,12 @@ def _reference_edit(world, ontology, edits):
             if edit.id not in types:
                 raise EditError("unknown id")
             attributes[edit.id][edit.name] = edit.value
+    left = set(types)
+    while left:
+        roots = left - {c for p, c in edges if p in left}
+        if not roots:
+            raise EditError("cycle")
+        left -= roots
     built = World(tuple(TypeInstance(i, types[i], attributes[i])
                         for i in types),
                   tuple(RelationshipInstance(p, c) for p, c in edges))

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,6 +301,30 @@ def test_consensus_view_fields():
     assert by_id["relay:g2"].family == "relay:g2"  # singleton
     assert by_id["relay:g1"].prefix16 == "10.1"
     assert by_id["relay:e2"].bandwidth == 25.0
+
+
+_BANDWIDTH = "'bandwidth' must be a finite real number >= 0, not"
+
+
+@pytest.mark.parametrize("attributes, message", [
+    ({"ip": 10}, "'ip' must be a string, not 10"),
+    ({"ip": None}, "'ip' must be a string, not None"),
+    ({"bandwidth": [5]}, f"{_BANDWIDTH} [5]"),
+    ({"bandwidth": "100"}, f"{_BANDWIDTH} '100'"),
+    ({"bandwidth": True}, f"{_BANDWIDTH} True"),
+    ({"bandwidth": math.nan}, f"{_BANDWIDTH} nan"),
+    ({"bandwidth": math.inf}, f"{_BANDWIDTH} inf"),
+    pytest.param({"bandwidth": 10 ** 400}, f"{_BANDWIDTH} {10 ** 400}",
+                 id="an integer beyond the largest float"),
+    ({"bandwidth": -1}, f"{_BANDWIDTH} -1"),
+])
+def test_consensus_view_rejects_bad_relay_attributes(attributes, message):
+    rid, type_name, attrs = _relay("relay:g1", 100, guard=True,
+                                   ip="10.1.0.1")
+    ew = _world([(rid, type_name, {**attrs, **attributes})])
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(f'relay {rid!r}: {message}')}$"):
+        consensus_view(ew.world)
 
 
 def test_default_draws_respect_family_and_weights():

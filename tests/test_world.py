@@ -19,7 +19,8 @@ from tortrust.errors import CompileError, DatasetError
 from tortrust.ontology import AttributeDef, TypeDef
 from tortrust.predicates import parse_predicate
 from tortrust.synth import SynthParams, generate_synthetic
-from tortrust.validation import ValidationReport, topological_order
+from tortrust.validation import (ValidationReport, check_entry,
+                                 topological_order)
 from tortrust.world import (RelationshipInstance, TypeInstance, World,
                             _value_conforms, validate_world, vlink_id,
                             world_from_dict, world_to_dict)
@@ -153,16 +154,22 @@ def test_validate_flags_edge_without_ontology_pair(ontology):
     assert clean.ok
 
 
-def test_validate_flags_cycle(ontology):
-    world = World(
-        instances=(TypeInstance("as:1", "AS"), TypeInstance("as:2", "AS"),
-                   TypeInstance("as:3", "AS")),
-        relationships=(RelationshipInstance("as:1", "as:2"),
-                       RelationshipInstance("as:2", "as:1")))
-    report = validate_world(world, ontology)
-    assert "cycle" in report.codes()
-    cycles = [v for v in report.violations if v.code == "cycle"]
-    assert [v.elements for v in cycles] == [("as:1", "as:2")]
+def test_validate_flags_cycle(tmp_path, capsys):
+    """A cycle is rejected where a world is made, naming every node on or
+    below it in id order, so no world holds one and `world validate` exits
+    3 on such a file."""
+    cycle = "world graph has a cycle through {as:1, as:2, as:4}"
+    ids = ["as:1", "as:2", "as:3", "as:4"]
+    edges = [("as:2", "as:4"), ("as:1", "as:2"), ("as:2", "as:1"),
+             ("as:3", "as:1")]
+    _assert_rejects_cycle(cycle, [TypeInstance(i, "AS") for i in ids],
+                          [RelationshipInstance(p, c) for p, c in edges])
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps({
+        "instances": [{"id": i, "type_name": "AS"} for i in ids],
+        "relationships": [{"parent": p, "child": c} for p, c in edges]}))
+    assert main(["world", "validate", "--world", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {cycle}\n"
 
 
 def test_validate_flags_bad_attribute_value(ontology):
@@ -173,6 +180,54 @@ def test_validate_flags_bad_attribute_value(ontology):
 
 def test_world_dict_roundtrip(small_world):
     assert world_from_dict(world_to_dict(small_world)) == small_world
+
+
+def _world_dict(instances, relationships):
+    """The world file's dict of these instances and relationships, in
+    their order."""
+    return {"instances": [{"id": i.id, "type_name": i.type_name,
+                           "attributes": i.attributes} for i in instances],
+            "relationships": [{"parent": r.parent, "child": r.child,
+                               "attributes": r.attributes}
+                              for r in relationships]}
+
+
+def _reference_cycle(instances, relationships):
+    """The message of `_reference_check_acyclic` on these instances and
+    relationships, or None when it finds no cycle."""
+    report = ValidationReport()
+    children = {i.id: [] for i in instances}
+    for r in relationships:
+        children[r.parent].append(r.child)
+    _reference_check_acyclic(report, children, "world")
+    return report.violations[0].message if report.violations else None
+
+
+def _assert_rejects_cycle(message, instances, relationships):
+    """World(...), World.from_columns and world_from_dict each raise the
+    ValueError `message`."""
+    exact = f"^{re.escape(message)}$"
+    with pytest.raises(ValueError, match=exact):
+        World(instances, relationships)
+    with pytest.raises(ValueError, match=exact):
+        World.from_columns(
+            *([getattr(i, key) for i in instances]
+              for key in ("id", "type_name", "attributes")),
+            *([getattr(r, key) for r in relationships]
+              for key in ("parent", "child", "attributes")))
+    with pytest.raises(ValueError, match=exact):
+        world_from_dict(_world_dict(instances, relationships))
+
+
+def _world_unless_cyclic(instances, relationships):
+    """World(instances, relationships); None when the reference finds a
+    cycle, after checking that every way of making the world raises the
+    reference's message."""
+    cycle = _reference_cycle(instances, relationships)
+    if cycle is not None:
+        _assert_rejects_cycle(cycle, instances, relationships)
+        return None
+    return World(instances, relationships)
 
 
 # --- edge storage ------------------------------------------------------------
@@ -192,12 +247,20 @@ def _old_relationships(relationships):
     return tuple(unique[k] for k in sorted(unique))
 
 
-def _edges_among(ids, max_size):
-    """(parent, child, attributes) triples whose endpoints are in `ids`."""
+@st.composite
+def _edges_among(draw, ids, max_size):
+    """(parent, child, attributes) triples whose endpoints are in `ids`;
+    in about half the draws each edge follows a drawn order of `ids`, so
+    that they are acyclic."""
     if not ids:
-        return st.just([])
-    return st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
-                              _ATTRS), max_size=max_size)
+        return []
+    edges = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                                    _ATTRS), max_size=max_size))
+    if draw(st.booleans()):
+        rank = dict(zip(draw(st.permutations(ids)), range(len(ids))))
+        edges = [(*sorted((p, c), key=rank.get), a) for p, c, a in edges
+                 if p != c]
+    return edges
 
 
 @settings(max_examples=80, deadline=None)
@@ -208,7 +271,9 @@ def test_edge_storage_matches_old_rules(ids, drawn, rnd):
     instances = [TypeInstance(i, "AS") for i in ids]
     relationships = [RelationshipInstance(p, c, a) for p, c, a in edges]
     rnd.shuffle(instances)
-    world = World(instances=instances, relationships=relationships)
+    world = _world_unless_cyclic(instances, relationships)
+    if world is None:
+        return
     assert world.relationships == _old_relationships(relationships)
     assert world.edges == tuple((r.parent, r.child)
                                 for r in world.relationships)
@@ -235,12 +300,52 @@ def test_column_world_matches_a_dict_reference(nodes, drawn, rnd):
     """Instances are stored as columns alone: every lookup agrees with a
     plain {id: (type, attributes)} map, and every way of making a world
     rejects a repeated id and a relationship to an id that is no
-    instance."""
+    instance, ahead of a cycle."""
     edges = drawn.draw(_edges_among(sorted(nodes), 10))
     instances = [TypeInstance(i, t, a) for i, (t, a) in nodes.items()]
     rnd.shuffle(instances)
     relationships = [RelationshipInstance(p, c, a) for p, c, a in edges]
-    world = World(instances, relationships)
+    world = _world_unless_cyclic(instances, relationships)
+    if world is not None:
+        _check_column_lookups(world, nodes, edges)
+    data = _world_dict(instances, relationships)
+
+    other = rnd.choice([*nodes, "ghost"])
+    p, c = rnd.choice([("ghost", other), (other, "ghost")])
+    missing = f"relationship ({p!r}, {c!r}) references a missing instance"
+    dangling = list(relationships)
+    dangling.insert(rnd.randrange(len(edges) + 1), RelationshipInstance(p, c))
+    with pytest.raises(ValueError, match=re.escape(missing)):
+        World(instances, dangling)
+    with pytest.raises(ValueError, match=re.escape(missing)):
+        World.from_columns(
+            *([getattr(i, key) for i in instances]
+              for key in ("id", "type_name", "attributes")),
+            *([getattr(r, key) for r in dangling]
+              for key in ("parent", "child", "attributes")))
+    bad = _world_dict(instances, dangling)
+    with pytest.raises(ValueError, match=re.escape(missing)):
+        world_from_dict(bad)
+
+    if instances:
+        repeat = rnd.choice(instances)
+        data["instances"].insert(rnd.randrange(len(instances) + 1), {
+            "id": repeat.id, "type_name": repeat.type_name,
+            "attributes": repeat.attributes})
+        twice = f"instance id {repeat.id!r} used twice"
+        with pytest.raises(ValueError, match=re.escape(twice)):
+            World([*instances, repeat], relationships)
+        with pytest.raises(ValueError, match=re.escape(twice)):
+            World.from_columns(*([i[key] for i in data["instances"]] for key
+                                 in ("id", "type_name", "attributes")),
+                               [], [], [])
+        with pytest.raises(ValueError, match=re.escape(twice)):
+            world_from_dict(data)
+
+
+def _check_column_lookups(world, nodes, edges):
+    """Every lookup of `world` agrees with `nodes`, {id: (type,
+    attributes)}, and the world round-trips."""
     for node in (*nodes, *(p for p, _, _ in edges), "zz"):
         assert (node in world) == (node in nodes)
         if node in nodes:
@@ -259,42 +364,7 @@ def test_column_world_matches_a_dict_reference(nodes, drawn, rnd):
     assert world.instances == tuple(TypeInstance(i, *nodes[i])
                                     for i in sorted(nodes))
     assert World(world.instances, world.relationships) == world
-    data = world_to_dict(world)
-    assert world_from_dict(data) == world
-
-    other = rnd.choice([*nodes, "ghost"])
-    p, c = rnd.choice([("ghost", other), (other, "ghost")])
-    missing = f"relationship ({p!r}, {c!r}) references a missing instance"
-    dangling = list(relationships)
-    dangling.insert(rnd.randrange(len(edges) + 1), RelationshipInstance(p, c))
-    with pytest.raises(ValueError, match=re.escape(missing)):
-        World(instances, dangling)
-    with pytest.raises(ValueError, match=re.escape(missing)):
-        World.from_columns(
-            *([getattr(i, key) for i in instances]
-              for key in ("id", "type_name", "attributes")),
-            *([getattr(r, key) for r in dangling]
-              for key in ("parent", "child", "attributes")))
-    bad = world_to_dict(world)
-    bad["relationships"].insert(rnd.randrange(len(world.edges) + 1),
-                                {"parent": p, "child": c})
-    with pytest.raises(ValueError, match=re.escape(missing)):
-        world_from_dict(bad)
-
-    if instances:
-        repeat = rnd.choice(instances)
-        data["instances"].insert(rnd.randrange(len(instances) + 1), {
-            "id": repeat.id, "type_name": repeat.type_name,
-            "attributes": repeat.attributes})
-        twice = f"instance id {repeat.id!r} used twice"
-        with pytest.raises(ValueError, match=re.escape(twice)):
-            World([*instances, repeat], relationships)
-        with pytest.raises(ValueError, match=re.escape(twice)):
-            World.from_columns(*([i[key] for i in data["instances"]] for key
-                                 in ("id", "type_name", "attributes")),
-                               [], [], [])
-        with pytest.raises(ValueError, match=re.escape(twice)):
-            world_from_dict(data)
+    assert world_from_dict(world_to_dict(world)) == world
 
 
 # --- integer-coded validation against the string-keyed rules ----------------
@@ -324,7 +394,8 @@ def _reference_check_acyclic(report, children, graph):
 
 def _reference_validate_world(world, ontology, allowed_edges=()):
     """The string-keyed world validation: one loop over the instances, one
-    over the (parent, child) pairs, a string child map for the cycles."""
+    over the (parent, child) pairs.  A world holds no cycle, so there is
+    none to report."""
     report = ValidationReport()
     for inst in world.instances:
         tdef = ontology.type_map.get(inst.type_name)
@@ -344,9 +415,7 @@ def _reference_validate_world(world, ontology, allowed_edges=()):
                     f"conform to {adef.data_type}", (inst.id, name))
     exempt = set(allowed_edges)
     by_id = {i.id: i for i in world.instances}
-    children = {i.id: [] for i in world.instances}
     for parent, child in world.edges:
-        children[parent].append(child)
         if (parent, child) in exempt:
             continue
         ptype, ctype = by_id[parent].type_name, by_id[child].type_name
@@ -357,7 +426,6 @@ def _reference_validate_world(world, ontology, allowed_edges=()):
                 f"relationship ({parent!r}, {child!r}) has type pair "
                 f"({ptype!r}, {ctype!r}) with no ontology edge",
                 (parent, child))
-    _reference_check_acyclic(report, children, "world")
     return report
 
 
@@ -371,9 +439,9 @@ _NODE_ATTRS = ({}, {}, {"Relay Software": "linux"}, {"Relay Software": 17},
 
 @st.composite
 def _small_worlds(draw):
-    """(world, allowed edges): undeclared types, bad attributes,
-    off-ontology edges and, unless the edges are drawn acyclic, cycles;
-    every edge joins two instances."""
+    """(instances, relationships, allowed edges): undeclared types, bad
+    attributes, off-ontology edges and, unless the edges are drawn acyclic,
+    cycles; every edge joins two instances."""
     instances = draw(st.lists(st.builds(
         TypeInstance, st.sampled_from(_NODE_IDS),
         st.sampled_from(_NODE_TYPES), st.sampled_from(_NODE_ATTRS)),
@@ -387,13 +455,13 @@ def _small_worlds(draw):
             _NODE_IDS)))}
         pairs = [tuple(sorted(pair, key=rank.get)) for pair in pairs
                  if pair[0] != pair[1]]
-    world = World(instances, [RelationshipInstance(p, c) for p, c in pairs])
+    relationships = [RelationshipInstance(p, c) for p, c in pairs]
     allowed = draw(st.lists(st.sampled_from(pairs), max_size=3)
                    if pairs else st.just([]))
     allowed += draw(st.lists(st.tuples(st.sampled_from(_NODE_IDS),
                                        st.sampled_from(_NODE_IDS)),
                              max_size=2))
-    return world, allowed
+    return instances, relationships, allowed
 
 
 def _violations(report):
@@ -402,11 +470,14 @@ def _violations(report):
 
 @settings(max_examples=300, deadline=None)
 @given(_small_worlds())
-@example((World([TypeInstance("a", "AS"), TypeInstance("b", "Tor Relay")],
-                [RelationshipInstance("a", "b")]),
+@example(([TypeInstance("a", "AS"), TypeInstance("b", "Tor Relay")],
+          [RelationshipInstance("a", "b")],
           [("a", "ghost")]))            # an allowed pair that is no edge
 def test_validate_matches_string_reference(ontology, case):
-    world, allowed = case
+    instances, relationships, allowed = case
+    world = _world_unless_cyclic(instances, relationships)
+    if world is None:
+        return
     assert _violations(validate_world(world, ontology, allowed)) == \
         _violations(_reference_validate_world(world, ontology, allowed))
 
@@ -414,7 +485,10 @@ def test_validate_matches_string_reference(ontology, case):
 @settings(max_examples=150, deadline=None)
 @given(_small_worlds())
 def test_children_and_parents_answer_from_the_ranks(case):
-    world, _ = case
+    instances, relationships, _ = case
+    world = _world_unless_cyclic(instances, relationships)
+    if world is None:
+        return
     for node in (*_NODE_IDS, "zz"):
         assert world.children(node) == tuple(sorted(
             r.child for r in world.relationships if r.parent == node))
@@ -435,10 +509,75 @@ def _compiled(world, ontology):
 @settings(max_examples=150, deadline=None)
 @given(_small_worlds())
 def test_world_dict_roundtrip_keeps_the_network(ontology, case):
-    world, _ = case
+    instances, relationships, _ = case
+    world = _world_unless_cyclic(instances, relationships)
+    if world is None:
+        return
     loaded = world_from_dict(world_to_dict(world))
     assert loaded == world
     assert _compiled(loaded, ontology) == _compiled(world, ontology)
+
+
+_ENTRY_KEYS = {"instances": ("id", "type_name"),
+               "relationships": ("parent", "child")}
+_NOT_AN_OBJECT = st.sampled_from([1, 2.5, "as:1", None, True, ["id"]])
+_NOT_A_STRING = st.sampled_from([1, 2.5, None, True, ["as:1"], {"id": "x"}])
+_NOT_AN_ATTRIBUTE_OBJECT = st.sampled_from([[], ["a"], "x", 0, None, False])
+
+
+@st.composite
+def _corrupted(draw, entry, keys):
+    """`entry` made malformed: not an object, a key missing, a key that is
+    no string, or attributes that are no object."""
+    how = draw(st.sampled_from(["object", "missing", "string", "attributes"]))
+    if how == "object":
+        return draw(_NOT_AN_OBJECT)
+    entry = dict(entry)
+    if how == "missing":
+        del entry[draw(st.sampled_from(keys))]
+    elif how == "string":
+        entry[draw(st.sampled_from(keys))] = draw(_NOT_A_STRING)
+    else:
+        entry["attributes"] = draw(_NOT_AN_ATTRIBUTE_OBJECT)
+    return entry
+
+
+def _entry_message(where, entry, keys):
+    """The message of `check_entry`, or else of the attributes rule."""
+    try:
+        check_entry(where, entry, keys)
+    except ValueError as exc:
+        return str(exc)
+    return f"{where}: 'attributes' must be an object"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_worlds(), st.data())
+def test_world_reader_names_the_first_bad_entry(case, drawn):
+    """With one to three entries of a world dict made malformed at random
+    positions, `world_from_dict` names the first of them, instances before
+    relationships, with the message `check_entry` or the attributes rule
+    gives for it."""
+    instances, relationships, _ = case
+    data = _world_dict(instances, relationships)
+    data["instances"].append({"id": "z", "type_name": "AS"})
+    data["relationships"].append({"parent": "z", "child": "a"})
+    for kind in _ENTRY_KEYS:
+        for entry in data[kind]:
+            if entry.get("attributes") == {} and drawn.draw(st.booleans()):
+                del entry["attributes"]
+    positions = [(kind, index) for kind in _ENTRY_KEYS
+                 for index in range(len(data[kind]))]
+    bad = drawn.draw(st.lists(st.sampled_from(positions), min_size=1,
+                              max_size=3, unique=True))
+    for kind, index in bad:
+        data[kind][index] = drawn.draw(_corrupted(data[kind][index],
+                                                  _ENTRY_KEYS[kind]))
+    kind, index = min(bad, key=lambda at: (at[0] == "relationships", at[1]))
+    message = _entry_message(f"{kind}[{index}]", data[kind][index],
+                             _ENTRY_KEYS[kind])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        world_from_dict(data)
 
 
 @st.composite
