@@ -31,7 +31,7 @@ from . import ontology as ont
 from .bbn import Sampler, compile_bbn
 from .editor import apply_structural
 from .files import csv_text
-from .pathsel import (_end_column, check_server_count, checked_guard_relays,
+from .pathsel import (_end_column, check_guard_count, check_server_count,
                       consensus_view, derive_seed, draw_default_circuits,
                       exits_by_as, place_servers, placement_row,
                       select_circuit, select_guards)
@@ -93,7 +93,7 @@ def _row(scenario, values, cfg):
                          seed=cfg.seed)
 
 
-def _tor_default_probability(bbn, world, cv, cfg, client):
+def _tor_default_probability(bbn, cv, cfg, client):
     """Mean first-last indicator over paired (circuit draw, adversary draw):
     draw i is a hit when its guard's end column and its exit's end column
     are both set at row i."""
@@ -103,26 +103,26 @@ def _tor_default_probability(bbn, world, cv, cfg, client):
         cv, n, derive_seed(cfg.seed, client, "circuits"))
     guards, g_idx = np.unique(np.array(guard_ids), return_inverse=True)
     exits, e_idx = np.unique(np.array(exit_ids), return_inverse=True)
-    first = np.column_stack([_end_column(sampler, world, client, str(g))
+    first = np.column_stack([_end_column(sampler, cv, client, str(g))
                              for g in guards])
-    last = np.column_stack([_end_column(sampler, world, cfg.destination_as,
+    last = np.column_stack([_end_column(sampler, cv, cfg.destination_as,
                                         str(e)) for e in exits])
     rows = np.arange(n)
     return float((first[rows, g_idx] & last[rows, e_idx]).mean())
 
 
-def _clients_trust_probability(bbn, world, cfg, client, trust, exits_in):
+def _clients_trust_probability(bbn, cv, cfg, client, trust, exits_in):
     """One client's trust-aware pass on one sampler and one guard set:
     (its clients-trust probability, or None unless `trust`; its placement
     row over `exits_in`, or None when that is None)."""
     sampler = Sampler(bbn, cfg.n_samples, derive_seed(cfg.seed, client))
-    guards = select_guards(sampler, world, client, count=cfg.guard_count)
+    guards = select_guards(sampler, cv, client, count=cfg.guard_count)
     p = row = None
     if trust:
-        _, _, p = select_circuit(sampler, world, client, guards,
+        _, _, p = select_circuit(sampler, cv, client, guards,
                                  cfg.destination_as)
     if exits_in is not None:
-        row = placement_row(sampler, world, client, guards, exits_in)
+        row = placement_row(sampler, cv, client, guards, exits_in)
     return p, row
 
 
@@ -156,21 +156,21 @@ def run_experiment(cfg):
                        + [("destination_as", cfg.destination_as)]):
         if node not in world or world.type_of(node) != ont.AS:
             raise ValueError(f"{role} {node!r} is not an AS of the world")
+    cv = consensus_view(world)
     if trust or service:
-        checked_guard_relays(world, cfg.guard_count)
+        check_guard_count(cv, cfg.guard_count)
     exits_in = None
     if service:
-        exits_in = exits_by_as(world)
+        exits_in = exits_by_as(cv)
         check_server_count(cfg.k_servers, exits_in)
     bbn = compile_bbn(ew, cfg.adversary.trust, cfg.adversary.scale)
 
     values = {}
     if SCENARIO_TOR_DEFAULT in cfg.scenarios:
-        cv = consensus_view(world)
         values[SCENARIO_TOR_DEFAULT] = [
-            _tor_default_probability(bbn, world, cv, cfg, c) for c in clients]
+            _tor_default_probability(bbn, cv, cfg, c) for c in clients]
     if trust or service:
-        passes = [_clients_trust_probability(bbn, world, cfg, c, trust,
+        passes = [_clients_trust_probability(bbn, cv, cfg, c, trust,
                                              exits_in) for c in clients]
         values[SCENARIO_CLIENTS_TRUST] = [p for p, _ in passes]
         best = {c: row for c, (_, row) in zip(clients, passes)}

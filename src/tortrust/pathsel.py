@@ -35,7 +35,7 @@ class Circuit:
 @dataclass(frozen=True)
 class RelayView:
     id: str
-    bandwidth: float       # a finite real number >= 0; ConsensusView checks
+    bandwidth: float       # a finite real number >= 0
     guard: bool
     exit: bool
     family: str
@@ -44,17 +44,12 @@ class RelayView:
 
 @dataclass(frozen=True)
 class ConsensusView:
-    relays: tuple
-
-    def __post_init__(self):
-        for r in self.relays:
-            bandwidth = r.bandwidth
-            if isinstance(bandwidth, bool) \
-                    or not isinstance(bandwidth, (int, float)) \
-                    or not 0 <= bandwidth <= sys.float_info.max:
-                raise ValueError(f"relay {r.id!r}: 'bandwidth' must be a "
-                                 "finite real number >= 0, not "
-                                 f"{bandwidth!r}")
+    """A world's relays as path selection reads them; `consensus_view`
+    builds it."""
+    relays: tuple          # RelayView per relay, in id order
+    guards: tuple          # guard relay ids, in id order
+    exits: tuple           # exit relay ids, in id order
+    as_of: dict            # relay id -> the AS id of its as_number, or None
 
 
 @dataclass(frozen=True)
@@ -69,7 +64,44 @@ def derive_seed(*parts):
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-def _end_column(sampler, world, as_node, relay):
+def _bad(rid, name, rule, value):
+    return ValueError(f"relay {rid!r}: {name!r} must be {rule}, not "
+                      f"{value!r}")
+
+
+def consensus_view(world):
+    """The world's relays as path selection reads them; the one reader of
+    relay attributes.  An absent attribute reads as ip "", bandwidth 0,
+    not a guard, not an exit, no AS.  ValueError names the first relay, in
+    id order, whose value breaks its attribute's rule."""
+    family_of = {child: fam for fam in world.of_type(ont.RELAY_FAMILY)
+                 for child in world.children(fam)}
+    relays, as_of = [], {}
+    for rid in world.of_type(ont.TOR_RELAY):
+        attrs = world.attributes.get(rid, {})
+        ip = attrs.get("ip", "")
+        if not isinstance(ip, str):
+            raise _bad(rid, "ip", "a string", ip)
+        bandwidth = attrs.get("bandwidth", 0)
+        if isinstance(bandwidth, bool) \
+                or not isinstance(bandwidth, (int, float)) \
+                or not 0 <= bandwidth <= sys.float_info.max:
+            raise _bad(rid, "bandwidth", "a finite real number >= 0",
+                       bandwidth)
+        asn = attrs.get("as_number")
+        as_of[rid] = None if asn is None else as_id(asn)
+        octets = ip.split(".")
+        relays.append(RelayView(
+            id=rid, bandwidth=bandwidth, guard=bool(attrs.get("guard")),
+            exit=bool(attrs.get("exit")), family=family_of.get(rid, rid),
+            prefix16=".".join(octets[:2]) if len(octets) == 4 else rid))
+    return ConsensusView(relays=tuple(relays),
+                         guards=tuple(r.id for r in relays if r.guard),
+                         exits=tuple(r.id for r in relays if r.exit),
+                         as_of=as_of)
+
+
+def _end_column(sampler, cv, as_node, relay):
     """Joint indicator: relay compromised or the AS-relay link observed."""
     asn = as_node.split(":", 1)[1]
     fp = relay.split(":", 1)[1]
@@ -80,18 +112,18 @@ def _end_column(sampler, world, as_node, relay):
     # No link instance: degrade to the two-endpoint path.
     if as_node in sampler.bbn.index:
         col = col | sampler.column(as_node)
-    relay_asn = world.attribute(relay, "as_number")
-    if relay_asn is not None and as_id(relay_asn) in sampler.bbn.index:
-        col = col | sampler.column(as_id(relay_asn))
+    relay_as = cv.as_of[relay]
+    if relay_as is not None and relay_as in sampler.bbn.index:
+        col = col | sampler.column(relay_as)
     return col
 
 
-def end_columns(sampler, world, as_node, relays):
+def end_columns(sampler, cv, as_node, relays):
     """(n, len(relays)) bool matrix whose column r is the end column of
     relays[r] as seen from `as_node`."""
     cols = np.empty((sampler.n, len(relays)), dtype=bool)
     for r, relay in enumerate(relays):
-        cols[:, r] = _end_column(sampler, world, as_node, relay)
+        cols[:, r] = _end_column(sampler, cv, as_node, relay)
     return cols
 
 
@@ -109,57 +141,43 @@ def first_last_matrix(first, last, guards, exits):
     return p
 
 
-def guard_exposure(sampler, world, client, guard):
+def guard_exposure(sampler, cv, client, guard):
     """P(guard compromised or client-guard link observed)."""
-    return float(_end_column(sampler, world, client, guard).mean())
+    return float(_end_column(sampler, cv, client, guard).mean())
 
 
-def guard_relays(world):
-    return [r for r in world.of_type(ont.TOR_RELAY)
-            if world.attribute(r, "guard")]
-
-
-def exit_relays(world):
-    return [r for r in world.of_type(ont.TOR_RELAY)
-            if world.attribute(r, "exit")]
-
-
-def checked_guard_relays(world, count):
-    """The world's guard relays; raises ValueError unless `count` of them
-    can be selected."""
-    guards = guard_relays(world)
-    if not 1 <= count <= len(guards):
-        raise ValueError(f"guard count must be in [1, {len(guards)}], "
+def check_guard_count(cv, count):
+    """Raises ValueError unless `count` guards can be selected."""
+    if not 1 <= count <= len(cv.guards):
+        raise ValueError(f"guard count must be in [1, {len(cv.guards)}], "
                          f"got {count}")
-    return guards
 
 
-def select_guards(sampler, world, client, count=3):
+def select_guards(sampler, cv, client, count=3):
     """The `count` guards with smallest exposure; ties break on id."""
-    guards = checked_guard_relays(world, count)
-    exposure = end_columns(sampler, world, client, guards).mean(axis=0)
-    ranked = sorted(zip(exposure.tolist(), guards))
+    check_guard_count(cv, count)
+    exposure = end_columns(sampler, cv, client, cv.guards).mean(axis=0)
+    ranked = sorted(zip(exposure.tolist(), cv.guards))
     return [g for _, g in ranked[:count]]
 
 
-def first_last_probability(sampler, world, circuit):
+def first_last_probability(sampler, cv, circuit):
     """P(both circuit ends observed) under joint adversary draws."""
-    first = _end_column(sampler, world, circuit.client, circuit.guard)
-    last = _end_column(sampler, world, circuit.destination_as, circuit.exit)
+    first = _end_column(sampler, cv, circuit.client, circuit.guard)
+    last = _end_column(sampler, cv, circuit.destination_as, circuit.exit)
     return float((first & last).mean())
 
 
-def select_circuit(sampler, world, client, guards, destination_as):
+def select_circuit(sampler, cv, client, guards, destination_as):
     """Argmin of first-last probability over guards x all exit relays;
     ties break on guard id, then exit id."""
     if not guards:
         raise ValueError("no guards supplied")
-    exits = exit_relays(world)
-    if not exits:
+    if not cv.exits:
         raise ValueError("world has no exit relays")
-    guards, exits = sorted(guards), sorted(exits)
-    p = first_last_matrix(end_columns(sampler, world, client, guards),
-                          end_columns(sampler, world, destination_as, exits),
+    guards, exits = sorted(guards), list(cv.exits)
+    p = first_last_matrix(end_columns(sampler, cv, client, guards),
+                          end_columns(sampler, cv, destination_as, exits),
                           guards, exits)
     # Rows and columns are in id order, so the first minimum in row-major
     # order is the (p, guard, exit) minimum.
@@ -170,29 +188,6 @@ def select_circuit(sampler, world, client, guards, destination_as):
 
 
 # --- Tor's default selection (bandwidth-weighted baseline) -------------------
-
-def consensus_view(world):
-    family_of = {}
-    for fam in world.of_type(ont.RELAY_FAMILY):
-        for child in world.children(fam):
-            family_of[child] = fam
-    relays = []
-    for rid in world.of_type(ont.TOR_RELAY):
-        ip = world.attribute(rid, "ip", "")
-        if not isinstance(ip, str):
-            raise ValueError(f"relay {rid!r}: 'ip' must be a string, not "
-                             f"{ip!r}")
-        octets = ip.split(".")
-        prefix16 = ".".join(octets[:2]) if len(octets) == 4 else rid
-        relays.append(RelayView(
-            id=rid,
-            bandwidth=world.attribute(rid, "bandwidth", 0),
-            guard=bool(world.attribute(rid, "guard")),
-            exit=bool(world.attribute(rid, "exit")),
-            family=family_of.get(rid, rid),
-            prefix16=prefix16))
-    return ConsensusView(relays=tuple(relays))
-
 
 def draw_default_circuits(cv, n, seed):
     """n bandwidth-weighted (guard id, exit id) draws, exit first, guard
@@ -229,14 +224,13 @@ def draw_default_circuits(cv, n, seed):
 
 # --- Greedy server placement -------------------------------------------------
 
-def exits_by_as(world):
+def exits_by_as(cv):
     """{AS id: its exit relays} over the ASes holding at least one exit
     relay, in AS id order."""
     exits_in = {}
-    for rid in exit_relays(world):
-        asn = world.attribute(rid, "as_number")
-        if asn is not None:
-            exits_in.setdefault(as_id(asn), []).append(rid)
+    for rid in cv.exits:
+        if cv.as_of[rid] is not None:
+            exits_in.setdefault(cv.as_of[rid], []).append(rid)
     return {a: exits_in[a] for a in sorted(exits_in)}
 
 
@@ -248,17 +242,17 @@ def check_server_count(k, candidates):
         raise ValueError(f"k must be in [1, {len(candidates)}], got {k}")
 
 
-def placement_row(sampler, world, client, guards, exits_in):
+def placement_row(sampler, cv, client, guards, exits_in):
     """One client's best first-last probability per candidate AS: the
     minimum over (its guards) x (the exits in that AS), on the client's
-    sampler.  `exits_in` is `exits_by_as(world)`.  An AS whose only pairs
+    sampler.  `exits_in` is `exits_by_as(cv)`.  An AS whose only pairs
     share one relay reads inf."""
     if not guards:
         raise ValueError("no guards supplied")
-    first = end_columns(sampler, world, client, guards)
+    first = end_columns(sampler, cv, client, guards)
     row = {}
     for cand, exits in exits_in.items():
-        last = end_columns(sampler, world, cand, exits)
+        last = end_columns(sampler, cv, cand, exits)
         row[cand] = float(first_last_matrix(first, last, guards, exits)
                           .min(initial=np.inf))
     return row

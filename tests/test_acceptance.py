@@ -21,7 +21,7 @@ from tortrust.bbn import (Sampler, bbn_to_dict, compile_bbn,
 from tortrust.editor import EditedWorld, apply_structural
 from tortrust.experiment import ExperimentConfig, run_experiment
 from tortrust.ontology import default_ontology
-from tortrust.pathsel import Circuit, first_last_probability
+from tortrust.pathsel import Circuit, consensus_view, first_last_probability
 from tortrust.predicates import parse_predicate
 from tortrust.synth import SynthParams, generate_synthetic
 from tortrust.world import RelationshipInstance, TypeInstance, World
@@ -218,10 +218,10 @@ def test_criterion_07_independence_floor():
     circuit = Circuit("as:client", "relay:g", "relay:e", "as:dest")
     ew, bbn = _ends_world(shared=False)
     p_disjoint = first_last_probability(Sampler(bbn, 100_000, seed=7),
-                                        ew.world, circuit)
+                                        consensus_view(ew.world), circuit)
     ew, bbn = _ends_world(shared=True)
     p_shared = first_last_probability(Sampler(bbn, 100_000, seed=7),
-                                      ew.world, circuit)
+                                      consensus_view(ew.world), circuit)
     ok = abs(p_disjoint - 0.01) <= 0.004 and abs(p_shared - 0.1) <= 0.004
     _report(7, "independence-floor", ok,
             f"disjoint {p_disjoint:.4f}, shared {p_shared:.4f}")

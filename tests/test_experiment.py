@@ -129,19 +129,18 @@ def test_default_scenarios_constant():
 
 def test_tor_default_matches_per_draw_reference(config, small_bbn):
     cfg = dataclasses.replace(config, n_samples=300)
-    world = config.world
-    cv = consensus_view(world)
+    cv = consensus_view(config.world)
     for client in cfg.clients:
         sampler = Sampler(small_bbn, cfg.n_samples,
                           derive_seed(cfg.seed, client, "adversary"))
         guard_ids, exit_ids = draw_default_circuits(
             cv, cfg.n_samples, derive_seed(cfg.seed, client, "circuits"))
-        hits = [bool(_end_column(sampler, world, client, g)[i]
-                     & _end_column(sampler, world, cfg.destination_as, e)[i])
+        hits = [bool(_end_column(sampler, cv, client, g)[i]
+                     & _end_column(sampler, cv, cfg.destination_as, e)[i])
                 for i, (g, e) in enumerate(zip(guard_ids, exit_ids))]
         expected = sum(hits) / len(hits)
         assert experiment._tor_default_probability(
-            small_bbn, world, cv, cfg, client) == expected
+            small_bbn, cv, cfg, client) == expected
 
 
 @pytest.mark.parametrize("scenarios,names", [

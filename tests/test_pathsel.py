@@ -12,14 +12,19 @@ from tortrust.editor import EditedWorld
 from tortrust.ontology import default_ontology
 from tortrust.pathsel import (Circuit, _end_column, consensus_view,
                               derive_seed, draw_default_circuits,
-                              end_columns, exit_relays, exits_by_as,
-                              first_last_matrix, first_last_probability,
-                              guard_exposure, guard_relays, place_servers,
-                              placement_row, select_circuit, select_guards)
+                              end_columns, exits_by_as, first_last_matrix,
+                              first_last_probability, guard_exposure,
+                              place_servers, placement_row, select_circuit,
+                              select_guards)
 from tortrust.predicates import parse_predicate
 from tortrust.world import RelationshipInstance, TypeInstance, World
 
 SCALE = TrustScale()
+
+
+@pytest.fixture(scope="module")
+def small_cv(small_world):
+    return consensus_view(small_world)
 
 
 def _world(instances, edges=()):
@@ -68,16 +73,16 @@ def _two_end_world():
 
 def test_guard_exposure_through_link():
     ew, bbn = _two_end_world()
-    p = guard_exposure(Sampler(bbn, 100_000, seed=1), ew.world, "as:100",
-                       "relay:g")
+    p = guard_exposure(Sampler(bbn, 100_000, seed=1),
+                       consensus_view(ew.world), "as:100", "relay:g")
     assert p == pytest.approx(0.2, abs=0.006)
 
 
 def test_first_last_independent_ends_multiply():
     ew, bbn = _two_end_world()
     circuit = Circuit("as:100", "relay:g", "relay:e", "as:200")
-    p = first_last_probability(Sampler(bbn, 200_000, seed=2), ew.world,
-                               circuit)
+    p = first_last_probability(Sampler(bbn, 200_000, seed=2),
+                               consensus_view(ew.world), circuit)
     assert p == pytest.approx(0.2 * 0.3, abs=0.004)
 
 
@@ -93,51 +98,52 @@ def test_first_last_shared_as_correlates():
          ("as:300", "vlink:as200-relay:e")])
     bbn = compile_bbn(ew, trust=(_abs("as:300", 0.2),), scale=SCALE)
     circuit = Circuit("as:100", "relay:g", "relay:e", "as:200")
-    p = first_last_probability(Sampler(bbn, 100_000, seed=3), ew.world,
-                               circuit)
+    p = first_last_probability(Sampler(bbn, 100_000, seed=3),
+                               consensus_view(ew.world), circuit)
     assert p == pytest.approx(0.2, abs=0.007)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_first_last_never_exceeds_either_end(small_bbn, small_world, data):
+def test_first_last_never_exceeds_either_end(small_bbn, small_world,
+                                             small_cv, data):
     # both sides read the same draws, so the bound holds exactly
     ases = sorted(small_world.of_type("AS"))
     client = data.draw(st.sampled_from(ases))
     destination = data.draw(st.sampled_from(ases))
-    guard = data.draw(st.sampled_from(guard_relays(small_world)))
+    guard = data.draw(st.sampled_from(small_cv.guards))
     exit_ = data.draw(st.sampled_from(
-        [e for e in exit_relays(small_world) if e != guard]))
+        [e for e in small_cv.exits if e != guard]))
     sampler = Sampler(small_bbn, 2000, seed=data.draw(st.integers(0, 99)))
-    p = first_last_probability(sampler, small_world,
+    p = first_last_probability(sampler, small_cv,
                                Circuit(client, guard, exit_, destination))
-    assert p <= min(guard_exposure(sampler, small_world, client, guard),
-                    guard_exposure(sampler, small_world, destination, exit_))
+    assert p <= min(guard_exposure(sampler, small_cv, client, guard),
+                    guard_exposure(sampler, small_cv, destination, exit_))
 
 
 # --- the first-last kernel against one-pair references ------------------------
 
 @st.composite
-def _kernel_case(draw, world):
+def _kernel_case(draw, world, cv):
     """A client, a destination, a sampler seed, and a guard list drawn from
     every guard or exit relay, so some guards are also exits."""
     ases = sorted(world.of_type("AS"))
-    relays = sorted(set(guard_relays(world)) | set(exit_relays(world)))
+    relays = sorted(set(cv.guards) | set(cv.exits))
     return (draw(st.sampled_from(ases)), draw(st.sampled_from(ases)),
             draw(st.integers(0, 99)),
             draw(st.lists(st.sampled_from(relays), min_size=1, max_size=4,
                           unique=True)))
 
 
-def _select_circuit_loop(sampler, world, client, guards, destination_as):
+def _select_circuit_loop(sampler, cv, client, guards, destination_as):
     """The guard x exit double loop that `select_circuit` replaced."""
     best = None
     for g in sorted(guards):
-        for e in sorted(exit_relays(world)):
+        for e in sorted(cv.exits):
             if g == e:
                 continue
-            p = float((_end_column(sampler, world, client, g)
-                       & _end_column(sampler, world, destination_as, e))
+            p = float((_end_column(sampler, cv, client, g)
+                       & _end_column(sampler, cv, destination_as, e))
                       .mean())
             if best is None or (p, g, e) < best:
                 best = (p, g, e)
@@ -147,16 +153,16 @@ def _select_circuit_loop(sampler, world, client, guards, destination_as):
     return g, e, p
 
 
-def _placement_row_loop(sampler, world, client, guards, exits_in):
+def _placement_row_loop(sampler, cv, client, guards, exits_in):
     """The per-AS triple loop that `placement_row` replaced."""
     row = {}
     for cand, exits in exits_in.items():
         row[cand] = np.inf
         for e in exits:
-            last = _end_column(sampler, world, cand, e)
+            last = _end_column(sampler, cv, cand, e)
             for g in guards:
                 if g != e:
-                    p = float((_end_column(sampler, world, client, g)
+                    p = float((_end_column(sampler, cv, client, g)
                                & last).mean())
                     row[cand] = min(row[cand], p)
     return row
@@ -165,13 +171,15 @@ def _placement_row_loop(sampler, world, client, guards, exits_in):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_first_last_matrix_matches_first_last_probability(small_bbn,
-                                                          small_world, data):
-    client, destination, seed, guards = data.draw(_kernel_case(small_world))
+                                                          small_world,
+                                                          small_cv, data):
+    client, destination, seed, guards = data.draw(
+        _kernel_case(small_world, small_cv))
     exits = data.draw(st.permutations(
-        sorted(set(guard_relays(small_world)) | set(exit_relays(small_world)))))
+        sorted(set(small_cv.guards) | set(small_cv.exits))))
     sampler = Sampler(small_bbn, 2000, seed=seed)
-    p = first_last_matrix(end_columns(sampler, small_world, client, guards),
-                          end_columns(sampler, small_world, destination, exits),
+    p = first_last_matrix(end_columns(sampler, small_cv, client, guards),
+                          end_columns(sampler, small_cv, destination, exits),
                           guards, exits)
     assert p.shape == (len(guards), len(exits))
     for i, g in enumerate(guards):
@@ -180,42 +188,44 @@ def test_first_last_matrix_matches_first_last_probability(small_bbn,
                 assert p[i, j] == np.inf
             else:
                 assert p[i, j] == first_last_probability(
-                    sampler, small_world, Circuit(client, g, e, destination))
+                    sampler, small_cv, Circuit(client, g, e, destination))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_select_circuit_and_placement_row_match_loops(small_bbn, small_world,
-                                                      data):
-    client, destination, seed, guards = data.draw(_kernel_case(small_world))
+                                                      small_cv, data):
+    client, destination, seed, guards = data.draw(
+        _kernel_case(small_world, small_cv))
     sampler = Sampler(small_bbn, 2000, seed=seed)
-    assert select_circuit(sampler, small_world, client, guards,
+    assert select_circuit(sampler, small_cv, client, guards,
                           destination) == _select_circuit_loop(
-        sampler, small_world, client, guards, destination)
-    exits_in = exits_by_as(small_world)
-    assert placement_row(sampler, small_world, client, guards,
+        sampler, small_cv, client, guards, destination)
+    exits_in = exits_by_as(small_cv)
+    assert placement_row(sampler, small_cv, client, guards,
                          exits_in) == _placement_row_loop(
-        sampler, small_world, client, guards, exits_in)
+        sampler, small_cv, client, guards, exits_in)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_select_guards_ranks_by_guard_exposure(small_bbn, small_world, data):
-    client, _, seed, _ = data.draw(_kernel_case(small_world))
-    guards = guard_relays(small_world)
+def test_select_guards_ranks_by_guard_exposure(small_bbn, small_world,
+                                               small_cv, data):
+    client, _, seed, _ = data.draw(_kernel_case(small_world, small_cv))
+    guards = small_cv.guards
     count = data.draw(st.integers(1, len(guards)))
     sampler = Sampler(small_bbn, 2000, seed=seed)
-    ranked = sorted((guard_exposure(sampler, small_world, client, g), g)
+    ranked = sorted((guard_exposure(sampler, small_cv, client, g), g)
                     for g in guards)
-    assert select_guards(sampler, small_world, client, count) == [
+    assert select_guards(sampler, small_cv, client, count) == [
         g for _, g in ranked[:count]]
 
 
-def test_placement_row_requires_guards(small_bbn, small_world):
+def test_placement_row_requires_guards(small_bbn, small_cv):
     sampler = Sampler(small_bbn, 100, seed=0)
     with pytest.raises(ValueError, match="no guards supplied"):
-        placement_row(sampler, small_world, "as:1000", [],
-                      exits_by_as(small_world))
+        placement_row(sampler, small_cv, "as:1000", [],
+                      exits_by_as(small_cv))
 
 
 def test_circuit_rejects_same_relay_twice():
@@ -240,16 +250,16 @@ def _guard_menu_world():
 
 def test_select_guards_prefers_low_exposure():
     ew, bbn = _guard_menu_world()
-    picked = select_guards(Sampler(bbn, 60_000, seed=4), ew.world, "as:100",
-                           count=2)
+    picked = select_guards(Sampler(bbn, 60_000, seed=4),
+                           consensus_view(ew.world), "as:100", count=2)
     assert picked == ["relay:g1", "relay:g3"]
 
 
 def test_select_guards_requires_enough_guards():
     ew, bbn = _guard_menu_world()
     with pytest.raises(ValueError):
-        select_guards(Sampler(bbn, 1000, seed=0), ew.world, "as:100",
-                      count=9)
+        select_guards(Sampler(bbn, 1000, seed=0), consensus_view(ew.world),
+                      "as:100", count=9)
 
 
 def test_select_circuit_minimizes_joint_probability():
@@ -263,7 +273,7 @@ def test_select_circuit_minimizes_joint_probability():
         _abs("relay:g1", 0.3), _abs("relay:g2", 0.05),
         _abs("relay:e1", 0.4), _abs("relay:e2", 0.1)), scale=SCALE)
     guard, exit_, p = select_circuit(
-        Sampler(bbn, 150_000, seed=5), ew.world, "as:100",
+        Sampler(bbn, 150_000, seed=5), consensus_view(ew.world), "as:100",
         ["relay:g1", "relay:g2"], "as:200")
     assert (guard, exit_) == ("relay:g2", "relay:e2")
     assert p == pytest.approx(0.05 * 0.1, abs=0.003)
@@ -276,8 +286,8 @@ def test_select_circuit_skips_shared_relay():
          _relay("relay:x", 100, guard=True, exit=True)])
     bbn = compile_bbn(ew)
     with pytest.raises(ValueError):
-        select_circuit(Sampler(bbn, 1000, seed=0), ew.world, "as:100",
-                       ["relay:x"], "as:200")
+        select_circuit(Sampler(bbn, 1000, seed=0), consensus_view(ew.world),
+                       "as:100", ["relay:x"], "as:200")
 
 
 # --- bandwidth-weighted baseline ----------------------------------------------
@@ -379,27 +389,28 @@ def _placement_world():
     return ew, bbn
 
 
-def _placement_rows(bbn, world, clients, n, seed, guard_count):
+def _placement_rows(bbn, cv, clients, n, seed, guard_count):
     """{client: placement row}, each on the client's own sampler."""
-    exits_in = exits_by_as(world)
+    exits_in = exits_by_as(cv)
     rows = {}
     for client in clients:
         sampler = Sampler(bbn, n, derive_seed(seed, client))
-        guards = select_guards(sampler, world, client, count=guard_count)
-        rows[client] = placement_row(sampler, world, client, guards,
-                                     exits_in)
+        guards = select_guards(sampler, cv, client, count=guard_count)
+        rows[client] = placement_row(sampler, cv, client, guards, exits_in)
     return rows, list(exits_in)
 
 
 def test_placement_candidates_are_exit_ases():
     ew, _ = _placement_world()
-    assert list(exits_by_as(ew.world)) == ["as:400", "as:500"]
+    assert list(exits_by_as(consensus_view(ew.world))) == ["as:400",
+                                                           "as:500"]
 
 
 def test_greedy_placement_prefers_safer_as():
     ew, bbn = _placement_world()
-    rows, candidates = _placement_rows(bbn, ew.world, ["as:100"], n=60_000,
-                                       seed=8, guard_count=1)
+    rows, candidates = _placement_rows(bbn, consensus_view(ew.world),
+                                       ["as:100"], n=60_000, seed=8,
+                                       guard_count=1)
     result = place_servers(rows, ["as:100"], candidates, k=2)
     assert result.chosen_ases[0] == "as:500"
     assert set(result.chosen_ases) == {"as:400", "as:500"}
@@ -412,15 +423,16 @@ def test_greedy_placement_prefers_safer_as():
 def test_exposure_reuses_supplied_sampler():
     ew, bbn = _two_end_world()
     sampler = Sampler(bbn, 50_000, seed=9)
-    a = guard_exposure(sampler, ew.world, "as:100", "relay:g")
-    b = guard_exposure(sampler, ew.world, "as:100", "relay:g")
+    cv = consensus_view(ew.world)
+    a = guard_exposure(sampler, cv, "as:100", "relay:g")
+    b = guard_exposure(sampler, cv, "as:100", "relay:g")
     assert a == b
 
 
 def test_place_servers_composes_rows_and_greedy_rounds(small_bbn,
-                                                       small_world):
+                                                       small_world, small_cv):
     clients = sorted(small_world.of_type("AS"))[:3]
-    rows, candidates = _placement_rows(small_bbn, small_world, clients,
+    rows, candidates = _placement_rows(small_bbn, small_cv, clients,
                                        n=2000, seed=5, guard_count=2)
     for client in clients:
         assert list(rows[client]) == candidates
@@ -440,8 +452,9 @@ def test_greedy_placement_rejects_bad_k():
 
 def test_placement_rejects_bad_k():
     ew, bbn = _placement_world()
-    rows, candidates = _placement_rows(bbn, ew.world, ["as:100"], n=100,
-                                       seed=0, guard_count=1)
+    rows, candidates = _placement_rows(bbn, consensus_view(ew.world),
+                                       ["as:100"], n=100, seed=0,
+                                       guard_count=1)
     for k in (0, 3):
         with pytest.raises(ValueError, match=r"k must be in \[1, 2\]"):
             place_servers(rows, ["as:100"], candidates, k)
