@@ -54,7 +54,7 @@ from .editor import ATTACHMENT_BELIEFS, resolve_attachments
 from .errors import CompileError, EditError, NetworkTooLargeError
 from .files import atomic_write, json_text, write_text
 from .predicates import evaluate, parse_event, select
-from .validation import topological_order
+from .validation import check_seed, topological_order
 
 EXACT_NODE_CAP = 24
 
@@ -330,7 +330,7 @@ class Sampler:
             raise ValueError("need at least one sample")
         self.bbn = bbn
         self.n = int(n)
-        self.seed = int(seed)
+        self.seed = check_seed(seed)
         self._cols = {}
 
     def column(self, node_id):

@@ -7,6 +7,9 @@ configured client ASes:
     clients-trust      trust-aware guard + circuit selection
     clients-service-K  trust-aware selection with K greedily placed servers
 
+The consensus view of the edited world is built once per run, before any
+sampling, and every scenario reads it.
+
 tor-default draws n bandwidth-weighted (guard, exit) circuits per client
 and pairs draw i with adversary draw i: the estimate is the share of draws
 whose guard end column and exit end column are both set at row i.  The

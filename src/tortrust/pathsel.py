@@ -1,5 +1,9 @@
 """Trust-aware path selection and greedy server placement.
 
+Path selection reads a world's relays through one `ConsensusView`, which
+`consensus_view(world)`, the only reader of relay attributes, builds and
+checks; every step below takes the view, not the world.
+
 An "end" of a circuit is observed when the relay itself or the virtual
 link between an AS and that relay is compromised; a first-last correlation
 succeeds when both ends are observed in the same joint adversary draw.
@@ -72,8 +76,10 @@ def _bad(rid, name, rule, value):
 def consensus_view(world):
     """The world's relays as path selection reads them; the one reader of
     relay attributes.  An absent attribute reads as ip "", bandwidth 0,
-    not a guard, not an exit, no AS.  ValueError names the first relay, in
-    id order, whose value breaks its attribute's rule."""
+    not a guard, not an exit, no AS.  `guard` and `exit` are True, False,
+    0 or 1, and `as_number` is an integer n such that "as:n" is an AS of
+    the world.  ValueError names the first relay, in id order, whose value
+    breaks its attribute's rule."""
     family_of = {child: fam for fam in world.of_type(ont.RELAY_FAMILY)
                  for child in world.children(fam)}
     relays, as_of = [], {}
@@ -88,12 +94,22 @@ def consensus_view(world):
                 or not 0 <= bandwidth <= sys.float_info.max:
             raise _bad(rid, "bandwidth", "a finite real number >= 0",
                        bandwidth)
+        guard, exit_ = attrs.get("guard", False), attrs.get("exit", False)
+        for name, flag in (("guard", guard), ("exit", exit_)):
+            if not (isinstance(flag, int) and flag in (0, 1)):
+                raise _bad(rid, name, "a boolean, 0 or 1", flag)
         asn = attrs.get("as_number")
+        if "as_number" in attrs and (
+                isinstance(asn, bool) or not isinstance(asn, int)
+                or as_id(asn) not in world
+                or world.type_of(as_id(asn)) != ont.AS):
+            raise _bad(rid, "as_number", "the number of an AS in the world",
+                       asn)
         as_of[rid] = None if asn is None else as_id(asn)
         octets = ip.split(".")
         relays.append(RelayView(
-            id=rid, bandwidth=bandwidth, guard=bool(attrs.get("guard")),
-            exit=bool(attrs.get("exit")), family=family_of.get(rid, rid),
+            id=rid, bandwidth=bandwidth, guard=bool(guard),
+            exit=bool(exit_), family=family_of.get(rid, rid),
             prefix16=".".join(octets[:2]) if len(octets) == 4 else rid))
     return ConsensusView(relays=tuple(relays),
                          guards=tuple(r.id for r in relays if r.guard),

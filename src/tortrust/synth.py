@@ -15,6 +15,7 @@ import numpy as np
 
 from .datasets import (ClusterRecord, DatasetBundle, GeoRecord, PathRecord,
                        RelayRecord, UptimeRecord)
+from .validation import check_seed
 
 _COUNTRIES = ("US", "DE", "FR", "NL", "GB", "SE", "CH", "CA", "RO", "AT")
 _OS_STRINGS = ("Linux", "FreeBSD", "OpenBSD", "Windows", "Darwin")
@@ -52,6 +53,12 @@ def _check_params(p):
         raise ValueError("max_path_len must be at least 1")
     if not (0.0 <= p.guard_fraction <= 1.0 and 0.0 <= p.exit_fraction <= 1.0):
         raise ValueError("guard/exit fractions must be in [0,1]")
+    for name in ("family_sizes", "as_org_sizes", "ixp_org_sizes"):
+        for size in getattr(p, name):
+            if isinstance(size, bool) or not isinstance(size, int) \
+                    or size < 1:
+                raise ValueError(f"{name} entries must be integers >= 1, "
+                                 f"got {size!r}")
     if sum(p.family_sizes) > p.n_relays:
         raise ValueError("family_sizes exceed relay count")
     if sum(p.as_org_sizes) > p.n_as:
@@ -84,9 +91,10 @@ def _path_from_pred(pred, dst):
 
 def generate_synthetic(params, seed):
     """Deterministic bundle for the given params and seed."""
+    seed = check_seed(seed)
     _check_params(params)
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    graph = _as_graph(params, int(seed) % (2 ** 31))
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    graph = _as_graph(params, seed % (2 ** 31))
     asns = [1000 + i for i in range(params.n_as)]
     node_to_asn = {i: asns[i] for i in range(params.n_as)}
 

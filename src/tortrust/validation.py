@@ -1,7 +1,8 @@
 """Violation reports shared by ontology and world validation, the one
 topological sort (on integer ranks) behind the compiled network's order
 and `find_cycle`, which the world constructor and ontology validation
-share, and the entry check shared by the ontology and world file parsers.
+share, the entry check shared by the ontology and world file parsers, and
+`check_seed`, shared by the sampler and the synthetic generator.
 
 Validators never raise on bad input; every broken invariant becomes one
 Violation entry so a caller (or the CLI) can show all problems at once.
@@ -89,3 +90,11 @@ def check_entry(where, entry, keys):
             raise ValueError(f"{where}: missing {key!r}")
         if not isinstance(entry[key], str):
             raise ValueError(f"{where}: {key!r} must be a string")
+
+
+def check_seed(seed):
+    """`seed` as an int; ValueError unless it is a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)

@@ -596,6 +596,13 @@ def test_sampler_rejects_unknown_node(small_bbn):
         sampler.column("not-a-node")
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+def test_sampler_rejects_bad_seed(small_bbn, seed):
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must be a non-negative integer, got {seed!r}")):
+        Sampler(small_bbn, 10, seed)
+
+
 # --- draw skipping -----------------------------------------------------------
 
 @pytest.mark.parametrize("entry, draws", [

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tortrust
 from tortrust.beliefs import load_belief_document, save_belief_document
 from tortrust.bbn import (bbn_to_dict, compile_bbn, load_bbn, save_bbn,
                           save_samples)
@@ -276,6 +277,13 @@ def test_experiment_bad_scenarios_exit_code(workdir, tmp_path, capsys,
      "[0,1]"),
     ("--n-ixp", "-1", "n_ixp must not be negative"),
     ("--n-epochs", "-1", "n_epochs must not be negative"),
+    ("--family-sizes", "-1", "family_sizes entries must be integers >= 1, "
+                             "got -1"),
+    ("--as-org-sizes", "0", "as_org_sizes entries must be integers >= 1, "
+                            "got 0"),
+    ("--ixp-org-sizes", "1,-1", "ixp_org_sizes entries must be integers "
+                                ">= 1, got -1"),
+    ("--seed", "-1", "seed must be a non-negative integer, got -1"),
 ])
 def test_synth_parameter_exit_code(tmp_path, capsys, option, value,
                                    message):
@@ -314,6 +322,29 @@ def test_bbn_entry_errors_name_the_entry(tmp_path, capsys, bad, message):
     assert main(["bbn", "marginals", "--bbn", str(path), "--n", "10",
                  "--seed", "1"]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_negative_seed_exit_code(workdir, tmp_path, capsys):
+    out = tmp_path / "s.bin"
+    for verb, extra in (("sample", ["--n", "10", "--out", str(out)]),
+                        ("marginals", ["--n", "10"]),
+                        ("event", ["--expr", "as:1000", "--n", "10"])):
+        assert main(["bbn", verb, "--bbn", workdir["bbn"], "--seed", "-1"]
+                    + extra) == 3
+        assert capsys.readouterr().err == (
+            "error: seed must be a non-negative integer, got -1\n")
+    assert not out.exists()
+
+
+def test_experiment_negative_seed_runs(workdir, tmp_path):
+    """Experiment streams come from `derive_seed`, which takes any
+    integer."""
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(
+        {"world": workdir["world"], "adversary": workdir["doc"],
+         "clients": ["as:1000"], "destination_as": "as:1007",
+         "n_samples": 100, "seed": -1}))
+    assert main(["experiment", "run", "--config", str(cfg_path)]) == 0
 
 
 def test_empty_network_sample_dump_refused(tmp_path, capsys):
@@ -355,9 +386,12 @@ def test_seed_is_required(tmp_path, capsys):
 
 
 def test_console_entry_point(workdir):
+    src = os.path.dirname(os.path.dirname(tortrust.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "tortrust.cli", "--version"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("tortrust ")
 
@@ -583,11 +617,13 @@ def test_cyclic_world_exits_3(workdir, tmp_path, capsys):
                        "not [5]"),
     ("bandwidth", float("nan"), "'bandwidth' must be a finite real number "
                                 ">= 0, not nan"),
+    ("guard", "no", "'guard' must be a boolean, 0 or 1, not 'no'"),
 ])
 def test_experiment_bad_relay_attribute_exit_code(workdir, tmp_path, capsys,
                                                   attribute, value, message):
-    """An adversary document that gives a relay an ip or bandwidth of the
-    wrong kind makes `experiment run` exit 3 naming the relay."""
+    """An adversary document that gives a relay an ip, bandwidth or guard
+    flag of the wrong kind makes `experiment run` exit 3 naming the
+    relay."""
     world = load_world(workdir["world"])
     relay = world.of_type("Tor Relay")[0]
     with open(workdir["doc"], encoding="utf-8") as fh:

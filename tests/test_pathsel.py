@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tortrust import pathsel
 from tortrust.beliefs import Absolute, TrustScale
 from tortrust.bbn import Sampler, compile_bbn
 from tortrust.editor import EditedWorld
@@ -17,7 +19,8 @@ from tortrust.pathsel import (Circuit, _end_column, consensus_view,
                               place_servers, placement_row, select_circuit,
                               select_guards)
 from tortrust.predicates import parse_predicate
-from tortrust.world import RelationshipInstance, TypeInstance, World
+from tortrust.world import (RelationshipInstance, TypeInstance, World,
+                            as_id)
 
 SCALE = TrustScale()
 
@@ -314,6 +317,8 @@ def test_consensus_view_fields():
 
 
 _BANDWIDTH = "'bandwidth' must be a finite real number >= 0, not"
+_FLAG = "must be a boolean, 0 or 1, not"
+_AS_NUMBER = "'as_number' must be the number of an AS in the world, not"
 
 
 @pytest.mark.parametrize("attributes, message", [
@@ -327,14 +332,115 @@ _BANDWIDTH = "'bandwidth' must be a finite real number >= 0, not"
     pytest.param({"bandwidth": 10 ** 400}, f"{_BANDWIDTH} {10 ** 400}",
                  id="an integer beyond the largest float"),
     ({"bandwidth": -1}, f"{_BANDWIDTH} -1"),
+    ({"guard": "no"}, f"'guard' {_FLAG} 'no'"),
+    ({"guard": 2}, f"'guard' {_FLAG} 2"),
+    ({"guard": 1.0}, f"'guard' {_FLAG} 1.0"),
+    ({"guard": None}, f"'guard' {_FLAG} None"),
+    ({"exit": "false"}, f"'exit' {_FLAG} 'false'"),
+    ({"exit": -1}, f"'exit' {_FLAG} -1"),
+    ({"as_number": "x"}, f"{_AS_NUMBER} 'x'"),
+    ({"as_number": 99}, f"{_AS_NUMBER} 99"),
+    ({"as_number": 7}, f"{_AS_NUMBER} 7"),
+    ({"as_number": 100.0}, f"{_AS_NUMBER} 100.0"),
+    ({"as_number": True}, f"{_AS_NUMBER} True"),
+    ({"as_number": None}, f"{_AS_NUMBER} None"),
 ])
 def test_consensus_view_rejects_bad_relay_attributes(attributes, message):
+    """Each case breaks one rule: the relay's own AS, as:100, is in the
+    world, and as:7 is an instance that is no AS."""
     rid, type_name, attrs = _relay("relay:g1", 100, guard=True,
                                    ip="10.1.0.1")
-    ew = _world([(rid, type_name, {**attrs, **attributes})])
+    ew = _world([("as:100", "AS", {}), ("as:7", "IXP", {}),
+                 (rid, type_name, {**attrs, **attributes})])
     with pytest.raises(ValueError,
                        match=f"^{re.escape(f'relay {rid!r}: {message}')}$"):
         consensus_view(ew.world)
+
+
+def _reference_readers(world):
+    """Guard ids, exit ids and exits per AS as read from the world by
+    truthiness, with `as_number` unchecked."""
+    relays = world.of_type("Tor Relay")
+    guards = tuple(r for r in relays if world.attribute(r, "guard"))
+    exits = tuple(r for r in relays if world.attribute(r, "exit"))
+    exits_in = {}
+    for rid in exits:
+        asn = world.attribute(rid, "as_number")
+        if asn is not None:
+            exits_in.setdefault(as_id(asn), []).append(rid)
+    return guards, exits, {a: exits_in[a] for a in sorted(exits_in)}
+
+
+def _breaks_rule(name, value):
+    """Whether `value` breaks the rule of relay attribute `name` in a
+    world whose ASes are as:1 and as:2."""
+    if name == "ip":
+        return type(value) is not str
+    if name == "bandwidth":
+        return type(value) not in (int, float) or not (
+            math.isfinite(value) and value >= 0)
+    if name in ("guard", "exit"):
+        return type(value) not in (bool, int) or value not in (0, 1)
+    return type(value) is not int or value not in (1, 2)
+
+
+_VALID = {"ip": ["", "10.1.0.1", "10.1"], "bandwidth": [0, 1, 0.5, 300],
+          "guard": [True, False, 0, 1], "exit": [True, False, 0, 1],
+          "as_number": [1, 2]}
+_ANY = [True, False, 0, 1, 2, 1.0, -1, 0.5, math.nan, math.inf, None, "no",
+        "10.1.0.1", [1]]
+_AS_NUMBERS = [1, 2, 3, 99]     # as:3 is an IXP, and as:99 is no instance
+
+
+@st.composite
+def _relay_world(draw):
+    """Relays relay:r0.. whose attributes are each absent or a valid value,
+    then up to two attribute values drawn from any kind.  as:3 is an
+    IXP."""
+    relays = []
+    for k in range(draw(st.integers(1, 6))):
+        attrs = {}
+        for name, valid in _VALID.items():
+            if draw(st.booleans()):
+                attrs[name] = draw(st.sampled_from(valid))
+        relays.append((f"relay:r{k}", "Tor Relay", attrs))
+    for _ in range(draw(st.integers(0, 2))):
+        _, _, attrs = draw(st.sampled_from(relays))
+        attrs[draw(st.sampled_from(list(_VALID)))] = draw(
+            st.sampled_from(_ANY) | st.sampled_from(_AS_NUMBERS))
+    return _world([("as:1", "AS", {}), ("as:2", "AS", {}),
+                   ("as:3", "IXP", {})] + relays).world, relays
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relay_world())
+def test_consensus_view_checks_every_relay_attribute(case):
+    world, relays = case
+    bad = [(rid, {name for name, value in attrs.items()
+                  if _breaks_rule(name, value)})
+           for rid, _, attrs in relays]
+    bad = [(rid, names) for rid, names in bad if names]
+    if bad:
+        rid, names = bad[0]
+        with pytest.raises(ValueError) as info:
+            consensus_view(world)
+        m = re.fullmatch(rf"relay {re.escape(repr(rid))}: '(\w+)' must be "
+                         r".+, not .+", str(info.value))
+        assert m and m.group(1) in names
+    else:
+        cv = consensus_view(world)
+        assert (cv.guards, cv.exits, exits_by_as(cv)) == \
+            _reference_readers(world)
+
+
+def test_consensus_view_is_the_only_step_that_takes_the_world():
+    with open(pathsel.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    takers = [func.name for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef)
+              and "world" in {a.arg for a in ast.walk(func.args)
+                              if isinstance(a, ast.arg)}]
+    assert takers == ["consensus_view"]
 
 
 def test_default_draws_respect_family_and_weights():
@@ -362,7 +468,7 @@ def test_default_circuit_draw():
 
 def test_default_draw_fails_when_all_guards_conflict():
     ew = _world(
-        [("family:f1", "Relay Family", {}),
+        [("as:100", "AS", {}), ("family:f1", "Relay Family", {}),
          _relay("relay:g1", 100, guard=True, ip="10.1.0.1"),
          _relay("relay:e1", 100, exit=True, ip="10.2.0.1")],
         [("family:f1", "relay:g1"), ("family:f1", "relay:e1")])

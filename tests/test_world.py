@@ -742,10 +742,26 @@ def test_synth_drop_fraction_breaks_symmetry():
      "drop_one_direction_fraction must be in"),
     ("n_ixp", -1, "n_ixp must not be negative"),
     ("n_epochs", -1, "n_epochs must not be negative"),
+    ("family_sizes", (-1,), "family_sizes entries must be integers >= 1, "
+                            "got -1"),
+    ("family_sizes", (5, -2), "family_sizes entries must be integers >= 1, "
+                              "got -2"),
+    ("family_sizes", (2.0,), "family_sizes entries must be integers >= 1, "
+                             "got 2.0"),
+    ("as_org_sizes", (0, -1), "as_org_sizes entries must be integers >= 1, "
+                              "got 0"),
+    ("ixp_org_sizes", (True,), "ixp_org_sizes entries must be integers "
+                               ">= 1, got True"),
 ])
 def test_synth_rejects_out_of_range_parameters(field, value, message):
     with pytest.raises(ValueError, match=message):
         generate_synthetic(SynthParams(**{field: value}), 1)
+
+
+def test_synth_rejects_negative_seed():
+    with pytest.raises(ValueError,
+                       match=r"^seed must be a non-negative integer, got -1$"):
+        generate_synthetic(SynthParams(), -1)
 
 
 def test_synth_rejects_oversized_families():
