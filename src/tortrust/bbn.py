@@ -54,7 +54,7 @@ from .editor import ATTACHMENT_BELIEFS, resolve_attachments
 from .errors import CompileError, EditError, NetworkTooLargeError
 from .files import atomic_write, json_text, write_text
 from .predicates import evaluate, parse_event, select
-from .validation import check_seed, topological_order
+from .validation import check_seed, is_integer, topological_order
 
 EXACT_NODE_CAP = 24
 
@@ -326,8 +326,8 @@ class Sampler:
     """
 
     def __init__(self, bbn, n, seed):
-        if n < 1:
-            raise ValueError("need at least one sample")
+        if not is_integer(n) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
         self.bbn = bbn
         self.n = int(n)
         self.seed = check_seed(seed)
@@ -432,7 +432,7 @@ def estimate_marginals(bbn, nodes=None, n=100_000, seed=0):
     ids = list(bbn.ids if nodes is None else nodes)
     return [MarginalEstimate(node=nid,
                              estimate=float(sampler.column(nid).mean()),
-                             n_samples=n)
+                             n_samples=sampler.n)
             for nid in ids]
 
 
@@ -580,7 +580,7 @@ def bbn_from_dict(data):
                 raise CompileError(f"node {node_id!r} has parent {pair!r}, "
                                    f"not an [index, weight] pair")
             j, w = pair
-            if isinstance(j, bool) or not isinstance(j, int):
+            if not is_integer(j):
                 raise CompileError(f"node {node_id!r} has parent index "
                                    f"{j!r}, not an integer")
             if not 0 <= j < i:

@@ -35,7 +35,9 @@ from .editor import (apply_structural, document_ontology, edited_world_to_dict,
 from .errors import (BeliefFormatError, CompileError, DatasetError, EditError,
                      NetworkTooLargeError, OntologyError,
                      PredicateSyntaxError)
-from .experiment import DEFAULT_SCENARIOS, ExperimentConfig, run_experiment
+from .experiment import (CONFIG_FIELD_KINDS, DEFAULT_SCENARIOS,
+                         ExperimentConfig, check_config_value,
+                         run_experiment)
 from .files import csv_text, json_text, write_text
 from .ontology import (Ontology, default_ontology, load_ontology,
                        validate_ontology)
@@ -248,14 +250,9 @@ def cmd_bbn_exact(args):
 
 _CONFIG_REQUIRED = ("world", "adversary", "clients", "destination_as",
                     "n_samples", "seed")
-# Every key an experiment config may hold, and the type of its value; a
-# list holds strings.
-_CONFIG_KEYS = {
-    "world": str, "adversary": str, "ontology": str, "destination_as": str,
-    "clients": list, "scenarios": list, "n_samples": int, "seed": int,
-    "k_servers": int, "guard_count": int,
-}
-_KIND = {str: "a string", int: "an integer", list: "a list of strings"}
+# Every key an experiment config file may hold, and the kind of its value.
+_CONFIG_KEYS = {"world": "a string", "adversary": "a string",
+                "ontology": "a string", **CONFIG_FIELD_KINDS}
 
 
 def _check_experiment_config(raw):
@@ -270,11 +267,10 @@ def _check_experiment_config(raw):
         if key not in _CONFIG_KEYS:
             raise BeliefFormatError(
                 f"experiment config has unknown key {key!r}")
-        kind = _CONFIG_KEYS[key]
-        if type(value) is not kind or (
-                kind is list and not all(isinstance(v, str) for v in value)):
-            raise BeliefFormatError(
-                f"experiment config {key!r} must be {_KIND[kind]}")
+        try:
+            check_config_value(key, value, _CONFIG_KEYS[key])
+        except ValueError as exc:
+            raise BeliefFormatError(str(exc)) from None
 
 
 def _load_experiment_config(path, scenario_filter=None):

@@ -38,6 +38,7 @@ from .pathsel import (_end_column, check_guard_count, check_server_count,
                       consensus_view, derive_seed, draw_default_circuits,
                       exits_by_as, place_servers, placement_row,
                       select_circuit, select_guards)
+from .validation import is_integer
 
 SCENARIO_TOR_DEFAULT = "tor-default"
 SCENARIO_CLIENTS_TRUST = "clients-trust"
@@ -59,6 +60,25 @@ class ExperimentConfig:
     seed: int = 0
     k_servers: int = 3
     guard_count: int = 3
+
+
+_KINDS = {"a string": lambda v: isinstance(v, str), "an integer": is_integer,
+          "a list of strings": lambda v: isinstance(v, (list, tuple))
+          and all(isinstance(s, str) for s in v)}
+
+# The kind of each config field that holds plain data.
+CONFIG_FIELD_KINDS = {
+    "destination_as": "a string", "clients": "a list of strings",
+    "scenarios": "a list of strings", "n_samples": "an integer",
+    "seed": "an integer", "k_servers": "an integer",
+    "guard_count": "an integer",
+}
+
+
+def check_config_value(key, value, kind):
+    """ValueError naming config key `key` unless `value` is of `kind`."""
+    if not _KINDS[kind](value):
+        raise ValueError(f"experiment config {key!r} must be {kind}")
 
 
 @dataclass(frozen=True)
@@ -135,6 +155,8 @@ def run_experiment(cfg):
                 "destination_as"):
         if getattr(cfg, key) is None:
             raise ValueError(f"experiment config is missing {key}")
+    for key, kind in CONFIG_FIELD_KINDS.items():
+        check_config_value(key, getattr(cfg, key), kind)
     clients = list(cfg.clients)
     if not clients:
         raise ValueError("experiment config has no clients")

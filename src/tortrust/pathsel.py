@@ -21,19 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ontology as ont
+from .validation import is_integer
 from .world import as_id, vlink_id
-
-
-@dataclass(frozen=True)
-class Circuit:
-    client: str            # AS id
-    guard: str
-    exit: str
-    destination_as: str
-
-    def __post_init__(self):
-        if self.guard == self.exit:
-            raise ValueError("guard and exit must differ")
 
 
 @dataclass(frozen=True)
@@ -100,8 +89,7 @@ def consensus_view(world):
                 raise _bad(rid, name, "a boolean, 0 or 1", flag)
         asn = attrs.get("as_number")
         if "as_number" in attrs and (
-                isinstance(asn, bool) or not isinstance(asn, int)
-                or as_id(asn) not in world
+                not is_integer(asn) or as_id(asn) not in world
                 or world.type_of(as_id(asn)) != ont.AS):
             raise _bad(rid, "as_number", "the number of an AS in the world",
                        asn)
@@ -157,11 +145,6 @@ def first_last_matrix(first, last, guards, exits):
     return p
 
 
-def guard_exposure(sampler, cv, client, guard):
-    """P(guard compromised or client-guard link observed)."""
-    return float(_end_column(sampler, cv, client, guard).mean())
-
-
 def check_guard_count(cv, count):
     """Raises ValueError unless `count` guards can be selected."""
     if not 1 <= count <= len(cv.guards):
@@ -175,13 +158,6 @@ def select_guards(sampler, cv, client, count=3):
     exposure = end_columns(sampler, cv, client, cv.guards).mean(axis=0)
     ranked = sorted(zip(exposure.tolist(), cv.guards))
     return [g for _, g in ranked[:count]]
-
-
-def first_last_probability(sampler, cv, circuit):
-    """P(both circuit ends observed) under joint adversary draws."""
-    first = _end_column(sampler, cv, circuit.client, circuit.guard)
-    last = _end_column(sampler, cv, circuit.destination_as, circuit.exit)
-    return float((first & last).mean())
 
 
 def select_circuit(sampler, cv, client, guards, destination_as):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .datasets import (ClusterRecord, DatasetBundle, GeoRecord, PathRecord,
                        RelayRecord, UptimeRecord)
-from .validation import check_seed
+from .validation import check_seed, is_integer
 
 _COUNTRIES = ("US", "DE", "FR", "NL", "GB", "SE", "CH", "CA", "RO", "AT")
 _OS_STRINGS = ("Linux", "FreeBSD", "OpenBSD", "Windows", "Darwin")
@@ -55,8 +55,7 @@ def _check_params(p):
         raise ValueError("guard/exit fractions must be in [0,1]")
     for name in ("family_sizes", "as_org_sizes", "ixp_org_sizes"):
         for size in getattr(p, name):
-            if isinstance(size, bool) or not isinstance(size, int) \
-                    or size < 1:
+            if not is_integer(size) or size < 1:
                 raise ValueError(f"{name} entries must be integers >= 1, "
                                  f"got {size!r}")
     if sum(p.family_sizes) > p.n_relays:

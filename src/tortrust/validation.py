@@ -2,7 +2,7 @@
 topological sort (on integer ranks) behind the compiled network's order
 and `find_cycle`, which the world constructor and ontology validation
 share, the entry check shared by the ontology and world file parsers, and
-`check_seed`, shared by the sampler and the synthetic generator.
+`is_integer`, the one integer rule (a bool is not one) of the input checks.
 
 Validators never raise on bad input; every broken invariant becomes one
 Violation entry so a caller (or the CLI) can show all problems at once.
@@ -92,9 +92,14 @@ def check_entry(where, entry, keys):
             raise ValueError(f"{where}: {key!r} must be a string")
 
 
+def is_integer(value):
+    """Whether `value` is an int or a numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) \
+        and not isinstance(value, bool)
+
+
 def check_seed(seed):
     """`seed` as an int; ValueError unless it is a non-negative integer."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
-            or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)

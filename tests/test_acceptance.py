@@ -21,7 +21,7 @@ from tortrust.bbn import (Sampler, bbn_to_dict, compile_bbn,
 from tortrust.editor import EditedWorld, apply_structural
 from tortrust.experiment import ExperimentConfig, run_experiment
 from tortrust.ontology import default_ontology
-from tortrust.pathsel import Circuit, consensus_view, first_last_probability
+from tortrust.pathsel import consensus_view, end_columns, first_last_matrix
 from tortrust.predicates import parse_predicate
 from tortrust.synth import SynthParams, generate_synthetic
 from tortrust.world import RelationshipInstance, TypeInstance, World
@@ -214,14 +214,20 @@ def _ends_world(shared):
     return ew, compile_bbn(ew, trust=tuple(trust), scale=SCALE)
 
 
+def _first_last(shared):
+    """P(both ends of the circuit as:client -> relay:g -> relay:e ->
+    as:dest observed), from the first-last kernel."""
+    ew, bbn = _ends_world(shared)
+    sampler, cv = Sampler(bbn, 100_000, seed=7), consensus_view(ew.world)
+    return float(first_last_matrix(
+        end_columns(sampler, cv, "as:client", ["relay:g"]),
+        end_columns(sampler, cv, "as:dest", ["relay:e"]),
+        ["relay:g"], ["relay:e"])[0, 0])
+
+
 def test_criterion_07_independence_floor():
-    circuit = Circuit("as:client", "relay:g", "relay:e", "as:dest")
-    ew, bbn = _ends_world(shared=False)
-    p_disjoint = first_last_probability(Sampler(bbn, 100_000, seed=7),
-                                        consensus_view(ew.world), circuit)
-    ew, bbn = _ends_world(shared=True)
-    p_shared = first_last_probability(Sampler(bbn, 100_000, seed=7),
-                                      consensus_view(ew.world), circuit)
+    p_disjoint = _first_last(shared=False)
+    p_shared = _first_last(shared=True)
     ok = abs(p_disjoint - 0.01) <= 0.004 and abs(p_shared - 0.1) <= 0.004
     _report(7, "independence-floor", ok,
             f"disjoint {p_disjoint:.4f}, shared {p_shared:.4f}")

@@ -603,6 +603,25 @@ def test_sampler_rejects_bad_seed(small_bbn, seed):
         Sampler(small_bbn, 10, seed)
 
 
+@pytest.mark.parametrize("n", [2.5, True, 0, -3, "5"])
+def test_estimates_reject_bad_sample_counts(small_bbn, n):
+    """A draw count is an integer of at least 1, never truncated."""
+    message = f"^{re.escape(f'n must be a positive integer, got {n!r}')}$"
+    node = small_bbn.ids[0]
+    with pytest.raises(ValueError, match=message):
+        estimate_marginals(small_bbn, nodes=[node], n=n, seed=0)
+    with pytest.raises(ValueError, match=message):
+        estimate_event(small_bbn, f'"{node}"', n=n, seed=0)
+
+
+def test_estimates_take_numpy_sample_counts(small_bbn):
+    node = small_bbn.ids[0]
+    est, = estimate_marginals(small_bbn, nodes=[node], n=np.int64(5), seed=0)
+    assert est.n_samples == 5 and type(est.n_samples) is int
+    assert est.estimate == estimate_event(small_bbn, f'"{node}"',
+                                          n=np.int64(5), seed=0)
+
+
 # --- draw skipping -----------------------------------------------------------
 
 @pytest.mark.parametrize("entry, draws", [

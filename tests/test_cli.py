@@ -336,6 +336,15 @@ def test_negative_seed_exit_code(workdir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_zero_sample_count_exit_code(workdir, tmp_path, capsys):
+    out = tmp_path / "s.bin"
+    assert main(["bbn", "sample", "--bbn", workdir["bbn"], "--n", "0",
+                 "--seed", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: n must be a positive integer, got 0\n")
+    assert not out.exists()
+
+
 def test_experiment_negative_seed_runs(workdir, tmp_path):
     """Experiment streams come from `derive_seed`, which takes any
     integer."""

@@ -1,0 +1,60 @@
+"""The README's Python examples run, and every public name of the package
+has a reader outside the tests."""
+
+import ast
+import os
+import re
+
+import tortrust
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def _readme():
+    with open(README, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _python_blocks(text):
+    return re.findall(r"^```python\n(.*?)^```$", text, re.S | re.M)
+
+
+def test_readme_python_examples_run(capsys):
+    """The Library block builds `edited` and `bbn`; the path-selection
+    block, which comes earlier in the README, reads them."""
+    before, library = _readme().split("\n## Library\n", 1)
+    path_selection, = _python_blocks(before)
+    library, = _python_blocks(library.split("\n## ", 1)[0])
+    namespace = {}
+    exec(compile(library, "README.md: Library", "exec"), namespace)
+    exec(compile(path_selection, "README.md: path selection", "exec"),
+         namespace)
+    assert len(namespace["placement"].chosen_ases) == 3
+    assert capsys.readouterr().out.startswith("as:1000 ")
+
+
+def test_every_public_name_has_a_reader():
+    """Each public top-level function or class in the package is read
+    somewhere in the package, exported in `tortrust.__all__` or named in
+    the README: no public name exists only for the tests."""
+    src = os.path.dirname(tortrust.__file__)
+    defined, read = [], set()
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        defined += [(name, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    readers = read | set(tortrust.__all__) | set(re.findall(r"\w+",
+                                                            _readme()))
+    assert [(module, name) for module, name in defined
+            if name not in readers] == []

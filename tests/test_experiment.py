@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from tortrust import experiment
@@ -189,6 +190,32 @@ def test_n_samples_checked_before_applying(config, monkeypatch):
     for n in (0, -5):
         with pytest.raises(ValueError, match="n_samples must be at least 1"):
             run_experiment(dataclasses.replace(config, n_samples=n))
+
+
+@pytest.mark.parametrize("field,value,kind", [
+    ("guard_count", True, "an integer"),
+    ("seed", 1.5, "an integer"),
+    ("k_servers", 2.0, "an integer"),
+    ("n_samples", 2.5, "an integer"),
+    ("clients", "as:1000", "a list of strings"),
+])
+def test_wrong_typed_values_rejected_before_applying(config, monkeypatch,
+                                                     field, value, kind):
+    def no_apply(*args, **kwargs):
+        raise AssertionError("applied before checking the config")
+
+    monkeypatch.setattr(experiment, "apply_structural", no_apply)
+    with pytest.raises(ValueError, match=f"^experiment config {field!r} "
+                                         f"must be {kind}$"):
+        run_experiment(dataclasses.replace(config, **{field: value}))
+
+
+def test_lists_and_numpy_integers_accepted(config, table):
+    cfg = dataclasses.replace(
+        config, clients=list(config.clients), scenarios=["clients-trust"],
+        n_samples=np.int64(config.n_samples), seed=np.int64(config.seed))
+    row, = run_experiment(cfg).rows
+    assert row == {r.scenario: r for r in table.rows}["clients-trust"]
 
 
 @pytest.mark.parametrize("scenarios,message", [

@@ -12,12 +12,10 @@ from tortrust.beliefs import Absolute, TrustScale
 from tortrust.bbn import Sampler, compile_bbn
 from tortrust.editor import EditedWorld
 from tortrust.ontology import default_ontology
-from tortrust.pathsel import (Circuit, _end_column, consensus_view,
-                              derive_seed, draw_default_circuits,
-                              end_columns, exits_by_as, first_last_matrix,
-                              first_last_probability, guard_exposure,
-                              place_servers, placement_row, select_circuit,
-                              select_guards)
+from tortrust.pathsel import (_end_column, consensus_view, derive_seed,
+                              draw_default_circuits, end_columns,
+                              exits_by_as, first_last_matrix, place_servers,
+                              placement_row, select_circuit, select_guards)
 from tortrust.predicates import parse_predicate
 from tortrust.world import (RelationshipInstance, TypeInstance, World,
                             as_id)
@@ -58,6 +56,21 @@ def test_derive_seed_stable_and_distinct():
 
 # --- exposure and circuit scoring ---------------------------------------------
 
+def _exposure(sampler, cv, as_node, relay):
+    """P(relay compromised or the AS-relay link observed): the mean of one
+    end column."""
+    return float(end_columns(sampler, cv, as_node, [relay]).mean())
+
+
+def _pair_probability(sampler, cv, client, guard, exit_, destination_as):
+    """P(both ends of one guard-exit pair observed): the first-last kernel
+    on two one-column end column stacks."""
+    return float(first_last_matrix(
+        end_columns(sampler, cv, client, [guard]),
+        end_columns(sampler, cv, destination_as, [exit_]),
+        [guard], [exit_])[0, 0])
+
+
 def _two_end_world():
     """Guard observed via a client-side link, exit via a destination link."""
     ew = _world(
@@ -74,18 +87,18 @@ def _two_end_world():
     return ew, bbn
 
 
-def test_guard_exposure_through_link():
+def test_end_column_exposure_through_link():
     ew, bbn = _two_end_world()
-    p = guard_exposure(Sampler(bbn, 100_000, seed=1),
-                       consensus_view(ew.world), "as:100", "relay:g")
+    p = _exposure(Sampler(bbn, 100_000, seed=1), consensus_view(ew.world),
+                  "as:100", "relay:g")
     assert p == pytest.approx(0.2, abs=0.006)
 
 
 def test_first_last_independent_ends_multiply():
     ew, bbn = _two_end_world()
-    circuit = Circuit("as:100", "relay:g", "relay:e", "as:200")
-    p = first_last_probability(Sampler(bbn, 200_000, seed=2),
-                               consensus_view(ew.world), circuit)
+    p = _pair_probability(Sampler(bbn, 200_000, seed=2),
+                          consensus_view(ew.world), "as:100", "relay:g",
+                          "relay:e", "as:200")
     assert p == pytest.approx(0.2 * 0.3, abs=0.004)
 
 
@@ -100,9 +113,9 @@ def test_first_last_shared_as_correlates():
         [("as:300", "vlink:as100-relay:g"),
          ("as:300", "vlink:as200-relay:e")])
     bbn = compile_bbn(ew, trust=(_abs("as:300", 0.2),), scale=SCALE)
-    circuit = Circuit("as:100", "relay:g", "relay:e", "as:200")
-    p = first_last_probability(Sampler(bbn, 100_000, seed=3),
-                               consensus_view(ew.world), circuit)
+    p = _pair_probability(Sampler(bbn, 100_000, seed=3),
+                          consensus_view(ew.world), "as:100", "relay:g",
+                          "relay:e", "as:200")
     assert p == pytest.approx(0.2, abs=0.007)
 
 
@@ -118,10 +131,10 @@ def test_first_last_never_exceeds_either_end(small_bbn, small_world,
     exit_ = data.draw(st.sampled_from(
         [e for e in small_cv.exits if e != guard]))
     sampler = Sampler(small_bbn, 2000, seed=data.draw(st.integers(0, 99)))
-    p = first_last_probability(sampler, small_cv,
-                               Circuit(client, guard, exit_, destination))
-    assert p <= min(guard_exposure(sampler, small_cv, client, guard),
-                    guard_exposure(sampler, small_cv, destination, exit_))
+    p = _pair_probability(sampler, small_cv, client, guard, exit_,
+                          destination)
+    assert p <= min(_exposure(sampler, small_cv, client, guard),
+                    _exposure(sampler, small_cv, destination, exit_))
 
 
 # --- the first-last kernel against one-pair references ------------------------
@@ -173,9 +186,8 @@ def _placement_row_loop(sampler, cv, client, guards, exits_in):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_first_last_matrix_matches_first_last_probability(small_bbn,
-                                                          small_world,
-                                                          small_cv, data):
+def test_first_last_matrix_matches_pair_reference(small_bbn, small_world,
+                                                  small_cv, data):
     client, destination, seed, guards = data.draw(
         _kernel_case(small_world, small_cv))
     exits = data.draw(st.permutations(
@@ -190,8 +202,10 @@ def test_first_last_matrix_matches_first_last_probability(small_bbn,
             if g == e:
                 assert p[i, j] == np.inf
             else:
-                assert p[i, j] == first_last_probability(
-                    sampler, small_cv, Circuit(client, g, e, destination))
+                assert p[i, j] == float(
+                    (_end_column(sampler, small_cv, client, g)
+                     & _end_column(sampler, small_cv, destination, e))
+                    .mean())
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,14 +226,15 @@ def test_select_circuit_and_placement_row_match_loops(small_bbn, small_world,
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_select_guards_ranks_by_guard_exposure(small_bbn, small_world,
-                                               small_cv, data):
+def test_select_guards_ranks_by_end_column_mean(small_bbn, small_world,
+                                                small_cv, data):
     client, _, seed, _ = data.draw(_kernel_case(small_world, small_cv))
     guards = small_cv.guards
     count = data.draw(st.integers(1, len(guards)))
     sampler = Sampler(small_bbn, 2000, seed=seed)
-    ranked = sorted((guard_exposure(sampler, small_cv, client, g), g)
-                    for g in guards)
+    ranked = sorted(
+        (float(_end_column(sampler, small_cv, client, g).mean()), g)
+        for g in guards)
     assert select_guards(sampler, small_cv, client, count) == [
         g for _, g in ranked[:count]]
 
@@ -229,11 +244,6 @@ def test_placement_row_requires_guards(small_bbn, small_cv):
     with pytest.raises(ValueError, match="no guards supplied"):
         placement_row(sampler, small_cv, "as:1000", [],
                       exits_by_as(small_cv))
-
-
-def test_circuit_rejects_same_relay_twice():
-    with pytest.raises(ValueError):
-        Circuit("as:1", "relay:x", "relay:x", "as:2")
 
 
 def _guard_menu_world():
@@ -530,8 +540,8 @@ def test_exposure_reuses_supplied_sampler():
     ew, bbn = _two_end_world()
     sampler = Sampler(bbn, 50_000, seed=9)
     cv = consensus_view(ew.world)
-    a = guard_exposure(sampler, cv, "as:100", "relay:g")
-    b = guard_exposure(sampler, cv, "as:100", "relay:g")
+    a = _exposure(sampler, cv, "as:100", "relay:g")
+    b = _exposure(sampler, cv, "as:100", "relay:g")
     assert a == b
 
 
