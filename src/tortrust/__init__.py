@@ -16,39 +16,16 @@ from .world import World, TypeInstance, RelationshipInstance, validate_world
 from .beliefs import TrustScale, BeliefDocument, parse_belief_document, build_the_man
 from .predicates import parse_predicate, eval_predicate
 from .editor import EditedWorld, apply_structural, children_matching
-from .bbn import (
-    CompiledBbn,
-    compile_bbn,
-    compromise_probability,
-    sample,
-    estimate_marginals,
-    estimate_event,
-    enumerate_exact,
-)
+from .bbn import (CompiledBbn, compile_bbn, compromise_probability, sample,
+                  estimate_marginals, estimate_event, enumerate_exact)
 
+# Grouped by module, in the order of the imports above.
 __all__ = [
-    "Ontology",
-    "default_ontology",
-    "extend_ontology",
-    "validate_ontology",
-    "World",
-    "TypeInstance",
-    "RelationshipInstance",
-    "validate_world",
-    "TrustScale",
-    "BeliefDocument",
-    "parse_belief_document",
-    "build_the_man",
-    "parse_predicate",
-    "eval_predicate",
-    "EditedWorld",
-    "apply_structural",
-    "children_matching",
-    "CompiledBbn",
-    "compile_bbn",
-    "compromise_probability",
-    "sample",
-    "estimate_marginals",
-    "estimate_event",
-    "enumerate_exact",
+    "Ontology", "default_ontology", "extend_ontology", "validate_ontology",
+    "World", "TypeInstance", "RelationshipInstance", "validate_world",
+    "TrustScale", "BeliefDocument", "parse_belief_document", "build_the_man",
+    "parse_predicate", "eval_predicate",
+    "EditedWorld", "apply_structural", "children_matching",
+    "CompiledBbn", "compile_bbn", "compromise_probability", "sample",
+    "estimate_marginals", "estimate_event", "enumerate_exact",
 ]

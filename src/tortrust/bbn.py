@@ -42,7 +42,6 @@ edges through ce nodes closes none, so the order holds every node.
 """
 
 import bisect
-import json
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -52,9 +51,10 @@ import numpy as np
 from .beliefs import Absolute, Relative
 from .editor import ATTACHMENT_BELIEFS, resolve_attachments
 from .errors import CompileError, EditError, NetworkTooLargeError
-from .files import atomic_write, json_text, write_text
+from .files import atomic_write, json_text, read_json, write_text
 from .predicates import evaluate, parse_event, select
-from .validation import check_seed, is_integer, topological_order
+from .validation import (check_seed, is_integer, is_probability, is_real,
+                         topological_order)
 
 EXACT_NODE_CAP = 24
 
@@ -63,16 +63,14 @@ SAMPLE_VERSION = 1
 
 
 def compromise_probability(S, R):
-    """1 - prod_{p in S}(1-p) * prod_{q in R}(1-q); empty products are 1."""
+    """1 - prod_{p in S}(1-p) * prod_{q in R}(1-q); empty products are 1.
+    ValueError unless every value is a number in [0,1]."""
     keep = 1.0
-    for p in S:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"propagation value {p!r} outside [0,1]")
-        keep *= 1.0 - p
-    for q in R:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"risk value {q!r} outside [0,1]")
-        keep *= 1.0 - q
+    for what, values in (("propagation value", S), ("risk value", R)):
+        for p in values:
+            if not is_probability(p):
+                raise ValueError(f"{what} {p!r} is not a number in [0,1]")
+            keep *= 1.0 - p
     return 1.0 - keep
 
 
@@ -560,16 +558,15 @@ def bbn_from_dict(data):
             raise CompileError(f"nodes[{i}]: duplicate node id {node_id!r}")
         index[node_id] = i
         kind = entry.get("kind", "world")
-        parents = _node_list(entry, "parents", node_id)
-        node_risks = tuple(_probability(q, node_id, "risk")
-                           for q in _node_list(entry, "risks", node_id))
+        parents = _node_field(entry, "parents", node_id, list, "an array")
+        node_risks = tuple(_probability(q, node_id, "risk") for q in
+                           _node_field(entry, "risks", node_id, list,
+                                       "an array"))
         node_absolute = entry.get("absolute")
         node_absolute = None if node_absolute is None \
             else _probability(node_absolute, node_id, "absolute")
-        is_output = entry.get("is_output", False)
-        if not isinstance(is_output, bool):
-            raise CompileError(f"node {node_id!r} has is_output "
-                               f"{is_output!r}, not a boolean")
+        is_output = _node_field(entry, "is_output", node_id, bool,
+                                "a boolean")
         if kind not in ("world", "ce"):
             raise CompileError(f"node {node_id!r} has unknown kind {kind!r}")
         if kind == "ce" and len(parents) != 1:
@@ -602,23 +599,20 @@ def bbn_from_dict(data):
                        absolute=absolute, ce=frozenset(ce), is_output=outputs)
 
 
-def _node_list(entry, key, node_id):
-    value = entry.get(key, [])
-    if not isinstance(value, list):
+def _node_field(entry, key, node_id, cls, what):
+    value = entry.get(key, cls())
+    if not isinstance(value, cls):
         raise CompileError(f"node {node_id!r} has {key} {value!r}, "
-                           f"not an array")
+                           f"not {what}")
     return value
 
 
 def _probability(p, node_id, what):
-    if isinstance(p, bool) or not isinstance(p, (int, float)):
-        raise CompileError(f"node {node_id!r} has {what} {p!r}, "
-                           f"not a number")
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise CompileError(f"node {node_id!r} has {what} {p!r} "
-                           f"outside [0,1]")
-    return p
+    if not is_probability(p):
+        raise CompileError(f"node {node_id!r} has {what} {p!r}, not a number"
+                           if not is_real(p) else
+                           f"node {node_id!r} has {what} {p!r} outside [0,1]")
+    return float(p)
 
 
 def save_bbn(bbn, path):
@@ -626,8 +620,7 @@ def save_bbn(bbn, path):
 
 
 def load_bbn(path):
-    with open(path, encoding="utf-8") as fh:
-        return bbn_from_dict(json.load(fh))
+    return bbn_from_dict(read_json(path))
 
 
 def _padding_set(rows, n_nodes):

@@ -18,8 +18,9 @@ beliefs attach probabilities.  Tuple tags:
                 ["ce2", instance, "top", value]          CE over all children
 
 Trust values are the five-symbol scale (SC, LC, U, LT, ST) or a literal
-probability in [0, 1].  Values of relative beliefs with the same tag form
-one risk source; absolute beliefs detach a node from its parents.
+probability in [0, 1].  Each relative belief adds its value as one more
+independent risk to every node its predicate matches, whatever its tag;
+absolute beliefs detach a node from its parents.
 """
 
 import json
@@ -27,9 +28,10 @@ from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 from .errors import BeliefFormatError, DatasetError, PredicateSyntaxError
-from .files import write_text
+from .files import parse_json, write_text
 from .ontology import normalize_type_name
 from .predicates import Predicate, parse_predicate
+from .validation import VALUE_KINDS, is_probability
 from . import ontology as ont
 
 TRUST_SYMBOLS = ("SC", "LC", "U", "LT", "ST")
@@ -61,7 +63,7 @@ def _resolve(value, mapping):
         if value not in mapping:
             raise BeliefFormatError(f"unknown trust value {value!r}")
         p = mapping[value]
-    if not _is_probability(p):
+    if not is_probability(p):
         raise BeliefFormatError(
             f"trust value {value!r} is not a probability in [0,1]"
             if p is value else
@@ -197,17 +199,16 @@ RELATIVE_ROW = _Row(None, Relative, ("predicate", "trust value"))
 _ROW_OF = {row.cls: row for row in (*STRUCTURAL_TAGS.values(),
                                     *TRUST_TAGS.values(), RELATIVE_ROW)}
 
-# The JSON type of the slot kinds checked by type alone.  Every other kind
+# The value kind of the slot kinds checked by kind alone.  Every other kind
 # but the free "attribute value" is a string: an id or a name.
-_JSON_TYPES = {"instance data": (dict, "an object"),
-               "budget k": (int, "an integer")}
+_SLOT_KINDS = {"instance data": "an object", "budget k": "an integer"}
 
 
 # --- Parsing -----------------------------------------------------------------
 
 def parse_belief_document(text):
     try:
-        data = json.loads(text)
+        data = parse_json(text)
     except ValueError as exc:
         raise BeliefFormatError(f"document is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -258,13 +259,8 @@ def scale_from_json(data):
                       ce_mapping=None if ce_mapping is None else dict(ce_mapping))
 
 
-def _is_probability(p):
-    return isinstance(p, (int, float)) and not isinstance(p, bool) \
-        and 0.0 <= float(p) <= 1.0
-
-
 def _check_probability(p, path):
-    if not _is_probability(p):
+    if not is_probability(p):
         raise BeliefFormatError(f"{path}: probability must be in [0,1], "
                                 f"got {p!r}", path=path)
 
@@ -313,9 +309,8 @@ def _read_slot(kind, value, path, name):
         return _parse_value(value, path)
     if kind == "attribute types":
         return _parse_attr_decls(value, f"{path}.{name}")
-    expected, what = _JSON_TYPES.get(kind, (str, "a string"))
-    if kind != "attribute value" and (not isinstance(value, expected)
-                                      or isinstance(value, bool)):
+    what = _SLOT_KINDS.get(kind, "a string")
+    if kind != "attribute value" and not VALUE_KINDS[what](value):
         raise BeliefFormatError(f"{path}: {kind} must be {what}", path=path)
     return value
 
@@ -411,14 +406,14 @@ def build_the_man(world, p_org=0.1, p_fam_max=0.1, p_fam_min=0.001):
     """
     for name, p in (("p_org", p_org), ("p_fam_max", p_fam_max),
                     ("p_fam_min", p_fam_min)):
-        if not _is_probability(p):
+        if not is_probability(p):
             raise ValueError(f"{name} must be a number in [0, 1], got {p!r}")
     trust = []
     for fid in world.of_type(ont.RELAY_FAMILY):
         uptime = world.attribute(fid, "uptime")
         if uptime is None:
             raise DatasetError(f"family {fid!r} has no uptime attribute")
-        if not _is_probability(uptime):
+        if not is_probability(uptime):
             raise ValueError(f"family {fid!r} has uptime {uptime!r}, not a "
                              "number in [0, 1]")
         p = p_fam_max - (p_fam_max - p_fam_min) * float(uptime)

@@ -20,6 +20,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -38,7 +39,7 @@ from .errors import (BeliefFormatError, CompileError, DatasetError, EditError,
 from .experiment import (CONFIG_FIELD_KINDS, DEFAULT_SCENARIOS,
                          ExperimentConfig, check_config_value,
                          run_experiment)
-from .files import csv_text, json_text, write_text
+from .files import csv_text, json_text, read_json, write_text
 from .ontology import (Ontology, default_ontology, load_ontology,
                        validate_ontology)
 from .synth import SynthParams, generate_synthetic
@@ -51,7 +52,8 @@ EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_IO = 4
 
-_PARSE_ERRORS = (PredicateSyntaxError, BeliefFormatError, DatasetError)
+_PARSE_ERRORS = (PredicateSyntaxError, BeliefFormatError, DatasetError,
+                 json.JSONDecodeError)
 _INVALID_ERRORS = (EditError, CompileError, OntologyError,
                    NetworkTooLargeError, ValueError, KeyError)
 
@@ -274,8 +276,7 @@ def _check_experiment_config(raw):
 
 
 def _load_experiment_config(path, scenario_filter=None):
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     _check_experiment_config(raw)
     scenarios = tuple(raw.get("scenarios", DEFAULT_SCENARIOS))
     if scenario_filter:
@@ -314,9 +315,9 @@ def cmd_experiment_run(args):
 # --- parser ------------------------------------------------------------------
 
 def _int_list(text):
-    if not text:
-        return ()
-    return tuple(int(part) for part in text.split(",") if part)
+    """Comma-separated parts, as ints where they read as integers."""
+    return tuple(int(part) if re.fullmatch(r"\s*[-+]?\d+\s*", part) else part
+                 for part in text.split(",") if part)
 
 
 def build_parser():
@@ -447,9 +448,6 @@ def main(argv=None):
     try:
         return args.func(args)
     except _PARSE_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except json.JSONDecodeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except _INVALID_ERRORS as exc:

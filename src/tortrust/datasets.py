@@ -24,7 +24,8 @@ import os
 from dataclasses import MISSING, asdict, dataclass, fields
 
 from .errors import DatasetError
-from .files import write_text
+from .files import parse_json, write_text
+from .validation import VALUE_KINDS
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,9 @@ _RECORDS = {
 }
 
 
-# Field annotation -> the JSON value types it accepts.  bool is an int
-# subclass in Python but not an int here; an int is accepted as a float.
-_ACCEPTS = {int: (int,), bool: (bool,), str: (str,), float: (int, float),
-            tuple: (list,)}
-_JSON_NAMES = {bool: "a boolean", int: "an integer", float: "a number",
-               str: "a string", list: "a list", dict: "an object",
-               type(None): "null"}
+# Field annotation -> the value kind it accepts.
+_FIELD_KINDS = {int: "an integer", bool: "a boolean", str: "a string",
+                float: "a number", tuple: "a list"}
 
 
 def _decode(cls, data):
@@ -116,11 +113,11 @@ def _decode(cls, data):
     for f in fields(cls):
         if f.name in data:
             v = data[f.name]
-            accepted = _ACCEPTS[f.type]
-            if type(v) not in accepted:
-                raise ValueError(
-                    f"{f.name!r} must be {_JSON_NAMES[accepted[-1]]}, "
-                    f"not {_JSON_NAMES[type(v)]}")
+            kind = _FIELD_KINDS[f.type]
+            if not VALUE_KINDS[kind](v):
+                actual = next((k for k, fits in VALUE_KINDS.items()
+                               if fits(v)), "null")
+                raise ValueError(f"{f.name!r} must be {kind}, not {actual}")
             values[f.name] = tuple(v) if f.type is tuple else v
         elif f.default is MISSING:
             raise ValueError(f"missing {f.name!r}")
@@ -146,11 +143,10 @@ def load_bundle(directory):
         if os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
-                    if not line:
+                    if not line.strip():
                         continue
                     try:
-                        records.append(_decode(cls, json.loads(line)))
+                        records.append(_decode(cls, parse_json(line)))
                     except ValueError as exc:
                         raise DatasetError(
                             f"{filename}:{lineno}: bad record: {exc}") from exc

@@ -25,7 +25,6 @@ The gate and `compile_bbn` each run it once, and an EditedWorld keeps the
 beliefs it resolves them to.  Scopes are chosen by `predicates.select`.
 """
 
-import json
 import logging
 from dataclasses import dataclass, field
 
@@ -35,10 +34,12 @@ from .beliefs import (TRUST_TAGS, AddInstance, AddRelationship, Budget1,
                       belief_to_json, default_scale, scale_from_json,
                       scale_to_json)
 from .errors import EditError
+from .files import read_json
 from .ontology import (AttributeDef, Ontology, TypeDef, USER,
                        ontology_from_dict, ontology_to_dict,
                        validate_ontology)
 from .predicates import IsType, select
+from .validation import VALUE_KINDS
 from .world import World, validate_world, world_from_dict, world_to_dict
 
 log = logging.getLogger(__name__)
@@ -324,8 +325,7 @@ def edited_world_from_dict(data):
             attached.append(belief)
     user_edges = []
     for i, entry in enumerate(_list_of(data, "user_relationships")):
-        if not (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(node, str) for node in entry)):
+        if not (VALUE_KINDS["a list of strings"](entry) and len(entry) == 2):
             raise ValueError(f"user_relationships[{i}]: expected a pair of "
                              "instance ids")
         user_edges.append(tuple(entry))
@@ -345,5 +345,4 @@ def _list_of(data, key):
 
 
 def load_edited_world(path):
-    with open(path, encoding="utf-8") as fh:
-        return edited_world_from_dict(json.load(fh))
+    return edited_world_from_dict(read_json(path))

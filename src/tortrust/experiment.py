@@ -38,7 +38,7 @@ from .pathsel import (_end_column, check_guard_count, check_server_count,
                       consensus_view, derive_seed, draw_default_circuits,
                       exits_by_as, place_servers, placement_row,
                       select_circuit, select_guards)
-from .validation import is_integer
+from .validation import VALUE_KINDS
 
 SCENARIO_TOR_DEFAULT = "tor-default"
 SCENARIO_CLIENTS_TRUST = "clients-trust"
@@ -62,10 +62,6 @@ class ExperimentConfig:
     guard_count: int = 3
 
 
-_KINDS = {"a string": lambda v: isinstance(v, str), "an integer": is_integer,
-          "a list of strings": lambda v: isinstance(v, (list, tuple))
-          and all(isinstance(s, str) for s in v)}
-
 # The kind of each config field that holds plain data.
 CONFIG_FIELD_KINDS = {
     "destination_as": "a string", "clients": "a list of strings",
@@ -77,7 +73,7 @@ CONFIG_FIELD_KINDS = {
 
 def check_config_value(key, value, kind):
     """ValueError naming config key `key` unless `value` is of `kind`."""
-    if not _KINDS[kind](value):
+    if not VALUE_KINDS[kind](value):
         raise ValueError(f"experiment config {key!r} must be {kind}")
 
 

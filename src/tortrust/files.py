@@ -1,14 +1,50 @@
-"""The one way the package writes a file, and its JSON and CSV text.
+"""The one way the package writes a file, its JSON and CSV text, and the
+one JSON reader of every input file.
 
 Writes are atomic: a failed write leaves the old file and no temporary
 file.  The temporary file is made by plain `open()`, so outputs get the
-mode the umask gives (0644 under 022).
+mode the umask gives (0644 under 022).  Reading is strict JSON (RFC 8259):
+NaN, Infinity and -Infinity, which Python's json module reads by default,
+are a json.JSONDecodeError that names the constant.  Writing keeps them,
+so that an infinite result can be reported.
 """
 
 import csv
 import io
 import json
 import os
+import re
+
+# A JSON string, or (group 1) a non-finite constant outside any string.
+_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)')
+
+
+class _NonFinite(Exception):
+    """A NaN, Infinity or -Infinity met by the decoder."""
+
+
+def _refuse(constant):
+    raise _NonFinite(constant)
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse)
+
+
+def parse_json(text):
+    """The value of the JSON text `text`; json.JSONDecodeError where it is
+    not strict JSON."""
+    try:
+        return _DECODER.decode(text)
+    except _NonFinite as exc:
+        at = next(m for m in _CONSTANT.finditer(text) if m.group(1)).start(1)
+        raise json.JSONDecodeError(f"{exc} is not a JSON number", text,
+                                   at) from None
+
+
+def read_json(path):
+    """The value of the JSON file at `path`, read by `parse_json`."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_json(fh.read())
 
 
 def atomic_write(path, write):

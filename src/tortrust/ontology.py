@@ -7,20 +7,27 @@ the user) and optional attribute declarations.  Output types (Tor relays,
 virtual links) are the leaves whose compromise the sampler reports.
 """
 
-import json
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
 from .errors import OntologyError
-from .validation import ValidationReport, check_entry, find_cycle
+from .files import read_json
+from .validation import VALUE_KINDS, ValidationReport, check_entry, find_cycle
 
 SYSTEM = "system"
 USER = "user"
 
-DATA_TYPES = frozenset({
-    "string", "integer", "real", "coordinate-pair", "string-set",
-    "predicate-text", "budget-spec", "ce-spec",
-})
+# Each attribute data type, and the rule a value of it keeps.
+DATA_TYPES = {
+    "string": VALUE_KINDS["a string"], "integer": VALUE_KINDS["an integer"],
+    "real": VALUE_KINDS["a number"],
+    "coordinate-pair": lambda v: VALUE_KINDS["a list"](v) and len(v) == 2
+    and all(map(VALUE_KINDS["a number"], v)),
+    "string-set": VALUE_KINDS["a list of strings"],
+    "predicate-text": VALUE_KINDS["a string"],
+    "budget-spec": lambda v: isinstance(v, (dict, list)),
+    "ce-spec": lambda v: isinstance(v, (dict, list)),
+}
 
 
 @dataclass(frozen=True)
@@ -343,5 +350,4 @@ def ontology_from_dict(data):
 
 
 def load_ontology(path):
-    with open(path, encoding="utf-8") as fh:
-        return ontology_from_dict(json.load(fh))
+    return ontology_from_dict(read_json(path))

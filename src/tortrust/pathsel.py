@@ -15,13 +15,12 @@ the one first-last kernel, `first_last_matrix`.
 """
 
 import hashlib
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ontology as ont
-from .validation import is_integer
+from .validation import is_integer, is_real
 from .world import as_id, vlink_id
 
 
@@ -78,9 +77,7 @@ def consensus_view(world):
         if not isinstance(ip, str):
             raise _bad(rid, "ip", "a string", ip)
         bandwidth = attrs.get("bandwidth", 0)
-        if isinstance(bandwidth, bool) \
-                or not isinstance(bandwidth, (int, float)) \
-                or not 0 <= bandwidth <= sys.float_info.max:
+        if not is_real(bandwidth) or bandwidth < 0:
             raise _bad(rid, "bandwidth", "a finite real number >= 0",
                        bandwidth)
         guard, exit_ = attrs.get("guard", False), attrs.get("exit", False)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .datasets import (ClusterRecord, DatasetBundle, GeoRecord, PathRecord,
                        RelayRecord, UptimeRecord)
-from .validation import check_seed, is_integer
+from .validation import check_seed, is_integer, is_probability
 
 _COUNTRIES = ("US", "DE", "FR", "NL", "GB", "SE", "CH", "CA", "RO", "AT")
 _OS_STRINGS = ("Linux", "FreeBSD", "OpenBSD", "Windows", "Darwin")
@@ -40,19 +40,18 @@ class SynthParams:
 
 
 def _check_params(p):
-    if p.n_as < 2:
-        raise ValueError("n_as must be at least 2")
-    for name in ("n_ixp", "n_epochs"):
-        if getattr(p, name) < 0:
-            raise ValueError(f"{name} must not be negative")
-    if not 0.0 <= p.drop_one_direction_fraction <= 1.0:
-        raise ValueError("drop_one_direction_fraction must be in [0,1]")
-    if p.n_relays < 2:
-        raise ValueError("n_relays must be at least 2")
-    if p.max_path_len < 1:
-        raise ValueError("max_path_len must be at least 1")
-    if not (0.0 <= p.guard_fraction <= 1.0 and 0.0 <= p.exit_fraction <= 1.0):
-        raise ValueError("guard/exit fractions must be in [0,1]")
+    for name, least in (("n_as", 2), ("n_ixp", 0), ("n_relays", 2),
+                        ("n_epochs", 0), ("max_path_len", 1)):
+        n = getattr(p, name)
+        if not is_integer(n):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
+        if n < least:
+            raise ValueError(f"{name} must be at least {least}" if least
+                             else f"{name} must not be negative")
+    for name in ("guard_fraction", "exit_fraction",
+                 "drop_one_direction_fraction"):
+        if not is_probability(getattr(p, name)):
+            raise ValueError(f"{name} must be in [0,1]")
     for name in ("family_sizes", "as_org_sizes", "ixp_org_sizes"):
         for size in getattr(p, name):
             if not is_integer(size) or size < 1:

@@ -2,7 +2,8 @@
 topological sort (on integer ranks) behind the compiled network's order
 and `find_cycle`, which the world constructor and ontology validation
 share, the entry check shared by the ontology and world file parsers, and
-`is_integer`, the one integer rule (a bool is not one) of the input checks.
+the one rule of each input value kind (`is_integer`, `is_real`,
+`is_probability`, `VALUE_KINDS`) and of a seed.
 
 Validators never raise on bad input; every broken invariant becomes one
 Violation entry so a caller (or the CLI) can show all problems at once.
@@ -10,6 +11,8 @@ The parsers stop at the first malformed entry and name it.
 """
 
 import heapq
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +99,31 @@ def is_integer(value):
     """Whether `value` is an int or a numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) \
         and not isinstance(value, bool)
+
+
+def is_real(value):
+    """Whether `value` is a finite int or float, numpy scalars included, in
+    the float range; a bool is not one."""
+    if isinstance(value, (float, np.floating)):
+        return math.isfinite(value)
+    return is_integer(value) and abs(int(value)) <= sys.float_info.max
+
+
+def is_probability(value):
+    """Whether `value` is a real number in [0, 1]."""
+    return is_real(value) and 0 <= value <= 1
+
+
+# The rule of each JSON value kind, by the name a message gives it.  An
+# integer is also a number, a list of strings also a list.
+VALUE_KINDS = {
+    "a string": lambda v: isinstance(v, str), "an integer": is_integer,
+    "a number": is_real, "a boolean": lambda v: isinstance(v, bool),
+    "a list": lambda v: isinstance(v, (list, tuple)),
+    "a list of strings": lambda v: isinstance(v, (list, tuple))
+    and all(isinstance(s, str) for s in v),
+    "an object": lambda v: isinstance(v, dict),
+}
 
 
 def check_seed(seed):

@@ -21,7 +21,6 @@ Node identifiers are plain strings with a short type prefix, e.g.
 "as:3356", "relay:fp_ab12", "vlink:as3356-relay:fp_ab12".
 """
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -29,7 +28,8 @@ from itertools import compress
 
 import numpy as np
 
-from .files import json_text, write_text
+from .files import json_text, read_json, write_text
+from .ontology import DATA_TYPES
 from .validation import ValidationReport, check_entry, find_cycle
 
 # Values stay JSON-native (str/int/float/bool/list/dict) so world files
@@ -260,22 +260,10 @@ def _csr(n, rows, cols):
 
 
 def _value_conforms(value, data_type):
-    if data_type == "string" or data_type == "predicate-text":
-        return isinstance(value, str)
-    if data_type == "integer":
-        return isinstance(value, int) and not isinstance(value, bool)
-    if data_type == "real":
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if data_type == "coordinate-pair":
-        return (isinstance(value, (list, tuple)) and len(value) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                        for v in value))
-    if data_type == "string-set":
-        return (isinstance(value, (list, tuple, set, frozenset))
-                and all(isinstance(v, str) for v in value))
-    if data_type in ("budget-spec", "ce-spec"):
-        return isinstance(value, (dict, list))
-    return True
+    """Whether `value` keeps the rule of `data_type`; an unknown data type
+    takes any value."""
+    rule = DATA_TYPES.get(data_type)
+    return rule is None or rule(value)
 
 
 def validate_world(world, ontology, allowed_edges=()):
@@ -406,5 +394,4 @@ def save_world(world, path):
 
 
 def load_world(path):
-    with open(path, encoding="utf-8") as fh:
-        return world_from_dict(json.load(fh))
+    return world_from_dict(read_json(path))

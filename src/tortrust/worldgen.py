@@ -11,24 +11,20 @@ import networkx as nx
 
 from . import ontology as ont
 from .errors import DatasetError
-from .world import (RelationshipInstance, TypeInstance, World, as_id,
-                    as_org_id, family_id, ixp_id, ixp_org_id, jurisdiction_id,
-                    relay_id, vlink_id)
+from .world import (World, as_id, as_org_id, family_id, ixp_id, ixp_org_id,
+                    jurisdiction_id, relay_id, vlink_id)
 
 log = logging.getLogger(__name__)
 
 
 def family_uptime(bundle, family):
     """Fraction of (member, epoch) pairs in which the member was Running."""
-    members = sorted(set(family))
+    members = set(family)
     if not members:
         raise DatasetError("family_uptime of an empty family")
     if not bundle.uptime:
         raise DatasetError("bundle has no uptime epochs")
-    running = 0
-    for epoch in bundle.uptime:
-        present = set(epoch.running)
-        running += sum(1 for m in members if m in present)
+    running = sum(len(members.intersection(e.running)) for e in bundle.uptime)
     return running / (len(members) * len(bundle.uptime))
 
 
@@ -46,8 +42,8 @@ def _mutual_families(consensus):
 def build_world(ontology, bundle):
     """Assemble the system world. See module docstring for the steps."""
     bundle.check()
-    instances = []
-    relationships = []
+    instances = []                  # (id, type name, attributes) rows
+    parents, children = [], []      # the relationship columns
 
     # Relays.  Operational fields (bandwidth, flags, ip, as_number) ride
     # along as undeclared attributes so downstream predicates can test them.
@@ -64,8 +60,7 @@ def build_world(ontology, bundle):
         geo = geo_by_entity.get(relay_id(rec.fingerprint))
         if geo is not None:
             attrs[ont.PHYSICAL_LOCATION_ATTR] = [geo.lat, geo.lon]
-        instances.append(TypeInstance(relay_id(rec.fingerprint),
-                                      ont.TOR_RELAY, attrs))
+        instances.append((relay_id(rec.fingerprint), ont.TOR_RELAY, attrs))
 
     # Families.
     for members in _mutual_families(bundle.consensus):
@@ -73,33 +68,25 @@ def build_world(ontology, bundle):
         attrs = {}
         if bundle.uptime:
             attrs["uptime"] = family_uptime(bundle, members)
-        instances.append(TypeInstance(fid, ont.RELAY_FAMILY, attrs))
-        for fp in members:
-            relationships.append(RelationshipInstance(fid, relay_id(fp)))
+        instances.append((fid, ont.RELAY_FAMILY, attrs))
+        parents += [fid] * len(members)
+        children += map(relay_id, members)
 
     # ASes: everything on any path plus every relay's AS.
-    asns = set()
+    asns = {rec.as_number for rec in bundle.consensus}
     for p in bundle.as_paths:
-        asns.add(p.src)
-        asns.add(p.dst)
-        asns.update(p.as_path)
-    for rec in bundle.consensus:
-        asns.add(rec.as_number)
-    for asn in sorted(asns):
-        instances.append(TypeInstance(as_id(asn), ont.AS, {}))
+        asns.update((p.src, p.dst, *p.as_path))
+    instances += [(as_id(asn), ont.AS, {}) for asn in sorted(asns)]
 
     # IXPs: everything on any path plus cluster members.
-    ixps = set()
-    for p in bundle.as_paths:
-        ixps.update(p.ixps)
-    for c in bundle.ixp_clusters:
-        ixps.update(c.members)
+    ixps = {x for p in bundle.as_paths for x in p.ixps}
+    ixps.update(x for c in bundle.ixp_clusters for x in c.members)
     for x in sorted(ixps):
         attrs = {}
         geo = geo_by_entity.get(ixp_id(x))
         if geo is not None:
             attrs[ont.PHYSICAL_LOCATION_ATTR] = [geo.lat, geo.lon]
-        instances.append(TypeInstance(ixp_id(x), ont.IXP, attrs))
+        instances.append((ixp_id(x), ont.IXP, attrs))
 
     # Virtual links: one per (AS, guard-or-exit relay) pair, parented by the
     # union of on-path ASes and IXPs in both directions.  A missing directed
@@ -110,36 +97,38 @@ def build_world(ontology, bundle):
     pair_parents = {}
     for src in sorted(asns):
         for dst in relay_asns:
-            parents = set()
+            on_path = set()
             for key in ((src, dst), (dst, src)):
                 p = paths.get(key)
                 if p is None:
-                    parents.update(as_id(a) for a in key)
+                    on_path.update(as_id(a) for a in key)
                 else:
-                    parents.update(as_id(a) for a in p.as_path)
-                    parents.update(ixp_id(x) for x in p.ixps)
-            pair_parents[(src, dst)] = sorted(parents)
+                    on_path.update(as_id(a) for a in p.as_path)
+                    on_path.update(ixp_id(x) for x in p.ixps)
+            pair_parents[(src, dst)] = sorted(on_path)
     for rec in edge_relays:
         for src in sorted(asns):
             vid = vlink_id(src, rec.fingerprint)
-            instances.append(TypeInstance(vid, ont.VIRTUAL_LINK, {}))
-            for parent in pair_parents[(src, rec.as_number)]:
-                relationships.append(RelationshipInstance(parent, vid))
+            instances.append((vid, ont.VIRTUAL_LINK, {}))
+            on_path = pair_parents[(src, rec.as_number)]
+            parents += on_path
+            children += [vid] * len(on_path)
 
     # Organizations.
     for c in bundle.as_clusters:
         oid = as_org_id(c.org)
-        instances.append(TypeInstance(oid, ont.AS_ORGANIZATION, {}))
+        instances.append((oid, ont.AS_ORGANIZATION, {}))
         for member in c.members:
             if member not in asns:
                 raise DatasetError(
                     f"AS cluster {c.org!r} references unknown AS {member}")
-            relationships.append(RelationshipInstance(oid, as_id(member)))
+        parents += [oid] * len(c.members)
+        children += map(as_id, c.members)
     for c in bundle.ixp_clusters:
         oid = ixp_org_id(c.org)
-        instances.append(TypeInstance(oid, ont.IXP_ORGANIZATION, {}))
-        for member in c.members:
-            relationships.append(RelationshipInstance(oid, ixp_id(member)))
+        instances.append((oid, ont.IXP_ORGANIZATION, {}))
+        parents += [oid] * len(c.members)
+        children += map(ixp_id, c.members)
 
     # Jurisdictions from geo records that attach to a relay or IXP.
     relay_ids = {relay_id(r.fingerprint) for r in bundle.consensus}
@@ -152,8 +141,10 @@ def build_world(ontology, bundle):
             log.debug("geo record for unknown entity %s ignored", g.entity)
     for cc in sorted(countries):
         jid = jurisdiction_id(cc)
-        instances.append(TypeInstance(jid, ont.LEGAL_JURISDICTION, {}))
-        for entity in sorted(countries[cc]):
-            relationships.append(RelationshipInstance(jid, entity))
+        instances.append((jid, ont.LEGAL_JURISDICTION, {}))
+        parents += [jid] * len(countries[cc])
+        children += sorted(countries[cc])
 
-    return World(instances=tuple(instances), relationships=tuple(relationships))
+    ids, types, attributes = zip(*instances) if instances else [()] * 3
+    return World.from_columns(ids, types, attributes, parents, children,
+                              [{}] * len(parents))

@@ -47,6 +47,18 @@ def test_formula_rejects_out_of_range():
         compromise_probability([], [-0.1])
 
 
+@pytest.mark.parametrize("S, R, message", [
+    ([True], [], "propagation value True is not a number in [0,1]"),
+    ([], [math.nan], "risk value nan is not a number in [0,1]"),
+    (["0.5"], [], "propagation value '0.5' is not a number in [0,1]"),
+])
+def test_formula_takes_only_probabilities(S, R, message):
+    """The probability rule of every input: a bool, NaN or string is not
+    a probability (compromise_probability([True], []) returned 1.0)."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compromise_probability(S, R)
+
+
 @given(st.lists(st.floats(0, 1), max_size=6),
        st.lists(st.floats(0, 1), max_size=6))
 def test_formula_stays_in_unit_interval(ws, rs):

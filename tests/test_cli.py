@@ -284,6 +284,8 @@ def test_experiment_bad_scenarios_exit_code(workdir, tmp_path, capsys,
     ("--ixp-org-sizes", "1,-1", "ixp_org_sizes entries must be integers "
                                 ">= 1, got -1"),
     ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+    ("--family-sizes", "3,x", "family_sizes entries must be integers >= 1, "
+                              "got 'x'"),
 ])
 def test_synth_parameter_exit_code(tmp_path, capsys, option, value,
                                    message):
@@ -624,8 +626,8 @@ def test_cyclic_world_exits_3(workdir, tmp_path, capsys):
     ("ip", 10, "'ip' must be a string, not 10"),
     ("bandwidth", [5], "'bandwidth' must be a finite real number >= 0, "
                        "not [5]"),
-    ("bandwidth", float("nan"), "'bandwidth' must be a finite real number "
-                                ">= 0, not nan"),
+    ("bandwidth", -1, "'bandwidth' must be a finite real number >= 0, "
+                      "not -1"),
     ("guard", "no", "'guard' must be a boolean, 0 or 1, not 'no'"),
 ])
 def test_experiment_bad_relay_attribute_exit_code(workdir, tmp_path, capsys,
@@ -1006,3 +1008,72 @@ def test_repeated_novel_type_exit_code(tmp_path, capsys, names, violation):
     assert main(["beliefs", "check", "--doc", str(path)]) == 3
     assert capsys.readouterr().err == \
         f"1 violation(s):\n  [duplicate-type] {violation}\n"
+
+
+def _read(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _non_finite_input(kind, value, workdir, tmp_path):
+    """The argv of a command whose `kind` input file holds `value`, written
+    by json.dumps as NaN, Infinity or -Infinity, and its output path."""
+    bad, out = tmp_path / "bad.json", str(tmp_path / "out")
+    if kind == "bundle line":
+        bundle = tmp_path / "bundle"
+        save_bundle(load_bundle(workdir["bundle"]), str(bundle))
+        with open(bundle / "geo.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"entity": "relay:fp_0000", "country": "US",
+                                 "lat": value}) + "\n")
+        return ["world", "build", "--datasets", str(bundle), "--out", out], out
+    if kind in ("world", "edited world"):
+        data = _read(workdir["world" if kind == "world" else "edited"])
+        relay = next(i for i in data["instances"]
+                     if i["type_name"] == "Tor Relay")
+        relay["attributes"]["bandwidth"] = value
+        bad.write_text(json.dumps(data))
+        if kind == "world":
+            return ["beliefs", "apply", "--doc", workdir["doc"], "--world",
+                    str(bad), "--out", out], out
+        return ["bbn", "compile", "--edited", str(bad), "--out", out], out
+    if kind == "ontology":
+        data = ontology_to_dict(default_ontology())
+        data["types"][0]["weight"] = value
+        bad.write_text(json.dumps(data))
+        return ["world", "build", "--datasets", workdir["bundle"],
+                "--ontology", str(bad), "--out", out], out
+    if kind == "belief document":
+        bad.write_text(json.dumps({"trust": [["abs", "is AS", value]]}))
+        return ["beliefs", "apply", "--doc", str(bad), "--world",
+                workdir["world"], "--out", out], out
+    if kind == "network":
+        data = _read(workdir["bbn"])
+        data["nodes"][0]["absolute"] = value
+        bad.write_text(json.dumps(data))
+        return ["bbn", "sample", "--bbn", str(bad), "--n", "10", "--seed",
+                "1", "--out", out], out
+    bad.write_text(json.dumps({
+        "world": workdir["world"], "adversary": workdir["doc"],
+        "clients": ["as:1000"], "destination_as": "as:1007",
+        "n_samples": 100, "seed": 1, "k_servers": value}))
+    return ["experiment", "run", "--config", str(bad), "--out", out], out
+
+
+@pytest.mark.parametrize("constant, value", [
+    ("NaN", float("nan")), ("Infinity", float("inf")),
+    ("-Infinity", float("-inf"))])
+@pytest.mark.parametrize("kind", [
+    "world", "ontology", "belief document", "bundle line", "network",
+    "edited world", "experiment config"])
+def test_non_finite_constant_in_any_input_exits_2(workdir, tmp_path, capsys,
+                                                  kind, constant, value):
+    """Every input file is read as strict JSON: NaN, Infinity or -Infinity
+    is a parse error naming the constant, and nothing is written.  A
+    bundle line with a NaN latitude built a world.json holding NaN."""
+    argv, out = _non_finite_input(kind, value, workdir, tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f" {constant} is not a JSON number: line " in err
+    assert not os.path.exists(out)
+    assert not os.path.exists(out + ".manifest.json")

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import os
 import re
 import stat
@@ -7,7 +8,8 @@ import stat
 import pytest
 
 import tortrust
-from tortrust.files import atomic_write, csv_text, json_text, write_text
+from tortrust.files import (atomic_write, csv_text, json_text, parse_json,
+                            read_json, write_text)
 
 SRC = os.path.dirname(tortrust.__file__)
 
@@ -61,3 +63,24 @@ def test_files_module_is_the_only_writer():
             source = fh.read()
         assert not re.search(r"os\.replace|tempfile|json\.dump\(", source), \
             name
+
+
+@pytest.mark.parametrize("text, constant, where", [
+    ('[1, NaN]', "NaN", "line 1 column 5 (char 4)"),
+    ('{"a": "NaN, Infinity", "b":\n  -Infinity}', "-Infinity",
+     "line 2 column 3 (char 30)"),
+    ('{"x\\"": [Infinity]}', "Infinity", "line 1 column 10 (char 9)"),
+])
+def test_parse_json_refuses_non_finite_constants(text, constant, where):
+    with pytest.raises(json.JSONDecodeError) as info:
+        parse_json(text)
+    assert str(info.value) == f"{constant} is not a JSON number: {where}"
+
+
+def test_read_json_reads_strict_json_and_writers_keep_infinity(tmp_path):
+    path = tmp_path / "in.json"
+    path.write_text('{"a": ["NaN", 1e308, -0.5], "b": null}')
+    assert read_json(str(path)) == {"a": ["NaN", 1e308, -0.5], "b": None}
+    assert json_text([float("inf")]) == "[\n  Infinity\n]\n"
+    with pytest.raises(json.JSONDecodeError, match="^Expecting value"):
+        parse_json("[1,")

@@ -3,6 +3,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -767,6 +768,43 @@ def test_synth_rejects_negative_seed():
 def test_synth_rejects_oversized_families():
     with pytest.raises(ValueError):
         generate_synthetic(SynthParams(n_relays=4, family_sizes=(3, 3)), 1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_as", 10.5, "n_as must be an integer, got 10.5"),
+    ("n_relays", 10.0, "n_relays must be an integer, got 10.0"),
+    ("max_path_len", 3.5, "max_path_len must be an integer, got 3.5"),
+    ("n_epochs", True, "n_epochs must be an integer, got True"),
+    ("n_as", 1, "n_as must be at least 2"),
+    ("max_path_len", 0, "max_path_len must be at least 1"),
+    ("guard_fraction", float("nan"), "guard_fraction must be in [0,1]"),
+    ("exit_fraction", 1.5, "exit_fraction must be in [0,1]"),
+    ("drop_one_direction_fraction", "0.5",
+     "drop_one_direction_fraction must be in [0,1]"),
+])
+def test_synth_counts_are_integers_and_fractions_probabilities(field, value,
+                                                              message):
+    """Each count is checked by the integer rule and each fraction by the
+    probability rule before anything is drawn: a fractional count used to
+    fail inside networkx or numpy, or pass silently."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_synthetic(SynthParams(**{field: value}), 1)
+
+
+def test_synth_takes_numpy_counts_and_fractions():
+    params = SynthParams(n_as=np.int64(12), n_ixp=np.int32(2),
+                         n_relays=np.int64(10), guard_fraction=np.float64(0.4))
+    assert generate_synthetic(params, 3) == generate_synthetic(
+        SynthParams(n_as=12, n_ixp=2, n_relays=10), 3)
+
+
+def test_non_finite_location_breaks_the_attribute_rule(ontology):
+    """A library-built world whose relay location holds NaN or inf fails
+    the coordinate-pair rule, as a string does."""
+    for lat in (float("nan"), float("inf"), "52.1"):
+        world = World(instances=(TypeInstance(
+            "relay:fp_a", "Tor Relay", {"Physical Location": [lat, 4.3]}),))
+        assert validate_world(world, ontology).codes() == ["attribute-type"]
 
 
 # --- world generation --------------------------------------------------------
