@@ -50,7 +50,8 @@ import numpy as np
 
 from .beliefs import Absolute, Relative
 from .editor import ATTACHMENT_BELIEFS, resolve_attachments
-from .errors import CompileError, EditError, NetworkTooLargeError
+from .errors import (CompileError, EditError, InvalidInputError,
+                     NetworkTooLargeError, UnknownIdError)
 from .files import atomic_write, json_text, read_json, write_text
 from .predicates import evaluate, parse_event, select
 from .validation import (check_seed, is_integer, is_probability, is_real,
@@ -69,7 +70,8 @@ def compromise_probability(S, R):
     for what, values in (("propagation value", S), ("risk value", R)):
         for p in values:
             if not is_probability(p):
-                raise ValueError(f"{what} {p!r} is not a number in [0,1]")
+                raise InvalidInputError(
+                    f"{what} {p!r} is not a number in [0,1]")
             keep *= 1.0 - p
     return 1.0 - keep
 
@@ -229,7 +231,7 @@ def compile_bbn(ew, trust=(), scale=None):
         for budget, scope in budget_scopes[parent]:
             if not scope:
                 continue
-            factor = min(1.0, budget.k / len(scope))
+            factor = 1.0 if budget.k >= len(scope) else budget.k / len(scope)
             for child in scope:
                 weights[(parent, child)] = \
                     weights.get((parent, child), 1.0) * factor
@@ -325,7 +327,7 @@ class Sampler:
 
     def __init__(self, bbn, n, seed):
         if not is_integer(n) or n < 1:
-            raise ValueError(f"n must be a positive integer, got {n!r}")
+            raise InvalidInputError(f"n must be a positive integer, got {n!r}")
         self.bbn = bbn
         self.n = int(n)
         self.seed = check_seed(seed)
@@ -335,7 +337,7 @@ class Sampler:
         try:
             idx = self.bbn.index[node_id]
         except KeyError:
-            raise KeyError(f"unknown node {node_id!r}") from None
+            raise UnknownIdError(f"unknown node {node_id!r}") from None
         return self._unpack(self._column(idx))
 
     def _unpack(self, packed):
@@ -513,7 +515,7 @@ def exact_event(bbn, event, cap=EXACT_NODE_CAP):
         try:
             return _state_bit(states, bbn.index[atom.node_id])
         except KeyError:
-            raise KeyError(f"unknown node {atom.node_id!r}") from None
+            raise UnknownIdError(f"unknown node {atom.node_id!r}") from None
 
     return float(prob[evaluate(tree, leaf)].sum())
 
@@ -635,19 +637,21 @@ def save_samples(path, rows, n_nodes):
     `sample_matrix`, written from their buffer."""
     n_nodes = operator.index(n_nodes)
     if n_nodes < 0:
-        raise ValueError(f"node count {n_nodes} is negative")
+        raise InvalidInputError(f"node count {n_nodes} is negative")
     if n_nodes == 0:
-        raise ValueError("a dump of no nodes cannot record its sample count")
+        raise InvalidInputError(
+            "a dump of no nodes cannot record its sample count")
     if n_nodes >= 1 << 24:
         raise NetworkTooLargeError("sample dump supports at most 2^24-1 nodes")
     rows = np.ascontiguousarray(rows)
     if rows.ndim != 2 or rows.dtype != np.uint8:
-        raise ValueError("sample rows must be a 2-dimensional uint8 array")
+        raise InvalidInputError(
+            "sample rows must be a 2-dimensional uint8 array")
     if rows.shape[1] != (n_nodes + 7) // 8:
-        raise ValueError(f"sample rows are {rows.shape[1]} bytes wide, "
-                         f"{n_nodes} nodes need {(n_nodes + 7) // 8}")
+        raise InvalidInputError(f"sample rows are {rows.shape[1]} bytes wide, "
+                                f"{n_nodes} nodes need {(n_nodes + 7) // 8}")
     if _padding_set(rows, n_nodes):
-        raise ValueError("sample rows have padding bits set")
+        raise InvalidInputError("sample rows have padding bits set")
 
     def write(tmp):
         with open(tmp, "wb") as fh:
@@ -663,17 +667,18 @@ def load_samples(path):
     with open(path, "rb") as fh:
         header = fh.read(8)
         if len(header) != 8 or header[:4] != SAMPLE_MAGIC:
-            raise ValueError(f"{path} is not a sample dump")
+            raise InvalidInputError(f"{path} is not a sample dump")
         if header[4] != SAMPLE_VERSION:
-            raise ValueError(f"unsupported sample dump version {header[4]}")
+            raise InvalidInputError(
+                f"unsupported sample dump version {header[4]}")
         n_nodes = int.from_bytes(header[5:8], "little")
         payload = np.fromfile(fh, dtype=np.uint8)
     row_bytes = (n_nodes + 7) // 8
     if row_bytes == 0:
-        raise ValueError(f"{path} records no nodes, so no row count")
+        raise InvalidInputError(f"{path} records no nodes, so no row count")
     if payload.size % row_bytes:
-        raise ValueError("truncated sample dump")
+        raise InvalidInputError("truncated sample dump")
     rows = payload.reshape(-1, row_bytes)
     if _padding_set(rows, n_nodes):
-        raise ValueError(f"{path} has padding bits set")
+        raise InvalidInputError(f"{path} has padding bits set")
     return rows, n_nodes

@@ -27,7 +27,8 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
-from .errors import BeliefFormatError, DatasetError, PredicateSyntaxError
+from .errors import (BeliefFormatError, DatasetError, InvalidInputError,
+                     PredicateSyntaxError)
 from .files import parse_json, write_text
 from .ontology import normalize_type_name
 from .predicates import Predicate, parse_predicate
@@ -407,15 +408,16 @@ def build_the_man(world, p_org=0.1, p_fam_max=0.1, p_fam_min=0.001):
     for name, p in (("p_org", p_org), ("p_fam_max", p_fam_max),
                     ("p_fam_min", p_fam_min)):
         if not is_probability(p):
-            raise ValueError(f"{name} must be a number in [0, 1], got {p!r}")
+            raise InvalidInputError(
+                f"{name} must be a number in [0, 1], got {p!r}")
     trust = []
     for fid in world.of_type(ont.RELAY_FAMILY):
         uptime = world.attribute(fid, "uptime")
         if uptime is None:
             raise DatasetError(f"family {fid!r} has no uptime attribute")
         if not is_probability(uptime):
-            raise ValueError(f"family {fid!r} has uptime {uptime!r}, not a "
-                             "number in [0, 1]")
+            raise InvalidInputError(f"family {fid!r} has uptime {uptime!r}, "
+                                    "not a number in [0, 1]")
         p = p_fam_max - (p_fam_max - p_fam_min) * float(uptime)
         # A JSON string is a predicate string literal; ensure_ascii would
         # write an astral character as two surrogate escapes.

@@ -11,14 +11,14 @@ input/output digests and the seeds used.  Outputs are written through
 requires it.  Experiment configs are checked key by key: an unknown key or
 a value of the wrong type is a parse error, like a missing key.
 Randomized commands require an explicit --seed.  Exit codes: 0 success,
-1 unexpected error, 2 parse error, 3 validation/semantic error, 4 I/O
-error.
+4 I/O error; a package error exits with the code its class holds
+(`errors.py`: 2 parse error, 3 validation/semantic error), and any other
+error with 1.
 """
 
 import argparse
 import dataclasses
 import hashlib
-import json
 import os
 import re
 import sys
@@ -33,9 +33,7 @@ from .bbn import (EXACT_NODE_CAP, compile_bbn, enumerate_exact, bbn_to_dict,
 from .datasets import load_bundle, save_bundle
 from .editor import (apply_structural, document_ontology, edited_world_to_dict,
                      load_edited_world)
-from .errors import (BeliefFormatError, CompileError, DatasetError, EditError,
-                     NetworkTooLargeError, OntologyError,
-                     PredicateSyntaxError)
+from .errors import BeliefFormatError, InvalidInputError, TrustModelError
 from .experiment import (CONFIG_FIELD_KINDS, DEFAULT_SCENARIOS,
                          ExperimentConfig, check_config_value,
                          run_experiment)
@@ -48,14 +46,8 @@ from .worldgen import build_world
 
 EXIT_OK = 0
 EXIT_ERROR = 1
-EXIT_PARSE = 2
-EXIT_INVALID = 3
+EXIT_INVALID = InvalidInputError.exit_code
 EXIT_IO = 4
-
-_PARSE_ERRORS = (PredicateSyntaxError, BeliefFormatError, DatasetError,
-                 json.JSONDecodeError)
-_INVALID_ERRORS = (EditError, CompileError, OntologyError,
-                   NetworkTooLargeError, ValueError, KeyError)
 
 
 def _sha256(path):
@@ -269,10 +261,7 @@ def _check_experiment_config(raw):
         if key not in _CONFIG_KEYS:
             raise BeliefFormatError(
                 f"experiment config has unknown key {key!r}")
-        try:
-            check_config_value(key, value, _CONFIG_KEYS[key])
-        except ValueError as exc:
-            raise BeliefFormatError(str(exc)) from None
+        check_config_value(key, value, _CONFIG_KEYS[key], BeliefFormatError)
 
 
 def _load_experiment_config(path, scenario_filter=None):
@@ -315,9 +304,16 @@ def cmd_experiment_run(args):
 # --- parser ------------------------------------------------------------------
 
 def _int_list(text):
-    """Comma-separated parts, as ints where they read as integers."""
-    return tuple(int(part) if re.fullmatch(r"\s*[-+]?\d+\s*", part) else part
-                 for part in text.split(",") if part)
+    """Comma-separated parts, as ints where they read as integers; a part
+    of more digits than int() converts stays text."""
+    parts = []
+    for part in filter(None, text.split(",")):
+        try:
+            parts.append(int(part) if re.fullmatch(r"\s*[-+]?\d+\s*", part)
+                         else part)
+        except ValueError:
+            parts.append(part)
+    return tuple(parts)
 
 
 def build_parser():
@@ -447,14 +443,9 @@ def main(argv=None):
     args.command_line = "tortrust " + " ".join(argv)
     try:
         return args.func(args)
-    except _PARSE_ERRORS as exc:
+    except TrustModelError as exc:      # its class sets the exit code
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except _INVALID_ERRORS as exc:
-        # KeyError repr-quotes its message; unwrap the single argument
-        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        sys.stderr.write(f"error: {msg}\n")
-        return EXIT_INVALID
+        return exc.exit_code
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO

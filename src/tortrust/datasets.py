@@ -14,7 +14,8 @@ and reads/writes them as JSON-lines files inside a bundle directory:
 Each line is one record's JSON object: its dataclass fields by name, with
 tuples as lists.  Reading takes the known fields, ignores other keys,
 checks each value against its field's type (a boolean is not an integer,
-an integer is a float), turns lists back into tuples and requires the
+an integer is a float, a list holds integers or strings as its field
+says), turns lists back into tuples and requires the
 fields without a default; a line that is not such an object is a
 DatasetError naming file, line and, for a bad value, the field.
 """
@@ -23,7 +24,7 @@ import json
 import os
 from dataclasses import MISSING, asdict, dataclass, fields
 
-from .errors import DatasetError
+from .errors import DatasetError, InvalidInputError, TrustModelError
 from .files import parse_json, write_text
 from .validation import VALUE_KINDS
 
@@ -35,7 +36,7 @@ class RelayRecord:
     guard: bool = False
     exit: bool = False
     bandwidth: int = 0
-    family: tuple = ()
+    family: tuple[str, ...] = ()
     os: str = ""
     ip: str = ""
 
@@ -44,14 +45,14 @@ class RelayRecord:
 class PathRecord:
     src: int
     dst: int
-    as_path: tuple = ()
-    ixps: tuple = ()
+    as_path: tuple[int, ...] = ()
+    ixps: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class ClusterRecord:
     org: str
-    members: tuple = ()
+    members: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class GeoRecord:
 @dataclass(frozen=True)
 class UptimeRecord:
     epoch: int
-    running: tuple = ()
+    running: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,21 @@ _RECORDS = {
 }
 
 
-# Field annotation -> the value kind it accepts.
-_FIELD_KINDS = {int: "an integer", bool: "a boolean", str: "a string",
-                float: "a number", tuple: "a list"}
+# Field annotation -> the value kinds it must have, in turn: a list field
+# is a list, then a list of its items' kind.
+_FIELD_KINDS = {int: ("an integer",), bool: ("a boolean",),
+                str: ("a string",), float: ("a number",),
+                tuple[int, ...]: ("a list", "a list of integers"),
+                tuple[str, ...]: ("a list", "a list of strings")}
+
+
+def _named(value, kind):
+    """The first kind `value` fits; a list that is not of `kind` is named by
+    its first item that is not."""
+    if kind.startswith("a list of"):
+        item = next(x for x in value if not VALUE_KINDS[kind]([x]))
+        return "a list holding " + _named(item, "")
+    return next((k for k, fits in VALUE_KINDS.items() if fits(value)), "null")
 
 
 def _decode(cls, data):
@@ -108,19 +121,18 @@ def _decode(cls, data):
     value must have its field's type, lists become tuples, and a field
     without a default must be present."""
     if not isinstance(data, dict):
-        raise ValueError("expected a JSON object")
+        raise InvalidInputError("expected a JSON object")
     values = {}
     for f in fields(cls):
         if f.name in data:
             v = data[f.name]
-            kind = _FIELD_KINDS[f.type]
-            if not VALUE_KINDS[kind](v):
-                actual = next((k for k, fits in VALUE_KINDS.items()
-                               if fits(v)), "null")
-                raise ValueError(f"{f.name!r} must be {kind}, not {actual}")
-            values[f.name] = tuple(v) if f.type is tuple else v
+            for kind in _FIELD_KINDS[f.type]:
+                if not VALUE_KINDS[kind](v):
+                    raise InvalidInputError(
+                        f"{f.name!r} must be {kind}, not {_named(v, kind)}")
+            values[f.name] = tuple(v) if isinstance(v, list) else v
         elif f.default is MISSING:
-            raise ValueError(f"missing {f.name!r}")
+            raise InvalidInputError(f"missing {f.name!r}")
     return cls(**values)
 
 
@@ -147,7 +159,7 @@ def load_bundle(directory):
                         continue
                     try:
                         records.append(_decode(cls, parse_json(line)))
-                    except ValueError as exc:
+                    except TrustModelError as exc:
                         raise DatasetError(
                             f"{filename}:{lineno}: bad record: {exc}") from exc
         parts[name] = tuple(records)

@@ -33,7 +33,7 @@ from .beliefs import (TRUST_TAGS, AddInstance, AddRelationship, Budget1,
                       RemoveRelationship, SetAttribute, belief_from_json,
                       belief_to_json, default_scale, scale_from_json,
                       scale_to_json)
-from .errors import EditError
+from .errors import EditError, InvalidInputError
 from .files import read_json
 from .ontology import (AttributeDef, Ontology, TypeDef, USER,
                        ontology_from_dict, ontology_to_dict,
@@ -134,7 +134,7 @@ def _edit(world, ontology, edits):
             list(types), list(types.values()),
             list(map(attributes.get, types)), [p for p, _ in edges],
             [c for _, c in edges], list(edges.values())), user_edges
-    except ValueError as exc:           # a cycle
+    except InvalidInputError as exc:    # a cycle
         raise EditError(str(exc)) from None
 
 
@@ -311,9 +311,10 @@ def edited_world_from_dict(data):
     budget and CE beliefs."""
     world = world_from_dict(data)
     if "ontology" not in data:
-        raise ValueError("edited world file: missing 'ontology'")
+        raise InvalidInputError("edited world file: missing 'ontology'")
     if not isinstance(data["ontology"], dict):
-        raise ValueError("edited world file: 'ontology' must be an object")
+        raise InvalidInputError(
+            "edited world file: 'ontology' must be an object")
     ontology = ontology_from_dict(data["ontology"])
     attached = []
     for key, kinds, what in (("budgets", (Budget1, Budget2), "budget"),
@@ -321,13 +322,14 @@ def edited_world_from_dict(data):
         for i, entry in enumerate(_list_of(data, key)):
             belief = belief_from_json(entry, f"{key}[{i}]", TRUST_TAGS)
             if not isinstance(belief, kinds):
-                raise ValueError(f"{key}[{i}]: {entry[0]!r} is not a {what}")
+                raise InvalidInputError(
+                    f"{key}[{i}]: {entry[0]!r} is not a {what}")
             attached.append(belief)
     user_edges = []
     for i, entry in enumerate(_list_of(data, "user_relationships")):
         if not (VALUE_KINDS["a list of strings"](entry) and len(entry) == 2):
-            raise ValueError(f"user_relationships[{i}]: expected a pair of "
-                             "instance ids")
+            raise InvalidInputError(f"user_relationships[{i}]: expected a "
+                                    "pair of instance ids")
         user_edges.append(tuple(entry))
     for i, at in enumerate(world.edge_positions(user_edges).tolist()):
         if at < 0:
@@ -340,7 +342,7 @@ def edited_world_from_dict(data):
 def _list_of(data, key):
     value = data.get(key, [])
     if not isinstance(value, list):
-        raise ValueError(f"edited world file: {key!r} must be a list")
+        raise InvalidInputError(f"edited world file: {key!r} must be a list")
     return value
 
 

@@ -1,19 +1,47 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.  The class of an error is
+the one rule that sets the CLI's exit code, the `exit_code` of its base:
+TrustModelError 1; ParseError 2, input that does not parse (JsonSyntaxError,
+also a json.JSONDecodeError, PredicateSyntaxError, BeliefFormatError,
+DatasetError); InvalidInputError 3, input that breaks a rule, also a
+ValueError (UnknownIdError, also a KeyError, EditError, CompileError,
+OntologyError, NetworkTooLargeError).  An OSError exits 4; any other error,
+a stray stdlib or numpy one among them, is a bug and exits 1.
+"""
+
+import json
 
 
 class TrustModelError(Exception):
     """Base class for all toolkit errors."""
+    exit_code = 1
 
 
-class OntologyError(TrustModelError):
+class ParseError(TrustModelError):
+    exit_code = 2
+
+
+class InvalidInputError(TrustModelError, ValueError):
+    exit_code = 3
+
+
+class UnknownIdError(InvalidInputError, KeyError):
+    """An id that names nothing; `str()` is the plain message."""
+    __str__ = Exception.__str__
+
+
+class JsonSyntaxError(ParseError, json.JSONDecodeError):
+    """Text that is not strict JSON (RFC 8259)."""
+
+
+class OntologyError(InvalidInputError):
     """Raised when an ontology merge or lookup fails."""
 
 
-class DatasetError(TrustModelError):
+class DatasetError(ParseError):
     """Raised for inconsistent or infeasible dataset inputs."""
 
 
-class PredicateSyntaxError(TrustModelError):
+class PredicateSyntaxError(ParseError):
     """Predicate text failed to parse.  Carries 1-based line/column."""
 
     def __init__(self, message, line=1, column=1):
@@ -22,7 +50,7 @@ class PredicateSyntaxError(TrustModelError):
         self.column = column
 
 
-class BeliefFormatError(TrustModelError):
+class BeliefFormatError(ParseError):
     """A belief document is syntactically or semantically malformed."""
 
     def __init__(self, message, path=None):
@@ -30,13 +58,13 @@ class BeliefFormatError(TrustModelError):
         super().__init__(message)
 
 
-class EditError(TrustModelError):
+class EditError(InvalidInputError):
     """A structural edit could not be applied (cycle, duplicate id, ...)."""
 
 
-class CompileError(TrustModelError):
+class CompileError(InvalidInputError):
     """Belief-to-network translation failed (overlapping CE scopes, ...)."""
 
 
-class NetworkTooLargeError(TrustModelError):
+class NetworkTooLargeError(InvalidInputError):
     """Exact enumeration was requested above the node-count cap."""

@@ -33,6 +33,7 @@ import numpy as np
 from . import ontology as ont
 from .bbn import Sampler, compile_bbn
 from .editor import apply_structural
+from .errors import InvalidInputError
 from .files import csv_text
 from .pathsel import (_end_column, check_guard_count, check_server_count,
                       consensus_view, derive_seed, draw_default_circuits,
@@ -71,10 +72,10 @@ CONFIG_FIELD_KINDS = {
 }
 
 
-def check_config_value(key, value, kind):
-    """ValueError naming config key `key` unless `value` is of `kind`."""
+def check_config_value(key, value, kind, error=InvalidInputError):
+    """`error` naming config key `key` unless `value` is of `kind`."""
     if not VALUE_KINDS[kind](value):
-        raise ValueError(f"experiment config {key!r} must be {kind}")
+        raise error(f"experiment config {key!r} must be {kind}")
 
 
 @dataclass(frozen=True)
@@ -150,24 +151,25 @@ def run_experiment(cfg):
     for key in ("world", "ontology", "adversary", "clients",
                 "destination_as"):
         if getattr(cfg, key) is None:
-            raise ValueError(f"experiment config is missing {key}")
+            raise InvalidInputError(f"experiment config is missing {key}")
     for key, kind in CONFIG_FIELD_KINDS.items():
         check_config_value(key, getattr(cfg, key), kind)
     clients = list(cfg.clients)
     if not clients:
-        raise ValueError("experiment config has no clients")
+        raise InvalidInputError("experiment config has no clients")
     for k, client in enumerate(clients):
         if client in clients[:k]:
-            raise ValueError(f"client {client!r} is listed twice")
+            raise InvalidInputError(f"client {client!r} is listed twice")
     if not cfg.scenarios:
-        raise ValueError("experiment config has no scenarios")
+        raise InvalidInputError("experiment config has no scenarios")
     for k, scenario in enumerate(cfg.scenarios):
         if scenario not in DEFAULT_SCENARIOS:
-            raise ValueError(f"unknown scenario {scenario!r}")
+            raise InvalidInputError(f"unknown scenario {scenario!r}")
         if scenario in cfg.scenarios[:k]:
-            raise ValueError(f"scenario {scenario!r} is listed twice")
+            raise InvalidInputError(f"scenario {scenario!r} is listed twice")
     if cfg.n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, not {cfg.n_samples}")
+        raise InvalidInputError(
+            f"n_samples must be at least 1, not {cfg.n_samples}")
     trust = SCENARIO_CLIENTS_TRUST in cfg.scenarios
     service = SCENARIO_CLIENTS_SERVICE in cfg.scenarios
 
@@ -176,7 +178,8 @@ def run_experiment(cfg):
     for role, node in ([("client", c) for c in clients]
                        + [("destination_as", cfg.destination_as)]):
         if node not in world or world.type_of(node) != ont.AS:
-            raise ValueError(f"{role} {node!r} is not an AS of the world")
+            raise InvalidInputError(
+                f"{role} {node!r} is not an AS of the world")
     cv = consensus_view(world)
     if trust or service:
         check_guard_count(cv, cfg.guard_count)

@@ -4,41 +4,76 @@ one JSON reader of every input file.
 Writes are atomic: a failed write leaves the old file and no temporary
 file.  The temporary file is made by plain `open()`, so outputs get the
 mode the umask gives (0644 under 022).  Reading is strict JSON (RFC 8259):
-NaN, Infinity and -Infinity, which Python's json module reads by default,
-are a json.JSONDecodeError that names the constant.  Writing keeps them,
-so that an infinite result can be reported.
+NaN, Infinity and -Infinity, which Python's json module reads by default, a
+number that overflows a float, an integer of more digits than int() reads
+and nesting past the recursion limit are a JsonSyntaxError (a
+json.JSONDecodeError) that names the place.  Writing keeps NaN and
+Infinity, so that an infinite result can be reported.
 """
 
 import csv
 import io
 import json
+import math
 import os
 import re
+import sys
 
-# A JSON string, or (group 1) a non-finite constant outside any string.
-_CONSTANT = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)')
+from .errors import JsonSyntaxError
 
-
-class _NonFinite(Exception):
-    """A NaN, Infinity or -Infinity met by the decoder."""
-
-
-def _refuse(constant):
-    raise _NonFinite(constant)
+# A JSON string, or outside any string a constant or number literal (group
+# 1) or a bracket (group 2).
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN|-?\d[-+.\deE]*)'
+                    r'|([][{}])')
 
 
-_DECODER = json.JSONDecoder(parse_constant=_refuse)
+class _Refused(Exception):
+    """A literal that strict JSON refuses, met by the decoder; its one
+    argument is the message."""
+
+
+def _refuse(literal):
+    raise _Refused(f"{literal} is not a JSON number")
+
+
+def _finite(literal):
+    value = float(literal)
+    if math.isinf(value):
+        raise _Refused("number overflows a float")
+    return value
+
+
+_DECODER = json.JSONDecoder(parse_constant=_refuse, parse_float=_finite)
+
+
+def _refusal(literal):
+    """The message the decoder refuses the lone `literal` with, or None."""
+    try:
+        _DECODER.decode(literal)
+    except _Refused as exc:
+        return str(exc)
+    except ValueError:                  # int() of more digits than it reads
+        return f"integer has more than {sys.get_int_max_str_digits()} digits"
 
 
 def parse_json(text):
-    """The value of the JSON text `text`; json.JSONDecodeError where it is
-    not strict JSON."""
+    """The value of the JSON text `text`; JsonSyntaxError where it is not
+    strict JSON."""
     try:
         return _DECODER.decode(text)
-    except _NonFinite as exc:
-        at = next(m for m in _CONSTANT.finditer(text) if m.group(1)).start(1)
-        raise json.JSONDecodeError(f"{exc} is not a JSON number", text,
-                                   at) from None
+    except json.JSONDecodeError as exc:
+        message, at = exc.msg, exc.pos
+    except (_Refused, ValueError):      # the first literal refused
+        message, at = next((refusal, m.start())
+                           for m in _TOKEN.finditer(text) if m.group(1)
+                           and (refusal := _refusal(m.group(1))))
+    except RecursionError:
+        message, at, depth, deepest = "nesting is too deep", 0, 0, 0
+        for m in _TOKEN.finditer(text):
+            depth += {"[": 1, "{": 1, "]": -1, "}": -1}.get(m.group(2), 0)
+            if depth > deepest:
+                at, deepest = m.start(), depth
+    raise JsonSyntaxError(message, text, at) from None
 
 
 def read_json(path):

@@ -10,7 +10,7 @@ virtual links) are the leaves whose compromise the sampler reports.
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
-from .errors import OntologyError
+from .errors import InvalidInputError, OntologyError
 from .files import read_json
 from .validation import VALUE_KINDS, ValidationReport, check_entry, find_cycle
 
@@ -306,7 +306,7 @@ def _entries(data, kind, keys, owner=""):
     "types[2].attributes[0]"."""
     entries = data.get(kind, [])
     if not isinstance(entries, (list, tuple)):
-        raise ValueError(f"{owner}{kind}: expected a list")
+        raise InvalidInputError(f"{owner}{kind}: expected a list")
     for index, entry in enumerate(entries):
         where = f"{owner}{kind}[{index}]"
         check_entry(where, entry, keys)
@@ -327,7 +327,7 @@ def _flag(entry, key, where):
     """The boolean entry[key], False when absent."""
     value = entry.get(key, False)
     if not isinstance(value, bool):
-        raise ValueError(f"{where}: {key!r} must be a boolean")
+        raise InvalidInputError(f"{where}: {key!r} must be a boolean")
     return value
 
 
@@ -335,7 +335,7 @@ def ontology_from_dict(data):
     """Parse an ontology file's dict; raises ValueError naming the first
     malformed entry."""
     if not isinstance(data, dict):
-        raise ValueError("ontology file: expected an object")
+        raise InvalidInputError("ontology file: expected an object")
     types = tuple(
         TypeDef(name=t["name"], label=t.get("label", USER),
                 is_output=_flag(t, "is_output", where),

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ontology as ont
+from .errors import InvalidInputError
 from .validation import is_integer, is_real
 from .world import as_id, vlink_id
 
@@ -57,8 +58,8 @@ def derive_seed(*parts):
 
 
 def _bad(rid, name, rule, value):
-    return ValueError(f"relay {rid!r}: {name!r} must be {rule}, not "
-                      f"{value!r}")
+    return InvalidInputError(f"relay {rid!r}: {name!r} must be {rule}, not "
+                             f"{value!r}")
 
 
 def consensus_view(world):
@@ -145,8 +146,8 @@ def first_last_matrix(first, last, guards, exits):
 def check_guard_count(cv, count):
     """Raises ValueError unless `count` guards can be selected."""
     if not 1 <= count <= len(cv.guards):
-        raise ValueError(f"guard count must be in [1, {len(cv.guards)}], "
-                         f"got {count}")
+        raise InvalidInputError(f"guard count must be in [1, "
+                                f"{len(cv.guards)}], got {count}")
 
 
 def select_guards(sampler, cv, client, count=3):
@@ -161,9 +162,9 @@ def select_circuit(sampler, cv, client, guards, destination_as):
     """Argmin of first-last probability over guards x all exit relays;
     ties break on guard id, then exit id."""
     if not guards:
-        raise ValueError("no guards supplied")
+        raise InvalidInputError("no guards supplied")
     if not cv.exits:
-        raise ValueError("world has no exit relays")
+        raise InvalidInputError("world has no exit relays")
     guards, exits = sorted(guards), list(cv.exits)
     p = first_last_matrix(end_columns(sampler, cv, client, guards),
                           end_columns(sampler, cv, destination_as, exits),
@@ -172,7 +173,7 @@ def select_circuit(sampler, cv, client, guards, destination_as):
     # order is the (p, guard, exit) minimum.
     g, e = np.unravel_index(np.argmin(p), p.shape)
     if p[g, e] == np.inf:
-        raise ValueError("no guard-exit pair with distinct relays")
+        raise InvalidInputError("no guard-exit pair with distinct relays")
     return guards[g], exits[e], float(p[g, e])
 
 
@@ -185,14 +186,17 @@ def draw_default_circuits(cv, n, seed):
     exits = [r for r in cv.relays if r.exit]
     guards = [r for r in cv.relays if r.guard]
     if not exits:
-        raise ValueError("no exit relays in consensus")
+        raise InvalidInputError("no exit relays in consensus")
     if not guards:
-        raise ValueError("no guard relays in consensus")
+        raise InvalidInputError("no guard relays in consensus")
     exit_w = np.array([r.bandwidth for r in exits], dtype=float)
-    if exit_w.sum() <= 0:
-        raise ValueError("exit bandwidth is all zero")
-    exit_idx = rng.choice(len(exits), size=n, p=exit_w / exit_w.sum())
     guard_w = np.array([r.bandwidth for r in guards], dtype=float)
+    if exit_w.sum() <= 0:
+        raise InvalidInputError("exit bandwidth is all zero")
+    for what, total in (("exit", exit_w.sum()), ("guard", guard_w.sum())):
+        if not np.isfinite(total):
+            raise InvalidInputError(f"{what} bandwidth sum is not finite")
+    exit_idx = rng.choice(len(exits), size=n, p=exit_w / exit_w.sum())
     guard_idx = np.empty(n, dtype=int)
     for e_i in np.unique(exit_idx):
         e = exits[int(e_i)]
@@ -202,7 +206,7 @@ def draw_default_circuits(cv, n, seed):
                     or g.prefix16 == e.prefix16:
                 w[j] = 0.0
         if w.sum() <= 0:
-            raise ValueError(
+            raise InvalidInputError(
                 f"no guard compatible with exit {e.id} has bandwidth")
         mask = exit_idx == e_i
         guard_idx[mask] = rng.choice(len(guards), size=int(mask.sum()),
@@ -226,9 +230,10 @@ def exits_by_as(cv):
 def check_server_count(k, candidates):
     """Raises ValueError unless k servers can be placed on `candidates`."""
     if not candidates:
-        raise ValueError("no AS contains an exit relay")
+        raise InvalidInputError("no AS contains an exit relay")
     if not 1 <= k <= len(candidates):
-        raise ValueError(f"k must be in [1, {len(candidates)}], got {k}")
+        raise InvalidInputError(
+            f"k must be in [1, {len(candidates)}], got {k}")
 
 
 def placement_row(sampler, cv, client, guards, exits_in):
@@ -237,7 +242,7 @@ def placement_row(sampler, cv, client, guards, exits_in):
     sampler.  `exits_in` is `exits_by_as(cv)`.  An AS whose only pairs
     share one relay reads inf."""
     if not guards:
-        raise ValueError("no guards supplied")
+        raise InvalidInputError("no guards supplied")
     first = end_columns(sampler, cv, client, guards)
     row = {}
     for cand, exits in exits_in.items():

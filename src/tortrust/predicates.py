@@ -50,12 +50,15 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import PredicateSyntaxError
+from .errors import InvalidInputError, PredicateSyntaxError, UnknownIdError
 from .ontology import is_type
 
 log = logging.getLogger(__name__)
 
 COMPARATORS = ("=", "!=", "<", "<=", ">", ">=")
+# The deepest nesting of not, parentheses and tests a parse takes, well
+# inside the recursion limit of the parser and of every tree walk.
+MAX_NESTING = 100
 
 
 # --- AST -------------------------------------------------------------------
@@ -186,7 +189,11 @@ def _tokenize(text, token_re=_TOKEN_RE, keywords=_KEYWORDS):
             tokens.append(_Token("string", value, line, column))
         elif m.lastgroup == "number":
             raw = m.group()
-            value = float(raw) if "." in raw else int(raw)
+            try:
+                value = float(raw) if "." in raw else int(raw)
+            except ValueError:          # more digits than int() converts
+                raise PredicateSyntaxError("number has too many digits",
+                                           line, column) from None
             tokens.append(_Token("number", value, line, column))
         elif m.lastgroup in ("ident", "word"):
             word = m.group()
@@ -205,6 +212,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0                  # parse_unary calls under way
 
     @property
     def cur(self):
@@ -247,10 +255,16 @@ class _Parser:
         return items[0] if len(items) == 1 else And(tuple(items))
 
     def parse_unary(self):
+        if self.depth > MAX_NESTING:
+            self.fail(f"expression is nested more than {MAX_NESTING} deep")
+        self.depth += 1
         if self.cur.kind == "not":
             self.advance()
-            return Not(self.parse_unary())
-        return self.parse_atom()
+            node = Not(self.parse_unary())
+        else:
+            node = self.parse_atom()
+        self.depth -= 1
+        return node
 
     def parse_atom(self):
         if self.cur.kind == "(":
@@ -355,12 +369,12 @@ def parse_event(text):
     than in a document.
     """
     if not text or not text.strip():
-        raise ValueError("empty event expression")
+        raise InvalidInputError("empty event expression")
     try:
         tokens = _tokenize(text, _EVENT_TOKEN_RE, _EVENT_KEYWORDS)
         return _EventExprParser(tokens).parse_all()
     except PredicateSyntaxError as exc:
-        raise ValueError(f"bad event expression: {exc}") from exc
+        raise InvalidInputError(f"bad event expression: {exc}") from exc
 
 
 # --- Evaluation ------------------------------------------------------------
@@ -391,7 +405,7 @@ def select(world, node, ids=None):
                          np.flatnonzero(mask).tolist()))
     for node_id in ids:
         if node_id not in world:
-            raise KeyError(f"unknown instance {node_id!r}")
+            raise UnknownIdError(f"unknown instance {node_id!r}")
     ranks = [world.index[i] for i in ids]
     mask = evaluate(node, partial(_atom_mask, world, ranks))
     return tuple(compress(ids, mask[ranks].tolist()))

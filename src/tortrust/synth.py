@@ -15,6 +15,7 @@ import numpy as np
 
 from .datasets import (ClusterRecord, DatasetBundle, GeoRecord, PathRecord,
                        RelayRecord, UptimeRecord)
+from .errors import InvalidInputError
 from .validation import check_seed, is_integer, is_probability
 
 _COUNTRIES = ("US", "DE", "FR", "NL", "GB", "SE", "CH", "CA", "RO", "AT")
@@ -44,25 +45,25 @@ def _check_params(p):
                         ("n_epochs", 0), ("max_path_len", 1)):
         n = getattr(p, name)
         if not is_integer(n):
-            raise ValueError(f"{name} must be an integer, got {n!r}")
+            raise InvalidInputError(f"{name} must be an integer, got {n!r}")
         if n < least:
-            raise ValueError(f"{name} must be at least {least}" if least
-                             else f"{name} must not be negative")
+            raise InvalidInputError(f"{name} must be at least {least}" if least
+                                    else f"{name} must not be negative")
     for name in ("guard_fraction", "exit_fraction",
                  "drop_one_direction_fraction"):
         if not is_probability(getattr(p, name)):
-            raise ValueError(f"{name} must be in [0,1]")
+            raise InvalidInputError(f"{name} must be in [0,1]")
     for name in ("family_sizes", "as_org_sizes", "ixp_org_sizes"):
         for size in getattr(p, name):
             if not is_integer(size) or size < 1:
-                raise ValueError(f"{name} entries must be integers >= 1, "
-                                 f"got {size!r}")
+                raise InvalidInputError(f"{name} entries must be integers "
+                                        f">= 1, got {size!r}")
     if sum(p.family_sizes) > p.n_relays:
-        raise ValueError("family_sizes exceed relay count")
+        raise InvalidInputError("family_sizes exceed relay count")
     if sum(p.as_org_sizes) > p.n_as:
-        raise ValueError("as_org_sizes exceed AS count")
+        raise InvalidInputError("as_org_sizes exceed AS count")
     if sum(p.ixp_org_sizes) > p.n_ixp:
-        raise ValueError("ixp_org_sizes exceed IXP count")
+        raise InvalidInputError("ixp_org_sizes exceed IXP count")
 
 
 def _as_graph(p, seed):

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -87,12 +89,12 @@ def check_entry(where, entry, keys):
     """Raise ValueError naming `where` unless `entry` is an object whose
     fields `keys` are present and are strings."""
     if not isinstance(entry, dict):
-        raise ValueError(f"{where}: expected an object")
+        raise InvalidInputError(f"{where}: expected an object")
     for key in keys:
         if key not in entry:
-            raise ValueError(f"{where}: missing {key!r}")
+            raise InvalidInputError(f"{where}: missing {key!r}")
         if not isinstance(entry[key], str):
-            raise ValueError(f"{where}: {key!r} must be a string")
+            raise InvalidInputError(f"{where}: {key!r} must be a string")
 
 
 def is_integer(value):
@@ -115,13 +117,15 @@ def is_probability(value):
 
 
 # The rule of each JSON value kind, by the name a message gives it.  An
-# integer is also a number, a list of strings also a list.
+# integer is also a number, a list of strings or of integers also a list.
 VALUE_KINDS = {
     "a string": lambda v: isinstance(v, str), "an integer": is_integer,
     "a number": is_real, "a boolean": lambda v: isinstance(v, bool),
     "a list": lambda v: isinstance(v, (list, tuple)),
     "a list of strings": lambda v: isinstance(v, (list, tuple))
     and all(isinstance(s, str) for s in v),
+    "a list of integers": lambda v: isinstance(v, (list, tuple))
+    and all(map(is_integer, v)),
     "an object": lambda v: isinstance(v, dict),
 }
 
@@ -129,5 +133,6 @@ VALUE_KINDS = {
 def check_seed(seed):
     """`seed` as an int; ValueError unless it is a non-negative integer."""
     if not is_integer(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        raise InvalidInputError(
+            f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)

@@ -28,6 +28,7 @@ from itertools import compress
 
 import numpy as np
 
+from .errors import InvalidInputError
 from .files import json_text, read_json, write_text
 from .ontology import DATA_TYPES
 from .validation import ValidationReport, check_entry, find_cycle
@@ -123,15 +124,15 @@ class World:
         types = dict(zip(ids, type_names))
         if len(types) < len(ids):
             repeat = next(i for i, n in Counter(ids).items() if n > 1)
-            raise ValueError(f"instance id {repeat!r} used twice")
+            raise InvalidInputError(f"instance id {repeat!r} used twice")
         names = tuple(sorted(types))
         try:
             index, keys = _intern(names, parents, children)
         except KeyError:
             p, c = next((p, c) for p, c in zip(parents, children)
                         if p not in types or c not in types)
-            raise ValueError(f"relationship ({p!r}, {c!r}) references a "
-                             "missing instance") from None
+            raise InvalidInputError(f"relationship ({p!r}, {c!r}) references "
+                                    "a missing instance") from None
         n = max(len(names), 1)
         keys, first = np.unique(keys, return_index=True)
         first = first.tolist()
@@ -143,7 +144,7 @@ class World:
         dst = (keys % n).astype(np.int32)
         cycle = find_cycle("world", names, src, dst)
         if cycle:
-            raise ValueError(cycle[0])
+            raise InvalidInputError(cycle[0])
         for array in (type_code, src, dst):
             array.flags.writeable = False
         vars(world).update(
@@ -364,13 +365,13 @@ def world_from_dict(data):
     entry, which accepts exactly what `check_entry` and the attributes
     rule accept, and those two only on the first entry that fails it."""
     if not isinstance(data, dict):
-        raise ValueError("world file: expected an object")
+        raise InvalidInputError("world file: expected an object")
     columns = []
     for kind, (first, second) in (("instances", ("id", "type_name")),
                                   ("relationships", ("parent", "child"))):
         entries = data.get(kind, [])
         if not isinstance(entries, list):
-            raise ValueError(f"{kind}: expected a list")
+            raise InvalidInputError(f"{kind}: expected a list")
         a, b, attributes = [], [], []
         for entry in entries:
             if isinstance(entry, dict):
@@ -384,7 +385,7 @@ def world_from_dict(data):
                     continue
             where = f"{kind}[{len(a)}]"       # every entry before it passed
             check_entry(where, entry, (first, second))
-            raise ValueError(f"{where}: 'attributes' must be an object")
+            raise InvalidInputError(f"{where}: 'attributes' must be an object")
         columns += (a, b, attributes)
     return World.from_columns(*columns)
 

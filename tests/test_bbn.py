@@ -1231,3 +1231,12 @@ def test_event_estimate_is_the_row_mean(case, n, seed, event):
     hits = sum(_event_row(event, ids, row) for row in rows.tolist())
     assert estimate_event(bbn, _event_text(event, ids), n=n, seed=seed) \
         == hits / n
+
+
+def test_huge_budget_compiles_as_a_full_one(make_edited):
+    """A budget k at or above the scope size scales no edge; k = 10**400
+    compiles without forming k / c, which overflows a float."""
+    ew = _linear(make_edited)
+    full = compile_bbn(ew, trust=(Budget2("as:1", 2),), scale=SCALE)
+    assert compile_bbn(ew, trust=(Budget2("as:1", 10 ** 400),),
+                       scale=SCALE) == full

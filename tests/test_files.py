@@ -8,6 +8,7 @@ import stat
 import pytest
 
 import tortrust
+from tortrust.errors import JsonSyntaxError
 from tortrust.files import (atomic_write, csv_text, json_text, parse_json,
                             read_json, write_text)
 
@@ -84,3 +85,27 @@ def test_read_json_reads_strict_json_and_writers_keep_infinity(tmp_path):
     assert json_text([float("inf")]) == "[\n  Infinity\n]\n"
     with pytest.raises(json.JSONDecodeError, match="^Expecting value"):
         parse_json("[1,")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"size": 1e400}', "number overflows a float: line 1 column 10 (char 9)"),
+    ('["1e400", -12.5e308, 0]',
+     "number overflows a float: line 1 column 11 (char 10)"),
+    ('[1e-400, "' + "9" * 5000 + '", ' + "9" * 4301 + ']',
+     "integer has more than 4300 digits: line 1 column 5014 (char 5013)"),
+    ("[" * 100_000 + "]" * 100_000,
+     "nesting is too deep: line 1 column 100000 (char 99999)"),
+])
+def test_parse_json_refuses_what_python_reads_apart(text, message):
+    """An overflowing float literal, an integer int() does not convert and
+    nesting past the recursion limit are each a JSONDecodeError (and a
+    ParseError) naming the literal or the deepest bracket."""
+    with pytest.raises(JsonSyntaxError) as info:
+        parse_json(text)
+    assert isinstance(info.value, json.JSONDecodeError)
+    assert str(info.value) == message
+
+
+def test_parse_json_keeps_what_is_in_range():
+    text = '[1e308, -1e-400, 1.5E+2, ' + "9" * 4300 + ', "1e400"]'
+    assert parse_json(text) == [1e308, -0.0, 150.0, int("9" * 4300), "1e400"]

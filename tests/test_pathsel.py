@@ -11,6 +11,7 @@ from tortrust import pathsel
 from tortrust.beliefs import Absolute, TrustScale
 from tortrust.bbn import Sampler, compile_bbn
 from tortrust.editor import EditedWorld
+from tortrust.errors import InvalidInputError
 from tortrust.ontology import default_ontology
 from tortrust.pathsel import (_end_column, consensus_view, derive_seed,
                               draw_default_circuits, end_columns,
@@ -598,3 +599,24 @@ def test_greedy_rounds_are_running_minima(inputs):
                                          for a in result.chosen_ases[:r])
     for before, after in zip(result.rounds, result.rounds[1:]):
         assert all(after[c] <= before[c] for c in clients)
+
+
+@pytest.mark.parametrize("role", ["guard", "exit"])
+def test_default_draw_refuses_an_overflowing_bandwidth_sum(role):
+    """Each bandwidth is a finite real number, but the guard or the exit
+    bandwidths sum to inf: refused by name, not by numpy's check that the
+    probabilities sum to 1."""
+    big = {"guard": 1.7e308} if role == "guard" else {"exit": 1.7e308}
+    cv = consensus_view(_world(
+        [("as:100", "AS", {}),
+         _relay("relay:g1", 100, guard=True, ip="10.1.0.1",
+                bandwidth=big.get("guard", 100)),
+         _relay("relay:g2", 100, guard=True, ip="10.2.0.1",
+                bandwidth=big.get("guard", 100)),
+         _relay("relay:e1", 100, exit=True, ip="10.3.0.1",
+                bandwidth=big.get("exit", 100)),
+         _relay("relay:e2", 100, exit=True, ip="10.4.0.1",
+                bandwidth=big.get("exit", 100))]).world)
+    with pytest.raises(InvalidInputError,
+                       match=f"^{role} bandwidth sum is not finite$"):
+        draw_default_circuits(cv, 4, seed=1)

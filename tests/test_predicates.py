@@ -225,3 +225,32 @@ def test_evaluate_is_the_only_boolean_evaluator():
                             if isinstance(n, ast.Name)}):
                     found.append((name, func.name))
     assert set(found) == {("predicates.py", "evaluate")}
+
+
+@pytest.mark.parametrize("text, column", [
+    ("(" * 101 + "is AS" + ")" * 101, 102),
+    ("not " * 101 + "is AS", 405),
+    ("has_child(" * 101 + "is AS" + ")" * 101, 1011),
+    ("(" * 2000 + "is AS" + ")" * 2000, 102),
+])
+def test_nesting_past_the_limit_is_a_syntax_error(text, column):
+    """Nesting is bounded where it is parsed, so that no later walk of the
+    tree runs out of stack."""
+    with pytest.raises(PredicateSyntaxError,
+                       match=rf"nested more than 100 deep \(line 1, "
+                             rf"column {column}\)"):
+        parse_predicate(text)
+    with pytest.raises(ValueError, match="^bad event expression: "):
+        parse_event(text.replace("is AS", "a").replace("has_child", ""))
+
+
+def test_nesting_at_the_limit_parses():
+    assert parse_predicate("(" * 100 + "is AS" + ")" * 100).root.name == "AS"
+    assert parse_event("not " * 100 + "a") is not None
+
+
+def test_number_of_too_many_digits_is_a_syntax_error():
+    with pytest.raises(PredicateSyntaxError,
+                       match=r"number has too many digits \(line 1, column "
+                             r"13\)"):
+        parse_predicate('attr("x") = ' + "1" * 5000)

@@ -41,6 +41,8 @@ _KINDS = {
     "a list": _list,
     "a list of strings": lambda v: _list(v)
     and all(type(s) is str for s in v),
+    "a list of integers": lambda v: _list(v)
+    and all(isinstance(s, (int, np.integer)) and not _bool(s) for s in v),
     "an object": lambda v: type(v) is dict,
 }
 
@@ -59,6 +61,7 @@ _SCALARS = st.one_of(
     st.booleans().map(np.bool_))
 _VALUES = st.one_of(
     _SCALARS, st.lists(_SCALARS, max_size=3),
+    st.lists(st.integers(), max_size=3), st.lists(st.booleans(), max_size=2),
     st.lists(st.text(max_size=2), max_size=3),
     st.lists(st.text(max_size=2), max_size=3).map(tuple),
     st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2))
