@@ -54,8 +54,8 @@ from .errors import (CompileError, EditError, InvalidInputError,
                      NetworkTooLargeError, UnknownIdError)
 from .files import atomic_write, json_text, read_json, write_text
 from .predicates import evaluate, parse_event, select
-from .validation import (check_seed, is_integer, is_probability, is_real,
-                         topological_order)
+from .validation import (check_sample_count, check_seed, is_integer,
+                         is_probability, is_real, topological_order)
 
 EXACT_NODE_CAP = 24
 
@@ -326,10 +326,9 @@ class Sampler:
     """
 
     def __init__(self, bbn, n, seed):
-        if not is_integer(n) or n < 1:
-            raise InvalidInputError(f"n must be a positive integer, got {n!r}")
         self.bbn = bbn
-        self.n = int(n)
+        self.n = check_sample_count(
+            n, f"n must be a positive integer, got {n!r}")
         self.seed = check_seed(seed)
         self._cols = {}
 

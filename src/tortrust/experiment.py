@@ -39,7 +39,7 @@ from .pathsel import (_end_column, check_guard_count, check_server_count,
                       consensus_view, derive_seed, draw_default_circuits,
                       exits_by_as, place_servers, placement_row,
                       select_circuit, select_guards)
-from .validation import VALUE_KINDS
+from .validation import VALUE_KINDS, check_sample_count
 
 SCENARIO_TOR_DEFAULT = "tor-default"
 SCENARIO_CLIENTS_TRUST = "clients-trust"
@@ -167,9 +167,8 @@ def run_experiment(cfg):
             raise InvalidInputError(f"unknown scenario {scenario!r}")
         if scenario in cfg.scenarios[:k]:
             raise InvalidInputError(f"scenario {scenario!r} is listed twice")
-    if cfg.n_samples < 1:
-        raise InvalidInputError(
-            f"n_samples must be at least 1, not {cfg.n_samples}")
+    check_sample_count(cfg.n_samples,
+                       f"n_samples must be at least 1, not {cfg.n_samples}")
     trust = SCENARIO_CLIENTS_TRUST in cfg.scenarios
     service = SCENARIO_CLIENTS_SERVICE in cfg.scenarios
 

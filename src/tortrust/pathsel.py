@@ -191,11 +191,12 @@ def draw_default_circuits(cv, n, seed):
         raise InvalidInputError("no guard relays in consensus")
     exit_w = np.array([r.bandwidth for r in exits], dtype=float)
     guard_w = np.array([r.bandwidth for r in guards], dtype=float)
+    with np.errstate(over="ignore"):    # an overflowing sum is refused
+        for what, total in (("exit", exit_w.sum()), ("guard", guard_w.sum())):
+            if not np.isfinite(total):
+                raise InvalidInputError(f"{what} bandwidth sum is not finite")
     if exit_w.sum() <= 0:
         raise InvalidInputError("exit bandwidth is all zero")
-    for what, total in (("exit", exit_w.sum()), ("guard", guard_w.sum())):
-        if not np.isfinite(total):
-            raise InvalidInputError(f"{what} bandwidth sum is not finite")
     exit_idx = rng.choice(len(exits), size=n, p=exit_w / exit_w.sum())
     guard_idx = np.empty(n, dtype=int)
     for e_i in np.unique(exit_idx):

@@ -1,22 +1,24 @@
 """Seeded synthetic dataset generator.
 
 Produces a desk-scale DatasetBundle with the statistical shape of the real
-inputs: a small-world AS topology with shortest-path routing, IXPs sitting
-on a subset of inter-AS links, relays spread over ASes with guard/exit
-flags and mutually-referencing families, organization clusters, geo records
-and per-epoch uptime.  Regenerating with the same seed is byte-identical.
+inputs: a small-world AS topology (the graph networkx 3's
+`connected_watts_strogatz_graph` draws, reproduced draw for draw) with
+shortest-path routing, IXPs sitting on a subset of inter-AS links, relays
+spread over ASes with guard/exit flags and mutually-referencing families,
+organization clusters, geo records and per-epoch uptime.  Regenerating
+with the same seed is byte-identical.
 """
 
 import math
+import random
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .datasets import (ClusterRecord, DatasetBundle, GeoRecord, PathRecord,
                        RelayRecord, UptimeRecord)
 from .errors import InvalidInputError
-from .validation import check_seed, is_integer, is_probability
+from .validation import check_seed, is_integer, is_probability, shortest_paths
 
 _COUNTRIES = ("US", "DE", "FR", "NL", "GB", "SE", "CH", "CA", "RO", "AT")
 _OS_STRINGS = ("Linux", "FreeBSD", "OpenBSD", "Windows", "Darwin")
@@ -66,26 +68,30 @@ def _check_params(p):
         raise InvalidInputError("ixp_org_sizes exceed IXP count")
 
 
-def _as_graph(p, seed):
-    k = min(_AS_DEGREE, p.n_as - 1)
-    if k % 2 == 1:
-        k = max(2, k - 1)
-    return nx.connected_watts_strogatz_graph(p.n_as, k, _REWIRE_P,
-                                             tries=200, seed=seed)
-
-
-def _bfs_tree(graph, src):
-    """Predecessor map with lowest-numbered-neighbor tie-breaking."""
-    return {src: None,
-            **dict(nx.bfs_predecessors(graph, src, sort_neighbors=sorted))}
-
-
-def _path_from_pred(pred, dst):
-    path = [dst]
-    while pred[path[-1]] is not None:
-        path.append(pred[path[-1]])
-    path.reverse()
-    return path
+def _as_graph(n, seed):
+    """Neighbour sets of networkx 3's `connected_watts_strogatz_graph(n,
+    2 * half, _REWIRE_P, tries=200, seed)`, drawn as it draws them."""
+    half = max(1, min(_AS_DEGREE, n - 1) // 2)     # ring neighbours per side
+    rng, nodes = random.Random(seed), range(n)
+    for _ in range(200):
+        adj = [{(u + j) % n for j in range(-half, half + 1) if j}
+               for u in nodes]
+        for j in range(1, half + 1):        # rewire (u, u + j), u in order
+            for u in nodes:
+                if rng.random() < _REWIRE_P:
+                    w = rng.choice(nodes)
+                    while w == u or w in adj[u]:    # no loop, no 2nd edge
+                        w = rng.choice(nodes)
+                        if len(adj[u]) >= n - 1:
+                            break                   # u is full: no rewire
+                    else:
+                        adj[u].remove((u + j) % n)
+                        adj[(u + j) % n].remove(u)
+                        adj[u].add(w)
+                        adj[w].add(u)
+        if len(shortest_paths(adj, 0)) == n:
+            return adj
+    raise InvalidInputError(f"no connected graph of {n} ASes in 200 tries")
 
 
 def generate_synthetic(params, seed):
@@ -93,12 +99,11 @@ def generate_synthetic(params, seed):
     seed = check_seed(seed)
     _check_params(params)
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    graph = _as_graph(params, seed % (2 ** 31))
-    asns = [1000 + i for i in range(params.n_as)]
-    node_to_asn = {i: asns[i] for i in range(params.n_as)}
+    graph = _as_graph(params.n_as, seed % (2 ** 31))
+    asns = [1000 + i for i in range(params.n_as)]     # by graph node
 
     # IXPs sit on distinct AS-graph edges; paths crossing the edge cross the IXP.
-    edges = sorted(tuple(sorted(e)) for e in graph.edges())
+    edges = sorted((u, v) for u, vs in enumerate(graph) for v in vs if u < v)
     n_ixp = min(params.n_ixp, len(edges))
     ixp_edge_idx = rng.choice(len(edges), size=n_ixp, replace=False) if n_ixp else []
     ixp_on_edge = {}
@@ -135,7 +140,7 @@ def generate_synthetic(params, seed):
         others = [fingerprints[m] for m in family_of.get(i, []) if m != i]
         consensus.append(RelayRecord(
             fingerprint=fingerprints[i],
-            as_number=node_to_asn[as_idx],
+            as_number=asns[as_idx],
             guard=i in guard_set,
             exit=i in exit_set,
             bandwidth=int(rng.integers(1_000, 100_000)),
@@ -145,26 +150,22 @@ def generate_synthetic(params, seed):
         ))
 
     # Paths from every AS to every relay-hosting AS, both directions.
-    relay_as_nodes = sorted({relay_as_idx[i] for i in range(params.n_relays)})
-    pairs = set()
-    for src in range(params.n_as):
-        for dst in relay_as_nodes:
-            pairs.add((src, dst))
-            pairs.add((dst, src))
-    preds = {src: _bfs_tree(graph, src) for src in sorted({a for a, _ in pairs})}
+    pairs = {pair for src in range(params.n_as) for dst in set(relay_as_idx)
+             for pair in ((src, dst), (dst, src))}
+    paths = [shortest_paths(graph, src) for src in range(params.n_as)]
     records = {}
     for src, dst in sorted(pairs):
-        node_path = _path_from_pred(preds[src], dst)
+        node_path = paths[src][dst]
         if len(node_path) > params.max_path_len:
-            node_path = [src, dst] if src != dst else [src]
+            node_path = (src, dst) if src != dst else (src,)
         ixps = []
         for a, b in zip(node_path, node_path[1:]):
             ixp = ixp_on_edge.get((a, b))
             if ixp is not None:
                 ixps.append(ixp)
         records[(src, dst)] = PathRecord(
-            src=node_to_asn[src], dst=node_to_asn[dst],
-            as_path=tuple(node_to_asn[n] for n in node_path),
+            src=asns[src], dst=asns[dst],
+            as_path=tuple(asns[n] for n in node_path),
             ixps=tuple(ixps))
     if params.drop_one_direction_fraction > 0.0:
         unordered = sorted({tuple(sorted(k)) for k in records if k[0] != k[1]})

@@ -1,9 +1,10 @@
 """Violation reports shared by ontology and world validation, the one
 topological sort (on integer ranks) behind the compiled network's order
 and `find_cycle`, which the world constructor and ontology validation
-share, the entry check shared by the ontology and world file parsers, and
-the one rule of each input value kind (`is_integer`, `is_real`,
-`is_probability`, `VALUE_KINDS`) and of a seed.
+share, the one breadth-first walk (`shortest_paths`), the entry check
+shared by the ontology and world file parsers, and the one rule of each
+input value kind (`is_integer`, `is_real`, `is_probability`,
+`VALUE_KINDS`), of a seed and of a sample count.
 
 Validators never raise on bad input; every broken invariant becomes one
 Violation entry so a caller (or the CLI) can show all problems at once.
@@ -71,6 +72,18 @@ def topological_order(n, src, dst):
     return order
 
 
+def shortest_paths(adj, src):
+    """{node: path from src} by a breadth-first walk reading each `adj[node]`
+    sorted, as networkx's `bfs_predecessors(..., sort_neighbors=sorted)`."""
+    paths, queue = {src: (src,)}, [src]
+    for u in queue:
+        for v in sorted(adj[u]):
+            if v not in paths:
+                paths[v] = paths[u] + (v,)
+                queue.append(v)
+    return paths
+
+
 def find_cycle(graph, names, src, dst):
     """(message, nodes) naming every node of the graph on `names` (sorted)
     with edges src -> dst (ranks) that lies on a directed cycle or
@@ -136,3 +149,13 @@ def check_seed(seed):
         raise InvalidInputError(
             f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
+
+
+def check_sample_count(n, too_few):
+    """`n` as an int; InvalidInputError (`too_few` below 1) unless it is an
+    integer up to the most float64 uniforms numpy holds in one array."""
+    if not is_integer(n) or n < 1:
+        raise InvalidInputError(too_few)
+    if n > np.iinfo(np.intp).max // 8:
+        raise InvalidInputError(f"n = {n} is more samples than an array holds")
+    return int(n)

@@ -7,10 +7,9 @@ The result is a pure function of (ontology, bundle).
 
 import logging
 
-import networkx as nx
-
 from . import ontology as ont
 from .errors import DatasetError
+from .validation import shortest_paths
 from .world import (World, as_id, as_org_id, family_id, ixp_id, ixp_org_id,
                     jurisdiction_id, relay_id, vlink_id)
 
@@ -29,14 +28,17 @@ def family_uptime(bundle, family):
 
 
 def _mutual_families(consensus):
-    """Connected components of the mutual-family-reference graph."""
+    """Sorted connected components (networkx's `connected_components`) of
+    the mutual-family-reference graph, each walked from its least member."""
     listed = {r.fingerprint: set(r.family) for r in consensus}
-    g = nx.Graph()
-    g.add_nodes_from(listed)
-    g.add_edges_from((fp, other) for fp, fam in listed.items()
-                     for other in fam
-                     if other in listed and fp in listed[other])
-    return sorted(sorted(c) for c in nx.connected_components(g))
+    mutual = {fp: [o for o in fam if o in listed and fp in listed[o]]
+              for fp, fam in listed.items()}
+    families, seen = [], set()
+    for fp in sorted(mutual):
+        if fp not in seen:
+            families.append(sorted(shortest_paths(mutual, fp)))
+            seen.update(families[-1])
+    return families
 
 
 def build_world(ontology, bundle):

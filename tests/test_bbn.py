@@ -626,6 +626,16 @@ def test_estimates_reject_bad_sample_counts(small_bbn, n):
         estimate_event(small_bbn, f'"{node}"', n=n, seed=0)
 
 
+def test_sampler_takes_counts_up_to_one_array_of_uniforms(small_bbn):
+    """The largest count is the most float64 uniforms one numpy array can
+    hold; one more is refused by value before anything is drawn."""
+    top = np.iinfo(np.intp).max // 8
+    assert Sampler(small_bbn, top, seed=0).n == top
+    with pytest.raises(ValueError, match=f"^n = {top + 1} is more samples "
+                                         "than an array holds$"):
+        Sampler(small_bbn, np.uint64(top + 1), seed=0)
+
+
 def test_estimates_take_numpy_sample_counts(small_bbn):
     node = small_bbn.ids[0]
     est, = estimate_marginals(small_bbn, nodes=[node], n=np.int64(5), seed=0)

@@ -347,6 +347,27 @@ def test_zero_sample_count_exit_code(workdir, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_huge_sample_count_exit_code(workdir, tmp_path, capsys):
+    """A sample count past the largest array of float64 uniforms numpy can
+    hold exits 3 before anything is drawn, from `--n` and from a config."""
+    n = 10 ** 20
+    message = f"error: n = {n} is more samples than an array holds\n"
+    out = tmp_path / "s.bin"
+    for verb, extra in (("sample", ["--out", str(out)]), ("marginals", []),
+                        ("event", ["--expr", "as:1000"])):
+        assert main(["bbn", verb, "--bbn", workdir["bbn"], "--n", str(n),
+                     "--seed", "1"] + extra) == 3
+        assert capsys.readouterr().err == message
+    assert not out.exists()
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "world": workdir["world"], "adversary": workdir["doc"],
+        "clients": ["as:1000"], "destination_as": "as:1007",
+        "n_samples": n, "seed": 1}))
+    assert main(["experiment", "run", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err == message
+
+
 def test_experiment_negative_seed_runs(workdir, tmp_path):
     """Experiment streams come from `derive_seed`, which takes any
     integer."""

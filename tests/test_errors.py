@@ -171,22 +171,28 @@ def _resolve(value, path):
     return container, key
 
 
+REJECTED = object()     # what `_mutate` returns for an op that does not fit
+
+
 def _mutate(value, path, op):
-    """`value` with `op` applied where `path` leads."""
+    """`value` with `op` applied where `path` leads, or REJECTED when the
+    op does not fit the value found there."""
     root = {"root": copy.deepcopy(value)}
     container, key = _resolve(root["root"], path)
     if container is None:
         container, key = root, "root"
     kind = op[0]
-    assume(kind in ("set", "every") or not isinstance(container, dict)
-           or key in container)
+    if kind not in ("set", "every") and isinstance(container, dict) \
+            and key not in container:
+        return REJECTED
     if kind == "drop":
         del container[key]
     elif kind == "set":
         container[key] = op[1]
     elif kind == "append":
         target = container[key]
-        assume(isinstance(target, list))
+        if not isinstance(target, list):
+            return REJECTED
         target.append(op[1])
     elif kind == "every":           # every object's op[1] field
         _set_every(root, op[1], op[2])
@@ -195,8 +201,9 @@ def _mutate(value, path, op):
         old = container[key]
         if how == "json":
             container[key] = Raw("[" * depth + _render(old) + "]" * depth)
+        elif not isinstance(old, str):
+            return REJECTED
         else:
-            assume(isinstance(old, str))
             container[key] = ("not " * depth + old if how == "not"
                               else "(" * depth + old + ")" * depth)
     return root.get("root", {})
@@ -334,6 +341,7 @@ def test_mutated_inputs_never_exit_1(inputs, target, path, op):
         assume(op[0] != "set" or not isinstance(op[1], int)
                or op[1] < 1000)     # a size that drives allocation
     mutated = _mutate(contents[target], path, op)
+    assume(mutated is not REJECTED)
     if target == "config" and isinstance(mutated, dict):
         n = mutated.get("n_samples")
         assume(not isinstance(n, int) or n < 1000)
@@ -342,9 +350,10 @@ def test_mutated_inputs_never_exit_1(inputs, target, path, op):
 
 def _probe(inputs, target, path, op, verb):
     contents, paths, out = inputs
-    paths = _write_mutated(target, _mutate(contents[target], path, op),
-                           paths, out)
-    return run_cli(_argv(verb, paths, out))
+    mutated = _mutate(contents[target], path, op)
+    assert mutated is not REJECTED
+    return run_cli(_argv(verb, _write_mutated(target, mutated, paths, out),
+                         out))
 
 
 @pytest.mark.parametrize("target, path, op, verb, code, message", [

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tortrust
+from tortrust import synth
 from tortrust.beliefs import Absolute, Relative
 from tortrust.bbn import compile_bbn
 from tortrust.cli import main
@@ -768,6 +769,19 @@ def test_synth_rejects_negative_seed():
 def test_synth_rejects_oversized_families():
     with pytest.raises(ValueError):
         generate_synthetic(SynthParams(n_relays=4, family_sizes=(3, 3)), 1)
+
+
+def test_unconnected_as_graph_exits_3(monkeypatch, tmp_path, capsys):
+    """When none of 200 rewired rings is connected, `world synth` refuses
+    with a package error, not a crash."""
+    monkeypatch.setattr(synth, "shortest_paths",
+                        lambda adj, src: {src: (src,)})
+    out = tmp_path / "bundle"
+    assert main(["world", "synth", "--seed", "1", "--n-as", "6",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: no connected graph of 6 ASes in 200 tries\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, value, message", [
