@@ -412,10 +412,13 @@ def sample_matrix(bbn, n, seed, nodes=None):
 
     Each column is shifted into a (ceil(k/8), n) byte buffer as it is
     drawn; the sampler's columns are dropped before the buffer is
-    transposed once."""
+    transposed once.  An n whose buffer one array cannot hold is refused."""
     sampler = Sampler(bbn, n, seed)
     ids = list(bbn.ids if nodes is None else nodes)
     k = len(ids)
+    if (k + 7) // 8 * sampler.n > np.iinfo(np.intp).max:
+        raise InvalidInputError(f"n = {n} samples of {k} nodes need more "
+                                "bytes than an array holds")
     packed = np.zeros(((k + 7) // 8, sampler.n), dtype=np.uint8)
     shifted = np.empty(sampler.n, dtype=np.uint8)
     for i, nid in enumerate(ids):

@@ -11,9 +11,9 @@ input/output digests and the seeds used.  Outputs are written through
 requires it.  Experiment configs are checked key by key: an unknown key or
 a value of the wrong type is a parse error, like a missing key.
 Randomized commands require an explicit --seed.  Exit codes: 0 success,
-4 I/O error; a package error exits with the code its class holds
-(`errors.py`: 2 parse error, 3 validation/semantic error), and any other
-error with 1.
+4 I/O error, 3 out of memory; a package error exits with the code its
+class holds (`errors.py`: 2 parse error, 3 validation/semantic error), and
+any other error with 1.
 """
 
 import argparse
@@ -91,16 +91,9 @@ def _emit(args, text, inputs, seeds=None):
 # --- world -------------------------------------------------------------------
 
 def cmd_world_synth(args):
-    params = SynthParams(
-        n_as=args.n_as, n_ixp=args.n_ixp, n_relays=args.n_relays,
-        guard_fraction=args.guard_fraction, exit_fraction=args.exit_fraction,
-        family_sizes=_int_list(args.family_sizes),
-        as_org_sizes=_int_list(args.as_org_sizes),
-        ixp_org_sizes=_int_list(args.ixp_org_sizes),
-        n_epochs=args.n_epochs, max_path_len=args.max_path_len,
-        drop_one_direction_fraction=args.drop_fraction)
-    bundle = generate_synthetic(params, args.seed)
-    save_bundle(bundle, args.out)
+    names = {f.name for f in dataclasses.fields(SynthParams)}
+    params = SynthParams(**{k: v for k, v in vars(args).items() if k in names})
+    save_bundle(generate_synthetic(params, args.seed), args.out)
     _write_manifest(os.path.join(args.out, "bundle"), args, [],
                     [os.path.join(args.out, f) for f in sorted(
                         os.listdir(args.out)) if f.endswith(".jsonl")],
@@ -168,8 +161,8 @@ def cmd_beliefs_apply(args):
 
 def cmd_beliefs_the_man(args):
     world = load_world(args.world)
-    doc = build_the_man(world, p_org=args.p_org, p_fam_max=args.p_fam_max,
-                        p_fam_min=args.p_fam_min)
+    doc = build_the_man(world, **{k: v for k, v in vars(args).items()
+                                  if k.startswith("p_")})
     _emit(args, serialize_belief_document(doc), [args.world])
     return EXIT_OK
 
@@ -327,21 +320,24 @@ def build_parser():
     world = sub.add_parser("world", help="build and validate worlds")
     world_sub = world.add_subparsers(dest="cmd", required=True)
 
-    synth = world_sub.add_parser("synth", help="generate a synthetic bundle")
+    # An absent option stays out of the namespace: the library's default.
+    synth = world_sub.add_parser("synth", help="generate a synthetic bundle",
+                                 argument_default=argparse.SUPPRESS)
     synth.add_argument("--seed", type=int, required=True)
     synth.add_argument("--out", required=True, help="output bundle directory")
-    synth.add_argument("--n-as", type=int, default=50, dest="n_as")
-    synth.add_argument("--n-ixp", type=int, default=5, dest="n_ixp")
-    synth.add_argument("--n-relays", type=int, default=30, dest="n_relays")
-    synth.add_argument("--guard-fraction", type=float, default=0.4)
-    synth.add_argument("--exit-fraction", type=float, default=0.3)
-    synth.add_argument("--family-sizes", default="",
+    synth.add_argument("--n-as", type=int)
+    synth.add_argument("--n-ixp", type=int)
+    synth.add_argument("--n-relays", type=int)
+    synth.add_argument("--guard-fraction", type=float)
+    synth.add_argument("--exit-fraction", type=float)
+    synth.add_argument("--family-sizes", type=_int_list,
                        help="comma-separated family sizes, e.g. 3,2,2")
-    synth.add_argument("--as-org-sizes", default="")
-    synth.add_argument("--ixp-org-sizes", default="")
-    synth.add_argument("--n-epochs", type=int, default=12)
-    synth.add_argument("--max-path-len", type=int, default=6)
-    synth.add_argument("--drop-fraction", type=float, default=0.0,
+    synth.add_argument("--as-org-sizes", type=_int_list)
+    synth.add_argument("--ixp-org-sizes", type=_int_list)
+    synth.add_argument("--n-epochs", type=int)
+    synth.add_argument("--max-path-len", type=int)
+    synth.add_argument("--drop-fraction", type=float, metavar="DROP_FRACTION",
+                       dest="drop_one_direction_fraction",
                        help="fraction of AS pairs missing one path direction")
     synth.set_defaults(func=cmd_world_synth)
 
@@ -373,12 +369,13 @@ def build_parser():
     apply_p.set_defaults(func=cmd_beliefs_apply)
 
     the_man = beliefs_sub.add_parser(
-        "the-man", help="generate the pervasive-adversary document")
+        "the-man", help="generate the pervasive-adversary document",
+        argument_default=argparse.SUPPRESS)
     the_man.add_argument("--world", required=True)
     the_man.add_argument("--out", required=True)
-    the_man.add_argument("--p-org", type=float, default=0.1)
-    the_man.add_argument("--p-fam-max", type=float, default=0.1)
-    the_man.add_argument("--p-fam-min", type=float, default=0.001)
+    the_man.add_argument("--p-org", type=float)
+    the_man.add_argument("--p-fam-max", type=float)
+    the_man.add_argument("--p-fam-min", type=float)
     the_man.set_defaults(func=cmd_beliefs_the_man)
 
     bbn = sub.add_parser("bbn", help="compile, sample, estimate")
@@ -449,6 +446,9 @@ def main(argv=None):
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
+    except MemoryError as exc:     # a count too large for this host
+        sys.stderr.write(f"error: not enough memory: {exc}\n")
+        return EXIT_INVALID
     except Exception as exc:  # CLI boundary: any other error exits 1
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

@@ -4,8 +4,8 @@ TrustModelError 1; ParseError 2, input that does not parse (JsonSyntaxError,
 also a json.JSONDecodeError, PredicateSyntaxError, BeliefFormatError,
 DatasetError); InvalidInputError 3, input that breaks a rule, also a
 ValueError (UnknownIdError, also a KeyError, EditError, CompileError,
-OntologyError, NetworkTooLargeError).  An OSError exits 4; any other error,
-a stray stdlib or numpy one among them, is a bug and exits 1.
+OntologyError, NetworkTooLargeError).  An OSError exits 4 and a MemoryError 3;
+any other error, a stray stdlib or numpy one among them, is a bug and exits 1.
 """
 
 import json

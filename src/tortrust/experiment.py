@@ -13,8 +13,8 @@ sampling, and every scenario reads it.
 tor-default draws n bandwidth-weighted (guard, exit) circuits per client
 and pairs draw i with adversary draw i: the estimate is the share of draws
 whose guard end column and exit end column are both set at row i.  The
-end columns of the distinct guards and exits are stacked into n x G and
-n x E matrices and gathered at (i, guard of i) and (i, exit of i).
+end columns of every guard and exit of the view, in view order, are stacked
+into n x G and n x E matrices and gathered at (i, g_at[i]) and (i, e_at[i]).
 
 clients-trust and clients-service share one pass per client: one Sampler
 and one guard selection, then the clients-trust circuit probability
@@ -116,19 +116,17 @@ def _row(scenario, values, cfg):
 def _tor_default_probability(bbn, cv, cfg, client):
     """Mean first-last indicator over paired (circuit draw, adversary draw):
     draw i is a hit when its guard's end column and its exit's end column
-    are both set at row i."""
+    are both set at row i; a draw's view positions index the stacks."""
     n = cfg.n_samples
     sampler = Sampler(bbn, n, derive_seed(cfg.seed, client, "adversary"))
-    guard_ids, exit_ids = draw_default_circuits(
+    g_at, e_at = draw_default_circuits(
         cv, n, derive_seed(cfg.seed, client, "circuits"))
-    guards, g_idx = np.unique(np.array(guard_ids), return_inverse=True)
-    exits, e_idx = np.unique(np.array(exit_ids), return_inverse=True)
-    first = np.column_stack([_end_column(sampler, cv, client, str(g))
-                             for g in guards])
-    last = np.column_stack([_end_column(sampler, cv, cfg.destination_as,
-                                        str(e)) for e in exits])
+    first = np.column_stack([_end_column(sampler, cv, client, g)
+                             for g in cv.guards])
+    last = np.column_stack([_end_column(sampler, cv, cfg.destination_as, e)
+                            for e in cv.exits])
     rows = np.arange(n)
-    return float((first[rows, g_idx] & last[rows, e_idx]).mean())
+    return float((first[rows, g_at] & last[rows, e_at]).mean())
 
 
 def _clients_trust_probability(bbn, cv, cfg, client, trust, exits_in):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import ontology as ont
 from .errors import InvalidInputError
-from .validation import is_integer, is_real
+from .validation import check_sample_count, check_seed, is_integer, is_real
 from .world import as_id, vlink_id
 
 
@@ -180,9 +180,11 @@ def select_circuit(sampler, cv, client, guards, destination_as):
 # --- Tor's default selection (bandwidth-weighted baseline) -------------------
 
 def draw_default_circuits(cv, n, seed):
-    """n bandwidth-weighted (guard id, exit id) draws, exit first, guard
-    excluding the exit's relay, family, and /16."""
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    """n bandwidth-weighted draws as (positions in `cv.guards`, positions in
+    `cv.exits`), exit first, guard excluding the exit's relay, family and
+    /16; `n` and `seed` follow the Sampler's rules."""
+    n = check_sample_count(n, f"n must be a positive integer, got {n!r}")
+    rng = np.random.default_rng(np.random.SeedSequence([check_seed(seed)]))
     exits = [r for r in cv.relays if r.exit]
     guards = [r for r in cv.relays if r.guard]
     if not exits:
@@ -197,23 +199,19 @@ def draw_default_circuits(cv, n, seed):
                 raise InvalidInputError(f"{what} bandwidth sum is not finite")
     if exit_w.sum() <= 0:
         raise InvalidInputError("exit bandwidth is all zero")
-    exit_idx = rng.choice(len(exits), size=n, p=exit_w / exit_w.sum())
-    guard_idx = np.empty(n, dtype=int)
-    for e_i in np.unique(exit_idx):
-        e = exits[int(e_i)]
-        w = guard_w.copy()
-        for j, g in enumerate(guards):
-            if g.id == e.id or g.family == e.family \
-                    or g.prefix16 == e.prefix16:
-                w[j] = 0.0
+    allowed = np.array([[g.id != e.id and g.family != e.family
+                         and g.prefix16 != e.prefix16 for e in exits]
+                        for g in guards])
+    e_at = rng.choice(len(exits), size=n, p=exit_w / exit_w.sum())
+    g_at = np.empty(n, dtype=int)
+    for e in np.flatnonzero(np.bincount(e_at)):     # drawn exits, in order
+        w = guard_w * allowed[:, e]
         if w.sum() <= 0:
             raise InvalidInputError(
-                f"no guard compatible with exit {e.id} has bandwidth")
-        mask = exit_idx == e_i
-        guard_idx[mask] = rng.choice(len(guards), size=int(mask.sum()),
-                                     p=w / w.sum())
-    return ([guards[int(i)].id for i in guard_idx],
-            [exits[int(i)].id for i in exit_idx])
+                f"no guard compatible with exit {exits[e].id} has bandwidth")
+        mask = e_at == e
+        g_at[mask] = rng.choice(len(guards), size=mask.sum(), p=w / w.sum())
+    return g_at, e_at
 
 
 # --- Greedy server placement -------------------------------------------------

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import tortrust
-from tortrust.beliefs import load_belief_document, save_belief_document
+from tortrust.beliefs import (build_the_man, load_belief_document,
+                              save_belief_document, serialize_belief_document)
 from tortrust.bbn import (bbn_to_dict, compile_bbn, load_bbn, save_bbn,
                           save_samples)
 from tortrust.cli import _load_experiment_config, main
@@ -21,6 +22,7 @@ from tortrust.editor import apply_structural
 from tortrust.experiment import ExperimentConfig
 from tortrust.files import json_text
 from tortrust.ontology import default_ontology, ontology_to_dict
+from tortrust.synth import SynthParams, generate_synthetic
 from tortrust.world import load_world, save_world
 
 from conftest import FIXTURES, INVALID_ONTOLOGY, invalid_ontology_dict
@@ -366,6 +368,38 @@ def test_huge_sample_count_exit_code(workdir, tmp_path, capsys):
         "n_samples": n, "seed": 1}))
     assert main(["experiment", "run", "--config", str(cfg_path)]) == 3
     assert capsys.readouterr().err == message
+
+
+def test_sample_count_past_memory_exit_code(workdir, tmp_path, capsys):
+    """A count under that bound whose arrays cannot be allocated exits 3:
+    `bbn sample` refuses its (ceil(k/8), n) buffer by name, and the other
+    verbs report numpy's MemoryError.  Each array of n = 10**18 is larger
+    than 2**47 bytes, so its allocation fails before a page is touched."""
+    n = 10 ** 18
+    k = len(load_bbn(workdir["bbn"]))
+    out = tmp_path / "s.bin"
+    assert main(["bbn", "sample", "--bbn", workdir["bbn"], "--n", str(n),
+                 "--seed", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: n = {n} samples of {k} nodes need more bytes than an array "
+        "holds\n")
+    assert not out.exists()
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "world": workdir["world"], "adversary": workdir["doc"],
+        "clients": ["as:1000"], "destination_as": "as:1007",
+        "n_samples": n, "seed": 1}))
+    for argv in (["bbn", "marginals", "--bbn", workdir["bbn"]],
+                 ["bbn", "event", "--bbn", workdir["bbn"], "--expr",
+                  "as:1000"]):
+        assert main(argv + ["--n", str(n), "--seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: not enough memory: Unable to allocate")
+        assert err.count("\n") == 1
+    assert main(["experiment", "run", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: not enough memory: Unable to allocate")
+    assert err.count("\n") == 1
 
 
 def test_experiment_negative_seed_runs(workdir, tmp_path):
@@ -996,6 +1030,29 @@ def test_experiment_never_builds_the_edge_view(workdir, tmp_path,
     assert len(worlds) == 1
     assert "edges" not in worlds[0].__dict__
     assert "relationships" not in worlds[0].__dict__
+
+
+def test_synth_without_options_writes_the_library_default(tmp_path):
+    """Every optional `world synth` flag left out takes its `SynthParams`
+    default: the same files as the library writes."""
+    cli, lib = tmp_path / "cli", tmp_path / "lib"
+    assert main(["world", "synth", "--seed", "7", "--out", str(cli)]) == 0
+    save_bundle(generate_synthetic(SynthParams(), 7), str(lib))
+    names = sorted(os.listdir(lib))
+    assert sorted(os.listdir(cli)) == sorted(names + ["bundle.manifest.json"])
+    for name in names:
+        assert (cli / name).read_bytes() == (lib / name).read_bytes()
+
+
+def test_the_man_without_options_writes_the_library_default(workdir,
+                                                             tmp_path):
+    """`beliefs the-man` without `--p-*` flags takes `build_the_man`'s
+    defaults."""
+    out = tmp_path / "doc.json"
+    assert main(["beliefs", "the-man", "--world", workdir["world"],
+                 "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == serialize_belief_document(
+        build_the_man(load_world(workdir["world"])))
 
 
 @pytest.mark.parametrize("option,value", [

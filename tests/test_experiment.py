@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from tortrust import experiment
-from tortrust.bbn import Sampler
+from tortrust.bbn import Sampler, compile_bbn
 from tortrust.beliefs import CE1, CE2
+from tortrust.editor import apply_structural
 from tortrust.experiment import (DEFAULT_SCENARIOS, ExperimentConfig,
                                  run_experiment)
 from tortrust.pathsel import (_end_column, consensus_view, derive_seed,
@@ -128,20 +129,47 @@ def test_default_scenarios_constant():
 
 # --- shared per-client pass -----------------------------------------------------
 
+def _per_draw_reference(bbn, cv, cfg, client):
+    """(tor-default estimate, guard positions drawn), one draw at a time:
+    draw i reads its guard's and its exit's end column at row i."""
+    sampler = Sampler(bbn, cfg.n_samples,
+                      derive_seed(cfg.seed, client, "adversary"))
+    g_at, e_at = draw_default_circuits(
+        cv, cfg.n_samples, derive_seed(cfg.seed, client, "circuits"))
+    hits = [bool(_end_column(sampler, cv, client, cv.guards[g])[i]
+                 & _end_column(sampler, cv, cfg.destination_as,
+                               cv.exits[e])[i])
+            for i, (g, e) in enumerate(zip(g_at, e_at))]
+    return sum(hits) / len(hits), set(g_at.tolist())
+
+
 def test_tor_default_matches_per_draw_reference(config, small_bbn):
     cfg = dataclasses.replace(config, n_samples=300)
     cv = consensus_view(config.world)
     for client in cfg.clients:
-        sampler = Sampler(small_bbn, cfg.n_samples,
-                          derive_seed(cfg.seed, client, "adversary"))
-        guard_ids, exit_ids = draw_default_circuits(
-            cv, cfg.n_samples, derive_seed(cfg.seed, client, "circuits"))
-        hits = [bool(_end_column(sampler, cv, client, g)[i]
-                     & _end_column(sampler, cv, cfg.destination_as, e)[i])
-                for i, (g, e) in enumerate(zip(guard_ids, exit_ids))]
-        expected = sum(hits) / len(hits)
+        expected, _ = _per_draw_reference(small_bbn, cv, cfg, client)
         assert experiment._tor_default_probability(
             small_bbn, cv, cfg, client) == expected
+
+
+def test_tor_default_stacks_a_guard_that_is_never_drawn(config, ontology):
+    """A zero-bandwidth guard is never drawn, but its end column is still
+    stacked at its view position: the estimate reads the others right."""
+    data = world_to_dict(config.world)
+    entry = next(e for e in data["instances"]
+                 if e["attributes"].get("guard"))
+    entry["attributes"] = {**entry["attributes"], "bandwidth": 0}
+    cfg = dataclasses.replace(config, world=world_from_dict(data),
+                              n_samples=300)
+    ew = apply_structural(cfg.world, ontology, cfg.adversary)
+    bbn = compile_bbn(ew, cfg.adversary.trust, cfg.adversary.scale)
+    cv = consensus_view(ew.world)
+    zero = cv.guards.index(entry["id"])
+    for client in cfg.clients:
+        expected, drawn = _per_draw_reference(bbn, cv, cfg, client)
+        assert zero not in drawn
+        assert experiment._tor_default_probability(
+            bbn, cv, cfg, client) == expected
 
 
 @pytest.mark.parametrize("scenarios,names", [

@@ -457,7 +457,9 @@ def test_consensus_view_is_the_only_step_that_takes_the_world():
 def test_default_draws_respect_family_and_weights():
     cv = consensus_view(_consensus_world().world)
     n = 40_000
-    guards, exits = draw_default_circuits(cv, n, seed=6)
+    g_at, e_at = draw_default_circuits(cv, n, seed=6)
+    guards = [cv.guards[g] for g in g_at]
+    exits = [cv.exits[e] for e in e_at]
     share_e1 = exits.count("relay:e1") / n
     assert share_e1 == pytest.approx(0.75, abs=0.02)
     for g, e in zip(guards, exits):
@@ -470,11 +472,13 @@ def test_default_draws_respect_family_and_weights():
 
 def test_default_circuit_draw():
     cv = consensus_view(_consensus_world().world)
-    guards, exits = draw_default_circuits(cv, 1, seed=7)
-    assert len(guards) == len(exits) == 1
-    assert guards[0].startswith("relay:g")
-    assert exits[0].startswith("relay:e")
-    assert draw_default_circuits(cv, 1, seed=7) == (guards, exits)
+    g_at, e_at = draw_default_circuits(cv, 1, seed=7)
+    assert len(g_at) == len(e_at) == 1
+    assert cv.guards[g_at[0]].startswith("relay:g")
+    assert cv.exits[e_at[0]].startswith("relay:e")
+    again = draw_default_circuits(cv, 1, seed=7)
+    assert again[0].tolist() == g_at.tolist()
+    assert again[1].tolist() == e_at.tolist()
 
 
 def test_default_draw_fails_when_all_guards_conflict():
@@ -486,6 +490,101 @@ def test_default_draw_fails_when_all_guards_conflict():
     cv = consensus_view(ew.world)
     with pytest.raises(ValueError, match="compatible"):
         draw_default_circuits(cv, 10, seed=0)
+
+
+def _reference_default_draws(cv, n, seed):
+    """The id-returning draw: (guard ids, exit ids), exit first, then per
+    drawn exit in index order one weighted choice of guards, with the
+    exit's relay, family and /16 zeroed one guard at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+    exits = [r for r in cv.relays if r.exit]
+    guards = [r for r in cv.relays if r.guard]
+    if not exits:
+        raise InvalidInputError("no exit relays in consensus")
+    if not guards:
+        raise InvalidInputError("no guard relays in consensus")
+    exit_w = np.array([r.bandwidth for r in exits], dtype=float)
+    guard_w = np.array([r.bandwidth for r in guards], dtype=float)
+    with np.errstate(over="ignore"):
+        for what, total in (("exit", exit_w.sum()), ("guard", guard_w.sum())):
+            if not np.isfinite(total):
+                raise InvalidInputError(f"{what} bandwidth sum is not finite")
+    if exit_w.sum() <= 0:
+        raise InvalidInputError("exit bandwidth is all zero")
+    exit_idx = rng.choice(len(exits), size=n, p=exit_w / exit_w.sum())
+    guard_idx = np.empty(n, dtype=int)
+    for e_i in np.unique(exit_idx):
+        e = exits[int(e_i)]
+        w = guard_w.copy()
+        for j, g in enumerate(guards):
+            if g.id == e.id or g.family == e.family \
+                    or g.prefix16 == e.prefix16:
+                w[j] = 0.0
+        if w.sum() <= 0:
+            raise InvalidInputError(
+                f"no guard compatible with exit {e.id} has bandwidth")
+        mask = exit_idx == e_i
+        guard_idx[mask] = rng.choice(len(guards), size=int(mask.sum()),
+                                     p=w / w.sum())
+    return ([guards[int(i)].id for i in guard_idx],
+            [exits[int(i)].id for i in exit_idx])
+
+
+@st.composite
+def _default_views(draw):
+    """Consensus views of 1-7 relays, each a guard, an exit, both or
+    neither, whose families and /16s are their own or shared, and whose
+    bandwidths may be zero or sum past the float range."""
+    relays = []
+    for k in range(draw(st.integers(1, 7))):
+        rid = f"relay:r{k}"
+        guard, exit_ = draw(st.sampled_from(
+            [(True, False), (False, True), (True, True), (False, False)]))
+        relays.append(pathsel.RelayView(
+            id=rid, guard=guard, exit=exit_,
+            bandwidth=draw(st.sampled_from([0, 0, 1, 3, 0.25, 1e308])
+                           | st.floats(0, 1000)),
+            family=draw(st.sampled_from([rid, "family:a", "family:b"])),
+            prefix16=draw(st.sampled_from([rid, "10.1", "10.2"]))))
+    return pathsel.ConsensusView(
+        relays=tuple(relays), guards=tuple(r.id for r in relays if r.guard),
+        exits=tuple(r.id for r in relays if r.exit),
+        as_of=dict.fromkeys((r.id for r in relays), None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_default_views(), st.integers(1, 60), st.integers(0, 2 ** 63 - 1))
+def test_default_draw_positions_match_the_id_reference(cv, n, seed):
+    """Positions index the view to the ids the reference draws from the
+    same stream, and every refusal has the reference's message."""
+    try:
+        guard_ids, exit_ids = _reference_default_draws(cv, n, seed)
+    except InvalidInputError as exc:
+        with pytest.raises(InvalidInputError) as info:
+            draw_default_circuits(cv, n, seed)
+        assert str(info.value) == str(exc)
+        return
+    g_at, e_at = draw_default_circuits(cv, n, seed)
+    assert g_at.dtype.kind == e_at.dtype.kind == "i"
+    assert [cv.guards[g] for g in g_at] == guard_ids
+    assert [cv.exits[e] for e in e_at] == exit_ids
+
+
+@pytest.mark.parametrize("n, seed, message", [
+    (4, 1.5, "seed must be a non-negative integer, got 1.5"),
+    (4, True, "seed must be a non-negative integer, got True"),
+    (4, -1, "seed must be a non-negative integer, got -1"),
+    (2.5, 1, "n must be a positive integer, got 2.5"),
+    (True, 1, "n must be a positive integer, got True"),
+])
+def test_default_draw_keeps_the_sampler_rules(small_bbn, n, seed, message):
+    """A seed or a draw count that the Sampler refuses is refused here too,
+    with the Sampler's message."""
+    cv = consensus_view(_consensus_world().world)
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        Sampler(small_bbn, n, seed)
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        draw_default_circuits(cv, n, seed)
 
 
 # --- placement ----------------------------------------------------------------
