@@ -37,7 +37,8 @@ from .errors import BeliefFormatError, InvalidInputError, TrustModelError
 from .experiment import (CONFIG_FIELD_KINDS, DEFAULT_SCENARIOS,
                          ExperimentConfig, check_config_value,
                          run_experiment)
-from .files import csv_text, json_text, read_json, write_text
+from .files import (compact_json_text, csv_text, json_text, read_json,
+                    write_text)
 from .ontology import (Ontology, default_ontology, load_ontology,
                        validate_ontology)
 from .synth import SynthParams, generate_synthetic
@@ -116,7 +117,7 @@ def cmd_world_build(args):
     world = build_world(ontology, bundle)
     if _failed(validate_world(world, ontology)):
         return EXIT_INVALID
-    _emit(args, json_text(world_to_dict(world)),
+    _emit(args, compact_json_text(world_to_dict(world)),
           [os.path.join(args.datasets, f)
            for f in sorted(os.listdir(args.datasets))])
     return EXIT_OK
@@ -155,7 +156,8 @@ def cmd_beliefs_apply(args):
     world = load_world(args.world)
     ontology = _load_ontology(args)
     ew = apply_structural(world, ontology, doc)
-    _emit(args, json_text(edited_world_to_dict(ew)), [args.doc, args.world])
+    _emit(args, compact_json_text(edited_world_to_dict(ew)),
+          [args.doc, args.world])
     return EXIT_OK
 
 

@@ -109,6 +109,14 @@ def json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def compact_json_text(payload):
+    """`payload` as one line of JSON, keys sorted, with no space after a
+    separator: the form of the files that hold a whole world, which
+    Python's C encoder writes (an indent falls back to the pure-Python
+    one)."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def csv_text(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -1,10 +1,11 @@
 """Violation reports shared by ontology and world validation, the one
-topological sort (on integer ranks) behind the compiled network's order
-and `find_cycle`, which the world constructor and ontology validation
-share, the one breadth-first walk (`shortest_paths`), the entry check
-shared by the ontology and world file parsers, and the one rule of each
-input value kind (`is_integer`, `is_real`, `is_probability`,
-`VALUE_KINDS`), of a seed and of a sample count.
+topological sort (on integer ranks) behind the compiled network's order,
+`find_cycle`, the order-free check that the world constructor and
+ontology validation share, the one breadth-first walk
+(`shortest_paths`), the entry check shared by the ontology and world file
+parsers, and the one rule of each input value kind (`is_integer`,
+`is_real`, `is_probability`, `VALUE_KINDS`), of a seed and of a sample
+count.
 
 Validators never raise on bad input; every broken invariant becomes one
 Violation entry so a caller (or the CLI) can show all problems at once.
@@ -88,13 +89,28 @@ def find_cycle(graph, names, src, dst):
     """(message, nodes) naming every node of the graph on `names` (sorted)
     with edges src -> dst (ranks) that lies on a directed cycle or
     downstream of one, the nodes `topological_order` cannot place; None
-    when the graph has no cycle."""
-    order = topological_order(len(names), src, dst)
-    if len(order) == len(names):
+    when the graph has no cycle.  No order is built: the indegree-zero
+    nodes are peeled in rounds, and each round reads only the children of
+    the nodes peeled in the round before, so a chain of n nodes costs n
+    short rounds."""
+    n = len(names)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    indegree = np.bincount(dst, minlength=n)
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    children = dst[np.argsort(src, kind="stable")]
+    peeled = np.flatnonzero(indegree == 0)
+    while peeled.size:
+        counts = ptr[peeled + 1] - ptr[peeled]
+        # the positions in `children` of every peeled node's children
+        at = np.repeat(ptr[peeled] - np.cumsum(counts) + counts, counts)
+        hit, times = np.unique(children[at + np.arange(at.size)],
+                               return_counts=True)
+        indegree[hit] -= times
+        peeled = hit[indegree[hit] == 0]
+    if not indegree.any():
         return None
-    stuck = np.ones(len(names), dtype=bool)
-    stuck[order] = False
-    cycle = [names[r] for r in np.flatnonzero(stuck).tolist()]
+    cycle = [names[r] for r in np.flatnonzero(indegree).tolist()]
     return f"{graph} graph has a cycle through {{{', '.join(cycle)}}}", cycle
 
 

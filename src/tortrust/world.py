@@ -11,11 +11,19 @@ ids of its instances, one type code per id, the attributes of only the
 instances that have any, and each edge once as a pair of int32 ranks,
 sorted.  No object is kept per instance: the TypeInstance tuple
 `World.instances`, like `World.edges` and `World.relationships`, is a view
-built on demand.  `World.from_columns`, the one constructor, raises
-ValueError on a repeated instance id, a relationship whose parent or child
-is no instance, or a cycle; `validate_world` checks only the ontology's
-rules.  `world_from_dict` walks each list of a file once, naming the first
-malformed entry.
+built on demand.  `World.from_columns`, the constructor from id columns,
+raises ValueError on a repeated instance id, a relationship whose parent
+or child is no instance, or a cycle; `validate_world` checks only the
+ontology's rules.
+
+A world file is written in format 2, which holds the same columns: the
+sorted `names`, the sorted `type_names`, one `type_code` per name, the
+`attributes` of the instances that have any, the `src` and `dst` rank
+arrays and the `edge_attributes` as [src rank, dst rank, attributes].
+`world_from_dict` also reads the row format, a list of `instances` and a
+list of `relationships`, because people write it by hand.  Both readers
+name the first malformed field or entry and end in the constructor's one
+tail, which de-duplicates and sorts the edges and rejects a cycle.
 
 Node identifiers are plain strings with a short type prefix, e.g.
 "as:3356", "relay:fp_ab12", "vlink:as3356-relay:fp_ab12".
@@ -29,12 +37,15 @@ from itertools import compress
 import numpy as np
 
 from .errors import InvalidInputError
-from .files import json_text, read_json, write_text
+from .files import compact_json_text, read_json, write_text
 from .ontology import DATA_TYPES
-from .validation import ValidationReport, check_entry, find_cycle
+from .validation import (ValidationReport, check_entry, find_cycle,
+                         is_integer)
 
 # Values stay JSON-native (str/int/float/bool/list/dict) so world files
 # round-trip losslessly; string-sets are sorted lists.
+
+WORLD_FORMAT = 2        # the columnar layout, the only one written
 
 
 def as_id(asn):
@@ -120,41 +131,61 @@ class World:
         first of a repeated edge wins.  ValueError names the first repeated
         id, else the first edge whose endpoint is no instance, else every
         node on or below a cycle, in id order."""
-        world = cls.__new__(cls)
         types = dict(zip(ids, type_names))
         if len(types) < len(ids):
             repeat = next(i for i, n in Counter(ids).items() if n > 1)
             raise InvalidInputError(f"instance id {repeat!r} used twice")
         names = tuple(sorted(types))
+        index = dict(zip(names, range(len(names))))
         try:
-            index, keys = _intern(names, parents, children)
+            src = np.fromiter(map(index.__getitem__, parents), np.int64,
+                              len(parents))
+            dst = np.fromiter(map(index.__getitem__, children), np.int64,
+                              len(children))
         except KeyError:
             p, c = next((p, c) for p, c in zip(parents, children)
                         if p not in types or c not in types)
             raise InvalidInputError(f"relationship ({p!r}, {c!r}) references "
                                     "a missing instance") from None
-        n = max(len(names), 1)
-        keys, first = np.unique(keys, return_index=True)
-        first = first.tolist()
         all_types = tuple(sorted(set(types.values())))
         code = dict(zip(all_types, range(len(all_types))))
         type_code = np.fromiter((code[types[i]] for i in names), np.int32,
                                 len(names))
-        src = (keys // n).astype(np.int32)
-        dst = (keys % n).astype(np.int32)
-        cycle = find_cycle("world", names, src, dst)
+        return cls._from_ranks(
+            names, index, all_types, type_code,
+            {ids[k]: attributes[k]
+             for k in compress(range(len(ids)), attributes)},
+            src, dst, {k: edge_attributes[k] for k in compress(
+                range(len(edge_attributes)), edge_attributes)})
+
+    @classmethod
+    def _from_ranks(cls, names, index, type_names, type_code, attributes,
+                    src, dst, edge_attributes):
+        """The tail of every constructor: the world on the sorted `names`
+        ({name: rank} `index`), whose edge k joins rank src[k] to dst[k]
+        (int64) and has the attributes {k: attributes} holds, if any.  Each
+        edge is kept once, at its first position, and sorted; ValueError
+        names every node on or below a cycle."""
+        n = max(len(names), 1)
+        keys = src * n + dst
+        unique, first = np.unique(keys, return_index=True)
+        cycle = find_cycle("world", names, unique // n, unique % n)
         if cycle:
             raise InvalidInputError(cycle[0])
+        src = (unique // n).astype(np.int32)
+        dst = (unique % n).astype(np.int32)
         for array in (type_code, src, dst):
             array.flags.writeable = False
+        kept = np.fromiter(edge_attributes, np.int64, len(edge_attributes))
+        kept = kept[np.isin(kept, first)]
+        kept = kept[np.argsort(keys[kept])]             # in edge order
+        world = cls.__new__(cls)
         vars(world).update(
-            names=names, type_names=all_types, type_code=type_code,
-            attributes={ids[k]: attributes[k]
-                        for k in compress(range(len(ids)), attributes)},
-            src=src, dst=dst,
-            edge_attributes={(parents[k], children[k]): edge_attributes[k]
-                             for k in compress(first, map(
-                                 edge_attributes.__getitem__, first))},
+            names=names, type_names=type_names, type_code=type_code,
+            attributes=attributes, src=src, dst=dst,
+            edge_attributes={(names[key // n], names[key % n]):
+                             edge_attributes[k] for k, key in zip(
+                                 kept.tolist(), keys[kept].tolist())},
             index=index)
         return world
 
@@ -240,18 +271,6 @@ class World:
         ranks = np.flatnonzero(self.type_code
                                == self.type_names.index(type_name))
         return tuple(map(self.names.__getitem__, ranks.tolist()))
-
-
-def _intern(names, parents, children):
-    """({name: rank}, edge keys parent rank * n + child rank); KeyError when
-    an endpoint is not in `names`."""
-    index = dict(zip(names, range(len(names))))
-    n = max(len(names), 1)
-    keys = (np.fromiter(map(index.__getitem__, parents), np.int64,
-                        len(parents)) * n
-            + np.fromiter(map(index.__getitem__, children), np.int64,
-                          len(children)))
-    return index, keys
 
 
 def _csr(n, rows, cols):
@@ -345,27 +364,152 @@ def validate_world(world, ontology, allowed_edges=()):
 # ---------------------------------------------------------------------------
 
 def world_to_dict(world):
-    attributes = world.edge_attributes
+    """The dict of a world file in format 2, the columnar layout: the world's
+    columns as lists, its attributes as they are, and each edge attribute
+    as [parent rank, child rank, attributes], in edge order."""
+    index = world.index
     return {
-        "instances": [
-            {"id": i, "type_name": world.type_names[c],
-             "attributes": world.attributes.get(i, {})}
-            for i, c in zip(world.names, world.type_code.tolist())
-        ],
-        "relationships": [
-            {"parent": p, "child": c, "attributes": attributes.get((p, c), {})}
-            for p, c in world.edges
-        ],
+        "format": WORLD_FORMAT, "names": list(world.names),
+        "type_names": list(world.type_names),
+        "type_code": world.type_code.tolist(),
+        "attributes": dict(world.attributes),
+        "src": world.src.tolist(), "dst": world.dst.tolist(),
+        "edge_attributes": [[index[p], index[c], attributes] for (p, c),
+                            attributes in world.edge_attributes.items()],
     }
 
 
 def world_from_dict(data):
-    """Parse a world file's dict; raises ValueError naming the first entry
-    that is malformed.  Each list is walked once: a quick test on each
-    entry, which accepts exactly what `check_entry` and the attributes
-    rule accept, and those two only on the first entry that fails it."""
+    """Parse a world file's dict, in format 2 or in the row format (no
+    `format` key); raises ValueError naming the first malformed field or
+    entry."""
     if not isinstance(data, dict):
         raise InvalidInputError("world file: expected an object")
+    if "format" not in data:
+        return _world_from_rows(data)
+    if not (is_integer(data["format"]) and data["format"] == WORLD_FORMAT):
+        raise InvalidInputError(
+            f"world file: unknown format {data['format']!r}")
+    return _world_from_columns(data)
+
+
+def _world_from_columns(data):
+    """The world of a format-2 file's dict.  Each column is checked by a
+    quick test on the whole list, and walked entry by entry only when it
+    fails, to name the first bad entry."""
+    names = _increasing_strings(data, "names")
+    type_names = _increasing_strings(data, "type_names")
+    codes = _ranks("type_code", _column(data, "type_code", list),
+                   len(type_names), "type_names")
+    if len(codes) != len(names):
+        raise InvalidInputError(f"type_code: {len(codes)} codes for "
+                                f"{len(names)} names")
+    src, dst = (_ranks(key, _column(data, key, list), len(names), "names")
+                for key in ("src", "dst"))
+    if len(src) != len(dst):
+        raise InvalidInputError(f"src and dst: {len(src)} and {len(dst)} "
+                                "ranks, not one of each per edge")
+    index = dict(zip(names, range(len(names))))
+    attributes = _column(data, "attributes", dict)
+    if not (all(map(index.__contains__, attributes))
+            and set(map(type, attributes.values())) <= {dict}):
+        for key, value in attributes.items():
+            if key not in index:
+                raise InvalidInputError(
+                    f"attributes: {key!r} is not an instance")
+            if not isinstance(value, dict):
+                raise InvalidInputError(
+                    f"attributes[{key!r}]: expected an object")
+    edge_attributes = _edge_attributes(
+        _column(data, "edge_attributes", list), names, src, dst)
+    used, type_code = np.unique(codes, return_inverse=True)
+    return World._from_ranks(
+        tuple(names), index, tuple(map(type_names.__getitem__, used.tolist())),
+        type_code.astype(np.int32),
+        {key: value for key, value in attributes.items() if value},
+        src, dst, edge_attributes)
+
+
+def _column(data, key, kind):
+    value = data.get(key, kind())
+    if not isinstance(value, kind):
+        raise InvalidInputError(
+            f"{key}: expected {'a list' if kind is list else 'an object'}")
+    return value
+
+
+def _increasing_strings(data, key):
+    """The list `key` of `data`; InvalidInputError names its first entry
+    that is not a string sorting after the one before."""
+    values = _column(data, key, list)
+    if set(map(type, values)) <= {str} \
+            and all(map(str.__lt__, values, values[1:])):
+        return values
+    for i, value in enumerate(values):
+        if not isinstance(value, str):
+            raise InvalidInputError(f"{key}[{i}]: expected a string")
+        if i and value <= values[i - 1]:
+            if key == "names" and value == values[i - 1]:
+                raise InvalidInputError(f"instance id {value!r} used twice")
+            raise InvalidInputError(f"{key}[{i}]: {value!r} does not sort "
+                                    f"after {values[i - 1]!r}")
+    return values
+
+
+def _ranks(key, values, bound, of):
+    """`values` as int64; InvalidInputError names the first that is not an
+    integer position in `of`, a list of `bound` entries."""
+    if set(map(type, values)) <= {int}:
+        try:
+            ranks = np.fromiter(values, np.int64, len(values))
+        except OverflowError:           # past int64, so out of range
+            pass
+        else:
+            if not ranks.size or 0 <= ranks.min() and ranks.max() < bound:
+                return ranks
+    for i, value in enumerate(values):
+        if not is_integer(value):
+            raise InvalidInputError(f"{key}[{i}]: {value!r} is not an "
+                                    "integer")
+        if not 0 <= value < bound:
+            raise InvalidInputError(f"{key}[{i}]: {value} is not a position "
+                                    f"in {of} ({bound} entries)")
+    return np.fromiter(values, np.int64, len(values))
+
+
+def _edge_attributes(entries, names, src, dst):
+    """{edge position: attributes} of a format-2 file's `edge_attributes`
+    entries, [src rank, dst rank, object], each of an edge in `src` and
+    `dst`; the first entry of a pair wins, and only non-empty attributes
+    are kept."""
+    if not entries:
+        return {}
+    n = len(names)
+    keys = src * n + dst
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    found = {}
+    for i, entry in enumerate(entries):
+        where = f"edge_attributes[{i}]"
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise InvalidInputError(
+                f"{where}: expected [src rank, dst rank, object]")
+        s, d = _ranks(where, entry[:2], n, "names").tolist()
+        if not isinstance(entry[2], dict):
+            raise InvalidInputError(f"{where}[2]: expected an object")
+        at = np.searchsorted(ordered, s * n + d)
+        if at == len(ordered) or ordered[at] != s * n + d:
+            raise InvalidInputError(f"{where}: ({names[s]!r}, {names[d]!r}) "
+                                    "is not an edge")
+        found.setdefault(int(order[at]), entry[2])
+    return {k: attributes for k, attributes in found.items() if attributes}
+
+
+def _world_from_rows(data):
+    """The world of a row-format file's dict.  Each list is walked once: a
+    quick test on each entry, which accepts exactly what `check_entry` and
+    the attributes rule accept, and those two only on the first entry that
+    fails it."""
     columns = []
     for kind, (first, second) in (("instances", ("id", "type_name")),
                                   ("relationships", ("parent", "child"))):
@@ -391,7 +535,7 @@ def world_from_dict(data):
 
 
 def save_world(world, path):
-    write_text(path, json_text(world_to_dict(world)))
+    write_text(path, compact_json_text(world_to_dict(world)))
 
 
 def load_world(path):

@@ -34,6 +34,17 @@ INVALID_ONTOLOGY = (
     "Jurisdiction, Router/Switch, Tor Relay, Virtual Link}")
 
 
+def row_world_dict(instances, relationships):
+    """The dict of a row-format world file, the layout people write by
+    hand and the one files were written in before format 2: one entry per
+    instance and one per relationship, in their order."""
+    return {"instances": [{"id": i.id, "type_name": i.type_name,
+                           "attributes": i.attributes} for i in instances],
+            "relationships": [{"parent": r.parent, "child": r.child,
+                               "attributes": r.attributes}
+                              for r in relationships]}
+
+
 @pytest.fixture(scope="session")
 def ontology():
     return default_ontology()

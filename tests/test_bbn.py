@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from tortrust.beliefs import (Absolute, Budget1, Budget2, CE1, CE2, Relative,
                               TrustScale)
-from tortrust.bbn import (CompiledBbn, Sampler, bbn_from_dict, bbn_to_dict,
-                          compile_bbn, compromise_probability,
+from tortrust.bbn import (CompiledBbn, Sampler, _check_node, _plain_nodes,
+                          bbn_from_dict, bbn_to_dict, compile_bbn,
+                          compromise_probability,
                           enumerate_exact, estimate_event, estimate_marginals,
                           exact_event, exact_marginals, load_samples,
                           parse_event, sample, sample_matrix, save_samples)
@@ -781,6 +782,65 @@ def test_bbn_dict_rejects_malformed_node(bad):
 def test_bbn_dict_names_the_bad_entry(bad, message):
     with pytest.raises(CompileError, match=message):
         bbn_from_dict({"nodes": [_node("a", absolute=0.5), bad]})
+
+
+# Valid and invalid plain JSON values of each node field.
+_FIELD_VALUES = {
+    "id": ["n0", "x", 7, None],
+    "kind": ["world", "ce", "ce", "gate", 1, None],
+    "parents": [[], [[0, 0.5]], [[0, 1]], [[0, 1.5]], [[0, -0.5]],
+                [[1, 0.5]], [[4, 0.5]], [[-1, 0.5]], [[True, 0.5]],
+                [["0", 0.5]], [[0.0, 0.5]], [[0]], [[0, 0.5, 1]],
+                [{"i": 0, "w": 0.5}], ["ab"],
+                [[10 ** 30, 0.5]], [[0, 0.5], [0, 0.5]], 5, None],
+    "risks": [[], [0.2], [0, 1], [1.2], [-0.1], [True], [10 ** 400], ["0"],
+              "1", None],
+    "absolute": [None, 0.3, 1, 1.5, True, [1], float("nan"), 10 ** 400],
+    "is_output": [True, False, "yes", None, 0],
+}
+
+
+@st.composite
+def _network_entries(draw):
+    """Node entries of a small network, each parent before its child, with
+    up to two fields of each set to valid or invalid plain JSON values and
+    maybe one entry that is no object."""
+    nodes = []
+    for i in range(draw(st.integers(1, 5))):
+        parents = [(j, draw(st.sampled_from([0.0, 0.5, 1, 1.0])))
+                   for j in range(i) if draw(st.booleans())]
+        nodes.append(_node(f"n{i}", parents=parents,
+                           risks=draw(st.sampled_from([(), (0.1,)])),
+                           absolute=draw(st.sampled_from([None, 0.3]))))
+    for entry in nodes:
+        for field in draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)),
+                                   max_size=2)):
+            entry[field] = draw(st.sampled_from(_FIELD_VALUES[field]))
+    if draw(st.integers(0, 9)) == 0:
+        nodes[draw(st.integers(0, len(nodes) - 1))] = 5
+    return nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(_network_entries())
+@example([_node("a"), _node("b", parents=[(0.0, 0.5)])])
+@example([_node("a"), _node("b"), _node("c", parents=[(True, 0.5)])])
+@example([_node("a"), dict(_node("b"), parents=[{"i": 0, "w": 0.5}])])
+@example([_node("a"), dict(_node("b"), risks=None)])
+def test_quick_network_test_decides_as_the_per_node_checks(nodes):
+    """On plain JSON values the quick test across all nodes accepts exactly
+    the networks that the per-node checks accept, so `bbn_from_dict` walks
+    nodes one by one, and names the first bad one, only when one is bad."""
+    seen = set()
+    try:
+        for i, entry in enumerate(nodes):
+            _check_node(i, entry, seen)
+    except CompileError as exc:
+        assert not _plain_nodes(nodes)
+        with pytest.raises(CompileError, match=f"^{re.escape(str(exc))}$"):
+            bbn_from_dict({"nodes": nodes})
+    else:
+        assert _plain_nodes(nodes)
 
 
 @pytest.mark.parametrize("bad", [[], {"nodes": 5}, "nodes"])

@@ -6,10 +6,13 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tortrust
 from tortrust.beliefs import (build_the_man, load_belief_document,
@@ -24,8 +27,10 @@ from tortrust.files import json_text
 from tortrust.ontology import default_ontology, ontology_to_dict
 from tortrust.synth import SynthParams, generate_synthetic
 from tortrust.world import load_world, save_world
+from tortrust.worldgen import build_world
 
-from conftest import FIXTURES, INVALID_ONTOLOGY, invalid_ontology_dict
+from conftest import (FIXTURES, INVALID_ONTOLOGY, invalid_ontology_dict,
+                      row_world_dict)
 
 
 @pytest.fixture(scope="module")
@@ -509,6 +514,75 @@ def test_malformed_world_file_exit_code(tmp_path, capsys, document, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def _columns_doc(**fields):
+    """A valid format-2 world file of two ASes and one virtual link, with
+    `fields` set."""
+    return dict({"format": 2, "names": ["as:1", "as:2", "vlink:as1-relay:a"],
+                 "type_names": ["AS", "Virtual Link"],
+                 "type_code": [0, 0, 1], "attributes": {"as:2": {"note": 1}},
+                 "src": [0, 1], "dst": [2, 2],
+                 "edge_attributes": [[0, 2, {"note": 2}]]}, **fields)
+
+
+def test_format_2_world_file_validates(tmp_path, capsys):
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(_columns_doc()))
+    assert main(["world", "validate", "--world", str(path)]) == 0
+    world = load_world(str(path))
+    assert world.attribute("as:2", "note") == 1
+    assert world.edge_attributes == {
+        ("as:1", "vlink:as1-relay:a"): {"note": 2}}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"format": 3}, "world file: unknown format 3"),
+    ({"format": "2"}, "world file: unknown format '2'"),
+    ({"format": 2.0}, "world file: unknown format 2.0"),
+    ({"names": {}}, "names: expected a list"),
+    ({"names": ["as:1", 2, "vlink:as1-relay:a"]},
+     "names[1]: expected a string"),
+    ({"names": ["as:2", "as:1", "vlink:as1-relay:a"]},
+     "names[1]: 'as:1' does not sort after 'as:2'"),
+    ({"names": ["as:1", "as:1", "vlink:as1-relay:a"]},
+     "instance id 'as:1' used twice"),
+    ({"type_names": ["AS", "AS"]},
+     "type_names[1]: 'AS' does not sort after 'AS'"),
+    ({"type_code": [0, True, 1]}, "type_code[1]: True is not an integer"),
+    ({"type_code": [0, 0, 2]},
+     "type_code[2]: 2 is not a position in type_names (2 entries)"),
+    ({"type_code": [0, 0]}, "type_code: 2 codes for 3 names"),
+    ({"src": [0, 1.0]}, "src[1]: 1.0 is not an integer"),
+    ({"src": [-1, 1]}, "src[0]: -1 is not a position in names (3 entries)"),
+    ({"dst": [2, 3]}, "dst[1]: 3 is not a position in names (3 entries)"),
+    ({"src": [0, 1, 0]},
+     "src and dst: 3 and 2 ranks, not one of each per edge"),
+    ({"attributes": []}, "attributes: expected an object"),
+    ({"attributes": {"ghost": {"note": 1}}},
+     "attributes: 'ghost' is not an instance"),
+    ({"attributes": {"as:1": 5}}, "attributes['as:1']: expected an object"),
+    ({"edge_attributes": [[0, 2]]},
+     "edge_attributes[0]: expected [src rank, dst rank, object]"),
+    ({"edge_attributes": [[0, "2", {}]]},
+     "edge_attributes[0][1]: '2' is not an integer"),
+    ({"edge_attributes": [[0, 3, {}]]},
+     "edge_attributes[0][1]: 3 is not a position in names (3 entries)"),
+    ({"edge_attributes": [[0, 2, [1]]]},
+     "edge_attributes[0][2]: expected an object"),
+    ({"edge_attributes": [[0, 2, {}], [0, 1, {"note": 3}]]},
+     "edge_attributes[1]: ('as:1', 'as:2') is not an edge"),
+    ({"src": [0, 2], "dst": [2, 0]},
+     "world graph has a cycle through {as:1, vlink:as1-relay:a}"),
+])
+def test_malformed_format_2_world_file_exit_code(tmp_path, capsys, fields,
+                                                 message):
+    """Format 2 is rejected where it is read, naming the field and the
+    position in it."""
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(_columns_doc(**fields)))
+    assert main(["world", "validate", "--world", str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_chain_outputs_are_pinned(workdir):
     """The bundle, world, document, edited world and network files of the
     module chain, byte for byte."""
@@ -525,18 +599,62 @@ def test_chain_outputs_are_pinned(workdir):
                                      "5cdb4d086b8cc8127f683364e0728b96",
         "bundle/uptime.jsonl": "c759372ae1041b701adf976ab153fdee"
                                "d99d847c75a558cb2ac698397dc3d6df",
-        "world.json": "fa9fa3c01f59efa21844470c07c1baa9"
-                      "b8c6b6c43da5b7d81f4dc86ed1345120",
+        "world.json": "163e00e1f11a275f03c9c7855a724733"
+                      "9308053e82bc4c129ed292cb0296633a",
         "theman.json": "dabc90ea45c59c3c7ed720f6468fc9e8"
                        "6a6febbf77fa2b407b35bac26c46fc72",
-        "edited.json": "5278ca3345a281be69875c320ceeb186"
-                       "c089abe62aa919a2059ca10c7e334206",
+        "edited.json": "56bf8912cd20a03393710380c1534166"
+                       "1e7c9313127d569a583778efd8c1b84b",
         "bbn.json": "caf497a1808b54af2cc809cf4e65f483"
                     "deb358d73eb466bc318f138aafd5913c",
     }
     for name, digest in expected.items():
         with open(os.path.join(workdir["root"], name), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest, name
+
+
+def test_row_format_world_file_still_loads(workdir, tmp_path):
+    """The row-format world.json that the chain wrote before format 2,
+    byte for byte, loads to the same world."""
+    world = load_world(workdir["world"])
+    rows = tmp_path / "rows.json"
+    rows.write_text(json_text(row_world_dict(world.instances,
+                                             world.relationships)))
+    assert hashlib.sha256(rows.read_bytes()).hexdigest() == (
+        "fa9fa3c01f59efa21844470c07c1baa9b8c6b6c43da5b7d81f4dc86ed1345120")
+    assert load_world(str(rows)) == world
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_row_and_format_2_worlds_run_the_same_experiment(seed):
+    """`experiment run` writes the same CSV bytes from a world's row-format
+    file and from its format-2 file."""
+    world = build_world(default_ontology(), generate_synthetic(
+        SynthParams(n_as=8, n_ixp=1, n_relays=8, family_sizes=(2,),
+                    n_epochs=3), seed))
+    ases = world.of_type("AS")
+    tables = []
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = os.path.join(tmp, "doc.json")
+        save_belief_document(build_the_man(world), doc)
+        paths = [os.path.join(tmp, "rows.json"), os.path.join(tmp, "w.json")]
+        with open(paths[0], "w", encoding="utf-8") as fh:
+            fh.write(json_text(row_world_dict(world.instances,
+                                              world.relationships)))
+        save_world(world, paths[1])
+        for path in paths:
+            cfg, out = path + ".cfg", path + ".csv"
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump({"world": path, "adversary": doc,
+                           "clients": list(ases[:2]),
+                           "destination_as": ases[-1], "n_samples": 300,
+                           "seed": seed, "k_servers": 1}, fh)
+            assert main(["experiment", "run", "--config", cfg,
+                         "--out", out]) == 0
+            with open(out, "rb") as fh:
+                tables.append(fh.read())
+    assert tables[0] == tables[1]
 
 
 def test_library_writers_match_cli_bytes_and_modes(workdir, tmp_path):
@@ -627,10 +745,11 @@ def test_experiment_config_rejects_what_it_does_not_know(
 
 
 def test_dangling_relationship_exits_3(workdir, tmp_path, capsys):
-    """A world file with a relationship to no instance is rejected where
-    it is read, by `world validate` and by `experiment run`."""
-    with open(workdir["world"], encoding="utf-8") as fh:
-        data = json.load(fh)
+    """A row-format world file with a relationship to no instance is
+    rejected where it is read, by `world validate` and by `experiment
+    run`."""
+    world = load_world(workdir["world"])
+    data = row_world_dict(world.instances, world.relationships)
     data["relationships"].append({"parent": "as:1000", "child": "ghost"})
     world = tmp_path / "dangling.json"
     world.write_text(json.dumps(data))
@@ -651,12 +770,13 @@ def test_cyclic_world_exits_3(workdir, tmp_path, capsys):
     """A world file with a cycle is rejected where it is read, by `world
     validate`, `beliefs apply` and `experiment run`, naming every node on
     or below the cycle."""
-    with open(workdir["world"], encoding="utf-8") as fh:
-        data = json.load(fh)
-    vlinks = sorted(i["id"] for i in data["instances"]
-                    if i["type_name"] == "Virtual Link")[:2]
-    data["relationships"] += [{"parent": vlinks[0], "child": vlinks[1]},
-                              {"parent": vlinks[1], "child": vlinks[0]}]
+    data = _read(workdir["world"])
+    vlink = data["type_names"].index("Virtual Link")
+    ranks = [r for r, code in enumerate(data["type_code"])
+             if code == vlink][:2]
+    vlinks = [data["names"][r] for r in ranks]
+    data["src"] += ranks
+    data["dst"] += ranks[::-1]
     world = tmp_path / "cyclic.json"
     world.write_text(json.dumps(data))
     message = (f"error: world graph has a cycle through {{{vlinks[0]}, "
@@ -1106,9 +1226,9 @@ def _non_finite_input(kind, value, workdir, tmp_path):
         return ["world", "build", "--datasets", str(bundle), "--out", out], out
     if kind in ("world", "edited world"):
         data = _read(workdir["world" if kind == "world" else "edited"])
-        relay = next(i for i in data["instances"]
-                     if i["type_name"] == "Tor Relay")
-        relay["attributes"]["bandwidth"] = value
+        relay = next(a for node, a in data["attributes"].items()
+                     if node.startswith("relay:"))
+        relay["bandwidth"] = value
         bad.write_text(json.dumps(data))
         if kind == "world":
             return ["beliefs", "apply", "--doc", workdir["doc"], "--world",

@@ -420,7 +420,8 @@ def test_world_violation_reported_before_attachments(ontology):
     with pytest.raises(EditError, match="attribute-type"):
         apply_structural(BASE, ontology, doc)
     data = edited_world_to_dict(EditedWorld(world=BASE, ontology=ontology))
-    data["relationships"].append({"parent": "relay:a", "child": "as:1"})
+    data["src"].append(data["names"].index("relay:a"))
+    data["dst"].append(data["names"].index("as:1"))
     data["budgets"] = [["bu2", "ghost", "all", 1]]
     with pytest.raises(EditError, match="no-ontology-edge"):
         edited_world_from_dict(data)

@@ -20,7 +20,11 @@ from tortrust import cli
 from tortrust.cli import main
 from tortrust.errors import (InvalidInputError, JsonSyntaxError, ParseError,
                              TrustModelError, UnknownIdError)
+from tortrust.files import json_text
 from tortrust.ontology import default_ontology, ontology_to_dict
+from tortrust.world import load_world
+
+from conftest import row_world_dict
 
 SRC = os.path.dirname(tortrust.__file__)
 EXPR = "relay:fp_0000 or not vlink:as1000-relay:fp_0001"
@@ -59,11 +63,12 @@ def test_error_classes_hold_their_exit_codes():
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """The parsed contents of one small valid input of each kind, and the
-    paths of the valid files."""
+    paths of the valid files.  The CLI writes the world and the edited
+    world in format 2; "rows" is the same world in the row format."""
     root = tmp_path_factory.mktemp("valid")
     paths = {kind: str(root / name) for kind, name in (
         ("bundle", "bundle"), ("world", "world.json"), ("doc", "doc.json"),
-        ("edited", "edited.json"), ("bbn", "bbn.json"),
+        ("edited", "edited.json"), ("bbn", "bbn.json"), ("rows", "rows.json"),
         ("ontology", "ontology.json"), ("config", "config.json"))}
     for argv in (
             ["world", "synth", "--seed", "7", "--out", paths["bundle"],
@@ -78,8 +83,12 @@ def inputs(tmp_path_factory):
             ["bbn", "compile", "--edited", paths["edited"], "--doc",
              paths["doc"], "--out", paths["bbn"]]):
         assert main(argv) == 0
+    with open(paths["rows"], "w", encoding="utf-8") as fh:
+        world = load_world(paths["world"])
+        fh.write(json_text(row_world_dict(world.instances,
+                                          world.relationships)))
     contents = {kind: _read(paths[kind])
-                for kind in ("world", "doc", "edited", "bbn")}
+                for kind in ("world", "rows", "doc", "edited", "bbn")}
     contents["bundle"] = {}
     for name in BUNDLE_FILES:
         with open(os.path.join(paths["bundle"], name), encoding="utf-8") as fh:
@@ -141,6 +150,8 @@ VERBS = {
     "expr": [["bbn", "event", "--bbn", "{bbn}", "--expr={expr}", "--n", "16",
               "--seed", "1"]],
 }
+VERBS["rows"] = [[a.replace("{world}", "{rows}") for a in verb]
+                 for verb in VERBS["world"]]
 
 
 # --- mutations ---------------------------------------------------------------
@@ -266,9 +277,9 @@ def _write_mutated(target, mutated, paths, out):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_render(mutated))
     paths[target] = path
-    if target in ("world", "doc"):
+    if target in ("world", "rows", "doc"):
         config = dict(_read(paths["config"]),
-                      **{"world" if target == "world" else "adversary": path})
+                      **{"adversary" if target == "doc" else "world": path})
         paths["config"] = os.path.join(out, "mutated-config.json")
         with open(paths["config"], "w", encoding="utf-8") as fh:
             json.dump(config, fh)
@@ -307,7 +318,8 @@ OUT_OF_RANGE = [-1, 2, 10 ** 400, 1e308, -1e308, 2 ** 63, Raw("1e400"),
                 Raw("-1e400"), Raw("1" * 5000), Raw("-" + "9" * 4301)]
 PATHS = st.lists(st.one_of(st.integers(0, 40), st.sampled_from(
     ["attributes", "bandwidth", "parents", "trust", "risks", "nodes",
-     "ixps", "k_servers", "seed"])), max_size=6)
+     "ixps", "k_servers", "seed", "names", "type_code", "src",
+     "edge_attributes", "instances"])), max_size=6)
 OPS = st.one_of(
     st.just(("drop",)),
     st.sampled_from(TYPE_SWAPS).map(lambda v: ("set", v)),
@@ -320,10 +332,15 @@ OPS = st.one_of(
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(target=st.sampled_from(sorted(VERBS)), path=PATHS, op=OPS)
-@example(target="world", path=["instances", 0, "attributes", "size"],
+@example(target="world", path=["attributes", 0, "size"],
          op=("set", Raw("1e400")))
-@example(target="world", path=["instances", 0, "attributes", "size"],
+@example(target="world", path=["attributes", 0, "size"],
          op=("set", Raw("1" * 5000)))
+@example(target="rows", path=["instances", 0, "attributes", "size"],
+         op=("set", Raw("1e400")))
+@example(target="world", path=["src", 0], op=("set", True))
+@example(target="edited", path=["dst", 0], op=("set", 10 ** 400))
+@example(target="world", path=["edge_attributes"], op=("append", [0, 0, {}]))
 @example(target="world", path=[], op=("nest", "json", 100_000))
 @example(target="doc", path=["trust", 0, 1], op=("nest", "parens", 2000))
 @example(target="expr", path=[], op=("nest", "not", 3000))
@@ -357,12 +374,22 @@ def _probe(inputs, target, path, op, verb):
 
 
 @pytest.mark.parametrize("target, path, op, verb, code, message", [
-    ("world", ["instances", 0, "attributes", "size"], ("set", Raw("1e400")),
+    ("world", ["attributes", 0, "size"], ("set", Raw("1e400")),
      ["world", "validate", "--world", "{world}"], 2,
      "error: number overflows a float: line 1 column "),
-    ("world", ["instances", 0, "attributes", "size"],
+    ("world", ["attributes", 0, "size"],
      ("set", Raw("1" * 5000)), ["world", "validate", "--world", "{world}"], 2,
      "error: integer has more than 4300 digits: line 1 column "),
+    ("rows", ["instances", 0, "attributes", "size"], ("set", Raw("1e400")),
+     ["world", "validate", "--world", "{rows}"], 2,
+     "error: number overflows a float: line 1 column "),
+    ("world", ["src", 0], ("set", True),
+     ["world", "validate", "--world", "{world}"], 3,
+     "error: src[0]: True is not an integer"),
+    ("edited", ["type_code", 0], ("set", 10 ** 400),
+     ["bbn", "compile", "--edited", "{edited}", "--out", "{out}"], 3,
+     "error: type_code[0]: 1" + "0" * 400 + " is not a position in "
+     "type_names "),
     ("world", [], ("nest", "json", 100_000),
      ["world", "validate", "--world", "{world}"], 2,
      "error: nesting is too deep: line 1 column "),

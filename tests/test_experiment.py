@@ -156,15 +156,16 @@ def test_tor_default_stacks_a_guard_that_is_never_drawn(config, ontology):
     """A zero-bandwidth guard is never drawn, but its end column is still
     stacked at its view position: the estimate reads the others right."""
     data = world_to_dict(config.world)
-    entry = next(e for e in data["instances"]
-                 if e["attributes"].get("guard"))
-    entry["attributes"] = {**entry["attributes"], "bandwidth": 0}
+    guard = next(node for node, attributes in data["attributes"].items()
+                 if attributes.get("guard"))
+    data["attributes"] = {**data["attributes"], guard: {
+        **data["attributes"][guard], "bandwidth": 0}}
     cfg = dataclasses.replace(config, world=world_from_dict(data),
                               n_samples=300)
     ew = apply_structural(cfg.world, ontology, cfg.adversary)
     bbn = compile_bbn(ew, cfg.adversary.trust, cfg.adversary.scale)
     cv = consensus_view(ew.world)
-    zero = cv.guards.index(entry["id"])
+    zero = cv.guards.index(guard)
     for client in cfg.clients:
         expected, drawn = _per_draw_reference(bbn, cv, cfg, client)
         assert zero not in drawn

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -21,12 +22,15 @@ from tortrust.errors import CompileError, DatasetError
 from tortrust.ontology import AttributeDef, TypeDef
 from tortrust.predicates import parse_predicate
 from tortrust.synth import SynthParams, generate_synthetic
-from tortrust.validation import (ValidationReport, check_entry,
+from tortrust.validation import (ValidationReport, check_entry, find_cycle,
                                  topological_order)
 from tortrust.world import (RelationshipInstance, TypeInstance, World,
-                            _value_conforms, validate_world, vlink_id,
-                            world_from_dict, world_to_dict)
+                            _value_conforms, load_world, save_world,
+                            validate_world, vlink_id, world_from_dict,
+                            world_to_dict)
 from tortrust.worldgen import build_world, family_uptime
+
+from conftest import row_world_dict
 
 
 # --- world container ---------------------------------------------------------
@@ -184,16 +188,6 @@ def test_world_dict_roundtrip(small_world):
     assert world_from_dict(world_to_dict(small_world)) == small_world
 
 
-def _world_dict(instances, relationships):
-    """The world file's dict of these instances and relationships, in
-    their order."""
-    return {"instances": [{"id": i.id, "type_name": i.type_name,
-                           "attributes": i.attributes} for i in instances],
-            "relationships": [{"parent": r.parent, "child": r.child,
-                               "attributes": r.attributes}
-                              for r in relationships]}
-
-
 def _reference_cycle(instances, relationships):
     """The message of `_reference_check_acyclic` on these instances and
     relationships, or None when it finds no cycle."""
@@ -218,7 +212,7 @@ def _assert_rejects_cycle(message, instances, relationships):
             *([getattr(r, key) for r in relationships]
               for key in ("parent", "child", "attributes")))
     with pytest.raises(ValueError, match=exact):
-        world_from_dict(_world_dict(instances, relationships))
+        world_from_dict(row_world_dict(instances, relationships))
 
 
 def _world_unless_cyclic(instances, relationships):
@@ -310,7 +304,7 @@ def test_column_world_matches_a_dict_reference(nodes, drawn, rnd):
     world = _world_unless_cyclic(instances, relationships)
     if world is not None:
         _check_column_lookups(world, nodes, edges)
-    data = _world_dict(instances, relationships)
+    data = row_world_dict(instances, relationships)
 
     other = rnd.choice([*nodes, "ghost"])
     p, c = rnd.choice([("ghost", other), (other, "ghost")])
@@ -325,7 +319,7 @@ def test_column_world_matches_a_dict_reference(nodes, drawn, rnd):
               for key in ("id", "type_name", "attributes")),
             *([getattr(r, key) for r in dangling]
               for key in ("parent", "child", "attributes")))
-    bad = _world_dict(instances, dangling)
+    bad = row_world_dict(instances, dangling)
     with pytest.raises(ValueError, match=re.escape(missing)):
         world_from_dict(bad)
 
@@ -561,7 +555,7 @@ def test_world_reader_names_the_first_bad_entry(case, drawn):
     relationships, with the message `check_entry` or the attributes rule
     gives for it."""
     instances, relationships, _ = case
-    data = _world_dict(instances, relationships)
+    data = row_world_dict(instances, relationships)
     data["instances"].append({"id": "z", "type_name": "AS"})
     data["relationships"].append({"parent": "z", "child": "a"})
     for kind in _ENTRY_KEYS:
@@ -611,6 +605,78 @@ def test_topological_order_is_the_least_kahn_order(graph):
                  if v not in placed and parents[v] <= placed]
         assert r == min(ready, default=None)
         placed.add(r)
+
+
+_CHAIN = 20_000
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rank_graphs())
+@example((4, [1, 2, 2], [2, 1, 3]))     # a node below a cycle stays out
+@example((_CHAIN, list(range(_CHAIN - 1)), list(range(1, _CHAIN))))
+@example((_CHAIN, list(range(_CHAIN)), [*range(1, _CHAIN), _CHAIN // 2]))
+def test_cycle_check_finds_the_nodes_kahn_leaves_out(graph):
+    """The peel needs no order, yet it names exactly the nodes that the
+    least Kahn order cannot place, on a chain of 20,000 nodes as well."""
+    n, src, dst = graph
+    names = [f"n{r:05d}" for r in range(n)]
+    left = [names[r] for r in sorted(set(range(n))
+                                     - set(topological_order(n, src, dst)))]
+    expected = (f"g graph has a cycle through {{{', '.join(left)}}}", left)
+    assert find_cycle("g", names, src, dst) == (expected if left else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(_IDS, st.tuples(_TYPES, _ATTRS), max_size=6),
+       st.data(), st.randoms(use_true_random=False))
+def test_row_and_format_2_files_read_to_one_world(nodes, drawn, rnd):
+    """A row-format dict and the format-2 file of its world read to equal
+    worlds, and `save_world` writes the same bytes for every way the world
+    was made and for each save."""
+    edges = drawn.draw(_edges_among(sorted(nodes), 10))
+    instances = [TypeInstance(i, t, a) for i, (t, a) in nodes.items()]
+    relationships = [RelationshipInstance(p, c, a) for p, c, a in edges]
+    rows = row_world_dict(instances, relationships)
+    try:
+        world = world_from_dict(rows)
+    except ValueError:                  # a cycle
+        return
+    rnd.shuffle(instances)
+    texts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, made in enumerate((world, world, World(instances,
+                                                      relationships))):
+            path = os.path.join(tmp, f"world-{k}.json")
+            save_world(made, path)
+            with open(path, "rb") as fh:
+                texts.append(fh.read())
+            assert load_world(path) == world
+    assert texts[1:] == texts[:2]
+    assert world_from_dict(json.loads(texts[0])) == world
+
+
+def test_format_2_reader_keeps_the_constructor_rules():
+    """A format-2 file may list an edge twice, out of order, and a type
+    no name uses: its world is the one the row format gives.  The first
+    attributes given for an edge win."""
+    rows = {"instances": [{"id": "a", "type_name": "T"},
+                          {"id": "b", "type_name": "T"},
+                          {"id": "c", "type_name": "U",
+                           "attributes": {"x": 1}}],
+            "relationships": [{"parent": "b", "child": "c",
+                               "attributes": {"w": 1}},
+                              {"parent": "a", "child": "c"}]}
+    columns = {"format": 2, "names": ["a", "b", "c"],
+               "type_names": ["S", "T", "U"], "type_code": [1, 1, 2],
+               "attributes": {"a": {}, "c": {"x": 1}},
+               "src": [1, 0, 1], "dst": [2, 2, 2],
+               "edge_attributes": [[1, 2, {"w": 1}], [1, 2, {"w": 2}],
+                                   [0, 2, {}]]}
+    assert world_from_dict(columns) == world_from_dict(rows)
+    assert world_to_dict(world_from_dict(columns)) == {
+        "format": 2, "names": ["a", "b", "c"], "type_names": ["T", "U"],
+        "type_code": [0, 0, 1], "attributes": {"c": {"x": 1}},
+        "src": [0, 1], "dst": [2, 2], "edge_attributes": [[1, 2, {"w": 1}]]}
 
 
 # --- datasets ----------------------------------------------------------------
