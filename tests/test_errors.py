@@ -380,16 +380,6 @@ def _probe(inputs, target, path, op, verb):
     ("world", ["attributes", 0, "size"],
      ("set", Raw("1" * 5000)), ["world", "validate", "--world", "{world}"], 2,
      "error: integer has more than 4300 digits: line 1 column "),
-    ("rows", ["instances", 0, "attributes", "size"], ("set", Raw("1e400")),
-     ["world", "validate", "--world", "{rows}"], 2,
-     "error: number overflows a float: line 1 column "),
-    ("world", ["src", 0], ("set", True),
-     ["world", "validate", "--world", "{world}"], 3,
-     "error: src[0]: True is not an integer"),
-    ("edited", ["type_code", 0], ("set", 10 ** 400),
-     ["bbn", "compile", "--edited", "{edited}", "--out", "{out}"], 3,
-     "error: type_code[0]: 1" + "0" * 400 + " is not a position in "
-     "type_names "),
     ("world", [], ("nest", "json", 100_000),
      ["world", "validate", "--world", "{world}"], 2,
      "error: nesting is too deep: line 1 column "),
@@ -404,6 +394,16 @@ def _probe(inputs, target, path, op, verb):
     ("world", [], ("every", "bandwidth", 1.7e308),
      ["experiment", "run", "--config", "{config}"], 3,
      "error: exit bandwidth sum is not finite"),
+    ("rows", ["instances", 0, "attributes", "size"], ("set", Raw("1e400")),
+     ["world", "validate", "--world", "{rows}"], 2,
+     "error: number overflows a float: line 1 column "),
+    ("world", ["src", 0], ("set", True),
+     ["world", "validate", "--world", "{world}"], 3,
+     "error: src[0]: True is not an integer"),
+    ("edited", ["type_code", 0], ("set", 10 ** 400),
+     ["bbn", "compile", "--edited", "{edited}", "--out", "{out}"], 3,
+     "error: type_code[0]: 1" + "0" * 400 + " is not a position in "
+     "type_names "),
 ])
 def test_probes_exit_with_their_code(inputs, target, path, op, verb, code,
                                      message):
