@@ -45,7 +45,7 @@ import bisect
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -55,8 +55,8 @@ from .errors import (CompileError, EditError, InvalidInputError,
                      NetworkTooLargeError, UnknownIdError)
 from .files import atomic_write, json_text, read_json, write_text
 from .predicates import evaluate, parse_event, select
-from .validation import (check_sample_count, check_seed, is_integer,
-                         is_probability, is_real, topological_order)
+from .validation import (REQUIRED, check_sample_count, check_seed,
+                         is_probability, read_record, topological_order)
 
 EXACT_NODE_CAP = 24
 
@@ -541,143 +541,57 @@ def bbn_to_dict(bbn):
     }
 
 
+# The fields of a network file and of each of its nodes.
+_NODE_FIELDS = {"id": ("a string", REQUIRED), "kind": ("a string", "world"),
+                "parents": ((("index", "an integer"),
+                             ("weight", "a probability")), []),
+                "risks": ("a list of probabilities", []),
+                "absolute": ("a probability", None),
+                "is_output": ("a boolean", False)}
+_NETWORK_FIELDS = {"nodes": (_NODE_FIELDS, [])}
+
+
 def bbn_from_dict(data):
     """Rebuild a network, rejecting what the sampler and the exact oracle
-    would read differently: a file that is not an object with a `nodes`
-    array, nodes that are not objects, missing or duplicate ids, fields of
-    the wrong type, non-integer or forward parents, unknown kinds, ce nodes
-    without exactly one parent, and probabilities outside [0,1].  A quick
-    test of each field across all nodes accepts only what the per-node
-    checks accept; those run only when it fails, and name the first bad
-    node."""
-    if not isinstance(data, dict) \
-            or not isinstance(data.get("nodes", []), list):
-        raise CompileError("network file must be an object with a 'nodes' "
-                           "array")
-    nodes = data.get("nodes", [])
-    if not _plain_nodes(nodes):
+    would read differently: besides what the fields' kinds rule out,
+    duplicate ids, forward parents, unknown kinds and ce nodes without
+    exactly one parent."""
+    nodes = read_record(data, _NETWORK_FIELDS, "network file",
+                        CompileError)["nodes"]
+    ids, kinds = nodes["id"], nodes["kind"]
+    lengths, parents = nodes["parents"]
+    if len(set(ids)) < len(ids):
         seen = set()
-        for i, entry in enumerate(nodes):
-            _check_node(i, entry, seen)
-    parents = [entry.get("parents", []) for entry in nodes]
-    idx, w = _columns(list(chain.from_iterable(parents)))
-    return CompiledBbn(
-        ids=tuple(entry["id"] for entry in nodes),
-        parent_ptr=list(accumulate(map(len, parents), initial=0)),
-        parent_idx=idx, parent_w=w,
-        risks={i: tuple(map(float, r)) for i, entry in enumerate(nodes)
-               if (r := entry.get("risks"))},
-        absolute={i: float(a) for i, entry in enumerate(nodes)
-                  if (a := entry.get("absolute")) is not None},
-        ce=frozenset(i for i, entry in enumerate(nodes)
-                     if entry.get("kind") == "ce"),
-        is_output=[entry.get("is_output", False) for entry in nodes])
-
-
-def _plain_nodes(nodes):
-    """Whether every node of `nodes` passes `_check_node`, tested a field
-    at a time across all nodes.  False may also mean values that are valid
-    but not plain JSON ones, such as numpy numbers."""
-    if not set(map(type, nodes)) <= {dict}:
-        return False
-    ids = [entry.get("id") for entry in nodes]
-    parents = [entry.get("parents", []) for entry in nodes]
-    risks = [entry.get("risks", []) for entry in nodes]
-    kinds = [entry.get("kind", "world") for entry in nodes]
-    if not (set(map(type, ids)) <= {str} and len(set(ids)) == len(ids)
-            and set(map(type, parents)) | set(map(type, risks)) <= {list}
-            and {type(entry.get("is_output", False))
-                 for entry in nodes} <= {bool}
-            and set(map(type, kinds)) <= {str}
-            and set(kinds) <= {"world", "ce"}
-            and all(len(p) == 1 for p, kind in zip(parents, kinds)
-                    if kind == "ce")):
-        return False
-    pairs = list(chain.from_iterable(parents))
-    if not (set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}):
-        return False
-    idx, w = _columns(pairs)
-    if not set(map(type, idx)) <= {int}:
-        return False
+        i = next(i for i, x in enumerate(ids) if x in seen or seen.add(x))
+        raise CompileError(f"nodes[{i}]: duplicate node id {ids[i]!r}")
+    for i in ([] if set(kinds) <= {"world"} else range(len(ids))):
+        if kinds[i] not in ("world", "ce"):
+            raise CompileError(f"node {ids[i]!r} has unknown kind "
+                               f"{kinds[i]!r}")
+        if kinds[i] == "ce" and lengths[i] != 1:
+            raise CompileError(f"ce node {ids[i]!r} needs exactly one "
+                               f"parent, has {lengths[i]}")
+    idx = parents["index"]
+    owner = np.repeat(np.arange(len(ids)), lengths)
     try:
         idx = np.fromiter(idx, np.int64, len(idx))
+        forward = not ((idx >= 0) & (idx < owner)).all()
     except OverflowError:               # past int64, so out of range
-        return False
-    owner = np.repeat(np.arange(len(nodes)), list(map(len, parents)))
-    return bool(((idx >= 0) & (idx < owner)).all()) and all(map(
-        _probabilities, (w, list(chain.from_iterable(risks)),
-                         [a for entry in nodes
-                          if (a := entry.get("absolute")) is not None])))
-
-
-def _columns(pairs):
-    """([first of each pair], [second of each pair])."""
-    return (list(map(operator.itemgetter(0), pairs)),
-            list(map(operator.itemgetter(1), pairs)))
-
-
-def _probabilities(values):
-    """Whether every value is an int or a float in [0, 1]."""
-    if not set(map(type, values)) <= {int, float}:
-        return False
-    try:
-        p = np.array(values, dtype=np.float64)
-    except OverflowError:
-        return False
-    return bool(((p >= 0) & (p <= 1)).all())
-
-
-def _check_node(i, entry, seen):
-    """Raise CompileError naming node `i` unless `entry` is a valid node
-    whose id is not in `seen`; add its id to `seen`."""
-    if not isinstance(entry, dict):
-        raise CompileError(f"nodes[{i}]: node must be an object")
-    node_id = entry.get("id")
-    if not isinstance(node_id, str):
-        raise CompileError(f"nodes[{i}]: missing 'id'")
-    if node_id in seen:
-        raise CompileError(f"nodes[{i}]: duplicate node id {node_id!r}")
-    seen.add(node_id)
-    kind = entry.get("kind", "world")
-    parents = _node_field(entry, "parents", node_id, list, "an array")
-    for q in _node_field(entry, "risks", node_id, list, "an array"):
-        _probability(q, node_id, "risk")
-    if entry.get("absolute") is not None:
-        _probability(entry["absolute"], node_id, "absolute")
-    _node_field(entry, "is_output", node_id, bool, "a boolean")
-    if kind not in ("world", "ce"):
-        raise CompileError(f"node {node_id!r} has unknown kind {kind!r}")
-    if kind == "ce" and len(parents) != 1:
-        raise CompileError(f"ce node {node_id!r} needs exactly one "
-                           f"parent, has {len(parents)}")
-    for pair in parents:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise CompileError(f"node {node_id!r} has parent {pair!r}, "
-                               f"not an [index, weight] pair")
-        j, w = pair
-        if not is_integer(j):
-            raise CompileError(f"node {node_id!r} has parent index "
-                               f"{j!r}, not an integer")
-        if not 0 <= j < i:
-            raise CompileError(
-                f"node {node_id!r} has parent index {j} not before "
-                f"its own position {i}")
-        _probability(w, node_id, "edge weight")
-
-
-def _node_field(entry, key, node_id, cls, what):
-    value = entry.get(key, cls())
-    if not isinstance(value, cls):
-        raise CompileError(f"node {node_id!r} has {key} {value!r}, "
-                           f"not {what}")
-    return value
-
-
-def _probability(p, node_id, what):
-    if not is_probability(p):
-        raise CompileError(f"node {node_id!r} has {what} {p!r}, not a number"
-                           if not is_real(p) else
-                           f"node {node_id!r} has {what} {p!r} outside [0,1]")
+        forward = True
+    if forward:
+        j, i = next((j, i) for j, i in zip(parents["index"], owner.tolist())
+                    if not 0 <= j < i)
+        raise CompileError(f"node {ids[i]!r} has parent index {j} not before "
+                           f"its own position {i}")
+    return CompiledBbn(
+        ids=tuple(ids), parent_ptr=list(accumulate(lengths, initial=0)),
+        parent_idx=idx, parent_w=parents["weight"],
+        risks={i: tuple(map(float, r))
+               for i, r in enumerate(nodes["risks"]) if r},
+        absolute={i: float(a) for i, a in enumerate(nodes["absolute"])
+                  if a is not None},
+        ce=frozenset(i for i, kind in enumerate(kinds) if kind == "ce"),
+        is_output=nodes["is_output"])
 
 
 def save_bbn(bbn, path):

@@ -25,6 +25,7 @@ absolute beliefs detach a node from its parents.
 
 import json
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import NamedTuple
 
 from .errors import (BeliefFormatError, DatasetError, InvalidInputError,
@@ -32,7 +33,7 @@ from .errors import (BeliefFormatError, DatasetError, InvalidInputError,
 from .files import parse_json, write_text
 from .ontology import normalize_type_name
 from .predicates import Predicate, parse_predicate
-from .validation import VALUE_KINDS, is_probability
+from .validation import REQUIRED, is_probability, read_record
 from . import ontology as ont
 
 TRUST_SYMBOLS = ("SC", "LC", "U", "LT", "ST")
@@ -200,64 +201,54 @@ RELATIVE_ROW = _Row(None, Relative, ("predicate", "trust value"))
 _ROW_OF = {row.cls: row for row in (*STRUCTURAL_TAGS.values(),
                                     *TRUST_TAGS.values(), RELATIVE_ROW)}
 
-# The value kind of the slot kinds checked by kind alone.  Every other kind
-# but the free "attribute value" is a string: an id or a name.
-_SLOT_KINDS = {"instance data": "an object", "budget k": "an integer"}
+# The (value kind, default) of each slot kind but the free trust and
+# attribute values: a slot of attribute types may be null.
+_SLOT_KINDS = {"instance data": ("an object", REQUIRED),
+               "budget k": ("an integer", REQUIRED),
+               "attribute types": ("an object", None),
+               **dict.fromkeys(("type name", "instance id", "parent id",
+                                "child id", "attribute name", "predicate"),
+                               ("a string", REQUIRED))}
 
 
 # --- Parsing -----------------------------------------------------------------
+
+# The fields of a belief document, of its scale and of a scale's mapping.
+_DOCUMENT_FIELDS = {"scale": ("an object", None), "structural": ("a list", []),
+                    "trust": ("a list", [])}
+_SCALE_FIELDS = {"mapping": ("an object", None),
+                 "ce_mapping": ("an object", None)}
+_MAPPING_FIELDS = {sym: ("a probability", REQUIRED) for sym in TRUST_SYMBOLS}
+
 
 def parse_belief_document(text):
     try:
         data = parse_json(text)
     except ValueError as exc:
         raise BeliefFormatError(f"document is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise BeliefFormatError("document root must be an object")
-    for key in data:
-        if key not in ("scale", "structural", "trust"):
-            raise BeliefFormatError(f"unknown top-level key {key!r}")
-
-    scale = scale_from_json(data.get("scale"))
-    structural = tuple(
-        belief_from_json(entry, f"structural[{i}]", STRUCTURAL_TAGS)
-        for i, entry in enumerate(_expect_list(data.get("structural", []),
-                                               "structural")))
-    trust = tuple(
-        belief_from_json(entry, f"trust[{i}]", TRUST_TAGS)
-        for i, entry in enumerate(_expect_list(data.get("trust", []), "trust")))
-    return BeliefDocument(scale=scale, structural=structural, trust=trust)
-
-
-def _expect_list(value, path):
-    if not isinstance(value, list):
-        raise BeliefFormatError(f"{path} must be an array", path=path)
-    return value
+    fields = read_record(data, _DOCUMENT_FIELDS, "belief document",
+                         BeliefFormatError)
+    return BeliefDocument(
+        scale=scale_from_json(fields["scale"]),
+        **{key: tuple(belief_from_json(entry, f"{key}[{i}]", tags)
+                      for i, entry in enumerate(fields[key]))
+           for key, tags in (("structural", STRUCTURAL_TAGS),
+                             ("trust", TRUST_TAGS))})
 
 
 def scale_from_json(data):
     """The TrustScale of a `scale` object; the default scale for None."""
     if data is None:
         return default_scale()
-    if not isinstance(data, dict):
-        raise BeliefFormatError("scale must be an object", path="scale")
-    for key in data:
-        if key not in ("mapping", "ce_mapping"):
-            raise BeliefFormatError(f"unknown scale key {key!r}",
-                                    path="scale")
-    mapping = data.get("mapping", dict(_DEFAULT_MAPPING))
-    ce_mapping = data.get("ce_mapping")
-    for name, m in (("mapping", mapping), ("ce_mapping", ce_mapping)):
-        if m is None:
-            continue
-        if not isinstance(m, dict) or set(m) != set(TRUST_SYMBOLS):
-            raise BeliefFormatError(
-                f"scale.{name} must map exactly the symbols "
-                f"{', '.join(TRUST_SYMBOLS)}", path=f"scale.{name}")
-        for sym, p in m.items():
-            _check_probability(p, f"scale.{name}.{sym}")
-    return TrustScale(mapping=dict(mapping),
-                      ce_mapping=None if ce_mapping is None else dict(ce_mapping))
+    mappings = read_record(data, _SCALE_FIELDS, "scale",
+                           partial(BeliefFormatError, path="scale"))
+    for name, mapping in mappings.items():
+        if mapping is not None:
+            read_record(mapping, _MAPPING_FIELDS, f"scale.{name}",
+                        partial(BeliefFormatError, path=f"scale.{name}"))
+    mapping, ce_mapping = mappings.values()
+    return TrustScale(mapping=dict(mapping or _DEFAULT_MAPPING),
+                      ce_mapping=ce_mapping and dict(ce_mapping))
 
 
 def _check_probability(p, path):
@@ -290,16 +281,23 @@ def belief_from_json(entry, path, tags):
             if row.ignored else
             f"{path}: {tag!r} belief needs {n} fields, got {len(entry)}",
             path=path)
-    names = [f.name for f in fields(row.cls)]
     values = [tag] if row is RELATIVE_ROW else []
+    names = iter([f.name for f in fields(row.cls)][len(values):])
+    slots = []                  # (field name, slot kind, value)
     for kind, value in zip(row.slots, entry[1:]):
         if isinstance(kind, tuple):
             if value not in kind:
                 raise BeliefFormatError(
                     f'{path}: {tag} scope must be "{kind[0]}"', path=path)
         else:
-            values.append(_read_slot(kind, value, path, names[len(values)]))
-    return row.cls(*values)
+            slots.append((next(names), kind, value))
+    read_record({name: value for name, kind, value in slots
+                 if kind in _SLOT_KINDS},
+                {name: _SLOT_KINDS[kind] for name, kind, _ in slots
+                 if kind in _SLOT_KINDS},
+                path, partial(BeliefFormatError, path=path))
+    return row.cls(*values, *(_read_slot(kind, value, path, name)
+                              for name, kind, value in slots))
 
 
 def _read_slot(kind, value, path, name):
@@ -310,17 +308,12 @@ def _read_slot(kind, value, path, name):
         return _parse_value(value, path)
     if kind == "attribute types":
         return _parse_attr_decls(value, f"{path}.{name}")
-    what = _SLOT_KINDS.get(kind, "a string")
-    if kind != "attribute value" and not VALUE_KINDS[what](value):
-        raise BeliefFormatError(f"{path}: {kind} must be {what}", path=path)
     return value
 
 
 def _parse_attr_decls(decls, path):
     if decls is None:
         return ()
-    if not isinstance(decls, dict):
-        raise BeliefFormatError(f"{path} must be null or an object", path=path)
     out = []
     for name in sorted(decls):
         data_type = decls[name]
@@ -332,8 +325,6 @@ def _parse_attr_decls(decls, path):
 
 
 def _parse_pred(text, path):
-    if not isinstance(text, str):
-        raise BeliefFormatError(f"{path}: predicate must be a string", path=path)
     try:
         return parse_predicate(text)
     except PredicateSyntaxError as exc:

@@ -34,14 +34,14 @@ from .datasets import load_bundle, save_bundle
 from .editor import (apply_structural, document_ontology, edited_world_to_dict,
                      load_edited_world)
 from .errors import BeliefFormatError, InvalidInputError, TrustModelError
-from .experiment import (CONFIG_FIELD_KINDS, DEFAULT_SCENARIOS,
-                         ExperimentConfig, check_config_value,
+from .experiment import (CONFIG_FIELDS, CONFIG_FILES, ExperimentConfig,
                          run_experiment)
 from .files import (compact_json_text, csv_text, json_text, read_json,
                     write_text)
 from .ontology import (Ontology, default_ontology, load_ontology,
                        validate_ontology)
 from .synth import SynthParams, generate_synthetic
+from .validation import read_record
 from .world import load_world, validate_world, world_to_dict
 from .worldgen import build_world
 
@@ -237,32 +237,10 @@ def cmd_bbn_exact(args):
 
 # --- experiment --------------------------------------------------------------
 
-_CONFIG_REQUIRED = ("world", "adversary", "clients", "destination_as",
-                    "n_samples", "seed")
-# Every key an experiment config file may hold, and the kind of its value.
-_CONFIG_KEYS = {"world": "a string", "adversary": "a string",
-                "ontology": "a string", **CONFIG_FIELD_KINDS}
-
-
-def _check_experiment_config(raw):
-    """Raise BeliefFormatError naming the first key of `raw` that is
-    missing, unknown or of the wrong type (a bool is not an integer)."""
-    if not isinstance(raw, dict):
-        raise BeliefFormatError("experiment config: expected an object")
-    for key in _CONFIG_REQUIRED:
-        if key not in raw:
-            raise BeliefFormatError(f"experiment config is missing {key!r}")
-    for key, value in sorted(raw.items()):
-        if key not in _CONFIG_KEYS:
-            raise BeliefFormatError(
-                f"experiment config has unknown key {key!r}")
-        check_config_value(key, value, _CONFIG_KEYS[key], BeliefFormatError)
-
-
 def _load_experiment_config(path, scenario_filter=None):
-    raw = read_json(path)
-    _check_experiment_config(raw)
-    scenarios = tuple(raw.get("scenarios", DEFAULT_SCENARIOS))
+    raw = read_record(read_json(path), CONFIG_FIELDS, "experiment config",
+                      BeliefFormatError)
+    scenarios = tuple(raw["scenarios"])
     if scenario_filter:
         scenarios = tuple(s for s in scenarios if s == scenario_filter)
         if not scenarios:
@@ -271,17 +249,17 @@ def _load_experiment_config(path, scenario_filter=None):
     # Relative paths are relative to the config; join keeps absolute ones.
     base = os.path.dirname(os.path.abspath(path))
     paths = {key: os.path.join(base, raw[key])
-             for key in ("world", "adversary", "ontology") if key in raw}
+             for key in CONFIG_FILES}
     cfg = ExperimentConfig(
         world=load_world(paths["world"]),
-        ontology=load_ontology(paths["ontology"]) if raw.get("ontology")
+        ontology=load_ontology(paths["ontology"]) if raw["ontology"]
         else default_ontology(),
         adversary=load_belief_document(paths["adversary"]),
         clients=tuple(raw["clients"]),
         destination_as=raw["destination_as"],
         scenarios=scenarios,
         **{key: raw[key] for key in ("n_samples", "seed", "k_servers",
-                                     "guard_count") if key in raw})
+                                     "guard_count")})
     return cfg, list(paths.values())
 
 

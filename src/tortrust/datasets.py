@@ -12,21 +12,22 @@ and reads/writes them as JSON-lines files inside a bundle directory:
     uptime.jsonl        one consensus epoch per line, listing Running relays
 
 Each line is one record's JSON object: its dataclass fields by name, with
-tuples as lists.  Reading takes the known fields, ignores other keys,
-checks each value against its field's type (a boolean is not an integer,
-an integer is a float, a list holds integers or strings as its field
-says), turns lists back into tuples and requires the
-fields without a default; a line that is not such an object is a
-DatasetError naming file, line and, for a bad value, the field.
+tuples as lists.  Reading ignores other keys and passes the known ones to
+`validation.read_record`, by a table made from the dataclass fields: each
+value must be of its field's kind (a boolean is not an integer, an
+integer is a number, a list holds integers or strings as its field says)
+and a field without a default must be present.  Lists become tuples.  A
+line that is not such an object is a DatasetError naming file, line and,
+for a bad value, the field.
 """
 
 import json
 import os
 from dataclasses import MISSING, asdict, dataclass, fields
 
-from .errors import DatasetError, InvalidInputError, TrustModelError
+from .errors import DatasetError, TrustModelError
 from .files import parse_json, write_text
-from .validation import VALUE_KINDS
+from .validation import REQUIRED, read_record
 
 
 @dataclass(frozen=True)
@@ -99,41 +100,25 @@ _RECORDS = {
 }
 
 
-# Field annotation -> the value kinds it must have, in turn: a list field
-# is a list, then a list of its items' kind.
-_FIELD_KINDS = {int: ("an integer",), bool: ("a boolean",),
-                str: ("a string",), float: ("a number",),
-                tuple[int, ...]: ("a list", "a list of integers"),
-                tuple[str, ...]: ("a list", "a list of strings")}
+# Field annotation -> the value kind it must have.
+_KINDS = {int: "an integer", bool: "a boolean", str: "a string",
+          float: "a number", tuple[int, ...]: "a list of integers",
+          tuple[str, ...]: "a list of strings"}
+# Record type -> its fields, read from its dataclass fields.
+_TABLES = {cls: {f.name: (_KINDS[f.type], REQUIRED if f.default is MISSING
+                          else f.default) for f in fields(cls)}
+           for cls in set(_RECORDS.values())}
 
 
-def _named(value, kind):
-    """The first kind `value` fits; a list that is not of `kind` is named by
-    its first item that is not."""
-    if kind.startswith("a list of"):
-        item = next(x for x in value if not VALUE_KINDS[kind]([x]))
-        return "a list holding " + _named(item, "")
-    return next((k for k, fits in VALUE_KINDS.items() if fits(value)), "null")
-
-
-def _decode(cls, data):
-    """A `cls` record from a JSON object: unknown keys are ignored, each
-    value must have its field's type, lists become tuples, and a field
-    without a default must be present."""
-    if not isinstance(data, dict):
-        raise InvalidInputError("expected a JSON object")
-    values = {}
-    for f in fields(cls):
-        if f.name in data:
-            v = data[f.name]
-            for kind in _FIELD_KINDS[f.type]:
-                if not VALUE_KINDS[kind](v):
-                    raise InvalidInputError(
-                        f"{f.name!r} must be {kind}, not {_named(v, kind)}")
-            values[f.name] = tuple(v) if isinstance(v, list) else v
-        elif f.default is MISSING:
-            raise InvalidInputError(f"missing {f.name!r}")
-    return cls(**values)
+def _decode(cls, data, where):
+    """A `cls` record from a JSON object named `where`: unknown keys are
+    ignored, and lists become tuples."""
+    table = _TABLES[cls]
+    values = read_record({key: value for key, value in data.items()
+                          if key in table} if isinstance(data, dict) else data,
+                         table, where, DatasetError)
+    return cls(**{key: tuple(value) if table[key][0].startswith("a list")
+                  else value for key, value in values.items()})
 
 
 def save_bundle(bundle, directory):
@@ -157,11 +142,12 @@ def load_bundle(directory):
                 for lineno, line in enumerate(fh, start=1):
                     if not line.strip():
                         continue
+                    where = f"{filename}:{lineno}: bad record"
                     try:
-                        records.append(_decode(cls, parse_json(line)))
+                        data = parse_json(line)
                     except TrustModelError as exc:
-                        raise DatasetError(
-                            f"{filename}:{lineno}: bad record: {exc}") from exc
+                        raise DatasetError(f"{where}: {exc}") from exc
+                    records.append(_decode(cls, data, where))
         parts[name] = tuple(records)
     bundle = DatasetBundle(**parts)
     bundle.check()

@@ -39,8 +39,9 @@ from .ontology import (AttributeDef, Ontology, TypeDef, USER,
                        ontology_from_dict, ontology_to_dict,
                        validate_ontology)
 from .predicates import IsType, select
-from .validation import VALUE_KINDS
-from .world import World, validate_world, world_from_dict, world_to_dict
+from .validation import REQUIRED, read_record
+from .world import (World, validate_world, world_fields, world_from_fields,
+                    world_to_dict)
 
 log = logging.getLogger(__name__)
 
@@ -303,47 +304,40 @@ def edited_world_to_dict(ew):
     return payload
 
 
+# The fields an edited-world file adds to those of its world.
+_EDITED_FIELDS = {"ontology": ("an object", REQUIRED),
+                  "budgets": ("a list", []), "ce_specs": ("a list", []),
+                  "user_relationships": ((("parent", "a string"),
+                                          ("child", "a string")), []),
+                  "scale": ("an object", None)}
+
+
 def edited_world_from_dict(data):
     """Parse an edited-world file's dict; without `scale` it gets the
     default scale.  Raises ValueError naming the first malformed key or
     entry, and EditError when a user relationship is not a relationship of
     the world or when the gate rejects the ontology, the world or the
     budget and CE beliefs."""
-    world = world_from_dict(data)
-    if "ontology" not in data:
-        raise InvalidInputError("edited world file: missing 'ontology'")
-    if not isinstance(data["ontology"], dict):
-        raise InvalidInputError(
-            "edited world file: 'ontology' must be an object")
-    ontology = ontology_from_dict(data["ontology"])
+    fields = read_record(data, {**world_fields(data), **_EDITED_FIELDS},
+                         "edited world file", InvalidInputError)
+    world = world_from_fields(fields)
+    ontology = ontology_from_dict(fields["ontology"])
     attached = []
     for key, kinds, what in (("budgets", (Budget1, Budget2), "budget"),
                              ("ce_specs", (CE1, CE2), "CE belief")):
-        for i, entry in enumerate(_list_of(data, key)):
+        for i, entry in enumerate(fields[key]):
             belief = belief_from_json(entry, f"{key}[{i}]", TRUST_TAGS)
             if not isinstance(belief, kinds):
                 raise InvalidInputError(
                     f"{key}[{i}]: {entry[0]!r} is not a {what}")
             attached.append(belief)
-    user_edges = []
-    for i, entry in enumerate(_list_of(data, "user_relationships")):
-        if not (VALUE_KINDS["a list of strings"](entry) and len(entry) == 2):
-            raise InvalidInputError(f"user_relationships[{i}]: expected a "
-                                    "pair of instance ids")
-        user_edges.append(tuple(entry))
+    user_edges = list(zip(*fields["user_relationships"].values()))
     for i, at in enumerate(world.edge_positions(user_edges).tolist()):
         if at < 0:
             raise EditError(f"user_relationships[{i}]: {user_edges[i]!r} is "
                             "not a relationship of the world")
     return _checked(world, ontology, user_edges, attached,
-                    scale_from_json(data.get("scale")))
-
-
-def _list_of(data, key):
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        raise InvalidInputError(f"edited world file: {key!r} must be a list")
-    return value
+                    scale_from_json(fields["scale"]))
 
 
 def load_edited_world(path):

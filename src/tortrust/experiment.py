@@ -39,7 +39,7 @@ from .pathsel import (_end_column, check_guard_count, check_server_count,
                       consensus_view, derive_seed, draw_default_circuits,
                       exits_by_as, place_servers, placement_row,
                       select_circuit, select_guards)
-from .validation import VALUE_KINDS, check_sample_count
+from .validation import REQUIRED, check_sample_count, read_record
 
 SCENARIO_TOR_DEFAULT = "tor-default"
 SCENARIO_CLIENTS_TRUST = "clients-trust"
@@ -63,19 +63,19 @@ class ExperimentConfig:
     guard_count: int = 3
 
 
-# The kind of each config field that holds plain data.
-CONFIG_FIELD_KINDS = {
-    "destination_as": "a string", "clients": "a list of strings",
-    "scenarios": "a list of strings", "n_samples": "an integer",
-    "seed": "an integer", "k_servers": "an integer",
-    "guard_count": "an integer",
+# The fields of an experiment config file: the paths of its world, its
+# adversary document and, if not the default one, its ontology, then the
+# fields of ExperimentConfig that hold plain data.
+CONFIG_FILES = ("world", "adversary", "ontology")
+CONFIG_FIELDS = {
+    "world": ("a string", REQUIRED), "adversary": ("a string", REQUIRED),
+    "ontology": ("a string", ""), "clients": ("a list of strings", REQUIRED),
+    "destination_as": ("a string", REQUIRED),
+    "scenarios": ("a list of strings", DEFAULT_SCENARIOS),
+    "n_samples": ("an integer", REQUIRED), "seed": ("an integer", REQUIRED),
+    "k_servers": ("an integer", ExperimentConfig.k_servers),
+    "guard_count": ("an integer", ExperimentConfig.guard_count),
 }
-
-
-def check_config_value(key, value, kind, error=InvalidInputError):
-    """`error` naming config key `key` unless `value` is of `kind`."""
-    if not VALUE_KINDS[kind](value):
-        raise error(f"experiment config {key!r} must be {kind}")
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,11 @@ def run_experiment(cfg):
                 "destination_as"):
         if getattr(cfg, key) is None:
             raise InvalidInputError(f"experiment config is missing {key}")
-    for key, kind in CONFIG_FIELD_KINDS.items():
-        check_config_value(key, getattr(cfg, key), kind)
+    read_record({key: getattr(cfg, key) for key in CONFIG_FIELDS
+                 if key not in CONFIG_FILES},
+                {key: field for key, field in CONFIG_FIELDS.items()
+                 if key not in CONFIG_FILES},
+                "experiment config", InvalidInputError)
     clients = list(cfg.clients)
     if not clients:
         raise InvalidInputError("experiment config has no clients")

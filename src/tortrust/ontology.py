@@ -9,10 +9,12 @@ virtual links) are the leaves whose compromise the sampler reports.
 
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import InvalidInputError, OntologyError
 from .files import read_json
-from .validation import VALUE_KINDS, ValidationReport, check_entry, find_cycle
+from .validation import (REQUIRED, VALUE_KINDS, ValidationReport, find_cycle,
+                         read_record)
 
 SYSTEM = "system"
 USER = "user"
@@ -300,53 +302,40 @@ def ontology_to_dict(ontology):
     return asdict(ontology)
 
 
-def _entries(data, kind, keys, owner=""):
-    """(where, entry) for each entry of the list data[kind], checked to be
-    an object with string fields `keys`; `where` names it, e.g.
-    "types[2].attributes[0]"."""
-    entries = data.get(kind, [])
-    if not isinstance(entries, (list, tuple)):
-        raise InvalidInputError(f"{owner}{kind}: expected a list")
-    for index, entry in enumerate(entries):
-        where = f"{owner}{kind}[{index}]"
-        check_entry(where, entry, keys)
-        yield where, entry
-
-
-def _attributes(entry, where):
-    """The attribute definitions of the type or edge `entry` at `where`."""
-    return tuple(
-        AttributeDef(name=a["name"], data_type=a["data_type"],
-                     source=a.get("source", USER),
-                     requirement=a.get("requirement", "optional"))
-        for _, a in _entries(entry, "attributes", ("name", "data_type"),
-                             f"{where}."))
-
-
-def _flag(entry, key, where):
-    """The boolean entry[key], False when absent."""
-    value = entry.get(key, False)
-    if not isinstance(value, bool):
-        raise InvalidInputError(f"{where}: {key!r} must be a boolean")
-    return value
+# The fields of an ontology file, of its types and edges and of their
+# attribute declarations.
+_ATTRIBUTE_FIELDS = {"name": ("a string", REQUIRED),
+                     "data_type": ("a string", REQUIRED),
+                     "source": ("a string", USER),
+                     "requirement": ("a string", "optional")}
+_TYPE_FIELDS = {"name": ("a string", REQUIRED), "label": ("a string", USER),
+                "is_output": ("a boolean", False),
+                "attributes": (_ATTRIBUTE_FIELDS, [])}
+_EDGE_FIELDS = {"from_type": ("a string", REQUIRED),
+                "to_type": ("a string", REQUIRED),
+                "label": ("a string", USER),
+                "attributes": (_ATTRIBUTE_FIELDS, [])}
+_ONTOLOGY_FIELDS = {"types": (_TYPE_FIELDS, []), "edges": (_EDGE_FIELDS, [])}
 
 
 def ontology_from_dict(data):
     """Parse an ontology file's dict; raises ValueError naming the first
     malformed entry."""
-    if not isinstance(data, dict):
-        raise InvalidInputError("ontology file: expected an object")
-    types = tuple(
-        TypeDef(name=t["name"], label=t.get("label", USER),
-                is_output=_flag(t, "is_output", where),
-                attributes=_attributes(t, where))
-        for where, t in _entries(data, "types", ("name",)))
-    edges = tuple(
-        EdgeDef(from_type=e["from_type"], to_type=e["to_type"],
-                label=e.get("label", USER),
-                attributes=_attributes(e, where))
-        for where, e in _entries(data, "edges", ("from_type", "to_type")))
+    fields = read_record(data, _ONTOLOGY_FIELDS, "ontology file",
+                         InvalidInputError)
+    types, edges = (_rows(fields[key], cls) for key, cls in
+                    (("types", TypeDef), ("edges", EdgeDef)))
     return Ontology(types=types, edges=edges)
+
+
+def _rows(columns, cls):
+    """A `cls` per record of {field: column}, its attributes an
+    AttributeDef per record of its own list."""
+    lengths, attributes = columns.pop("attributes")
+    attributes = list(map(AttributeDef, *attributes.values()))
+    at = list(accumulate(lengths, initial=0))
+    return tuple(cls(*values, attributes=tuple(attributes[a:b]))
+                 for *values, a, b in zip(*columns.values(), at, at[1:]))
 
 
 def load_ontology(path):

@@ -2,20 +2,33 @@
 topological sort (on integer ranks) behind the compiled network's order,
 `find_cycle`, the order-free check that the world constructor and
 ontology validation share, the one breadth-first walk
-(`shortest_paths`), the entry check shared by the ontology and world file
-parsers, and the one rule of each input value kind (`is_integer`,
+(`shortest_paths`), the one rule of each input value kind (`is_integer`,
 `is_real`, `is_probability`, `VALUE_KINDS`), of a seed and of a sample
-count.
+count, and the one reader of every input format's field table
+(`read_record`).
+
+A field table maps each field to (kind, default), REQUIRED for a field
+that must be present.  The reader tests each field across all records at
+once and walks its values one by one only when the test fails, to name the
+first bad record in one of these shapes:
+
+    <where>: expected an object
+    <where>: unknown key '<key>'
+    <where>: missing '<field>'
+    <where>: '<field>' must be <kind>, not <kind of the value>
 
 Validators never raise on bad input; every broken invariant becomes one
 Violation entry so a caller (or the CLI) can show all problems at once.
 The parsers stop at the first malformed entry and name it.
 """
 
+import bisect
 import heapq
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -114,18 +127,6 @@ def find_cycle(graph, names, src, dst):
     return f"{graph} graph has a cycle through {{{', '.join(cycle)}}}", cycle
 
 
-def check_entry(where, entry, keys):
-    """Raise ValueError naming `where` unless `entry` is an object whose
-    fields `keys` are present and are strings."""
-    if not isinstance(entry, dict):
-        raise InvalidInputError(f"{where}: expected an object")
-    for key in keys:
-        if key not in entry:
-            raise InvalidInputError(f"{where}: missing {key!r}")
-        if not isinstance(entry[key], str):
-            raise InvalidInputError(f"{where}: {key!r} must be a string")
-
-
 def is_integer(value):
     """Whether `value` is an int or a numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) \
@@ -156,7 +157,124 @@ VALUE_KINDS = {
     "a list of integers": lambda v: isinstance(v, (list, tuple))
     and all(map(is_integer, v)),
     "an object": lambda v: isinstance(v, dict),
+    "a probability": is_probability,
+    "a list of probabilities": lambda v: isinstance(v, (list, tuple))
+    and all(map(is_probability, v)),
+    "an object of objects": lambda v: isinstance(v, dict)
+    and all(isinstance(x, dict) for x in v.values()),
 }
+
+# The container and item kinds of each kind that holds items, and the
+# plain types of each other kind, with numpy's 64-bit numbers and tuples:
+# a column whose values are all of these types needs no walk, bar the
+# range of its numbers.
+_ITEM_KINDS = {"a list of strings": ("a list", "a string"),
+               "a list of integers": ("a list", "an integer"),
+               "a list of probabilities": ("a list", "a probability"),
+               "an object of objects": ("an object", "an object")}
+_NUMBERS = {int, float, np.int64, np.float64}
+_PLAIN_TYPES = {"a string": {str}, "an integer": {int, np.int64},
+                "a number": _NUMBERS, "a probability": _NUMBERS,
+                "a boolean": {bool}, "a list": {list, tuple},
+                "an object": {dict}}
+
+REQUIRED = object()     # the default of a field that must be present
+
+
+def read_record(record, table, where, error):
+    """{field: value} of the object `record` named `where`, read by
+    `table`; a list of objects or arrays reads as {field: column} of its
+    entries, and a list nested in them as (lengths, {field: column})."""
+    columns = _read([record], table, lambda i: where, lambda i: "", error)
+    return {name: column[1] if isinstance(table[name][0], tuple | dict)
+            else column[0] for name, column in columns.items()}
+
+
+def _read(entries, table, name, prefix, error):
+    """{field: column} of `entries`, objects of `table` or arrays of its
+    (slot, kind) pairs; entry i is named name(i) and its list `field`
+    prefix(i) + field.  The entries, then each field's column, are tested
+    whole, and walked one by one only when the test fails, to name the
+    first bad entry."""
+    arrays = isinstance(table, tuple)
+    fields = {slot: (kind, REQUIRED) for slot, kind in table} if arrays \
+        else table
+    if not (set(map(type, entries)) <= _PLAIN_TYPES[
+            "a list" if arrays else "an object"]
+            and (set(map(len, entries)) <= {len(table)} if arrays
+                 else set().union(*entries) <= table.keys())):
+        for i, entry in enumerate(entries):
+            if arrays and not (VALUE_KINDS["a list"](entry)
+                               and len(entry) == len(table)):
+                raise error(f"{name(i)}: expected "
+                            f"{('a pair', 'a triple')[len(table) - 2]} "
+                            f"[{', '.join(fields)}]")
+            if not (arrays or isinstance(entry, dict)):
+                raise error(f"{name(i)}: expected an object")
+            for key in () if arrays else entry:
+                if key not in table:
+                    raise error(f"{name(i)}: unknown key {key!r}")
+    columns = {}
+    for k, (field, (kind, default)) in enumerate(fields.items()):
+        column = list(map(operator.itemgetter(k), entries)) if arrays \
+            else [entry.get(field, default) for entry in entries]
+        expected = kind if isinstance(kind, str) else "a list"
+        if not _fits(expected, column if default is not None
+                     else [v for v in column if v is not None]):
+            for i, value in enumerate(column):
+                if value is REQUIRED:
+                    raise error(f"{name(i)}: missing {field!r}")
+                if not (value is None and default is None
+                        or VALUE_KINDS[expected](value)):
+                    raise error(f"{name(i)}: {field!r} must be {expected}, "
+                                f"not {_kind_of(value, expected)}")
+        if expected != kind:
+            lengths = list(map(len, column))
+
+            def item(p, field=field, lengths=lengths):
+                offsets = list(accumulate(lengths, initial=0))
+                i = bisect.bisect_right(offsets, p) - 1
+                return f"{prefix(i)}{field}[{p - offsets[i]}]"
+            column = (lengths, _read(list(chain.from_iterable(column)), kind,
+                                     item, lambda p: f"{item(p)}.", error))
+        columns[field] = column
+    return columns
+
+
+def _fits(kind, column):
+    """Whether `VALUE_KINDS[kind]` holds for each value of `column`, by
+    tests of the whole column; False also for some valid values of other
+    types, such as numpy float32 numbers or dict subclasses."""
+    if kind in _ITEM_KINDS:
+        container, item = _ITEM_KINDS[kind]
+        if not _fits(container, column):
+            return False
+        items = [v.values() if container == "an object" else v
+                 for v in column]
+        return _fits(item, items[0] if len(items) == 1
+                     else list(chain.from_iterable(items)))
+    if not set(map(type, column)) <= _PLAIN_TYPES[kind]:
+        return False
+    if kind in ("a number", "a probability") and column:
+        try:
+            p = np.array(column, dtype=np.float64)
+        except OverflowError:           # an int past the float range
+            return False
+        # An int just past the float range rounds to ±max: the walk decides.
+        return bool(((p >= 0) & (p <= 1)).all() if kind == "a probability"
+                    else (np.abs(p) < sys.float_info.max).all())
+    return True
+
+
+def _kind_of(value, kind=""):
+    """The first kind `value` fits, as a message names it; a container that
+    is not of `kind` is named by its first item that is not."""
+    if kind in _ITEM_KINDS and VALUE_KINDS[_ITEM_KINDS[kind][0]](value):
+        container, item = _ITEM_KINDS[kind]
+        bad = next(x for x in (value.values() if container == "an object"
+                               else value) if not VALUE_KINDS[item](x))
+        return f"{container} holding {_kind_of(bad)}"
+    return next((k for k, fits in VALUE_KINDS.items() if fits(value)), "null")
 
 
 def check_seed(seed):

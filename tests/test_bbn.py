@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tortrust.beliefs import (Absolute, Budget1, Budget2, CE1, CE2, Relative,
                               TrustScale)
-from tortrust.bbn import (CompiledBbn, Sampler, _check_node, _plain_nodes,
+from tortrust.bbn import (CompiledBbn, Sampler,
                           bbn_from_dict, bbn_to_dict, compile_bbn,
                           compromise_probability,
                           enumerate_exact, estimate_event, estimate_marginals,
@@ -765,88 +765,33 @@ def test_bbn_dict_rejects_malformed_node(bad):
 
 @pytest.mark.parametrize("bad,message", [
     ({"parents": [[0, 0.5]]}, r"^nodes\[1\]: missing 'id'$"),
-    (dict(_node("b"), id=7), r"^nodes\[1\]: missing 'id'$"),
+    (dict(_node("b"), id=7),
+     r"^nodes\[1\]: 'id' must be a string, not an integer$"),
     (_node("b", parents=[(0.5, 1.0)]),
-     r"^node 'b' has parent index 0\.5, not an integer$"),
-    (5, r"^nodes\[1\]: node must be an object$"),
+     r"^nodes\[1\]\.parents\[0\]: 'index' must be an integer, not a number$"),
+    (5, r"^nodes\[1\]: expected an object$"),
     (_node("a", absolute=0.9), r"^nodes\[1\]: duplicate node id 'a'$"),
-    (dict(_node("b"), risks="1"), r"^node 'b' has risks '1', not an array$"),
-    (dict(_node("b"), parents=5), r"^node 'b' has parents 5, not an array$"),
+    (dict(_node("b"), risks="1"),
+     r"^nodes\[1\]: 'risks' must be a list of probabilities, not a string$"),
+    (dict(_node("b"), parents=5),
+     r"^nodes\[1\]: 'parents' must be a list, not an integer$"),
     (dict(_node("b"), parents=[[0]]),
-     r"^node 'b' has parent \[0\], not an \[index, weight\] pair$"),
+     r"^nodes\[1\]\.parents\[0\]: expected a pair \[index, weight\]$"),
     (_node("b", absolute=[1]),
-     r"^node 'b' has absolute \[1\], not a number$"),
+     r"^nodes\[1\]: 'absolute' must be a probability, not a list$"),
     (dict(_node("b"), is_output="yes"),
-     r"^node 'b' has is_output 'yes', not a boolean$"),
+     r"^nodes\[1\]: 'is_output' must be a boolean, not a string$"),
 ])
 def test_bbn_dict_names_the_bad_entry(bad, message):
     with pytest.raises(CompileError, match=message):
         bbn_from_dict({"nodes": [_node("a", absolute=0.5), bad]})
 
 
-# Valid and invalid plain JSON values of each node field.
-_FIELD_VALUES = {
-    "id": ["n0", "x", 7, None],
-    "kind": ["world", "ce", "ce", "gate", 1, None],
-    "parents": [[], [[0, 0.5]], [[0, 1]], [[0, 1.5]], [[0, -0.5]],
-                [[1, 0.5]], [[4, 0.5]], [[-1, 0.5]], [[True, 0.5]],
-                [["0", 0.5]], [[0.0, 0.5]], [[0]], [[0, 0.5, 1]],
-                [{"i": 0, "w": 0.5}], ["ab"],
-                [[10 ** 30, 0.5]], [[0, 0.5], [0, 0.5]], 5, None],
-    "risks": [[], [0.2], [0, 1], [1.2], [-0.1], [True], [10 ** 400], ["0"],
-              "1", None],
-    "absolute": [None, 0.3, 1, 1.5, True, [1], float("nan"), 10 ** 400],
-    "is_output": [True, False, "yes", None, 0],
-}
-
-
-@st.composite
-def _network_entries(draw):
-    """Node entries of a small network, each parent before its child, with
-    up to two fields of each set to valid or invalid plain JSON values and
-    maybe one entry that is no object."""
-    nodes = []
-    for i in range(draw(st.integers(1, 5))):
-        parents = [(j, draw(st.sampled_from([0.0, 0.5, 1, 1.0])))
-                   for j in range(i) if draw(st.booleans())]
-        nodes.append(_node(f"n{i}", parents=parents,
-                           risks=draw(st.sampled_from([(), (0.1,)])),
-                           absolute=draw(st.sampled_from([None, 0.3]))))
-    for entry in nodes:
-        for field in draw(st.lists(st.sampled_from(sorted(_FIELD_VALUES)),
-                                   max_size=2)):
-            entry[field] = draw(st.sampled_from(_FIELD_VALUES[field]))
-    if draw(st.integers(0, 9)) == 0:
-        nodes[draw(st.integers(0, len(nodes) - 1))] = 5
-    return nodes
-
-
-@settings(max_examples=300, deadline=None)
-@given(_network_entries())
-@example([_node("a"), _node("b", parents=[(0.0, 0.5)])])
-@example([_node("a"), _node("b"), _node("c", parents=[(True, 0.5)])])
-@example([_node("a"), dict(_node("b"), parents=[{"i": 0, "w": 0.5}])])
-@example([_node("a"), dict(_node("b"), risks=None)])
-def test_quick_network_test_decides_as_the_per_node_checks(nodes):
-    """On plain JSON values the quick test across all nodes accepts exactly
-    the networks that the per-node checks accept, so `bbn_from_dict` walks
-    nodes one by one, and names the first bad one, only when one is bad."""
-    seen = set()
-    try:
-        for i, entry in enumerate(nodes):
-            _check_node(i, entry, seen)
-    except CompileError as exc:
-        assert not _plain_nodes(nodes)
-        with pytest.raises(CompileError, match=f"^{re.escape(str(exc))}$"):
-            bbn_from_dict({"nodes": nodes})
-    else:
-        assert _plain_nodes(nodes)
-
-
 @pytest.mark.parametrize("bad", [[], {"nodes": 5}, "nodes"])
 def test_bbn_dict_rejects_a_file_without_a_nodes_array(bad):
-    with pytest.raises(CompileError, match="^network file must be an object "
-                       "with a 'nodes' array$"):
+    fault = "'nodes' must be a list, not an integer" \
+        if isinstance(bad, dict) else "expected an object"
+    with pytest.raises(CompileError, match=f"^network file: {fault}$"):
         bbn_from_dict(bad)
 
 

@@ -101,7 +101,8 @@ def _doc(**overrides):
 
 
 def test_unknown_top_level_key_rejected():
-    with pytest.raises(BeliefFormatError, match="unknown top-level"):
+    with pytest.raises(BeliefFormatError,
+                       match="^belief document: unknown key 'extras'$"):
         parse_belief_document(_doc(extras=[]))
 
 
@@ -153,8 +154,8 @@ def test_duplicate_novel_type_rejected(small_world, ontology):
 
 @pytest.mark.parametrize("doc,path", [
     ({"structural": [["ut", "X", {"a": []}, None]]}, "structural[0].struct_req"),
-    ({"scale": {"mapping": list(TRUST_SYMBOLS)}}, "scale.mapping"),
-    ({"scale": {"ce_mapping": list(TRUST_SYMBOLS)}}, "scale.ce_mapping"),
+    ({"scale": {"mapping": {"SC": 0.9}}}, "scale.mapping"),
+    ({"scale": {"ce_mapping": {"SC": 0.9}}}, "scale.ce_mapping"),
     ({"structural": [["rel", "a", 5]]}, "structural[0]"),
 ])
 def test_malformed_entry_names_its_path(doc, path):

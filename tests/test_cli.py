@@ -314,13 +314,15 @@ def test_malformed_bbn_exit_code(tmp_path, capsys):
                         ("event", ["--expr", "b", "--n", "10", "--seed", "1"]),
                         ("exact", [])):
         assert main(["bbn", verb, "--bbn", str(bad)] + extra) == 3
-        assert "outside [0,1]" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: nodes[1].parents[0]: "
+                                           "'weight' must be a probability, "
+                                           "not a number\n")
     assert not (tmp_path / "s.bin").exists()
 
 
 @pytest.mark.parametrize("bad,message", [
     ({"id": "b", "parents": [[0.5, 1.0]]},
-     "node 'b' has parent index 0.5, not an integer"),
+     "nodes[1].parents[0]: 'index' must be an integer, not a number"),
     ({"parents": [[0, 1.0]]}, "nodes[1]: missing 'id'"),
     ({"id": "a", "absolute": 0.9}, "nodes[1]: duplicate node id 'a'"),
 ])
@@ -498,14 +500,16 @@ def _world_doc(relationships=(), **instance):
 @pytest.mark.parametrize("document, message", [
     (_world_doc([{"parent": "as:1", "child": "as:2"}, {"parent": "as:1"}]),
      "relationships[1]: missing 'child'"),
-    (_world_doc(id=7), "instances[1]: 'id' must be a string"),
+    (_world_doc(id=7), "instances[1]: 'id' must be a string, not an integer"),
     (_world_doc([{"parent": 1, "child": "as:2"}]),
-     "relationships[0]: 'parent' must be a string"),
+     "relationships[0]: 'parent' must be a string, not an integer"),
     (_world_doc(attributes=["bandwidth"]),
-     "instances[1]: 'attributes' must be an object"),
+     "instances[1]: 'attributes' must be an object, not a list"),
     ([_world_doc()], "world file: expected an object"),
-    ({"instances": 5}, "instances: expected a list"),
-    (dict(_world_doc(), relationships={}), "relationships: expected a list"),
+    ({"instances": 5},
+     "world file: 'instances' must be a list, not an integer"),
+    (dict(_world_doc(), relationships={}),
+     "world file: 'relationships' must be a list, not an object"),
 ])
 def test_malformed_world_file_exit_code(tmp_path, capsys, document, message):
     path = tmp_path / "world.json"
@@ -538,36 +542,42 @@ def test_format_2_world_file_validates(tmp_path, capsys):
     ({"format": 3}, "world file: unknown format 3"),
     ({"format": "2"}, "world file: unknown format '2'"),
     ({"format": 2.0}, "world file: unknown format 2.0"),
-    ({"names": {}}, "names: expected a list"),
+    ({"names": {}},
+     "world file: 'names' must be a list of strings, not an object"),
     ({"names": ["as:1", 2, "vlink:as1-relay:a"]},
-     "names[1]: expected a string"),
+     "world file: 'names' must be a list of strings, not a list holding an "
+     "integer"),
     ({"names": ["as:2", "as:1", "vlink:as1-relay:a"]},
      "names[1]: 'as:1' does not sort after 'as:2'"),
     ({"names": ["as:1", "as:1", "vlink:as1-relay:a"]},
      "instance id 'as:1' used twice"),
     ({"type_names": ["AS", "AS"]},
      "type_names[1]: 'AS' does not sort after 'AS'"),
-    ({"type_code": [0, True, 1]}, "type_code[1]: True is not an integer"),
+    ({"type_code": [0, True, 1]}, "world file: 'type_code' must be a list of "
+     "integers, not a list holding a boolean"),
     ({"type_code": [0, 0, 2]},
      "type_code[2]: 2 is not a position in type_names (2 entries)"),
     ({"type_code": [0, 0]}, "type_code: 2 codes for 3 names"),
-    ({"src": [0, 1.0]}, "src[1]: 1.0 is not an integer"),
+    ({"src": [0, 1.0]}, "world file: 'src' must be a list of integers, not "
+     "a list holding a number"),
     ({"src": [-1, 1]}, "src[0]: -1 is not a position in names (3 entries)"),
     ({"dst": [2, 3]}, "dst[1]: 3 is not a position in names (3 entries)"),
     ({"src": [0, 1, 0]},
      "src and dst: 3 and 2 ranks, not one of each per edge"),
-    ({"attributes": []}, "attributes: expected an object"),
+    ({"attributes": []},
+     "world file: 'attributes' must be an object of objects, not a list"),
     ({"attributes": {"ghost": {"note": 1}}},
      "attributes: 'ghost' is not an instance"),
-    ({"attributes": {"as:1": 5}}, "attributes['as:1']: expected an object"),
+    ({"attributes": {"as:1": 5}}, "world file: 'attributes' must be an "
+     "object of objects, not an object holding an integer"),
     ({"edge_attributes": [[0, 2]]},
-     "edge_attributes[0]: expected [src rank, dst rank, object]"),
+     "edge_attributes[0]: expected a triple [src, dst, attributes]"),
     ({"edge_attributes": [[0, "2", {}]]},
-     "edge_attributes[0][1]: '2' is not an integer"),
+     "edge_attributes[0]: 'dst' must be an integer, not a string"),
     ({"edge_attributes": [[0, 3, {}]]},
      "edge_attributes[0][1]: 3 is not a position in names (3 entries)"),
     ({"edge_attributes": [[0, 2, [1]]]},
-     "edge_attributes[0][2]: expected an object"),
+     "edge_attributes[0]: 'attributes' must be an object, not a list"),
     ({"edge_attributes": [[0, 2, {}], [0, 1, {"note": 3}]]},
      "edge_attributes[1]: ('as:1', 'as:2') is not an edge"),
     ({"src": [0, 2], "dst": [2, 0]},
@@ -722,15 +732,20 @@ def test_csv_outputs_parse_back(odd_ids_bbn, tmp_path):
 
 
 @pytest.mark.parametrize("change,message", [
-    ({"k_server": 1}, "has unknown key 'k_server'"),
-    ({"n_samples": 200.9}, "'n_samples' must be an integer"),
-    ({"seed": True}, "'seed' must be an integer"),
-    ({"k_servers": 1.0}, "'k_servers' must be an integer"),
-    ({"guard_count": False}, "'guard_count' must be an integer"),
-    ({"scenarios": "tor-default"}, "'scenarios' must be a list of strings"),
-    ({"clients": "as:1000"}, "'clients' must be a list of strings"),
-    ({"clients": ["as:1000", 1003]}, "'clients' must be a list of strings"),
-    ({"destination_as": 1007}, "'destination_as' must be a string"),
+    ({"k_server": 1}, "unknown key 'k_server'"),
+    ({"n_samples": 200.9}, "'n_samples' must be an integer, not a number"),
+    ({"seed": True}, "'seed' must be an integer, not a boolean"),
+    ({"k_servers": 1.0}, "'k_servers' must be an integer, not a number"),
+    ({"guard_count": False},
+     "'guard_count' must be an integer, not a boolean"),
+    ({"scenarios": "tor-default"},
+     "'scenarios' must be a list of strings, not a string"),
+    ({"clients": "as:1000"},
+     "'clients' must be a list of strings, not a string"),
+    ({"clients": ["as:1000", 1003]},
+     "'clients' must be a list of strings, not a list holding an integer"),
+    ({"destination_as": 1007},
+     "'destination_as' must be a string, not an integer"),
 ])
 def test_experiment_config_rejects_what_it_does_not_know(
         workdir, tmp_path, capsys, change, message):
@@ -741,7 +756,7 @@ def test_experiment_config_rejects_what_it_does_not_know(
     cfg_path.write_text(json.dumps(cfg))
     assert main(["experiment", "run", "--config", str(cfg_path)]) == 2
     assert capsys.readouterr().err == \
-        f"error: experiment config {message}\n"
+        f"error: experiment config: {message}\n"
 
 
 def test_dangling_relationship_exits_3(workdir, tmp_path, capsys):
@@ -843,12 +858,12 @@ def test_experiment_zero_samples_exit_code(workdir, tmp_path, capsys):
     ({"types": [{"name": "A", "attributes": [{"name": "a"}]}]},
      "types[0].attributes[0]: missing 'data_type'"),
     ({"edges": [{"from_type": "AS", "to_type": 3}]},
-     "edges[0]: 'to_type' must be a string"),
+     "edges[0]: 'to_type' must be a string, not an integer"),
     ({"types": [{"name": "A", "attributes": "a"}]},
-     "types[0].attributes: expected a list"),
+     "types[0]: 'attributes' must be a list, not a string"),
     ({"types": [{"name": "A", "is_output": "no"}, {"name": "B"}],
       "edges": [{"from_type": "B", "to_type": "A"}]},
-     "types[0]: 'is_output' must be a boolean"),
+     "types[0]: 'is_output' must be a boolean, not a string"),
 ])
 def test_malformed_ontology_file_exit_code(workdir, tmp_path, capsys,
                                            document, message):
@@ -889,7 +904,7 @@ def test_dataset_line_that_is_not_an_object_exit_code(tmp_path, capsys):
     assert main(["world", "build", "--datasets", str(bundle),
                  "--out", str(tmp_path / "w.json")]) == 2
     assert capsys.readouterr().err == \
-        "error: consensus.jsonl:1: bad record: expected a JSON object\n"
+        "error: consensus.jsonl:1: bad record: expected an object\n"
 
 
 def test_dataset_value_of_the_wrong_type_exit_code(tmp_path, capsys):
@@ -910,7 +925,7 @@ def test_dataset_value_of_the_wrong_type_exit_code(tmp_path, capsys):
     ({"instances": [], "relationships": []},
      "edited world file: missing 'ontology'"),
     ({"instances": [], "relationships": [], "ontology": ["AS"]},
-     "edited world file: 'ontology' must be an object"),
+     "edited world file: 'ontology' must be an object, not a list"),
 ])
 def test_edited_world_without_an_ontology_object_exit_code(
         tmp_path, capsys, document, message):
@@ -935,17 +950,18 @@ def _edited_doc(relationships=(), **keys):
 
 
 @pytest.mark.parametrize("document, message", [
-    (_edited_doc(budgets=5), "edited world file: 'budgets' must be a list"),
+    (_edited_doc(budgets=5),
+     "edited world file: 'budgets' must be a list, not an integer"),
     (_edited_doc(ce_specs={}),
-     "edited world file: 'ce_specs' must be a list"),
+     "edited world file: 'ce_specs' must be a list, not an object"),
     (_edited_doc(user_relationships="as:1"),
-     "edited world file: 'user_relationships' must be a list"),
+     "edited world file: 'user_relationships' must be a list, not a string"),
     (_edited_doc(user_relationships=[5]),
-     "user_relationships[0]: expected a pair of instance ids"),
+     "user_relationships[0]: expected a pair [parent, child]"),
     (_edited_doc(user_relationships=[["as:1", "vlink:a", "as:2"]]),
-     "user_relationships[0]: expected a pair of instance ids"),
+     "user_relationships[0]: expected a pair [parent, child]"),
     (_edited_doc(user_relationships=[["as:1", 2]]),
-     "user_relationships[0]: expected a pair of instance ids"),
+     "user_relationships[0]: 'child' must be a string, not an integer"),
     (_edited_doc(budgets=[["abs", "is AS", 0.5]]),
      "budgets[0]: 'abs' is not a budget"),
     (_edited_doc(budgets=[["bu2", "as:1", "all", 1],
@@ -1126,7 +1142,7 @@ def test_misspelt_scale_key_exit_code(tmp_path, capsys):
     path.write_text(json.dumps({"scale": {"mapings": {
         "SC": 0.9, "LC": 0.8, "U": 0.5, "LT": 0.2, "ST": 0.1}}}))
     assert main(["beliefs", "check", "--doc", str(path)]) == 2
-    assert capsys.readouterr().err == "error: unknown scale key 'mapings'\n"
+    assert capsys.readouterr().err == "error: scale: unknown key 'mapings'\n"
 
 
 def test_experiment_never_builds_the_edge_view(workdir, tmp_path,

@@ -6,6 +6,7 @@ exit 0, 2, 3 or 4."""
 import ast
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -16,12 +17,14 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import tortrust
-from tortrust import cli
+from tortrust import (beliefs, bbn, cli, datasets, editor, experiment,
+                      ontology, world)
 from tortrust.cli import main
 from tortrust.errors import (InvalidInputError, JsonSyntaxError, ParseError,
                              TrustModelError, UnknownIdError)
 from tortrust.files import json_text
 from tortrust.ontology import default_ontology, ontology_to_dict
+from tortrust.validation import REQUIRED, VALUE_KINDS
 from tortrust.world import load_world
 
 from conftest import row_world_dict
@@ -152,6 +155,130 @@ VERBS = {
 }
 VERBS["rows"] = [[a.replace("{world}", "{rows}") for a in verb]
                  for verb in VERBS["world"]]
+
+
+# --- the format tables -------------------------------------------------------
+
+# Each kind of input: the name of its file in messages, the exit code of a
+# field of the wrong kind, and the table of its fields.  The belief rows'
+# slot kinds and a bundle's records are added below.
+FORMATS = {
+    "world": ("world file", 3, world._COLUMN_FIELDS),
+    "rows": ("world file", 3, world._ROW_FIELDS),
+    "ontology": ("ontology file", 3, ontology._ONTOLOGY_FIELDS),
+    "bbn": ("network file", 3, bbn._NETWORK_FIELDS),
+    "edited": ("edited world file", 3,
+               {**world._COLUMN_FIELDS, **editor._EDITED_FIELDS}),
+    "doc": ("belief document", 2, beliefs._DOCUMENT_FIELDS),
+    "config": ("experiment config", 2, experiment.CONFIG_FIELDS),
+}
+# A value of each kind, and an empty list of records.
+VALID = {"a string": "x", "an integer": 0, "a number": 0,
+         "a probability": 0, "a boolean": False, "a list": [],
+         "an object": {}, "a list of strings": [], "a list of integers": [],
+         "a list of probabilities": [], "an object of objects": {}}
+
+
+def _fields(table):
+    """(field, (kind, default)) of a table of an object or of an array."""
+    if isinstance(table, tuple):
+        return [(slot, (kind, None)) for slot, kind in table]
+    return list(table.items())
+
+
+def _minimal(table):
+    """A record of `table` holding only its required fields."""
+    if isinstance(table, tuple):
+        return [VALID[kind] for _, kind in table]
+    return {field: VALID.get(kind, []) for field, (kind, default) in
+            _fields(table) if default is REQUIRED}
+
+
+def _records(target, where, table, top=(), steps=(), name=None):
+    """(target, top, steps, table, name) of `table` and of every list of
+    records nested in it: `steps` are the (field, table) of the lists that
+    lead from the object at path `top` to one record, named `name`."""
+    yield target, list(top), list(steps), table, name or where
+    for field, (kind, _) in _fields(table):
+        if not isinstance(kind, str):
+            at = f"{name}.{field}[0]" if steps else f"{field}[0]"
+            yield from _records(target, where, kind, top,
+                                [*steps, (field, kind)], at)
+
+
+def _field_cases():
+    """One case per field of every table, and per slot kind of every belief
+    row: (target, top, steps, table, name, field, kind)."""
+    tables = [record for target, (where, _, table) in FORMATS.items()
+              for record in _records(target, where, table)]
+    tables += [("doc", ["scale"], [], beliefs._SCALE_FIELDS, "scale"),
+               ("doc", ["scale", "mapping"], [], beliefs._MAPPING_FIELDS,
+                "scale.mapping")]
+    tables += [("bundle", [], [(f"{name}.jsonl", datasets._TABLES[cls])],
+                datasets._TABLES[cls], f"{name}.jsonl:1: bad record")
+               for name, cls in sorted(datasets._RECORDS.items())]
+    for target, top, steps, table, name in tables:
+        for field, (kind, _) in _fields(table):
+            if field != "format":       # the world file's format key
+                yield pytest.param(target, top, steps, table, name, field,
+                                   kind, id=f"{target}-{name}-{field}")
+    for key, tags in (("structural", beliefs.STRUCTURAL_TAGS),
+                      ("trust", beliefs.TRUST_TAGS)):
+        for row in tags.values():
+            fields = iter(dataclasses.fields(row.cls))
+            for slot, kind in enumerate(row.slots):
+                field = None if isinstance(kind, tuple) else next(fields).name
+                if kind in beliefs._SLOT_KINDS:
+                    yield pytest.param(
+                        "doc", [key], slot, row, f"{key}[0]", field,
+                        beliefs._SLOT_KINDS[kind][0],
+                        id=f"doc-{key}[0]-{row.tag}-{field}")
+
+
+def _belief_row(row, slot, wrong):
+    """A `row` belief whose slot `slot` holds `wrong`, its other slots of
+    their kinds."""
+    filler = {"trust value": "U", "attribute value": 1, "predicate": "x"}
+    return [row.tag] + [
+        wrong if k == slot else kind[0] if isinstance(kind, tuple)
+        else filler.get(kind) or VALID[beliefs._SLOT_KINDS[kind][0]]
+        for k, kind in enumerate(row.slots)]
+
+
+FIELD_CASES = list(_field_cases())
+
+
+@pytest.mark.parametrize("target, top, steps, table, name, field, kind",
+                         FIELD_CASES)
+def test_a_field_of_the_wrong_kind_exits_with_its_format_code(
+        inputs, target, top, steps, table, name, field, kind):
+    """For every table and every field, a value of the wrong kind exits
+    with the code of its format and the one message shape.  `steps` lead
+    from the object at path `top` to the record, made of required fields
+    only; for a belief row, `steps` is the slot."""
+    contents, paths, out = inputs
+    expected = kind if isinstance(kind, str) else "a list"
+    wrong, named = ("x", "a string") if VALUE_KINDS[expected](5) \
+        else (5, "an integer")
+    mutated = copy.deepcopy(contents[target])
+    record = mutated
+    for key in top:
+        record = record[key]
+    if isinstance(steps, int):
+        record[:] = [_belief_row(table, steps, wrong)]
+    else:
+        for key, sub in steps:
+            record[key] = [_minimal(sub)]
+            record = record[key][0]
+        if isinstance(record, list):
+            record[[slot for slot, _ in table].index(field)] = wrong
+        else:
+            record[field] = wrong
+    code = FORMATS[target][1] if target in FORMATS else 2
+    assert run_cli(_argv(VERBS[target][0],
+                         _write_mutated(target, mutated, paths, out), out)) \
+        == (code, f"error: {name}: {field!r} must be {expected}, not "
+                  f"{named}\n")
 
 
 # --- mutations ---------------------------------------------------------------
@@ -313,13 +440,15 @@ def _check_verbs(target, mutated, paths, out):
             assert len(errors) == 1 or (report and not errors), err[-2000:]
 
 
-TYPE_SWAPS = [None, True, "x", 0, 1.5, -1, [], {}, ["x"], [1], {"x": 1}]
+# A value of each kind the tables name, after values of other types.
+TYPE_SWAPS = [None, True, "x", 0, 1.5, -1, [], {}, ["x"], [1], {"x": 1}] + [
+    VALID[kind] for kind in sorted({case.values[6] for case in FIELD_CASES
+                                    if isinstance(case.values[6], str)})]
 OUT_OF_RANGE = [-1, 2, 10 ** 400, 1e308, -1e308, 2 ** 63, Raw("1e400"),
                 Raw("-1e400"), Raw("1" * 5000), Raw("-" + "9" * 4301)]
-PATHS = st.lists(st.one_of(st.integers(0, 40), st.sampled_from(
-    ["attributes", "bandwidth", "parents", "trust", "risks", "nodes",
-     "ixps", "k_servers", "seed", "names", "type_code", "src",
-     "edge_attributes", "instances"])), max_size=6)
+# Steps into an input: a position, or a field of any table.
+PATHS = st.lists(st.one_of(st.integers(0, 40), st.sampled_from(sorted(
+    {case.values[5] for case in FIELD_CASES}))), max_size=6)
 OPS = st.one_of(
     st.just(("drop",)),
     st.sampled_from(TYPE_SWAPS).map(lambda v: ("set", v)),
@@ -399,11 +528,27 @@ def _probe(inputs, target, path, op, verb):
      "error: number overflows a float: line 1 column "),
     ("world", ["src", 0], ("set", True),
      ["world", "validate", "--world", "{world}"], 3,
-     "error: src[0]: True is not an integer"),
+     "error: world file: 'src' must be a list of integers, not a list "
+     "holding a boolean"),
     ("edited", ["type_code", 0], ("set", 10 ** 400),
      ["bbn", "compile", "--edited", "{edited}", "--out", "{out}"], 3,
      "error: type_code[0]: 1" + "0" * 400 + " is not a position in "
      "type_names "),
+    ("rows", ["relationship"], ("set", []),
+     ["world", "validate", "--world", "{rows}"], 3,
+     "error: world file: unknown key 'relationship'\n"),
+    ("bbn", ["nodes", 0, "absolut"], ("set", 0.5),
+     ["bbn", "marginals", "--bbn", "{bbn}", "--n", "16", "--seed", "1"], 3,
+     "error: nodes[0]: unknown key 'absolut'\n"),
+    ("ontology", ["types", 0, "is_ouput"], ("set", True),
+     ["world", "validate", "--world", "{world}", "--ontology",
+      "{ontology}"], 3, "error: types[0]: unknown key 'is_ouput'\n"),
+    ("world", ["names"], ("drop",),
+     ["world", "validate", "--world", "{world}"], 3,
+     "error: world file: missing 'names'\n"),
+    ("edited", ["note"], ("set", 1),
+     ["bbn", "compile", "--edited", "{edited}", "--out", "{out}"], 3,
+     "error: edited world file: unknown key 'note'\n"),
 ])
 def test_probes_exit_with_their_code(inputs, target, path, op, verb, code,
                                      message):

@@ -234,8 +234,8 @@ def test_wrong_typed_values_rejected_before_applying(config, monkeypatch,
         raise AssertionError("applied before checking the config")
 
     monkeypatch.setattr(experiment, "apply_structural", no_apply)
-    with pytest.raises(ValueError, match=f"^experiment config {field!r} "
-                                         f"must be {kind}$"):
+    with pytest.raises(ValueError, match=f"^experiment config: {field!r} "
+                                         f"must be {kind}, not "):
         run_experiment(dataclasses.replace(config, **{field: value}))
 
 

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tortrust
-from tortrust.validation import VALUE_KINDS, is_probability, is_real
+from tortrust.errors import InvalidInputError
+from tortrust.validation import (REQUIRED, VALUE_KINDS, _fits, is_probability,
+                                 is_real, read_record)
 
 SRC = os.path.dirname(tortrust.__file__)
 
@@ -44,6 +46,11 @@ _KINDS = {
     "a list of integers": lambda v: _list(v)
     and all(isinstance(s, (int, np.integer)) and not _bool(s) for s in v),
     "an object": lambda v: type(v) is dict,
+    "a probability": lambda v: _real(v) and 0 <= v <= 1,
+    "a list of probabilities": lambda v: _list(v)
+    and all(_real(p) and 0 <= p <= 1 for p in v),
+    "an object of objects": lambda v: type(v) is dict
+    and all(type(x) is dict for x in v.values()),
 }
 
 _SCALARS = st.one_of(
@@ -104,3 +111,47 @@ def test_files_module_is_the_only_json_reader():
             if isinstance(node, ast.ImportFrom) and node.module == "json":
                 found.add(name)
     assert found == {"files.py"}
+
+
+# Columns for the reader: the values above, integers past int64 and
+# numbers at the edge of the float range.
+_COLUMN_VALUES = st.one_of(
+    _VALUES, st.integers(2 ** 63, 2 ** 70), st.integers(-2 ** 70, -2 ** 63),
+    st.sampled_from([int(sys.float_info.max), int(sys.float_info.max) + 1,
+                     2 ** 1024, sys.float_info.max, -sys.float_info.max,
+                     [0.5, 1], [0.5, True], {"a": {}}, {"a": {}, "b": 1}]))
+
+
+def _plain(value):
+    """Whether `value` holds only plain JSON types, its numbers away from
+    the edge of the float range."""
+    if type(value) in (int, float):
+        return not 2 ** 1023 <= abs(value) <= 2 ** 1024
+    if type(value) in (list, dict):
+        return all(map(_plain, value.values() if type(value) is dict
+                       else value))
+    return type(value) in (str, bool, type(None))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(VALUE_KINDS)),
+       st.lists(_COLUMN_VALUES, max_size=5))
+def test_column_test_accepts_what_the_walk_accepts(kind, column):
+    """The reader's test of a whole column accepts a column of plain values
+    exactly when the walk accepts every value, and never accepts one that
+    the walk rejects.  The reader accepts what the walk accepts, and names
+    the first value the walk rejects."""
+    fits = [VALUE_KINDS[kind](value) for value in column]
+    if _fits(kind, column):
+        assert all(fits)
+    elif all(map(_plain, column)):
+        assert not all(fits)
+    table = {"rows": ({"f": (kind, REQUIRED)}, [])}
+    try:
+        got = read_record({"rows": [{"f": v} for v in column]}, table,
+                          "file", InvalidInputError)
+    except InvalidInputError as exc:
+        assert str(exc).startswith(f"rows[{fits.index(False)}]: 'f' must be "
+                                   f"{kind}, not ")
+    else:
+        assert all(fits) and got["rows"]["f"] == column

@@ -22,7 +22,7 @@ from tortrust.errors import CompileError, DatasetError
 from tortrust.ontology import AttributeDef, TypeDef
 from tortrust.predicates import parse_predicate
 from tortrust.synth import SynthParams, generate_synthetic
-from tortrust.validation import (ValidationReport, check_entry, find_cycle,
+from tortrust.validation import (ValidationReport, find_cycle,
                                  topological_order)
 from tortrust.world import (RelationshipInstance, TypeInstance, World,
                             _value_conforms, load_world, save_world,
@@ -186,6 +186,42 @@ def test_validate_flags_bad_attribute_value(ontology):
 
 def test_world_dict_roundtrip(small_world):
     assert world_from_dict(world_to_dict(small_world)) == small_world
+
+
+def _attributed_world_dict():
+    """A row-format dict of one attributed edge between attributed ASes."""
+    return {"instances": [{"id": "as:1", "type_name": "AS",
+                           "attributes": {"size": 1}},
+                          {"id": "as:2", "type_name": "AS"}],
+            "relationships": [{"parent": "as:1", "child": "as:2",
+                               "attributes": {"note": 1}}]}
+
+
+def test_world_keeps_its_own_attributes_from_the_row_dict():
+    data = _attributed_world_dict()
+    w = world_from_dict(data)
+    data["instances"][0]["attributes"]["size"] = 5
+    data["relationships"][0]["attributes"]["note"] = 5
+    assert w.attribute("as:1", "size") == 1
+    assert w.edge_attributes == {("as:1", "as:2"): {"note": 1}}
+
+
+def test_written_world_dict_shares_no_attributes():
+    w = world_from_dict(_attributed_world_dict())
+    d = world_to_dict(w)
+    d["attributes"]["as:1"]["size"] = 5
+    d["edge_attributes"][0][2]["note"] = 5
+    assert w.attribute("as:1", "size") == 1
+    assert w.edge_attributes == {("as:1", "as:2"): {"note": 1}}
+
+
+def test_world_keeps_its_own_attributes_from_the_format_2_dict():
+    d = world_to_dict(world_from_dict(_attributed_world_dict()))
+    w = world_from_dict(d)
+    d["attributes"]["as:1"]["size"] = 5
+    d["edge_attributes"][0][2]["note"] = 5
+    assert w.attribute("as:1", "size") == 1
+    assert w.edge_attributes == {("as:1", "as:2"): {"note": 1}}
 
 
 def _reference_cycle(instances, relationships):
@@ -538,22 +574,38 @@ def _corrupted(draw, entry, keys):
     return entry
 
 
-def _entry_message(where, entry, keys):
-    """The message of `check_entry`, or else of the attributes rule."""
-    try:
-        check_entry(where, entry, keys)
-    except ValueError as exc:
-        return str(exc)
-    return f"{where}: 'attributes' must be an object"
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number",
+               bool: "a boolean", list: "a list", dict: "an object",
+               type(None): "null"}
+
+
+def _list_message(kind, entries, keys):
+    """The reader's message for the list `kind` of a row-format world, or
+    None when it has no bad entry: the first entry that is no object, else
+    the first bad entry of each field in table order, the two string
+    fields and then the attributes object."""
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            return f"{kind}[{i}]: expected an object"
+    for key, kind_name in [(key, "a string") for key in keys] + [
+            ("attributes", "an object")]:
+        for i, entry in enumerate(entries):
+            if key not in entry:
+                if key != "attributes":
+                    return f"{kind}[{i}]: missing {key!r}"
+            elif _KIND_NAMES[type(entry[key])] != kind_name:
+                return (f"{kind}[{i}]: {key!r} must be {kind_name}, not "
+                        f"{_KIND_NAMES[type(entry[key])]}")
+    return None
 
 
 @settings(max_examples=200, deadline=None)
 @given(_small_worlds(), st.data())
 def test_world_reader_names_the_first_bad_entry(case, drawn):
     """With one to three entries of a world dict made malformed at random
-    positions, `world_from_dict` names the first of them, instances before
-    relationships, with the message `check_entry` or the attributes rule
-    gives for it."""
+    positions, `world_from_dict` names, instances before relationships,
+    the first entry that is no object, else the first bad entry of the
+    first bad field, in the reader's one message shape."""
     instances, relationships, _ = case
     data = row_world_dict(instances, relationships)
     data["instances"].append({"id": "z", "type_name": "AS"})
@@ -569,9 +621,8 @@ def test_world_reader_names_the_first_bad_entry(case, drawn):
     for kind, index in bad:
         data[kind][index] = drawn.draw(_corrupted(data[kind][index],
                                                   _ENTRY_KEYS[kind]))
-    kind, index = min(bad, key=lambda at: (at[0] == "relationships", at[1]))
-    message = _entry_message(f"{kind}[{index}]", data[kind][index],
-                             _ENTRY_KEYS[kind])
+    message = next(filter(None, (_list_message(kind, data[kind], keys)
+                                 for kind, keys in _ENTRY_KEYS.items())))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         world_from_dict(data)
 
@@ -722,7 +773,7 @@ def test_load_reports_bad_line(tmp_path):
 
 
 @pytest.mark.parametrize("line,message", [
-    ("[1, 2]", "consensus.jsonl:3: bad record: expected a JSON object"),
+    ("[1, 2]", "consensus.jsonl:3: bad record: expected an object"),
     ('{"as_number": 1}',
      "consensus.jsonl:3: bad record: missing 'fingerprint'"),
     ('{"fingerprint": "fp_c", "as_number": true}',
@@ -732,7 +783,8 @@ def test_load_reports_bad_line(tmp_path):
      "consensus.jsonl:3: bad record: 'as_number' must be an integer, "
      "not a number"),
     ('{"fingerprint": "fp_c", "as_number": 1, "family": "fp_a"}',
-     "consensus.jsonl:3: bad record: 'family' must be a list, not a string"),
+     "consensus.jsonl:3: bad record: 'family' must be a list of strings, "
+     "not a string"),
     ('{"fingerprint": "fp_c", "as_number": 1, "guard": 1}',
      "consensus.jsonl:3: bad record: 'guard' must be a boolean, "
      "not an integer"),
