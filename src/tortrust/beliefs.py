@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .errors import (BeliefFormatError, DatasetError, InvalidInputError,
                      PredicateSyntaxError)
-from .files import parse_json, write_text
+from .files import json_text, parse_json, write_text
 from .ontology import normalize_type_name
 from .predicates import Predicate, parse_predicate
 from .validation import REQUIRED, is_probability, read_record
@@ -368,12 +368,11 @@ def scale_to_json(scale):
 
 
 def serialize_belief_document(doc):
-    payload = {
+    return json_text({
         "scale": scale_to_json(doc.scale),
         "structural": [belief_to_json(b) for b in doc.structural],
         "trust": [belief_to_json(b) for b in doc.trust],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    })
 
 
 def load_belief_document(path):

@@ -7,10 +7,10 @@
 
 Every command that writes outputs also writes `<out>.manifest.json` with
 input/output digests and the seeds used.  Outputs are written through
-`files.py`: atomically, JSON with sorted keys, CSV quoted only where CSV
-requires it.  Experiment configs are checked key by key: an unknown key or
-a value of the wrong type is a parse error, like a missing key.
-Randomized commands require an explicit --seed.  Exit codes: 0 success,
+`files.py`: atomically, JSON as one line with sorted keys, CSV quoted only
+where CSV requires it.  Experiment configs are checked key by key: an
+unknown key or a value of the wrong type is a parse error, like a missing
+key.  Randomized commands require an explicit --seed.  Exit codes: 0 success,
 4 I/O error, 3 out of memory; a package error exits with the code its
 class holds (`errors.py`: 2 parse error, 3 validation/semantic error), and
 any other error with 1.
@@ -36,8 +36,7 @@ from .editor import (apply_structural, document_ontology, edited_world_to_dict,
 from .errors import BeliefFormatError, InvalidInputError, TrustModelError
 from .experiment import (CONFIG_FIELDS, CONFIG_FILES, ExperimentConfig,
                          run_experiment)
-from .files import (compact_json_text, csv_text, json_text, read_json,
-                    write_text)
+from .files import csv_text, json_text, read_json, write_text
 from .ontology import (Ontology, default_ontology, load_ontology,
                        validate_ontology)
 from .synth import SynthParams, generate_synthetic
@@ -117,7 +116,7 @@ def cmd_world_build(args):
     world = build_world(ontology, bundle)
     if _failed(validate_world(world, ontology)):
         return EXIT_INVALID
-    _emit(args, compact_json_text(world_to_dict(world)),
+    _emit(args, json_text(world_to_dict(world)),
           [os.path.join(args.datasets, f)
            for f in sorted(os.listdir(args.datasets))])
     return EXIT_OK
@@ -156,7 +155,7 @@ def cmd_beliefs_apply(args):
     world = load_world(args.world)
     ontology = _load_ontology(args)
     ew = apply_structural(world, ontology, doc)
-    _emit(args, compact_json_text(edited_world_to_dict(ew)),
+    _emit(args, json_text(edited_world_to_dict(ew)),
           [args.doc, args.world])
     return EXIT_OK
 

@@ -21,12 +21,11 @@ line that is not such an object is a DatasetError naming file, line and,
 for a bad value, the field.
 """
 
-import json
 import os
 from dataclasses import MISSING, asdict, dataclass, fields
 
 from .errors import DatasetError, TrustModelError
-from .files import parse_json, write_text
+from .files import json_text, parse_json, write_text
 from .validation import REQUIRED, read_record
 
 
@@ -125,7 +124,7 @@ def save_bundle(bundle, directory):
     """One JSON object per record, every field, tuples as lists."""
     for name in _RECORDS:
         write_text(os.path.join(directory, f"{name}.jsonl"),
-                   "".join(json.dumps(asdict(rec), sort_keys=True) + "\n"
+                   "".join(json_text(asdict(rec))
                            for rec in getattr(bundle, name)))
 
 

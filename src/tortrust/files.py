@@ -8,7 +8,9 @@ NaN, Infinity and -Infinity, which Python's json module reads by default, a
 number that overflows a float, an integer of more digits than int() reads
 and nesting past the recursion limit are a JsonSyntaxError (a
 json.JSONDecodeError) that names the place.  Writing keeps NaN and
-Infinity, so that an infinite result can be reported.
+Infinity, so that an infinite result can be reported.  Every JSON file and
+report is written as one line with sorted keys by `json_text`, the one
+encoder.
 """
 
 import csv
@@ -106,14 +108,10 @@ def write_text(path, text):
 
 
 def json_text(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def compact_json_text(payload):
     """`payload` as one line of JSON, keys sorted, with no space after a
-    separator: the form of the files that hold a whole world, which
-    Python's C encoder writes (an indent falls back to the pure-Python
-    one)."""
+    separator, and a final newline: the form of every JSON file and report
+    the package writes.  With no indent Python's C encoder writes the text
+    (an indent falls back to the pure-Python one)."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 

@@ -27,7 +27,8 @@ first field or entry of the wrong kind; this module checks only what a
 kind cannot say (sorted names, ranks in range, lengths that agree), and
 both formats end in the constructor's one tail, which de-duplicates and
 sorts the edges and rejects a cycle.  A world keeps its own copy of each
-attribute dict it reads and hands out copies where it is written.
+attribute dict it reads and hands out copies in its `instances` and
+`relationships` views and where it is written.
 
 Node identifiers are plain strings with a short type prefix, e.g.
 "as:3356", "relay:fp_ab12", "vlink:as3356-relay:fp_ab12".
@@ -41,7 +42,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import InvalidInputError
-from .files import compact_json_text, read_json, write_text
+from .files import json_text, read_json, write_text
 from .ontology import DATA_TYPES
 from .validation import (REQUIRED, ValidationReport, find_cycle, is_integer,
                          read_record)
@@ -107,8 +108,9 @@ class World:
     `attributes` maps only the instances with attributes.  Each
     relationship joins two instances and is stored once as a rank pair
     (`src[k]`, `dst[k]`), int32, sorted; `edge_attributes` maps only the
-    (parent, child) pairs with attributes.  `instances`, `edges` and
-    `relationships` are views built on first use.
+    (parent, child) pairs with attributes.  `edges` is a view built on
+    first use; `instances` and `relationships` are built on each use, with
+    copies of the attribute dicts.
     """
 
     names: tuple
@@ -204,10 +206,10 @@ class World:
                 and np.array_equal(self.dst, other.dst)
                 and self.edge_attributes == other.edge_attributes)
 
-    @cached_property
+    @property
     def instances(self):
         return tuple(TypeInstance(i, self.type_of(i),
-                                  self.attributes.get(i, {}))
+                                  dict(self.attributes.get(i, {})))
                      for i in self.names)
 
     @cached_property
@@ -216,10 +218,10 @@ class World:
         return tuple(zip(map(names.__getitem__, self.src.tolist()),
                          map(names.__getitem__, self.dst.tolist())))
 
-    @cached_property
+    @property
     def relationships(self):
         attrs = self.edge_attributes
-        return tuple(RelationshipInstance(p, c, attrs.get((p, c), {}))
+        return tuple(RelationshipInstance(p, c, dict(attrs.get((p, c), {})))
                      for p, c in self.edges)
 
     @cached_property
@@ -500,7 +502,7 @@ def _ranks(values, bound, of, where):
 
 
 def save_world(world, path):
-    write_text(path, compact_json_text(world_to_dict(world)))
+    write_text(path, json_text(world_to_dict(world)))
 
 
 def load_world(path):

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import stat
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tortrust
@@ -485,8 +487,8 @@ def test_experiment_csv_is_pinned(workdir):
     for path, expected in (
             (out, "4c149f153ce7c368aff533438290361a"
                   "33bc713eafc944da65310384fd6e0483"),
-            (workdir["bbn"], "caf497a1808b54af2cc809cf4e65f483"
-                             "deb358d73eb466bc318f138aafd5913c")):
+            (workdir["bbn"], "408cc7afb00c5ea01349ca38da0b1048"
+                             "0c91aa8c9ca755bab28a70e19395ae5b")):
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == expected, path
 
@@ -597,26 +599,26 @@ def test_chain_outputs_are_pinned(workdir):
     """The bundle, world, document, edited world and network files of the
     module chain, byte for byte."""
     expected = {
-        "bundle/as_clusters.jsonl": "f6b2437a8c6e44576480475381e0d15d"
-                                    "ef3f855720154e7cd930c09eda2ca77c",
-        "bundle/as_paths.jsonl": "bcdeb6a407ce877a57ac29606f2a51b0"
-                                 "5275f650924c91591115b6f7c62f8afd",
-        "bundle/consensus.jsonl": "9eb81b36b5b89cd03aecc53c1b14e09e"
-                                  "2a2e1efc2efdc8b495e99513e2bea526",
-        "bundle/geo.jsonl": "585477de00b37bab94a0a4663c46045f"
-                            "34c21a5fdacb6088f4c9befa954401cf",
-        "bundle/ixp_clusters.jsonl": "5e11f206b86589d3232947c54620fce4"
-                                     "5cdb4d086b8cc8127f683364e0728b96",
-        "bundle/uptime.jsonl": "c759372ae1041b701adf976ab153fdee"
-                               "d99d847c75a558cb2ac698397dc3d6df",
+        "bundle/as_clusters.jsonl": "d6f5f51ac6c76f511129c020102f7ae3"
+                                    "87153df8ea4259769f658043c823830e",
+        "bundle/as_paths.jsonl": "91b85589dab86e96c74c75d4c2bbbf95"
+                                 "37fc6c749d9e5e990b5bc2c2ab168c14",
+        "bundle/consensus.jsonl": "23a4ef98585ba691146308a79c43864c"
+                                  "77d5636944a71cc125b6341bc0f92895",
+        "bundle/geo.jsonl": "8e0fbd36052603c7238e0ac20eb46c2d"
+                            "40e56aceec2b3f6cde516902cdd0f2fb",
+        "bundle/ixp_clusters.jsonl": "f9fa0cc57c71d17d9e43c1dad4a8c0ff"
+                                     "4f927a8c64fd4fb86f717df6d592831c",
+        "bundle/uptime.jsonl": "08cb9665e39c83b9185001847537935e"
+                               "9cefe3c11d12376672bd9f6757b24fd4",
         "world.json": "163e00e1f11a275f03c9c7855a724733"
                       "9308053e82bc4c129ed292cb0296633a",
-        "theman.json": "dabc90ea45c59c3c7ed720f6468fc9e8"
-                       "6a6febbf77fa2b407b35bac26c46fc72",
+        "theman.json": "9dd23fd2b343fcd15dc03983c5d23bc0"
+                       "0d152ed788ba7044f922c242eff6088e",
         "edited.json": "56bf8912cd20a03393710380c1534166"
                        "1e7c9313127d569a583778efd8c1b84b",
-        "bbn.json": "caf497a1808b54af2cc809cf4e65f483"
-                    "deb358d73eb466bc318f138aafd5913c",
+        "bbn.json": "408cc7afb00c5ea01349ca38da0b1048"
+                    "0c91aa8c9ca755bab28a70e19395ae5b",
     }
     for name, digest in expected.items():
         with open(os.path.join(workdir["root"], name), "rb") as fh:
@@ -624,27 +626,32 @@ def test_chain_outputs_are_pinned(workdir):
 
 
 def test_row_format_world_file_still_loads(workdir, tmp_path):
-    """The row-format world.json that the chain wrote before format 2,
-    byte for byte, loads to the same world."""
+    """The row-format world.json that the chain wrote before format 2, in
+    the indented layout of that time, byte for byte, loads to the same
+    world."""
     world = load_world(workdir["world"])
     rows = tmp_path / "rows.json"
-    rows.write_text(json_text(row_world_dict(world.instances,
-                                             world.relationships)))
+    rows.write_text(json.dumps(row_world_dict(world.instances,
+                                              world.relationships),
+                               indent=2, sort_keys=True) + "\n")
     assert hashlib.sha256(rows.read_bytes()).hexdigest() == (
         "fa9fa3c01f59efa21844470c07c1baa9b8c6b6c43da5b7d81f4dc86ed1345120")
     assert load_world(str(rows)) == world
 
 
 @settings(max_examples=5, deadline=None)
+@example(seed=60)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_row_and_format_2_worlds_run_the_same_experiment(seed):
-    """`experiment run` writes the same CSV bytes from a world's row-format
-    file and from its format-2 file."""
+    """`experiment run` ends the same way from a world's row-format file
+    and from its format-2 file: the same exit code, the same stderr and the
+    same CSV bytes, whatever they are (at seed 60 no guard suits one exit
+    relay, and both runs exit 3)."""
     world = build_world(default_ontology(), generate_synthetic(
         SynthParams(n_as=8, n_ixp=1, n_relays=8, family_sizes=(2,),
                     n_epochs=3), seed))
     ases = world.of_type("AS")
-    tables = []
+    runs = []
     with tempfile.TemporaryDirectory() as tmp:
         doc = os.path.join(tmp, "doc.json")
         save_belief_document(build_the_man(world), doc)
@@ -660,11 +667,13 @@ def test_row_and_format_2_worlds_run_the_same_experiment(seed):
                            "clients": list(ases[:2]),
                            "destination_as": ases[-1], "n_samples": 300,
                            "seed": seed, "k_servers": 1}, fh)
-            assert main(["experiment", "run", "--config", cfg,
-                         "--out", out]) == 0
-            with open(out, "rb") as fh:
-                tables.append(fh.read())
-    assert tables[0] == tables[1]
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main(["experiment", "run", "--config", cfg,
+                             "--out", out])
+            table = Path(out).read_bytes() if os.path.exists(out) else None
+            runs.append((code, stderr.getvalue(), table))
+    assert runs[0] == runs[1]
 
 
 def test_library_writers_match_cli_bytes_and_modes(workdir, tmp_path):

@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -47,8 +48,7 @@ def test_write_replaces_and_takes_the_umask_mode(tmp_path):
 
 
 def test_json_and_csv_text():
-    assert json_text({"b": [1], "a": None}) == \
-        '{\n  "a": null,\n  "b": [\n    1\n  ]\n}\n'
+    assert json_text({"b": [1], "a": None}) == '{"a":null,"b":[1]}\n'
     text = csv_text(["id", "p"], [['as:1,2', "0.5"], ['q"x (y)', 1]])
     assert text == 'id,p\n"as:1,2",0.5\n"q""x (y)",1\n'
     assert list(csv.reader(io.StringIO(text))) == [
@@ -56,7 +56,10 @@ def test_json_and_csv_text():
 
 
 def test_files_module_is_the_only_writer():
-    """Renames, temporary files and JSON dumps to a file live in files.py."""
+    """Renames, temporary files and JSON dumps to a file live in files.py,
+    and so does the JSON layout: no other module passes a json.dump or
+    json.dumps call `indent`, `sort_keys` or `separators`."""
+    layouts = {}
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py") or name == "files.py":
             continue
@@ -64,6 +67,13 @@ def test_files_module_is_the_only_writer():
             source = fh.read()
         assert not re.search(r"os\.replace|tempfile|json\.dump\(", source), \
             name
+        layouts[name] = [
+            (call.lineno, keyword.arg) for call in ast.walk(ast.parse(source))
+            if isinstance(call, ast.Call) and getattr(
+                call.func, "attr", getattr(call.func, "id", None))
+            in ("dump", "dumps") for keyword in call.keywords
+            if keyword.arg in ("indent", "sort_keys", "separators")]
+    assert not {name: calls for name, calls in layouts.items() if calls}
 
 
 @pytest.mark.parametrize("text, constant, where", [
@@ -82,7 +92,7 @@ def test_read_json_reads_strict_json_and_writers_keep_infinity(tmp_path):
     path = tmp_path / "in.json"
     path.write_text('{"a": ["NaN", 1e308, -0.5], "b": null}')
     assert read_json(str(path)) == {"a": ["NaN", 1e308, -0.5], "b": None}
-    assert json_text([float("inf")]) == "[\n  Infinity\n]\n"
+    assert json_text([float("inf")]) == "[Infinity]\n"
     with pytest.raises(json.JSONDecodeError, match="^Expecting value"):
         parse_json("[1,")
 

@@ -215,6 +215,16 @@ def test_written_world_dict_shares_no_attributes():
     assert w.edge_attributes == {("as:1", "as:2"): {"note": 1}}
 
 
+def test_views_share_no_attributes():
+    w = world_from_dict(_attributed_world_dict())
+    w.instances[0].attributes["size"] = 5
+    w.relationships[0].attributes["note"] = 5
+    assert w.attribute("as:1", "size") == 1
+    assert w.edge_attributes == {("as:1", "as:2"): {"note": 1}}
+    assert w.instances[0].attributes == {"size": 1}
+    assert w.relationships[0].attributes == {"note": 1}
+
+
 def test_world_keeps_its_own_attributes_from_the_format_2_dict():
     d = world_to_dict(world_from_dict(_attributed_world_dict()))
     w = world_from_dict(d)
