@@ -42,6 +42,7 @@ edges through ce nodes closes none, so the order holds every node.
 """
 
 import bisect
+import logging
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -57,6 +58,8 @@ from .files import atomic_write, json_text, read_json, write_text
 from .predicates import evaluate, parse_event, select
 from .validation import (REQUIRED, check_sample_count, check_seed,
                          is_probability, read_record, topological_order)
+
+log = logging.getLogger(__name__)
 
 EXACT_NODE_CAP = 24
 
@@ -187,7 +190,8 @@ def compile_bbn(ew, trust=(), scale=None):
     in one step or two.  Either way `editor.resolve_attachments` checks
     and resolves them; beliefs of `trust` that the editor already consumed
     into `ew` are not resolved, or reported, again.  Without a `scale`,
-    the one `ew` carries applies: its document's, or the default.
+    the one `ew` carries applies: its document's, or the default.  With no
+    absolute probability and no risk, every indicator is false: a warning.
     """
     if scale is None:
         scale = ew.scale
@@ -248,6 +252,9 @@ def compile_bbn(ew, trust=(), scale=None):
         p = scale.prob(belief.v)
         for node in select(world, belief.pred.root):
             absolute[node] = p
+    if not absolute and not risks:
+        log.warning("translated network has no absolute probability and no "
+                    "risk: every indicator is always false")
 
     # Node ranks are positions in id order: the world's ranks, shifted past
     # the ce ids that sort before them.

@@ -21,11 +21,14 @@ Trust values are the five-symbol scale (SC, LC, U, LT, ST) or a literal
 probability in [0, 1].  Each relative belief adds its value as one more
 independent risk to every node its predicate matches, whatever its tag;
 absolute beliefs detach a node from its parents.
+
+Each tag has one row in the tag table, and each slot kind one entry in the
+slot table, which the reader and the writer share.  A trust slot is checked
+by the scale's own rule, `_resolve`, and keeps its symbol for the scale.
 """
 
 import json
 from dataclasses import dataclass, field, fields
-from functools import partial
 from typing import NamedTuple
 
 from .errors import (BeliefFormatError, DatasetError, InvalidInputError,
@@ -72,10 +75,6 @@ def _resolve(value, mapping):
             f"trust value {value!r} maps to {p!r}, not a probability in "
             "[0,1]")
     return float(p)
-
-
-def default_scale():
-    return TrustScale()
 
 
 # --- Structural beliefs ------------------------------------------------------
@@ -161,7 +160,7 @@ class CE2:
 
 @dataclass(frozen=True)
 class BeliefDocument:
-    scale: TrustScale = field(default_factory=default_scale)
+    scale: TrustScale = field(default_factory=TrustScale)
     structural: tuple = ()
     trust: tuple = ()
 
@@ -201,14 +200,54 @@ RELATIVE_ROW = _Row(None, Relative, ("predicate", "trust value"))
 _ROW_OF = {row.cls: row for row in (*STRUCTURAL_TAGS.values(),
                                     *TRUST_TAGS.values(), RELATIVE_ROW)}
 
-# The (value kind, default) of each slot kind but the free trust and
-# attribute values: a slot of attribute types may be null.
-_SLOT_KINDS = {"instance data": ("an object", REQUIRED),
-               "budget k": ("an integer", REQUIRED),
-               "attribute types": ("an object", None),
-               **dict.fromkeys(("type name", "instance id", "parent id",
-                                "child id", "attribute name", "predicate"),
-                               ("a string", REQUIRED))}
+
+class _Slot(NamedTuple):
+    check: tuple = None     # (value kind, default) for read_record, if any
+    read: object = lambda value, path, name: value  # the field of the slot
+    write: object = lambda value: value             # the slot of the field
+
+
+def _read_predicate(text, path, name):
+    try:
+        return parse_predicate(text)
+    except PredicateSyntaxError as exc:
+        raise BeliefFormatError(f"{path}: bad predicate: {exc}") from exc
+
+
+def _read_attribute_types(types, path, name):
+    """((attribute name, data type), ...) of the object `types`, by name."""
+    pairs = tuple(sorted((types or {}).items()))
+    for attr, data_type in pairs:
+        if not isinstance(data_type, str) or data_type not in ont.DATA_TYPES:
+            raise BeliefFormatError(
+                f"{path}.{name}.{attr}: unknown data type {data_type!r}")
+    return pairs
+
+
+def _read_trust_value(value, path, name):
+    """A trust symbol as it is, or a number as a float: checked by the one
+    rule of the scale, `_resolve`, on the five symbols."""
+    try:
+        p = _resolve(value, _DEFAULT_MAPPING)
+    except BeliefFormatError as exc:
+        raise BeliefFormatError(f"{path}: {exc}") from None
+    return value if isinstance(value, str) else p
+
+
+# One entry per slot kind of the rows: how the slot is checked, read into
+# its field and written back.  A slot of attribute types may be null.
+_SLOTS = {
+    **dict.fromkeys(("type name", "instance id", "parent id", "child id",
+                     "attribute name"), _Slot(("a string", REQUIRED))),
+    "instance data": _Slot(("an object", REQUIRED)),
+    "budget k": _Slot(("an integer", REQUIRED)),
+    "attribute value": _Slot(),
+    "predicate": _Slot(("a string", REQUIRED), _read_predicate,
+                       lambda pred: pred.text),
+    "attribute types": _Slot(("an object", None), _read_attribute_types,
+                             lambda types: dict(types) or None),
+    "trust value": _Slot(None, _read_trust_value),
+}
 
 
 # --- Parsing -----------------------------------------------------------------
@@ -230,8 +269,7 @@ def parse_belief_document(text):
                          BeliefFormatError)
     return BeliefDocument(
         scale=scale_from_json(fields["scale"]),
-        **{key: tuple(belief_from_json(entry, f"{key}[{i}]", tags)
-                      for i, entry in enumerate(fields[key]))
+        **{key: tuple(beliefs_from_json(fields[key], key, tags))
            for key, tags in (("structural", STRUCTURAL_TAGS),
                              ("trust", TRUST_TAGS))})
 
@@ -239,107 +277,59 @@ def parse_belief_document(text):
 def scale_from_json(data):
     """The TrustScale of a `scale` object; the default scale for None."""
     if data is None:
-        return default_scale()
-    mappings = read_record(data, _SCALE_FIELDS, "scale",
-                           partial(BeliefFormatError, path="scale"))
+        return TrustScale()
+    mappings = read_record(data, _SCALE_FIELDS, "scale", BeliefFormatError)
     for name, mapping in mappings.items():
         if mapping is not None:
             read_record(mapping, _MAPPING_FIELDS, f"scale.{name}",
-                        partial(BeliefFormatError, path=f"scale.{name}"))
+                        BeliefFormatError)
     mapping, ce_mapping = mappings.values()
     return TrustScale(mapping=dict(mapping or _DEFAULT_MAPPING),
                       ce_mapping=ce_mapping and dict(ce_mapping))
 
 
-def _check_probability(p, path):
-    if not is_probability(p):
-        raise BeliefFormatError(f"{path}: probability must be in [0,1], "
-                                f"got {p!r}", path=path)
+def beliefs_from_json(entries, key, tags):
+    """The beliefs of the list of arrays `entries` at `key`, read one at a
+    time, so a caller can stop at the first it rejects."""
+    return (belief_from_json(entry, f"{key}[{i}]", tags)
+            for i, entry in enumerate(entries))
 
 
 def belief_from_json(entry, path, tags):
     """The belief that the array `entry` at `path` holds, read by its row
-    in `tags` (STRUCTURAL_TAGS or TRUST_TAGS).  A trust tag without a row
-    is a relative belief."""
+    in `tags` (STRUCTURAL_TAGS or TRUST_TAGS) and the `_SLOTS` entry of
+    each slot.  A trust tag without a row is a relative belief."""
     if not isinstance(entry, list) or not entry or not isinstance(entry[0], str):
-        raise BeliefFormatError(f"{path}: belief must be a tagged array",
-                                path=path)
+        raise BeliefFormatError(f"{path}: belief must be a tagged array")
     tag = entry[0]
     row = tags.get(tag)
     if row is None:
         if tags is STRUCTURAL_TAGS:
-            raise BeliefFormatError(f"{path}: unknown structural tag {tag!r}",
-                                    path=path)
+            raise BeliefFormatError(f"{path}: unknown structural tag {tag!r}")
         if tag in STRUCTURAL_TAGS:
-            raise BeliefFormatError(f"{path}: tag {tag!r} is reserved",
-                                    path=path)
+            raise BeliefFormatError(f"{path}: tag {tag!r} is reserved")
         row = RELATIVE_ROW
     n = 1 + len(row.slots)
     if not n <= len(entry) <= n + row.ignored:
         raise BeliefFormatError(
             f"{path}: {tag} needs {n} to {n + row.ignored} fields"
             if row.ignored else
-            f"{path}: {tag!r} belief needs {n} fields, got {len(entry)}",
-            path=path)
+            f"{path}: {tag!r} belief needs {n} fields, got {len(entry)}")
     values = [tag] if row is RELATIVE_ROW else []
     names = iter([f.name for f in fields(row.cls)][len(values):])
-    slots = []                  # (field name, slot kind, value)
+    slots = []                  # (field name, slot, value)
     for kind, value in zip(row.slots, entry[1:]):
         if isinstance(kind, tuple):
             if value not in kind:
                 raise BeliefFormatError(
-                    f'{path}: {tag} scope must be "{kind[0]}"', path=path)
+                    f'{path}: {tag} scope must be "{kind[0]}"')
         else:
-            slots.append((next(names), kind, value))
-    read_record({name: value for name, kind, value in slots
-                 if kind in _SLOT_KINDS},
-                {name: _SLOT_KINDS[kind] for name, kind, _ in slots
-                 if kind in _SLOT_KINDS},
-                path, partial(BeliefFormatError, path=path))
-    return row.cls(*values, *(_read_slot(kind, value, path, name)
-                              for name, kind, value in slots))
-
-
-def _read_slot(kind, value, path, name):
-    """The value of field `name`, read from a slot of the given kind."""
-    if kind == "predicate":
-        return _parse_pred(value, path)
-    if kind == "trust value":
-        return _parse_value(value, path)
-    if kind == "attribute types":
-        return _parse_attr_decls(value, f"{path}.{name}")
-    return value
-
-
-def _parse_attr_decls(decls, path):
-    if decls is None:
-        return ()
-    out = []
-    for name in sorted(decls):
-        data_type = decls[name]
-        if not isinstance(data_type, str) or data_type not in ont.DATA_TYPES:
-            raise BeliefFormatError(
-                f"{path}.{name}: unknown data type {data_type!r}", path=path)
-        out.append((name, data_type))
-    return tuple(out)
-
-
-def _parse_pred(text, path):
-    try:
-        return parse_predicate(text)
-    except PredicateSyntaxError as exc:
-        raise BeliefFormatError(f"{path}: bad predicate: {exc}",
-                                path=path) from exc
-
-
-def _parse_value(v, path):
-    if isinstance(v, str):
-        if v not in TRUST_SYMBOLS:
-            raise BeliefFormatError(
-                f"{path}: unknown trust value {v!r}", path=path)
-        return v
-    _check_probability(v, path)
-    return float(v)
+            slots.append((next(names), _SLOTS[kind], value))
+    read_record({name: value for name, slot, value in slots if slot.check},
+                {name: slot.check for name, slot, _ in slots if slot.check},
+                path, BeliefFormatError)
+    return row.cls(*values, *(slot.read(value, path, name)
+                              for name, slot, value in slots))
 
 
 # --- Serialization -----------------------------------------------------------
@@ -351,16 +341,8 @@ def belief_to_json(belief):
         raise TypeError(f"not a belief: {belief!r}")
     values = iter([getattr(belief, f.name) for f in fields(belief)])
     return [row.tag or next(values)] + [
-        kind[0] if isinstance(kind, tuple) else _write_slot(kind, next(values))
-        for kind in row.slots]
-
-
-def _write_slot(kind, value):
-    if kind == "predicate":
-        return value.text
-    if kind == "attribute types":
-        return dict(value) or None
-    return value
+        kind[0] if isinstance(kind, tuple)
+        else _SLOTS[kind].write(next(values)) for kind in row.slots]
 
 
 def scale_to_json(scale):

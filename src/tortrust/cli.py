@@ -288,127 +288,90 @@ def _int_list(text):
     return tuple(parts)
 
 
+_REQ = {"required": True}
+_REQ_INT = {"type": int, "required": True}
+_INT = {"type": int}
+_FLOAT = {"type": float}
+_INTS = {"type": _int_list}
+_FORMAT = {"choices": ("csv", "json"), "default": "csv"}
+
+# Each command group with its help and verbs; each verb with its help, its
+# handler and its options, (flag, keywords of add_argument), in help order.
+_COMMANDS = (
+    ("world", "build and validate worlds", (
+        ("synth", "generate a synthetic bundle", cmd_world_synth, (
+            ("--seed", _REQ_INT),
+            ("--out", {**_REQ, "help": "output bundle directory"}),
+            ("--n-as", _INT), ("--n-ixp", _INT), ("--n-relays", _INT),
+            ("--guard-fraction", _FLOAT), ("--exit-fraction", _FLOAT),
+            ("--family-sizes", {**_INTS, "help": "comma-separated family "
+                                "sizes, e.g. 3,2,2"}),
+            ("--as-org-sizes", _INTS), ("--ixp-org-sizes", _INTS),
+            ("--n-epochs", _INT), ("--max-path-len", _INT),
+            ("--drop-fraction", {
+                **_FLOAT, "metavar": "DROP_FRACTION",
+                "dest": "drop_one_direction_fraction",
+                "help": "fraction of AS pairs missing one path direction"}))),
+        ("build", "datasets to world file", cmd_world_build, (
+            ("--datasets", _REQ), ("--out", _REQ), ("--ontology", {}))),
+        ("validate", "check a world file", cmd_world_validate, (
+            ("--world", _REQ), ("--ontology", {}))))),
+    ("beliefs", "check and apply beliefs", (
+        ("check", "parse and diagnose", cmd_beliefs_check, (
+            ("--doc", _REQ), ("--world", {}), ("--ontology", {}))),
+        ("apply", "apply structural beliefs", cmd_beliefs_apply, (
+            ("--doc", _REQ), ("--world", _REQ), ("--out", _REQ),
+            ("--ontology", {}))),
+        ("the-man", "generate the pervasive-adversary document",
+         cmd_beliefs_the_man, (
+             ("--world", _REQ), ("--out", _REQ), ("--p-org", _FLOAT),
+             ("--p-fam-max", _FLOAT), ("--p-fam-min", _FLOAT))))),
+    ("bbn", "compile, sample, estimate", (
+        ("compile", "edited world to network", cmd_bbn_compile, (
+            ("--edited", _REQ),
+            ("--doc", {"help": "belief document with trust beliefs"}),
+            ("--out", _REQ))),
+        ("sample", "binary joint-sample dump", cmd_bbn_sample, (
+            ("--bbn", _REQ), ("--n", _REQ_INT), ("--seed", _REQ_INT),
+            ("--out", _REQ))),
+        ("marginals", "per-node estimates", cmd_bbn_marginals, (
+            ("--bbn", _REQ), ("--n", _REQ_INT), ("--seed", _REQ_INT),
+            ("--nodes", {"help": "comma-separated node ids"}),
+            ("--out", {}), ("--format", _FORMAT))),
+        ("event", "boolean event estimate", cmd_bbn_event, (
+            ("--bbn", _REQ), ("--expr", _REQ), ("--n", _REQ_INT),
+            ("--seed", _REQ_INT), ("--out", {}), ("--format", _FORMAT))),
+        ("exact", "full joint distribution", cmd_bbn_exact, (
+            ("--bbn", _REQ), ("--cap", {**_INT, "default": EXACT_NODE_CAP}),
+            ("--out", {}), ("--format", {**_FORMAT, "default": "json"}))))),
+    ("experiment", "scenario tables", (
+        ("run", "run configured scenarios", cmd_experiment_run, (
+            ("--config", _REQ), ("--out", {}),
+            ("--scenario", {"help": "run only this scenario"}),
+            ("--format", _FORMAT))),)),
+)
+# The verbs whose absent options stay out of the namespace, so that the
+# library's defaults hold.
+_LIBRARY_DEFAULTS = ("synth", "the-man")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tortrust",
         description="Trust-aware adversary modeling and path selection.")
     parser.add_argument("--version", action="version",
                         version=f"tortrust {__version__}")
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    world = sub.add_parser("world", help="build and validate worlds")
-    world_sub = world.add_subparsers(dest="cmd", required=True)
-
-    # An absent option stays out of the namespace: the library's default.
-    synth = world_sub.add_parser("synth", help="generate a synthetic bundle",
-                                 argument_default=argparse.SUPPRESS)
-    synth.add_argument("--seed", type=int, required=True)
-    synth.add_argument("--out", required=True, help="output bundle directory")
-    synth.add_argument("--n-as", type=int)
-    synth.add_argument("--n-ixp", type=int)
-    synth.add_argument("--n-relays", type=int)
-    synth.add_argument("--guard-fraction", type=float)
-    synth.add_argument("--exit-fraction", type=float)
-    synth.add_argument("--family-sizes", type=_int_list,
-                       help="comma-separated family sizes, e.g. 3,2,2")
-    synth.add_argument("--as-org-sizes", type=_int_list)
-    synth.add_argument("--ixp-org-sizes", type=_int_list)
-    synth.add_argument("--n-epochs", type=int)
-    synth.add_argument("--max-path-len", type=int)
-    synth.add_argument("--drop-fraction", type=float, metavar="DROP_FRACTION",
-                       dest="drop_one_direction_fraction",
-                       help="fraction of AS pairs missing one path direction")
-    synth.set_defaults(func=cmd_world_synth)
-
-    build = world_sub.add_parser("build", help="datasets to world file")
-    build.add_argument("--datasets", required=True)
-    build.add_argument("--out", required=True)
-    build.add_argument("--ontology")
-    build.set_defaults(func=cmd_world_build)
-
-    validate = world_sub.add_parser("validate", help="check a world file")
-    validate.add_argument("--world", required=True)
-    validate.add_argument("--ontology")
-    validate.set_defaults(func=cmd_world_validate)
-
-    beliefs = sub.add_parser("beliefs", help="check and apply beliefs")
-    beliefs_sub = beliefs.add_subparsers(dest="cmd", required=True)
-
-    check = beliefs_sub.add_parser("check", help="parse and diagnose")
-    check.add_argument("--doc", required=True)
-    check.add_argument("--world")
-    check.add_argument("--ontology")
-    check.set_defaults(func=cmd_beliefs_check)
-
-    apply_p = beliefs_sub.add_parser("apply", help="apply structural beliefs")
-    apply_p.add_argument("--doc", required=True)
-    apply_p.add_argument("--world", required=True)
-    apply_p.add_argument("--out", required=True)
-    apply_p.add_argument("--ontology")
-    apply_p.set_defaults(func=cmd_beliefs_apply)
-
-    the_man = beliefs_sub.add_parser(
-        "the-man", help="generate the pervasive-adversary document",
-        argument_default=argparse.SUPPRESS)
-    the_man.add_argument("--world", required=True)
-    the_man.add_argument("--out", required=True)
-    the_man.add_argument("--p-org", type=float)
-    the_man.add_argument("--p-fam-max", type=float)
-    the_man.add_argument("--p-fam-min", type=float)
-    the_man.set_defaults(func=cmd_beliefs_the_man)
-
-    bbn = sub.add_parser("bbn", help="compile, sample, estimate")
-    bbn_sub = bbn.add_subparsers(dest="cmd", required=True)
-
-    compile_p = bbn_sub.add_parser("compile", help="edited world to network")
-    compile_p.add_argument("--edited", required=True)
-    compile_p.add_argument("--doc", help="belief document with trust beliefs")
-    compile_p.add_argument("--out", required=True)
-    compile_p.set_defaults(func=cmd_bbn_compile)
-
-    sample_p = bbn_sub.add_parser("sample", help="binary joint-sample dump")
-    sample_p.add_argument("--bbn", required=True)
-    sample_p.add_argument("--n", type=int, required=True)
-    sample_p.add_argument("--seed", type=int, required=True)
-    sample_p.add_argument("--out", required=True)
-    sample_p.set_defaults(func=cmd_bbn_sample)
-
-    marginals_p = bbn_sub.add_parser("marginals", help="per-node estimates")
-    marginals_p.add_argument("--bbn", required=True)
-    marginals_p.add_argument("--n", type=int, required=True)
-    marginals_p.add_argument("--seed", type=int, required=True)
-    marginals_p.add_argument("--nodes", help="comma-separated node ids")
-    marginals_p.add_argument("--out")
-    marginals_p.add_argument("--format", choices=("csv", "json"),
-                             default="csv")
-    marginals_p.set_defaults(func=cmd_bbn_marginals)
-
-    event_p = bbn_sub.add_parser("event", help="boolean event estimate")
-    event_p.add_argument("--bbn", required=True)
-    event_p.add_argument("--expr", required=True)
-    event_p.add_argument("--n", type=int, required=True)
-    event_p.add_argument("--seed", type=int, required=True)
-    event_p.add_argument("--out")
-    event_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    event_p.set_defaults(func=cmd_bbn_event)
-
-    exact_p = bbn_sub.add_parser("exact", help="full joint distribution")
-    exact_p.add_argument("--bbn", required=True)
-    exact_p.add_argument("--cap", type=int, default=EXACT_NODE_CAP)
-    exact_p.add_argument("--out")
-    exact_p.add_argument("--format", choices=("csv", "json"), default="json")
-    exact_p.set_defaults(func=cmd_bbn_exact)
-
-    experiment = sub.add_parser("experiment", help="scenario tables")
-    experiment_sub = experiment.add_subparsers(dest="cmd", required=True)
-
-    run = experiment_sub.add_parser("run", help="run configured scenarios")
-    run.add_argument("--config", required=True)
-    run.add_argument("--out")
-    run.add_argument("--scenario", help="run only this scenario")
-    run.add_argument("--format", choices=("csv", "json"), default="csv")
-    run.set_defaults(func=cmd_experiment_run)
-
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group, group_help, verbs in _COMMANDS:
+        verb_parsers = groups.add_parser(group, help=group_help) \
+            .add_subparsers(dest="cmd", required=True)
+        for verb, verb_help, func, options in verbs:
+            verb_parser = verb_parsers.add_parser(
+                verb, help=verb_help, argument_default=argparse.SUPPRESS
+                if verb in _LIBRARY_DEFAULTS else None)
+            for flag, keywords in options:
+                verb_parser.add_argument(flag, **keywords)
+            verb_parser.set_defaults(func=func)
     return parser
 
 

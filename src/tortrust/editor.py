@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 from .beliefs import (TRUST_TAGS, AddInstance, AddRelationship, Budget1,
                       Budget2, CE1, CE2, NovelType, RemoveInstance,
-                      RemoveRelationship, SetAttribute, belief_from_json,
-                      belief_to_json, default_scale, scale_from_json,
+                      RemoveRelationship, SetAttribute, TrustScale,
+                      belief_to_json, beliefs_from_json, scale_from_json,
                       scale_to_json)
 from .errors import EditError, InvalidInputError
 from .files import read_json
@@ -64,7 +64,7 @@ class EditedWorld:
     # them in its `trust` argument.
     consumed: frozenset = frozenset()
     # The document's trust scale, which compile_bbn uses unless given one.
-    scale: object = field(default_factory=default_scale)
+    scale: object = field(default_factory=TrustScale)
 
 
 def children_matching(ew, node_id, pred):
@@ -163,7 +163,7 @@ def _add_instance(belief, ontology, types, attributes):
         raise EditError(f"instance {belief.id!r} has unknown type "
                         f"{belief.type_name!r}")
     types[belief.id] = resolved
-    attributes[belief.id] = dict(belief.data)
+    attributes[belief.id] = belief.data
 
 
 def _remove_instance(belief, types, edges, user_edges):
@@ -293,12 +293,9 @@ def _beliefs(scopes):
 def edited_world_to_dict(ew):
     payload = world_to_dict(ew.world)
     payload["ontology"] = ontology_to_dict(ew.ontology)
-    payload["budgets"] = [belief_to_json(b)
-                          for n in sorted(ew.budgets)
-                          for b in ew.budgets[n]]
-    payload["ce_specs"] = [belief_to_json(b)
-                           for n in sorted(ew.ce_specs)
-                           for b in ew.ce_specs[n]]
+    for key, beliefs in (("budgets", ew.budgets), ("ce_specs", ew.ce_specs)):
+        payload[key] = [belief_to_json(b)
+                        for n in sorted(beliefs) for b in beliefs[n]]
     payload["user_relationships"] = sorted(list(e) for e in ew.user_edges)
     payload["scale"] = scale_to_json(ew.scale)
     return payload
@@ -325,11 +322,11 @@ def edited_world_from_dict(data):
     attached = []
     for key, kinds, what in (("budgets", (Budget1, Budget2), "budget"),
                              ("ce_specs", (CE1, CE2), "CE belief")):
-        for i, entry in enumerate(fields[key]):
-            belief = belief_from_json(entry, f"{key}[{i}]", TRUST_TAGS)
+        for i, belief in enumerate(beliefs_from_json(fields[key], key,
+                                                     TRUST_TAGS)):
             if not isinstance(belief, kinds):
                 raise InvalidInputError(
-                    f"{key}[{i}]: {entry[0]!r} is not a {what}")
+                    f"{key}[{i}]: {fields[key][i][0]!r} is not a {what}")
             attached.append(belief)
     user_edges = list(zip(*fields["user_relationships"].values()))
     for i, at in enumerate(world.edge_positions(user_edges).tolist()):

@@ -42,20 +42,14 @@ class DatasetError(ParseError):
 
 
 class PredicateSyntaxError(ParseError):
-    """Predicate text failed to parse.  Carries 1-based line/column."""
+    """Predicate text failed to parse; the message ends with its place."""
 
     def __init__(self, message, line=1, column=1):
         super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
 
 
 class BeliefFormatError(ParseError):
-    """A belief document is syntactically or semantically malformed."""
-
-    def __init__(self, message, path=None):
-        self.path = path  # e.g. "trust[3]"; messages already embed it
-        super().__init__(message)
+    """A malformed belief document; the message begins with the place."""
 
 
 class EditError(InvalidInputError):

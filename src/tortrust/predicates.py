@@ -225,9 +225,8 @@ class _Parser:
 
     def expect(self, kind, what=None):
         if self.cur.kind != kind:
-            raise PredicateSyntaxError(
-                f"expected {what or kind}, found {self._describe(self.cur)}",
-                self.cur.line, self.cur.column)
+            self.fail(f"expected {what or kind}, found "
+                      f"{self._describe(self.cur)}")
         return self.advance()
 
     @staticmethod
@@ -268,11 +267,14 @@ class _Parser:
 
     def parse_atom(self):
         if self.cur.kind == "(":
-            self.advance()
-            node = self.parse_expr()
-            self.expect(")")
-            return node
+            return self.parse_group()
         return self.parse_test()
+
+    def parse_group(self):
+        self.expect("(")
+        node = self.parse_expr()
+        self.expect(")")
+        return node
 
     def parse_test(self):
         tok = self.cur
@@ -288,9 +290,7 @@ class _Parser:
             return self.parse_attr()
         if tok.kind == "ident" and tok.value == "child_count":
             self.advance()
-            self.expect("(")
-            inner = self.parse_expr()
-            self.expect(")")
+            inner = self.parse_group()
             op = self.parse_cmp()
             count = self.expect("number", "an integer")
             if not isinstance(count.value, int) or count.value < 0:
@@ -299,9 +299,7 @@ class _Parser:
             return ChildCount(inner, op, count.value)
         if tok.kind == "ident" and tok.value in ("has_parent", "has_child"):
             self.advance()
-            self.expect("(")
-            inner = self.parse_expr()
-            self.expect(")")
+            inner = self.parse_group()
             return HasParent(inner) if tok.value == "has_parent" else HasChild(inner)
         self.fail(f"expected a test, found {self._describe(tok)}")
 
@@ -358,7 +356,7 @@ class _EventExprParser(_Parser):
 
 def parse_predicate(text):
     if not text or not text.strip():
-        raise PredicateSyntaxError("empty predicate", 1, 1)
+        raise PredicateSyntaxError("empty predicate")
     return Predicate(text, _Parser(_tokenize(text)).parse_all())
 
 

@@ -26,9 +26,9 @@ fields are one table, read by `validation.read_record`, which names the
 first field or entry of the wrong kind; this module checks only what a
 kind cannot say (sorted names, ranks in range, lengths that agree), and
 both formats end in the constructor's one tail, which de-duplicates and
-sorts the edges and rejects a cycle.  A world keeps its own copy of each
-attribute dict it reads and hands out copies in its `instances` and
-`relationships` views and where it is written.
+sorts the edges, rejects a cycle and keeps read-only copies of the
+attribute dicts, which no caller can change; the `instances` and
+`relationships` views and `world_to_dict` hand out plain copies.
 
 Node identifiers are plain strings with a short type prefix, e.g.
 "as:3356", "relay:fp_ab12", "vlink:as3356-relay:fp_ab12".
@@ -99,18 +99,31 @@ class RelationshipInstance:
     attributes: dict = field(default_factory=dict)
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses every change; it copies and pickles as a new one."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a world's attributes cannot be changed")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = \
+        setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class World:
     """Immutable instance DAG, stored once as columns.
 
     `names` holds the instance ids, sorted, and `index` maps each to its
     rank there.  `type_code[r]` indexes `type_names` for instance r;
-    `attributes` maps only the instances with attributes.  Each
+    `attributes` maps only the instances with attributes, read-only.  Each
     relationship joins two instances and is stored once as a rank pair
     (`src[k]`, `dst[k]`), int32, sorted; `edge_attributes` maps only the
-    (parent, child) pairs with attributes.  `edges` is a view built on
-    first use; `instances` and `relationships` are built on each use, with
-    copies of the attribute dicts.
+    (parent, child) pairs with attributes, read-only too.  `edges` is a
+    view built on first use; `instances` and `relationships` are built on
+    each use, with copies of the attribute dicts.
     """
 
     names: tuple
@@ -159,9 +172,9 @@ class World:
                                 len(names))
         return cls._from_ranks(
             names, index, all_types, type_code,
-            {ids[k]: dict(attributes[k])
+            {ids[k]: attributes[k]
              for k in compress(range(len(ids)), attributes)},
-            src, dst, {k: dict(edge_attributes[k]) for k in compress(
+            src, dst, {k: edge_attributes[k] for k in compress(
                 range(len(edge_attributes)), edge_attributes)})
 
     @classmethod
@@ -171,7 +184,8 @@ class World:
         ({name: rank} `index`), whose edge k joins rank src[k] to dst[k]
         (int64) and has the attributes {k: attributes} holds, if any.  Each
         edge is kept once, at its first position, and sorted; ValueError
-        names every node on or below a cycle."""
+        names every node on or below a cycle.  The world keeps read-only
+        copies of the attribute maps, so no caller can change them."""
         n = max(len(names), 1)
         keys = src * n + dst
         unique, first = np.unique(keys, return_index=True)
@@ -188,10 +202,13 @@ class World:
         world = cls.__new__(cls)
         vars(world).update(
             names=names, type_names=type_names, type_code=type_code,
-            attributes=attributes, src=src, dst=dst,
-            edge_attributes={(names[key // n], names[key % n]):
-                             edge_attributes[k] for k, key in zip(
-                                 kept.tolist(), keys[kept].tolist())},
+            attributes=_ReadOnlyDict(
+                (key, _ReadOnlyDict(value))
+                for key, value in attributes.items()), src=src, dst=dst,
+            edge_attributes=_ReadOnlyDict(
+                ((names[key // n], names[key % n]),
+                 _ReadOnlyDict(edge_attributes[k]))
+                for k, key in zip(kept.tolist(), keys[kept].tolist())),
             index=index)
         return world
 
@@ -469,8 +486,8 @@ def world_from_fields(fields):
     return World._from_ranks(
         tuple(names), index, tuple(map(type_names.__getitem__, used.tolist())),
         type_code.astype(np.int32),
-        {key: dict(value) for key, value in attributes.items() if value},
-        src, dst, {k: dict(value) for k, value in
+        {key: value for key, value in attributes.items() if value},
+        src, dst, {k: value for k, value in
                    enumerate(edges["attributes"]) if value})
 
 

@@ -272,6 +272,25 @@ def test_compile_rejects_trust_values_outside_the_unit_interval(
         compile_bbn(_linear(make_edited), trust=trust, scale=scale)
 
 
+def test_a_network_with_no_prior_and_no_risk_is_reported(make_edited,
+                                                          caplog):
+    """With no absolute probability and no risk every indicator is always
+    false; compile_bbn says so once, and is silent when either is there."""
+    ew = _linear(make_edited)
+    with caplog.at_level("WARNING", logger="tortrust.bbn"):
+        compile_bbn(ew)
+        compile_bbn(ew, trust=(Relative("x", _pred('id in {"nothing"}'),
+                                        "U"),))
+    assert [r.getMessage() for r in caplog.records] == [
+        "translated network has no absolute probability and no risk: "
+        "every indicator is always false"] * 2
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="tortrust.bbn"):
+        compile_bbn(ew, trust=(Relative("x", _pred("is AS"), 0.0),))
+        compile_bbn(ew, trust=(Absolute(_pred("is AS"), "ST"),))
+    assert not caplog.records
+
+
 def test_compile_rejects_dangling_relationship(make_edited):
     """A relationship to no instance is rejected where the world is made,
     so no edited world, and so no network, can hold one."""

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tortrust.beliefs import (RELATIVE_ROW, STRUCTURAL_TAGS, TRUST_SYMBOLS,
-                              TRUST_TAGS, Absolute, Budget1, CE2, Relative,
-                              TrustScale, belief_to_json, build_the_man,
-                              parse_belief_document,
+                              TRUST_TAGS, _SLOTS, Absolute, Budget1, CE2,
+                              Relative, TrustScale, belief_to_json,
+                              build_the_man, parse_belief_document,
                               serialize_belief_document)
 from tortrust.bbn import compile_bbn
 from tortrust.editor import apply_structural
@@ -161,7 +161,6 @@ def test_duplicate_novel_type_rejected(small_world, ontology):
 def test_malformed_entry_names_its_path(doc, path):
     with pytest.raises(BeliefFormatError) as info:
         parse_belief_document(json.dumps(doc))
-    assert info.value.path == path
     assert str(info.value).startswith(path)
 
 
@@ -180,6 +179,35 @@ def test_each_row_fills_every_field_of_its_class():
     # a relative belief's free tag fills its first field
     assert len(RELATIVE_ROW.slots) + 1 == len(fields(RELATIVE_ROW.cls))
     assert len({row.cls for row in rows + [RELATIVE_ROW]}) == len(rows) + 1
+    # every slot kind a row names has its one entry in the slot table
+    assert {kind for row in rows + [RELATIVE_ROW] for kind in row.slots
+            if not isinstance(kind, tuple)} == set(_SLOTS)
+
+
+_TRUST_VALUES = st.recursive(
+    st.booleans() | st.integers() | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(TRUST_SYMBOLS),
+    lambda inner: st.lists(inner, max_size=2), max_leaves=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TRUST_VALUES)
+@example(1.5)
+@example(True)
+@example("sc")
+def test_a_trust_slot_keeps_the_scale_rule(v):
+    """A trust slot is rejected if and only if the scale cannot resolve its
+    value, with the scale's message after the slot's place."""
+    text = json.dumps({"trust": [["abs", "is AS", v]]})
+    try:
+        TrustScale().prob(v)
+    except BeliefFormatError as exc:
+        with pytest.raises(BeliefFormatError,
+                           match=f"^{re.escape(f'trust[0]: {exc}')}$"):
+            parse_belief_document(text)
+    else:
+        parse_belief_document(text)
 
 
 # The array shapes of the module docstring, written out apart from the tag

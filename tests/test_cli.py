@@ -1007,6 +1007,25 @@ def test_malformed_edited_world_exit_code(tmp_path, capsys, document,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("document, message", [
+    (_edited_doc(budgets=[["bu2", "as:1", "all", "x"]]),
+     "budgets[0]: 'k' must be an integer, not a string"),
+    (_edited_doc(ce_specs=[["ce2", "as:1", "top", 1.5]]),
+     "ce_specs[0]: trust value 1.5 is not a probability in [0,1]"),
+])
+def test_malformed_belief_array_in_edited_world_exit_code(
+        tmp_path, capsys, document, message):
+    """A belief array under `budgets` or `ce_specs` is read as in a belief
+    document, so a malformed one exits 2 with the document's message."""
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(document))
+    out = tmp_path / "bbn.json"
+    assert main(["bbn", "compile", "--edited", str(path),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_invalid_ontology_exit_code(workdir, tmp_path, capsys):
     """An invalid ontology exits 3 wherever one is read: an edited-world
     file, `beliefs apply --ontology` and `world build --ontology`."""

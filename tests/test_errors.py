@@ -227,11 +227,13 @@ def _field_cases():
         for row in tags.values():
             fields = iter(dataclasses.fields(row.cls))
             for slot, kind in enumerate(row.slots):
-                field = None if isinstance(kind, tuple) else next(fields).name
-                if kind in beliefs._SLOT_KINDS:
+                if isinstance(kind, tuple):
+                    continue
+                field = next(fields).name
+                if beliefs._SLOTS[kind].check:
                     yield pytest.param(
                         "doc", [key], slot, row, f"{key}[0]", field,
-                        beliefs._SLOT_KINDS[kind][0],
+                        beliefs._SLOTS[kind].check[0],
                         id=f"doc-{key}[0]-{row.tag}-{field}")
 
 
@@ -241,7 +243,7 @@ def _belief_row(row, slot, wrong):
     filler = {"trust value": "U", "attribute value": 1, "predicate": "x"}
     return [row.tag] + [
         wrong if k == slot else kind[0] if isinstance(kind, tuple)
-        else filler.get(kind) or VALID[beliefs._SLOT_KINDS[kind][0]]
+        else filler.get(kind) or VALID[beliefs._SLOTS[kind].check[0]]
         for k, kind in enumerate(row.slots)]
 
 

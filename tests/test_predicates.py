@@ -97,13 +97,9 @@ def test_syntax_errors(bad):
 
 
 def test_error_carries_position():
-    try:
+    with pytest.raises(PredicateSyntaxError, match=re.escape(
+            "(line 1, column ")):
         parse_predicate("is AS and and")
-    except PredicateSyntaxError as exc:
-        assert exc.line == 1
-        assert exc.column > 0
-    else:
-        pytest.fail("no error raised")
 
 
 # --- grammar fuzz ------------------------------------------------------------

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import os
+import pickle
 import re
 import tempfile
 
@@ -223,6 +225,25 @@ def test_views_share_no_attributes():
     assert w.edge_attributes == {("as:1", "as:2"): {"note": 1}}
     assert w.instances[0].attributes == {"size": 1}
     assert w.relationships[0].attributes == {"note": 1}
+
+
+def test_stored_attribute_maps_refuse_changes():
+    """A frozen world's own attribute maps cannot be written into; a world
+    still copies and pickles as an equal one."""
+    w = world_from_dict(_attributed_world_dict())
+    for change in (lambda: w.attributes["as:1"].__setitem__("size", 5),
+                   lambda: w.edge_attributes[("as:1", "as:2")].update(note=6),
+                   lambda: w.attributes.__setitem__("as:2", {"size": 2}),
+                   lambda: w.edge_attributes.pop(("as:1", "as:2"))):
+        with pytest.raises(TypeError):
+            change()
+    assert w.attribute("as:1", "size") == 1
+    assert w.attribute("as:2", "size") is None
+    assert w.relationships[0].attributes == {"note": 1}
+    for twin in (copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert twin == w
+        with pytest.raises(TypeError):
+            twin.attributes["as:1"]["size"] = 5
 
 
 def test_world_keeps_its_own_attributes_from_the_format_2_dict():
