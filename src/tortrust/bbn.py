@@ -27,11 +27,11 @@ exactly the payload of a sample dump: `save_samples(path, rows, n_nodes)`
 writes them as they are and `load_samples(path)` returns
 `(rows, n_nodes)`.
 
-A CompiledBbn is array-backed: node ids in topological order, parents in
-CSR form (offsets, indices, weights), and sparse per-position risks,
-absolute values and ce flags.  `CompiledBbn.nodes` is a BbnNode view of
-the same network, built only when read; the sampler and the exact oracle
-read the arrays.
+A CompiledBbn is array-backed and read-only: node ids in topological
+order, parents in CSR form (offsets, indices, weights), sparse risks,
+absolute values and ce flags.  One row walk, `CompiledBbn.rows`, feeds
+`bbn_to_dict` and the BbnNode view `CompiledBbn.nodes`, built only when
+read; the sampler and the exact oracle read the arrays.
 The topological order is `validation.topological_order`, Kahn's
 algorithm taking the smallest ready node id first, on the world's integer
 ranks: `compile_bbn` reads the world's rank arrays directly, drops the
@@ -58,6 +58,7 @@ from .files import atomic_write, json_text, read_json, write_text
 from .predicates import evaluate, parse_event, select
 from .validation import (REQUIRED, check_sample_count, check_seed,
                          is_probability, read_record, topological_order)
+from .world import frozen
 
 log = logging.getLogger(__name__)
 
@@ -96,8 +97,9 @@ class CompiledBbn:
     order.  Node i's parents are parent_idx[parent_ptr[i]:parent_ptr[i+1]]
     with weights parent_w[...] (CSR).  `risks` and `absolute` map only the
     positions that have them, `ce` holds the positions of ce nodes.  The
-    arrays are copied on construction and read-only; `nodes` is a view of
-    the same network as BbnNode objects, built on first use."""
+    arrays and the two maps are copied on construction and read-only;
+    `nodes` is a view of the same network as BbnNode objects, built on
+    first use from `rows`."""
 
     ids: tuple
     parent_ptr: np.ndarray
@@ -113,6 +115,8 @@ class CompiledBbn:
             array = np.array(getattr(self, name), dtype=dtype)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+        for name in ("risks", "absolute"):
+            object.__setattr__(self, name, frozen(getattr(self, name)))
 
     def __eq__(self, other):
         if not isinstance(other, CompiledBbn):
@@ -139,15 +143,18 @@ class CompiledBbn:
 
     @cached_property
     def nodes(self):
+        return tuple(BbnNode(**row) for row in self.rows())
+
+    def rows(self):
+        """Each node's network-file fields by position, lists as tuples."""
         ptr, idx, w = self.parent_lists
         outputs = self.is_output.tolist()
-        return tuple(
-            BbnNode(id=node_id, kind="ce" if i in self.ce else "world",
-                    parents=tuple(zip(idx[ptr[i]:ptr[i + 1]],
-                                      w[ptr[i]:ptr[i + 1]])),
-                    risks=self.risks.get(i, ()),
-                    absolute=self.absolute.get(i), is_output=outputs[i])
-            for i, node_id in enumerate(self.ids))
+        for i, node_id in enumerate(self.ids):
+            yield {"id": node_id, "kind": "ce" if i in self.ce else "world",
+                   "parents": tuple(zip(idx[ptr[i]:ptr[i + 1]],
+                                        w[ptr[i]:ptr[i + 1]])),
+                   "risks": self.risks.get(i, ()),
+                   "absolute": self.absolute.get(i), "is_output": outputs[i]}
 
     @cached_property
     def needs_draws(self):
@@ -277,22 +284,15 @@ def compile_bbn(ew, trust=(), scale=None):
     src = remap[world.src]
     dst = remap[world.dst]
     w = np.ones(len(src), dtype=np.float64)
-    if weights:
-        w[world.edge_positions(weights)] = list(weights.values())
-    if rerouted:
-        at = world.edge_positions(rerouted)
-        ce_of = {ce_id: r for ce_id, r in zip(ce_ids, ce_rank.tolist())}
-        src[at] = [ce_of[ce_id] for ce_id in rerouted.values()]
-    if absolute:
-        cut = np.zeros(len(names), dtype=bool)
-        cut[[world.index[node] for node in absolute]] = True
-        keep = ~cut[world.dst]
-        src, dst, w = src[keep], dst[keep], w[keep]
-    if ce_nodes:
-        src = np.concatenate((src, remap[[world.index[parent]
-                                          for _, parent, _ in ce_nodes]]))
-        dst = np.concatenate((dst, ce_rank))
-        w = np.concatenate((w, [a for _, _, a in ce_nodes]))
+    w[world.edge_positions(weights)] = list(weights.values())
+    ce_of = dict(zip(ce_ids, ce_rank.tolist()))
+    src[world.edge_positions(rerouted)] = [ce_of[ce_id]
+                                           for ce_id in rerouted.values()]
+    keep = ~np.isin(world.dst, [world.index[node] for node in absolute])
+    src = np.concatenate((src[keep], remap[[world.index[parent]
+                                            for _, parent, _ in ce_nodes]]))
+    dst = np.concatenate((dst[keep], ce_rank))
+    w = np.concatenate((w[keep], [a for _, _, a in ce_nodes]))
     order = topological_order(n, src, dst)
 
     position = np.empty(n, dtype=np.int64)
@@ -533,19 +533,8 @@ def exact_event(bbn, event, cap=EXACT_NODE_CAP):
 # --- Serialization -----------------------------------------------------------
 
 def bbn_to_dict(bbn):
-    ptr, idx, w = bbn.parent_lists
-    outputs = bbn.is_output.tolist()
-    return {
-        "nodes": [
-            {"id": node_id, "kind": "ce" if i in bbn.ce else "world",
-             "parents": [[j, wj] for j, wj in zip(idx[ptr[i]:ptr[i + 1]],
-                                                  w[ptr[i]:ptr[i + 1]])],
-             "risks": list(bbn.risks.get(i, ())),
-             "absolute": bbn.absolute.get(i),
-             "is_output": outputs[i]}
-            for i, node_id in enumerate(bbn.ids)
-        ],
-    }
+    """The dict of a network file, `CompiledBbn.rows` as its nodes."""
+    return {"nodes": list(bbn.rows())}
 
 
 # The fields of a network file and of each of its nodes.

@@ -11,10 +11,10 @@ ids of its instances, one type code per id, the attributes of only the
 instances that have any, and each edge once as a pair of int32 ranks,
 sorted.  No object is kept per instance: the TypeInstance tuple
 `World.instances`, like `World.edges` and `World.relationships`, is a view
-built on demand.  `World.from_columns`, the constructor from id columns,
-raises ValueError on a repeated instance id, a relationship whose parent
-or child is no instance, or a cycle; `validate_world` checks only the
-ontology's rules.
+built on demand; `children` and `parents` read the rank arrays.
+`World.from_columns`, the constructor from id columns, raises ValueError
+on a repeated instance id, a relationship whose parent or child is no
+instance, or a cycle; `validate_world` checks only the ontology's rules.
 
 A world file is written in format 2, which holds the same columns: the
 sorted `names`, the sorted `type_names`, one `type_code` per name, the
@@ -27,8 +27,9 @@ first field or entry of the wrong kind; this module checks only what a
 kind cannot say (sorted names, ranks in range, lengths that agree), and
 both formats end in the constructor's one tail, which de-duplicates and
 sorts the edges, rejects a cycle and keeps read-only copies of the
-attribute dicts, which no caller can change; the `instances` and
-`relationships` views and `world_to_dict` hand out plain copies.
+attribute values, down to each list: `attribute` returns a list value as
+a read-only list, and the `instances` and `relationships` views and
+`world_to_dict` hand out plain copies.
 
 Node identifiers are plain strings with a short type prefix, e.g.
 "as:3356", "relay:fp_ab12", "vlink:as3356-relay:fp_ab12".
@@ -103,7 +104,7 @@ class _ReadOnlyDict(dict):
     """A dict that refuses every change; it copies and pickles as a new one."""
 
     def _refuse(self, *args, **kwargs):
-        raise TypeError("a world's attributes cannot be changed")
+        raise TypeError("a read-only value cannot be changed")
 
     __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = \
         setdefault = update = _refuse
@@ -112,18 +113,49 @@ class _ReadOnlyDict(dict):
         return type(self), (dict(self),)
 
 
+class _ReadOnlyList(list):
+    """A list that refuses every change; it copies and pickles as a new one."""
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = append = clear = \
+        extend = insert = pop = remove = reverse = sort = \
+        _ReadOnlyDict._refuse
+
+    def __reduce__(self):
+        return type(self), (list(self),)
+
+
+def frozen(value):
+    """`value` read-only down to each dict and list, copied unless it is."""
+    if isinstance(value, (_ReadOnlyDict, _ReadOnlyList)):
+        return value
+    if isinstance(value, dict):
+        return _ReadOnlyDict(zip(value, map(frozen, value.values())))
+    if isinstance(value, list):
+        return _ReadOnlyList(map(frozen, value))
+    return value
+
+
+def _thawed(value):
+    """A plain copy of `value`, each dict and list in it a new one."""
+    if isinstance(value, dict):
+        return dict(zip(value, map(_thawed, value.values())))
+    if isinstance(value, list):
+        return list(map(_thawed, value))
+    return value
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class World:
     """Immutable instance DAG, stored once as columns.
 
     `names` holds the instance ids, sorted, and `index` maps each to its
     rank there.  `type_code[r]` indexes `type_names` for instance r;
-    `attributes` maps only the instances with attributes, read-only.  Each
-    relationship joins two instances and is stored once as a rank pair
-    (`src[k]`, `dst[k]`), int32, sorted; `edge_attributes` maps only the
-    (parent, child) pairs with attributes, read-only too.  `edges` is a
-    view built on first use; `instances` and `relationships` are built on
-    each use, with copies of the attribute dicts.
+    `attributes` maps only the instances with attributes, read-only down
+    to each list in a value.  Each relationship joins two instances and is
+    stored once as a rank pair (`src[k]`, `dst[k]`), int32, sorted;
+    `edge_attributes` maps only the (parent, child) pairs with attributes,
+    read-only too.  `edges` is a view built on first use; `instances` and
+    `relationships` are built on each use, with plain copies.
     """
 
     names: tuple
@@ -185,7 +217,7 @@ class World:
         (int64) and has the attributes {k: attributes} holds, if any.  Each
         edge is kept once, at its first position, and sorted; ValueError
         names every node on or below a cycle.  The world keeps read-only
-        copies of the attribute maps, so no caller can change them."""
+        copies of the attribute values, so no caller can change them."""
         n = max(len(names), 1)
         keys = src * n + dst
         unique, first = np.unique(keys, return_index=True)
@@ -202,12 +234,10 @@ class World:
         world = cls.__new__(cls)
         vars(world).update(
             names=names, type_names=type_names, type_code=type_code,
-            attributes=_ReadOnlyDict(
-                (key, _ReadOnlyDict(value))
-                for key, value in attributes.items()), src=src, dst=dst,
+            attributes=frozen(attributes), src=src, dst=dst,
             edge_attributes=_ReadOnlyDict(
                 ((names[key // n], names[key % n]),
-                 _ReadOnlyDict(edge_attributes[k]))
+                 frozen(edge_attributes[k]))
                 for k, key in zip(kept.tolist(), keys[kept].tolist())),
             index=index)
         return world
@@ -226,7 +256,7 @@ class World:
     @property
     def instances(self):
         return tuple(TypeInstance(i, self.type_of(i),
-                                  dict(self.attributes.get(i, {})))
+                                  _thawed(self.attributes.get(i, {})))
                      for i in self.names)
 
     @cached_property
@@ -238,17 +268,8 @@ class World:
     @property
     def relationships(self):
         attrs = self.edge_attributes
-        return tuple(RelationshipInstance(p, c, dict(attrs.get((p, c), {})))
+        return tuple(RelationshipInstance(p, c, _thawed(attrs.get((p, c), {})))
                      for p, c in self.edges)
-
-    @cached_property
-    def _children_csr(self):
-        return _csr(len(self.names), self.src, self.dst)
-
-    @cached_property
-    def _parents_csr(self):
-        order = np.lexsort((self.src, self.dst))
-        return _csr(len(self.names), self.dst[order], self.src[order])
 
     def edge_positions(self, pairs):
         """Position in edge order of each (parent, child) pair; -1 where
@@ -273,19 +294,15 @@ class World:
         return self.attributes.get(node_id, {}).get(name, default)
 
     def children(self, node_id):
-        """Child ids of a node, sorted."""
-        return self._neighbours(self._children_csr, node_id)
+        """Child ids of a node, sorted: the run of its rank in `src`."""
+        r = self.index.get(node_id, -1)
+        lo, hi = np.searchsorted(self.src, (r, r + 1)).tolist()
+        return tuple(map(self.names.__getitem__, self.dst[lo:hi].tolist()))
 
     def parents(self, node_id):
         """Parent ids of a node, sorted."""
-        return self._neighbours(self._parents_csr, node_id)
-
-    def _neighbours(self, csr, node_id):
-        r = self.index.get(node_id)
-        if r is None:
-            return ()
-        ptr, idx = csr
-        return tuple(map(self.names.__getitem__, idx[ptr[r]:ptr[r + 1]]))
+        ranks = self.src[self.dst == self.index.get(node_id, -1)]
+        return tuple(map(self.names.__getitem__, ranks.tolist()))
 
     def of_type(self, type_name):
         """Ids of the instances of type `type_name`, sorted."""
@@ -294,12 +311,6 @@ class World:
         ranks = np.flatnonzero(self.type_code
                                == self.type_names.index(type_name))
         return tuple(map(self.names.__getitem__, ranks.tolist()))
-
-
-def _csr(n, rows, cols):
-    """(offsets, columns) as lists, for `rows` sorted ascending."""
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    return ptr.tolist(), cols.tolist()
 
 
 def _value_conforms(value, data_type):
@@ -395,11 +406,10 @@ def world_to_dict(world):
         "format": WORLD_FORMAT, "names": list(world.names),
         "type_names": list(world.type_names),
         "type_code": world.type_code.tolist(),
-        "attributes": {key: dict(value)
-                       for key, value in world.attributes.items()},
+        "attributes": _thawed(world.attributes),
         "src": world.src.tolist(), "dst": world.dst.tolist(),
-        "edge_attributes": [[index[p], index[c], dict(attributes)] for (p, c),
-                            attributes in world.edge_attributes.items()],
+        "edge_attributes": [[index[p], index[c], _thawed(value)] for (p, c),
+                            value in world.edge_attributes.items()],
     }
 
 

@@ -1,4 +1,5 @@
-"""Acceptance gate: ten checks, one printed pass/fail line each.
+"""Acceptance gate: ten checks, one printed pass/fail line each, and a
+test of the criterion-08 network's end columns against their closed form.
 
 Sampling tolerances and runtime budgets are fixed here and must not be
 loosened; each check names the property it guards.
@@ -21,10 +22,11 @@ from tortrust.bbn import (Sampler, bbn_to_dict, compile_bbn,
 from tortrust.editor import EditedWorld, apply_structural
 from tortrust.experiment import ExperimentConfig, run_experiment
 from tortrust.ontology import default_ontology
-from tortrust.pathsel import consensus_view, end_columns, first_last_matrix
+from tortrust.pathsel import (_end_column, consensus_view, end_columns,
+                              first_last_matrix)
 from tortrust.predicates import parse_predicate
 from tortrust.synth import SynthParams, generate_synthetic
-from tortrust.world import RelationshipInstance, TypeInstance, World
+from tortrust.world import RelationshipInstance, TypeInstance, World, vlink_id
 from tortrust.worldgen import build_world
 
 from conftest import FIXTURES
@@ -279,6 +281,51 @@ def test_criterion_08_table_ordering(table_one):
                      ("tor-default", "clients-trust", "clients-service-1")) +
             f", k2 {mean['clients-service-2']:.4f}, "
             f"k3 {mean['clients-service-3']:.4f}, {elapsed:.0f}s")
+
+
+def test_end_columns_match_their_closed_form_at_desk_scale():
+    """Every end column the criterion-08 experiment reads (each guard from
+    the first AS, each exit from the third-last) has a closed form on the
+    desk network: with every parent weight 1, no risk, no ce node and only
+    absolute roots drawing, a node is the OR of the absolute roots above
+    it, so the column of a relay and its vlink is set with probability
+    1 - prod(1 - p) over the roots they reach.  Each column's mean lies
+    within 4 standard errors of it."""
+    ontology = default_ontology()
+    world = build_world(ontology, generate_synthetic(TABLE_PARAMS, TABLE_SEED))
+    adversary = build_the_man(world, p_org=0.1)
+    ew = apply_structural(world, ontology, adversary)
+    bbn = compile_bbn(ew, adversary.trust, adversary.scale)
+    ptr, idx, _ = bbn.parent_lists
+    roots = set(bbn.absolute)
+    assert (bbn.parent_w == 1).all() and not bbn.risks and not bbn.ce
+    assert set(np.flatnonzero(bbn.needs_draws).tolist()) == roots
+    assert all(ptr[k] == ptr[k + 1] for k in roots)
+
+    def reached_roots(nodes):
+        seen, stack = set(), [bbn.index[node] for node in nodes]
+        while stack:
+            k = stack.pop()
+            if k not in seen:
+                seen.add(k)
+                stack.extend(idx[ptr[k]:ptr[k + 1]])
+        return seen & roots
+
+    cv = consensus_view(ew.world)
+    ases = sorted(ew.world.of_type("AS"))
+    sampler = Sampler(bbn, 5000, seed=1)
+    checked = 0
+    for as_node, relays in ((ases[0], cv.guards), (ases[-3], cv.exits)):
+        for relay in relays:
+            vlink = vlink_id(as_node.split(":", 1)[1], relay.split(":", 1)[1])
+            assert vlink in bbn.index       # the column reads relay | vlink
+            p = 1.0 - math.prod(1.0 - bbn.absolute[k]
+                                for k in reached_roots((relay, vlink)))
+            mean = _end_column(sampler, cv, as_node, relay).mean()
+            assert abs(mean - p) <= 4 * math.sqrt(p * (1 - p) / sampler.n), \
+                (as_node, relay, mean, p)
+            checked += 1
+    assert checked == len(cv.guards) + len(cv.exits) > 0
 
 
 # -- 9 ------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import math
 import operator
+import pickle
 import re
 
 import numpy as np
@@ -1161,6 +1164,35 @@ def test_compiled_arrays_match_reference(case):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[:1] = 0
+
+
+def test_compiled_maps_refuse_changes():
+    """A network's `risks` and `absolute` maps are read-only copies, like
+    its arrays, so the sampler and the exact oracle read one network."""
+    data = {"nodes": [{"id": "a", "absolute": 0.5},
+                      {"id": "b", "parents": [[0, 1.0]]}]}
+    bbn = bbn_from_dict(data)
+    bbn.needs_draws
+    for change in (lambda: bbn.risks.__setitem__(1, (0.5,)),
+                   lambda: bbn.absolute.__setitem__(0, 0.9),
+                   lambda: bbn.absolute.pop(0), bbn.absolute.clear,
+                   lambda: bbn.risks.update({1: (0.5,)})):
+        with pytest.raises(TypeError):
+            change()
+    assert bbn == bbn_from_dict(data)
+    exact = exact_marginals(bbn)
+    assert exact == {"a": 0.5, "b": 0.5}
+    for estimate in estimate_marginals(bbn, n=20_000, seed=3):
+        assert abs(estimate.estimate - exact[estimate.node]) < 0.02
+    risks = {1: (0.5,)}
+    risky = dataclasses.replace(bbn, risks=risks)
+    risks[1] = (0.9,)
+    assert risky.risks == {1: (0.5,)}
+    assert exact_marginals(risky)["b"] == 0.75
+    for twin in (copy.deepcopy(risky), pickle.loads(pickle.dumps(risky))):
+        assert twin == risky
+        with pytest.raises(TypeError):
+            twin.risks[1] = (0.1,)
 
 
 # --- packed sampler columns --------------------------------------------------

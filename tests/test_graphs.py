@@ -1,19 +1,18 @@
 """The in-house graph routines against networkx, their reference: the
 Watts-Strogatz AS graph of `world synth`, breadth-first shortest paths and
-relay families.  networkx is a test-only dependency; without it these
-properties are skipped."""
+relay families.  networkx is a required test dependency, like hypothesis:
+without it this module fails to collect, so these properties never skip.
+The package itself never imports it."""
 
 from types import SimpleNamespace
 
-import pytest
+import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tortrust.synth import _REWIRE_P, _as_graph
 from tortrust.validation import shortest_paths
 from tortrust.worldgen import _mutual_families
-
-nx = pytest.importorskip("networkx")
 
 
 @settings(max_examples=50, deadline=None)

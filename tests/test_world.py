@@ -246,6 +246,39 @@ def test_stored_attribute_maps_refuse_changes():
             twin.attributes["as:1"]["size"] = 5
 
 
+def test_list_attribute_values_are_frozen_too():
+    """A list inside an attribute value is the world's own read-only copy:
+    neither the stored list, nor the dict the world was read from, nor the
+    dict it writes can change it."""
+    d = {"instances": [{"id": "a", "type_name": "AS",
+                        "attributes": {"s": ["x"], "m": {"t": ["y"]}}}],
+         "relationships": []}
+    w = world_from_dict(d)
+    for change in (lambda: w.attributes["a"]["s"].append("z"),
+                   lambda: w.attribute("a", "s").extend(["z"]),
+                   lambda: w.attribute("a", "s").__setitem__(0, "z"),
+                   lambda: w.attribute("a", "m")["t"].append("z")):
+        with pytest.raises(TypeError):
+            change()
+    d["instances"][0]["attributes"]["s"].append("z")
+    world_to_dict(w)["attributes"]["a"]["s"].append("z")
+    w.instances[0].attributes["m"]["t"].append("z")
+    assert w.attribute("a", "s") == ["x"]
+    assert w.attribute("a", "m") == {"t": ["y"]}
+    assert isinstance(w.attribute("a", "s"), list)
+    for twin in (copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert twin == w
+        with pytest.raises(TypeError):
+            twin.attribute("a", "m")["t"].append("z")
+    edged = world_from_dict(world_to_dict(World(
+        [TypeInstance("a", "AS"), TypeInstance("b", "AS")],
+        [RelationshipInstance("a", "b", {"l": [1]})])))
+    with pytest.raises(TypeError):
+        edged.edge_attributes[("a", "b")]["l"].append(2)
+    edged.relationships[0].attributes["l"].append(2)
+    assert edged.edge_attributes == {("a", "b"): {"l": [1]}}
+
+
 def test_world_keeps_its_own_attributes_from_the_format_2_dict():
     d = world_to_dict(world_from_dict(_attributed_world_dict()))
     w = world_from_dict(d)
