@@ -44,7 +44,7 @@ edges through ce nodes closes none, so the order holds every node.
 import bisect
 import logging
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -58,7 +58,7 @@ from .files import atomic_write, json_text, read_json, write_text
 from .predicates import evaluate, parse_event, select
 from .validation import (REQUIRED, check_sample_count, check_seed,
                          is_probability, read_record, topological_order)
-from .world import frozen
+from .world import ReadOnlyDict
 
 log = logging.getLogger(__name__)
 
@@ -97,9 +97,9 @@ class CompiledBbn:
     order.  Node i's parents are parent_idx[parent_ptr[i]:parent_ptr[i+1]]
     with weights parent_w[...] (CSR).  `risks` and `absolute` map only the
     positions that have them, `ce` holds the positions of ce nodes.  The
-    arrays and the two maps are copied on construction and read-only;
-    `nodes` is a view of the same network as BbnNode objects, built on
-    first use from `rows`."""
+    arrays and the two maps are copied on construction and read-only, each
+    risk list as a tuple; `nodes` is a view of the same network as BbnNode
+    objects, built on first use from `rows`."""
 
     ids: tuple
     parent_ptr: np.ndarray
@@ -115,8 +115,9 @@ class CompiledBbn:
             array = np.array(getattr(self, name), dtype=dtype)
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        for name in ("risks", "absolute"):
-            object.__setattr__(self, name, frozen(getattr(self, name)))
+        object.__setattr__(self, "risks", ReadOnlyDict(
+            zip(self.risks, map(tuple, self.risks.values()))))
+        object.__setattr__(self, "absolute", ReadOnlyDict(self.absolute))
 
     def __eq__(self, other):
         if not isinstance(other, CompiledBbn):

@@ -8,7 +8,8 @@ configured client ASes:
     clients-service-K  trust-aware selection with K greedily placed servers
 
 The consensus view of the edited world is built once per run, before any
-sampling, and every scenario reads it.
+sampling, and every scenario reads it.  One pass over the configured
+scenarios fills `per_client`; the rows are read off it in that order.
 
 tor-default draws n bandwidth-weighted (guard, exit) circuits per client
 and pairs draw i with adversary draw i: the estimate is the share of draws
@@ -16,10 +17,11 @@ whose guard end column and exit end column are both set at row i.  The
 end columns of every guard and exit of the view, in view order, are stacked
 into n x G and n x E matrices and gathered at (i, g_at[i]) and (i, e_at[i]).
 
-clients-trust and clients-service share one pass per client: one Sampler
-and one guard selection, then the clients-trust circuit probability
-and/or the client's placement row, as the requested scenarios need.  The
-greedy placement rounds then run over the rows through `place_servers`.
+clients-trust and clients-service share one pass per client, run first
+and only when either is requested: one Sampler and one guard selection,
+then the clients-trust circuit probability and/or the client's placement
+row, as the requested scenarios need.  The greedy placement rounds then
+run over the rows through `place_servers`.
 
 Per-client work runs in client order and holds one client's sampler
 columns at a time.  Per-client seeds come from the experiment seed and the
@@ -102,8 +104,8 @@ class ExperimentTable:
                           row.seed] for row in self.rows])
 
 
-def _row(scenario, values, cfg):
-    arr = np.array(values, dtype=float)
+def _row(scenario, probs, cfg):
+    arr = np.fromiter(probs.values(), dtype=float)
     return ExperimentRow(scenario=scenario,
                          mean=float(arr.mean()),
                          median=float(np.median(arr)),
@@ -129,14 +131,14 @@ def _tor_default_probability(bbn, cv, cfg, client):
     return float((first[rows, g_at] & last[rows, e_at]).mean())
 
 
-def _clients_trust_probability(bbn, cv, cfg, client, trust, exits_in):
+def _clients_trust_probability(bbn, cv, cfg, client, exits_in):
     """One client's trust-aware pass on one sampler and one guard set:
-    (its clients-trust probability, or None unless `trust`; its placement
-    row over `exits_in`, or None when that is None)."""
+    (its clients-trust probability if `cfg` asks for it, else None; its
+    placement row over `exits_in`, or None when that is None)."""
     sampler = Sampler(bbn, cfg.n_samples, derive_seed(cfg.seed, client))
     guards = select_guards(sampler, cv, client, count=cfg.guard_count)
     p = row = None
-    if trust:
+    if SCENARIO_CLIENTS_TRUST in cfg.scenarios:
         _, _, p = select_circuit(sampler, cv, client, guards,
                                  cfg.destination_as)
     if exits_in is not None:
@@ -170,8 +172,8 @@ def run_experiment(cfg):
             raise InvalidInputError(f"scenario {scenario!r} is listed twice")
     check_sample_count(cfg.n_samples,
                        f"n_samples must be at least 1, not {cfg.n_samples}")
-    trust = SCENARIO_CLIENTS_TRUST in cfg.scenarios
-    service = SCENARIO_CLIENTS_SERVICE in cfg.scenarios
+    trusted = {SCENARIO_CLIENTS_TRUST, SCENARIO_CLIENTS_SERVICE}.intersection(
+        cfg.scenarios)
 
     ew = apply_structural(cfg.world, cfg.ontology, cfg.adversary)
     world = ew.world
@@ -181,36 +183,29 @@ def run_experiment(cfg):
             raise InvalidInputError(
                 f"{role} {node!r} is not an AS of the world")
     cv = consensus_view(world)
-    if trust or service:
+    if trusted:
         check_guard_count(cv, cfg.guard_count)
     exits_in = None
-    if service:
+    if SCENARIO_CLIENTS_SERVICE in trusted:
         exits_in = exits_by_as(cv)
         check_server_count(cfg.k_servers, exits_in)
     bbn = compile_bbn(ew, cfg.adversary.trust, cfg.adversary.scale)
 
-    values = {}
-    if SCENARIO_TOR_DEFAULT in cfg.scenarios:
-        values[SCENARIO_TOR_DEFAULT] = [
-            _tor_default_probability(bbn, cv, cfg, c) for c in clients]
-    if trust or service:
-        passes = [_clients_trust_probability(bbn, cv, cfg, c, trust,
-                                             exits_in) for c in clients]
-        values[SCENARIO_CLIENTS_TRUST] = [p for p, _ in passes]
-        best = {c: row for c, (_, row) in zip(clients, passes)}
-
-    rows = []
+    # Each scenario draws from its own seeds, so the trust passes run first.
+    passes = {c: _clients_trust_probability(bbn, cv, cfg, c, exits_in)
+              for c in clients} if trusted else {}
     per_client = {}
     for scenario in cfg.scenarios:
-        if scenario == SCENARIO_CLIENTS_SERVICE:
-            placement = place_servers(best, clients, list(exits_in),
-                                      cfg.k_servers)
-            for i, round_probs in enumerate(placement.rounds, start=1):
-                label = f"{SCENARIO_CLIENTS_SERVICE}-{i}"
-                per_client[label] = dict(round_probs)
-                rows.append(_row(label, [round_probs[c] for c in clients],
-                                 cfg))
+        if scenario == SCENARIO_TOR_DEFAULT:
+            per_client[scenario] = {
+                c: _tor_default_probability(bbn, cv, cfg, c) for c in clients}
+        elif scenario == SCENARIO_CLIENTS_TRUST:
+            per_client[scenario] = {c: p for c, (p, _) in passes.items()}
         else:
-            per_client[scenario] = dict(zip(clients, values[scenario]))
-            rows.append(_row(scenario, values[scenario], cfg))
-    return ExperimentTable(rows=tuple(rows), per_client=per_client)
+            placement = place_servers(
+                {c: row for c, (_, row) in passes.items()}, clients,
+                list(exits_in), cfg.k_servers)
+            for i, round_probs in enumerate(placement.rounds, start=1):
+                per_client[f"{scenario}-{i}"] = dict(round_probs)
+    rows = tuple(_row(label, p, cfg) for label, p in per_client.items())
+    return ExperimentTable(rows=rows, per_client=per_client)

@@ -22,7 +22,7 @@ import numpy as np
 from . import ontology as ont
 from .errors import InvalidInputError
 from .validation import check_sample_count, check_seed, is_integer, is_real
-from .world import as_id, vlink_id
+from .world import as_id, link_id
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,8 @@ def consensus_view(world):
 
 def _end_column(sampler, cv, as_node, relay):
     """Joint indicator: relay compromised or the AS-relay link observed."""
-    asn = as_node.split(":", 1)[1]
-    fp = relay.split(":", 1)[1]
     col = sampler.column(relay)
-    vid = vlink_id(asn, fp)
+    vid = link_id(as_node, relay)
     if vid in sampler.bbn.index:
         return col | sampler.column(vid)
     # No link instance: degrade to the two-endpoint path.

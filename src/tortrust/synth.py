@@ -5,13 +5,15 @@ inputs: a small-world AS topology (the graph networkx 3's
 `connected_watts_strogatz_graph` draws, reproduced draw for draw) with
 shortest-path routing, IXPs sitting on a subset of inter-AS links, relays
 spread over ASes with guard/exit flags and mutually-referencing families,
-organization clusters, geo records and per-epoch uptime.  Regenerating
-with the same seed is byte-identical.
+organization clusters, geo records and per-epoch uptime.  `_carve` cuts
+families and clusters from a shuffle; one pass writes the geo records.
+Regenerating with the same seed is byte-identical.
 """
 
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from .datasets import (ClusterRecord, DatasetBundle, GeoRecord, PathRecord,
                        RelayRecord, UptimeRecord)
 from .errors import InvalidInputError
 from .validation import check_seed, is_integer, is_probability, shortest_paths
+from .world import ixp_id, relay_id
 
 _COUNTRIES = ("US", "DE", "FR", "NL", "GB", "SE", "CH", "CA", "RO", "AT")
 _OS_STRINGS = ("Linux", "FreeBSD", "OpenBSD", "Windows", "Darwin")
@@ -123,15 +126,9 @@ def generate_synthetic(params, seed):
     host_counter = {}
     fingerprints = [f"fp_{i:04x}" for i in range(params.n_relays)]
 
-    # Families: explicit sizes carve up a shuffled prefix; the rest are loners.
-    fam_order = [int(i) for i in rng.permutation(params.n_relays)]
-    family_of = {}
-    cursor = 0
-    for fam_num, size in enumerate(params.family_sizes):
-        members = fam_order[cursor:cursor + size]
-        cursor += size
-        for m in members:
-            family_of[m] = members
+    # Families: explicit sizes carve up a shuffle; the rest are loners.
+    families, _ = _carve(range(params.n_relays), params.family_sizes, rng)
+    family_of = {m: members for members in families for m in members}
     consensus = []
     for i in range(params.n_relays):
         as_idx = relay_as_idx[i]
@@ -181,17 +178,13 @@ def generate_synthetic(params, seed):
     ixp_clusters = _clusters("ixporg", params.ixp_org_sizes,
                              list(range(1, n_ixp + 1)), rng)
 
-    geo = []
-    for i, rec in enumerate(consensus):
-        cc = _COUNTRIES[int(rng.integers(0, len(_COUNTRIES)))]
-        geo.append(GeoRecord(entity=f"relay:{rec.fingerprint}", country=cc,
-                             lat=round(float(rng.uniform(-60, 70)), 4),
-                             lon=round(float(rng.uniform(-180, 180)), 4)))
-    for ixp_num in range(1, n_ixp + 1):
-        cc = _COUNTRIES[int(rng.integers(0, len(_COUNTRIES)))]
-        geo.append(GeoRecord(entity=f"ixp:{ixp_num}", country=cc,
-                             lat=round(float(rng.uniform(-60, 70)), 4),
-                             lon=round(float(rng.uniform(-180, 180)), 4)))
+    # Geo records: the relays', then the IXPs'.
+    geo = [GeoRecord(entity=entity,
+                     country=_COUNTRIES[int(rng.integers(0, len(_COUNTRIES)))],
+                     lat=round(float(rng.uniform(-60, 70)), 4),
+                     lon=round(float(rng.uniform(-180, 180)), 4))
+           for entity in [*map(relay_id, fingerprints),
+                          *map(ixp_id, range(1, n_ixp + 1))]]
 
     up_prob = rng.uniform(_UPTIME_LOW, _UPTIME_HIGH,
                           size=params.n_relays)
@@ -214,14 +207,18 @@ def generate_synthetic(params, seed):
     return bundle
 
 
+def _carve(items, sizes, rng):
+    """One shuffle of `items` cut into sorted groups of `sizes`, and the
+    rest, sorted."""
+    order = [items[int(i)] for i in rng.permutation(len(items))]
+    cuts = [0, *accumulate(sizes)]
+    return ([sorted(order[a:b]) for a, b in zip(cuts, cuts[1:])],
+            sorted(order[cuts[-1]:]))
+
+
 def _clusters(prefix, sizes, members, rng):
-    order = [members[int(i)] for i in rng.permutation(len(members))]
-    clusters = []
-    cursor = 0
-    for num, size in enumerate(sizes, start=1):
-        group = sorted(order[cursor:cursor + size])
-        cursor += size
-        clusters.append(ClusterRecord(org=f"{prefix}{num}", members=tuple(group)))
-    for extra, member in enumerate(sorted(order[cursor:]), start=len(sizes) + 1):
-        clusters.append(ClusterRecord(org=f"{prefix}{extra}", members=(member,)))
-    return clusters
+    """Clusters of `sizes` numbered from 1, then one per member left."""
+    groups, rest = _carve(members, sizes, rng)
+    return [ClusterRecord(org=f"{prefix}{num}", members=tuple(group))
+            for num, group in enumerate(groups + [[m] for m in rest],
+                                        start=1)]

@@ -27,12 +27,14 @@ first field or entry of the wrong kind; this module checks only what a
 kind cannot say (sorted names, ranks in range, lengths that agree), and
 both formats end in the constructor's one tail, which de-duplicates and
 sorts the edges, rejects a cycle and keeps read-only copies of the
-attribute values, down to each list: `attribute` returns a list value as
-a read-only list, and the `instances` and `relationships` views and
-`world_to_dict` hand out plain copies.
+attribute values, down to each list (a tuple, which JSON cannot hold,
+is kept as a list): `attribute` returns a list value as a read-only list,
+and the `instances` and `relationships` views and `world_to_dict` hand
+out plain copies.
 
 Node identifiers are plain strings with a short type prefix, e.g.
-"as:3356", "relay:fp_ab12", "vlink:as3356-relay:fp_ab12".
+"as:3356", "relay:fp_ab12", "vlink:as3356-relay:fp_ab12"; only the
+`*_id` functions below write or read one.
 """
 
 from collections import Counter
@@ -66,8 +68,13 @@ def relay_id(fingerprint):
     return f"relay:{fingerprint}"
 
 
+def link_id(as_node, relay):
+    """The id of the virtual link of AS id `as_node` and relay id `relay`."""
+    return f"vlink:{as_node.replace(':', '', 1)}-{relay}"
+
+
 def vlink_id(asn, fingerprint):
-    return f"vlink:as{asn}-relay:{fingerprint}"
+    return link_id(as_id(asn), relay_id(fingerprint))
 
 
 def family_id(member_fingerprints):
@@ -100,7 +107,7 @@ class RelationshipInstance:
     attributes: dict = field(default_factory=dict)
 
 
-class _ReadOnlyDict(dict):
+class ReadOnlyDict(dict):
     """A dict that refuses every change; it copies and pickles as a new one."""
 
     def _refuse(self, *args, **kwargs):
@@ -118,19 +125,20 @@ class _ReadOnlyList(list):
 
     __setitem__ = __delitem__ = __iadd__ = __imul__ = append = clear = \
         extend = insert = pop = remove = reverse = sort = \
-        _ReadOnlyDict._refuse
+        ReadOnlyDict._refuse
 
     def __reduce__(self):
         return type(self), (list(self),)
 
 
 def frozen(value):
-    """`value` read-only down to each dict and list, copied unless it is."""
-    if isinstance(value, (_ReadOnlyDict, _ReadOnlyList)):
+    """`value` read-only down to each dict and list, copied unless it is; a
+    tuple becomes the read-only list, as JSON has no tuple."""
+    if isinstance(value, (ReadOnlyDict, _ReadOnlyList)):
         return value
     if isinstance(value, dict):
-        return _ReadOnlyDict(zip(value, map(frozen, value.values())))
-    if isinstance(value, list):
+        return ReadOnlyDict(zip(value, map(frozen, value.values())))
+    if isinstance(value, (list, tuple)):
         return _ReadOnlyList(map(frozen, value))
     return value
 
@@ -235,7 +243,7 @@ class World:
         vars(world).update(
             names=names, type_names=type_names, type_code=type_code,
             attributes=frozen(attributes), src=src, dst=dst,
-            edge_attributes=_ReadOnlyDict(
+            edge_attributes=ReadOnlyDict(
                 ((names[key // n], names[key % n]),
                  frozen(edge_attributes[k]))
                 for k, key in zip(kept.tolist(), keys[kept].tolist())),

@@ -2,6 +2,7 @@
 
 Construction order: relays, families (connected components of mutual family
 references), ASes and IXPs, virtual links, organizations, jurisdictions.
+Families, organizations and jurisdictions are added by one helper, `group`.
 The result is a pure function of (ontology, bundle).
 """
 
@@ -47,6 +48,12 @@ def build_world(ontology, bundle):
     instances = []                  # (id, type name, attributes) rows
     parents, children = [], []      # the relationship columns
 
+    def group(gid, type_name, members, attributes):
+        """Add group instance `gid` and an edge from it to each member."""
+        instances.append((gid, type_name, attributes))
+        parents.extend([gid] * len(members))
+        children.extend(members)
+
     # Relays.  Operational fields (bandwidth, flags, ip, as_number) ride
     # along as undeclared attributes so downstream predicates can test them.
     geo_by_entity = {g.entity: g for g in bundle.geo}
@@ -66,13 +73,10 @@ def build_world(ontology, bundle):
 
     # Families.
     for members in _mutual_families(bundle.consensus):
-        fid = family_id(members)
-        attrs = {}
-        if bundle.uptime:
-            attrs["uptime"] = family_uptime(bundle, members)
-        instances.append((fid, ont.RELAY_FAMILY, attrs))
-        parents += [fid] * len(members)
-        children += map(relay_id, members)
+        group(family_id(members), ont.RELAY_FAMILY,
+              [relay_id(m) for m in members],
+              {"uptime": family_uptime(bundle, members)} if bundle.uptime
+              else {})
 
     # ASes: everything on any path plus every relay's AS.
     asns = {rec.as_number for rec in bundle.consensus}
@@ -118,34 +122,28 @@ def build_world(ontology, bundle):
 
     # Organizations.
     for c in bundle.as_clusters:
-        oid = as_org_id(c.org)
-        instances.append((oid, ont.AS_ORGANIZATION, {}))
         for member in c.members:
             if member not in asns:
                 raise DatasetError(
                     f"AS cluster {c.org!r} references unknown AS {member}")
-        parents += [oid] * len(c.members)
-        children += map(as_id, c.members)
+        group(as_org_id(c.org), ont.AS_ORGANIZATION,
+              [as_id(m) for m in c.members], {})
     for c in bundle.ixp_clusters:
-        oid = ixp_org_id(c.org)
-        instances.append((oid, ont.IXP_ORGANIZATION, {}))
-        parents += [oid] * len(c.members)
-        children += map(ixp_id, c.members)
+        group(ixp_org_id(c.org), ont.IXP_ORGANIZATION,
+              [ixp_id(x) for x in c.members], {})
 
     # Jurisdictions from geo records that attach to a relay or IXP.
-    relay_ids = {relay_id(r.fingerprint) for r in bundle.consensus}
-    ixp_ids = {ixp_id(x) for x in ixps}
+    located = {relay_id(r.fingerprint) for r in bundle.consensus}.union(
+        map(ixp_id, ixps))
     countries = {}
     for g in geo_by_entity.values():
-        if g.entity in relay_ids or g.entity in ixp_ids:
+        if g.entity in located:
             countries.setdefault(g.country, []).append(g.entity)
         else:
             log.debug("geo record for unknown entity %s ignored", g.entity)
     for cc in sorted(countries):
-        jid = jurisdiction_id(cc)
-        instances.append((jid, ont.LEGAL_JURISDICTION, {}))
-        parents += [jid] * len(countries[cc])
-        children += sorted(countries[cc])
+        group(jurisdiction_id(cc), ont.LEGAL_JURISDICTION,
+              sorted(countries[cc]), {})
 
     ids, types, attributes = zip(*instances) if instances else [()] * 3
     return World.from_columns(ids, types, attributes, parents, children,

@@ -1195,6 +1195,17 @@ def test_compiled_maps_refuse_changes():
             twin.risks[1] = (0.1,)
 
 
+def test_compiled_risk_lists_are_kept_as_tuples():
+    """A network keeps each risk list as a tuple, as its nodes show it."""
+    bbn = bbn_from_dict({"nodes": [{"id": "a", "risks": [0.5]}]})
+    risks = {0: [0.25]}
+    risky = dataclasses.replace(bbn, risks=risks)
+    risks[0].append(0.9)
+    assert risky.risks == {0: (0.25,)}
+    assert risky.nodes[0].risks == (0.25,)
+    assert exact_marginals(risky) == {"a": 0.25}
+
+
 # --- packed sampler columns --------------------------------------------------
 
 # n mostly not a multiple of 8, so the last byte of a column has padding

@@ -1,18 +1,25 @@
 import dataclasses
+import itertools
+import json
 
 import numpy as np
 import pytest
 
 from tortrust import experiment
 from tortrust.bbn import Sampler, compile_bbn
-from tortrust.beliefs import CE1, CE2
+from tortrust.beliefs import (CE1, CE2, Absolute, BeliefDocument,
+                              serialize_belief_document)
+from tortrust.cli import main
 from tortrust.editor import apply_structural
 from tortrust.experiment import (DEFAULT_SCENARIOS, ExperimentConfig,
                                  run_experiment)
 from tortrust.pathsel import (_end_column, consensus_view, derive_seed,
                               draw_default_circuits)
 from tortrust.predicates import parse_predicate
-from tortrust.world import world_from_dict, world_to_dict
+from tortrust.world import (TypeInstance, World, world_from_dict,
+                            world_to_dict)
+
+from conftest import row_world_dict
 
 
 @pytest.fixture(scope="module")
@@ -173,19 +180,75 @@ def test_tor_default_stacks_a_guard_that_is_never_drawn(config, ontology):
             bbn, cv, cfg, client) == expected
 
 
-@pytest.mark.parametrize("scenarios,names", [
-    (("clients-trust",), ["clients-trust"]),
-    (("clients-service",), ["clients-service-1", "clients-service-2"]),
-    (("clients-service", "tor-default"),
-     ["clients-service-1", "clients-service-2", "tor-default"]),
-])
-def test_scenario_subsets_match_full_run(config, table, scenarios, names):
+@pytest.mark.parametrize("scenarios", [
+    order for k in (1, 2, 3)
+    for order in itertools.permutations(DEFAULT_SCENARIOS, k)],
+    ids="+".join)
+def test_scenario_subsets_match_full_run(config, table, scenarios):
+    """Every ordered selection of scenarios gives the full run's rows, in
+    the configured order, one per `per_client` entry."""
     sub = run_experiment(dataclasses.replace(config, scenarios=scenarios))
     full_rows = {r.scenario: r for r in table.rows}
-    assert [r.scenario for r in sub.rows] == names
+    names = [name for s in scenarios for name in (
+        [f"{s}-{i}" for i in range(1, config.k_servers + 1)]
+        if s == "clients-service" else [s])]
+    assert [r.scenario for r in sub.rows] == names == list(sub.per_client)
     for row in sub.rows:
         assert row == full_rows[row.scenario]
         assert sub.per_client[row.scenario] == table.per_client[row.scenario]
+
+
+# --- ids without a type prefix ------------------------------------------------
+
+def _prefix_free_config(ontology):
+    """Two ASes and two relays whose ids hold no colon, and relays that
+    name no AS: no pair has a virtual link."""
+    world = World([
+        TypeInstance("AS1", "AS"), TypeInstance("AS2", "AS"),
+        TypeInstance("g1", "Tor Relay",
+                     {"bandwidth": 10, "ip": "10.0.0.1", "guard": 1}),
+        TypeInstance("x1", "Tor Relay",
+                     {"bandwidth": 10, "ip": "10.1.0.1", "exit": 1})])
+    return ExperimentConfig(
+        world=world, ontology=ontology,
+        adversary=BeliefDocument(
+            trust=(Absolute(parse_predicate("is AS"), 0.1),)),
+        clients=("AS1",), destination_as="AS2",
+        scenarios=("tor-default", "clients-trust"), n_samples=400, seed=3,
+        guard_count=1)
+
+
+def test_prefix_free_ids_run(ontology):
+    table = run_experiment(_prefix_free_config(ontology))
+    assert [r.scenario for r in table.rows] == ["tor-default",
+                                                 "clients-trust"]
+
+
+def test_prefix_free_ids_take_the_two_endpoint_path(ontology):
+    """A pair with no virtual link reads the relay's column or the AS's."""
+    cfg = _prefix_free_config(ontology)
+    ew = apply_structural(cfg.world, ontology, cfg.adversary)
+    sampler = Sampler(compile_bbn(ew, cfg.adversary.trust), 400, 1)
+    column = _end_column(sampler, consensus_view(ew.world), "AS1", "g1")
+    assert np.array_equal(column, sampler.column("g1")
+                          | sampler.column("AS1"))
+    assert column.any() and not column.all()
+
+
+def test_experiment_run_reads_prefix_free_ids(ontology, tmp_path, capsys):
+    cfg = _prefix_free_config(ontology)
+    world, doc = tmp_path / "world.json", tmp_path / "doc.json"
+    world.write_text(json.dumps(row_world_dict(cfg.world.instances, ())))
+    doc.write_text(serialize_belief_document(cfg.adversary))
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({
+        "world": str(world), "adversary": str(doc), "clients": ["AS1"],
+        "destination_as": "AS2", "scenarios": list(cfg.scenarios),
+        "n_samples": 400, "seed": 3, "guard_count": 1}))
+    assert main(["experiment", "run", "--config", str(path)]) == 0
+    assert [line.split(",")[0] for line in
+            capsys.readouterr().out.splitlines()[1:]] == ["tor-default",
+                                                          "clients-trust"]
 
 
 # --- config checks ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import json
@@ -21,13 +22,14 @@ from tortrust.datasets import (ClusterRecord, DatasetBundle, GeoRecord,
                                load_bundle, save_bundle)
 from tortrust.editor import EditedWorld
 from tortrust.errors import CompileError, DatasetError
+from tortrust.files import json_text, parse_json
 from tortrust.ontology import AttributeDef, TypeDef
 from tortrust.predicates import parse_predicate
 from tortrust.synth import SynthParams, generate_synthetic
 from tortrust.validation import (ValidationReport, find_cycle,
                                  topological_order)
 from tortrust.world import (RelationshipInstance, TypeInstance, World,
-                            _value_conforms, load_world, save_world,
+                            _value_conforms, link_id, load_world, save_world,
                             validate_world, vlink_id, world_from_dict,
                             world_to_dict)
 from tortrust.worldgen import build_world, family_uptime
@@ -277,6 +279,17 @@ def test_list_attribute_values_are_frozen_too():
         edged.edge_attributes[("a", "b")]["l"].append(2)
     edged.relationships[0].attributes["l"].append(2)
     assert edged.edge_attributes == {("a", "b"): {"l": [1]}}
+
+
+def test_tuple_attribute_values_read_back_as_read_only_lists():
+    """JSON has no tuple, so a world keeps a tuple value as the read-only
+    list it would read back from its file."""
+    w = World([TypeInstance("a", "AS", {"s": ("x",), "t": (["y"],)})])
+    with pytest.raises(TypeError):
+        w.attribute("a", "t")[0].append("z")
+    assert w.attribute("a", "t") == [["y"]]
+    assert w == world_from_dict(parse_json(json_text(world_to_dict(w))))
+    assert w == World([TypeInstance("a", "AS", {"s": ["x"], "t": [["y"]]})])
 
 
 def test_world_keeps_its_own_attributes_from_the_format_2_dict():
@@ -1085,3 +1098,46 @@ def test_validate_reports_every_edge_of_a_bad_type_pair(ontology):
         ("no-ontology-edge",
          "relationship ('as:2', 'relay:c') has type pair ('AS', 'Tor Relay') "
          "with no ontology edge", ("as:2", "relay:c"))]
+
+
+# --- the instance id grammar ----------------------------------------------------
+
+_ID_PREFIXES = ("as:", "ixp:", "relay:", "vlink:", "family:", "asorg:",
+                "ixporg:", "jur:")
+
+
+def test_link_id_joins_any_two_ids():
+    assert link_id("as:7", "relay:f") == "vlink:as7-relay:f" \
+        == vlink_id(7, "f")
+    assert link_id("AS1", "g1") == "vlink:AS1-g1"
+
+
+def test_world_module_alone_writes_and_reads_ids():
+    """Instance ids are made and taken apart in world.py only: no other
+    module holds a string, docstrings aside, that starts with an id prefix,
+    or splits a string on ":"."""
+    src = os.path.dirname(tortrust.__file__)
+    found = []
+    for name in sorted(os.listdir(src)):
+        if not name.endswith(".py") or name == "world.py":
+            continue
+        with open(os.path.join(src, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef,
+                                           ast.FunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)
+                      and isinstance(node.body[0].value, ast.Constant)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in docstrings
+                    and node.value.startswith(_ID_PREFIXES)):
+                found.append((name, node.lineno))
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("split", "rsplit", "partition",
+                                           "rpartition")
+                    and node.args and isinstance(node.args[0], ast.Constant)
+                    and node.args[0].value == ":"):
+                found.append((name, node.lineno))
+    assert found == []
