@@ -19,13 +19,19 @@ no absolute, not ce, every parent weight 0 or 1) are the OR of their
 weight-1 parents and read no uniforms at all; since every other node's
 stream is keyed by its own position, skipping them changes no draw.
 
-The sampler caches every column bit-packed (np.packbits order, eight
-draws to a byte, the padding bits of the last byte zero) and unpacks a
-fresh bool column for each `Sampler.column` call.  `sample_matrix` returns
-packed rows, (n, ceil(k/8)) uint8 in np.packbits(axis=1) order, which are
-exactly the payload of a sample dump: `save_samples(path, rows, n_nodes)`
-writes them as they are and `load_samples(path)` returns
-`(rows, n_nodes)`.
+The lazy `Sampler` caches the columns it computes bit-packed
+(np.packbits order, eight draws to a byte, the padding bits of the last
+byte zero) and unpacks a fresh bool column for each `Sampler.column`
+call; `estimate_event` and path selection read it.  A dump and a
+marginals call go through each node's *frontier*
+(`CompiledBbn.frontier`): the draw nodes it reaches over weight-1 edges
+through nodes that do not draw, itself if it draws.  They draw only the
+draw nodes of the requested nodes' frontiers and OR every other node from
+its frontier's columns, so on a network where few nodes draw they build
+few columns.  `sample_matrix` returns packed rows, (n, ceil(k/8)) uint8 in
+np.packbits(axis=1) order, which are exactly the payload of a sample
+dump: `save_samples(path, rows, n_nodes)` writes them as they are and
+`load_samples(path)` returns `(rows, n_nodes)`.
 
 A CompiledBbn is array-backed and read-only: node ids in topological
 order, parents in CSR form (offsets, indices, weights), sparse risks,
@@ -57,7 +63,8 @@ from .errors import (CompileError, EditError, InvalidInputError,
 from .files import atomic_write, json_text, read_json, write_text
 from .predicates import evaluate, parse_event, select
 from .validation import (REQUIRED, check_sample_count, check_seed,
-                         is_probability, read_record, topological_order)
+                         concat_ranges, is_probability, peel_rounds,
+                         read_record, topological_order)
 from .world import ReadOnlyDict
 
 log = logging.getLogger(__name__)
@@ -66,6 +73,11 @@ EXACT_NODE_CAP = 24
 
 SAMPLE_MAGIC = b"TBBN"
 SAMPLE_VERSION = 1
+
+# `sample_matrix` ORs a draw node's row into at most this many bytes of
+# sample rows at once, which bounds the copy that fancy indexing makes
+# when a node is set in most rows.
+_OR_BLOCK_BYTES = 1 << 20
 
 
 def compromise_probability(S, R):
@@ -135,6 +147,13 @@ class CompiledBbn:
     def index(self):
         return {node_id: i for i, node_id in enumerate(self.ids)}
 
+    def position(self, node_id):
+        """The position of `node_id`; UnknownIdError if it is no node."""
+        try:
+            return self.index[node_id]
+        except KeyError:
+            raise UnknownIdError(f"unknown node {node_id!r}") from None
+
     @cached_property
     def parent_lists(self):
         """(parent_ptr, parent_idx, parent_w) as Python lists, for loops
@@ -169,6 +188,50 @@ class CompiledBbn:
         w = self.parent_w
         draws[owner[(w > 0.0) & (w < 1.0)]] = True
         return draws
+
+    @cached_property
+    def frontier(self):
+        """(ptr, idx), read-only, in CSR form: node i's frontier is the
+        sorted draw positions idx[ptr[i]:ptr[i + 1]].  A node that draws is
+        its own frontier.  Any other node's is the union of its weight-1
+        parents' frontiers (weight-0 edges drop out), so its column is the
+        OR of its frontier's columns.  Built one `peel_rounds` round at a
+        time over the weight-1 edges into nodes that do not draw; its size
+        is the sum of the frontiers' sizes."""
+        n = len(self.ids)
+        draws = self.needs_draws
+        ptr = self.parent_ptr
+        owner = np.repeat(np.arange(n), np.diff(ptr))
+        certain = (self.parent_w >= 1.0) & ~draws[owner]
+        start = np.zeros(n, dtype=np.int64)
+        count = np.zeros(n, dtype=np.int64)
+        store = np.empty(n, dtype=np.int64)     # the rounds' frontiers
+        used = 0
+        for nodes in peel_rounds(n, self.parent_idx[certain], owner[certain]):
+            edges = concat_ranges(ptr[nodes], ptr[nodes + 1] - ptr[nodes])
+            edges = edges[certain[edges]]
+            parents = self.parent_idx[edges]
+            own = nodes[draws[nodes]]
+            # one key node * n + draw per frontier entry of the round
+            keys = np.sort(np.concatenate((
+                own * n + own,
+                np.repeat(owner[edges] * n, count[parents])
+                + store[concat_ranges(start[parents], count[parents])])))
+            keys = keys[np.diff(keys, prepend=-1) != 0]
+            node, draw = np.divmod(keys, n)
+            if used + keys.size > store.size:
+                store = np.concatenate((store[:used],
+                                        np.empty(used + keys.size, np.int64)))
+            store[used:used + keys.size] = draw
+            hit, size = np.unique(node, return_counts=True)
+            start[hit] = used + np.cumsum(size) - size
+            count[hit] = size
+            used += keys.size
+        frontier = (np.concatenate(([0], np.cumsum(count))),
+                    store[concat_ranges(start, count)])
+        for array in frontier:
+            array.flags.writeable = False
+        return frontier
 
 
 _ARRAY_FIELDS = (("parent_ptr", np.int64), ("parent_idx", np.int64),
@@ -342,11 +405,7 @@ class Sampler:
         self._cols = {}
 
     def column(self, node_id):
-        try:
-            idx = self.bbn.index[node_id]
-        except KeyError:
-            raise UnknownIdError(f"unknown node {node_id!r}") from None
-        return self._unpack(self._column(idx))
+        return self._unpack(self._column(self.bbn.position(node_id)))
 
     def _unpack(self, packed):
         return np.unpackbits(packed, count=self.n).view(bool)
@@ -419,32 +478,67 @@ def sample_matrix(bbn, n, seed, nodes=None):
     the bytes of a sample dump; `np.unpackbits(rows, axis=1, count=k)`
     gives the (n, k) matrix.
 
-    Each column is shifted into a (ceil(k/8), n) byte buffer as it is
-    drawn; the sampler's columns are dropped before the buffer is
-    transposed once.  An n whose buffer one array cannot hold is refused."""
+    Only the draw nodes of the requested nodes' frontiers are drawn, each
+    through one `Sampler.column` request in position order.  Each draw
+    node's packed membership row, the requested nodes whose frontier holds
+    it, is ORed into the rows where it is set, so every other node is the
+    OR of its frontier's columns.  An n whose rows one array cannot hold
+    is refused before any draw."""
     sampler = Sampler(bbn, n, seed)
     ids = list(bbn.ids if nodes is None else nodes)
-    k = len(ids)
-    if (k + 7) // 8 * sampler.n > np.iinfo(np.intp).max:
-        raise InvalidInputError(f"n = {n} samples of {k} nodes need more "
-                                "bytes than an array holds")
-    packed = np.zeros(((k + 7) // 8, sampler.n), dtype=np.uint8)
-    shifted = np.empty(sampler.n, dtype=np.uint8)
-    for i, nid in enumerate(ids):
-        np.left_shift(sampler.column(nid).view(np.uint8), 7 - i % 8,
-                      out=shifted)
-        packed[i // 8] |= shifted
-    del sampler
-    return np.ascontiguousarray(packed.T)
+    width = (len(ids) + 7) // 8
+    if width * sampler.n > np.iinfo(np.intp).max:
+        raise InvalidInputError(f"n = {n} samples of {len(ids)} nodes need "
+                                "more bytes than an array holds")
+    which, draw = _frontier_entries(bbn, ids)
+    rows = np.zeros((sampler.n, width), dtype=np.uint8)
+    order = np.argsort(draw, kind="stable")
+    draws, first = np.unique(draw[order], return_index=True)
+    block = max(1, _OR_BLOCK_BYTES // max(width, 1))
+    for d, members in zip(draws.tolist(), np.split(which[order], first[1:])):
+        bits = np.zeros(width * 8, dtype=bool)
+        bits[members] = True
+        member_row = np.packbits(bits)
+        hits = np.flatnonzero(sampler.column(bbn.ids[d]))
+        for start in range(0, hits.size, block):
+            rows[hits[start:start + block]] |= member_row
+    return rows
+
+
+def _frontier_entries(bbn, ids):
+    """(which, draw): one pair per frontier entry of each id in turn, the
+    id's index in `ids` and the draw node's position.  UnknownIdError for
+    an id that is no node."""
+    positions = np.array([bbn.position(x) for x in ids], dtype=np.int64)
+    ptr, idx = bbn.frontier
+    counts = ptr[positions + 1] - ptr[positions]
+    return (np.repeat(np.arange(positions.size), counts),
+            idx[concat_ranges(ptr[positions], counts)])
 
 
 def estimate_marginals(bbn, nodes=None, n=100_000, seed=0):
+    """Each node's share of n joint draws, in the order asked.  One node
+    is read off the lazy sampler.  For more, only the draw nodes of their
+    frontiers are drawn, once each, and kept bit-packed; a node's count is
+    the bit count of the OR of its frontier's columns."""
     sampler = Sampler(bbn, n, seed)
+    n = sampler.n
     ids = list(bbn.ids if nodes is None else nodes)
-    return [MarginalEstimate(node=nid,
-                             estimate=float(sampler.column(nid).mean()),
-                             n_samples=sampler.n)
-            for nid in ids]
+    if len(ids) == 1:
+        counts = [np.count_nonzero(sampler.column(ids[0]))]
+    else:
+        which, draw = _frontier_entries(bbn, ids)
+        draws, slot = np.unique(draw, return_inverse=True)
+        packed = np.array([np.packbits(sampler.column(bbn.ids[d]))
+                           for d in draws.tolist()],
+                          dtype=np.uint8).reshape(draws.size, (n + 7) // 8)
+        del sampler
+        ends = np.cumsum(np.bincount(which, minlength=len(ids))).tolist()
+        counts = [np.bitwise_count(np.bitwise_or.reduce(
+                      packed[slot[a:b]], axis=0)).sum()
+                  for a, b in zip([0] + ends, ends)]
+    return [MarginalEstimate(node=nid, estimate=int(count) / n, n_samples=n)
+            for nid, count in zip(ids, counts)]
 
 
 # --- Event expressions -------------------------------------------------------
@@ -522,13 +616,8 @@ def exact_event(bbn, event, cap=EXACT_NODE_CAP):
     prob = _joint_vector(bbn, cap)
     states = np.arange(prob.size, dtype=np.uint32)
 
-    def leaf(atom):
-        try:
-            return _state_bit(states, bbn.index[atom.node_id])
-        except KeyError:
-            raise UnknownIdError(f"unknown node {atom.node_id!r}") from None
-
-    return float(prob[evaluate(tree, leaf)].sum())
+    return float(prob[evaluate(tree, lambda atom: _state_bit(
+        states, bbn.position(atom.node_id)))].sum())
 
 
 # --- Serialization -----------------------------------------------------------

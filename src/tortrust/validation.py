@@ -1,7 +1,9 @@
 """Violation reports shared by ontology and world validation, the one
 topological sort (on integer ranks) behind the compiled network's order,
-`find_cycle`, the order-free check that the world constructor and
-ontology validation share, the one breadth-first walk
+the one peel of a graph's indegree-zero nodes in numpy rounds
+(`peel_rounds`, behind the compiled network's frontiers and `find_cycle`,
+the order-free check that the world constructor and ontology validation
+share), the one breadth-first walk
 (`shortest_paths`), the one rule of each input value kind (`is_integer`,
 `is_real`, `is_probability`, `VALUE_KINDS`), of a seed and of a sample
 count, and the one reader of every input format's field table
@@ -98,15 +100,22 @@ def shortest_paths(adj, src):
     return paths
 
 
-def find_cycle(graph, names, src, dst):
-    """(message, nodes) naming every node of the graph on `names` (sorted)
-    with edges src -> dst (ranks) that lies on a directed cycle or
-    downstream of one, the nodes `topological_order` cannot place; None
-    when the graph has no cycle.  No order is built: the indegree-zero
-    nodes are peeled in rounds, and each round reads only the children of
-    the nodes peeled in the round before, so a chain of n nodes costs n
-    short rounds."""
-    n = len(names)
+def concat_ranges(starts, counts):
+    """starts[i], starts[i] + 1, ..., starts[i] + counts[i] - 1 for each i
+    in turn, as one int64 array: the gather index of many CSR rows."""
+    counts = np.asarray(counts, dtype=np.int64)
+    at = np.repeat(np.asarray(starts, dtype=np.int64) - np.cumsum(counts)
+                   + counts, counts)
+    return at + np.arange(at.size)
+
+
+def peel_rounds(n, src, dst):
+    """Kahn's algorithm by rounds over nodes 0..n-1 with edges src[k] ->
+    dst[k]: yields first the nodes of indegree zero, then each round the
+    nodes whose last parent the round before peeled, each round sorted.
+    A round reads only the children of the round before, so a chain of n
+    nodes costs n short rounds.  The nodes on a directed cycle, or
+    downstream of one, are never yielded."""
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     indegree = np.bincount(dst, minlength=n)
@@ -114,16 +123,26 @@ def find_cycle(graph, names, src, dst):
     children = dst[np.argsort(src, kind="stable")]
     peeled = np.flatnonzero(indegree == 0)
     while peeled.size:
-        counts = ptr[peeled + 1] - ptr[peeled]
-        # the positions in `children` of every peeled node's children
-        at = np.repeat(ptr[peeled] - np.cumsum(counts) + counts, counts)
-        hit, times = np.unique(children[at + np.arange(at.size)],
-                               return_counts=True)
+        yield peeled
+        hit, times = np.unique(
+            children[concat_ranges(ptr[peeled], ptr[peeled + 1]
+                                   - ptr[peeled])], return_counts=True)
         indegree[hit] -= times
         peeled = hit[indegree[hit] == 0]
-    if not indegree.any():
+
+
+def find_cycle(graph, names, src, dst):
+    """(message, nodes) naming every node of the graph on `names` (sorted)
+    with edges src -> dst (ranks) that lies on a directed cycle or
+    downstream of one, the nodes `peel_rounds` never peels; None when the
+    graph has no cycle.  No order is built."""
+    n = len(names)
+    placed = np.zeros(n, dtype=bool)
+    for peeled in peel_rounds(n, src, dst):
+        placed[peeled] = True
+    if placed.all():
         return None
-    cycle = [names[r] for r in np.flatnonzero(indegree).tolist()]
+    cycle = [names[r] for r in np.flatnonzero(~placed).tolist()]
     return f"{graph} graph has a cycle through {{{', '.join(cycle)}}}", cycle
 
 

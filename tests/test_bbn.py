@@ -4,6 +4,7 @@ import math
 import operator
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,19 +12,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tortrust.beliefs import (Absolute, Budget1, Budget2, CE1, CE2, Relative,
-                              TrustScale)
+                              TrustScale, build_the_man)
 from tortrust.bbn import (CompiledBbn, Sampler,
                           bbn_from_dict, bbn_to_dict, compile_bbn,
                           compromise_probability,
                           enumerate_exact, estimate_event, estimate_marginals,
                           exact_event, exact_marginals, load_samples,
                           parse_event, sample, sample_matrix, save_samples)
+from tortrust.editor import apply_structural
 from tortrust.errors import (BeliefFormatError, CompileError,
-                             NetworkTooLargeError)
+                             InvalidInputError, NetworkTooLargeError,
+                             UnknownIdError)
 from tortrust.ontology import is_type
 from tortrust.predicates import (And, AttrCmp, AttrIn, ChildCount, HasChild,
                                  HasParent, IdIn, IsType, Not, Or,
                                  eval_predicate, parse_predicate, select)
+from tortrust.synth import SynthParams, generate_synthetic
+from tortrust.worldgen import build_world
 
 SCALE = TrustScale()
 
@@ -1032,6 +1037,166 @@ def test_skipping_draws_is_byte_identical(data):
             for node, expected in zip(bbn.nodes, reference):
                 assert np.array_equal(sampler.column(node.id), expected)
         assert sorted(calls) == np.flatnonzero(bbn.needs_draws).tolist()
+
+
+# --- frontiers ---------------------------------------------------------------
+
+def _reference_frontiers(bbn):
+    """Each node's frontier by its definition, one node at a time."""
+    frontiers = []
+    for i, node in enumerate(bbn.nodes):
+        frontiers.append({i} if bbn.needs_draws[i] else set().union(
+            *(frontiers[j] for j, w in node.parents if w >= 1.0)))
+    return frontiers
+
+
+def _closure(bbn, positions):
+    """The positions and all their ancestors."""
+    seen = set()
+    stack = list(positions)
+    while stack:
+        i = stack.pop()
+        if i not in seen:
+            seen.add(i)
+            stack += [j for j, _ in bbn.nodes[i].parents]
+    return seen
+
+
+def _count_sampler_calls(mp):
+    """Patch Sampler.column and Sampler._compute to record their
+    arguments: (node ids requested, positions computed)."""
+    requested, computed = [], []
+    column, compute = Sampler.column, Sampler._compute
+
+    def counting_column(self, node_id):
+        requested.append(node_id)
+        return column(self, node_id)
+
+    def counting_compute(self, idx):
+        computed.append(idx)
+        return compute(self, idx)
+
+    mp.setattr(Sampler, "column", counting_column)
+    mp.setattr(Sampler, "_compute", counting_compute)
+    return requested, computed
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mostly_deterministic_dicts(), st.integers(1, 70),
+       st.integers(0, 2 ** 16),
+       st.one_of(st.none(), st.lists(st.integers(0, 99), max_size=12)))
+def test_frontier_rows_equal_per_node_columns(data, n, seed, picks):
+    """On networks with ce nodes, risks, fractional and zero weights, draw
+    nodes with parents and parentless nodes that do not draw, each node's
+    frontier is its definition's, `sample_matrix` equals the packed
+    columns of a fresh Sampler byte for byte on any subset in any order
+    with repeats, and `estimate_marginals` equals each column's mean.  A
+    dump draws each draw node of the subset's frontiers through one
+    request, in position order, and computes only their ancestors."""
+    bbn = bbn_from_dict(data)
+    ptr, idx = bbn.frontier
+    reference = _reference_frontiers(bbn)
+    assert ptr[0] == 0 and ptr[-1] == idx.size
+    assert [idx[ptr[i]:ptr[i + 1]].tolist() for i in range(len(bbn))] \
+        == [sorted(frontier) for frontier in reference]
+    nodes = None if picks is None else [bbn.ids[i % len(bbn)] for i in picks]
+    ids = list(bbn.ids) if nodes is None else nodes
+    fresh = Sampler(bbn, n, seed)
+    columns = [fresh.column(x) for x in ids]
+    expected = np.packbits(np.column_stack(columns) if ids
+                           else np.zeros((n, 0), dtype=bool), axis=1)
+    with pytest.MonkeyPatch.context() as mp:
+        requested, computed = _count_sampler_calls(mp)
+        rows = sample_matrix(bbn, n, seed, nodes=nodes)
+    assert rows.dtype == np.uint8 and rows.flags.c_contiguous
+    assert rows.shape == expected.shape
+    assert rows.tobytes() == expected.tobytes()
+    draws = sorted(set().union(*(reference[bbn.index[x]] for x in ids)))
+    assert requested == [bbn.ids[d] for d in draws]
+    assert sorted(computed) == sorted(_closure(bbn, draws))
+    assert [(e.node, e.estimate, e.n_samples) for e in estimate_marginals(
+        bbn, nodes=nodes, n=n, seed=seed)] \
+        == [(x, float(col.mean()), n) for x, col in zip(ids, columns)]
+
+
+def test_a_network_where_every_node_draws_is_its_own_frontier():
+    bbn = bbn_from_dict({"nodes": [
+        {"id": f"n:{i}", "risks": [0.5], "parents": [[0, 1.0]] if i else []}
+        for i in range(6)]})
+    ptr, idx = bbn.frontier
+    assert ptr.tolist() == list(range(7)) and idx.tolist() == list(range(6))
+    for array in (ptr, idx):
+        assert not array.flags.writeable
+
+
+@pytest.fixture(scope="module")
+def toy_bbn(ontology):
+    """The-man network of a toy-size world."""
+    params = SynthParams(n_as=30, n_ixp=3, n_relays=20, family_sizes=(2, 2),
+                         as_org_sizes=(3, 3), ixp_org_sizes=(2,), n_epochs=6)
+    world = build_world(ontology, generate_synthetic(params, seed=11))
+    doc = build_the_man(world)
+    return compile_bbn(apply_structural(world, ontology, doc), doc.trust,
+                       doc.scale)
+
+
+@pytest.mark.parametrize("network", ["small_bbn", "toy_bbn"])
+def test_dump_requests_each_draw_column_once(network, request, monkeypatch):
+    bbn = request.getfixturevalue(network)
+    draws = np.flatnonzero(bbn.needs_draws).tolist()
+    assert 0 < len(draws) < len(bbn)
+    requested, computed = _count_sampler_calls(monkeypatch)
+    sample_matrix(bbn, 100, seed=2)
+    assert requested == [bbn.ids[d] for d in draws]
+    assert sorted(computed) == sorted(_closure(bbn, draws))
+
+
+@pytest.mark.parametrize("network", ["small_bbn", "toy_bbn"])
+def test_dump_holds_about_one_matrix(network, request):
+    """Besides the rows it returns, a dump holds the draw nodes' packed
+    columns, one column being drawn (n float64 uniforms and n bools), the
+    rows one draw node sets with their indices, and small arrays."""
+    bbn = request.getfixturevalue(network)
+    n, seed = 20_000, 4
+    bbn.frontier
+    draws = np.flatnonzero(bbn.needs_draws).tolist()
+    fresh = Sampler(bbn, n, seed)
+    most_hits = max(np.count_nonzero(fresh.column(bbn.ids[d]))
+                    for d in draws)
+    del fresh
+    width = (len(bbn) + 7) // 8
+    tracemalloc.start()
+    try:
+        rows = sample_matrix(bbn, n, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.nbytes == n * width
+    assert peak <= (rows.nbytes + len(draws) * ((n + 7) // 8) + 10 * n
+                    + most_hits * (width + 8) + (1 << 16))
+
+
+def test_dump_refuses_rows_past_one_array_before_any_draw(monkeypatch,
+                                                          small_bbn):
+    """The guard reads the width of the rows it allocates, ceil(k/8)."""
+    calls = _count_uniforms(monkeypatch)
+    k = len(small_bbn)
+    n = np.iinfo(np.intp).max // ((k + 7) // 8) + 1
+    with pytest.raises(InvalidInputError, match=f"^n = {n} samples of {k} "
+                       "nodes need more bytes than an array holds$"):
+        sample_matrix(small_bbn, n, seed=0)
+    assert calls == []
+
+
+def test_unknown_ids_refused_before_any_draw(monkeypatch, small_bbn):
+    calls = _count_uniforms(monkeypatch)
+    known = small_bbn.ids[-1]
+    for nodes in (["nope"], [known, "nope"], ["nope", known, known]):
+        with pytest.raises(UnknownIdError, match="unknown node 'nope'"):
+            sample_matrix(small_bbn, 10, 1, nodes=nodes)
+        with pytest.raises(UnknownIdError, match="unknown node 'nope'"):
+            estimate_marginals(small_bbn, nodes=nodes, n=10, seed=1)
+    assert calls == []
 
 
 # --- array storage -----------------------------------------------------------

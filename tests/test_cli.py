@@ -132,6 +132,13 @@ def test_sample_and_marginals(workdir, capsys):
     assert all(r["n_samples"] == 2000 for r in rows)
 
 
+def test_marginals_of_unknown_ids_exit_code(workdir, capsys):
+    for nodes in ("nope", "as:1000,nope"):
+        assert main(["bbn", "marginals", "--bbn", workdir["bbn"], "--n", "10",
+                     "--seed", "1", "--nodes", nodes]) == 3
+        assert capsys.readouterr() == ("", "error: unknown node 'nope'\n")
+
+
 def test_sample_dump_stream_is_pinned(tmp_path, small_bbn):
     """A change to any node's random stream changes these bytes."""
     bbn_path, out = str(tmp_path / "bbn.json"), str(tmp_path / "s.bin")
@@ -381,7 +388,7 @@ def test_huge_sample_count_exit_code(workdir, tmp_path, capsys):
 
 def test_sample_count_past_memory_exit_code(workdir, tmp_path, capsys):
     """A count under that bound whose arrays cannot be allocated exits 3:
-    `bbn sample` refuses its (ceil(k/8), n) buffer by name, and the other
+    `bbn sample` refuses its (n, ceil(k/8)) rows by name, and the other
     verbs report numpy's MemoryError.  Each array of n = 10**18 is larger
     than 2**47 bytes, so its allocation fails before a page is touched."""
     n = 10 ** 18
