@@ -74,10 +74,14 @@ EXACT_NODE_CAP = 24
 SAMPLE_MAGIC = b"TBBN"
 SAMPLE_VERSION = 1
 
-# `sample_matrix` ORs a draw node's row into at most this many bytes of
-# sample rows at once, which bounds the copy that fancy indexing makes
-# when a node is set in most rows.
+# `sample_matrix` ORs a run of membership bytes into at most this many
+# bytes of sample rows at once, which bounds the copy that fancy indexing
+# makes when a node is set in most rows.
 _OR_BLOCK_BYTES = 1 << 20
+# A draw node's membership bytes split into runs at every gap of more than
+# this many bytes; ORing a shorter gap of zeros costs less than one more
+# fancy-indexed slice.
+_OR_GAP_BYTES = 256
 
 
 def compromise_probability(S, R):
@@ -479,11 +483,13 @@ def sample_matrix(bbn, n, seed, nodes=None):
     gives the (n, k) matrix.
 
     Only the draw nodes of the requested nodes' frontiers are drawn, each
-    through one `Sampler.column` request in position order.  Each draw
-    node's packed membership row, the requested nodes whose frontier holds
-    it, is ORed into the rows where it is set, so every other node is the
-    OR of its frontier's columns.  An n whose rows one array cannot hold
-    is refused before any draw."""
+    through one `Sampler.column` request in position order.  A draw node's
+    membership bytes hold the bits of the requested nodes whose frontier
+    holds it; each run of them (`_OR_GAP_BYTES`) is ORed into the rows
+    where the draw node is set, so every other node is the OR of its
+    frontier's columns, and the work is bounded by n times the frontiers'
+    total size.  An n whose rows one array cannot hold is refused before
+    any draw."""
     sampler = Sampler(bbn, n, seed)
     ids = list(bbn.ids if nodes is None else nodes)
     width = (len(ids) + 7) // 8
@@ -491,17 +497,29 @@ def sample_matrix(bbn, n, seed, nodes=None):
         raise InvalidInputError(f"n = {n} samples of {len(ids)} nodes need "
                                 "more bytes than an array holds")
     which, draw = _frontier_entries(bbn, ids)
+    order = np.lexsort((which, draw))
+    draw, which = draw[order], which[order]
+    byte = which >> 3
+    first = np.ones(byte.size, dtype=bool)       # the first entry of a run
+    first[1:] = (draw[1:] != draw[:-1]) | (np.diff(byte) > _OR_GAP_BYTES)
+    last = np.ones(byte.size, dtype=bool)
+    last[:-1] = first[1:]
+    lo, hi = byte[first], byte[last] + 1
+    offset = np.concatenate(([0], np.cumsum(hi - lo)))
+    run = np.cumsum(first) - 1
+    values = np.zeros(offset[-1], dtype=np.uint8)   # each run's bytes
+    np.bitwise_or.at(values, offset[run] + byte - lo[run],
+                     np.right_shift(128, which & 7).astype(np.uint8))
     rows = np.zeros((sampler.n, width), dtype=np.uint8)
-    order = np.argsort(draw, kind="stable")
-    draws, first = np.unique(draw[order], return_index=True)
-    block = max(1, _OR_BLOCK_BYTES // max(width, 1))
-    for d, members in zip(draws.tolist(), np.split(which[order], first[1:])):
-        bits = np.zeros(width * 8, dtype=bool)
-        bits[members] = True
-        member_row = np.packbits(bits)
-        hits = np.flatnonzero(sampler.column(bbn.ids[d]))
+    drawn = None
+    for d, a, b, at in zip(draw[first].tolist(), lo.tolist(), hi.tolist(),
+                           offset.tolist()):
+        if d != drawn:
+            hits = np.flatnonzero(sampler.column(bbn.ids[d]))
+            drawn = d
+        block = max(1, _OR_BLOCK_BYTES // (b - a))
         for start in range(0, hits.size, block):
-            rows[hits[start:start + block]] |= member_row
+            rows[hits[start:start + block], a:b] |= values[at:at + b - a]
     return rows
 
 
@@ -517,26 +535,22 @@ def _frontier_entries(bbn, ids):
 
 
 def estimate_marginals(bbn, nodes=None, n=100_000, seed=0):
-    """Each node's share of n joint draws, in the order asked.  One node
-    is read off the lazy sampler.  For more, only the draw nodes of their
-    frontiers are drawn, once each, and kept bit-packed; a node's count is
-    the bit count of the OR of its frontier's columns."""
+    """Each node's share of n joint draws, in the order asked.  Only the
+    draw nodes of their frontiers are drawn, once each, and kept
+    bit-packed; a node's count is the bit count of the OR of its
+    frontier's columns."""
     sampler = Sampler(bbn, n, seed)
     n = sampler.n
     ids = list(bbn.ids if nodes is None else nodes)
-    if len(ids) == 1:
-        counts = [np.count_nonzero(sampler.column(ids[0]))]
-    else:
-        which, draw = _frontier_entries(bbn, ids)
-        draws, slot = np.unique(draw, return_inverse=True)
-        packed = np.array([np.packbits(sampler.column(bbn.ids[d]))
-                           for d in draws.tolist()],
-                          dtype=np.uint8).reshape(draws.size, (n + 7) // 8)
-        del sampler
-        ends = np.cumsum(np.bincount(which, minlength=len(ids))).tolist()
-        counts = [np.bitwise_count(np.bitwise_or.reduce(
-                      packed[slot[a:b]], axis=0)).sum()
-                  for a, b in zip([0] + ends, ends)]
+    which, draw = _frontier_entries(bbn, ids)
+    draws, slot = np.unique(draw, return_inverse=True)
+    packed = np.array([np.packbits(sampler.column(bbn.ids[d]))
+                       for d in draws.tolist()],
+                      dtype=np.uint8).reshape(draws.size, (n + 7) // 8)
+    del sampler
+    ends = np.cumsum(np.bincount(which, minlength=len(ids))).tolist()
+    counts = [np.count_nonzero(np.unpackbits(np.bitwise_or.reduce(
+                  packed[slot[a:b]], axis=0))) for a, b in zip([0] + ends, ends)]
     return [MarginalEstimate(node=nid, estimate=int(count) / n, n_samples=n)
             for nid, count in zip(ids, counts)]
 

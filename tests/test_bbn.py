@@ -1176,6 +1176,25 @@ def test_dump_holds_about_one_matrix(network, request):
                     + most_hits * (width + 8) + (1 << 16))
 
 
+@pytest.mark.parametrize("gap", [0, 1, 256, 10 ** 6])
+def test_dump_rows_do_not_depend_on_the_runs(gap, monkeypatch):
+    """A draw node's members far apart in the request split its membership
+    bytes into several runs; the rows equal the packed columns whatever
+    gap splits them."""
+    monkeypatch.setattr("tortrust.bbn._OR_GAP_BYTES", gap)
+    bbn = bbn_from_dict({"nodes": [
+        {"id": "a", "absolute": 0.5},
+        {"id": "b", "parents": [[0, 1.0]]},
+        {"id": "c", "parents": [[0, 1.0]], "risks": [0.3]},
+        {"id": "z"}]})
+    nodes = ["b", "c"] + ["z"] * 3000 + ["a", "c", "b"] + ["z"] * 9 + ["b"]
+    fresh = Sampler(bbn, 50, 8)
+    expected = np.packbits(np.column_stack([fresh.column(x) for x in nodes]),
+                           axis=1)
+    assert sample_matrix(bbn, 50, 8, nodes=nodes).tobytes() \
+        == expected.tobytes()
+
+
 def test_dump_refuses_rows_past_one_array_before_any_draw(monkeypatch,
                                                           small_bbn):
     """The guard reads the width of the rows it allocates, ceil(k/8)."""
