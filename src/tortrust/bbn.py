@@ -19,19 +19,16 @@ no absolute, not ce, every parent weight 0 or 1) are the OR of their
 weight-1 parents and read no uniforms at all; since every other node's
 stream is keyed by its own position, skipping them changes no draw.
 
-The lazy `Sampler` caches the columns it computes bit-packed
-(np.packbits order, eight draws to a byte, the padding bits of the last
-byte zero) and unpacks a fresh bool column for each `Sampler.column`
-call; `estimate_event` and path selection read it.  A dump and a
-marginals call go through each node's *frontier*
+Every estimate reads the lazy `Sampler` through each node's *frontier*
 (`CompiledBbn.frontier`): the draw nodes it reaches over weight-1 edges
-through nodes that do not draw, itself if it draws.  They draw only the
-draw nodes of the requested nodes' frontiers and OR every other node from
-its frontier's columns, so on a network where few nodes draw they build
-few columns.  `sample_matrix` returns packed rows, (n, ceil(k/8)) uint8 in
-np.packbits(axis=1) order, which are exactly the payload of a sample
-dump: `save_samples(path, rows, n_nodes)` writes them as they are and
-`load_samples(path)` returns `(rows, n_nodes)`.
+through nodes that do not draw, itself if it draws.  The Sampler draws
+and caches only the draw nodes a request needs, bit-packed (np.packbits
+order, eight draws to a byte, the padding bits of the last byte zero), and
+ORs every node's column from its frontier's, so on a network where few
+nodes draw it builds few columns.  `sample_matrix` returns packed rows,
+(n, ceil(k/8)) uint8 in np.packbits(axis=1) order, which are exactly the
+payload of a sample dump: `save_samples(path, rows, n_nodes)` writes them
+as they are and `load_samples(path)` returns `(rows, n_nodes)`.
 
 A CompiledBbn is array-backed and read-only: node ids in topological
 order, parents in CSR form (offsets, indices, weights), sparse risks,
@@ -51,7 +48,7 @@ import bisect
 import logging
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
 
 import numpy as np
@@ -391,14 +388,15 @@ def compile_bbn(ew, trust=(), scale=None):
 class Sampler:
     """Lazy column-wise sampler over a compiled network.
 
-    Materializes one column of `n` draws per node, computing only the
-    ancestor closure of whatever is requested.  Columns are cached
-    bit-packed: uint8[ceil(n/8)] in np.packbits order, with the unused low
-    bits of the last byte zero.  `column` unpacks a fresh (n,) bool array
-    on every call, so no caller can write into the cache.  Columns depend
-    only on (seed, node position), never on the request pattern.  Nodes
-    that `CompiledBbn.needs_draws` marks False read no uniforms: their
-    column is the OR of their weight-1 parents' columns.
+    Only draw nodes (`CompiledBbn.needs_draws`) have columns of their own:
+    n draws each, computed on first need and cached bit-packed,
+    uint8[ceil(n/8)] in np.packbits order with the unused low bits of the
+    last byte zero.  Every node's column is the OR of its frontier's
+    (`CompiledBbn.frontier`) cached columns, so a request computes only the
+    draw nodes that frontier needs and never visits a node that draws
+    nothing.  `column` unpacks a fresh (n,) bool array on every call, so no
+    caller can write into the cache.  Columns depend only on (seed, node
+    position), never on the request pattern.
     """
 
     def __init__(self, bbn, n, seed):
@@ -415,31 +413,38 @@ class Sampler:
         return np.unpackbits(packed, count=self.n).view(bool)
 
     def _column(self, idx):
-        col = self._cols.get(idx)
-        if col is not None:
-            return col
+        """Packed column of position idx, the OR of its frontier's columns
+        (a draw node's is the cached array itself, so callers only read
+        it).  A draw node that is not cached yet needs the draw nodes of
+        its parents' frontiers too; all of them are computed in position
+        order, which is topological."""
+        front_ptr, front = self.bbn.frontier
         ptr, parents, _ = self.bbn.parent_lists
+        frontier = front[front_ptr[idx]:front_ptr[idx + 1]].tolist()
         needed = set()
-        stack = [idx]
+        stack = list(frontier)
         while stack:
-            k = stack.pop()
-            if k in needed or k in self._cols:
+            d = stack.pop()
+            if d in needed or d in self._cols:
                 continue
-            needed.add(k)
-            stack.extend(parents[ptr[k]:ptr[k + 1]])
-        # Node positions are already topologically sorted.
-        for k in sorted(needed):
-            self._cols[k] = self._compute(k)
-        return self._cols[idx]
+            needed.add(d)
+            for j in parents[ptr[d]:ptr[d + 1]]:
+                stack += front[front_ptr[j]:front_ptr[j + 1]].tolist()
+        for d in sorted(needed):
+            self._cols[d] = self._compute(d)
+        cols = [self._cols[d] for d in frontier]
+        return reduce(operator.or_, cols) if cols else np.zeros(
+            (self.n + 7) // 8, dtype=np.uint8)
 
     def _uniforms(self, idx):
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, idx]))
         return rng.random(self.n)
 
     def _compute(self, idx):
-        """Packed column of node idx; its parents are already cached.  ORs
-        and ANDs act on the packed bytes, which keeps the padding zero; only
-        a parent of weight strictly inside (0, 1) is unpacked."""
+        """Packed column of draw node idx; the draw nodes its parents'
+        columns read are already cached.  ORs and ANDs act on the packed
+        bytes, which keeps the padding zero; only a parent of weight
+        strictly inside (0, 1) is unpacked."""
         bbn = self.bbn
         ptr, parent_idx, parent_w = bbn.parent_lists
         parents = zip(parent_idx[ptr[idx]:ptr[idx + 1]],
@@ -449,18 +454,16 @@ class Sampler:
             return np.packbits(self._uniforms(idx) < absolute)
         if idx in bbn.ce:
             (j, activation), = parents
-            return self._cols[j] & np.packbits(self._uniforms(idx)
-                                               < activation)
+            return self._column(j) & np.packbits(self._uniforms(idx)
+                                                 < activation)
         certain = np.zeros((self.n + 7) // 8, dtype=np.uint8)
         keep = 1.0
         for j, w in parents:
             if w >= 1.0:
-                certain |= self._cols[j]
+                certain |= self._column(j)
             elif w > 0.0:
-                keep = keep * np.where(self._unpack(self._cols[j]),
+                keep = keep * np.where(self._unpack(self._column(j)),
                                        1.0 - w, 1.0)
-        if not bbn.needs_draws[idx]:
-            return certain
         keep_static = 1.0
         for q in bbn.risks.get(idx, ()):
             keep_static *= 1.0 - q
@@ -496,7 +499,11 @@ def sample_matrix(bbn, n, seed, nodes=None):
     if width * sampler.n > np.iinfo(np.intp).max:
         raise InvalidInputError(f"n = {n} samples of {len(ids)} nodes need "
                                 "more bytes than an array holds")
-    which, draw = _frontier_entries(bbn, ids)
+    positions = np.array([bbn.position(x) for x in ids], dtype=np.int64)
+    ptr, front = bbn.frontier
+    counts = ptr[positions + 1] - ptr[positions]
+    which = np.repeat(np.arange(positions.size), counts)
+    draw = front[concat_ranges(ptr[positions], counts)]
     order = np.lexsort((which, draw))
     draw, which = draw[order], which[order]
     byte = which >> 3
@@ -523,36 +530,17 @@ def sample_matrix(bbn, n, seed, nodes=None):
     return rows
 
 
-def _frontier_entries(bbn, ids):
-    """(which, draw): one pair per frontier entry of each id in turn, the
-    id's index in `ids` and the draw node's position.  UnknownIdError for
-    an id that is no node."""
-    positions = np.array([bbn.position(x) for x in ids], dtype=np.int64)
-    ptr, idx = bbn.frontier
-    counts = ptr[positions + 1] - ptr[positions]
-    return (np.repeat(np.arange(positions.size), counts),
-            idx[concat_ranges(ptr[positions], counts)])
-
-
 def estimate_marginals(bbn, nodes=None, n=100_000, seed=0):
-    """Each node's share of n joint draws, in the order asked.  Only the
-    draw nodes of their frontiers are drawn, once each, and kept
-    bit-packed; a node's count is the bit count of the OR of its
-    frontier's columns."""
+    """Each node's share of n joint draws, in the order asked: the set bits
+    of its `Sampler` column.  Every id is looked up before any draw."""
     sampler = Sampler(bbn, n, seed)
-    n = sampler.n
     ids = list(bbn.ids if nodes is None else nodes)
-    which, draw = _frontier_entries(bbn, ids)
-    draws, slot = np.unique(draw, return_inverse=True)
-    packed = np.array([np.packbits(sampler.column(bbn.ids[d]))
-                       for d in draws.tolist()],
-                      dtype=np.uint8).reshape(draws.size, (n + 7) // 8)
-    del sampler
-    ends = np.cumsum(np.bincount(which, minlength=len(ids))).tolist()
-    counts = [np.count_nonzero(np.unpackbits(np.bitwise_or.reduce(
-                  packed[slot[a:b]], axis=0))) for a, b in zip([0] + ends, ends)]
-    return [MarginalEstimate(node=nid, estimate=int(count) / n, n_samples=n)
-            for nid, count in zip(ids, counts)]
+    positions = [bbn.position(x) for x in ids]
+    counts = [int(np.count_nonzero(np.unpackbits(sampler._column(i))))
+              for i in positions]
+    return [MarginalEstimate(node=x, estimate=count / sampler.n,
+                             n_samples=sampler.n)
+            for x, count in zip(ids, counts)]
 
 
 # --- Event expressions -------------------------------------------------------
@@ -562,9 +550,18 @@ def estimate_event(bbn, event, n=100_000, seed=0):
 
     `event` is an expression string (and/or/not/parentheses over node ids)
     or a pre-parsed tree."""
-    tree = parse_event(event) if isinstance(event, str) else event
+    tree = _event_tree(bbn, event)
     sampler = Sampler(bbn, n, seed)
     return float(evaluate(tree, lambda a: sampler.column(a.node_id)).mean())
+
+
+def _event_tree(bbn, event):
+    """The tree of an event string or tree, after looking up every atom's
+    node (`evaluate` visits each, and the leaf's value is unused), so an
+    unknown id is refused before any draw or enumeration."""
+    tree = parse_event(event) if isinstance(event, str) else event
+    evaluate(tree, lambda atom: np.bool_(bbn.position(atom.node_id)))
+    return tree
 
 
 # --- Exact enumeration -------------------------------------------------------
@@ -626,7 +623,7 @@ def exact_marginals(bbn, cap=EXACT_NODE_CAP):
 
 def exact_event(bbn, event, cap=EXACT_NODE_CAP):
     """Exact probability of an event expression, by full enumeration."""
-    tree = parse_event(event) if isinstance(event, str) else event
+    tree = _event_tree(bbn, event)
     prob = _joint_vector(bbn, cap)
     states = np.arange(prob.size, dtype=np.uint32)
 

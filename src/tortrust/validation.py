@@ -120,7 +120,7 @@ def peel_rounds(n, src, dst):
     dst = np.asarray(dst, dtype=np.int64)
     indegree = np.bincount(dst, minlength=n)
     ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
-    children = dst[np.argsort(src, kind="stable")]
+    children = dst[np.argsort(src)]     # any order: np.unique sorts a round
     peeled = np.flatnonzero(indegree == 0)
     while peeled.size:
         yield peeled

@@ -668,6 +668,7 @@ def test_estimates_take_numpy_sample_counts(small_bbn):
     node = small_bbn.ids[0]
     est, = estimate_marginals(small_bbn, nodes=[node], n=np.int64(5), seed=0)
     assert est.n_samples == 5 and type(est.n_samples) is int
+    assert type(est.estimate) is float
     assert est.estimate == estimate_event(small_bbn, f'"{node}"',
                                           n=np.int64(5), seed=0)
 
@@ -1050,15 +1051,19 @@ def _reference_frontiers(bbn):
     return frontiers
 
 
-def _closure(bbn, positions):
-    """The positions and all their ancestors."""
+def _needed_draws(bbn, positions):
+    """The draw nodes whose columns the columns at `positions` read: the
+    draw nodes of their frontiers, and for each of those the draw nodes of
+    its parents' frontiers, and so on."""
+    frontiers = _reference_frontiers(bbn)
     seen = set()
-    stack = list(positions)
+    stack = [d for i in positions for d in frontiers[i]]
     while stack:
-        i = stack.pop()
-        if i not in seen:
-            seen.add(i)
-            stack += [j for j, _ in bbn.nodes[i].parents]
+        d = stack.pop()
+        if d not in seen:
+            seen.add(d)
+            stack += [k for j, _ in bbn.nodes[d].parents
+                      for k in frontiers[j]]
     return seen
 
 
@@ -1092,7 +1097,8 @@ def test_frontier_rows_equal_per_node_columns(data, n, seed, picks):
     columns of a fresh Sampler byte for byte on any subset in any order
     with repeats, and `estimate_marginals` equals each column's mean.  A
     dump draws each draw node of the subset's frontiers through one
-    request, in position order, and computes only their ancestors."""
+    request, in position order, and computes only the draw nodes those
+    need."""
     bbn = bbn_from_dict(data)
     ptr, idx = bbn.frontier
     reference = _reference_frontiers(bbn)
@@ -1113,7 +1119,7 @@ def test_frontier_rows_equal_per_node_columns(data, n, seed, picks):
     assert rows.tobytes() == expected.tobytes()
     draws = sorted(set().union(*(reference[bbn.index[x]] for x in ids)))
     assert requested == [bbn.ids[d] for d in draws]
-    assert sorted(computed) == sorted(_closure(bbn, draws))
+    assert sorted(computed) == sorted(_needed_draws(bbn, draws))
     assert [(e.node, e.estimate, e.n_samples) for e in estimate_marginals(
         bbn, nodes=nodes, n=n, seed=seed)] \
         == [(x, float(col.mean()), n) for x, col in zip(ids, columns)]
@@ -1140,6 +1146,33 @@ def toy_bbn(ontology):
                        doc.scale)
 
 
+@settings(max_examples=80, deadline=None)
+@given(_mostly_deterministic_dicts(),
+       st.lists(st.integers(0, 99), min_size=1, max_size=12),
+       st.integers(0, 2 ** 16))
+def test_sampler_caches_only_the_draw_nodes_asked_for(data, picks, seed):
+    """After each `Sampler.column` request the cache holds exactly the draw
+    nodes the requests so far need; a node that draws nothing is the OR of
+    its frontier again on each request, and asking for it again computes
+    and draws nothing."""
+    bbn = bbn_from_dict(data)
+    positions = [i % len(bbn) for i in picks]
+    sampler = Sampler(bbn, 37, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_uniforms(mp)
+        _, computed = _count_sampler_calls(mp)
+        first = []
+        for k, i in enumerate(positions, 1):
+            first.append(sampler.column(bbn.ids[i]))
+            assert set(sampler._cols) == _needed_draws(bbn, positions[:k])
+        assert sorted(calls) == sorted(computed) == sorted(sampler._cols)
+        del calls[:], computed[:]
+        for i, col in zip(positions, first):
+            if not bbn.needs_draws[i]:
+                assert np.array_equal(sampler.column(bbn.ids[i]), col)
+        assert calls == computed == []
+
+
 @pytest.mark.parametrize("network", ["small_bbn", "toy_bbn"])
 def test_dump_requests_each_draw_column_once(network, request, monkeypatch):
     bbn = request.getfixturevalue(network)
@@ -1148,7 +1181,7 @@ def test_dump_requests_each_draw_column_once(network, request, monkeypatch):
     requested, computed = _count_sampler_calls(monkeypatch)
     sample_matrix(bbn, 100, seed=2)
     assert requested == [bbn.ids[d] for d in draws]
-    assert sorted(computed) == sorted(_closure(bbn, draws))
+    assert sorted(computed) == sorted(_needed_draws(bbn, draws))
 
 
 @pytest.mark.parametrize("network", ["small_bbn", "toy_bbn"])
@@ -1208,13 +1241,22 @@ def test_dump_refuses_rows_past_one_array_before_any_draw(monkeypatch,
 
 
 def test_unknown_ids_refused_before_any_draw(monkeypatch, small_bbn):
+    """Dumps, marginals and events look up every id before they draw, and
+    an exact event before it enumerates."""
     calls = _count_uniforms(monkeypatch)
+    monkeypatch.setattr("tortrust.bbn._joint_vector",
+                        lambda *args: calls.append("enumerated"))
     known = small_bbn.ids[-1]
     for nodes in (["nope"], [known, "nope"], ["nope", known, known]):
-        with pytest.raises(UnknownIdError, match="unknown node 'nope'"):
-            sample_matrix(small_bbn, 10, 1, nodes=nodes)
-        with pytest.raises(UnknownIdError, match="unknown node 'nope'"):
-            estimate_marginals(small_bbn, nodes=nodes, n=10, seed=1)
+        event = " and ".join(f'"{x}"' for x in nodes)
+        for refused in (
+                lambda: sample_matrix(small_bbn, 10, 1, nodes=nodes),
+                lambda: estimate_marginals(small_bbn, nodes=nodes, n=10,
+                                           seed=1),
+                lambda: estimate_event(small_bbn, event, n=10, seed=1),
+                lambda: exact_event(small_bbn, event)):
+            with pytest.raises(UnknownIdError, match="unknown node 'nope'"):
+                refused()
     assert calls == []
 
 
@@ -1417,7 +1459,7 @@ def test_packed_columns_match_bool_reference(case, n, seed):
         assert col.dtype == bool and col.shape == (n,)
         assert np.array_equal(col, expected)
     padding = (1 << (-n % 8)) - 1
-    assert len(sampler._cols) == len(bbn)
+    assert len(sampler._cols) == int(bbn.needs_draws.sum())
     for packed in sampler._cols.values():
         assert packed.dtype == np.uint8 and packed.shape == ((n + 7) // 8,)
         assert not packed[-1] & padding

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tortrust import experiment
-from tortrust.bbn import CompiledBbn, Sampler, compile_bbn
+from tortrust.bbn import Sampler, compile_bbn
 from tortrust.beliefs import (CE1, CE2, Absolute, BeliefDocument,
                               serialize_belief_document)
 from tortrust.cli import main
@@ -43,15 +43,6 @@ def test_experiment_never_builds_the_instance_view(config):
     world = world_from_dict(world_to_dict(config.world))
     run_experiment(dataclasses.replace(config, world=world))
     assert "instances" not in world.__dict__
-
-
-def test_experiment_never_builds_frontiers(config, monkeypatch):
-    """Path selection reads the lazy sampler, never a network's
-    frontiers."""
-    def refuse(bbn):
-        raise AssertionError("frontier built")
-    monkeypatch.setattr(CompiledBbn, "frontier", property(refuse))
-    run_experiment(config)
 
 
 def test_row_per_scenario(table):
