@@ -8,16 +8,16 @@ parents' indicators X_j the node is compromised with probability
     1 - prod_{j: X_j=1} (1 - w_j) * prod_{q in risks} (1 - q)
 
 which the noisy-OR structure keeps linear in the parent count.  CE beliefs
-become synthetic "ce" nodes: Bernoulli(activation) when their single parent
-is compromised, propagating with weight 1 to all covered children.
-Absolute beliefs sever a node from its parents.
+become synthetic "ce" nodes, one parent edge weighted by the activation,
+propagating with weight 1 to all covered children.  Absolute beliefs sever
+a node from its parents.
 
 Sampling uses one independent substream per node index, so estimating a
 subset of nodes draws exactly the same values as estimating all of them,
 and reruns with one seed are byte-identical.  Deterministic nodes (no risk,
-no absolute, not ce, every parent weight 0 or 1) are the OR of their
-weight-1 parents and read no uniforms at all; since every other node's
-stream is keyed by its own position, skipping them changes no draw.
+no absolute, every parent weight 0 or 1) are the OR of their weight-1
+parents and read no uniforms at all; since every other node's stream is
+keyed by its own position, skipping them changes no draw.
 
 Every estimate reads the lazy `Sampler` through each node's *frontier*
 (`CompiledBbn.frontier`): the draw nodes it reaches over weight-1 edges
@@ -180,10 +180,10 @@ class CompiledBbn:
     @cached_property
     def needs_draws(self):
         """Bool per node: does sampling it read its own uniforms?  False only
-        for an OR of parents: no absolute, not ce, no risks, and no parent
-        weight strictly inside (0, 1)."""
+        for an OR of parents: no absolute, no risks, and no parent weight (a
+        ce node's activation among them) strictly inside (0, 1)."""
         draws = np.zeros(len(self.ids), dtype=bool)
-        draws[np.fromiter([*self.absolute, *self.ce, *self.risks],
+        draws[np.fromiter([*self.absolute, *self.risks],
                           dtype=np.intp)] = True
         owner = np.repeat(np.arange(len(self.ids)), np.diff(self.parent_ptr))
         w = self.parent_w
@@ -416,10 +416,9 @@ class Sampler:
         """Packed column of position idx, the OR of its frontier's columns
         (a draw node's is the cached array itself, so callers only read
         it).  A draw node that is not cached yet needs the draw nodes of
-        its parents' frontiers too; all of them are computed in position
-        order, which is topological."""
+        the frontiers of the parents it reads (`_parents_read`) too; all of
+        them are computed in position order, which is topological."""
         front_ptr, front = self.bbn.frontier
-        ptr, parents, _ = self.bbn.parent_lists
         frontier = front[front_ptr[idx]:front_ptr[idx + 1]].tolist()
         needed = set()
         stack = list(frontier)
@@ -428,7 +427,7 @@ class Sampler:
             if d in needed or d in self._cols:
                 continue
             needed.add(d)
-            for j in parents[ptr[d]:ptr[d + 1]]:
+            for j, _ in self._parents_read(d):
                 stack += front[front_ptr[j]:front_ptr[j + 1]].tolist()
         for d in sorted(needed):
             self._cols[d] = self._compute(d)
@@ -440,32 +439,34 @@ class Sampler:
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, idx]))
         return rng.random(self.n)
 
+    def _parents_read(self, idx):
+        """(position, weight) of each parent draw node idx reads: none for an
+        absolute node, else each of positive weight."""
+        if idx in self.bbn.absolute:
+            return []
+        ptr, parent_idx, parent_w = self.bbn.parent_lists
+        return [(j, w) for j, w in zip(parent_idx[ptr[idx]:ptr[idx + 1]],
+                                       parent_w[ptr[idx]:ptr[idx + 1]])
+                if w > 0.0]
+
     def _compute(self, idx):
-        """Packed column of draw node idx; the draw nodes its parents'
-        columns read are already cached.  ORs and ANDs act on the packed
-        bytes, which keeps the padding zero; only a parent of weight
+        """Packed column of draw node idx by the noisy-OR rule; the draw
+        nodes its parents' columns read are already cached.  ORs act on the
+        packed bytes, which keeps the padding zero; only a parent of weight
         strictly inside (0, 1) is unpacked."""
-        bbn = self.bbn
-        ptr, parent_idx, parent_w = bbn.parent_lists
-        parents = zip(parent_idx[ptr[idx]:ptr[idx + 1]],
-                      parent_w[ptr[idx]:ptr[idx + 1]])
-        absolute = bbn.absolute.get(idx)
+        absolute = self.bbn.absolute.get(idx)
         if absolute is not None:
             return np.packbits(self._uniforms(idx) < absolute)
-        if idx in bbn.ce:
-            (j, activation), = parents
-            return self._column(j) & np.packbits(self._uniforms(idx)
-                                                 < activation)
         certain = np.zeros((self.n + 7) // 8, dtype=np.uint8)
         keep = 1.0
-        for j, w in parents:
+        for j, w in self._parents_read(idx):
             if w >= 1.0:
                 certain |= self._column(j)
-            elif w > 0.0:
+            else:
                 keep = keep * np.where(self._unpack(self._column(j)),
                                        1.0 - w, 1.0)
         keep_static = 1.0
-        for q in bbn.risks.get(idx, ()):
+        for q in self.bbn.risks.get(idx, ()):
             keep_static *= 1.0 - q
         return certain | np.packbits(self._uniforms(idx)
                                      < 1.0 - keep * keep_static)
@@ -566,26 +567,24 @@ def _event_tree(bbn, event):
 
 # --- Exact enumeration -------------------------------------------------------
 
-def _state_bit(states, i):
-    """Boolean mask of the states in which node i is compromised."""
-    return ((states >> np.uint32(i)) & np.uint32(1)).astype(bool)
-
-
-def _joint_vector(bbn, cap):
-    if cap > EXACT_NODE_CAP:
-        raise NetworkTooLargeError(
-            f"cap {cap} is above the exact-enumeration limit of "
-            f"{EXACT_NODE_CAP}")
+def _joint(bbn):
+    """(prob, on): the probability of each of the 2^m joint states, bit i of
+    a state being node i in topological order, and on(i), the mask of the
+    states in which node i is compromised.  A ce node reads its own rule, not
+    the sampler's noisy-OR one, so the two stay independent.  A network of
+    more than EXACT_NODE_CAP nodes is refused before anything is allocated."""
     m = len(bbn)
-    if m > cap:
-        raise NetworkTooLargeError(
-            f"{m} nodes exceeds the exact-enumeration cap of {cap}")
-    n_states = 1 << m
-    states = np.arange(n_states, dtype=np.uint32)
-    prob = np.ones(n_states)
+    if m > EXACT_NODE_CAP:
+        raise NetworkTooLargeError(f"{m} nodes exceeds the exact-enumeration "
+                                   f"limit of {EXACT_NODE_CAP}")
+    states = np.arange(1 << m, dtype=np.uint32)
+
+    def on(i):
+        return ((states >> np.uint32(i)) & np.uint32(1)).astype(bool)
+
+    prob = np.ones(states.size)
     ptr, parent_idx, parent_w = bbn.parent_lists
     for i in range(m):
-        on = _state_bit(states, i)
         parents = zip(parent_idx[ptr[i]:ptr[i + 1]],
                       parent_w[ptr[i]:ptr[i + 1]])
         absolute = bbn.absolute.get(i)
@@ -593,42 +592,38 @@ def _joint_vector(bbn, cap):
             p_on = absolute
         elif i in bbn.ce:
             (j, activation), = parents
-            p_on = np.where(_state_bit(states, j), activation, 0.0)
+            p_on = np.where(on(j), activation, 0.0)
         else:
-            keep = np.ones(n_states)
+            keep = np.ones(states.size)
             for q in bbn.risks.get(i, ()):
                 keep *= 1.0 - q
             for j, w in parents:
-                keep = keep * np.where(_state_bit(states, j), 1.0 - w, 1.0)
+                keep = keep * np.where(on(j), 1.0 - w, 1.0)
             p_on = 1.0 - keep
-        prob *= np.where(on, p_on, 1.0 - p_on)
-    return prob
+        prob *= np.where(on(i), p_on, 1.0 - p_on)
+    return prob, on
 
 
-def enumerate_exact(bbn, cap=EXACT_NODE_CAP):
+def enumerate_exact(bbn):
     """Joint distribution as {state bitmask: probability}, zero states
     omitted; bit i of the mask is node i in topological order."""
-    prob = _joint_vector(bbn, cap)
-    nonzero = np.flatnonzero(prob)
-    return {int(s): float(prob[s]) for s in nonzero}
+    prob, _ = _joint(bbn)
+    return {int(s): float(prob[s]) for s in np.flatnonzero(prob)}
 
 
-def exact_marginals(bbn, cap=EXACT_NODE_CAP):
+def exact_marginals(bbn):
     """Exact marginal per node id, by full enumeration."""
-    prob = _joint_vector(bbn, cap)
-    states = np.arange(prob.size, dtype=np.uint32)
-    return {node_id: float(prob[_state_bit(states, i)].sum())
+    prob, on = _joint(bbn)
+    return {node_id: float(prob[on(i)].sum())
             for i, node_id in enumerate(bbn.ids)}
 
 
-def exact_event(bbn, event, cap=EXACT_NODE_CAP):
+def exact_event(bbn, event):
     """Exact probability of an event expression, by full enumeration."""
     tree = _event_tree(bbn, event)
-    prob = _joint_vector(bbn, cap)
-    states = np.arange(prob.size, dtype=np.uint32)
-
-    return float(prob[evaluate(tree, lambda atom: _state_bit(
-        states, bbn.position(atom.node_id)))].sum())
+    prob, on = _joint(bbn)
+    return float(prob[evaluate(
+        tree, lambda atom: on(bbn.position(atom.node_id)))].sum())
 
 
 # --- Serialization -----------------------------------------------------------
@@ -651,12 +646,16 @@ _NETWORK_FIELDS = {"nodes": (_NODE_FIELDS, [])}
 def bbn_from_dict(data):
     """Rebuild a network, rejecting what the sampler and the exact oracle
     would read differently: besides what the fields' kinds rule out,
-    duplicate ids, forward parents, unknown kinds and ce nodes without
-    exactly one parent."""
+    duplicate ids, forward parents, unknown kinds, and ce nodes without
+    exactly one parent or with a risk or an absolute value.  An absolute
+    value overrides its node's risks and parents; one warning counts the
+    absolute nodes that have any."""
     nodes = read_record(data, _NETWORK_FIELDS, "network file",
                         CompileError)["nodes"]
-    ids, kinds = nodes["id"], nodes["kind"]
+    ids, kinds, risks = nodes["id"], nodes["kind"], nodes["risks"]
     lengths, parents = nodes["parents"]
+    absolute = {i: float(a) for i, a in enumerate(nodes["absolute"])
+                if a is not None}
     if len(set(ids)) < len(ids):
         seen = set()
         i = next(i for i, x in enumerate(ids) if x in seen or seen.add(x))
@@ -668,6 +667,9 @@ def bbn_from_dict(data):
         if kinds[i] == "ce" and lengths[i] != 1:
             raise CompileError(f"ce node {ids[i]!r} needs exactly one "
                                f"parent, has {lengths[i]}")
+        if kinds[i] == "ce" and (risks[i] or i in absolute):
+            raise CompileError(f"ce node {ids[i]!r} may carry no risk and "
+                               "no absolute value")
     idx = parents["index"]
     owner = np.repeat(np.arange(len(ids)), lengths)
     try:
@@ -680,13 +682,15 @@ def bbn_from_dict(data):
                     if not 0 <= j < i)
         raise CompileError(f"node {ids[i]!r} has parent index {j} not before "
                            f"its own position {i}")
+    overridden = sum(1 for i in absolute if risks[i] or lengths[i])
+    if overridden:
+        log.warning("%d absolute node(s) also carry risks or parents, which "
+                    "their absolute value overrides", overridden)
     return CompiledBbn(
         ids=tuple(ids), parent_ptr=list(accumulate(lengths, initial=0)),
         parent_idx=idx, parent_w=parents["weight"],
-        risks={i: tuple(map(float, r))
-               for i, r in enumerate(nodes["risks"]) if r},
-        absolute={i: float(a) for i, a in enumerate(nodes["absolute"])
-                  if a is not None},
+        risks={i: tuple(map(float, r)) for i, r in enumerate(risks) if r},
+        absolute=absolute,
         ce=frozenset(i for i, kind in enumerate(kinds) if kind == "ce"),
         is_output=nodes["is_output"])
 

@@ -27,9 +27,8 @@ from datetime import datetime, timezone
 from . import __version__
 from .beliefs import (build_the_man, load_belief_document,
                       serialize_belief_document)
-from .bbn import (EXACT_NODE_CAP, compile_bbn, enumerate_exact, bbn_to_dict,
-                  estimate_event, estimate_marginals, load_bbn, sample_matrix,
-                  save_samples)
+from .bbn import (compile_bbn, enumerate_exact, bbn_to_dict, estimate_event,
+                  estimate_marginals, load_bbn, sample_matrix, save_samples)
 from .datasets import load_bundle, save_bundle
 from .editor import (apply_structural, document_ontology, edited_world_to_dict,
                      load_edited_world)
@@ -222,7 +221,7 @@ def cmd_bbn_event(args):
 
 def cmd_bbn_exact(args):
     bbn = load_bbn(args.bbn)
-    dist = enumerate_exact(bbn, cap=args.cap)
+    dist = enumerate_exact(bbn)
     states = sorted(dist)
     if args.format == "json":
         text = json_text({"nodes": list(bbn.ids),
@@ -342,8 +341,7 @@ _COMMANDS = (
             ("--bbn", _REQ), ("--expr", _REQ), ("--n", _REQ_INT),
             ("--seed", _REQ_INT), ("--out", {}), ("--format", _FORMAT))),
         ("exact", "full joint distribution", cmd_bbn_exact, (
-            ("--bbn", _REQ), ("--cap", {**_INT, "default": EXACT_NODE_CAP}),
-            ("--out", {}), ("--format", {**_FORMAT, "default": "json"}))))),
+            ("--bbn", _REQ), ("--out", {}), ("--format", {**_FORMAT, "default": "json"}))))),
     ("experiment", "scenario tables", (
         ("run", "run configured scenarios", cmd_experiment_run, (
             ("--config", _REQ), ("--out", {}),

@@ -61,4 +61,4 @@ class CompileError(InvalidInputError):
 
 
 class NetworkTooLargeError(InvalidInputError):
-    """Exact enumeration was requested above the node-count cap."""
+    """Exact enumeration was requested above the exact-enumeration limit."""

@@ -475,20 +475,12 @@ def test_enumeration_cap():
     ew = EditedWorld(world=world, ontology=default_ontology(),
                      budgets={}, ce_specs={}, user_edges=frozenset())
     bbn = compile_bbn(ew)
-    with pytest.raises(NetworkTooLargeError):
-        enumerate_exact(bbn)
-
-
-def test_cap_above_the_limit_refused(make_edited):
-    bbn = compile_bbn(make_edited({"as:1": "AS", "vlink:a": "Virtual Link"},
-                                  [("as:1", "vlink:a")]))
-    for exact in (enumerate_exact, exact_marginals):
-        with pytest.raises(NetworkTooLargeError, match="cap 25 is above "
-                           "the exact-enumeration limit of 24"):
-            exact(bbn, cap=25)
-    with pytest.raises(NetworkTooLargeError):
-        exact_event(bbn, "as:1", cap=25)
-    assert len(enumerate_exact(bbn, cap=24)) == 1
+    for refused in (lambda: enumerate_exact(bbn),
+                    lambda: exact_marginals(bbn),
+                    lambda: exact_event(bbn, "as:1")):
+        with pytest.raises(NetworkTooLargeError, match="^25 nodes exceeds "
+                           "the exact-enumeration limit of 24$"):
+            refused()
 
 
 # --- sampling ----------------------------------------------------------------
@@ -687,8 +679,9 @@ def test_estimates_take_numpy_sample_counts(small_bbn):
     ({"parents": [[0, 1.0], [1, 0.0]]}, False),
     ({"parents": [[0, 0.5]]}, True),
     ({"parents": [[0, 1.0], [1, 0.25]]}, True),
-    ({"kind": "ce", "parents": [[0, 1.0]]}, True),
-    ({"kind": "ce", "parents": [[1, 0.0]]}, True),
+    ({"kind": "ce", "parents": [[0, 1.0]]}, False),
+    ({"kind": "ce", "parents": [[1, 0.0]]}, False),
+    ({"kind": "ce", "parents": [[0, 0.5]]}, True),
 ])
 def test_needs_draws_by_node_kind(entry, draws):
     bbn = bbn_from_dict({"nodes": [{"id": "a", "absolute": 0.5},
@@ -772,6 +765,8 @@ def _node(node_id, parents=(), kind="world", risks=(), absolute=None):
     _node("b", kind="gate"),
     _node("b", kind="ce"),
     _node("b", kind="ce", parents=[(0, 0.5), (0, 0.5)]),
+    _node("b", kind="ce", parents=[(0, 0.5)], risks=[0.1]),
+    _node("b", kind="ce", parents=[(0, 0.5)], absolute=0.3),
     _node("b", parents=[(-1, 0.5)]),
     _node("b", parents=[("0", 1.0)]),
     _node("b", parents=[(False, 1.0)]),
@@ -809,6 +804,8 @@ def test_bbn_dict_rejects_malformed_node(bad):
      r"^nodes\[1\]: 'absolute' must be a probability, not a list$"),
     (dict(_node("b"), is_output="yes"),
      r"^nodes\[1\]: 'is_output' must be a boolean, not a string$"),
+    (_node("b", kind="ce", parents=[(0, 0.5)], absolute=0.3),
+     r"^ce node 'b' may carry no risk and no absolute value$"),
 ])
 def test_bbn_dict_names_the_bad_entry(bad, message):
     with pytest.raises(CompileError, match=message):
@@ -1054,7 +1051,8 @@ def _reference_frontiers(bbn):
 def _needed_draws(bbn, positions):
     """The draw nodes whose columns the columns at `positions` read: the
     draw nodes of their frontiers, and for each of those the draw nodes of
-    its parents' frontiers, and so on."""
+    the frontiers of the parents it reads (none for an absolute node, else
+    each parent of positive weight), and so on."""
     frontiers = _reference_frontiers(bbn)
     seen = set()
     stack = [d for i in positions for d in frontiers[i]]
@@ -1062,7 +1060,9 @@ def _needed_draws(bbn, positions):
         d = stack.pop()
         if d not in seen:
             seen.add(d)
-            stack += [k for j, _ in bbn.nodes[d].parents
+            node = bbn.nodes[d]
+            stack += [k for j, w in node.parents
+                      if node.absolute is None and w > 0.0
                       for k in frontiers[j]]
     return seen
 
@@ -1146,10 +1146,19 @@ def toy_bbn(ontology):
                        doc.scale)
 
 
+# An absolute node with a parent, and a node whose only parent weighs 0:
+# neither parent is read, so neither is drawn.
+_UNREAD_PARENTS = {"nodes": [
+    {"id": "p", "absolute": 0.5}, {"id": "q", "risks": [0.2]},
+    {"id": "a", "absolute": 0.3, "parents": [[0, 1.0]]},
+    {"id": "z", "risks": [0.1], "parents": [[1, 0.0]]}]}
+
+
 @settings(max_examples=80, deadline=None)
 @given(_mostly_deterministic_dicts(),
        st.lists(st.integers(0, 99), min_size=1, max_size=12),
        st.integers(0, 2 ** 16))
+@example(_UNREAD_PARENTS, [2, 3], 0)
 def test_sampler_caches_only_the_draw_nodes_asked_for(data, picks, seed):
     """After each `Sampler.column` request the cache holds exactly the draw
     nodes the requests so far need; a node that draws nothing is the OR of
@@ -1171,6 +1180,20 @@ def test_sampler_caches_only_the_draw_nodes_asked_for(data, picks, seed):
             if not bbn.needs_draws[i]:
                 assert np.array_equal(sampler.column(bbn.ids[i]), col)
         assert calls == computed == []
+
+
+def test_absolute_values_overriding_risks_or_parents_warn_once(caplog):
+    data = copy.deepcopy(_UNREAD_PARENTS)
+    with caplog.at_level("WARNING", logger="tortrust.bbn"):
+        bbn_from_dict(data)
+        data["nodes"].append({"id": "d", "absolute": 0.4, "risks": [0.9]})
+        bbn = bbn_from_dict(data)
+        bbn_from_dict({"nodes": [{"id": "p", "absolute": 0.5},
+                                 {"id": "z", "parents": [[0, 1.0]]}]})
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{k} absolute node(s) also carry risks or parents, which their "
+        "absolute value overrides" for k in (1, 2)]
+    assert exact_marginals(bbn)["d"] == 0.4
 
 
 @pytest.mark.parametrize("network", ["small_bbn", "toy_bbn"])
@@ -1244,7 +1267,7 @@ def test_unknown_ids_refused_before_any_draw(monkeypatch, small_bbn):
     """Dumps, marginals and events look up every id before they draw, and
     an exact event before it enumerates."""
     calls = _count_uniforms(monkeypatch)
-    monkeypatch.setattr("tortrust.bbn._joint_vector",
+    monkeypatch.setattr("tortrust.bbn._joint",
                         lambda *args: calls.append("enumerated"))
     known = small_bbn.ids[-1]
     for nodes in (["nope"], [known, "nope"], ["nope", known, known]):

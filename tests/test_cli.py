@@ -161,18 +161,12 @@ def test_event_csv_output(workdir, capsys):
     assert out[1].endswith(",1.000000,100,1")
 
 
-def test_exact_respects_cap(workdir, capsys):
-    rc = main(["bbn", "exact", "--bbn", workdir["bbn"], "--cap", "8"])
-    assert rc == 3
-    assert "error" in capsys.readouterr().err
-
-
-def test_exact_cap_above_the_limit_exit_code(tmp_path, capsys):
-    path = tmp_path / "two.json"
+def test_exact_above_the_limit_exit_code(tmp_path, capsys):
+    path = tmp_path / "25.json"
     path.write_text(json.dumps({"nodes": [
-        {"id": "a", "risks": [0.5]}, {"id": "b", "parents": [[0, 1.0]]}]}))
-    assert main(["bbn", "exact", "--bbn", str(path), "--cap", "25"]) == 3
-    assert capsys.readouterr().err == ("error: cap 25 is above the "
+        {"id": f"n:{i}", "risks": [0.5]} for i in range(25)]}))
+    assert main(["bbn", "exact", "--bbn", str(path)]) == 3
+    assert capsys.readouterr().err == ("error: 25 nodes exceeds the "
                                        "exact-enumeration limit of 24\n")
 
 

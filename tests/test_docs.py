@@ -1,11 +1,12 @@
-"""The README's Python examples run, and every public name of the package
-has a reader outside the tests."""
+"""The README's Python examples run, it names only real CLI flags, and
+every public name of the package has a reader outside the tests."""
 
 import ast
 import os
 import re
 
 import tortrust
+from tortrust.cli import _COMMANDS
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -31,6 +32,16 @@ def test_readme_python_examples_run(capsys):
          namespace)
     assert len(namespace["placement"].chosen_ases) == 3
     assert capsys.readouterr().out.startswith("as:1000 ")
+
+
+def test_readme_names_only_real_cli_flags():
+    """Every `--flag` the README names is an option of some verb, apart
+    from pip's `--no-build-isolation`."""
+    options = {flag for _, _, verbs in _COMMANDS
+               for _, _, _, verb_options in verbs
+               for flag, _ in verb_options}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _readme()))
+    assert sorted(named - options - {"--no-build-isolation"}) == []
 
 
 def test_every_public_name_has_a_reader():
