@@ -42,6 +42,13 @@ edges into absolute nodes, patches budget weights and ce reroutes by edge
 position, and shifts the ranks past the ce ids that join the id order.
 A world holds no cycle, and cutting edges into absolute nodes or routing
 edges through ce nodes closes none, so the order holds every node.
+
+A network file is written in format 2: {"format": 2, "nodes": [...]},
+each node its `id`, its `parents` as a flat list of positions, and only
+the fields not at their default (`weights` when one is not 1, `risks`,
+`absolute`, `kind` "ce", `is_output` true).  `bbn_from_dict` also reads
+the pair layout of older files, with no `format` key, every field, and
+each parent an [index, weight] pair.
 """
 
 import bisect
@@ -49,7 +56,7 @@ import logging
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -60,13 +67,15 @@ from .errors import (CompileError, EditError, InvalidInputError,
 from .files import atomic_write, json_text, read_json, write_text
 from .predicates import evaluate, parse_event, select
 from .validation import (REQUIRED, check_sample_count, check_seed,
-                         concat_ranges, is_probability, peel_rounds,
-                         read_record, topological_order)
+                         concat_ranges, format_table, is_probability,
+                         peel_rounds, read_record, topological_order)
 from .world import ReadOnlyDict
 
 log = logging.getLogger(__name__)
 
 EXACT_NODE_CAP = 24
+
+NETWORK_FORMAT = 2      # the layout `bbn_to_dict` writes
 
 SAMPLE_MAGIC = b"TBBN"
 SAMPLE_VERSION = 1
@@ -167,7 +176,9 @@ class CompiledBbn:
         return tuple(BbnNode(**row) for row in self.rows())
 
     def rows(self):
-        """Each node's network-file fields by position, lists as tuples."""
+        """Each node's fields by position, lists as tuples and parents as
+        (index, weight) pairs: the pair layout's node, which `bbn_to_dict`
+        maps to format 2's."""
         ptr, idx, w = self.parent_lists
         outputs = self.is_output.tolist()
         for i, node_id in enumerate(self.ids):
@@ -629,31 +640,83 @@ def exact_event(bbn, event):
 # --- Serialization -----------------------------------------------------------
 
 def bbn_to_dict(bbn):
-    """The dict of a network file, `CompiledBbn.rows` as its nodes."""
-    return {"nodes": list(bbn.rows())}
+    """The dict of a network file in format 2: each `CompiledBbn.rows` row
+    with its parents as a flat list of positions, their `weights` only when
+    one is not 1, and no other field at its default."""
+    return {"format": NETWORK_FORMAT,
+            "nodes": [_sparse_node(row) for row in bbn.rows()]}
 
 
-# The fields of a network file and of each of its nodes.
+# The fields a format-2 node omits at these values.
+_OMITTED = {"kind": "world", "risks": (), "absolute": None, "is_output": False}
+
+
+def _sparse_node(row):
+    """The format-2 node of a `CompiledBbn.rows` row."""
+    parents = row["parents"]
+    node = {"id": row["id"], "parents": [j for j, _ in parents]}
+    if any(w != 1.0 for _, w in parents):
+        node["weights"] = [w for _, w in parents]
+    node.update((key, row[key]) for key, default in _OMITTED.items()
+                if row[key] != default)
+    return node
+
+
+# The fields of a network file in format 2 and of each of its nodes, and
+# those of the pair layout, a file without a `format` key.
 _NODE_FIELDS = {"id": ("a string", REQUIRED), "kind": ("a string", "world"),
-                "parents": ((("index", "an integer"),
-                             ("weight", "a probability")), []),
+                "parents": ("a list of integers", []),
+                "weights": ("a list of probabilities", None),
                 "risks": ("a list of probabilities", []),
                 "absolute": ("a probability", None),
                 "is_output": ("a boolean", False)}
-_NETWORK_FIELDS = {"nodes": (_NODE_FIELDS, [])}
+_NETWORK_FIELDS = {"format": ("an integer", REQUIRED),
+                   "nodes": (_NODE_FIELDS, [])}
+_PAIR_NODE_FIELDS = {
+    **{key: field for key, field in _NODE_FIELDS.items() if key != "weights"},
+    "parents": ((("index", "an integer"), ("weight", "a probability")), [])}
+_PAIR_FIELDS = {"nodes": (_PAIR_NODE_FIELDS, [])}
+
+
+def _parent_columns(fields):
+    """(lengths, positions, weights) of the nodes' parents, flat, in node
+    order: the pair layout's columns as `read_record` reads them, or format
+    2's `parents` chained, with weights of 1 where a node has no
+    `weights`.  CompileError names a node whose `weights` and `parents`
+    differ in length."""
+    nodes = fields["nodes"]
+    if "format" not in fields:
+        lengths, parents = nodes["parents"]
+        return lengths, parents["index"], parents["weight"]
+    lengths = list(map(len, nodes["parents"]))
+    positions = list(chain.from_iterable(nodes["parents"]))
+    weights = np.ones(len(positions))
+    at = 0
+    for i, (n, w) in enumerate(zip(lengths, nodes["weights"])):
+        if w is not None:
+            if len(w) != n:
+                raise CompileError(f"nodes[{i}]: {len(w)} weights for {n} "
+                                   "parents")
+            weights[at:at + n] = w
+        at += n
+    return lengths, positions, weights
 
 
 def bbn_from_dict(data):
-    """Rebuild a network, rejecting what the sampler and the exact oracle
-    would read differently: besides what the fields' kinds rule out,
-    duplicate ids, forward parents, unknown kinds, and ce nodes without
-    exactly one parent or with a risk or an absolute value.  An absolute
-    value overrides its node's risks and parents; one warning counts the
-    absolute nodes that have any."""
-    nodes = read_record(data, _NETWORK_FIELDS, "network file",
-                        CompileError)["nodes"]
+    """Rebuild a network from a network file's dict, in format 2 or in the
+    pair layout (no `format` key), rejecting what the sampler and the exact
+    oracle would read differently: besides what the fields' kinds rule out,
+    `weights` and `parents` of different lengths, duplicate ids, forward
+    parents, unknown kinds, and ce nodes without exactly one parent or with
+    a risk or an absolute value.  An absolute value overrides its node's
+    risks and parents; one warning counts the absolute nodes that have
+    any."""
+    fields = read_record(data, format_table(
+        data, {None: _PAIR_FIELDS, NETWORK_FORMAT: _NETWORK_FIELDS},
+        "network file", CompileError), "network file", CompileError)
+    nodes = fields["nodes"]
     ids, kinds, risks = nodes["id"], nodes["kind"], nodes["risks"]
-    lengths, parents = nodes["parents"]
+    lengths, positions, weights = _parent_columns(fields)
     absolute = {i: float(a) for i, a in enumerate(nodes["absolute"])
                 if a is not None}
     if len(set(ids)) < len(ids):
@@ -670,15 +733,14 @@ def bbn_from_dict(data):
         if kinds[i] == "ce" and (risks[i] or i in absolute):
             raise CompileError(f"ce node {ids[i]!r} may carry no risk and "
                                "no absolute value")
-    idx = parents["index"]
     owner = np.repeat(np.arange(len(ids)), lengths)
     try:
-        idx = np.fromiter(idx, np.int64, len(idx))
+        idx = np.fromiter(positions, np.int64, len(positions))
         forward = not ((idx >= 0) & (idx < owner)).all()
     except OverflowError:               # past int64, so out of range
         forward = True
     if forward:
-        j, i = next((j, i) for j, i in zip(parents["index"], owner.tolist())
+        j, i = next((j, i) for j, i in zip(positions, owner.tolist())
                     if not 0 <= j < i)
         raise CompileError(f"node {ids[i]!r} has parent index {j} not before "
                            f"its own position {i}")
@@ -688,7 +750,7 @@ def bbn_from_dict(data):
                     "their absolute value overrides", overridden)
     return CompiledBbn(
         ids=tuple(ids), parent_ptr=list(accumulate(lengths, initial=0)),
-        parent_idx=idx, parent_w=parents["weight"],
+        parent_idx=idx, parent_w=weights,
         risks={i: tuple(map(float, r)) for i, r in enumerate(risks) if r},
         absolute=absolute,
         ce=frozenset(i for i, kind in enumerate(kinds) if kind == "ce"),

@@ -6,8 +6,9 @@ the order-free check that the world constructor and ontology validation
 share), the one breadth-first walk
 (`shortest_paths`), the one rule of each input value kind (`is_integer`,
 `is_real`, `is_probability`, `VALUE_KINDS`), of a seed and of a sample
-count, and the one reader of every input format's field table
-(`read_record`).
+count, the one reader of every input format's field table
+(`read_record`), and the one rule that picks the table of a file with a
+`format` key (`format_table`).
 
 A field table maps each field to (kind, default), REQUIRED for a field
 that must be present.  The reader tests each field across all records at
@@ -198,6 +199,17 @@ _PLAIN_TYPES = {"a string": {str}, "an integer": {int, np.int64},
                 "an object": {dict}}
 
 REQUIRED = object()     # the default of a field that must be present
+
+
+def format_table(data, tables, where, error):
+    """The field table of the file format of `data`: tables[None] when it
+    has no `format` key, else tables[format]; `error` names any other
+    format value, `<where>: unknown format <value>`."""
+    if not (isinstance(data, dict) and "format" in data):
+        return tables[None]
+    if not (is_integer(data["format"]) and data["format"] in tables):
+        raise error(f"{where}: unknown format {data['format']!r}")
+    return tables[data["format"]]
 
 
 def read_record(record, table, where, error):

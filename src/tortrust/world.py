@@ -47,8 +47,8 @@ import numpy as np
 from .errors import InvalidInputError
 from .files import json_text, read_json, write_text
 from .ontology import DATA_TYPES
-from .validation import (REQUIRED, ValidationReport, find_cycle, is_integer,
-                         read_record)
+from .validation import (REQUIRED, ValidationReport, find_cycle,
+                         format_table, read_record)
 
 # Values stay JSON-native (str/int/float/bool/list/dict) so world files
 # round-trip losslessly; string-sets are sorted lists.
@@ -447,12 +447,9 @@ _COLUMN_FIELDS = {
 def world_fields(data):
     """The fields of the world file format of `data`: format 2, or the
     row format when it has no `format` key."""
-    if not (isinstance(data, dict) and "format" in data):
-        return _ROW_FIELDS
-    if not (is_integer(data["format"]) and data["format"] == WORLD_FORMAT):
-        raise InvalidInputError(
-            f"world file: unknown format {data['format']!r}")
-    return _COLUMN_FIELDS
+    return format_table(data, {None: _ROW_FIELDS,
+                               WORLD_FORMAT: _COLUMN_FIELDS},
+                        "world file", InvalidInputError)
 
 
 def world_from_dict(data):

@@ -45,6 +45,14 @@ def row_world_dict(instances, relationships):
                               for r in relationships]}
 
 
+def pair_network_dict(bbn):
+    """The dict of a network file in the pair layout, the one files were
+    written in before format 2: no `format` key, every field of each node,
+    and its parents as [index, weight] pairs."""
+    return {"nodes": [dict(row, parents=[list(p) for p in row["parents"]],
+                           risks=list(row["risks"])) for row in bbn.rows()]}
+
+
 @pytest.fixture(scope="session")
 def ontology():
     return default_ontology()

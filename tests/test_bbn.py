@@ -23,6 +23,7 @@ from tortrust.editor import apply_structural
 from tortrust.errors import (BeliefFormatError, CompileError,
                              InvalidInputError, NetworkTooLargeError,
                              UnknownIdError)
+from tortrust.files import json_text, parse_json
 from tortrust.ontology import is_type
 from tortrust.predicates import (And, AttrCmp, AttrIn, ChildCount, HasChild,
                                  HasParent, IdIn, IsType, Not, Or,
@@ -951,20 +952,53 @@ def test_loaded_networks_sample_to_exact(data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_network_dicts(), st.data())
-def test_loaded_networks_reject_out_of_range(network, data):
+@given(_network_dicts())
+def test_format_2_round_trip_writes_no_default_field(data):
+    """A network written in format 2 reads back equal from its JSON text,
+    and the file gives every node its `parents` and no field at its
+    default: no world kind, empty risks, null absolute, false is_output or
+    weights that are all 1."""
+    bbn = bbn_from_dict(data)
+    written = bbn_to_dict(bbn)
+    assert bbn_from_dict(parse_json(json_text(written))) == bbn
+    assert written["format"] == 2
+    for node in written["nodes"]:
+        assert "parents" in node
+        assert node.get("kind") != "world"
+        assert node.get("risks", (0.5,)) != ()
+        assert node.get("absolute", 0.5) is not None
+        assert node.get("is_output") is not False
+        assert any(w != 1 for w in node.get("weights", [0.5]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_network_dicts(), st.sampled_from(["pairs", "format 2"]), st.data())
+def test_loaded_networks_reject_out_of_range(network, layout, data):
+    """One value out of its range is refused in either layout: a weight, a
+    risk or an absolute value outside [0, 1], and in format 2 a parent
+    position that is not before its node's own.  Format 2's nodes with
+    parents are given their weights, all 1 where the writer omits them."""
+    if layout == "format 2":
+        network = parse_json(json_text(bbn_to_dict(bbn_from_dict(network))))
     slots = []
-    for entry in network["nodes"]:
-        slots += [(entry["parents"], k, 1) for k in range(len(entry["parents"]))]
-        slots += [(entry["risks"], k, None) for k in range(len(entry["risks"]))]
-        if entry["kind"] == "world":
-            slots.append((entry, "absolute", None))
-    target, key, field = data.draw(st.sampled_from(slots), label="slot")
-    bad = data.draw(_OUT_OF_RANGE, label="value")
-    if field is None:
-        target[key] = bad
-    else:
-        target[key][field] = bad
+    for i, entry in enumerate(network["nodes"]):
+        parents = entry["parents"]
+        if layout == "pairs":
+            slots += [(pair, 1, _OUT_OF_RANGE) for pair in parents]
+        else:
+            slots += [(parents, k, st.one_of(st.integers(max_value=-1),
+                                             st.integers(min_value=i)))
+                      for k in range(len(parents))]
+            if parents:
+                weights = entry.setdefault("weights", [1.0] * len(parents))
+                slots += [(weights, k, _OUT_OF_RANGE)
+                          for k in range(len(weights))]
+        risks = entry.get("risks", [])
+        slots += [(risks, k, _OUT_OF_RANGE) for k in range(len(risks))]
+        if entry.get("kind", "world") == "world":
+            slots.append((entry, "absolute", _OUT_OF_RANGE))
+    target, key, values = data.draw(st.sampled_from(slots), label="slot")
+    target[key] = data.draw(values, label="value")
     with pytest.raises(CompileError):
         bbn_from_dict(network)
 

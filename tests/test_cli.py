@@ -32,7 +32,7 @@ from tortrust.world import load_world, save_world
 from tortrust.worldgen import build_world
 
 from conftest import (FIXTURES, INVALID_ONTOLOGY, invalid_ontology_dict,
-                      row_world_dict)
+                      pair_network_dict, row_world_dict)
 
 
 @pytest.fixture(scope="module")
@@ -488,8 +488,8 @@ def test_experiment_csv_is_pinned(workdir):
     for path, expected in (
             (out, "4c149f153ce7c368aff533438290361a"
                   "33bc713eafc944da65310384fd6e0483"),
-            (workdir["bbn"], "408cc7afb00c5ea01349ca38da0b1048"
-                             "0c91aa8c9ca755bab28a70e19395ae5b")):
+            (workdir["bbn"], "4e83d0ebc6457a7fa2daba4d7371eecf"
+                             "ab0d3f001f191db58e56d20bec13418c")):
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == expected, path
 
@@ -618,8 +618,8 @@ def test_chain_outputs_are_pinned(workdir):
                        "0d152ed788ba7044f922c242eff6088e",
         "edited.json": "56bf8912cd20a03393710380c1534166"
                        "1e7c9313127d569a583778efd8c1b84b",
-        "bbn.json": "408cc7afb00c5ea01349ca38da0b1048"
-                    "0c91aa8c9ca755bab28a70e19395ae5b",
+        "bbn.json": "4e83d0ebc6457a7fa2daba4d7371eecf"
+                    "ab0d3f001f191db58e56d20bec13418c",
     }
     for name, digest in expected.items():
         with open(os.path.join(workdir["root"], name), "rb") as fh:
@@ -638,6 +638,17 @@ def test_row_format_world_file_still_loads(workdir, tmp_path):
     assert hashlib.sha256(rows.read_bytes()).hexdigest() == (
         "fa9fa3c01f59efa21844470c07c1baa9b8c6b6c43da5b7d81f4dc86ed1345120")
     assert load_world(str(rows)) == world
+
+
+def test_pair_layout_network_file_still_loads(workdir, tmp_path):
+    """The pair-layout bbn.json that the chain wrote before format 2, byte
+    for byte, loads to the same network as the format-2 file."""
+    network = load_bbn(workdir["bbn"])
+    pairs = tmp_path / "pairs.json"
+    pairs.write_text(json_text(pair_network_dict(network)))
+    assert hashlib.sha256(pairs.read_bytes()).hexdigest() == (
+        "408cc7afb00c5ea01349ca38da0b10480c91aa8c9ca755bab28a70e19395ae5b")
+    assert load_bbn(str(pairs)) == network
 
 
 @settings(max_examples=5, deadline=None)

@@ -1,12 +1,15 @@
-"""The README's Python examples run, it names only real CLI flags, and
-every public name of the package has a reader outside the tests."""
+"""The README's Python examples run, it names only real CLI flags and
+the network file's real fields, and every public name of the package has
+a reader outside the tests."""
 
 import ast
 import os
 import re
 
 import tortrust
+from tortrust import bbn
 from tortrust.cli import _COMMANDS
+from tortrust.validation import REQUIRED
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -42,6 +45,40 @@ def test_readme_names_only_real_cli_flags():
                for flag, _ in verb_options}
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _readme()))
     assert sorted(named - options - {"--no-build-isolation"}) == []
+
+
+def _field_names(table):
+    """{name: required} of every field of a field table, of the tables
+    nested in it and of the slots of its arrays, which a row names but
+    does not mark required."""
+    if isinstance(table, tuple):
+        return {slot: False for slot, _ in table}
+    names = {}
+    for field, (kind, default) in table.items():
+        names[field] = default is REQUIRED
+        if not isinstance(kind, str):
+            names.update(_field_names(kind))
+    return names
+
+
+def test_readme_network_file_rows_name_the_table_fields():
+    """Each network-file row of the README's format table names exactly
+    the fields of its layout's table, nested `parents` slots included, in
+    backticks, and marks bold exactly the required ones."""
+    rows = {line.split("|")[1].strip(): line
+            for line in _readme().splitlines()
+            if line.startswith("| network file")}
+    tables = {"network file, format 2": bbn._NETWORK_FIELDS,
+              "network file, pair layout": bbn._PAIR_FIELDS}
+    assert sorted(rows) == sorted(tables)
+    for label, table in tables.items():
+        fields = _field_names(table)
+        named = {name for span in re.findall(r"`([^`]*)`", rows[label])
+                 for name in re.findall(r"\w+", span)}
+        bold = set(re.findall(r"\*\*`(\w+)`\*\*", rows[label]))
+        assert named == set(fields), label
+        assert bold == {name for name, required in fields.items()
+                        if required}, label
 
 
 def test_every_public_name_has_a_reader():

@@ -27,7 +27,7 @@ from tortrust.ontology import default_ontology, ontology_to_dict
 from tortrust.validation import REQUIRED, VALUE_KINDS
 from tortrust.world import load_world
 
-from conftest import row_world_dict
+from conftest import pair_network_dict, row_world_dict
 
 SRC = os.path.dirname(tortrust.__file__)
 EXPR = "relay:fp_0000 or not vlink:as1000-relay:fp_0001"
@@ -66,13 +66,15 @@ def test_error_classes_hold_their_exit_codes():
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """The parsed contents of one small valid input of each kind, and the
-    paths of the valid files.  The CLI writes the world and the edited
-    world in format 2; "rows" is the same world in the row format."""
+    paths of the valid files.  The CLI writes the world, the edited world
+    and the network in format 2; "rows" is the same world in the row
+    format and "bbn-rows" the same network in the pair layout."""
     root = tmp_path_factory.mktemp("valid")
     paths = {kind: str(root / name) for kind, name in (
         ("bundle", "bundle"), ("world", "world.json"), ("doc", "doc.json"),
         ("edited", "edited.json"), ("bbn", "bbn.json"), ("rows", "rows.json"),
-        ("ontology", "ontology.json"), ("config", "config.json"))}
+        ("bbn-rows", "bbn-rows.json"), ("ontology", "ontology.json"),
+        ("config", "config.json"))}
     for argv in (
             ["world", "synth", "--seed", "7", "--out", paths["bundle"],
              "--n-as", "6", "--n-ixp", "1", "--n-relays", "6",
@@ -90,8 +92,10 @@ def inputs(tmp_path_factory):
         world = load_world(paths["world"])
         fh.write(json_text(row_world_dict(world.instances,
                                           world.relationships)))
-    contents = {kind: _read(paths[kind])
-                for kind in ("world", "rows", "doc", "edited", "bbn")}
+    with open(paths["bbn-rows"], "w", encoding="utf-8") as fh:
+        fh.write(json_text(pair_network_dict(bbn.load_bbn(paths["bbn"]))))
+    contents = {kind: _read(paths[kind]) for kind in
+                ("world", "rows", "doc", "edited", "bbn", "bbn-rows")}
     contents["bundle"] = {}
     for name in BUNDLE_FILES:
         with open(os.path.join(paths["bundle"], name), encoding="utf-8") as fh:
@@ -155,6 +159,8 @@ VERBS = {
 }
 VERBS["rows"] = [[a.replace("{world}", "{rows}") for a in verb]
                  for verb in VERBS["world"]]
+VERBS["bbn-rows"] = [[a.replace("{bbn}", "{bbn-rows}") for a in verb]
+                     for verb in VERBS["bbn"]]
 
 
 # --- the format tables -------------------------------------------------------
@@ -167,6 +173,7 @@ FORMATS = {
     "rows": ("world file", 3, world._ROW_FIELDS),
     "ontology": ("ontology file", 3, ontology._ONTOLOGY_FIELDS),
     "bbn": ("network file", 3, bbn._NETWORK_FIELDS),
+    "bbn-rows": ("network file", 3, bbn._PAIR_FIELDS),
     "edited": ("edited world file", 3,
                {**world._COLUMN_FIELDS, **editor._EDITED_FIELDS}),
     "doc": ("belief document", 2, beliefs._DOCUMENT_FIELDS),
@@ -219,7 +226,7 @@ def _field_cases():
                for name, cls in sorted(datasets._RECORDS.items())]
     for target, top, steps, table, name in tables:
         for field, (kind, _) in _fields(table):
-            if field != "format":       # the world file's format key
+            if field != "format":       # a format-2 file's format key
                 yield pytest.param(target, top, steps, table, name, field,
                                    kind, id=f"{target}-{name}-{field}")
     for key, tags in (("structural", beliefs.STRUCTURAL_TAGS),
@@ -551,6 +558,15 @@ def _probe(inputs, target, path, op, verb):
     ("edited", ["note"], ("set", 1),
      ["bbn", "compile", "--edited", "{edited}", "--out", "{out}"], 3,
      "error: edited world file: unknown key 'note'\n"),
+    ("bbn-rows", ["nodes", 0, "absolut"], ("set", 0.5),
+     ["bbn", "exact", "--bbn", "{bbn-rows}"], 3,
+     "error: nodes[0]: unknown key 'absolut'\n"),
+    ("bbn", ["nodes", 0, "weights"], ("set", [0.5]),
+     ["bbn", "sample", "--bbn", "{bbn}", "--n", "16", "--seed", "1",
+      "--out", "{out}"], 3, "error: nodes[0]: 1 weights for 0 parents\n"),
+    ("bbn", ["format"], ("set", 3),
+     ["bbn", "marginals", "--bbn", "{bbn}", "--n", "16", "--seed", "1"], 3,
+     "error: network file: unknown format 3\n"),
 ])
 def test_probes_exit_with_their_code(inputs, target, path, op, verb, code,
                                      message):
