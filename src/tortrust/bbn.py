@@ -396,6 +396,82 @@ def compile_bbn(ew, trust=(), scale=None):
 
 # --- Sampling ----------------------------------------------------------------
 
+# Position p of a Sampler reads Generator(PCG64(SeedSequence([seed, p]))).
+# Building that generator costs about as much as drawing 5,000 uniforms
+# from it, so a Sampler computes the SeedSequence output of all its draw
+# nodes in one numpy pass (`_stream_words`, numpy's SeedSequence algorithm
+# with its pool of four uint32 words), turns a node's words into PCG64's
+# seeded state on Python ints (`_pcg64_state`) and assigns that state to
+# one shared bit generator before each draw.
+
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875    # SeedSequence mixing
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED    # generate_state
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _stream_words(seed, positions):
+    """(len(positions), 4) uint64: SeedSequence([seed, p]).generate_state(4,
+    np.uint64) for each position p, the words PCG64 seeds itself from.  The
+    hash runs on uint32 arrays, whose products wrap silently, never on
+    scalars.  InvalidInputError for a position outside [0, 2**32), which
+    would enter the entropy as more than one word."""
+    positions = np.asarray(positions, dtype=np.int64)
+    outside = positions[(positions < 0) | (positions > _MASK32)]
+    if outside.size:
+        raise InvalidInputError(f"stream position {int(outside[0])} is "
+                                "outside [0, 2**32)")
+    words = [seed >> shift & _MASK32       # the seed's uint32 words, low first
+             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(positions.size, w, dtype=np.uint32) for w in words]
+    entropy.append(positions.astype(np.uint32))
+    entropy += [np.zeros(positions.size, dtype=np.uint32)] * (4 - len(entropy))
+    hash_const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _HASH_MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    pool = [hashmix(value) for value in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(value))
+    hash_const = _HASH_INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _HASH_MULT_B & _MASK32
+        value = value * hash_const
+        out.append((value ^ (value >> 16)).astype(np.uint64))
+    # generate_state's uint64 view: word j is out[2j] | out[2j + 1] << 32
+    return np.stack([out[2 * j] | out[2 * j + 1] << np.uint64(32)
+                     for j in range(4)], axis=1)
+
+
+def _pcg64_state(words):
+    """PCG64's `state` after seeding from four `_stream_words` (Python
+    ints): initstate and initseq are 128-bit, high word first, and the
+    seeding takes two LCG steps."""
+    initstate = words[0] << 64 | words[1]
+    inc = ((words[2] << 64 | words[3]) << 1 | 1) & _MASK128
+    state = ((inc + initstate) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
 class Sampler:
     """Lazy column-wise sampler over a compiled network.
 
@@ -407,7 +483,9 @@ class Sampler:
     draw nodes that frontier needs and never visits a node that draws
     nothing.  `column` unpacks a fresh (n,) bool array on every call, so no
     caller can write into the cache.  Columns depend only on (seed, node
-    position), never on the request pattern.
+    position), never on the request pattern: draw node p reads
+    Generator(PCG64(SeedSequence([seed, p]))).random(n), through one
+    generator re-seeded per draw (`_uniforms`).
     """
 
     def __init__(self, bbn, n, seed):
@@ -416,21 +494,27 @@ class Sampler:
             n, f"n must be a positive integer, got {n!r}")
         self.seed = check_seed(seed)
         self._cols = {}
+        self._words = None      # draw position -> its `_stream_words` row
+        self._rng = None
 
-    def column(self, node_id):
-        return self._unpack(self._column(self.bbn.position(node_id)))
+    def column(self, *node_ids):
+        """(n,) bool: the OR of the columns of `node_ids`, read in one walk
+        over the union of their frontiers; no id gives all False."""
+        return self._unpack(self._column(*map(self.bbn.position, node_ids)))
 
     def _unpack(self, packed):
         return np.unpackbits(packed, count=self.n).view(bool)
 
-    def _column(self, idx):
-        """Packed column of position idx, the OR of its frontier's columns
-        (a draw node's is the cached array itself, so callers only read
-        it).  A draw node that is not cached yet needs the draw nodes of
-        the frontiers of the parents it reads (`_parents_read`) too; all of
-        them are computed in position order, which is topological."""
+    def _column(self, *idxs):
+        """Packed OR of the columns of positions idxs: the OR of the union of
+        their frontiers' columns (one draw node's is the cached array itself,
+        so callers only read it).  A draw node that is not cached yet needs
+        the draw nodes of the frontiers of the parents it reads
+        (`_parents_read`) too; all of them are computed in position order,
+        which is topological."""
         front_ptr, front = self.bbn.frontier
-        frontier = front[front_ptr[idx]:front_ptr[idx + 1]].tolist()
+        frontier = set().union(*(front[front_ptr[i]:front_ptr[i + 1]].tolist()
+                                 for i in idxs))
         needed = set()
         stack = list(frontier)
         while stack:
@@ -447,8 +531,17 @@ class Sampler:
             (self.n + 7) // 8, dtype=np.uint8)
 
     def _uniforms(self, idx):
-        rng = np.random.default_rng(np.random.SeedSequence([self.seed, idx]))
-        return rng.random(self.n)
+        """n uniforms of draw node idx's stream.  The first draw computes the
+        seed words of every draw node in one pass and builds the one
+        generator; each draw sets its bit generator's state to idx's."""
+        if self._words is None:
+            draws = np.flatnonzero(self.bbn.needs_draws)
+            self._words = dict(zip(draws.tolist(),
+                                   _stream_words(self.seed, draws).tolist()))
+            # seed 0 reads no OS entropy; every draw sets the state first
+            self._rng = np.random.Generator(np.random.PCG64(0))
+        self._rng.bit_generator.state = _pcg64_state(self._words[idx])
+        return self._rng.random(self.n)
 
     def _parents_read(self, idx):
         """(position, weight) of each parent draw node idx reads: none for an
@@ -462,18 +555,17 @@ class Sampler:
 
     def _compute(self, idx):
         """Packed column of draw node idx by the noisy-OR rule; the draw
-        nodes its parents' columns read are already cached.  ORs act on the
-        packed bytes, which keeps the padding zero; only a parent of weight
-        strictly inside (0, 1) is unpacked."""
+        nodes its parents' columns read are already cached.  The parents of
+        weight 1 are one OR of packed bytes, which keeps the padding zero;
+        only a parent of weight strictly inside (0, 1) is unpacked."""
         absolute = self.bbn.absolute.get(idx)
         if absolute is not None:
             return np.packbits(self._uniforms(idx) < absolute)
-        certain = np.zeros((self.n + 7) // 8, dtype=np.uint8)
+        parents = self._parents_read(idx)
+        certain = self._column(*(j for j, w in parents if w >= 1.0))
         keep = 1.0
-        for j, w in self._parents_read(idx):
-            if w >= 1.0:
-                certain |= self._column(j)
-            else:
+        for j, w in parents:
+            if w < 1.0:
                 keep = keep * np.where(self._unpack(self._column(j)),
                                        1.0 - w, 1.0)
         keep_static = 1.0

@@ -16,6 +16,7 @@ the one first-last kernel, `first_last_matrix`.
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,22 @@ class ConsensusView:
     guards: tuple          # guard relay ids, in id order
     exits: tuple           # exit relay ids, in id order
     as_of: dict            # relay id -> the AS id of its as_number, or None
+
+    @cached_property
+    def compatible(self):
+        """(len(guards), len(exits)) bool, read-only: may guard g and exit e
+        make one circuit?  Their relays, families and /16s all differ."""
+        guards = [r for r in self.relays if r.guard]
+        exits = [r for r in self.relays if r.exit]
+        ok = np.ones((len(guards), len(exits)), dtype=bool)
+        for key in ("id", "family", "prefix16"):
+            code = {}       # each value of `key` -> a small int
+            g, e = (np.array([code.setdefault(getattr(r, key), len(code))
+                              for r in relays], dtype=np.intp)
+                    for relays in (guards, exits))
+            ok &= g[:, None] != e
+        ok.flags.writeable = False
+        return ok
 
 
 @dataclass(frozen=True)
@@ -103,19 +120,21 @@ def consensus_view(world):
                          as_of=as_of)
 
 
-def _end_column(sampler, cv, as_node, relay):
-    """Joint indicator: relay compromised or the AS-relay link observed."""
-    col = sampler.column(relay)
+def end_support(cv, index, as_node, relay):
+    """The node ids whose OR is the end column of `relay` seen from
+    `as_node`, given `index`, the ids of the network: the relay and their
+    virtual link if the network holds it, else the relay plus whichever of
+    `as_node` and the relay's AS it holds (the two-endpoint path)."""
     vid = link_id(as_node, relay)
-    if vid in sampler.bbn.index:
-        return col | sampler.column(vid)
-    # No link instance: degrade to the two-endpoint path.
-    if as_node in sampler.bbn.index:
-        col = col | sampler.column(as_node)
-    relay_as = cv.as_of[relay]
-    if relay_as is not None and relay_as in sampler.bbn.index:
-        col = col | sampler.column(relay_as)
-    return col
+    if vid in index:
+        return (relay, vid)
+    return (relay, *(a for a in (as_node, cv.as_of[relay]) if a in index))
+
+
+def _end_column(sampler, cv, as_node, relay):
+    """Joint indicator: relay compromised or the AS-relay link observed; one
+    `Sampler.column` request over the relay's `end_support`."""
+    return sampler.column(*end_support(cv, sampler.bbn.index, as_node, relay))
 
 
 def end_columns(sampler, cv, as_node, relays):
@@ -197,13 +216,10 @@ def draw_default_circuits(cv, n, seed):
                 raise InvalidInputError(f"{what} bandwidth sum is not finite")
     if exit_w.sum() <= 0:
         raise InvalidInputError("exit bandwidth is all zero")
-    allowed = np.array([[g.id != e.id and g.family != e.family
-                         and g.prefix16 != e.prefix16 for e in exits]
-                        for g in guards])
     e_at = rng.choice(len(exits), size=n, p=exit_w / exit_w.sum())
     g_at = np.empty(n, dtype=int)
     for e in np.flatnonzero(np.bincount(e_at)):     # drawn exits, in order
-        w = guard_w * allowed[:, e]
+        w = guard_w * cv.compatible[:, e]
         if w.sum() <= 0:
             raise InvalidInputError(
                 f"no guard compatible with exit {exits[e].id} has bandwidth")

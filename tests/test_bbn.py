@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from tortrust.beliefs import (Absolute, Budget1, Budget2, CE1, CE2, Relative,
                               TrustScale, build_the_man)
-from tortrust.bbn import (CompiledBbn, Sampler,
+from tortrust.bbn import (CompiledBbn, Sampler, _pcg64_state, _stream_words,
                           bbn_from_dict, bbn_to_dict, compile_bbn,
                           compromise_probability,
                           enumerate_exact, estimate_event, estimate_marginals,
@@ -1071,6 +1071,50 @@ def test_skipping_draws_is_byte_identical(data):
         assert sorted(calls) == np.flatnonzero(bbn.needs_draws).tolist()
 
 
+# --- streams -----------------------------------------------------------------
+
+_SEEDS = st.one_of(st.sampled_from([0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 1,
+                                    2 ** 130]),
+                   st.integers(0, 2 ** 160 - 1))
+_POSITIONS = st.one_of(st.sampled_from([0, 1, 2 ** 32 - 1]),
+                       st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SEEDS, st.lists(_POSITIONS, min_size=1, max_size=4))
+def test_stream_words_seed_pcg64_as_numpy_does(seed, positions):
+    """One pass of words, then PCG64's seeding step, give the state that
+    numpy's PCG64(SeedSequence([seed, p])) starts from, for seeds of 1 to 5
+    uint32 words and every position one uint32 holds."""
+    words = _stream_words(seed, positions)
+    assert words.dtype == np.uint64 and words.shape == (len(positions), 4)
+    for p, row in zip(positions, words.tolist()):
+        assert _pcg64_state(row) == np.random.PCG64(
+            np.random.SeedSequence([seed, p])).state
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+@pytest.mark.parametrize("seed", [0, 2 ** 63 - 1, 2 ** 64 + 1])
+def test_one_generator_draws_each_stream_as_default_rng(small_bbn, n, seed):
+    """A Sampler re-seeds its one generator before each draw, so a draw
+    node's uniforms are default_rng(SeedSequence([seed, p])).random(n)
+    whatever was drawn before."""
+    draws = np.flatnonzero(small_bbn.needs_draws).tolist()
+    sampler = Sampler(small_bbn, n, seed)
+    for p in draws[::-1] + draws:
+        expected = np.random.default_rng(
+            np.random.SeedSequence([seed, p])).random(n)
+        assert np.array_equal(sampler._uniforms(p), expected)
+
+
+@pytest.mark.parametrize("position", [-1, 2 ** 32, 2 ** 40])
+def test_stream_positions_outside_one_uint32_are_refused(position):
+    """numpy would read such a position as other entropy words."""
+    with pytest.raises(ValueError, match=rf"^stream position {position} is "
+                                         r"outside \[0, 2\*\*32\)$"):
+        _stream_words(3, [0, position])
+
+
 # --- frontiers ---------------------------------------------------------------
 
 def _reference_frontiers(bbn):
@@ -1214,6 +1258,30 @@ def test_sampler_caches_only_the_draw_nodes_asked_for(data, picks, seed):
             if not bbn.needs_draws[i]:
                 assert np.array_equal(sampler.column(bbn.ids[i]), col)
         assert calls == computed == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mostly_deterministic_dicts(),
+       st.lists(st.integers(0, 99), min_size=3, max_size=3),
+       st.integers(1, 70), st.integers(0, 2 ** 16))
+@example(_UNREAD_PARENTS, [2, 3, 2], 9, 0)
+def test_a_column_of_several_ids_is_the_or_of_theirs(data, picks, n, seed):
+    """`column(a, b, c)` equals `column(a) | column(b) | column(c)` and
+    draws the same draw nodes; `column()` is all False."""
+    bbn = bbn_from_dict(data)
+    ids = [bbn.ids[i % len(bbn)] for i in picks]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_uniforms(mp)
+        joint = Sampler(bbn, n, seed).column(*ids)
+        drawn = sorted(calls)
+        del calls[:]
+        single = Sampler(bbn, n, seed)
+        expected = np.logical_or.reduce([single.column(x) for x in ids])
+        assert sorted(calls) == drawn == sorted(
+            _needed_draws(bbn, [bbn.index[x] for x in ids]))
+    assert joint.dtype == bool and np.array_equal(joint, expected)
+    none = Sampler(bbn, n, seed).column()
+    assert none.shape == (n,) and not none.any()
 
 
 def test_absolute_values_overriding_risks_or_parents_warn_once(caplog):

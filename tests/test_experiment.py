@@ -14,7 +14,7 @@ from tortrust.editor import apply_structural
 from tortrust.experiment import (DEFAULT_SCENARIOS, ExperimentConfig,
                                  run_experiment)
 from tortrust.pathsel import (_end_column, consensus_view, derive_seed,
-                              draw_default_circuits)
+                              draw_default_circuits, end_support)
 from tortrust.predicates import parse_predicate
 from tortrust.world import (TypeInstance, World, world_from_dict,
                             world_to_dict)
@@ -229,7 +229,9 @@ def test_prefix_free_ids_take_the_two_endpoint_path(ontology):
     cfg = _prefix_free_config(ontology)
     ew = apply_structural(cfg.world, ontology, cfg.adversary)
     sampler = Sampler(compile_bbn(ew, cfg.adversary.trust), 400, 1)
-    column = _end_column(sampler, consensus_view(ew.world), "AS1", "g1")
+    cv = consensus_view(ew.world)
+    column = _end_column(sampler, cv, "AS1", "g1")
+    assert end_support(cv, sampler.bbn.index, "AS1", "g1") == ("g1", "AS1")
     assert np.array_equal(column, sampler.column("g1")
                           | sampler.column("AS1"))
     assert column.any() and not column.all()

@@ -14,7 +14,7 @@ from tortrust.editor import EditedWorld
 from tortrust.errors import InvalidInputError
 from tortrust.ontology import default_ontology
 from tortrust.pathsel import (_end_column, consensus_view, derive_seed,
-                              draw_default_circuits, end_columns,
+                              draw_default_circuits, end_columns, end_support,
                               exits_by_as, first_last_matrix, place_servers,
                               placement_row, select_circuit, select_guards)
 from tortrust.predicates import parse_predicate
@@ -93,6 +93,32 @@ def test_end_column_exposure_through_link():
     p = _exposure(Sampler(bbn, 100_000, seed=1), consensus_view(ew.world),
                   "as:100", "relay:g")
     assert p == pytest.approx(0.2, abs=0.006)
+
+
+def test_end_column_is_one_request_over_its_end_support(monkeypatch):
+    """The relay and its virtual link where the network holds one, else
+    the relay, the AS and the relay's own AS; either way one request."""
+    ew, bbn = _two_end_world()
+    cv = consensus_view(ew.world)
+    sampler = Sampler(bbn, 1000, seed=4)
+    cases = {("as:100", "relay:g"): ("relay:g", "vlink:as100-relay:g"),
+             ("as:200", "relay:g"): ("relay:g", "as:200", "as:300"),
+             ("as:400", "relay:e"): ("relay:e", "as:400", "as:400")}
+    for (as_node, relay), support in cases.items():
+        assert end_support(cv, bbn.index, as_node, relay) == support
+        requests = []
+        column = Sampler.column
+
+        def counting(self, *node_ids):
+            requests.append(node_ids)
+            return column(self, *node_ids)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(Sampler, "column", counting)
+            end = _end_column(sampler, cv, as_node, relay)
+        assert requests == [support]
+        assert np.array_equal(end, np.logical_or.reduce(
+            [sampler.column(x) for x in support]))
 
 
 def test_first_last_independent_ends_multiply():
@@ -490,6 +516,19 @@ def test_default_draw_fails_when_all_guards_conflict():
     cv = consensus_view(ew.world)
     with pytest.raises(ValueError, match="compatible"):
         draw_default_circuits(cv, 10, seed=0)
+
+
+def test_compatibility_matrix_is_built_once_per_view(small_cv):
+    """Guard g and exit e may make one circuit when their relays, families
+    and /16s all differ; the matrix is read-only and built once per view."""
+    guards = [r for r in small_cv.relays if r.guard]
+    exits = [r for r in small_cv.relays if r.exit]
+    expected = [[g.id != e.id and g.family != e.family
+                 and g.prefix16 != e.prefix16 for e in exits] for g in guards]
+    assert small_cv.compatible.tolist() == expected
+    assert 0 < small_cv.compatible.sum() < small_cv.compatible.size
+    assert small_cv.compatible is small_cv.compatible
+    assert not small_cv.compatible.flags.writeable
 
 
 def _reference_default_draws(cv, n, seed):
